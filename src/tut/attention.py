@@ -3,8 +3,16 @@
 The local and logsparse patterns never materialize a T x T score matrix:
 each query row keeps a fixed slot layout of candidate keys (window offsets
 or power-of-two offsets), with out-of-range slots masked before the
-softmax. Post-softmax rows are retained per head so the boundary loss can
-read similarity distributions straight out of the forward pass.
+softmax. Post-softmax rows are retained so the boundary loss can read
+similarity distributions straight out of the forward pass.
+
+The local pattern is the banded sliding-window kernel of Longformer
+(Beltagy et al., arXiv:2004.05150): ``tensor.banded_softmax`` scores all
+heads against a window view of zero-padded keys in one node, and
+``tensor.banded_mix`` mixes the value windows in a second. Besides Q, K and
+V, the graph retains only the padded K and V copies and the (T, heads, w)
+probabilities (and their dropout mask). Logsparse gathers its O(log T) key
+slots per head instead.
 """
 
 from __future__ import annotations
@@ -16,9 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor
-
-MASK_VALUE = -1e30
+from .tensor import MASK_VALUE, Tensor
 
 PATTERNS = ("full", "local", "logsparse")
 PE_MODES = ("none", "sinusoidal", "learnable", "relative")
@@ -67,6 +73,8 @@ class AttentionRecord:
     ``probs`` holds one (query_len, slots) tensor per head (pre-dropout, so
     each valid row sums to 1). ``indices``/``valid`` describe which key each
     slot points at; for the local pattern slot j is window offset j - w//2.
+    Local records also carry ``fused``, the (query_len, heads, w) graph node
+    that their per-head rows are graph-free views of.
     """
 
     pattern: str
@@ -76,6 +84,14 @@ class AttentionRecord:
     query_len: int
     key_len: int
     window: int | None = None
+    fused: Tensor | None = None
+
+    @classmethod
+    def local(cls, fused: Tensor, indices, valid, key_len: int) -> "AttentionRecord":
+        """Record of banded attention from its (query_len, heads, w) probabilities."""
+        query_len, heads, window = fused.data.shape
+        views = [Tensor(fused.data[:, h]) for h in range(heads)]
+        return cls("local", views, indices, valid, query_len, key_len, window, fused)
 
     @property
     def heads(self) -> int:
@@ -224,8 +240,13 @@ def local_attention(
         raise ShapeError(
             f"rpe table {rpe.weights.data.shape} does not match (w={cfg.window}, h={cfg.heads})"
         )
-    indices, valid = window_slots(q.data.shape[0], k.data.shape[0], cfg.window)
-    return _slotted_attention(q, k, v, cfg, indices, valid, "local", rpe, rng, train)
+    t_k = k.data.shape[0]
+    indices, valid = window_slots(q.data.shape[0], t_k, cfg.window)
+    probs = T.banded_softmax(q, k, valid, cfg.heads, rpe.weights if rpe is not None else None)
+    p_used = probs
+    if rng is not None:  # draw head-major, as per-head (T, w) masks from this stream would
+        p_used = T.dropout(probs, cfg.dropout, rng, train, draw_axes=(1, 0, 2))
+    return T.banded_mix(p_used, v), AttentionRecord.local(probs, indices, valid, t_k)
 
 
 def logsparse_attention(

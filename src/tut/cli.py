@@ -12,7 +12,7 @@ from . import data as D
 from . import metrics as M
 from . import trainer as TR
 from .config import DataConfig, build_configs, field_table, format_config
-from .errors import ConfigError
+from .errors import CheckpointError, ConfigError, DatasetError, ShapeError, TrainingDiverged
 from .net import load_checkpoint, read_manifest, save_checkpoint
 from .viz import render_timeline
 
@@ -111,11 +111,10 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.csv").write_text(M.report_csv(report))
-    params, cfg = load_checkpoint(args.checkpoint)
     for sample in samples:
         labels = predictions[sample.video_id]
         if args.upsample:
-            labels = TR.predict_sample(params, cfg, sample, upsample=True)
+            labels = TR.restore_source_rate(labels, sample)
         _write_video_artifacts(out_dir, sample, labels, mapping, mapping.num_classes)
     print(M.report_table(report))
     return 0
@@ -245,7 +244,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (
+        ConfigError, FileNotFoundError, DatasetError, CheckpointError, TrainingDiverged, ShapeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -54,6 +54,7 @@ class VideoSample:
     labels: np.ndarray  # (T,) int
     fps: float = 15.0
     source_len: int | None = None  # original length before temporal striding
+    stride: int = 1  # source frames per kept frame
 
     def __post_init__(self):
         if self.features.shape[0] != self.labels.shape[0]:
@@ -166,6 +167,8 @@ def load_dataset(root, split_file, fps: float = 15.0) -> tuple[list[VideoSample]
         for line in split_path.read_text().splitlines()
         if line.strip()
     ]
+    if not video_ids:
+        raise DatasetError(f"split {split_path} lists no videos")
     samples = []
     for vid in video_ids:
         feat_path = root / "features" / f"{vid}.feat"
@@ -207,6 +210,7 @@ def resample_temporal(sample: VideoSample, source_fps: float, target_fps: float)
         sample.labels[::k],
         fps=target_fps,
         source_len=sample.num_frames,
+        stride=k,
     )
 
 

@@ -107,7 +107,7 @@ def _lad_rows(record: AttentionRecord, frames: np.ndarray, window: int) -> Tenso
     if record.pattern == "local":
         if record.window != window:
             raise ShapeError(f"record window {record.window} != requested {window}")
-        per_head = [T.gather_rows(p, frames) for p in record.probs]
+        acc = T.sum_axis(T.gather_rows(record.fused, frames), axis=1)
     elif record.pattern == "full":
         cols = frames[:, None] + np.arange(-half, half + 1)[None, :]
         flat = (frames[:, None] * record.key_len + cols).reshape(-1)
@@ -115,12 +115,12 @@ def _lad_rows(record: AttentionRecord, frames: np.ndarray, window: int) -> Tenso
             T.reshape(T.gather_rows(T.reshape(p, (p.data.size, 1)), flat), (len(frames), window))
             for p in record.probs
         ]
+        acc = per_head[0]
+        for extra in per_head[1:]:
+            acc = T.add(acc, extra)
     else:
         raise ConfigError(f"boundary loss is undefined for the {record.pattern} pattern")
-    acc = per_head[0]
-    for extra in per_head[1:]:
-        acc = T.add(acc, extra)
-    avg = T.mul(acc, 1.0 / len(per_head))
+    avg = T.mul(acc, 1.0 / record.heads)
     return T.div(avg, T.sum_axis(avg, axis=1, keepdims=True))
 
 

@@ -29,7 +29,7 @@ from .attention import (
     slot_count,
 )
 from .errors import CheckpointError, ConfigError, ShapeError
-from .tensor import SeedStreams, Tensor
+from .tensor import SeedStreams, Tensor, downsample_nearest, upsample_nearest
 
 ARCHITECTURES = ("utrans", "standard")
 
@@ -114,26 +114,6 @@ class StageOutputs:
 def final_prediction(outputs: StageOutputs) -> np.ndarray:
     """Frame labels from the last refinement stage's logits."""
     return np.argmax(outputs.logits[-1].data, axis=1)
-
-
-# ---------------------------------------------------------------------------
-# temporal resampling
-
-
-def downsample_nearest(x: Tensor) -> Tensor:
-    """Keep every second row: output row k = input row 2k."""
-    t = x.data.shape[0]
-    if t < 1:
-        raise ShapeError("cannot downsample an empty sequence")
-    return T.gather_rows(x, np.arange(0, t, 2))
-
-
-def upsample_nearest(x: Tensor, target_len: int) -> Tensor:
-    """Nearest-neighbor restore: output row t = input row t // 2."""
-    t = x.data.shape[0]
-    if (target_len + 1) // 2 != t:
-        raise ShapeError(f"cannot upsample {t} rows to length {target_len}")
-    return T.gather_rows(x, np.arange(target_len) // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,17 @@ float64 is used by gradient tests, float32 is the training default.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NumericError, ShapeError
 
 Array = np.ndarray
+
+MASK_VALUE = -1e30  # additive score for attention slots outside the key range
 
 
 class Tensor:
@@ -280,6 +284,33 @@ def gather_rows(x: Tensor, indices: Array) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
+def downsample_nearest(x: Tensor) -> Tensor:
+    """Keep every second row: output row k = input row 2k."""
+    if x.data.shape[0] < 1:
+        raise ShapeError("cannot downsample an empty sequence")
+
+    def backward(g):
+        full = np.zeros_like(x.data)
+        full[::2] = g
+        _accumulate(x, full)
+
+    return _make(x.data[::2].copy(), (x,), backward)
+
+
+def upsample_nearest(x: Tensor, target_len: int) -> Tensor:
+    """Nearest-neighbor restore: output row t = input row t // 2."""
+    t = x.data.shape[0]
+    if (target_len + 1) // 2 != t:
+        raise ShapeError(f"cannot upsample {t} rows to length {target_len}")
+
+    def backward(g):  # each input row sums its (one or two) output rows
+        pairs = g[::2].copy()
+        pairs[: target_len // 2] += g[1::2]
+        _accumulate(x, pairs)
+
+    return _make(np.repeat(x.data, 2, axis=0)[:target_len], (x,), backward)
+
+
 def scatter_add_rows(x: Tensor, indices: Array, out_len: int) -> Tensor:
     """out[indices[i]] += x[i]; backward gathers at the same indices."""
     idx = np.asarray(indices, dtype=np.intp)
@@ -372,11 +403,18 @@ def instance_norm_temporal(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1
     return _make(out_data, (x, gain, bias), backward)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool) -> Tensor:
-    """Inverted dropout; identity when p == 0 or in eval mode."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool, draw_axes=None) -> Tensor:
+    """Inverted dropout; identity when p == 0 or in eval mode.
+
+    ``draw_axes`` lists x's axes in the order the uniforms are drawn,
+    slowest first (default: x's own order). Drawing a (T, heads, w) tensor
+    head-major gives the mask that one (T, w) draw per head would.
+    """
     if not train or p <= 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype)
+    axes = tuple(range(x.data.ndim)) if draw_axes is None else tuple(draw_axes)
+    draws = rng.random(tuple(x.data.shape[a] for a in axes)).transpose(np.argsort(axes))
+    keep = (draws >= p).astype(x.data.dtype)
     mask = keep / (1.0 - p)
     out_data = x.data * mask
 
@@ -384,6 +422,96 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool) -> Tenso
         _accumulate(x, g * mask)
 
     return _make(out_data, (x,), backward)
+
+
+# ---------------------------------------------------------------------------
+# banded (sliding-window) attention kernels
+#
+# Query row i, head h, slot j of a window w looks at key row i + j - w//2.
+# Keys and values are zero-padded by w//2 rows on either side and read
+# through a (T_q, heads, d_h, w) sliding-window view, so no per-slot copy is
+# made; backward passes fold the w shifted slices back into the padding.
+
+
+def _windows(x: Array, heads: int, window: int, rows: int) -> Array:
+    """Window view of x (T_k, d): entry [i, h, :, j] is head h of x row
+    i + j - window//2, zeros outside [0, T_k)."""
+    half = window // 2
+    kept = min(x.shape[0], rows + half)  # later rows fall in no window
+    padded = np.zeros((rows + window - 1, heads, x.shape[1] // heads), dtype=x.dtype)
+    padded[half : half + kept] = x[:kept].reshape(kept, heads, -1)
+    return sliding_window_view(padded, window, axis=0)
+
+
+def _fold_windows(coeff: Array, rows3: Array, key_len: int) -> Array:
+    """Gradient of a window view: out[i + j - w//2] += coeff[i, :, j] * rows3[i]."""
+    t_q, heads, window = coeff.shape
+    half = window // 2
+    padded = np.zeros((t_q + window - 1,) + rows3.shape[1:], dtype=rows3.dtype)
+    for j in range(window):
+        padded[j : j + t_q] += coeff[:, :, j, None] * rows3
+    out = np.zeros((key_len, heads * rows3.shape[2]), dtype=rows3.dtype)
+    kept = min(key_len, t_q + half)
+    out[:kept] = padded[half : half + kept].reshape(kept, -1)
+    return out
+
+
+def banded_softmax(
+    q: Tensor, k: Tensor, valid: Array, heads: int, rpe: Tensor | None = None
+) -> Tensor:
+    """Windowed attention probabilities of every head in one node.
+
+    Scores q_i . k_{i+j-w//2} / sqrt(d_h), plus ``rpe[j, h]`` when given,
+    are masked where ``valid`` (T_q, w) is False and max-stabilized into a
+    softmax over the w slots. Returns (T_q, heads, w); a row with no valid
+    slot (T_q > T_k + w//2) spreads uniformly over zero keys.
+    """
+    t_q, dim = q.data.shape
+    window = valid.shape[1]
+    if dim % heads or k.data.shape[1] != dim or valid.shape[0] != t_q:
+        raise ShapeError(f"banded softmax: q {q.data.shape}, k {k.data.shape}, {heads} heads")
+    scale = 1.0 / math.sqrt(dim // heads)
+    q3 = q.data.reshape(t_q, heads, -1)
+    k_win = _windows(k.data, heads, window, t_q)
+    scores = np.matmul(q3[:, :, None, :], k_win)[:, :, 0, :] * scale
+    if rpe is not None:
+        scores += rpe.data.T
+    scores += np.where(valid, 0.0, MASK_VALUE).astype(scores.dtype)[:, None, :]
+    if not np.isfinite(np.max(scores)):
+        raise NumericError("attention scores contain non-finite values")
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        ds = probs * (g - (g * probs).sum(axis=-1, keepdims=True))
+        if rpe is not None:
+            _accumulate(rpe, ds.sum(axis=0).T)
+        ds *= scale
+        dq = np.matmul(ds[:, :, None, :], k_win.swapaxes(2, 3))[:, :, 0, :]
+        _accumulate(q, dq.reshape(t_q, dim))
+        _accumulate(k, _fold_windows(ds, q3, k.data.shape[0]))
+
+    return _make(probs, (q, k) if rpe is None else (q, k, rpe), backward)
+
+
+def banded_mix(p: Tensor, v: Tensor) -> Tensor:
+    """Per-head weighted sum of each query row's value window.
+
+    ``p`` is (T_q, heads, w) as from ``banded_softmax``; returns (T_q, d).
+    """
+    t_q, heads, window = p.data.shape
+    dim = v.data.shape[1]
+    if dim % heads:
+        raise ShapeError(f"banded mix: {heads} heads do not divide value dim {dim}")
+    v_win = _windows(v.data, heads, window, t_q)
+    out_data = np.matmul(p.data[:, :, None, :], v_win.swapaxes(2, 3))[:, :, 0, :]
+
+    def backward(g):
+        g3 = g.reshape(t_q, heads, -1)
+        _accumulate(p, np.matmul(g3[:, :, None, :], v_win)[:, :, 0, :])
+        _accumulate(v, _fold_windows(p.data, g3, v.data.shape[0]))
+
+    return _make(out_data.reshape(t_q, dim), (p, v), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

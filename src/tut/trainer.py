@@ -195,12 +195,15 @@ def predict_sample(
 ) -> np.ndarray:
     """Dropout-free forward; labels from the last stage, optionally restored
     to the source frame rate."""
-    outputs = model_forward(sample.features, params, cfg, train=False)
-    labels = final_prediction(outputs)
-    if upsample and sample.source_len is not None and sample.source_len != sample.num_frames:
-        factor = int(round(sample.source_len / sample.num_frames))
-        labels = upsample_predictions(labels, factor, sample.source_len)
-    return labels
+    labels = final_prediction(model_forward(sample.features, params, cfg, train=False))
+    return restore_source_rate(labels, sample) if upsample else labels
+
+
+def restore_source_rate(labels: np.ndarray, sample: VideoSample) -> np.ndarray:
+    """Repeat each strided prediction over the source frames it stands for."""
+    if sample.stride == 1:
+        return labels
+    return upsample_predictions(labels, sample.stride, sample.source_len)
 
 
 def evaluate_model(

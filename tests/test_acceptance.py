@@ -217,6 +217,38 @@ def test_c01_gradient_suite():
         T.sum_all(T.mul(out, T.tensor(wt))).backward()
         check(f"attention.{pattern}", att_f, [q0, k0, v0], [tq.grad, tk.grad, tv.grad])
 
+    # banded attention kernels (query and key lengths differ) and resampling;
+    # their own stream leaves the end-to-end model's draws below unchanged
+    brng = np.random.default_rng(3)
+    _, valid = A.window_slots(7, 6, 5)
+    kb, tab = brng.standard_normal((6, 4)), brng.standard_normal((5, 2))
+    wb = brng.standard_normal((7, 2, 5))
+    tq, tk, ttab = (T.tensor(a, requires_grad=True) for a in (q0, kb, tab))
+    T.sum_all(T.mul(T.banded_softmax(tq, tk, valid, 2, ttab), T.tensor(wb))).backward()
+    check(
+        "banded_softmax",
+        lambda qv, kv, tv: float((T.banded_softmax(T.tensor(qv), T.tensor(kv), valid, 2,
+                                                   T.tensor(tv)).data * wb).sum()),
+        [q0, kb, tab], [tq.grad, tk.grad, ttab.grad],
+    )
+    pb = brng.random((7, 2, 5))
+    tp, tv = T.tensor(pb, requires_grad=True), T.tensor(kb, requires_grad=True)
+    T.sum_all(T.mul(T.banded_mix(tp, tv), T.tensor(wt))).backward()
+    check(
+        "banded_mix",
+        lambda pv, vv: float((T.banded_mix(T.tensor(pv), T.tensor(vv)).data * wt).sum()),
+        [pb, kb], [tp.grad, tv.grad],
+    )
+    for name, resample, rows in (
+        ("downsample_nearest", T.downsample_nearest, 4),
+        ("upsample_nearest", lambda x: T.upsample_nearest(x, 13), 13),
+    ):
+        wr = brng.standard_normal((rows, 4))
+        tr = T.tensor(q0, requires_grad=True)
+        T.sum_all(T.mul(resample(tr), T.tensor(wr))).backward()
+        check(name, lambda xv, f=resample, wr=wr: float((f(T.tensor(xv)).data * wr).sum()),
+              [q0], [tr.grad])
+
     # end-to-end tiny model: T=16, d=4, N=2, M=1, w=3, f64, dropout off,
     # full three-term loss, finite differences over every parameter. The
     # smoothing loss detaches the frame t-1 branch, so the FD oracle
@@ -399,10 +431,7 @@ def test_c04_loss_correctness():
         raw = rng.random((t, w)) + 0.05
         rows = raw / raw.sum(axis=1, keepdims=True)
         indices, valid = A.window_slots(t, t, w)
-        rec = A.AttentionRecord(
-            pattern="local", probs=[T.tensor(rows)], indices=indices, valid=valid,
-            query_len=t, key_len=t, window=w,
-        )
+        rec = A.AttentionRecord.local(T.tensor(rows[:, None, :]), indices, valid, key_len=t)
         b = L.derive_boundaries(labels)
         got = float(
             L.ba_loss((None, rec), b, L.LossWeights(boundary_weight=1.0), w, t).data
@@ -419,10 +448,7 @@ def test_c04_loss_correctness():
             for frame in frames:
                 if w // 2 <= frame <= t - 1 - w // 2:
                     aligned[frame] = L.prior(variant, w).values
-        rec2 = A.AttentionRecord(
-            pattern="local", probs=[T.tensor(aligned)], indices=indices, valid=valid,
-            query_len=t, key_len=t, window=w,
-        )
+        rec2 = A.AttentionRecord.local(T.tensor(aligned[:, None, :]), indices, valid, key_len=t)
         zero = float(
             L.ba_loss((None, rec2), b, L.LossWeights(boundary_weight=1.0), w, t).data
         )

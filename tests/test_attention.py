@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,37 @@ def test_rpe_gradient_vs_finite_differences():
     out, _ = A.local_attention(T.tensor(q0), T.tensor(k0), T.tensor(v0), cfg, rpe=A.RpeTable("s", tt))
     T.sum_all(T.mul(out, T.tensor(weights))).backward()
     assert rel_err(tt.grad, numeric_grad(f, [table0], 0)) < 1e-4
+
+
+def _slotted_local(q, k, v, cfg, rpe=None, rng=None, train=False):
+    indices, valid = A.window_slots(q.data.shape[0], k.data.shape[0], cfg.window)
+    return A._slotted_attention(q, k, v, cfg, indices, valid, "local", rpe, rng, train)
+
+
+def test_fused_local_matches_slotted_oracle():
+    rng = np.random.default_rng(17)
+    combos = itertools.product((1, 2, 4), (1, 3, 11, 51), (False, True), (False, True))
+    for n, (heads, w, use_rpe, drop) in enumerate(c for c in combos for _ in range(5)):
+        t_q = 1 + n % 40
+        # cross lengths keep t_k >= t_q - w//2, so every query row has a key in range
+        t_k = t_q if n % 2 else int(rng.integers(max(1, t_q - w // 2), t_q + w // 2 + 4))
+        d = heads * int(rng.integers(1, 4))
+        cfg = cfg_for("local", window=w, heads=heads, dropout=0.5)
+        arrays = [rng.standard_normal(shape) for shape in ((t_q, d), (t_k, d), (t_k, d), (w, heads))]
+        weights = rng.standard_normal((t_q, d))
+        results = []
+        for attend in (A.local_attention, _slotted_local):
+            leaves = [T.tensor(a, requires_grad=True) for a in arrays]
+            rpe = A.RpeTable("s", leaves[3]) if use_rpe else None
+            stream = np.random.default_rng(n) if drop else None
+            out, record = attend(*leaves[:3], cfg, rpe=rpe, rng=stream, train=drop)
+            T.sum_all(T.mul(out, T.tensor(weights))).backward()
+            grads = [np.zeros_like(a) if x.grad is None else x.grad for a, x in zip(arrays, leaves)]
+            results.append((out.data, grads, [p.data for p in record.probs]))
+        (out, grads, probs), (want_out, want_grads, want_probs) = results
+        np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+        for got, want in zip(grads + probs, want_grads + want_probs):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_attention_dropout_record_keeps_predrop_rows():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from tut import cli
+from tut import trainer as TR
 from tut.cli import main
-from tut.data import load_dataset, read_features
+from tut.data import load_dataset, read_features, write_features
 from tut.net import read_manifest
 
 SMALL_MODEL = [
@@ -145,6 +147,29 @@ def test_eval_upsample_with_sample_rate(synth_root, trained, tmp_path):
     assert len(pred) == source_len  # restored to the source frame count
 
 
+def test_eval_loads_once_and_runs_each_video_once(synth_root, trained, tmp_path, monkeypatch):
+    calls = {"model_forward": 0, "load_checkpoint": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(TR, "model_forward")
+    counted(TR, "load_checkpoint")
+    counted(cli, "load_checkpoint")
+    rc = main([
+        "eval", "--data-root", str(synth_root), "--out", str(tmp_path / "eval_up"),
+        "--checkpoint", str(trained / "checkpoint.ckpt"), "--sample-rate", "2", "--upsample",
+    ])
+    assert rc == 0
+    assert calls == {"model_forward": 3, "load_checkpoint": 1}
+
+
 def test_rolling_checkpoints(synth_root, tmp_path):
     out = tmp_path / "roll"
     rc = main([
@@ -164,3 +189,56 @@ def test_keep_best_flag(synth_root, tmp_path):
     ])
     assert rc == 0
     assert (out / "checkpoint_best.ckpt").exists()
+
+
+def _synth(root, **overrides):
+    flags = {"videos": "2", "classes": "3", "min-len": "36", "max-len": "40", "feature-dim": "8"}
+    flags.update(overrides)
+    argv = ["synth", "--out", str(root), "--seed", "3"]
+    for key, value in flags.items():
+        argv += [f"--{key}", value]
+    assert main(argv) == 0
+    return root
+
+
+def _empty_split(trained, synth_root, tmp_path):
+    (tmp_path / "empty.bundle").write_text("\n")
+    return ["train", "--data-root", str(synth_root), "--out", str(tmp_path / "run"), "--seed", "1",
+            "--split", str(tmp_path / "empty.bundle"), "--epochs", "1", *SMALL_MODEL]
+
+
+def _not_a_checkpoint(trained, synth_root, tmp_path):
+    return ["eval", "--data-root", str(synth_root), "--out", str(tmp_path / "eval"),
+            "--checkpoint", str(synth_root / "mapping.txt")]
+
+
+def _non_finite_features(trained, synth_root, tmp_path):
+    root = _synth(tmp_path / "nan")
+    for path in (root / "features").iterdir():
+        features = read_features(path)
+        features[5] = np.nan
+        write_features(path, features)
+    return ["train", "--data-root", str(root), "--out", str(tmp_path / "run"), "--seed", "1",
+            "--epochs", "1", *SMALL_MODEL]
+
+
+def _feature_dim_mismatch(trained, synth_root, tmp_path):
+    root = _synth(tmp_path / "narrow", **{"feature-dim": "6"})
+    return ["eval", "--data-root", str(root), "--out", str(tmp_path / "eval"),
+            "--checkpoint", str(trained / "checkpoint.ckpt")]
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [_empty_split, _not_a_checkpoint, _non_finite_features, _feature_dim_mismatch],
+    ids=["DatasetError", "CheckpointError", "TrainingDiverged", "ShapeError"],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_typed_failures_exit_2_with_one_line(make_argv, trained, synth_root, tmp_path, capsys):
+    argv = make_argv(trained, synth_root, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == err.splitlines()
+    assert len(err.splitlines()) == 1

@@ -105,16 +105,8 @@ def test_prior_examples():
 def make_local_record(rows_per_head, window):
     """Record with given post-softmax rows; rows_per_head: list of (T, w)."""
     t = rows_per_head[0].shape[0]
-    indices, valid = A.window_slots(t, t, window)
-    return A.AttentionRecord(
-        pattern="local",
-        probs=[T.tensor(r) for r in rows_per_head],
-        indices=indices,
-        valid=valid,
-        query_len=t,
-        key_len=t,
-        window=window,
-    )
+    fused = T.tensor(np.stack(rows_per_head, axis=1))
+    return A.AttentionRecord.local(fused, *A.window_slots(t, t, window), key_len=t)
 
 
 def test_extract_lad_single_and_averaged_heads():

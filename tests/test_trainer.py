@@ -3,6 +3,7 @@ import pytest
 
 from tut import data as D
 from tut import net as N
+from tut import tensor as T
 from tut import trainer as TR
 from tut.config import PRESETS, build_configs
 from tut.errors import ConfigError, TrainingDiverged
@@ -124,6 +125,19 @@ def test_predict_upsamples_to_source_rate():
     result = TR.train([half], cfg, TR.TrainConfig(epochs=1, lr=1e-3, seed=5))
     up = TR.predict_sample(result.params, cfg, half, upsample=True)
     assert up.shape[0] == samples[0].num_frames
+
+
+def test_upsample_uses_the_load_stride(monkeypatch):
+    # 10 source frames at stride 4 keep frames 0, 4, 8; the length ratio
+    # rounds to 3, but each prediction must cover 4 source frames
+    source = D.VideoSample("v", np.zeros((10, 8), dtype=np.float32), np.zeros(10, dtype=int))
+    strided = D.resample_temporal(source, 60.0, 15.0)
+    assert strided.num_frames == 3
+    monkeypatch.setattr(TR, "final_prediction", lambda outputs: np.array([0, 1, 2]))
+    cfg = tiny_model(layers=1, refinement_stages=0)
+    params = N.init_params(cfg, T.SeedStreams(0))
+    up = TR.predict_sample(params, cfg, strided, upsample=True)
+    np.testing.assert_array_equal(up, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2])
 
 
 def test_boundary_alignment_probe():
