@@ -101,10 +101,6 @@ class AttentionRecord:
     def entry_count(self) -> int:
         return self.heads * self.indices.size
 
-    def valid_key_sets(self) -> list[set[int]]:
-        """Attended key indices per query row."""
-        return [set(self.indices[i, self.valid[i]].tolist()) for i in range(self.query_len)]
-
 
 def window_slots(query_len: int, key_len: int, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Clamped window slot indices and validity for each query row."""

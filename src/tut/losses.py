@@ -124,14 +124,6 @@ def _lad_rows(record: AttentionRecord, frames: np.ndarray, window: int) -> Tenso
     return T.div(avg, T.sum_axis(avg, axis=1, keepdims=True))
 
 
-def extract_lad(record: AttentionRecord, frame: int, window: int) -> Tensor | None:
-    """One frame's local-attention distribution; None if its window is clipped."""
-    half = window // 2
-    if frame < half or frame > record.query_len - 1 - half:
-        return None
-    return T.reshape(_lad_rows(record, np.array([frame]), window), (window,))
-
-
 def _distance(kind: str, priors: Tensor, lads: Tensor) -> Tensor:
     if kind == "kl":
         return T.kl_from_probs(priors, lads)
@@ -237,27 +229,3 @@ def total_loss(
     breakdown["total"] = float(total.data)
     return total, breakdown
 
-
-def mean_boundary_kl(record: AttentionRecord, labels, window: int) -> float | None:
-    """Diagnostic: mean KL(prior || LAD) over in-range boundary frames.
-
-    Pure numpy (no graph); None when no boundary frame has a full window.
-    """
-    labels = np.asarray(labels)
-    boundaries = derive_boundaries(labels)
-    mapped = _map_boundaries(boundaries, labels.shape[0], record.query_len)
-    half = window // 2
-    lo, hi = half, record.query_len - 1 - half
-    divergences = []
-    for variant, frames in (("start", mapped.start_frames), ("end", mapped.end_frames)):
-        keep = frames[(frames >= lo) & (frames <= hi)]
-        if not keep.size:
-            continue
-        p = prior(variant, window).values
-        lads = _lad_rows(record, keep, window).data
-        for row in lads:
-            mask = p > 0
-            divergences.append(float(np.sum(p[mask] * np.log(p[mask] / row[mask]))))
-    if not divergences:
-        return None
-    return float(np.mean(divergences))

@@ -51,13 +51,6 @@ def extract_segments(labels) -> list[Segment]:
     return segments
 
 
-def reconstruct_labels(segments: list[Segment]) -> list:
-    out = []
-    for seg in segments:
-        out.extend([seg.label] * seg.length)
-    return out
-
-
 def frame_accuracy(pred, gt) -> float:
     pred = np.asarray(pred)
     gt = np.asarray(gt)

@@ -204,13 +204,6 @@ def zero_grads(params: dict[str, Tensor]):
 # layers
 
 
-def _project(params, prefix: str, x: Tensor, part: int, hidden: int) -> Tensor:
-    w = T.slice_cols(params[f"{prefix}.qkv.w"], part * hidden, (part + 1) * hidden)
-    b = params[f"{prefix}.qkv.b"]
-    bias = T.reshape(b, (1, b.data.shape[0]))
-    return T.add(T.matmul(x, w), T.slice_cols(bias, part * hidden, (part + 1) * hidden))
-
-
 def _norm(params, cfg: ModelConfig, name: str, x: Tensor) -> Tensor:
     if not cfg.normalize:
         return x
@@ -251,9 +244,8 @@ def encoder_layer(
     prefix = f"stage{stage}.enc{layer}"
     _, hidden, _ = cfg.stage_dims(stage)
     h1 = downsample_nearest(h_prev) if cfg.architecture == "utrans" else h_prev
-    q = _project(params, prefix, h1, 0, hidden)
-    k = _project(params, prefix, h1, 1, hidden)
-    v = _project(params, prefix, h1, 2, hidden)
+    qkv = T.linear(h1, params[f"{prefix}.qkv.w"], params[f"{prefix}.qkv.b"])
+    q, k, v = (T.slice_cols(qkv, i * hidden, (i + 1) * hidden) for i in range(3))
     rng = streams.stream(f"dropout:{prefix}.attn") if streams is not None else None
     attn, record = attend(
         q, k, v, cfg.attention_config(), rpe=_rpe_for(params, cfg, stage, "enc", layer),
@@ -284,9 +276,10 @@ def decoder_layer(
         raise ShapeError(
             f"decoder length {h1.data.shape[0]} does not match encoder peer {target_len}"
         )
-    q = _project(params, prefix, h1, 0, hidden)
-    k = _project(params, prefix, h_enc_peer, 1, hidden)
-    v = _project(params, prefix, h_enc_peer, 2, hidden)
+    w, b = params[f"{prefix}.qkv.w"], params[f"{prefix}.qkv.b"]
+    q = T.linear(h1, w, b, cols=(0, hidden))
+    kv = T.linear(h_enc_peer, w, b, cols=(hidden, 3 * hidden))
+    k, v = T.slice_cols(kv, 0, hidden), T.slice_cols(kv, hidden, 2 * hidden)
     rng = streams.stream(f"dropout:{prefix}.attn") if streams is not None else None
     attn, record = attend(
         q, k, v, cfg.attention_config(), rpe=_rpe_for(params, cfg, stage, "dec", layer),
@@ -453,56 +446,90 @@ def save_checkpoint(path, params: dict[str, Tensor], cfg: ModelConfig):
             fh.write(payload)
 
 
-def read_manifest(path) -> tuple[dict, list[tuple[str, np.dtype, tuple, int]]]:
-    """Parse a checkpoint's config and (name, dtype, shape, offset) entries."""
+def _read_checkpoint(path) -> tuple[bytes, dict, list[tuple[str, np.dtype, tuple, int]]]:
+    """Read a checkpoint once and check its structure.
+
+    Every entry must have a known dtype code, and the payloads must follow
+    the manifest back to back, in entry order, up to the end of the file
+    (so a truncated, padded or mis-pointing file is rejected). Returns the
+    raw bytes, the config and the (name, dtype, shape, offset) entries.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint")
     pos = len(CHECKPOINT_MAGIC)
-    (count,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
+
+    def take(fmt: str) -> tuple:
+        nonlocal pos
+        size = struct.calcsize(fmt)
+        if pos + size > len(raw):
+            raise CheckpointError(f"{path}: manifest truncated at byte {len(raw)}")
+        values = struct.unpack_from(fmt, raw, pos)
+        pos += size
+        return values
+
+    (count,) = take("<I")
     entries = []
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        name = raw[pos : pos + name_len].decode()
-        pos += name_len
-        code, rank = struct.unpack_from("<BB", raw, pos)
-        pos += 2
-        shape = struct.unpack_from(f"<{rank}Q", raw, pos) if rank else ()
-        pos += 8 * rank
-        (offset,) = struct.unpack_from("<Q", raw, pos)
-        pos += 8
-        entries.append((name, _CODE_DTYPES[code], tuple(int(d) for d in shape), offset))
+        (name_len,) = take("<H")
+        try:
+            name = take(f"<{name_len}s")[0].decode()
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: entry name is not UTF-8") from None
+        code, rank = take("<BB")
+        shape = tuple(int(d) for d in take(f"<{rank}Q"))
+        (offset,) = take("<Q")
+        if code not in _CODE_DTYPES:
+            raise CheckpointError(f"{path}: entry {name} has unknown dtype code {code}")
+        entries.append((name, _CODE_DTYPES[code], shape, offset))
+    end = pos
+    for name, dtype, shape, offset in entries:
+        nbytes = dtype.itemsize * math.prod(shape)
+        if offset != end or offset + nbytes > len(raw):
+            raise CheckpointError(f"{path}: entry {name} lies outside the file's payload")
+        end += nbytes
+    if end != len(raw):
+        raise CheckpointError(f"{path}: {len(raw) - end} bytes after the last entry")
     config_entry = next((e for e in entries if e[0] == "meta.config"), None)
     if config_entry is None:
         raise CheckpointError(f"{path}: missing config entry")
-    _, dtype, shape, offset = config_entry
-    nbytes = int(np.prod(shape)) if shape else 1
-    config = json.loads(raw[offset : offset + nbytes].decode())
+    _, _, shape, offset = config_entry
+    try:
+        config = json.loads(raw[offset : offset + math.prod(shape)].decode())
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise CheckpointError(f"{path}: config is not UTF-8 JSON") from None
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: config is not a JSON object")
+    return raw, config, entries
+
+
+def read_manifest(path) -> tuple[dict, list[tuple[str, np.dtype, tuple, int]]]:
+    """Parse a checkpoint's config and (name, dtype, shape, offset) entries."""
+    _, config, entries = _read_checkpoint(path)
     return config, entries
 
 
 def load_checkpoint(path, expected_cfg: ModelConfig | None = None):
     """Rebuild (params, config); shapes are validated against the config."""
-    config_dict, entries = read_manifest(path)
-    cfg = ModelConfig(**config_dict)
+    raw, config_dict, entries = _read_checkpoint(path)
+    try:
+        cfg = ModelConfig(**config_dict)
+        cfg.validate()
+    except (TypeError, ConfigError) as exc:
+        raise CheckpointError(f"{path}: invalid model config: {exc}") from None
     if expected_cfg is not None and asdict(expected_cfg) != asdict(cfg):
-        raise CheckpointError("checkpoint config does not match the requested model config")
+        raise CheckpointError(f"{path}: config does not match the requested model config")
     expected = param_shapes(cfg)
-    with open(path, "rb") as fh:
-        raw = fh.read()
     params: dict[str, Tensor] = {}
     for name, dtype, shape, offset in entries:
         if name == "meta.config":
             continue
         if name not in expected or expected[name] != shape:
-            raise CheckpointError(f"unexpected tensor {name} {shape} in checkpoint")
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape)
-        params[name] = Tensor(arr.copy(), requires_grad=True)
+            raise CheckpointError(f"{path}: unexpected tensor {name} {shape}")
+        arr = np.frombuffer(raw, dtype=dtype, count=math.prod(shape), offset=offset)
+        params[name] = Tensor(arr.reshape(shape).copy(), requires_grad=True)
     missing = sorted(set(expected) - set(params))
     if missing:
-        raise CheckpointError(f"checkpoint missing tensors: {missing[:4]}...")
+        raise CheckpointError(f"{path}: checkpoint missing tensors: {missing[:4]}...")
     return params, cfg

@@ -4,7 +4,10 @@ Define-by-run: each operation stores its parents and a backward closure on
 the output node; ``Tensor.backward()`` replays the closures in reverse
 topological order. Graphs are rebuilt on every forward pass and garbage
 collected afterwards, so variable-length sequences need no special casing.
-float64 is used by gradient tests, float32 is the training default.
+
+float32 is the training default and float64 is used by gradient tests. An
+op's value and gradients keep its inputs' dtype, 0-d results included;
+only python data defaults to float64.
 """
 
 from __future__ import annotations
@@ -34,7 +37,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
-        self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
+        if not isinstance(data, np.ndarray):  # a numpy scalar (0-d op result) keeps its dtype
+            data = np.asarray(data, dtype=data.dtype if isinstance(data, np.floating) else np.float64)
+        self.data = data
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
@@ -122,6 +127,15 @@ def _accumulate(node: Tensor, grad: Array):
         node.grad = grad.copy()
     else:
         node.grad += grad
+
+
+def _accumulate_part(node: Tensor, where, grad: Array):
+    """Accumulate grad into node.grad[where]; the rest of node.grad is untouched."""
+    if not node.requires_grad:
+        return
+    if node.grad is None:
+        node.grad = np.zeros_like(node.data)
+    node.grad[where] += grad
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -251,9 +265,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     def backward(g):
-        full = np.zeros_like(x.data)
-        full[:, start:stop] = g
-        _accumulate(x, full)
+        _accumulate_part(x, (slice(None), slice(start, stop)), g)
 
     return _make(x.data[:, start:stop].copy(), (x,), backward)
 
@@ -290,9 +302,7 @@ def downsample_nearest(x: Tensor) -> Tensor:
         raise ShapeError("cannot downsample an empty sequence")
 
     def backward(g):
-        full = np.zeros_like(x.data)
-        full[::2] = g
-        _accumulate(x, full)
+        _accumulate_part(x, slice(None, None, 2), g)
 
     return _make(x.data[::2].copy(), (x,), backward)
 
@@ -514,9 +524,25 @@ def banded_mix(p: Tensor, v: Tensor) -> Tensor:
     return _make(out_data.reshape(t_q, dim), (p, v), backward)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """x @ weight + bias with bias broadcast over rows."""
-    return add(matmul(x, weight), bias)
+def linear(x: Tensor, weight: Tensor, bias: Tensor, cols: tuple[int, int] | None = None) -> Tensor:
+    """x @ weight + bias in one node, bias broadcast over rows.
+
+    ``cols=(start, stop)`` uses only those columns of weight and bias, and
+    its backward writes only their gradient there.
+    """
+    part = slice(None) if cols is None else slice(*cols)
+    w, b = weight.data[:, part], bias.data[part]
+    if x.data.ndim != 2 or w.ndim != 2 or x.data.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: {x.data.shape} x {w.shape} + {b.shape}")
+    out_data = x.data @ w
+    out_data += b
+
+    def backward(g):
+        _accumulate(x, g @ w.T)
+        _accumulate_part(weight, (slice(None), part), x.data.T @ g)
+        _accumulate_part(bias, part, g.sum(axis=0))
+
+    return _make(out_data, (x, weight, bias), backward)
 
 
 # ---------------------------------------------------------------------------

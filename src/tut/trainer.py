@@ -18,7 +18,7 @@ import numpy as np
 from . import metrics as M
 from .data import ClassMapping, VideoSample, upsample_predictions
 from .errors import ConfigError, NumericError, TrainingDiverged
-from .losses import LossWeights, mean_boundary_kl, total_loss
+from .losses import LossWeights, total_loss
 from .net import (
     ModelConfig,
     count_attention_entries,
@@ -226,21 +226,6 @@ def evaluate_run(
 ) -> tuple[M.EvalReport, dict[str, np.ndarray]]:
     params, cfg = load_checkpoint(checkpoint_path)
     return evaluate_model(params, cfg, samples, thresholds, ignored_classes)
-
-
-def boundary_alignment(
-    params: dict[str, Tensor], cfg: ModelConfig, samples: list[VideoSample]
-) -> float | None:
-    """Mean KL between boundary-frame attention windows (decoder last layer,
-    final stage) and their priors, averaged over videos; a training probe."""
-    values = []
-    for sample in samples:
-        outputs = model_forward(sample.features, params, cfg, train=False)
-        record = outputs.records[-1][1]
-        value = mean_boundary_kl(record, sample.labels, cfg.window)
-        if value is not None:
-            values.append(value)
-    return float(np.mean(values)) if values else None
 
 
 def segments_csv(labels, mapping: ClassMapping | None = None) -> str:

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written without touching the library's
 backward passes or fast paths: finite differences for gradients, frame-set
-arithmetic for segment metrics, plain-python loops for divergences.
+arithmetic for segment metrics, plain-python loops for divergences. The
+last section holds the probes that only tests need: they read what the
+library's forward pass records, outside any graph.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+from tut import losses as L
+from tut import net as N
+from tut import tensor as T
 
 
 def numeric_grad(fn, arrays: list[np.ndarray], index: int, h: float = 1e-4) -> np.ndarray:
@@ -120,3 +126,66 @@ def f1_brute(pred, gt, threshold: float, ignored=()) -> tuple[float, int, int, i
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     return 200.0 * precision * recall / (precision + recall), tp, fp, fn
+
+
+# ---------------------------------------------------------------------------
+# test-only probes of library records
+
+
+def valid_key_sets(record) -> list[set[int]]:
+    """Attended key indices per query row of an AttentionRecord."""
+    return [set(record.indices[i, record.valid[i]].tolist()) for i in range(record.query_len)]
+
+
+def reconstruct_labels(segments) -> list:
+    """Frame labels back from run-length segments."""
+    out = []
+    for seg in segments:
+        out.extend([seg.label] * seg.length)
+    return out
+
+
+def extract_lad(record, frame: int, window: int):
+    """One frame's local-attention distribution; None if its window is clipped."""
+    half = window // 2
+    if frame < half or frame > record.query_len - 1 - half:
+        return None
+    return T.reshape(L._lad_rows(record, np.array([frame]), window), (window,))
+
+
+def mean_boundary_kl(record, labels, window: int) -> float | None:
+    """Mean KL(prior || LAD) over in-range boundary frames.
+
+    Pure numpy (no graph); None when no boundary frame has a full window.
+    """
+    labels = np.asarray(labels)
+    boundaries = L.derive_boundaries(labels)
+    mapped = L._map_boundaries(boundaries, labels.shape[0], record.query_len)
+    half = window // 2
+    lo, hi = half, record.query_len - 1 - half
+    divergences = []
+    for variant, frames in (("start", mapped.start_frames), ("end", mapped.end_frames)):
+        keep = frames[(frames >= lo) & (frames <= hi)]
+        if not keep.size:
+            continue
+        p = L.prior(variant, window).values
+        lads = L._lad_rows(record, keep, window).data
+        for row in lads:
+            mask = p > 0
+            divergences.append(float(np.sum(p[mask] * np.log(p[mask] / row[mask]))))
+    if not divergences:
+        return None
+    return float(np.mean(divergences))
+
+
+def boundary_alignment(params, cfg, samples) -> float | None:
+    """Mean KL between boundary-frame attention windows (decoder last layer,
+    final stage) and their priors, averaged over videos; a training probe."""
+    values = []
+    for sample in samples:
+        outputs = N.model_forward(sample.features, params, cfg, train=False)
+        record = outputs.records[-1][1]
+        value = mean_boundary_kl(record, sample.labels, cfg.window)
+        if value is not None:
+            values.append(value)
+    return float(np.mean(values)) if values else None

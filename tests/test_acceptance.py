@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    boundary_alignment,
     edit_score_brute,
     f1_brute,
     kl_scalar,
     logsparse_key_set,
     numeric_grad,
     rel_err,
+    valid_key_sets,
 )
 from tut import attention as A
 from tut import data as D
@@ -64,7 +66,7 @@ def desk_runs():
         result = TR.train(samples, cfg, train_cfg)
         elapsed = time.time() - start
         rep, _ = TR.evaluate_model(result.params, cfg, samples)
-        kl = TR.boundary_alignment(result.params, cfg, samples)
+        kl = boundary_alignment(result.params, cfg, samples)
         runs[beta] = dict(report=rep, kl=kl, elapsed=elapsed, result=result, cfg=cfg)
     return samples, runs
 
@@ -249,6 +251,21 @@ def test_c01_gradient_suite():
         check(name, lambda xv, f=resample, wr=wr: float((f(T.tensor(xv)).data * wr).sum()),
               [q0], [tr.grad])
 
+    # fused dense layer, whole and column-ranged (gradients outside the
+    # range stay zero); its own stream, like the banded kernels above
+    lrng = np.random.default_rng(4)
+    xl, wl, bl = lrng.standard_normal((5, 3)), lrng.standard_normal((3, 6)), lrng.standard_normal(6)
+    for cols in (None, (2, 5)):
+        part = slice(None) if cols is None else slice(*cols)
+        wo = lrng.standard_normal((5, 6))[:, part]
+        tx, tw, tb = (T.tensor(a, requires_grad=True) for a in (xl, wl, bl))
+        T.sum_all(T.mul(T.linear(tx, tw, tb, cols), T.tensor(wo))).backward()
+        check(
+            f"linear.cols={cols}",
+            lambda xv, wv, bv, part=part, wo=wo: float(((xv @ wv[:, part] + bv[part]) * wo).sum()),
+            [xl, wl, bl], [tx.grad, tw.grad, tb.grad],
+        )
+
     # end-to-end tiny model: T=16, d=4, N=2, M=1, w=3, f64, dropout off,
     # full three-term loss, finite differences over every parameter. The
     # smoothing loss detaches the frame t-1 branch, so the FD oracle
@@ -347,7 +364,7 @@ def test_c02_attention_oracles():
         _, record = A.logsparse_attention(
             q, k, v, A.AttentionConfig(pattern="logsparse", heads=1, pe_mode="none")
         )
-        for i, got in enumerate(record.valid_key_sets()):
+        for i, got in enumerate(valid_key_sets(record)):
             if got != logsparse_key_set(t, i):
                 sets_ok = False
     report(

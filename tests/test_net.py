@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from _oracles import numeric_grad, rel_err
 from tut import net as N
@@ -381,3 +385,86 @@ def test_large_shape_contract():
     assert all(lg.data.shape == (512, 17) for lg in out.logits)
     for probs in out.probs[:-1]:  # refinement inputs are probability rows
         np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# damaged checkpoints fail with CheckpointError naming the file
+
+
+def _saved_checkpoint(path):
+    cfg = tiny_cfg(dtype="f32")
+    params = build(cfg, seed=5)
+    N.save_checkpoint(path, params, cfg)
+    return params
+
+
+@pytest.mark.parametrize("keep", [10, 40, 200, 5000, -100])
+def test_truncated_checkpoint_raises_checkpoint_error(tmp_path, keep):
+    path = tmp_path / "model.ckpt"
+    _saved_checkpoint(path)
+    raw = path.read_bytes()
+    assert len(raw) > 5000
+    path.write_bytes(raw[:keep])
+    for reader in (N.read_manifest, N.load_checkpoint):
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            reader(path)
+
+
+def test_unknown_dtype_code_and_bad_config_raise_checkpoint_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _saved_checkpoint(path)
+    raw = path.read_bytes()
+    _, entries = N.read_manifest(path)
+    name = entries[0][0].encode()
+    code_at = raw.index(name) + len(name)  # the entry's dtype code follows its name
+    path.write_bytes(raw[:code_at] + b"\x09" + raw[code_at + 1 :])
+    with pytest.raises(CheckpointError, match="dtype"):
+        N.read_manifest(path)
+    config_at = entries[0][3]
+    path.write_bytes(raw[:config_at] + b"\xff" + raw[config_at + 1 :])
+    with pytest.raises(CheckpointError, match="config"):
+        N.read_manifest(path)
+
+
+def test_load_checkpoint_reads_the_file_once(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    _saved_checkpoint(path)
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(N, "open", counting_open, raising=False)
+    N.load_checkpoint(path)
+    assert len(opened) == 1
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_checkpoint_loads_identically_or_raises(tmp_path, data):
+    """A truncation anywhere, or a byte flip anywhere the reader parses (magic,
+    manifest and config), loads the same tensors or raises CheckpointError.
+    Tensor payloads carry no checksum, so flips inside them are not drawn."""
+    path = tmp_path / "model.ckpt"
+    params = _saved_checkpoint(path)
+    raw = path.read_bytes()
+    _, entries = N.read_manifest(path)
+    parsed_end = min(offset for name, _, _, offset in entries if name != "meta.config")
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = raw[: data.draw(st.integers(0, len(raw) - 1), label="keep")]
+    else:
+        at = data.draw(st.integers(0, parsed_end - 1), label="at")
+        flip = data.draw(st.integers(1, 255), label="xor")
+        damaged = raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1 :]
+    path.write_bytes(damaged)
+    try:
+        loaded, _ = N.load_checkpoint(path)
+    except CheckpointError as exc:
+        assert str(path) in str(exc)
+        return
+    assert len(damaged) == len(raw)
+    assert set(loaded) == set(params)
+    for name, p in params.items():
+        assert loaded[name].data.dtype == p.data.dtype
+        np.testing.assert_array_equal(loaded[name].data, p.data)

@@ -359,3 +359,93 @@ def test_forward_backward_determinism():
         return (x.grad.tobytes(), w.grad.tobytes(), out.data.tobytes())
 
     assert run() == run()
+
+
+# ---------------------------------------------------------------------------
+# dtype discipline: float32 inputs give float32 values and float32 gradients
+
+
+def _f32(rng, shape, low=None):
+    arr = rng.random(shape) + low if low is not None else rng.standard_normal(shape)
+    return T.Tensor(arr.astype(np.float32), requires_grad=True)
+
+
+def _probs32(rng, shape):
+    arr = rng.random(shape) + 0.1
+    return T.Tensor((arr / arr.sum(axis=-1, keepdims=True)).astype(np.float32), requires_grad=True)
+
+
+def _op_cases():
+    """(name, build) pairs; build(rng) returns (output, leaves), covering
+    every public op of tensor.py, its 0-d outputs and 0-d chains."""
+    valid = np.ones((5, 3), dtype=bool)
+    valid[0, 0] = valid[4, 2] = False
+    stream = np.random.default_rng(1)
+
+    def leaves(n, shape=(5, 4)):
+        return lambda rng: [_f32(rng, shape) for _ in range(n)]
+
+    cases = {
+        "add": (leaves(2), lambda a, b: T.add(a, b)),
+        "add.broadcast": (lambda r: [_f32(r, (5, 4)), _f32(r, (4,))], lambda a, b: T.add(a, b)),
+        "sub": (leaves(2), lambda a, b: T.sub(a, b)),
+        "mul": (leaves(2), lambda a, b: T.mul(a, b)),
+        "mul.scalar": (leaves(1), lambda a: T.mul(a, 0.3)),
+        "neg": (leaves(1), lambda a: -a),
+        "div": (lambda r: [_f32(r, (5, 4)), _f32(r, (5, 4), low=0.5)], lambda a, b: T.div(a, b)),
+        "matmul": (lambda r: [_f32(r, (5, 4)), _f32(r, (4, 3))], lambda a, b: T.matmul(a, b)),
+        "linear": (lambda r: [_f32(r, (5, 4)), _f32(r, (4, 6)), _f32(r, (6,))], T.linear),
+        "linear.cols": (
+            lambda r: [_f32(r, (5, 4)), _f32(r, (4, 6)), _f32(r, (6,))],
+            lambda x, w, b: T.linear(x, w, b, cols=(2, 5)),
+        ),
+        "relu": (leaves(1), T.relu),
+        "clip": (leaves(1), lambda a: T.clip(a, -0.5, 0.5)),
+        "transpose2d": (leaves(1), T.transpose2d),
+        "reshape": (leaves(1), lambda a: T.reshape(a, (2, 10))),
+        "slice_cols": (leaves(1), lambda a: T.slice_cols(a, 1, 3)),
+        "concat_cols": (leaves(2), lambda a, b: T.concat_cols([a, b])),
+        "gather_rows": (leaves(1), lambda a: T.gather_rows(a, [0, 2, 2])),
+        "downsample_nearest": (leaves(1), T.downsample_nearest),
+        "upsample_nearest": (leaves(1), lambda a: T.upsample_nearest(a, 9)),
+        "scatter_add_rows": (leaves(1), lambda a: T.scatter_add_rows(a, [0, 1, 1, 3, 0], 4)),
+        "sum_all": (leaves(1), T.sum_all),
+        "sum_axis": (leaves(1), lambda a: T.sum_axis(a, 1, keepdims=True)),
+        "mean_all": (leaves(1), T.mean_all),
+        "softmax_lastdim": (leaves(1), T.softmax_lastdim),
+        "log_softmax_lastdim": (leaves(1), T.log_softmax_lastdim),
+        "instance_norm_temporal": (
+            lambda r: [_f32(r, (5, 4)), _f32(r, (4,)), _f32(r, (4,))], T.instance_norm_temporal
+        ),
+        "dropout": (leaves(1), lambda a: T.dropout(a, 0.5, stream, train=True)),
+        "banded_softmax": (
+            lambda r: [_f32(r, (5, 4)), _f32(r, (5, 4)), _f32(r, (3, 2))],
+            lambda q, k, rpe: T.banded_softmax(q, k, valid, 2, rpe),
+        ),
+        "banded_mix": (lambda r: [_probs32(r, (5, 2, 3)), _f32(r, (5, 4))], T.banded_mix),
+        "cross_entropy_from_logits": (
+            leaves(1), lambda a: T.cross_entropy_from_logits(a, [0, 3, 1, 2, 0])
+        ),
+        "kl_from_probs": (lambda r: [_probs32(r, (5, 4)), _probs32(r, (5, 4))], T.kl_from_probs),
+        "wasserstein1_from_probs": (
+            lambda r: [_probs32(r, (5, 4)), _probs32(r, (5, 4))], T.wasserstein1_from_probs
+        ),
+        "0d.add": (leaves(2), lambda a, b: T.add(T.sum_all(a), T.sum_all(b))),
+        "0d.mul.scalar": (leaves(1), lambda a: T.mul(T.sum_all(a), 0.5)),
+        "0d.chain": (
+            leaves(2), lambda a, b: T.add(T.mul(T.mean_all(a), 0.1), T.mean_all(T.mul(a, b)))
+        ),
+    }
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_op_cases()))
+def test_float32_stays_float32(name):
+    make, op = _op_cases()[name]
+    inputs = make(np.random.default_rng(5))
+    out = op(*inputs)
+    assert out.data.dtype == np.float32, f"{name} value is {out.data.dtype}"
+    out.backward()
+    for i, leaf in enumerate(inputs):
+        assert leaf.grad is not None, f"{name} input {i} got no gradient"
+        assert leaf.grad.dtype == np.float32, f"{name} input {i} gradient is {leaf.grad.dtype}"

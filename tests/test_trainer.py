@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import boundary_alignment
 from tut import data as D
 from tut import net as N
 from tut import tensor as T
@@ -144,7 +145,7 @@ def test_boundary_alignment_probe():
     samples, _ = tiny_dataset()
     cfg = tiny_model()
     result = TR.train(samples, cfg, TR.TrainConfig(epochs=1, lr=1e-3, seed=6))
-    value = TR.boundary_alignment(result.params, cfg, samples)
+    value = boundary_alignment(result.params, cfg, samples)
     assert value is not None and value > 0
 
 
@@ -262,3 +263,21 @@ def test_keep_best_off_by_default():
     samples, _ = tiny_dataset(videos=1)
     result = TR.train(samples, tiny_model(), TR.TrainConfig(epochs=1, lr=1e-3, seed=13))
     assert result.best_params is None
+
+
+def test_float32_train_step_keeps_float32():
+    """A gtea-shaped f32 step (all three loss terms) yields an f32 loss and
+    f32 gradients on every parameter."""
+    model_cfg, train_cfg, _ = build_configs("gtea", None, {})
+    model_cfg.input_dim, model_cfg.num_classes = 32, 5
+    rng = np.random.default_rng(4)
+    features = rng.standard_normal((72, 32)).astype(np.float32)
+    labels = np.repeat([0, 3, 1, 4, 2, 0], 12)
+    streams = T.SeedStreams(0)
+    params = N.init_params(model_cfg, streams)
+    outputs = N.model_forward(features, params, model_cfg, train=True, streams=streams)
+    loss, _ = TR.total_loss(outputs, labels, train_cfg.loss_weights(), model_cfg.window)
+    assert loss.data.dtype == np.float32
+    loss.backward()
+    wrong = {n: str(p.grad.dtype) for n, p in params.items() if p.grad.dtype != np.float32}
+    assert not wrong
