@@ -14,6 +14,7 @@ two u64 dims (T, d), then little-endian float32 row-major payload.
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +26,7 @@ from .errors import DatasetError
 log = logging.getLogger(__name__)
 
 FEATURE_MAGIC = b"TUTFEAT1"
+HEADER_BYTES = 28  # magic, u32 rank, two u64 dims
 
 
 @dataclass
@@ -103,18 +105,25 @@ def write_features(path, array: np.ndarray):
 
 
 def read_features(path) -> np.ndarray:
+    """Read a feature file straight into one array; the header and the file
+    size are checked before the payload is allocated."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:8] != FEATURE_MAGIC:
-        raise DatasetError(f"{path}: bad feature magic")
-    (rank,) = struct.unpack_from("<I", raw, 8)
-    if rank != 2:
-        raise DatasetError(f"{path}: expected rank 2, got {rank}")
-    t, d = struct.unpack_from("<QQ", raw, 12)
-    expected = 28 + 4 * t * d
-    if len(raw) != expected:
-        raise DatasetError(f"{path}: truncated payload ({len(raw)} != {expected} bytes)")
-    return np.frombuffer(raw, dtype="<f4", count=t * d, offset=28).reshape(t, d).copy()
+        header = fh.read(HEADER_BYTES)
+        if not FEATURE_MAGIC.startswith(header[:8]):  # a cut inside the magic is a truncation
+            raise DatasetError(f"{path}: bad feature magic")
+        if len(header) < HEADER_BYTES:
+            raise DatasetError(f"{path}: truncated header ({len(header)} < {HEADER_BYTES} bytes)")
+        rank, t, d = struct.unpack_from("<IQQ", header, 8)
+        if rank != 2:
+            raise DatasetError(f"{path}: expected rank 2, got {rank}")
+        size = os.fstat(fh.fileno()).st_size
+        expected = HEADER_BYTES + 4 * t * d
+        if size != expected:
+            raise DatasetError(f"{path}: file is {size} bytes, its header says {expected}")
+        out = np.empty((t, d), dtype="<f4")
+        if fh.readinto(out) != out.nbytes:
+            raise DatasetError(f"{path}: file shrank while reading")
+    return out
 
 
 def import_numpy_features(src, dst, transpose: bool = False):
@@ -206,7 +215,7 @@ def resample_temporal(sample: VideoSample, source_fps: float, target_fps: float)
         return sample
     return VideoSample(
         sample.video_id,
-        sample.features[::k],
+        np.ascontiguousarray(sample.features[::k]),  # a copy, so the full-rate array is freed
         sample.labels[::k],
         fps=target_fps,
         source_len=sample.num_frames,

@@ -8,12 +8,17 @@ collected afterwards, so variable-length sequences need no special casing.
 float32 is the training default and float64 is used by gradient tests. An
 op's value and gradients keep its inputs' dtype, 0-d results included;
 only python data defaults to float64.
+
+Inside ``with no_grad():`` every op returns a plain leaf that keeps no
+parents and no backward closure, so inference frees each intermediate as
+soon as nothing reads it. Values are the same as with the graph on.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,9 +159,25 @@ def _coerce(x, like: Tensor) -> Tensor:
     return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build no graph inside the block; the previous setting comes back on exit.
+
+    The setting is process-wide, like the rest of the engine's single-threaded
+    state."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _make(data: Array, parents: tuple[Tensor, ...], backward) -> Tensor:
-    requires = any(p.requires_grad for p in parents)
-    if not requires:
+    if not _grad_enabled or not any(p.requires_grad for p in parents):
         return Tensor(data)
     return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
 

@@ -29,7 +29,7 @@ from .net import (
     save_checkpoint,
     zero_grads,
 )
-from .tensor import AdamState, SeedStreams, Tensor, adam_step
+from .tensor import AdamState, SeedStreams, Tensor, adam_step, no_grad
 
 
 @dataclass
@@ -193,9 +193,10 @@ def log_csv(rows: list[dict]) -> str:
 def predict_sample(
     params: dict[str, Tensor], cfg: ModelConfig, sample: VideoSample, upsample: bool = False
 ) -> np.ndarray:
-    """Dropout-free forward; labels from the last stage, optionally restored
-    to the source frame rate."""
-    labels = final_prediction(model_forward(sample.features, params, cfg, train=False))
+    """Dropout-free, graph-free forward; labels from the last stage,
+    optionally restored to the source frame rate."""
+    with no_grad():
+        labels = final_prediction(model_forward(sample.features, params, cfg, train=False))
     return restore_source_rate(labels, sample) if upsample else labels
 
 

@@ -234,12 +234,20 @@ def _truncated_checkpoint(trained, synth_root, tmp_path):
     return ["inspect-checkpoint", str(tmp_path / "cut.ckpt")]
 
 
+def _truncated_features(trained, synth_root, tmp_path):
+    root = _synth(tmp_path / "cut")
+    victim = sorted((root / "features").iterdir())[0]
+    victim.write_bytes(victim.read_bytes()[:14])  # cut inside the 28-byte header
+    return ["eval", "--data-root", str(root), "--out", str(tmp_path / "eval"),
+            "--checkpoint", str(trained / "checkpoint.ckpt")]
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [_empty_split, _not_a_checkpoint, _non_finite_features, _feature_dim_mismatch,
-     _truncated_checkpoint],
+     _truncated_checkpoint, _truncated_features],
     ids=["DatasetError", "CheckpointError", "TrainingDiverged", "ShapeError",
-         "TruncatedCheckpoint"],
+         "TruncatedCheckpoint", "TruncatedFeatures"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_typed_failures_exit_2_with_one_line(make_argv, trained, synth_root, tmp_path, capsys):

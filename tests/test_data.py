@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tut import data as D
 from tut import losses as L
@@ -28,6 +32,50 @@ def test_feature_file_rejects_garbage(tmp_path):
     good.write_bytes(good.read_bytes()[:-4])
     with pytest.raises(DatasetError):
         D.read_features(good)
+
+
+@pytest.mark.parametrize("keep", [10, 14, 27])
+def test_short_feature_header_raises_dataset_error(tmp_path, keep):
+    path = tmp_path / "cut.feat"
+    D.write_features(path, np.ones((3, 2), dtype=np.float32))
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(DatasetError, match=re.escape(str(path))):
+        D.read_features(path)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_feature_file_loads_identically_or_raises(tmp_path, data):
+    """A truncation anywhere, or a byte flip anywhere in the 28-byte header,
+    loads the same array or raises DatasetError. The format has no checksum,
+    so a flip inside the float payload loads a changed value; such flips are
+    not drawn."""
+    arr = np.random.default_rng(5).standard_normal((6, 4)).astype(np.float32)
+    path = tmp_path / "x.feat"
+    D.write_features(path, arr)
+    raw = path.read_bytes()
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = raw[: data.draw(st.integers(0, len(raw) - 1), label="keep")]
+    else:
+        at = data.draw(st.integers(0, D.HEADER_BYTES - 1), label="at")
+        flip = data.draw(st.integers(1, 255), label="xor")
+        damaged = raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1 :]
+    path.write_bytes(damaged)
+    try:
+        loaded = D.read_features(path)
+    except DatasetError as exc:
+        assert str(path) in str(exc)
+        return
+    assert len(damaged) == len(raw)
+    assert loaded.dtype == np.float32 and loaded.shape == arr.shape
+    np.testing.assert_array_equal(loaded, arr)
+
+
+def test_resample_keeps_no_view_of_the_full_rate_features():
+    sample = D.VideoSample("v", np.arange(20, dtype=np.float32).reshape(10, 2), np.arange(10))
+    strided = D.resample_temporal(sample, 30.0, 15.0)
+    assert strided.features.base is None and strided.features.flags.c_contiguous
+    np.testing.assert_array_equal(strided.features, sample.features[::2])
 
 
 def test_import_numpy_features(tmp_path):

@@ -286,6 +286,28 @@ def test_detach_blocks_gradient():
     np.testing.assert_allclose(x.grad, y.data)  # only the non-detached path
 
 
+def test_no_grad_ops_return_bare_leaves():
+    x = T.tensor([[1.0, -2.0], [3.0, 4.0]], requires_grad=True)
+    with T.no_grad():
+        y = T.sum_all(T.relu(T.matmul(x, x)))
+    assert not y.requires_grad and y._parents == () and y._backward is None
+    np.testing.assert_array_equal(y.data, np.maximum(x.data @ x.data, 0).sum())
+    assert T.sum_all(x).requires_grad  # the graph is back after the block
+
+
+def test_no_grad_restores_after_exception_and_nesting():
+    x = T.tensor([1.0, 2.0], requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with T.no_grad():
+            raise RuntimeError("inside")
+    assert T.mul(x, 2.0).requires_grad
+    with T.no_grad():
+        with T.no_grad():
+            pass
+        assert not T.mul(x, 2.0).requires_grad  # the inner exit keeps the outer block off
+    assert T.mul(x, 2.0).requires_grad
+
+
 def test_sum_axis_div_reshape_grads():
     rng = rng64(11)
     x = rng.standard_normal((4, 5)) + 3.0

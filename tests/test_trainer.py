@@ -91,6 +91,53 @@ def test_checkpoint_roundtrip_same_report(tmp_path):
     assert set(loaded.f1) == {0.1, 0.25, 0.5}
 
 
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_predict_without_graph_matches_graph_forward(dtype):
+    samples, _ = tiny_dataset(videos=1)
+    cfg = tiny_model(dtype=dtype)
+    params = N.init_params(cfg, T.SeedStreams(5))
+    features = samples[0].features
+    with_graph = N.model_forward(features, params, cfg, train=False)
+    assert with_graph.logits[-1]._parents  # the reference forward does build a graph
+    with T.no_grad():
+        bare = N.model_forward(features, params, cfg, train=False)
+    for ref, out in zip(with_graph.logits + with_graph.probs, bare.logits + bare.probs):
+        assert out.data.dtype == cfg.np_dtype
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert not out.requires_grad and out._parents == ()
+    labels = TR.predict_sample(params, cfg, samples[0])
+    assert labels.tobytes() == N.final_prediction(with_graph).tobytes()
+
+
+def test_eval_during_training_leaves_training_unchanged():
+    samples, _ = tiny_dataset(videos=2)
+    cfg = tiny_model()
+    plain = TR.train(samples, cfg, TR.TrainConfig(epochs=3, lr=1e-3, seed=14))
+    watched = TR.train(
+        samples, cfg, TR.TrainConfig(epochs=3, lr=1e-3, seed=14, keep_best=True, eval_every=1)
+    )
+    assert watched.best_epoch is not None
+    assert TR.log_csv(watched.log_rows) == TR.log_csv(plain.log_rows)
+    for name, p in plain.params.items():
+        assert watched.params[name].data.tobytes() == p.data.tobytes()
+
+
+def test_checkpoint_every_writes_rolling_checkpoints(tmp_path):
+    samples, _ = tiny_dataset(videos=2)
+    cfg = tiny_model()
+    result = TR.train(
+        samples, cfg, TR.TrainConfig(epochs=4, lr=1e-3, seed=15, checkpoint_every=2),
+        checkpoint_dir=tmp_path,
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["epoch0002.ckpt", "epoch0004.ckpt"]
+    loaded, loaded_cfg = N.load_checkpoint(tmp_path / "epoch0004.ckpt")
+    assert loaded_cfg == cfg
+    assert set(loaded) == set(result.params)
+    for name, p in result.params.items():
+        assert loaded[name].data.dtype == p.data.dtype
+        assert loaded[name].data.tobytes() == p.data.tobytes()
+
+
 def test_predict_recovers_labels_after_overfit():
     samples, _ = tiny_dataset(videos=1, noise=0.0)
     cfg = tiny_model(refinement_stages=0, input_dropout=0.0, ffn_dropout=0.0)
