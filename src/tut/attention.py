@@ -1,18 +1,21 @@
 """Multi-head attention with full, windowed-local, and logsparse patterns.
 
-The local and logsparse patterns never materialize a T x T score matrix:
-each query row keeps a fixed slot layout of candidate keys (window offsets
-or power-of-two offsets), with out-of-range slots masked before the
-softmax. Post-softmax rows are retained so the boundary loss can read
-similarity distributions straight out of the forward pass.
+Every pattern runs the same two graph nodes. ``tensor.slot_softmax`` scores,
+masks and normalizes all heads at once into (T_q, heads, S) probabilities:
+slot j of query row i reads key row i + offsets[j]. ``tensor.slot_mix``
+mixes the value rows those slots read. Attention dropout sits between them.
 
-The local pattern is the banded sliding-window kernel of Longformer
-(Beltagy et al., arXiv:2004.05150): ``tensor.banded_softmax`` scores all
-heads against a window view of zero-padded keys in one node, and
-``tensor.banded_mix`` mixes the value windows in a second. Besides Q, K and
-V, the graph retains only the padded K and V copies and the (T, heads, w)
-probabilities (and their dropout mask). Logsparse gathers its O(log T) key
-slots per head instead.
+- local: offsets -w//2..w//2, the banded sliding-window attention of
+  Longformer (Beltagy et al., arXiv:2004.05150). Keys and values are read
+  through a window view of zero-padded rows, so no T x T score matrix and
+  no per-slot copy is made.
+- logsparse: offsets [0, -1, +1, -2, +2, -4, +4, ...] within the key
+  length (Li et al., arXiv:1907.00235), O(log T) slots per row.
+- full: no offsets; slot j is key j, computed as head-batched matmuls.
+
+Out-of-range slots are masked before the softmax. The pre-dropout
+probabilities are kept on the record so the boundary loss can read
+similarity distributions straight out of the forward pass.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .tensor import MASK_VALUE, Tensor
+from .tensor import Tensor
 
 PATTERNS = ("full", "local", "logsparse")
 PE_MODES = ("none", "sinusoidal", "learnable", "relative")
@@ -68,195 +71,61 @@ class RpeTable:
 
 @dataclass
 class AttentionRecord:
-    """Per-head post-softmax rows in slot layout, plus slot bookkeeping.
+    """One layer's post-softmax attention in slot layout.
 
-    ``probs`` holds one (query_len, slots) tensor per head (pre-dropout, so
-    each valid row sums to 1). ``indices``/``valid`` describe which key each
-    slot points at; for the local pattern slot j is window offset j - w//2.
-    Local records also carry ``fused``, the (query_len, heads, w) graph node
-    that their per-head rows are graph-free views of.
+    ``probs`` is the (query_len, heads, slots) graph node of every head's
+    probabilities (pre-dropout, so each valid row sums to 1). Slot j of query
+    row i reads key i + offsets[j]; ``offsets`` is None for full attention,
+    where slot j is key j. ``valid`` (query_len, slots) marks the slots whose
+    key is in range, and is None when all are.
     """
 
     pattern: str
-    probs: list[Tensor]
-    indices: np.ndarray
-    valid: np.ndarray
-    query_len: int
+    probs: Tensor
+    offsets: np.ndarray | None
+    valid: np.ndarray | None
     key_len: int
-    window: int | None = None
-    fused: Tensor | None = None
 
-    @classmethod
-    def local(cls, fused: Tensor, indices, valid, key_len: int) -> "AttentionRecord":
-        """Record of banded attention from its (query_len, heads, w) probabilities."""
-        query_len, heads, window = fused.data.shape
-        views = [Tensor(fused.data[:, h]) for h in range(heads)]
-        return cls("local", views, indices, valid, query_len, key_len, window, fused)
+    @property
+    def query_len(self) -> int:
+        return self.probs.data.shape[0]
 
     @property
     def heads(self) -> int:
-        return len(self.probs)
+        return self.probs.data.shape[1]
 
     @property
     def entry_count(self) -> int:
-        return self.heads * self.indices.size
+        return self.probs.data.size
 
 
-def window_slots(query_len: int, key_len: int, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped window slot indices and validity for each query row."""
-    half = window // 2
-    offsets = np.arange(-half, half + 1)
-    raw = np.arange(query_len)[:, None] + offsets[None, :]
-    valid = (raw >= 0) & (raw < key_len)
-    return np.clip(raw, 0, key_len - 1), valid
-
-
-def logsparse_slots(query_len: int, key_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Slot layout [0, -1, +1, -2, +2, -4, +4, ...] of power-of-two offsets."""
+def slot_offsets(pattern: str, key_len: int, window: int) -> np.ndarray | None:
+    """Key offset of each slot: the window band for local, [0, -1, +1, -2, +2,
+    -4, +4, ...] up to key_len - 1 for logsparse, None (every key) for full."""
+    if pattern == "full":
+        return None
+    if pattern == "local":
+        return np.arange(-(window // 2), window // 2 + 1)
     offsets = [0]
     off = 1
     while off <= key_len - 1:
         offsets.extend((-off, off))
         off *= 2
-    offs = np.array(offsets)
-    raw = np.arange(query_len)[:, None] + offs[None, :]
-    valid = (raw >= 0) & (raw < key_len)
-    return np.clip(raw, 0, key_len - 1), valid
+    return np.array(offsets)
 
 
-def _split_heads(x: Tensor, heads: int) -> list[Tensor]:
-    dim = x.data.shape[1]
-    if dim % heads:
-        raise ShapeError(f"heads ({heads}) must divide model dim ({dim})")
-    head_dim = dim // heads
-    return [T.slice_cols(x, i * head_dim, (i + 1) * head_dim) for i in range(heads)]
+def slot_valid(offsets: np.ndarray | None, query_len: int, key_len: int) -> np.ndarray | None:
+    """(query_len, slots) mask of slots whose key row is in range; None for full."""
+    if offsets is None:
+        return None
+    keys = np.arange(query_len)[:, None] + offsets[None, :]
+    return (keys >= 0) & (keys < key_len)
 
 
-def _check_kv(q: Tensor, k: Tensor, v: Tensor):
-    if k.data.shape[0] != v.data.shape[0]:
-        raise ShapeError(f"key/value lengths differ: {k.data.shape[0]} vs {v.data.shape[0]}")
-    if q.data.shape[1] != k.data.shape[1] or k.data.shape[1] != v.data.shape[1]:
-        raise ShapeError("query/key/value dims differ")
-
-
-def full_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    cfg: AttentionConfig,
-    rng: np.random.Generator | None = None,
-    train: bool = False,
-) -> tuple[Tensor, AttentionRecord]:
-    """Dense attention; the oracle arm and the quadratic-memory baseline."""
-    _check_kv(q, k, v)
-    t_q, dim = q.data.shape
-    t_k = k.data.shape[0]
-    head_dim = dim // cfg.heads
-    scale = 1.0 / math.sqrt(head_dim)
-    outs, probs = [], []
-    for qh, kh, vh in zip(_split_heads(q, cfg.heads), _split_heads(k, cfg.heads), _split_heads(v, cfg.heads)):
-        scores = T.mul(T.matmul(qh, T.transpose2d(kh)), scale)  # (t_q, t_k)
-        p = T.softmax_lastdim(scores)
-        probs.append(p)
-        p_used = T.dropout(p, cfg.dropout, rng, train) if rng is not None else p
-        outs.append(T.matmul(p_used, vh))
-    record = AttentionRecord(
-        pattern="full",
-        probs=probs,
-        indices=np.broadcast_to(np.arange(t_k), (t_q, t_k)).copy(),
-        valid=np.ones((t_q, t_k), dtype=bool),
-        query_len=t_q,
-        key_len=t_k,
-    )
-    return T.concat_cols(outs), record
-
-
-def _slotted_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    cfg: AttentionConfig,
-    indices: np.ndarray,
-    valid: np.ndarray,
-    pattern: str,
-    rpe: RpeTable | None,
-    rng: np.random.Generator | None,
-    train: bool,
-) -> tuple[Tensor, AttentionRecord]:
-    t_q, dim = q.data.shape
-    slots = indices.shape[1]
-    head_dim = dim // cfg.heads
-    scale = 1.0 / math.sqrt(head_dim)
-    flat_idx = indices.reshape(-1)
-    mask = Tensor(np.where(valid, 0.0, MASK_VALUE).astype(q.data.dtype))
-    outs, probs = [], []
-    for h, (qh, kh, vh) in enumerate(
-        zip(_split_heads(q, cfg.heads), _split_heads(k, cfg.heads), _split_heads(v, cfg.heads))
-    ):
-        kg = T.reshape(T.gather_rows(kh, flat_idx), (t_q, slots, head_dim))
-        qe = T.reshape(qh, (t_q, 1, head_dim))
-        scores = T.mul(T.sum_axis(T.mul(qe, kg), axis=2), scale)  # (t_q, slots)
-        if rpe is not None:
-            rpe_row = T.reshape(T.slice_cols(rpe.weights, h, h + 1), (1, slots))
-            scores = T.add(scores, rpe_row)
-        p = T.softmax_lastdim(T.add(scores, mask))
-        probs.append(p)
-        p_used = T.dropout(p, cfg.dropout, rng, train) if rng is not None else p
-        vg = T.reshape(T.gather_rows(vh, flat_idx), (t_q, slots, head_dim))
-        outs.append(T.sum_axis(T.mul(T.reshape(p_used, (t_q, slots, 1)), vg), axis=1))
-    record = AttentionRecord(
-        pattern=pattern,
-        probs=probs,
-        indices=indices,
-        valid=valid,
-        query_len=t_q,
-        key_len=k.data.shape[0],
-        window=cfg.window if pattern == "local" else None,
-    )
-    return T.concat_cols(outs), record
-
-
-def local_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    cfg: AttentionConfig,
-    rpe: RpeTable | None = None,
-    rng: np.random.Generator | None = None,
-    train: bool = False,
-) -> tuple[Tensor, AttentionRecord]:
-    """Windowed attention: row i sees keys in [i - w//2, i + w//2], clamped.
-
-    The softmax normalizes over in-range slots only (no padding keys), and
-    the relative-position scalar for offset j - i is added to the score
-    before the softmax. w >= 2T - 1 degenerates to full attention.
-    """
-    _check_kv(q, k, v)
-    if rpe is not None and rpe.weights.data.shape != (cfg.window, cfg.heads):
-        raise ShapeError(
-            f"rpe table {rpe.weights.data.shape} does not match (w={cfg.window}, h={cfg.heads})"
-        )
-    t_k = k.data.shape[0]
-    indices, valid = window_slots(q.data.shape[0], t_k, cfg.window)
-    probs = T.banded_softmax(q, k, valid, cfg.heads, rpe.weights if rpe is not None else None)
-    p_used = probs
-    if rng is not None:  # draw head-major, as per-head (T, w) masks from this stream would
-        p_used = T.dropout(probs, cfg.dropout, rng, train, draw_axes=(1, 0, 2))
-    return T.banded_mix(p_used, v), AttentionRecord.local(probs, indices, valid, t_k)
-
-
-def logsparse_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    cfg: AttentionConfig,
-    rng: np.random.Generator | None = None,
-    train: bool = False,
-) -> tuple[Tensor, AttentionRecord]:
-    """Each query attends to itself and keys at power-of-two offsets."""
-    _check_kv(q, k, v)
-    indices, valid = logsparse_slots(q.data.shape[0], k.data.shape[0])
-    return _slotted_attention(q, k, v, cfg, indices, valid, "logsparse", None, rng, train)
+def slot_count(pattern: str, length: int, window: int) -> int:
+    """Stored score slots per query row; the per-layer memory unit."""
+    offsets = slot_offsets(pattern, length, window)
+    return length if offsets is None else len(offsets)
 
 
 def attend(
@@ -268,26 +137,25 @@ def attend(
     rng: np.random.Generator | None = None,
     train: bool = False,
 ) -> tuple[Tensor, AttentionRecord]:
-    """Dispatch on the configured pattern."""
-    if cfg.pattern == "full":
-        return full_attention(q, k, v, cfg, rng=rng, train=train)
-    if cfg.pattern == "logsparse":
-        return logsparse_attention(q, k, v, cfg, rng=rng, train=train)
-    return local_attention(q, k, v, cfg, rpe=rpe, rng=rng, train=train)
+    """Attention under ``cfg.pattern``; returns the (T_q, d) output and its record.
 
-
-def slot_count(pattern: str, length: int, window: int) -> int:
-    """Stored score slots per query row; the per-layer memory unit."""
-    if pattern == "full":
-        return length
-    if pattern == "local":
-        return window
-    slots = 1
-    off = 1
-    while off <= length - 1:
-        slots += 2
-        off *= 2
-    return slots
+    Local rows see keys in [i - w//2, i + w//2], clamped: the softmax
+    normalizes over in-range slots only, and the relative-position scalar
+    for offset j - i is added to the score first. w >= 2T - 1 gives the
+    same output as full attention.
+    """
+    if k.data.shape[0] != v.data.shape[0]:
+        raise ShapeError(f"key/value lengths differ: {k.data.shape[0]} vs {v.data.shape[0]}")
+    if q.data.shape[1] != k.data.shape[1] or k.data.shape[1] != v.data.shape[1]:
+        raise ShapeError("query/key/value dims differ")
+    t_k = k.data.shape[0]
+    offsets = slot_offsets(cfg.pattern, t_k, cfg.window)
+    valid = slot_valid(offsets, q.data.shape[0], t_k)
+    probs = T.slot_softmax(q, k, offsets, valid, cfg.heads, rpe.weights if rpe is not None else None)
+    p_used = probs
+    if rng is not None:  # draw head-major, as per-head (T_q, S) masks from this stream would
+        p_used = T.dropout(probs, cfg.dropout, rng, train, draw_axes=(1, 0, 2))
+    return T.slot_mix(p_used, v, offsets), AttentionRecord(cfg.pattern, probs, offsets, valid, t_k)
 
 
 def sinusoidal_encoding(length: int, dim: int, dtype=np.float64) -> np.ndarray:

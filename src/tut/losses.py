@@ -103,24 +103,19 @@ def prior(variant: str, window: int) -> PriorDistribution:
 
 def _lad_rows(record: AttentionRecord, frames: np.ndarray, window: int) -> Tensor:
     """Head-averaged, renormalized attention windows of the given frames."""
-    half = window // 2
+    probs = record.probs
     if record.pattern == "local":
-        if record.window != window:
-            raise ShapeError(f"record window {record.window} != requested {window}")
-        acc = T.sum_axis(T.gather_rows(record.fused, frames), axis=1)
-    elif record.pattern == "full":
-        cols = frames[:, None] + np.arange(-half, half + 1)[None, :]
-        flat = (frames[:, None] * record.key_len + cols).reshape(-1)
-        per_head = [
-            T.reshape(T.gather_rows(T.reshape(p, (p.data.size, 1)), flat), (len(frames), window))
-            for p in record.probs
-        ]
-        acc = per_head[0]
-        for extra in per_head[1:]:
-            acc = T.add(acc, extra)
+        if probs.data.shape[2] != window:
+            raise ShapeError(f"record window {probs.data.shape[2]} != requested {window}")
+        rows = T.gather_rows(probs, frames)
+    elif record.pattern == "full":  # frame f's window is slots f - w//2 .. f + w//2
+        _, heads, key_len = probs.data.shape
+        keys = frames[:, None, None] + np.arange(-(window // 2), window // 2 + 1)
+        flat = (frames[:, None, None] * heads + np.arange(heads)[None, :, None]) * key_len + keys
+        rows = T.gather_rows(T.reshape(probs, (-1,)), flat)
     else:
         raise ConfigError(f"boundary loss is undefined for the {record.pattern} pattern")
-    avg = T.mul(acc, 1.0 / record.heads)
+    avg = T.mul(T.sum_axis(rows, axis=1), 1.0 / record.heads)
     return T.div(avg, T.sum_axis(avg, axis=1, keepdims=True))
 
 
@@ -193,7 +188,7 @@ def ba_loss(
     own sequence length. Frames without a full window contribute nothing.
     """
     present = [r for r in records if r is not None]
-    dtype = present[0].probs[0].data.dtype if present else np.float64
+    dtype = present[0].probs.data.dtype if present else np.float64
     total = Tensor(np.asarray(0.0, dtype=dtype))
     for record in present:
         term = _record_ba(record, boundaries, full_len, window, weights.boundary_distance, dtype)

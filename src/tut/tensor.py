@@ -456,58 +456,93 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool, draw_axe
 
 
 # ---------------------------------------------------------------------------
-# banded (sliding-window) attention kernels
+# slot attention kernels
 #
-# Query row i, head h, slot j of a window w looks at key row i + j - w//2.
-# Keys and values are zero-padded by w//2 rows on either side and read
-# through a (T_q, heads, d_h, w) sliding-window view, so no per-slot copy is
-# made; backward passes fold the w shifted slices back into the padding.
+# Query row i, head h, slot j looks at key row i + offsets[j]; with no
+# offsets, slot j is key j and every row reads every key. Keys and values are
+# zero-padded and read through a sliding-window view of the padded rows: an
+# ascending contiguous band (the local window) is that view itself, with no
+# per-slot copy, and any other offsets index it once. Backward passes add one
+# shifted slice per slot back into the padding instead of scattering. Without
+# offsets, scores and mixing are head-batched (heads, T_q, d_h) x
+# (heads, d_h, T_k) matmuls.
 
 
-def _windows(x: Array, heads: int, window: int, rows: int) -> Array:
-    """Window view of x (T_k, d): entry [i, h, :, j] is head h of x row
-    i + j - window//2, zeros outside [0, T_k)."""
-    half = window // 2
-    kept = min(x.shape[0], rows + half)  # later rows fall in no window
-    padded = np.zeros((rows + window - 1, heads, x.shape[1] // heads), dtype=x.dtype)
-    padded[half : half + kept] = x[:kept].reshape(kept, heads, -1)
-    return sliding_window_view(padded, window, axis=0)
+def _offset_span(offsets: Array) -> tuple[int, int]:
+    """Lowest and highest offset, widened to include 0."""
+    offs = offsets.tolist()  # a few python ints: cheaper than numpy reductions
+    return min(min(offs), 0), max(max(offs), 0)
 
 
-def _fold_windows(coeff: Array, rows3: Array, key_len: int) -> Array:
-    """Gradient of a window view: out[i + j - w//2] += coeff[i, :, j] * rows3[i]."""
-    t_q, heads, window = coeff.shape
-    half = window // 2
-    padded = np.zeros((t_q + window - 1,) + rows3.shape[1:], dtype=rows3.dtype)
-    for j in range(window):
-        padded[j : j + t_q] += coeff[:, :, j, None] * rows3
+def _slot_rows(x: Array, heads: int, offsets: Array, rows: int) -> Array:
+    """Slot view of x (T_k, d): entry [i, h, :, j] is head h of x row
+    i + offsets[j], zeros outside [0, T_k)."""
+    lo, hi = _offset_span(offsets)
+    kept = min(x.shape[0], rows + hi)  # later rows fall in no slot
+    padded = np.zeros((rows + hi - lo, heads, x.shape[1] // heads), dtype=x.dtype)
+    padded[-lo : -lo + kept] = x[:kept].reshape(kept, heads, -1)
+    view = sliding_window_view(padded, hi - lo + 1, axis=0)
+    if offsets.tolist() == list(range(lo, hi + 1)):
+        return view
+    return view[..., offsets - lo]
+
+
+def _fold_slots(coeff: Array, rows3: Array, offsets: Array, key_len: int) -> Array:
+    """Gradient of a slot view: out[i + offsets[j]] += coeff[i, :, j] * rows3[i]."""
+    t_q, heads, _ = coeff.shape
+    lo, hi = _offset_span(offsets)
+    padded = np.zeros((t_q + hi - lo,) + rows3.shape[1:], dtype=rows3.dtype)
+    for j, off in enumerate(offsets.tolist()):
+        padded[off - lo : off - lo + t_q] += coeff[:, :, j, None] * rows3
     out = np.zeros((key_len, heads * rows3.shape[2]), dtype=rows3.dtype)
-    kept = min(key_len, t_q + half)
-    out[:kept] = padded[half : half + kept].reshape(kept, -1)
+    kept = min(key_len, t_q + hi)
+    out[:kept] = padded[-lo : -lo + kept].reshape(kept, -1)
     return out
 
 
-def banded_softmax(
-    q: Tensor, k: Tensor, valid: Array, heads: int, rpe: Tensor | None = None
+def slot_softmax(
+    q: Tensor,
+    k: Tensor,
+    offsets: Array | None,
+    valid: Array | None,
+    heads: int,
+    rpe: Tensor | None = None,
 ) -> Tensor:
-    """Windowed attention probabilities of every head in one node.
+    """Attention probabilities of every head in one node.
 
-    Scores q_i . k_{i+j-w//2} / sqrt(d_h), plus ``rpe[j, h]`` when given,
-    are masked where ``valid`` (T_q, w) is False and max-stabilized into a
-    softmax over the w slots. Returns (T_q, heads, w); a row with no valid
-    slot (T_q > T_k + w//2) spreads uniformly over zero keys.
+    Slot j of query row i scores q_i . k_{i+offsets[j]} / sqrt(d_h), or
+    q_i . k_j when ``offsets`` is None, plus ``rpe[j, h]`` of an (S, heads)
+    table when given. Slots where ``valid`` (T_q, S) is False are masked
+    (None: every slot is in range), and each row is max-stabilized into a
+    softmax over its S slots.
+    Returns (T_q, heads, S); a row with no valid slot spreads uniformly over
+    zero keys.
     """
     t_q, dim = q.data.shape
-    window = valid.shape[1]
-    if dim % heads or k.data.shape[1] != dim or valid.shape[0] != t_q:
-        raise ShapeError(f"banded softmax: q {q.data.shape}, k {k.data.shape}, {heads} heads")
+    t_k = k.data.shape[0]
+    slots = t_k if offsets is None else len(offsets)
+    if (
+        dim % heads
+        or k.data.shape[1] != dim
+        or (valid is not None and valid.shape != (t_q, slots))
+        or (rpe is not None and rpe.data.shape != (slots, heads))
+    ):
+        raise ShapeError(
+            f"slot softmax: q {q.data.shape}, k {k.data.shape}, {slots} slots, {heads} heads"
+            + ("" if rpe is None else f", rpe {rpe.data.shape}")
+        )
     scale = 1.0 / math.sqrt(dim // heads)
     q3 = q.data.reshape(t_q, heads, -1)
-    k_win = _windows(k.data, heads, window, t_q)
-    scores = np.matmul(q3[:, :, None, :], k_win)[:, :, 0, :] * scale
+    if offsets is None:
+        k3 = k.data.reshape(t_k, heads, -1)
+        scores = np.matmul(q3.transpose(1, 0, 2), k3.transpose(1, 2, 0)).transpose(1, 0, 2) * scale
+    else:
+        k_win = _slot_rows(k.data, heads, offsets, t_q)
+        scores = np.matmul(q3[:, :, None, :], k_win)[:, :, 0, :] * scale
     if rpe is not None:
         scores += rpe.data.T
-    scores += np.where(valid, 0.0, MASK_VALUE).astype(scores.dtype)[:, None, :]
+    if valid is not None:
+        scores += np.where(valid, 0.0, MASK_VALUE).astype(scores.dtype)[:, None, :]
     if not np.isfinite(np.max(scores)):
         raise NumericError("attention scores contain non-finite values")
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -518,29 +553,48 @@ def banded_softmax(
         if rpe is not None:
             _accumulate(rpe, ds.sum(axis=0).T)
         ds *= scale
-        dq = np.matmul(ds[:, :, None, :], k_win.swapaxes(2, 3))[:, :, 0, :]
+        if offsets is None:
+            ds_h = ds.transpose(1, 0, 2)  # (heads, T_q, T_k)
+            dq = np.matmul(ds_h, k3.transpose(1, 0, 2)).transpose(1, 0, 2)
+            dk = np.matmul(ds_h.transpose(0, 2, 1), q3.transpose(1, 0, 2)).transpose(1, 0, 2)
+            dk = dk.reshape(t_k, dim)
+        else:
+            dq = np.matmul(ds[:, :, None, :], k_win.swapaxes(2, 3))[:, :, 0, :]
+            dk = _fold_slots(ds, q3, offsets, t_k)
         _accumulate(q, dq.reshape(t_q, dim))
-        _accumulate(k, _fold_windows(ds, q3, k.data.shape[0]))
+        _accumulate(k, dk)
 
     return _make(probs, (q, k) if rpe is None else (q, k, rpe), backward)
 
 
-def banded_mix(p: Tensor, v: Tensor) -> Tensor:
-    """Per-head weighted sum of each query row's value window.
+def slot_mix(p: Tensor, v: Tensor, offsets: Array | None) -> Tensor:
+    """Per-head weighted sum of the value rows each query row's slots read.
 
-    ``p`` is (T_q, heads, w) as from ``banded_softmax``; returns (T_q, d).
+    ``p`` is (T_q, heads, S) as from ``slot_softmax`` with the same
+    ``offsets``; returns (T_q, d).
     """
-    t_q, heads, window = p.data.shape
-    dim = v.data.shape[1]
-    if dim % heads:
-        raise ShapeError(f"banded mix: {heads} heads do not divide value dim {dim}")
-    v_win = _windows(v.data, heads, window, t_q)
-    out_data = np.matmul(p.data[:, :, None, :], v_win.swapaxes(2, 3))[:, :, 0, :]
+    t_q, heads, slots = p.data.shape
+    t_k, dim = v.data.shape
+    if dim % heads or slots != (t_k if offsets is None else len(offsets)):
+        raise ShapeError(f"slot mix: p {p.data.shape}, v {v.data.shape}")
+    if offsets is None:
+        v3 = v.data.reshape(t_k, heads, -1).transpose(1, 0, 2)  # (heads, T_k, d_h)
+        out_data = np.matmul(p.data.transpose(1, 0, 2), v3).transpose(1, 0, 2)
+    else:
+        v_win = _slot_rows(v.data, heads, offsets, t_q)
+        out_data = np.matmul(p.data[:, :, None, :], v_win.swapaxes(2, 3))[:, :, 0, :]
 
     def backward(g):
         g3 = g.reshape(t_q, heads, -1)
-        _accumulate(p, np.matmul(g3[:, :, None, :], v_win)[:, :, 0, :])
-        _accumulate(v, _fold_windows(p.data, g3, v.data.shape[0]))
+        if offsets is None:
+            g_h = g3.transpose(1, 0, 2)  # (heads, T_q, d_h)
+            dp = np.matmul(g_h, v3.transpose(0, 2, 1)).transpose(1, 0, 2)
+            dv = np.matmul(p.data.transpose(1, 2, 0), g_h).transpose(1, 0, 2).reshape(t_k, dim)
+        else:
+            dp = np.matmul(g3[:, :, None, :], v_win)[:, :, 0, :]
+            dv = _fold_slots(p.data, g3, offsets, t_k)
+        _accumulate(p, dp)
+        _accumulate(v, dv)
 
     return _make(out_data.reshape(t_q, dim), (p, v), backward)
 

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written without touching the library's
 backward passes or fast paths: finite differences for gradients, frame-set
-arithmetic for segment metrics, plain-python loops for divergences. The
-last section holds the probes that only tests need: they read what the
-library's forward pass records, outside any graph.
+arithmetic for segment metrics, plain-python loops for divergences, and
+per-head loops of small graph ops for attention. The last section holds the
+probes that only tests need: they read what the library's forward pass
+records, outside any graph.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from tut import attention as A
 from tut import losses as L
 from tut import net as N
 from tut import tensor as T
@@ -66,6 +68,56 @@ def logsparse_key_set(t: int, i: int) -> set[int]:
                 keys.add(j)
         off *= 2
     return keys
+
+
+# ---------------------------------------------------------------------------
+# per-head attention loops: the references the slot kernels are tested against
+
+
+def _split_heads(x, heads: int):
+    head_dim = x.data.shape[1] // heads
+    return [T.slice_cols(x, i * head_dim, (i + 1) * head_dim) for i in range(heads)]
+
+
+def attention_loop(q, k, v, cfg, rpe=None, rng=None, train=False):
+    """``attention.attend`` computed one head at a time from small graph ops.
+
+    Full attention is a (T_q, T_k) matmul per head. The slotted patterns
+    gather each slot's key row (clamped into range) and mask out-of-range
+    slots before the softmax. Dropout draws one (T_q, S) mask per head, in
+    head order. Returns the (T_q, d) output and the per-head probabilities.
+    """
+    t_q, dim = q.data.shape
+    t_k = k.data.shape[0]
+    head_dim = dim // cfg.heads
+    scale = 1.0 / math.sqrt(head_dim)
+    offsets = A.slot_offsets(cfg.pattern, t_k, cfg.window)
+    if offsets is not None:
+        keys = np.arange(t_q)[:, None] + offsets[None, :]
+        flat_idx = np.clip(keys, 0, t_k - 1).reshape(-1)
+        in_range = (keys >= 0) & (keys < t_k)
+        mask = T.Tensor(np.where(in_range, 0.0, T.MASK_VALUE).astype(q.data.dtype))
+    outs, probs = [], []
+    for h, (qh, kh, vh) in enumerate(zip(*(_split_heads(x, cfg.heads) for x in (q, k, v)))):
+        if offsets is None:
+            scores = T.mul(T.matmul(qh, T.transpose2d(kh)), scale)
+        else:
+            kg = T.reshape(T.gather_rows(kh, flat_idx), (t_q, len(offsets), head_dim))
+            qe = T.reshape(qh, (t_q, 1, head_dim))
+            scores = T.mul(T.sum_axis(T.mul(qe, kg), axis=2), scale)
+            if rpe is not None:
+                rpe_row = T.reshape(T.slice_cols(rpe.weights, h, h + 1), (1, len(offsets)))
+                scores = T.add(scores, rpe_row)
+            scores = T.add(scores, mask)
+        p = T.softmax_lastdim(scores)
+        probs.append(p)
+        p_used = T.dropout(p, cfg.dropout, rng, train) if rng is not None else p
+        if offsets is None:
+            outs.append(T.matmul(p_used, vh))
+        else:
+            vg = T.reshape(T.gather_rows(vh, flat_idx), (t_q, len(offsets), head_dim))
+            outs.append(T.sum_axis(T.mul(T.reshape(p_used, (t_q, len(offsets), 1)), vg), axis=1))
+    return T.concat_cols(outs), probs
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +186,9 @@ def f1_brute(pred, gt, threshold: float, ignored=()) -> tuple[float, int, int, i
 
 def valid_key_sets(record) -> list[set[int]]:
     """Attended key indices per query row of an AttentionRecord."""
-    return [set(record.indices[i, record.valid[i]].tolist()) for i in range(record.query_len)]
+    if record.offsets is None:
+        return [set(range(record.key_len)) for _ in range(record.query_len)]
+    return [set((i + record.offsets[record.valid[i]]).tolist()) for i in range(record.query_len)]
 
 
 def reconstruct_labels(segments) -> list:

@@ -219,28 +219,46 @@ def test_c01_gradient_suite():
         T.sum_all(T.mul(out, T.tensor(wt))).backward()
         check(f"attention.{pattern}", att_f, [q0, k0, v0], [tq.grad, tk.grad, tv.grad])
 
-    # banded attention kernels (query and key lengths differ) and resampling;
-    # their own stream leaves the end-to-end model's draws below unchanged
+    # slot attention kernels and resampling; their own streams leave the
+    # end-to-end model's draws below unchanged. The local band (query and key
+    # lengths differ, with a relative-position table) draws from brng; the
+    # other offsets draw from srng, so brng's later draws do not shift.
     brng = np.random.default_rng(3)
-    _, valid = A.window_slots(7, 6, 5)
+    srng = np.random.default_rng(6)
     kb, tab = brng.standard_normal((6, 4)), brng.standard_normal((5, 2))
     wb = brng.standard_normal((7, 2, 5))
-    tq, tk, ttab = (T.tensor(a, requires_grad=True) for a in (q0, kb, tab))
-    T.sum_all(T.mul(T.banded_softmax(tq, tk, valid, 2, ttab), T.tensor(wb))).backward()
-    check(
-        "banded_softmax",
-        lambda qv, kv, tv: float((T.banded_softmax(T.tensor(qv), T.tensor(kv), valid, 2,
-                                                   T.tensor(tv)).data * wb).sum()),
-        [q0, kb, tab], [tq.grad, tk.grad, ttab.grad],
-    )
     pb = brng.random((7, 2, 5))
-    tp, tv = T.tensor(pb, requires_grad=True), T.tensor(kb, requires_grad=True)
-    T.sum_all(T.mul(T.banded_mix(tp, tv), T.tensor(wt))).backward()
-    check(
-        "banded_mix",
-        lambda pv, vv: float((T.banded_mix(T.tensor(pv), T.tensor(vv)).data * wt).sum()),
-        [pb, kb], [tp.grad, tv.grad],
-    )
+    slot_cases = [("local", A.slot_offsets("local", 6, 5), q0, kb, tab, wb, pb)]
+    for name, offsets, t_k, rpe in (
+        ("logsparse", np.array([0, -1, 1, -2, 2, -4, 4]), 6, True),  # unsorted, with gaps
+        ("full", None, 9, False),
+    ):
+        slots = t_k if offsets is None else len(offsets)
+        slot_cases.append((
+            name, offsets, q0, srng.standard_normal((t_k, 4)),
+            srng.standard_normal((slots, 2)) if rpe else None,
+            srng.standard_normal((7, 2, slots)), srng.random((7, 2, slots)),
+        ))
+    for name, offsets, qs, ks, tabs, ws, ps in slot_cases:
+        valid = A.slot_valid(offsets, 7, ks.shape[0])
+        leaves = [T.tensor(a, requires_grad=True) for a in (qs, ks, tabs) if a is not None]
+
+        def softmax_f(*arrays, offsets=offsets, valid=valid, ws=ws):
+            ts = [T.tensor(a) for a in arrays]
+            return float((T.slot_softmax(ts[0], ts[1], offsets, valid, 2, *ts[2:]).data * ws).sum())
+
+        T.sum_all(T.mul(T.slot_softmax(leaves[0], leaves[1], offsets, valid, 2, *leaves[2:]),
+                        T.tensor(ws))).backward()
+        check(f"slot_softmax.{name}", softmax_f, [a.data for a in leaves], [a.grad for a in leaves])
+        tp, tv = T.tensor(ps, requires_grad=True), T.tensor(ks, requires_grad=True)
+        T.sum_all(T.mul(T.slot_mix(tp, tv, offsets), T.tensor(wt))).backward()
+        check(
+            f"slot_mix.{name}",
+            lambda pv, vv, offsets=offsets: float(
+                (T.slot_mix(T.tensor(pv), T.tensor(vv), offsets).data * wt).sum()
+            ),
+            [ps, ks], [tp.grad, tv.grad],
+        )
     for name, resample, rows in (
         ("downsample_nearest", T.downsample_nearest, 4),
         ("upsample_nearest", lambda x: T.upsample_nearest(x, 13), 13),
@@ -252,7 +270,7 @@ def test_c01_gradient_suite():
               [q0], [tr.grad])
 
     # fused dense layer, whole and column-ranged (gradients outside the
-    # range stay zero); its own stream, like the banded kernels above
+    # range stay zero); its own stream, like the slot kernels above
     lrng = np.random.default_rng(4)
     xl, wl, bl = lrng.standard_normal((5, 3)), lrng.standard_normal((3, 6)), lrng.standard_normal(6)
     for cols in (None, (2, 5)):
@@ -351,17 +369,17 @@ def test_c02_attention_oracles():
         heads = int(rng.choice([1, 2]))
         q, k, v = (T.tensor(rng.standard_normal((t, d))) for _ in range(3))
         w = 2 * t - 1 if t % 2 == 1 else 2 * t + 1
-        local, _ = A.local_attention(
+        local, _ = A.attend(
             q, k, v, A.AttentionConfig(pattern="local", window=w, heads=heads, pe_mode="none")
         )
-        full, _ = A.full_attention(
+        full, _ = A.attend(
             q, k, v, A.AttentionConfig(pattern="full", heads=heads, pe_mode="none")
         )
         worst = max(worst, float(np.max(np.abs(local.data - full.data))))
     sets_ok = True
     for t in range(1, 65):
         q, k, v = (T.tensor(rng.standard_normal((t, 2))) for _ in range(3))
-        _, record = A.logsparse_attention(
+        _, record = A.attend(
             q, k, v, A.AttentionConfig(pattern="logsparse", heads=1, pe_mode="none")
         )
         for i, got in enumerate(valid_key_sets(record)):
@@ -447,8 +465,9 @@ def test_c04_loss_correctness():
         labels = segmented_labels(rng, t)
         raw = rng.random((t, w)) + 0.05
         rows = raw / raw.sum(axis=1, keepdims=True)
-        indices, valid = A.window_slots(t, t, w)
-        rec = A.AttentionRecord.local(T.tensor(rows[:, None, :]), indices, valid, key_len=t)
+        offsets = A.slot_offsets("local", t, w)
+        valid = A.slot_valid(offsets, t, t)
+        rec = A.AttentionRecord("local", T.tensor(rows[:, None, :]), offsets, valid, key_len=t)
         b = L.derive_boundaries(labels)
         got = float(
             L.ba_loss((None, rec), b, L.LossWeights(boundary_weight=1.0), w, t).data
@@ -465,7 +484,7 @@ def test_c04_loss_correctness():
             for frame in frames:
                 if w // 2 <= frame <= t - 1 - w // 2:
                     aligned[frame] = L.prior(variant, w).values
-        rec2 = A.AttentionRecord.local(T.tensor(aligned[:, None, :]), indices, valid, key_len=t)
+        rec2 = A.AttentionRecord("local", T.tensor(aligned[:, None, :]), offsets, valid, key_len=t)
         zero = float(
             L.ba_loss((None, rec2), b, L.LossWeights(boundary_weight=1.0), w, t).data
         )

@@ -105,8 +105,9 @@ def test_prior_examples():
 def make_local_record(rows_per_head, window):
     """Record with given post-softmax rows; rows_per_head: list of (T, w)."""
     t = rows_per_head[0].shape[0]
-    fused = T.tensor(np.stack(rows_per_head, axis=1))
-    return A.AttentionRecord.local(fused, *A.window_slots(t, t, window), key_len=t)
+    offsets = A.slot_offsets("local", t, window)
+    probs = T.tensor(np.stack(rows_per_head, axis=1))
+    return A.AttentionRecord("local", probs, offsets, A.slot_valid(offsets, t, t), key_len=t)
 
 
 def test_extract_lad_single_and_averaged_heads():
@@ -131,18 +132,11 @@ def test_extract_lad_single_and_averaged_heads():
 def test_extract_lad_from_full_record_slices_row():
     t, w = 6, 3
     rng = np.random.default_rng(1)
-    probs = rng.random((t, t))
-    probs /= probs.sum(axis=1, keepdims=True)
-    rec = A.AttentionRecord(
-        pattern="full",
-        probs=[T.tensor(probs)],
-        indices=np.broadcast_to(np.arange(t), (t, t)).copy(),
-        valid=np.ones((t, t), dtype=bool),
-        query_len=t,
-        key_len=t,
-    )
+    probs = rng.random((t, 2, t))
+    probs /= probs.sum(axis=2, keepdims=True)
+    rec = A.AttentionRecord("full", T.tensor(probs), None, None, key_len=t)
     lad = extract_lad(rec, 2, w)
-    window = probs[2, 1:4]
+    window = probs[2, :, 1:4].mean(axis=0)
     np.testing.assert_allclose(lad.data, window / window.sum())
 
 
@@ -270,7 +264,7 @@ def test_ba_gradient_flows_into_attention_inputs():
     weights = L.LossWeights(boundary_weight=1.0)
 
     def f(qv, kv, vv):
-        _, rec = A.local_attention(T.tensor(qv), T.tensor(kv), T.tensor(vv), cfg)
+        _, rec = A.attend(T.tensor(qv), T.tensor(kv), T.tensor(vv), cfg)
         return float(
             L.ba_loss((None, rec), L.derive_boundaries(labels), weights, w, t).data
         )
@@ -278,11 +272,36 @@ def test_ba_gradient_flows_into_attention_inputs():
     tq = T.tensor(q0, requires_grad=True)
     tk = T.tensor(k0, requires_grad=True)
     tv = T.tensor(v0, requires_grad=True)
-    _, rec = A.local_attention(tq, tk, tv, cfg)
+    _, rec = A.attend(tq, tk, tv, cfg)
     L.ba_loss((None, rec), L.derive_boundaries(labels), weights, w, t).backward()
     assert rel_err(tq.grad, numeric_grad(f, [q0, k0, v0], 0)) < 1e-4
     assert rel_err(tk.grad, numeric_grad(f, [q0, k0, v0], 1)) < 1e-4
     assert tv.grad is None or np.allclose(tv.grad, 0.0)  # values never enter the record
+
+
+@pytest.mark.parametrize("distance", L.BA_DISTANCES)
+def test_ba_loss_full_record_matches_local_record(distance):
+    # a frame with a full window: one head's full attention renormalized over
+    # the window is exactly its local softmax there, so both records give one
+    # loss (with more heads, each head's window mass weights the average)
+    rng = np.random.default_rng(8)
+    t, d, w = 16, 4, 5
+    labels = np.array([0] * 5 + [1] * 6 + [2] * 5)
+    weights = L.LossWeights(boundary_weight=1.0, boundary_distance=distance)
+    q0, k0, v0 = (rng.standard_normal((t, d)) for _ in range(3))
+    results = []
+    for pattern in ("local", "full"):
+        cfg = A.AttentionConfig(pattern=pattern, window=w, heads=1, pe_mode="none")
+        tq, tk = T.tensor(q0, requires_grad=True), T.tensor(k0, requires_grad=True)
+        _, rec = A.attend(tq, tk, T.tensor(v0), cfg)
+        loss = L.ba_loss((None, rec), L.derive_boundaries(labels), weights, w, t)
+        loss.backward()
+        results.append((float(loss.data), tq.grad, tk.grad))
+    (local, dq_local, dk_local), (full, dq_full, dk_full) = results
+    assert local > 0.0
+    np.testing.assert_allclose(full, local, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dq_full, dq_local, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dk_full, dk_local, rtol=0, atol=1e-12)
 
 
 def test_total_loss_composition_and_scaling():

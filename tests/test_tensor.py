@@ -440,11 +440,22 @@ def _op_cases():
             lambda r: [_f32(r, (5, 4)), _f32(r, (4,)), _f32(r, (4,))], T.instance_norm_temporal
         ),
         "dropout": (leaves(1), lambda a: T.dropout(a, 0.5, stream, train=True)),
-        "banded_softmax": (
+        "slot_softmax": (
             lambda r: [_f32(r, (5, 4)), _f32(r, (5, 4)), _f32(r, (3, 2))],
-            lambda q, k, rpe: T.banded_softmax(q, k, valid, 2, rpe),
+            lambda q, k, rpe: T.slot_softmax(q, k, np.arange(-1, 2), valid, 2, rpe),
         ),
-        "banded_mix": (lambda r: [_probs32(r, (5, 2, 3)), _f32(r, (5, 4))], T.banded_mix),
+        "slot_softmax.full": (
+            lambda r: [_f32(r, (5, 4)), _f32(r, (6, 4))],
+            lambda q, k: T.slot_softmax(q, k, None, None, 2),
+        ),
+        "slot_mix": (
+            lambda r: [_probs32(r, (5, 2, 3)), _f32(r, (5, 4))],
+            lambda p, v: T.slot_mix(p, v, np.arange(-1, 2)),
+        ),
+        "slot_mix.full": (
+            lambda r: [_probs32(r, (5, 2, 6)), _f32(r, (6, 4))],
+            lambda p, v: T.slot_mix(p, v, None),
+        ),
         "cross_entropy_from_logits": (
             leaves(1), lambda a: T.cross_entropy_from_logits(a, [0, 3, 1, 2, 0])
         ),
