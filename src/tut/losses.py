@@ -64,8 +64,8 @@ def tmse_loss(logits: Tensor, clip_at: float = 4.0) -> Tensor:
     if t < 2:
         return Tensor(np.asarray(0.0, dtype=logits.data.dtype))
     logp = T.log_softmax_lastdim(logits)
-    cur = T.gather_rows(logp, np.arange(1, t))
-    prev = T.gather_rows(logp, np.arange(0, t - 1)).detach()
+    cur = T.slice_rows(logp, 1, t)
+    prev = Tensor(logp.data[:-1])
     delta = T.clip(T.sub(cur, prev), -clip_at, clip_at)
     return T.mul(T.sum_all(T.mul(delta, delta)), 1.0 / ((t - 1) * c))
 
@@ -102,7 +102,11 @@ def prior(variant: str, window: int) -> PriorDistribution:
 
 
 def _lad_rows(record: AttentionRecord, frames: np.ndarray, window: int) -> Tensor:
-    """Head-averaged, renormalized attention windows of the given frames."""
+    """Head-averaged, renormalized attention windows of the given frames.
+
+    Each head's window sums to 1 before the average, so a full record gives
+    the local record's rows and every head weighs the same.
+    """
     probs = record.probs
     if record.pattern == "local":
         if probs.data.shape[2] != window:
@@ -113,6 +117,8 @@ def _lad_rows(record: AttentionRecord, frames: np.ndarray, window: int) -> Tenso
         keys = frames[:, None, None] + np.arange(-(window // 2), window // 2 + 1)
         flat = (frames[:, None, None] * heads + np.arange(heads)[None, :, None]) * key_len + keys
         rows = T.gather_rows(T.reshape(probs, (-1,)), flat)
+        # renormalize each head over its window, as a local row already is
+        rows = T.div(rows, T.sum_axis(rows, axis=2, keepdims=True))
     else:
         raise ConfigError(f"boundary loss is undefined for the {record.pattern} pattern")
     avg = T.mul(T.sum_axis(rows, axis=1), 1.0 / record.heads)

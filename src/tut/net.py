@@ -195,11 +195,6 @@ def init_params(cfg: ModelConfig, streams: SeedStreams) -> dict[str, Tensor]:
     return params
 
 
-def zero_grads(params: dict[str, Tensor]):
-    for p in params.values():
-        p.grad = None
-
-
 # ---------------------------------------------------------------------------
 # layers
 
@@ -297,7 +292,7 @@ def _positional_input(params, cfg: ModelConfig, stage: int, x: Tensor) -> Tensor
     if cfg.pe_mode == "learnable":
         if t > cfg.pe_max_len:
             raise ConfigError(f"sequence length {t} exceeds pe_max_len {cfg.pe_max_len}")
-        return T.add(x, T.gather_rows(params[f"stage{stage}.ape.w"], np.arange(t)))
+        return T.add(x, T.slice_rows(params[f"stage{stage}.ape.w"], 0, t))
     return x
 
 

@@ -9,6 +9,10 @@ float32 is the training default and float64 is used by gradient tests. An
 op's value and gradients keep its inputs' dtype, 0-d results included;
 only python data defaults to float64.
 
+``adam_step`` updates parameters in place: each ``p.data`` and ``p.grad``
+is a view of one flat arena, and the step leaves every gradient zeroed, so
+the next backward accumulates straight into it.
+
 Inside ``with no_grad():`` every op returns a plain leaf that keeps no
 parents and no backward closure, so inference frees each intermediate as
 soon as nothing reads it. Values are the same as with the graph on.
@@ -60,9 +64,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def zero_grad(self):
-        self.grad = None
 
     def detach(self) -> "Tensor":
         """Same values, cut off from the graph."""
@@ -289,6 +290,15 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
         _accumulate_part(x, (slice(None), slice(start, stop)), g)
 
     return _make(x.data[:, start:stop].copy(), (x,), backward)
+
+
+def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows start..stop as a view; backward adds into those rows only."""
+
+    def backward(g):
+        _accumulate_part(x, slice(start, stop), g)
+
+    return _make(x.data[start:stop], (x,), backward)
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
@@ -613,7 +623,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, cols: tuple[int, int] | None
     out_data += b
 
     def backward(g):
-        _accumulate(x, g @ w.T)
+        if x.requires_grad:
+            _accumulate(x, g @ w.T)
         _accumulate_part(weight, (slice(None), part), x.data.T @ g)
         _accumulate_part(bias, part, g.sum(axis=0))
 
@@ -696,13 +707,74 @@ def wasserstein1_from_probs(p: Tensor, d: Tensor) -> Tensor:
 # optimizer
 
 
+ADAM_BLOCK = 1 << 15  # elements per Adam pass: six f64 block slices fit a 4 MiB L2
+
+
+@dataclass
+class ParamArena:
+    """One flat buffer each for parameters, gradients and Adam's moments.
+
+    Tensors sit in ``names`` order; ``data[i]`` and ``grad[i]`` are the
+    views bound to parameter i's ``data`` and ``grad``.
+    """
+
+    names: tuple[str, ...]
+    flat: Array
+    flat_grad: Array
+    flat_m: Array
+    flat_v: Array
+    data: list[Array]
+    grad: list[Array]
+    scratch: tuple[Array, Array]
+
+
 @dataclass
 class AdamState:
-    """First/second moment estimates plus the shared step counter."""
+    """First/second moment estimates plus the shared step counter.
+
+    Once ``adam_step`` has run, ``m[name]`` and ``v[name]`` are views of
+    the arena's moment buffers.
+    """
 
     m: dict[str, Array] = field(default_factory=dict)
     v: dict[str, Array] = field(default_factory=dict)
     step: int = 0
+    arena: ParamArena | None = field(default=None, repr=False, compare=False)
+
+
+def _pack(params: dict[str, Tensor], state: AdamState) -> ParamArena:
+    """Copy the current parameters and moments into fresh flat buffers and
+    rebind every ``p.data``, ``state.m`` and ``state.v`` entry to its view.
+    Gradients start at zero."""
+    dtypes = {p.data.dtype for p in params.values()}
+    if len(dtypes) > 1:
+        raise TypeError(f"adam_step needs one parameter dtype, got {sorted(map(str, dtypes))}")
+    dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
+    total = sum(p.data.size for p in params.values())
+    flat, flat_grad, flat_m, flat_v = (np.zeros(total, dtype=dtype) for _ in range(4))
+    data, grad, m, v = [], [], {}, {}
+    end = 0
+    for name, p in params.items():
+        shape, start = p.data.shape, end
+        end += p.data.size
+        for old in (state.m.get(name), state.v.get(name)):
+            if old is not None and old.shape != shape:
+                raise ShapeError(f"adam state shape mismatch for {name}")
+        p_view, g_view, m_view, v_view = (
+            buf[start:end].reshape(shape) for buf in (flat, flat_grad, flat_m, flat_v)
+        )
+        p_view[...] = p.data
+        p.data = p_view
+        if name in state.m:
+            m_view[...] = state.m[name]
+            v_view[...] = state.v[name]
+        data.append(p_view)
+        grad.append(g_view)
+        m[name], v[name] = m_view, v_view
+    state.m, state.v = m, v
+    block = min(total, ADAM_BLOCK)
+    scratch = (np.empty(block, dtype=dtype), np.empty(block, dtype=dtype))
+    return ParamArena(tuple(params), flat, flat_grad, flat_m, flat_v, data, grad, scratch)
 
 
 def adam_step(
@@ -719,31 +791,53 @@ def adam_step(
 
     Missing/None gradients are treated as zero; weight decay still applies,
     so unused parameters shrink but their moments stay untouched by noise.
+
+    The update runs in place over ``state.arena``, packed on the first call
+    and again whenever the names change or a ``p.data`` is no longer its
+    arena view. A gradient that is not its arena view is copied in. On
+    return every ``p.data`` and ``p.grad`` is an arena view and every
+    gradient is zero, so the next backward accumulates into the arena.
     """
+    arena = state.arena
+    if (
+        arena is None
+        or arena.names != tuple(params)
+        or any(p.data is not view for p, view in zip(params.values(), arena.data))
+    ):
+        arena = state.arena = _pack(params, state)
+    for name, p, g_view in zip(arena.names, params.values(), arena.grad):
+        g = grads.get(name)
+        if g is not g_view:
+            g_view[...] = 0.0 if g is None else g
+        p.grad = g_view
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    for name, p in params.items():
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            state.m[name] = m
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        if m.shape != p.data.shape:
-            raise ShapeError(f"adam state shape mismatch for {name}")
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+    # the per-element formula and order of the textbook loop, as in-place
+    # passes over cache-sized blocks
+    for start in range(0, arena.flat.size, ADAM_BLOCK):
+        part = slice(start, start + ADAM_BLOCK)
+        p, g, m, v = arena.flat[part], arena.flat_grad[part], arena.flat_m[part], arena.flat_v[part]
+        a, b = (s[: p.size] for s in arena.scratch)
+        np.multiply(m, beta1, out=m)
+        np.multiply(g, 1.0 - beta1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, beta2, out=v)
+        np.multiply(g, g, out=a)
+        np.multiply(a, 1.0 - beta2, out=a)
+        np.add(v, a, out=v)
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        np.add(a, eps, out=a)
+        np.divide(m, bc1, out=b)
+        np.divide(b, a, out=b)  # update = (m / bc1) / (sqrt(v / bc2) + eps)
         if weight_decay:
-            update = update + weight_decay * p.data
-        p.data = p.data - lr * update
+            np.multiply(p, weight_decay, out=a)
+            np.add(b, a, out=b)
+        np.multiply(b, lr, out=b)
+        np.subtract(p, b, out=p)
+    arena.flat_grad.fill(0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .net import (
     load_checkpoint,
     model_forward,
     save_checkpoint,
-    zero_grads,
 )
 from .tensor import AdamState, SeedStreams, Tensor, adam_step, no_grad
 
@@ -123,7 +122,6 @@ def train(
         sums = {"ce": 0.0, "tmse": 0.0, "ba": 0.0, "total": 0.0}
         for idx in order:
             sample = samples[idx]
-            zero_grads(params)
             try:
                 outputs = model_forward(
                     sample.features, params, model_cfg, train=True, streams=streams

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written without touching the library's
 backward passes or fast paths: finite differences for gradients, frame-set
-arithmetic for segment metrics, plain-python loops for divergences, and
-per-head loops of small graph ops for attention. The last section holds the
+arithmetic for segment metrics, plain-python loops for divergences,
+per-head loops of small graph ops for attention, and a per-tensor Adam
+loop for the arena optimizer. The last section holds the
 probes that only tests need: they read what the library's forward pass
 records, outside any graph.
 """
@@ -68,6 +69,37 @@ def logsparse_key_set(t: int, i: int) -> set[int]:
                 keys.add(j)
         off *= 2
     return keys
+
+
+# ---------------------------------------------------------------------------
+# per-tensor Adam: the reference the arena optimizer is tested against
+
+
+def adam_loop(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+    """``tensor.adam_step`` one tensor at a time, each ``p.data`` replaced by
+    a new array; moments live in ``state.m`` / ``state.v`` as plain arrays."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, p in params.items():
+        m = state.m.get(name)
+        if m is None:
+            m = np.zeros_like(p.data)
+            state.m[name] = m
+            state.v[name] = np.zeros_like(p.data)
+        v = state.v[name]
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(p.data)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        if weight_decay:
+            update = update + weight_decay * p.data
+        p.data = p.data - lr * update
 
 
 # ---------------------------------------------------------------------------

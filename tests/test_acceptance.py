@@ -141,6 +141,9 @@ def test_c01_gradient_suite():
     txg = T.tensor(xr, requires_grad=True)
     T.sum_all(T.mul(T.gather_rows(txg, idx), T.tensor(xr[idx]))).backward()
     check("gather_rows", lambda xv: float((xv[idx] * xr[idx]).sum()), [xr], [txg.grad])
+    txl = T.tensor(xr, requires_grad=True)
+    T.sum_all(T.mul(T.slice_rows(txl, 1, 4), T.tensor(xr[1:4]))).backward()
+    check("slice_rows", lambda xv: float((xv[1:4] * xr[1:4]).sum()), [xr], [txl.grad])
     txs = T.tensor(xr[idx], requires_grad=True)
     T.sum_all(T.mul(T.scatter_add_rows(txs, idx, 5), T.tensor(xr))).backward()
 

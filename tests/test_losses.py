@@ -136,8 +136,8 @@ def test_extract_lad_from_full_record_slices_row():
     probs /= probs.sum(axis=2, keepdims=True)
     rec = A.AttentionRecord("full", T.tensor(probs), None, None, key_len=t)
     lad = extract_lad(rec, 2, w)
-    window = probs[2, :, 1:4].mean(axis=0)
-    np.testing.assert_allclose(lad.data, window / window.sum())
+    heads = probs[2, :, 1:4]  # each head renormalized over the window, then averaged
+    np.testing.assert_allclose(lad.data, (heads / heads.sum(axis=1, keepdims=True)).mean(axis=0))
 
 
 def test_ba_loss_zero_when_lads_equal_priors():
@@ -281,27 +281,28 @@ def test_ba_gradient_flows_into_attention_inputs():
 
 @pytest.mark.parametrize("distance", L.BA_DISTANCES)
 def test_ba_loss_full_record_matches_local_record(distance):
-    # a frame with a full window: one head's full attention renormalized over
+    # a frame with a full window: each head's full attention renormalized over
     # the window is exactly its local softmax there, so both records give one
-    # loss (with more heads, each head's window mass weights the average)
+    # loss whatever the head count
     rng = np.random.default_rng(8)
     t, d, w = 16, 4, 5
     labels = np.array([0] * 5 + [1] * 6 + [2] * 5)
     weights = L.LossWeights(boundary_weight=1.0, boundary_distance=distance)
     q0, k0, v0 = (rng.standard_normal((t, d)) for _ in range(3))
-    results = []
-    for pattern in ("local", "full"):
-        cfg = A.AttentionConfig(pattern=pattern, window=w, heads=1, pe_mode="none")
-        tq, tk = T.tensor(q0, requires_grad=True), T.tensor(k0, requires_grad=True)
-        _, rec = A.attend(tq, tk, T.tensor(v0), cfg)
-        loss = L.ba_loss((None, rec), L.derive_boundaries(labels), weights, w, t)
-        loss.backward()
-        results.append((float(loss.data), tq.grad, tk.grad))
-    (local, dq_local, dk_local), (full, dq_full, dk_full) = results
-    assert local > 0.0
-    np.testing.assert_allclose(full, local, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(dq_full, dq_local, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(dk_full, dk_local, rtol=0, atol=1e-12)
+    for heads in (1, 2, 4):
+        results = []
+        for pattern in ("local", "full"):
+            cfg = A.AttentionConfig(pattern=pattern, window=w, heads=heads, pe_mode="none")
+            tq, tk = T.tensor(q0, requires_grad=True), T.tensor(k0, requires_grad=True)
+            _, rec = A.attend(tq, tk, T.tensor(v0), cfg)
+            loss = L.ba_loss((None, rec), L.derive_boundaries(labels), weights, w, t)
+            loss.backward()
+            results.append((float(loss.data), tq.grad, tk.grad))
+        (local, dq_local, dk_local), (full, dq_full, dk_full) = results
+        assert local > 0.0
+        np.testing.assert_allclose(full, local, rtol=0, atol=1e-12, err_msg=f"{heads} heads")
+        np.testing.assert_allclose(dq_full, dq_local, rtol=0, atol=1e-12, err_msg=f"{heads} heads")
+        np.testing.assert_allclose(dk_full, dk_local, rtol=0, atol=1e-12, err_msg=f"{heads} heads")
 
 
 def test_total_loss_composition_and_scaling():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import numeric_grad, rel_err
+from _oracles import adam_loop, numeric_grad, rel_err
 from tut import tensor as T
 from tut.errors import DomainError, ShapeError
 
@@ -358,6 +358,73 @@ def test_adam_state_shape_check():
         T.adam_step({"p": p}, {"p": np.zeros(3)}, state, lr=0.1)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+def test_adam_arena_matches_per_tensor_loop(dtype, weight_decay):
+    # "big" spans more than one block and the total is no block multiple;
+    # "unused" always gets a None gradient
+    shapes = {"big": (T.ADAM_BLOCK + 77,), "w": (33, 7), "b": (7,), "unused": (5,), "s": ()}
+    rng = rng64(21)
+    init = {n: np.asarray(rng.standard_normal(s), dtype=dtype) for n, s in shapes.items()}
+    fast = {n: T.Tensor(a.copy(), requires_grad=True) for n, a in init.items()}
+    slow = {n: T.Tensor(a.copy(), requires_grad=True) for n, a in init.items()}
+    fast_state, slow_state = T.AdamState(), T.AdamState()
+    for step in range(25):
+        grads = {n: np.asarray(rng.standard_normal(s), dtype=dtype) for n, s in shapes.items()}
+        grads["unused"] = None
+        for n, g in grads.items():
+            p = fast[n]
+            if g is None:
+                continue
+            if p.grad is None or step % 5 == 4:  # a gradient from outside the arena
+                p.grad = g.copy()
+            else:
+                p.grad += g  # in place, as a backward pass accumulates
+        if step == 12:  # rebinding one tensor re-packs and keeps every moment
+            before = fast_state.arena
+            fast["w"].data = fast["w"].data * 0.5
+            slow["w"].data = slow["w"].data * 0.5
+        T.adam_step(
+            fast, {n: fast[n].grad if g is not None else None for n, g in grads.items()},
+            fast_state, lr=1e-2, weight_decay=weight_decay,
+        )
+        adam_loop(slow, grads, slow_state, lr=1e-2, weight_decay=weight_decay)
+        if step == 12:
+            assert fast_state.arena is not before
+        arena = fast_state.arena
+        for n in shapes:
+            assert fast[n].data.tobytes() == slow[n].data.tobytes(), (step, n)
+            assert fast_state.m[n].tobytes() == slow_state.m[n].tobytes(), (step, n)
+            assert fast_state.v[n].tobytes() == slow_state.v[n].tobytes(), (step, n)
+            for view, flat in (
+                (fast[n].data, arena.flat), (fast[n].grad, arena.flat_grad),
+                (fast_state.m[n], arena.flat_m), (fast_state.v[n], arena.flat_v),
+            ):
+                assert view.dtype == dtype and np.shares_memory(view, flat), (step, n)
+            assert not fast[n].grad.any()
+    assert fast_state.step == slow_state.step == 25
+
+
+def test_adam_arena_needs_one_dtype():
+    params = {"a": T.tensor(np.zeros(2)), "b": T.tensor(np.zeros(2), dtype=np.float32)}
+    with pytest.raises(TypeError):
+        T.adam_step(params, {}, T.AdamState(), lr=0.1)
+
+
+def test_linear_skips_unneeded_input_gradient():
+    rng = rng64(11)
+    x, w, b, g = (rng.standard_normal(s) for s in ((6, 4), (4, 5), (5,), (6, 5)))
+    results = []
+    for needs_grad in (True, False):
+        tx = T.tensor(x, requires_grad=needs_grad)
+        tw, tb = T.tensor(w, requires_grad=True), T.tensor(b, requires_grad=True)
+        T.sum_all(T.mul(T.linear(tx, tw, tb), T.tensor(g))).backward()
+        results.append((tx.grad, tw.grad.tobytes(), tb.grad.tobytes()))
+    (x_grad, *with_x), (no_x_grad, *without_x) = results
+    assert x_grad is not None and no_x_grad is None
+    assert with_x == without_x
+
+
 def test_seed_streams_split_and_repeat():
     a = T.SeedStreams(7)
     b = T.SeedStreams(7)
@@ -426,6 +493,7 @@ def _op_cases():
         "transpose2d": (leaves(1), T.transpose2d),
         "reshape": (leaves(1), lambda a: T.reshape(a, (2, 10))),
         "slice_cols": (leaves(1), lambda a: T.slice_cols(a, 1, 3)),
+        "slice_rows": (leaves(1), lambda a: T.slice_rows(a, 1, 4)),
         "concat_cols": (leaves(2), lambda a, b: T.concat_cols([a, b])),
         "gather_rows": (leaves(1), lambda a: T.gather_rows(a, [0, 2, 2])),
         "downsample_nearest": (leaves(1), T.downsample_nearest),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import boundary_alignment
+from _oracles import adam_loop, boundary_alignment
 from tut import data as D
 from tut import net as N
 from tut import tensor as T
@@ -328,3 +328,28 @@ def test_float32_train_step_keeps_float32():
     loss.backward()
     wrong = {n: str(p.grad.dtype) for n, p in params.items() if p.grad.dtype != np.float32}
     assert not wrong
+
+
+def test_arena_adam_trains_like_the_per_tensor_loop(monkeypatch):
+    """A gtea-shaped f32 run gives the same bytes with the per-tensor Adam
+    loop and fresh gradients every step."""
+    model_cfg, train_cfg, _ = build_configs("gtea", None, {})
+    model_cfg.input_dim, model_cfg.num_classes = 32, 5
+    train_cfg.epochs = 2
+    spec = D.SynthSpec(
+        num_classes=5, num_videos=3, min_len=48, max_len=96, feature_dim=32, noise=0.3, seed=2
+    )
+    samples, _ = D.generate_synthetic(spec)
+    arena = TR.train(samples, model_cfg, train_cfg)
+
+    def loop_then_clear(params, grads, state, **kwargs):
+        adam_loop(params, grads, state, **kwargs)
+        for p in params.values():
+            p.grad = None
+
+    monkeypatch.setattr(TR, "adam_step", loop_then_clear)
+    loop = TR.train(samples, model_cfg, train_cfg)
+    assert TR.log_csv(arena.log_rows) == TR.log_csv(loop.log_rows)
+    assert arena.log_rows == loop.log_rows
+    for name, p in loop.params.items():
+        assert arena.params[name].data.tobytes() == p.data.tobytes(), name
