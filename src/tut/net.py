@@ -71,6 +71,9 @@ class ModelConfig:
             raise ConfigError("all dimensions must be positive")
         if self.dtype not in ("f32", "f64"):
             raise ConfigError(f"unknown dtype {self.dtype!r}")
+        for key in ("input_dropout", "ffn_dropout", "attention_dropout"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ConfigError(f"{key} must lie in [0, 1), got {getattr(self, key)}")
         for stage_dim in (self.hidden_dim, self.hidden_dim_refine):
             self.attention_config().validate(stage_dim)
 
@@ -199,10 +202,13 @@ def init_params(cfg: ModelConfig, streams: SeedStreams) -> dict[str, Tensor]:
 # layers
 
 
-def _norm(params, cfg: ModelConfig, name: str, x: Tensor) -> Tensor:
+def _norm(params, cfg: ModelConfig, name: str, x: Tensor, residual: Tensor) -> Tensor:
+    """x + residual, instance-normalized in one node when ``normalize`` is on."""
     if not cfg.normalize:
-        return x
-    return T.instance_norm_temporal(x, params[f"{name}.w"], params[f"{name}.b"], cfg.norm_eps)
+        return T.add(x, residual)
+    return T.instance_norm_temporal(
+        x, params[f"{name}.w"], params[f"{name}.b"], cfg.norm_eps, residual=residual
+    )
 
 
 def _ffn(params, cfg: ModelConfig, prefix: str, x: Tensor, train, streams) -> Tensor:
@@ -246,8 +252,8 @@ def encoder_layer(
         q, k, v, cfg.attention_config(), rpe=_rpe_for(params, cfg, stage, "enc", layer),
         rng=rng, train=train,
     )
-    h2 = _norm(params, cfg, f"{prefix}.norm1", T.add(attn, h1))
-    out = _norm(params, cfg, f"{prefix}.norm2", T.add(_ffn(params, cfg, prefix, h2, train, streams), h2))
+    h2 = _norm(params, cfg, f"{prefix}.norm1", attn, h1)
+    out = _norm(params, cfg, f"{prefix}.norm2", _ffn(params, cfg, prefix, h2, train, streams), h2)
     return out, record, recorded_len
 
 
@@ -280,8 +286,8 @@ def decoder_layer(
         q, k, v, cfg.attention_config(), rpe=_rpe_for(params, cfg, stage, "dec", layer),
         rng=rng, train=train,
     )
-    h2 = _norm(params, cfg, f"{prefix}.norm1", T.add(attn, h1))
-    out = _norm(params, cfg, f"{prefix}.norm2", T.add(_ffn(params, cfg, prefix, h2, train, streams), h2))
+    h2 = _norm(params, cfg, f"{prefix}.norm1", attn, h1)
+    out = _norm(params, cfg, f"{prefix}.norm2", _ffn(params, cfg, prefix, h2, train, streams), h2)
     return out, record
 
 

@@ -9,6 +9,12 @@ float32 is the training default and float64 is used by gradient tests. An
 op's value and gradients keep its inputs' dtype, 0-d results included;
 only python data defaults to float64.
 
+A node's gradient is the first array it receives, and later ones are added
+into it in place. So a backward that passes on an array something else
+still holds (its ``g``, a view or reshape of it, ``_unbroadcast``'s
+pass-through) lets that first write copy it, and one that builds a new
+array for a single parent hands it over with ``_accumulate(..., own=True)``.
+
 ``adam_step`` updates parameters in place: each ``p.data`` and ``p.grad``
 is a view of one flat arena, and the step leaves every gradient zeroed, so
 the next backward accumulates straight into it.
@@ -26,7 +32,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DomainError, NumericError, ShapeError
 
@@ -125,12 +131,14 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _accumulate(node: Tensor, grad: Array):
+def _accumulate(node: Tensor, grad: Array, own: bool = False):
+    """Add grad into node.grad. The first write copies grad, unless ``own``
+    says the caller built it and holds it nowhere else; later writes add
+    into the stored array in place."""
     if not node.requires_grad:
         return
-    # copy on first write: upstream buffers may be shared between siblings
     if node.grad is None:
-        node.grad = grad.copy()
+        node.grad = grad if own else grad.copy()
     else:
         node.grad += grad
 
@@ -204,7 +212,7 @@ def sub(a: Tensor, b) -> Tensor:
 
     def backward(g):
         _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
+        _accumulate(b, _unbroadcast(-g, b.data.shape), own=True)
 
     return _make(out_data, (a, b), backward)
 
@@ -215,15 +223,15 @@ def mul(a: Tensor, b) -> Tensor:
         out_data = a.data * scalar
 
         def backward_scalar(g):
-            _accumulate(a, g * scalar)
+            _accumulate(a, g * scalar, own=True)
 
         return _make(out_data, (a,), backward_scalar)
 
     out_data = a.data * b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        _accumulate(a, _unbroadcast(g * b.data, a.data.shape), own=True)
+        _accumulate(b, _unbroadcast(g * a.data, b.data.shape), own=True)
 
     return _make(out_data, (a, b), backward)
 
@@ -232,8 +240,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data / b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        _accumulate(a, _unbroadcast(g / b.data, a.data.shape), own=True)
+        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape), own=True)
 
     return _make(out_data, (a, b), backward)
 
@@ -244,8 +252,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(a, g @ b.data.T, own=True)
+        _accumulate(b, a.data.T @ g, own=True)
 
     return _make(out_data, (a, b), backward)
 
@@ -254,7 +262,7 @@ def relu(x: Tensor) -> Tensor:
     out_data = np.maximum(x.data, 0)
 
     def backward(g):
-        _accumulate(x, g * (x.data > 0))
+        _accumulate(x, g * (x.data > 0), own=True)
 
     return _make(out_data, (x,), backward)
 
@@ -264,7 +272,7 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     out_data = np.clip(x.data, lo, hi)
 
     def backward(g):
-        _accumulate(x, g * ((x.data >= lo) & (x.data <= hi)))
+        _accumulate(x, g * ((x.data >= lo) & (x.data <= hi)), own=True)
 
     return _make(out_data, (x,), backward)
 
@@ -286,10 +294,12 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
+    """Columns start..stop as a view; backward adds into those columns only."""
+
     def backward(g):
         _accumulate_part(x, (slice(None), slice(start, stop)), g)
 
-    return _make(x.data[:, start:stop].copy(), (x,), backward)
+    return _make(x.data[:, start:stop], (x,), backward)
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
@@ -322,7 +332,7 @@ def gather_rows(x: Tensor, indices: Array) -> Tensor:
     def backward(g):
         full = np.zeros_like(x.data)
         np.add.at(full, idx, g)
-        _accumulate(x, full)
+        _accumulate(x, full, own=True)
 
     return _make(out_data, (x,), backward)
 
@@ -347,7 +357,7 @@ def upsample_nearest(x: Tensor, target_len: int) -> Tensor:
     def backward(g):  # each input row sums its (one or two) output rows
         pairs = g[::2].copy()
         pairs[: target_len // 2] += g[1::2]
-        _accumulate(x, pairs)
+        _accumulate(x, pairs, own=True)
 
     return _make(np.repeat(x.data, 2, axis=0)[:target_len], (x,), backward)
 
@@ -359,7 +369,7 @@ def scatter_add_rows(x: Tensor, indices: Array, out_len: int) -> Tensor:
     np.add.at(out_data, idx, x.data)
 
     def backward(g):
-        _accumulate(x, g[idx])
+        _accumulate(x, g[idx], own=True)
 
     return _make(out_data, (x,), backward)
 
@@ -368,7 +378,7 @@ def sum_all(x: Tensor) -> Tensor:
     out_data = np.asarray(x.data.sum(), dtype=x.data.dtype)
 
     def backward(g):
-        _accumulate(x, np.broadcast_to(g, x.data.shape).astype(x.data.dtype, copy=True))
+        _accumulate(x, np.broadcast_to(g, x.data.shape).astype(x.data.dtype, copy=True), own=True)
 
     return _make(out_data, (x,), backward)
 
@@ -379,7 +389,7 @@ def sum_axis(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(g, x.data.shape).astype(x.data.dtype, copy=True))
+        _accumulate(x, np.broadcast_to(g, x.data.shape).astype(x.data.dtype, copy=True), own=True)
 
     return _make(out_data, (x,), backward)
 
@@ -402,7 +412,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
 
     def backward(g):
         inner = (g * probs).sum(axis=-1, keepdims=True)
-        _accumulate(x, probs * (g - inner))
+        _accumulate(x, probs * (g - inner), own=True)
 
     return _make(probs, (x,), backward)
 
@@ -414,34 +424,50 @@ def log_softmax_lastdim(x: Tensor) -> Tensor:
     probs = np.exp(out_data)
 
     def backward(g):
-        _accumulate(x, g - probs * g.sum(axis=-1, keepdims=True))
+        _accumulate(x, g - probs * g.sum(axis=-1, keepdims=True), own=True)
 
     return _make(out_data, (x,), backward)
 
 
-def instance_norm_temporal(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def instance_norm_temporal(
+    x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, residual: Tensor | None = None
+) -> Tensor:
     """Normalize each channel over the temporal axis of one (T, d) sequence.
 
     Statistics use the biased variance, so a column [1, 3] maps to [-1, 1]
-    before the per-channel affine transform.
+    before the per-channel affine transform. With ``residual``, the input is
+    x + residual in this one node: the sum is not kept, and both operands
+    get its gradient.
     """
     if x.data.ndim != 2 or x.data.shape[0] < 1:
         raise ShapeError(f"instance norm expects a non-empty (T, d) input, got {x.data.shape}")
-    t = x.data.shape[0]
-    mu = x.data.mean(axis=0)
-    var = x.data.var(axis=0)
+    if residual is not None and residual.data.shape != x.data.shape:
+        raise ShapeError(f"instance norm residual {residual.data.shape} is not {x.data.shape}")
+    s = x.data if residual is None else x.data + residual.data
+    t = s.shape[0]
+    # np.mean / np.var's own arithmetic, without their python wrappers
+    xhat = s - np.add.reduce(s, axis=0) / t
+    var = np.add.reduce(xhat * xhat, axis=0) / t
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_std
+    xhat *= inv_std
     out_data = xhat * gain.data + bias.data
 
     def backward(g):
-        _accumulate(gain, (g * xhat).sum(axis=0))
-        _accumulate(bias, g.sum(axis=0))
+        _accumulate(gain, np.add.reduce(g * xhat, axis=0), own=True)
+        _accumulate(bias, np.add.reduce(g, axis=0), own=True)
         gx = g * gain.data
-        term = gx - gx.mean(axis=0) - xhat * (gx * xhat).mean(axis=0)
-        _accumulate(x, term * inv_std)
+        term = gx - np.add.reduce(gx, axis=0) / t - xhat * (np.add.reduce(gx * xhat, axis=0) / t)
+        dx = term * inv_std
+        if residual is not None:
+            _accumulate(residual, dx)
+        _accumulate(x, dx, own=True)
 
-    return _make(out_data, (x, gain, bias), backward)
+    parents = (x, gain, bias) if residual is None else (x, residual, gain, bias)
+    return _make(out_data, parents, backward)
+
+
+# bit generators whose random() is (one 64-bit word >> 11) * 2^-53
+_EXACT_DOUBLES = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool, draw_axes=None) -> Tensor:
@@ -450,17 +476,34 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool, draw_axe
     ``draw_axes`` lists x's axes in the order the uniforms are drawn,
     slowest first (default: x's own order). Drawing a (T, heads, w) tensor
     head-major gives the mask that one (T, w) draw per head would.
+
+    An element is kept where ``rng.random() >= p`` would be true, read from
+    the same 64-bit words: a double is ``word >> 11`` times 2^-53, so
+    comparing the raw word with ``ceil(p * 2^53) << 11`` keeps the same
+    elements and leaves the stream where ``rng.random`` would. The node keeps
+    that 1-byte mask. Generators whose doubles are built otherwise (MT19937)
+    raise TypeError.
     """
-    if not train or p <= 0.0:
+    if not 0.0 <= p < 1.0:
+        raise DomainError(f"dropout rate must lie in [0, 1), got {p}")
+    if not train or p == 0.0:
         return x
+    if not isinstance(rng.bit_generator, _EXACT_DOUBLES):
+        raise TypeError(f"dropout cannot draw from {type(rng.bit_generator).__name__}")
     axes = tuple(range(x.data.ndim)) if draw_axes is None else tuple(draw_axes)
-    draws = rng.random(tuple(x.data.shape[a] for a in axes)).transpose(np.argsort(axes))
-    keep = (draws >= p).astype(x.data.dtype)
-    mask = keep / (1.0 - p)
-    out_data = x.data * mask
+    inverse = sorted(range(len(axes)), key=axes.__getitem__)
+    raw = rng.bit_generator.random_raw(x.data.size)
+    keep = raw >= np.uint64(math.ceil(p * 2.0**53) << 11)
+    keep = keep.reshape([x.data.shape[a] for a in axes]).transpose(inverse)
+    # a 1-element array: numpy 1.x and 2.x both divide in x's dtype
+    scale = (np.ones(1, dtype=x.data.dtype) / (1.0 - p))[0]
+    out_data = x.data * scale
+    out_data *= keep
 
     def backward(g):
-        _accumulate(x, g * mask)
+        grad = g * scale
+        grad *= keep
+        _accumulate(x, grad, own=True)
 
     return _make(out_data, (x,), backward)
 
@@ -491,7 +534,11 @@ def _slot_rows(x: Array, heads: int, offsets: Array, rows: int) -> Array:
     kept = min(x.shape[0], rows + hi)  # later rows fall in no slot
     padded = np.zeros((rows + hi - lo, heads, x.shape[1] // heads), dtype=x.dtype)
     padded[-lo : -lo + kept] = x[:kept].reshape(kept, heads, -1)
-    view = sliding_window_view(padded, hi - lo + 1, axis=0)
+    # the window view of padded's rows: [i, h, :, jj] is padded[i + jj, h]
+    view = as_strided(
+        padded, (rows,) + padded.shape[1:] + (hi - lo + 1,), padded.strides + padded.strides[:1],
+        writeable=False,
+    )
     if offsets.tolist() == list(range(lo, hi + 1)):
         return view
     return view[..., offsets - lo]
@@ -552,7 +599,8 @@ def slot_softmax(
     if rpe is not None:
         scores += rpe.data.T
     if valid is not None:
-        scores += np.where(valid, 0.0, MASK_VALUE).astype(scores.dtype)[:, None, :]
+        zero, masked = scores.dtype.type(0.0), scores.dtype.type(MASK_VALUE)
+        scores += np.where(valid, zero, masked)[:, None, :]
     if not np.isfinite(np.max(scores)):
         raise NumericError("attention scores contain non-finite values")
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -561,7 +609,7 @@ def slot_softmax(
     def backward(g):
         ds = probs * (g - (g * probs).sum(axis=-1, keepdims=True))
         if rpe is not None:
-            _accumulate(rpe, ds.sum(axis=0).T)
+            _accumulate(rpe, ds.sum(axis=0).T, own=True)
         ds *= scale
         if offsets is None:
             ds_h = ds.transpose(1, 0, 2)  # (heads, T_q, T_k)
@@ -571,8 +619,8 @@ def slot_softmax(
         else:
             dq = np.matmul(ds[:, :, None, :], k_win.swapaxes(2, 3))[:, :, 0, :]
             dk = _fold_slots(ds, q3, offsets, t_k)
-        _accumulate(q, dq.reshape(t_q, dim))
-        _accumulate(k, dk)
+        _accumulate(q, dq.reshape(t_q, dim), own=True)
+        _accumulate(k, dk, own=True)
 
     return _make(probs, (q, k) if rpe is None else (q, k, rpe), backward)
 
@@ -603,8 +651,8 @@ def slot_mix(p: Tensor, v: Tensor, offsets: Array | None) -> Tensor:
         else:
             dp = np.matmul(g3[:, :, None, :], v_win)[:, :, 0, :]
             dv = _fold_slots(p.data, g3, offsets, t_k)
-        _accumulate(p, dp)
-        _accumulate(v, dv)
+        _accumulate(p, dp, own=True)
+        _accumulate(v, dv, own=True)
 
     return _make(out_data.reshape(t_q, dim), (p, v), backward)
 
@@ -624,7 +672,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, cols: tuple[int, int] | None
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, g @ w.T)
+            _accumulate(x, g @ w.T, own=True)
         _accumulate_part(weight, (slice(None), part), x.data.T @ g)
         _accumulate_part(bias, part, g.sum(axis=0))
 
@@ -652,7 +700,7 @@ def cross_entropy_from_logits(logits: Tensor, labels: Array) -> Tensor:
     def backward(g):
         grad = probs.copy()
         grad[np.arange(t), labels] -= 1.0
-        _accumulate(logits, grad * (g / t))
+        _accumulate(logits, grad * (g / t), own=True)
 
     return _make(out_data, (logits,), backward)
 
@@ -678,8 +726,8 @@ def kl_from_probs(p: Tensor, d: Tensor, check_domain: bool = True) -> Tensor:
     out_data = np.asarray((np.where(support, p.data * log_ratio, 0.0)).sum(), dtype=p.data.dtype)
 
     def backward(g):
-        _accumulate(p, g * np.where(support, log_ratio + 1.0, 0.0))
-        _accumulate(d, g * np.where(support, -p.data / safe_d, 0.0))
+        _accumulate(p, g * np.where(support, log_ratio + 1.0, 0.0), own=True)
+        _accumulate(d, g * np.where(support, -p.data / safe_d, 0.0), own=True)
 
     return _make(out_data, (p, d), backward)
 
@@ -697,8 +745,8 @@ def wasserstein1_from_probs(p: Tensor, d: Tensor) -> Tensor:
     coeff = np.flip(np.cumsum(np.flip(sign, axis=-1), axis=-1), axis=-1)
 
     def backward(g):
-        _accumulate(p, g * coeff)
-        _accumulate(d, -g * coeff)
+        _accumulate(p, g * coeff, own=True)
+        _accumulate(d, -g * coeff, own=True)
 
     return _make(out_data, (p, d), backward)
 

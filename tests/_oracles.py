@@ -3,10 +3,11 @@
 Everything here is deliberately written without touching the library's
 backward passes or fast paths: finite differences for gradients, frame-set
 arithmetic for segment metrics, plain-python loops for divergences,
-per-head loops of small graph ops for attention, and a per-tensor Adam
-loop for the arena optimizer. The last section holds the
-probes that only tests need: they read what the library's forward pass
-records, outside any graph.
+per-head loops of small graph ops for attention, a per-tensor Adam loop
+for the arena optimizer, and the float64-uniform dropout and add-then-norm
+nodes the lean training graph replaced. The last section holds the probes
+that only tests need: they read what the library's forward pass records,
+outside any graph.
 """
 
 from __future__ import annotations
@@ -100,6 +101,44 @@ def adam_loop(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight
         if weight_decay:
             update = update + weight_decay * p.data
         p.data = p.data - lr * update
+
+
+# ---------------------------------------------------------------------------
+# the graph ops the lean training graph must match byte for byte
+
+
+def dropout_uniform(x, p, rng, train, draw_axes=None):
+    """``tensor.dropout`` drawn as float64 uniforms, with a mask in x's dtype."""
+    if not train or p <= 0.0:
+        return x
+    axes = tuple(range(x.data.ndim)) if draw_axes is None else tuple(draw_axes)
+    draws = rng.random(tuple(x.data.shape[a] for a in axes)).transpose(np.argsort(axes))
+    mask = (draws >= p).astype(x.data.dtype) / (1.0 - p)
+
+    def backward(g):
+        T._accumulate(x, g * mask)
+
+    return T._make(x.data * mask, (x,), backward)
+
+
+def _norm_mean_var(x, gain, bias, eps):
+    inv_std = 1.0 / np.sqrt(x.data.var(axis=0) + eps)
+    xhat = (x.data - x.data.mean(axis=0)) * inv_std
+
+    def backward(g):
+        T._accumulate(gain, (g * xhat).sum(axis=0))
+        T._accumulate(bias, g.sum(axis=0))
+        gx = g * gain.data
+        term = gx - gx.mean(axis=0) - xhat * (gx * xhat).mean(axis=0)
+        T._accumulate(x, term * inv_std)
+
+    return T._make(xhat * gain.data + bias.data, (x, gain, bias), backward)
+
+
+def add_then_norm(x, gain, bias, eps=1e-5, residual=None):
+    """``tensor.instance_norm_temporal`` as an ``add`` node followed by a norm
+    node whose statistics come from ``np.mean`` and ``np.var``."""
+    return _norm_mean_var(x if residual is None else T.add(x, residual), gain, bias, eps)
 
 
 # ---------------------------------------------------------------------------

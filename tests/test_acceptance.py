@@ -5,6 +5,7 @@ complete; the heavyweight training runs are shared across criteria.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from tut import net as N
 from tut import tensor as T
 from tut import trainer as TR
 from tut.cli import main as cli_main
+from tut.config import build_configs
 
 
 def report(criterion: int, name: str, ok: bool, detail: str = ""):
@@ -126,6 +128,17 @@ def test_c01_gradient_suite():
         return float((wn * (xhat * gv + bv)).sum())
 
     check("instance_norm", in_f, [xn, gn, bn], [txn.grad, tgn.grad, tbn.grad])
+
+    # instance norm of x + residual in one node (own draws: the rest of C01 keeps its inputs)
+    rn = np.random.default_rng(1).standard_normal((6, 3))
+    txn, trn, tgn, tbn = (T.tensor(a, requires_grad=True) for a in (xn, rn, gn, bn))
+    T.sum_all(T.mul(T.instance_norm_temporal(txn, tgn, tbn, residual=trn), T.tensor(wn))).backward()
+    check(
+        "instance_norm.residual",
+        lambda xv, rv, gv, bv: in_f(xv + rv, gv, bv),
+        [xn, rn, gn, bn],
+        [txn.grad, trn.grad, tgn.grad, tbn.grad],
+    )
 
     # relu, clip, gather, scatter, div
     xr = rng.standard_normal((5, 4)) * 2
@@ -426,6 +439,40 @@ def test_c03_complexity_contract():
         3, "complexity contract", ok,
         f"utrans+local {utrans_local} < standard+local {standard_local} "
         f"< standard+full {standard_full}",
+    )
+
+
+def test_c03_measured_retained_bytes():
+    """The measured side of C03: the bytes a training forward and loss keep
+    alive for backward grow linearly with T, so their per-frame figure stays
+    flat from T=256 to T=512 (gtea geometry, narrow input, dropout on)."""
+    model_cfg, train_cfg, _ = build_configs("gtea", None, {})
+    model_cfg.input_dim, model_cfg.num_classes = 32, 5
+    params = N.init_params(model_cfg, T.SeedStreams(0))
+    weights = L.LossWeights(
+        smooth_weight=train_cfg.smooth_weight, boundary_weight=train_cfg.boundary_weight
+    )
+
+    def retained(t: int) -> int:
+        x = np.random.default_rng(t).standard_normal((t, 32)).astype(np.float32)
+        labels = np.repeat(np.arange(5), t // 5 + 1)[:t]
+        streams = T.SeedStreams(1)
+        tracemalloc.start()
+        try:
+            out = N.model_forward(x, params, model_cfg, train=True, streams=streams)
+            loss, _ = L.total_loss(out, labels, weights, model_cfg.window)
+            live = tracemalloc.get_traced_memory()[0]
+            assert loss.requires_grad  # the graph was alive when measured
+            return live
+        finally:
+            tracemalloc.stop()
+
+    retained(64)  # warm-up: first-call caches are not graph
+    per_frame = {t: retained(t) / t for t in (256, 512)}
+    ratio = per_frame[512] / per_frame[256]
+    report(
+        3, "measured retained bytes", 0.9 < ratio < 1.1,
+        f"{per_frame[256] / 1024:.1f} KiB/frame at T=256, {per_frame[512] / 1024:.1f} at T=512",
     )
 
 

@@ -258,3 +258,18 @@ def test_typed_failures_exit_2_with_one_line(make_argv, trained, synth_root, tmp
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if line.startswith("error: ")] == err.splitlines()
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag,rate", [("input-dropout", "1.0"), ("ffn-dropout", "1.5")])
+def test_dropout_rate_outside_unit_interval_exits_2_naming_the_key(
+    flag, rate, synth_root, tmp_path, capsys
+):
+    # at rate 1 dropout divides 0 by 0, and above 1 it scales by a negative
+    # number: neither may reach training
+    argv = ["train", "--data-root", str(synth_root), "--out", str(tmp_path / "run"), "--seed", "1",
+            "--epochs", "1", *SMALL_MODEL, f"--{flag}", rate]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert flag.replace("-", "_") in err[0]

@@ -189,6 +189,14 @@ def test_deterministic_repeat_with_dropout():
     assert run() == run()
 
 
+@pytest.mark.parametrize("key", ["input_dropout", "ffn_dropout", "attention_dropout"])
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.1])
+def test_dropout_rate_outside_unit_interval_is_a_config_error(key, rate):
+    tiny_cfg(**{key: 0.99}).validate()
+    with pytest.raises(ConfigError, match=key):
+        tiny_cfg(**{key: rate}).validate()
+
+
 def test_rpe_sharing_table_counts():
     # no-share: one table per layer per coder per stage
     cfg = tiny_cfg(rpe_share="none", layers=2, refinement_stages=1)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import adam_loop, numeric_grad, rel_err
+from _oracles import adam_loop, add_then_norm, dropout_uniform, numeric_grad, rel_err
 from tut import tensor as T
 from tut.errors import DomainError, ShapeError
 
@@ -139,6 +139,67 @@ def test_dropout_scales_and_masks():
     T.sum_all(out).backward()
     np.testing.assert_allclose(x.grad[kept], 1.0 / 0.6)
     np.testing.assert_allclose(x.grad[~kept], 0.0)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("p", [1 / 3, 0.3, 0.45, 0.7])  # f32(1 / 0.55) != f32(1) / f32(0.55)
+@pytest.mark.parametrize(
+    "shape,draw_axes", [((37, 11), None), ((9, 4, 13), (1, 0, 2)), ((5, 3, 7), (2, 0, 1))]
+)
+def test_dropout_matches_float64_uniform_oracle(bit_generator, dtype, p, shape, draw_axes):
+    rng = rng64(17)
+    data = rng.standard_normal(shape).astype(dtype)
+    data[0] = -np.abs(data[0])  # dropped negatives give -0.0 on both sides
+    g = rng.standard_normal(shape).astype(dtype)
+    outs, grads, streams = [], [], []
+    for op in (T.dropout, dropout_uniform):
+        stream = np.random.Generator(bit_generator(5))
+        x = T.Tensor(data.copy(), requires_grad=True)
+        out = op(x, p, stream, True, draw_axes=draw_axes)
+        out.backward(g)
+        mask = T.Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+        mask_out = op(mask, p, np.random.Generator(bit_generator(5)), True, draw_axes)
+        mask_out.backward(np.ones_like(g))  # the gradient of ones is scale times the mask
+        outs.append((out.data.dtype, out.data.tobytes()))
+        grads.append((x.grad.dtype, x.grad.tobytes(), mask.grad.tobytes()))
+        streams.append(stream.random(3).tobytes())  # both leave the stream at one place
+    assert outs[0] == outs[1]
+    assert grads[0] == grads[1]
+    assert streams[0] == streams[1]
+
+
+def test_dropout_rejects_a_generator_with_other_doubles():
+    x = T.tensor(np.ones((4, 3)), requires_grad=True)
+    with pytest.raises(TypeError):
+        T.dropout(x, 0.2, np.random.Generator(np.random.MT19937(0)), train=True)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, -0.1, float("nan")])
+def test_dropout_rate_outside_unit_interval_raises(p):
+    x = T.tensor(np.ones((4, 3)), requires_grad=True)
+    for train in (True, False):
+        with pytest.raises(DomainError):
+            T.dropout(x, p, np.random.default_rng(0), train=train)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shared", [False, True])
+def test_instance_norm_residual_matches_add_then_norm(dtype, shared):
+    rng = rng64(23)
+    arrays = [rng.standard_normal(s).astype(dtype) for s in ((13, 6), (13, 6), (6,), (6,))]
+    g = rng.standard_normal((13, 6)).astype(dtype)
+    results = []
+    for op in (T.instance_norm_temporal, add_then_norm):
+        x, res, gain, bias = (T.Tensor(a.copy(), requires_grad=True) for a in arrays)
+        if shared:  # x + x: both operand gradients land on one node
+            res = x
+        out = op(x, gain, bias, 1e-5, residual=res)
+        out.backward(g)
+        results.append([out.data.tobytes()] + [t.grad.tobytes() for t in (x, res, gain, bias)])
+        # a later contribution to one operand must not change the other's gradient
+        assert shared or not np.shares_memory(x.grad, res.grad)
+    assert results[0] == results[1]
 
 
 def test_gather_scatter_roundtrip_and_grads():
@@ -506,6 +567,10 @@ def _op_cases():
         "log_softmax_lastdim": (leaves(1), T.log_softmax_lastdim),
         "instance_norm_temporal": (
             lambda r: [_f32(r, (5, 4)), _f32(r, (4,)), _f32(r, (4,))], T.instance_norm_temporal
+        ),
+        "instance_norm_temporal.residual": (
+            lambda r: [_f32(r, (5, 4)), _f32(r, (5, 4)), _f32(r, (4,)), _f32(r, (4,))],
+            lambda x, res, g, b: T.instance_norm_temporal(x, g, b, residual=res),
         ),
         "dropout": (leaves(1), lambda a: T.dropout(a, 0.5, stream, train=True)),
         "slot_softmax": (

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import adam_loop, boundary_alignment
+from _oracles import adam_loop, add_then_norm, boundary_alignment, dropout_uniform
 from tut import data as D
 from tut import net as N
 from tut import tensor as T
@@ -353,3 +353,22 @@ def test_arena_adam_trains_like_the_per_tensor_loop(monkeypatch):
     assert arena.log_rows == loop.log_rows
     for name, p in loop.params.items():
         assert arena.params[name].data.tobytes() == p.data.tobytes(), name
+
+
+def test_lean_graph_trains_like_the_uniform_dropout_and_add_then_norm_nodes(monkeypatch):
+    """A gtea-shaped f32 run gives the same bytes with the float64-uniform
+    dropout and a separate add node before each norm."""
+    model_cfg, train_cfg, _ = build_configs("gtea", None, {})
+    model_cfg.input_dim, model_cfg.num_classes = 32, 5
+    train_cfg.epochs = 2
+    spec = D.SynthSpec(
+        num_classes=5, num_videos=3, min_len=48, max_len=96, feature_dim=32, noise=0.3, seed=4
+    )
+    samples, _ = D.generate_synthetic(spec)
+    lean = TR.train(samples, model_cfg, train_cfg)
+    monkeypatch.setattr(T, "dropout", dropout_uniform)
+    monkeypatch.setattr(T, "instance_norm_temporal", add_then_norm)
+    oracle = TR.train(samples, model_cfg, train_cfg)
+    assert lean.log_rows == oracle.log_rows
+    for name, p in oracle.params.items():
+        assert lean.params[name].data.tobytes() == p.data.tobytes(), name
