@@ -13,21 +13,25 @@ mixes the value rows those slots read. Attention dropout sits between them.
   length (Li et al., arXiv:1907.00235), O(log T) slots per row.
 - full: no offsets; slot j is key j, computed as head-batched matmuls.
 
-Out-of-range slots are masked before the softmax. The pre-dropout
-probabilities are kept on the record so the boundary loss can read
-similarity distributions straight out of the forward pass.
+Out-of-range slots are masked before the softmax. Offsets, the in-range
+mask and the additive mask of the edge rows depend only on the pattern,
+the two lengths and w, so ``slot_layout`` builds them once per shape and
+every call of that shape shares the read-only result. The pre-dropout
+probabilities are kept on the record, with the layout, so the boundary
+loss can read similarity distributions straight out of the forward pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor
+from .tensor import SlotLayout, Tensor
 
 PATTERNS = ("full", "local", "logsparse")
 PE_MODES = ("none", "sinusoidal", "learnable", "relative")
@@ -74,17 +78,28 @@ class AttentionRecord:
     """One layer's post-softmax attention in slot layout.
 
     ``probs`` is the (query_len, heads, slots) graph node of every head's
-    probabilities (pre-dropout, so each valid row sums to 1). Slot j of query
-    row i reads key i + offsets[j]; ``offsets`` is None for full attention,
-    where slot j is key j. ``valid`` (query_len, slots) marks the slots whose
-    key is in range, and is None when all are.
+    probabilities (pre-dropout, so each valid row sums to 1), and ``layout``
+    the shared layout it was computed with. Slot j of query row i reads key
+    i + offsets[j]; ``offsets`` is None for full attention, where slot j is
+    key j. ``valid`` (query_len, slots) marks the slots whose key is in
+    range, and is None when all are.
     """
 
     pattern: str
     probs: Tensor
-    offsets: np.ndarray | None
-    valid: np.ndarray | None
-    key_len: int
+    layout: SlotLayout
+
+    @property
+    def offsets(self) -> np.ndarray | None:
+        return self.layout.offsets
+
+    @property
+    def valid(self) -> np.ndarray | None:
+        return self.layout.valid
+
+    @property
+    def key_len(self) -> int:
+        return self.layout.key_len
 
     @property
     def query_len(self) -> int:
@@ -116,10 +131,13 @@ def slot_offsets(pattern: str, key_len: int, window: int) -> np.ndarray | None:
 
 def slot_valid(offsets: np.ndarray | None, query_len: int, key_len: int) -> np.ndarray | None:
     """(query_len, slots) mask of slots whose key row is in range; None for full."""
-    if offsets is None:
-        return None
-    keys = np.arange(query_len)[:, None] + offsets[None, :]
-    return (keys >= 0) & (keys < key_len)
+    return SlotLayout.build(offsets, query_len, key_len).valid
+
+
+@lru_cache(maxsize=64)  # a video needs one shape per U-level; keep several videos'
+def slot_layout(pattern: str, query_len: int, key_len: int, window: int) -> SlotLayout:
+    """The shared, read-only slot layout of one attention shape."""
+    return SlotLayout.build(slot_offsets(pattern, key_len, window), query_len, key_len)
 
 
 def slot_count(pattern: str, length: int, window: int) -> int:
@@ -148,14 +166,12 @@ def attend(
         raise ShapeError(f"key/value lengths differ: {k.data.shape[0]} vs {v.data.shape[0]}")
     if q.data.shape[1] != k.data.shape[1] or k.data.shape[1] != v.data.shape[1]:
         raise ShapeError("query/key/value dims differ")
-    t_k = k.data.shape[0]
-    offsets = slot_offsets(cfg.pattern, t_k, cfg.window)
-    valid = slot_valid(offsets, q.data.shape[0], t_k)
-    probs = T.slot_softmax(q, k, offsets, valid, cfg.heads, rpe.weights if rpe is not None else None)
+    layout = slot_layout(cfg.pattern, q.data.shape[0], k.data.shape[0], cfg.window)
+    probs = T.slot_softmax(q, k, layout, None, cfg.heads, rpe.weights if rpe is not None else None)
     p_used = probs
     if rng is not None:  # draw head-major, as per-head (T_q, S) masks from this stream would
         p_used = T.dropout(probs, cfg.dropout, rng, train, draw_axes=(1, 0, 2))
-    return T.slot_mix(p_used, v, offsets), AttentionRecord(cfg.pattern, probs, offsets, valid, t_k)
+    return T.slot_mix(p_used, v, layout), AttentionRecord(cfg.pattern, probs, layout)
 
 
 def sinusoidal_encoding(length: int, dim: int, dtype=np.float64) -> np.ndarray:

@@ -15,6 +15,12 @@ still holds (its ``g``, a view or reshape of it, ``_unbroadcast``'s
 pass-through) lets that first write copy it, and one that builds a new
 array for a single parent hands it over with ``_accumulate(..., own=True)``.
 
+A forward writes its value into one fresh buffer and chains the rest of
+its arithmetic in place on that buffer (``*=``, ``+=``, ``np.exp(...,
+out=)``), with the same operations in the same order as the out-of-place
+expression, so the bytes do not change. It never writes into an input's
+``data``, a view of it, or a shared read-only ``SlotLayout``.
+
 ``adam_step`` updates parameters in place: each ``p.data`` and ``p.grad``
 is a view of one flat arena, and the step leaves every gradient zeroed, so
 the next backward accumulates straight into it.
@@ -30,6 +36,7 @@ import hashlib
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -230,8 +237,10 @@ def mul(a: Tensor, b) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape), own=True)
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape), own=True)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape), own=True)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape), own=True)
 
     return _make(out_data, (a, b), backward)
 
@@ -240,8 +249,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data / b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.data.shape), own=True)
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape), own=True)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g / b.data, a.data.shape), own=True)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape), own=True)
 
     return _make(out_data, (a, b), backward)
 
@@ -404,11 +415,12 @@ def mean_all(x: Tensor) -> Tensor:
 
 def softmax_lastdim(x: Tensor) -> Tensor:
     """Row-stochastic softmax over the last axis, max-stabilized."""
-    if not np.isfinite(np.max(x.data)):
+    rowmax = x.data.max(axis=-1, keepdims=True)
+    if not np.isfinite(rowmax.max()):
         raise NumericError("softmax input contains non-finite values")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=-1, keepdims=True)
+    probs = x.data - rowmax
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
 
     def backward(g):
         inner = (g * probs).sum(axis=-1, keepdims=True)
@@ -418,10 +430,10 @@ def softmax_lastdim(x: Tensor) -> Tensor:
 
 
 def log_softmax_lastdim(x: Tensor) -> Tensor:
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out_data = shifted - logz
+    out_data = x.data - x.data.max(axis=-1, keepdims=True)
     probs = np.exp(out_data)
+    out_data -= np.log(probs.sum(axis=-1, keepdims=True))
+    np.exp(out_data, out=probs)
 
     def backward(g):
         _accumulate(x, g - probs * g.sum(axis=-1, keepdims=True), own=True)
@@ -443,14 +455,16 @@ def instance_norm_temporal(
         raise ShapeError(f"instance norm expects a non-empty (T, d) input, got {x.data.shape}")
     if residual is not None and residual.data.shape != x.data.shape:
         raise ShapeError(f"instance norm residual {residual.data.shape} is not {x.data.shape}")
-    s = x.data if residual is None else x.data + residual.data
-    t = s.shape[0]
-    # np.mean / np.var's own arithmetic, without their python wrappers
-    xhat = s - np.add.reduce(s, axis=0) / t
+    t = x.data.shape[0]
+    # np.mean / np.var's own arithmetic, without their python wrappers, on
+    # one buffer that holds x (+ residual), then its centred and scaled values
+    xhat = x.data.copy() if residual is None else x.data + residual.data
+    xhat -= np.add.reduce(xhat, axis=0) / t
     var = np.add.reduce(xhat * xhat, axis=0) / t
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
-    out_data = xhat * gain.data + bias.data
+    out_data = xhat * gain.data
+    out_data += bias.data
 
     def backward(g):
         _accumulate(gain, np.add.reduce(g * xhat, axis=0), own=True)
@@ -521,35 +535,98 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool, draw_axe
 # (heads, d_h, T_k) matmuls.
 
 
-def _offset_span(offsets: Array) -> tuple[int, int]:
-    """Lowest and highest offset, widened to include 0."""
-    offs = offsets.tolist()  # a few python ints: cheaper than numpy reductions
-    return min(min(offs), 0), max(max(offs), 0)
+def _frozen(a: Array) -> Array:
+    a.setflags(write=False)
+    return a
 
 
-def _slot_rows(x: Array, heads: int, offsets: Array, rows: int) -> Array:
+@dataclass(frozen=True, eq=False)
+class SlotLayout:
+    """Which key row each slot of each query row reads, for one shape.
+
+    It depends only on the offsets and the two lengths, so one layout serves
+    every call of that shape (``attention.slot_layout`` caches them) and its
+    arrays are read-only. ``offsets`` (S,) and ``valid`` (T_q, S) are None
+    for full attention, where slot j is key j. ``offset_list`` holds the
+    offsets as python ints, ``lo``/``hi`` span them and 0, and ``band`` says
+    they are lo..hi in order. Only the rows of ``edges`` (a leading and a
+    trailing slice) can read an out-of-range key; ``masks`` maps float32 and
+    float64 to those rows' additive masks.
+    """
+
+    query_len: int
+    key_len: int
+    offsets: Array | None = None
+    valid: Array | None = None
+    offset_list: tuple[int, ...] = ()
+    lo: int = 0
+    hi: int = 0
+    band: bool = False
+    edges: tuple[slice, ...] = ()
+    masks: MappingProxyType | None = None
+
+    @property
+    def slots(self) -> int:
+        return self.key_len if self.offsets is None else len(self.offset_list)
+
+    @classmethod
+    def build(cls, offsets: Array | None, query_len: int, key_len: int) -> "SlotLayout":
+        if offsets is None:
+            return cls(query_len, key_len)
+        offs = tuple(np.asarray(offsets).tolist())
+        lo, hi = min(min(offs), 0), max(max(offs), 0)
+        offsets = _frozen(np.array(offs))
+        keys = np.arange(query_len)[:, None] + offsets[None, :]
+        valid = _frozen((keys >= 0) & (keys < key_len))
+        # row i's keys lie in [i + lo, i + hi], so only rows below -lo and from
+        # key_len - hi on can have one outside [0, key_len)
+        lead = min(query_len, -lo)
+        edges = (slice(0, lead), slice(max(lead, key_len - hi), query_len))
+        masks = MappingProxyType({
+            dt: tuple(_frozen(np.where(valid[rows], dt.type(0.0), dt.type(MASK_VALUE))) for rows in edges)
+            for dt in map(np.dtype, (np.float32, np.float64))
+        })
+        band = offs == tuple(range(lo, hi + 1))
+        return cls(query_len, key_len, offsets, valid, offs, lo, hi, band, edges, masks)
+
+
+def _layout(slots, valid: Array | None, query_len: int, key_len: int) -> SlotLayout:
+    """``slots`` if it is a SlotLayout, else the layout its offsets give; the
+    layout must fit the lengths, and ``valid``, when given, its mask."""
+    layout = slots if isinstance(slots, SlotLayout) else SlotLayout.build(slots, query_len, key_len)
+    if (layout.query_len, layout.key_len) != (query_len, key_len) or (
+        valid is not None and valid is not layout.valid and not np.array_equal(valid, layout.valid)
+    ):
+        raise ShapeError(
+            f"slot layout for {layout.query_len} x {layout.key_len} rows does not fit "
+            f"{query_len} x {key_len}" + ("" if valid is None else " or its valid mask")
+        )
+    return layout
+
+
+def _slot_rows(x: Array, heads: int, layout: SlotLayout) -> Array:
     """Slot view of x (T_k, d): entry [i, h, :, j] is head h of x row
     i + offsets[j], zeros outside [0, T_k)."""
-    lo, hi = _offset_span(offsets)
+    lo, hi, rows = layout.lo, layout.hi, layout.query_len
     kept = min(x.shape[0], rows + hi)  # later rows fall in no slot
-    padded = np.zeros((rows + hi - lo, heads, x.shape[1] // heads), dtype=x.dtype)
+    padded = np.empty((rows + hi - lo, heads, x.shape[1] // heads), dtype=x.dtype)
+    padded[:-lo] = 0.0
     padded[-lo : -lo + kept] = x[:kept].reshape(kept, heads, -1)
+    padded[-lo + kept :] = 0.0
     # the window view of padded's rows: [i, h, :, jj] is padded[i + jj, h]
     view = as_strided(
         padded, (rows,) + padded.shape[1:] + (hi - lo + 1,), padded.strides + padded.strides[:1],
         writeable=False,
     )
-    if offsets.tolist() == list(range(lo, hi + 1)):
-        return view
-    return view[..., offsets - lo]
+    return view if layout.band else view[..., layout.offsets - lo]
 
 
-def _fold_slots(coeff: Array, rows3: Array, offsets: Array, key_len: int) -> Array:
+def _fold_slots(coeff: Array, rows3: Array, layout: SlotLayout) -> Array:
     """Gradient of a slot view: out[i + offsets[j]] += coeff[i, :, j] * rows3[i]."""
     t_q, heads, _ = coeff.shape
-    lo, hi = _offset_span(offsets)
+    lo, hi, key_len = layout.lo, layout.hi, layout.key_len
     padded = np.zeros((t_q + hi - lo,) + rows3.shape[1:], dtype=rows3.dtype)
-    for j, off in enumerate(offsets.tolist()):
+    for j, off in enumerate(layout.offset_list):
         padded[off - lo : off - lo + t_q] += coeff[:, :, j, None] * rows3
     out = np.zeros((key_len, heads * rows3.shape[2]), dtype=rows3.dtype)
     kept = min(key_len, t_q + hi)
@@ -560,97 +637,102 @@ def _fold_slots(coeff: Array, rows3: Array, offsets: Array, key_len: int) -> Arr
 def slot_softmax(
     q: Tensor,
     k: Tensor,
-    offsets: Array | None,
+    slots: SlotLayout | Array | None,
     valid: Array | None,
     heads: int,
     rpe: Tensor | None = None,
 ) -> Tensor:
     """Attention probabilities of every head in one node.
 
-    Slot j of query row i scores q_i . k_{i+offsets[j]} / sqrt(d_h), or
-    q_i . k_j when ``offsets`` is None, plus ``rpe[j, h]`` of an (S, heads)
-    table when given. Slots where ``valid`` (T_q, S) is False are masked
-    (None: every slot is in range), and each row is max-stabilized into a
-    softmax over its S slots.
-    Returns (T_q, heads, S); a row with no valid slot spreads uniformly over
-    zero keys.
+    ``slots`` is the SlotLayout of (T_q, T_k), or its offsets (None: full)
+    with the layout built for this one call. Slot j of query row i scores
+    q_i . k_{i+offsets[j]} / sqrt(d_h), or q_i . k_j for full, plus
+    ``rpe[j, h]`` of an (S, heads) table when given. Out-of-range slots are
+    masked (``valid``, if passed, must be the layout's mask), and each row is
+    max-stabilized into a softmax over its S slots.
+    Returns a C-ordered (T_q, heads, S); a row with no valid slot spreads
+    uniformly over zero keys.
     """
     t_q, dim = q.data.shape
     t_k = k.data.shape[0]
-    slots = t_k if offsets is None else len(offsets)
-    if (
-        dim % heads
-        or k.data.shape[1] != dim
-        or (valid is not None and valid.shape != (t_q, slots))
-        or (rpe is not None and rpe.data.shape != (slots, heads))
+    layout = _layout(slots, valid, t_q, t_k)
+    if dim % heads or k.data.shape[1] != dim or (
+        rpe is not None and rpe.data.shape != (layout.slots, heads)
     ):
         raise ShapeError(
-            f"slot softmax: q {q.data.shape}, k {k.data.shape}, {slots} slots, {heads} heads"
+            f"slot softmax: q {q.data.shape}, k {k.data.shape}, {layout.slots} slots, {heads} heads"
             + ("" if rpe is None else f", rpe {rpe.data.shape}")
         )
     scale = 1.0 / math.sqrt(dim // heads)
     q3 = q.data.reshape(t_q, heads, -1)
-    if offsets is None:
+    if layout.offsets is None:
         k3 = k.data.reshape(t_k, heads, -1)
-        scores = np.matmul(q3.transpose(1, 0, 2), k3.transpose(1, 2, 0)).transpose(1, 0, 2) * scale
+        scores = np.empty((t_q, heads, t_k), dtype=np.result_type(q.data, k.data))
+        np.matmul(q3.transpose(1, 0, 2), k3.transpose(1, 2, 0), out=scores.transpose(1, 0, 2))
     else:
-        k_win = _slot_rows(k.data, heads, offsets, t_q)
-        scores = np.matmul(q3[:, :, None, :], k_win)[:, :, 0, :] * scale
+        k_win = _slot_rows(k.data, heads, layout)
+        scores = np.matmul(q3[:, :, None, :], k_win)[:, :, 0, :]
+    # the chain below runs in place on the matmul output
+    scores *= scale
     if rpe is not None:
-        scores += rpe.data.T
-    if valid is not None:
-        zero, masked = scores.dtype.type(0.0), scores.dtype.type(MASK_VALUE)
-        scores += np.where(valid, zero, masked)[:, None, :]
-    if not np.isfinite(np.max(scores)):
+        scores += np.ascontiguousarray(rpe.data.T)
+    if layout.valid is not None:
+        for rows, mask in zip(layout.edges, layout.masks[scores.dtype]):
+            scores[rows] += mask[:, None, :]
+    rowmax = scores.max(axis=-1, keepdims=True)
+    if not np.isfinite(rowmax.max()):
         raise NumericError("attention scores contain non-finite values")
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
+    scores -= rowmax
+    probs = np.exp(scores, out=scores)
+    probs /= probs.sum(axis=-1, keepdims=True)
 
     def backward(g):
         ds = probs * (g - (g * probs).sum(axis=-1, keepdims=True))
         if rpe is not None:
             _accumulate(rpe, ds.sum(axis=0).T, own=True)
         ds *= scale
-        if offsets is None:
+        if layout.offsets is None:
             ds_h = ds.transpose(1, 0, 2)  # (heads, T_q, T_k)
             dq = np.matmul(ds_h, k3.transpose(1, 0, 2)).transpose(1, 0, 2)
             dk = np.matmul(ds_h.transpose(0, 2, 1), q3.transpose(1, 0, 2)).transpose(1, 0, 2)
             dk = dk.reshape(t_k, dim)
         else:
             dq = np.matmul(ds[:, :, None, :], k_win.swapaxes(2, 3))[:, :, 0, :]
-            dk = _fold_slots(ds, q3, offsets, t_k)
+            dk = _fold_slots(ds, q3, layout)
         _accumulate(q, dq.reshape(t_q, dim), own=True)
         _accumulate(k, dk, own=True)
 
     return _make(probs, (q, k) if rpe is None else (q, k, rpe), backward)
 
 
-def slot_mix(p: Tensor, v: Tensor, offsets: Array | None) -> Tensor:
+def slot_mix(p: Tensor, v: Tensor, slots: SlotLayout | Array | None) -> Tensor:
     """Per-head weighted sum of the value rows each query row's slots read.
 
     ``p`` is (T_q, heads, S) as from ``slot_softmax`` with the same
-    ``offsets``; returns (T_q, d).
+    ``slots``; returns (T_q, d).
     """
-    t_q, heads, slots = p.data.shape
+    t_q, heads, n_slots = p.data.shape
     t_k, dim = v.data.shape
-    if dim % heads or slots != (t_k if offsets is None else len(offsets)):
+    layout = _layout(slots, None, t_q, t_k)
+    if dim % heads or n_slots != layout.slots:
         raise ShapeError(f"slot mix: p {p.data.shape}, v {v.data.shape}")
-    if offsets is None:
+    if layout.offsets is None:
         v3 = v.data.reshape(t_k, heads, -1).transpose(1, 0, 2)  # (heads, T_k, d_h)
-        out_data = np.matmul(p.data.transpose(1, 0, 2), v3).transpose(1, 0, 2)
+        out_data = np.empty((t_q, heads, dim // heads), dtype=np.result_type(p.data, v.data))
+        np.matmul(p.data.transpose(1, 0, 2), v3, out=out_data.transpose(1, 0, 2))
     else:
-        v_win = _slot_rows(v.data, heads, offsets, t_q)
+        v_win = _slot_rows(v.data, heads, layout)
         out_data = np.matmul(p.data[:, :, None, :], v_win.swapaxes(2, 3))[:, :, 0, :]
 
     def backward(g):
         g3 = g.reshape(t_q, heads, -1)
-        if offsets is None:
+        if layout.offsets is None:
             g_h = g3.transpose(1, 0, 2)  # (heads, T_q, d_h)
             dp = np.matmul(g_h, v3.transpose(0, 2, 1)).transpose(1, 0, 2)
             dv = np.matmul(p.data.transpose(1, 2, 0), g_h).transpose(1, 0, 2).reshape(t_k, dim)
         else:
             dp = np.matmul(g3[:, :, None, :], v_win)[:, :, 0, :]
-            dv = _fold_slots(p.data, g3, offsets, t_k)
+            dv = _fold_slots(p.data, g3, layout)
         _accumulate(p, dp, own=True)
         _accumulate(v, dv, own=True)
 
@@ -691,11 +773,11 @@ def cross_entropy_from_logits(logits: Tensor, labels: Array) -> Tensor:
         raise ShapeError(f"labels shape {labels.shape} does not match {t} frames")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise DomainError(f"labels must lie in [0, {c})")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - logz
-    out_data = np.asarray(-logp[np.arange(t), labels].mean(), dtype=logits.data.dtype)
+    logp = logits.data - logits.data.max(axis=1, keepdims=True)
     probs = np.exp(logp)
+    logp -= np.log(probs.sum(axis=1, keepdims=True))
+    out_data = np.asarray(-logp[np.arange(t), labels].mean(), dtype=logits.data.dtype)
+    np.exp(logp, out=probs)
 
     def backward(g):
         grad = probs.copy()

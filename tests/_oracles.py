@@ -4,8 +4,9 @@ Everything here is deliberately written without touching the library's
 backward passes or fast paths: finite differences for gradients, frame-set
 arithmetic for segment metrics, plain-python loops for divergences,
 per-head loops of small graph ops for attention, a per-tensor Adam loop
-for the arena optimizer, and the float64-uniform dropout and add-then-norm
-nodes the lean training graph replaced. The last section holds the probes
+for the arena optimizer, the float64-uniform dropout and add-then-norm
+nodes the lean training graph replaced, and the slot kernels and norm that
+rebuilt their masks per call and computed out of place. The last section holds the probes
 that only tests need: they read what the library's forward pass records,
 outside any graph.
 """
@@ -22,6 +23,7 @@ from tut import attention as A
 from tut import losses as L
 from tut import net as N
 from tut import tensor as T
+from tut.errors import NumericError, ShapeError
 
 
 def numeric_grad(fn, arrays: list[np.ndarray], index: int, h: float = 1e-4) -> np.ndarray:
@@ -139,6 +141,155 @@ def add_then_norm(x, gain, bias, eps=1e-5, residual=None):
     """``tensor.instance_norm_temporal`` as an ``add`` node followed by a norm
     node whose statistics come from ``np.mean`` and ``np.var``."""
     return _norm_mean_var(x if residual is None else T.add(x, residual), gain, bias, eps)
+
+
+# ---------------------------------------------------------------------------
+# slot kernels that build offsets, masks and spans on every call, and the
+# out-of-place norm: the references the cached layout and the in-place
+# forward chains must match byte for byte
+
+
+def _offset_span(offsets):
+    offs = offsets.tolist()
+    return min(min(offs), 0), max(max(offs), 0)
+
+
+def _slot_rows_per_call(x, heads, offsets, rows):
+    lo, hi = _offset_span(offsets)
+    kept = min(x.shape[0], rows + hi)
+    padded = np.zeros((rows + hi - lo, heads, x.shape[1] // heads), dtype=x.dtype)
+    padded[-lo : -lo + kept] = x[:kept].reshape(kept, heads, -1)
+    view = np.lib.stride_tricks.as_strided(
+        padded, (rows,) + padded.shape[1:] + (hi - lo + 1,), padded.strides + padded.strides[:1],
+        writeable=False,
+    )
+    if offsets.tolist() == list(range(lo, hi + 1)):
+        return view
+    return view[..., offsets - lo]
+
+
+def _fold_slots_per_call(coeff, rows3, offsets, key_len):
+    t_q, heads, _ = coeff.shape
+    lo, hi = _offset_span(offsets)
+    padded = np.zeros((t_q + hi - lo,) + rows3.shape[1:], dtype=rows3.dtype)
+    for j, off in enumerate(offsets.tolist()):
+        padded[off - lo : off - lo + t_q] += coeff[:, :, j, None] * rows3
+    out = np.zeros((key_len, heads * rows3.shape[2]), dtype=rows3.dtype)
+    kept = min(key_len, t_q + hi)
+    out[:kept] = padded[-lo : -lo + kept].reshape(kept, -1)
+    return out
+
+
+def _offsets_and_valid(slots, valid):
+    """Offsets and mask from what the library passes: a SlotLayout, or both."""
+    if isinstance(slots, T.SlotLayout):
+        return slots.offsets, slots.valid
+    return slots, valid
+
+
+def slot_softmax_per_call(q, k, offsets, valid, heads, rpe=None):
+    """``tensor.slot_softmax`` with the mask built from ``valid`` for every
+    row on each call and each step a new array."""
+    t_q, dim = q.data.shape
+    t_k = k.data.shape[0]
+    offsets, valid = _offsets_and_valid(offsets, valid)
+    slots = t_k if offsets is None else len(offsets)
+    if (
+        dim % heads
+        or k.data.shape[1] != dim
+        or (valid is not None and valid.shape != (t_q, slots))
+        or (rpe is not None and rpe.data.shape != (slots, heads))
+    ):
+        raise ShapeError(f"slot softmax: q {q.data.shape}, k {k.data.shape}")
+    scale = 1.0 / math.sqrt(dim // heads)
+    q3 = q.data.reshape(t_q, heads, -1)
+    if offsets is None:
+        k3 = k.data.reshape(t_k, heads, -1)
+        scores = np.matmul(q3.transpose(1, 0, 2), k3.transpose(1, 2, 0)).transpose(1, 0, 2) * scale
+    else:
+        k_win = _slot_rows_per_call(k.data, heads, offsets, t_q)
+        scores = np.matmul(q3[:, :, None, :], k_win)[:, :, 0, :] * scale
+    if rpe is not None:
+        scores += rpe.data.T
+    if valid is not None:
+        zero, masked = scores.dtype.type(0.0), scores.dtype.type(T.MASK_VALUE)
+        scores += np.where(valid, zero, masked)[:, None, :]
+    if not np.isfinite(np.max(scores)):
+        raise NumericError("attention scores contain non-finite values")
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        ds = probs * (g - (g * probs).sum(axis=-1, keepdims=True))
+        if rpe is not None:
+            T._accumulate(rpe, ds.sum(axis=0).T, own=True)
+        ds *= scale
+        if offsets is None:
+            ds_h = ds.transpose(1, 0, 2)
+            dq = np.matmul(ds_h, k3.transpose(1, 0, 2)).transpose(1, 0, 2)
+            dk = np.matmul(ds_h.transpose(0, 2, 1), q3.transpose(1, 0, 2)).transpose(1, 0, 2)
+            dk = dk.reshape(t_k, dim)
+        else:
+            dq = np.matmul(ds[:, :, None, :], k_win.swapaxes(2, 3))[:, :, 0, :]
+            dk = _fold_slots_per_call(ds, q3, offsets, t_k)
+        T._accumulate(q, dq.reshape(t_q, dim), own=True)
+        T._accumulate(k, dk, own=True)
+
+    return T._make(probs, (q, k) if rpe is None else (q, k, rpe), backward)
+
+
+def slot_mix_per_call(p, v, offsets):
+    """``tensor.slot_mix`` with the slot span and band test redone per call."""
+    t_q, heads, slots = p.data.shape
+    t_k, dim = v.data.shape
+    offsets, _ = _offsets_and_valid(offsets, None)
+    if dim % heads or slots != (t_k if offsets is None else len(offsets)):
+        raise ShapeError(f"slot mix: p {p.data.shape}, v {v.data.shape}")
+    if offsets is None:
+        v3 = v.data.reshape(t_k, heads, -1).transpose(1, 0, 2)
+        out_data = np.matmul(p.data.transpose(1, 0, 2), v3).transpose(1, 0, 2)
+    else:
+        v_win = _slot_rows_per_call(v.data, heads, offsets, t_q)
+        out_data = np.matmul(p.data[:, :, None, :], v_win.swapaxes(2, 3))[:, :, 0, :]
+
+    def backward(g):
+        g3 = g.reshape(t_q, heads, -1)
+        if offsets is None:
+            g_h = g3.transpose(1, 0, 2)
+            dp = np.matmul(g_h, v3.transpose(0, 2, 1)).transpose(1, 0, 2)
+            dv = np.matmul(p.data.transpose(1, 2, 0), g_h).transpose(1, 0, 2).reshape(t_k, dim)
+        else:
+            dp = np.matmul(g3[:, :, None, :], v_win)[:, :, 0, :]
+            dv = _fold_slots_per_call(p.data, g3, offsets, t_k)
+        T._accumulate(p, dp, own=True)
+        T._accumulate(v, dv, own=True)
+
+    return T._make(out_data.reshape(t_q, dim), (p, v), backward)
+
+
+def norm_out_of_place(x, gain, bias, eps=1e-5, residual=None):
+    """``tensor.instance_norm_temporal`` with the sum, centred values and
+    output each a new array."""
+    s = x.data if residual is None else x.data + residual.data
+    t = s.shape[0]
+    xhat = s - np.add.reduce(s, axis=0) / t
+    var = np.add.reduce(xhat * xhat, axis=0) / t
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std
+    out_data = xhat * gain.data + bias.data
+
+    def backward(g):
+        T._accumulate(gain, np.add.reduce(g * xhat, axis=0), own=True)
+        T._accumulate(bias, np.add.reduce(g, axis=0), own=True)
+        gx = g * gain.data
+        term = gx - np.add.reduce(gx, axis=0) / t - xhat * (np.add.reduce(gx * xhat, axis=0) / t)
+        dx = term * inv_std
+        if residual is not None:
+            T._accumulate(residual, dx)
+        T._accumulate(x, dx, own=True)
+
+    parents = (x, gain, bias) if residual is None else (x, residual, gain, bias)
+    return T._make(out_data, parents, backward)
 
 
 # ---------------------------------------------------------------------------

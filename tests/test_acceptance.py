@@ -515,9 +515,8 @@ def test_c04_loss_correctness():
         labels = segmented_labels(rng, t)
         raw = rng.random((t, w)) + 0.05
         rows = raw / raw.sum(axis=1, keepdims=True)
-        offsets = A.slot_offsets("local", t, w)
-        valid = A.slot_valid(offsets, t, t)
-        rec = A.AttentionRecord("local", T.tensor(rows[:, None, :]), offsets, valid, key_len=t)
+        layout = A.slot_layout("local", t, t, w)
+        rec = A.AttentionRecord("local", T.tensor(rows[:, None, :]), layout)
         b = L.derive_boundaries(labels)
         got = float(
             L.ba_loss((None, rec), b, L.LossWeights(boundary_weight=1.0), w, t).data
@@ -534,7 +533,7 @@ def test_c04_loss_correctness():
             for frame in frames:
                 if w // 2 <= frame <= t - 1 - w // 2:
                     aligned[frame] = L.prior(variant, w).values
-        rec2 = A.AttentionRecord("local", T.tensor(aligned[:, None, :]), offsets, valid, key_len=t)
+        rec2 = A.AttentionRecord("local", T.tensor(aligned[:, None, :]), layout)
         zero = float(
             L.ba_loss((None, rec2), b, L.LossWeights(boundary_weight=1.0), w, t).data
         )

@@ -3,7 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from _oracles import attention_loop, logsparse_key_set, numeric_grad, rel_err, valid_key_sets
+from _oracles import (
+    attention_loop,
+    logsparse_key_set,
+    numeric_grad,
+    rel_err,
+    slot_mix_per_call,
+    slot_softmax_per_call,
+    valid_key_sets,
+)
 from tut import attention as A
 from tut import tensor as T
 from tut.errors import ConfigError, ShapeError
@@ -249,6 +257,63 @@ def test_fused_local_matches_slotted_oracle():
         np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
         for got, want in zip(grads + [probs], want_grads + [want_probs]):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+# (T_q, T_k, w): square, T_q < T_k, T_q > T_k, T < w, T = 1, a wide window
+SLOT_SHAPES = [(9, 9, 5), (6, 11, 5), (11, 6, 5), (3, 3, 7), (1, 1, 5), (1, 4, 3), (20, 20, 51)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pattern", ["local", "logsparse", "full"])
+@pytest.mark.parametrize("use_rpe", [False, True])
+def test_slot_kernels_match_per_call_oracle_bytes(dtype, pattern, use_rpe):
+    """The cached layout and the in-place chain give the per-call kernels'
+    probabilities, output and gradients byte for byte, whether the kernels
+    get the layout or its offsets and mask."""
+    rng = np.random.default_rng(18)
+    heads = 2
+    for t_q, t_k, w in SLOT_SHAPES:
+        layout = A.slot_layout(pattern, t_q, t_k, w)
+        shapes = ((t_q, 3 * heads), (t_k, 3 * heads), (t_k, 3 * heads), (layout.slots, heads))
+        arrays = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+        w_probs = T.tensor(rng.standard_normal((t_q, heads, layout.slots)).astype(dtype))
+        w_out = T.tensor(rng.standard_normal((t_q, 3 * heads)).astype(dtype))
+        results = []
+        for softmax, mix, slots, valid in (
+            (T.slot_softmax, T.slot_mix, layout, None),
+            (T.slot_softmax, T.slot_mix, layout.offsets, layout.valid),
+            (slot_softmax_per_call, slot_mix_per_call, layout.offsets, layout.valid),
+        ):
+            leaves = [T.tensor(a, requires_grad=True) for a in arrays]
+            probs = softmax(leaves[0], leaves[1], slots, valid, heads, leaves[3] if use_rpe else None)
+            out = mix(probs, leaves[2], slots)
+            T.add(T.sum_all(T.mul(probs, w_probs)), T.sum_all(T.mul(out, w_out))).backward()
+            results.append([probs.data, out.data] + [x.grad for x in leaves[: 3 + use_rpe]])
+        for got in results[:2]:
+            for a, b in zip(got, results[2]):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+
+
+def test_slot_layout_is_shared_read_only_and_masks_only_edge_rows():
+    layout = A.slot_layout("local", 10, 10, 5)
+    assert A.slot_layout("local", 10, 10, 5) is layout
+    assert layout.edges == (slice(0, 2), slice(8, 10))  # w//2 rows at each end
+    for arr in (layout.offsets, layout.valid, *layout.masks[np.dtype(np.float32)]):
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    full = A.slot_layout("full", 6, 9, 5)
+    assert full.offsets is None and full.valid is None and full.slots == 9
+    rng = np.random.default_rng(19)
+    shapes = SLOT_SHAPES + [(40, 40, 11), (100, 100, 51), (64, 60, 3)]
+    for pattern, (t_q, t_k, w), dtype in itertools.product(
+        ("local", "logsparse"), shapes, (np.float32, np.float64)
+    ):
+        layout = A.slot_layout(pattern, t_q, t_k, w)
+        scores = rng.standard_normal((t_q, 3, layout.slots)).astype(dtype)
+        want = scores + np.where(layout.valid, dtype(0.0), dtype(T.MASK_VALUE))[:, None, :]
+        for rows, mask in zip(layout.edges, layout.masks[np.dtype(dtype)]):
+            scores[rows] += mask[:, None, :]
+        assert scores.tobytes() == want.tobytes(), (pattern, t_q, t_k, w)
 
 
 def test_attention_dropout_record_keeps_predrop_rows():

@@ -105,9 +105,8 @@ def test_prior_examples():
 def make_local_record(rows_per_head, window):
     """Record with given post-softmax rows; rows_per_head: list of (T, w)."""
     t = rows_per_head[0].shape[0]
-    offsets = A.slot_offsets("local", t, window)
     probs = T.tensor(np.stack(rows_per_head, axis=1))
-    return A.AttentionRecord("local", probs, offsets, A.slot_valid(offsets, t, t), key_len=t)
+    return A.AttentionRecord("local", probs, A.slot_layout("local", t, t, window))
 
 
 def test_extract_lad_single_and_averaged_heads():
@@ -134,7 +133,7 @@ def test_extract_lad_from_full_record_slices_row():
     rng = np.random.default_rng(1)
     probs = rng.random((t, 2, t))
     probs /= probs.sum(axis=2, keepdims=True)
-    rec = A.AttentionRecord("full", T.tensor(probs), None, None, key_len=t)
+    rec = A.AttentionRecord("full", T.tensor(probs), A.slot_layout("full", t, t, w))
     lad = extract_lad(rec, 2, w)
     heads = probs[2, :, 1:4]  # each head renormalized over the window, then averaged
     np.testing.assert_allclose(lad.data, (heads / heads.sum(axis=1, keepdims=True)).mean(axis=0))

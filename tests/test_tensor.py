@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import adam_loop, add_then_norm, dropout_uniform, numeric_grad, rel_err
+from _oracles import (
+    adam_loop,
+    add_then_norm,
+    dropout_uniform,
+    norm_out_of_place,
+    numeric_grad,
+    rel_err,
+)
 from tut import tensor as T
 from tut.errors import DomainError, ShapeError
 
@@ -200,6 +207,75 @@ def test_instance_norm_residual_matches_add_then_norm(dtype, shared):
         # a later contribution to one operand must not change the other's gradient
         assert shared or not np.shares_memory(x.grad, res.grad)
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("with_residual", [False, True])
+def test_instance_norm_matches_out_of_place_oracle_bytes(dtype, with_residual):
+    rng = rng64(25)
+    for t in (1, 2, 29):
+        arrays = [rng.standard_normal(s).astype(dtype) for s in ((t, 6), (t, 6), (6,), (6,))]
+        g = rng.standard_normal((t, 6)).astype(dtype)
+        results = []
+        for op in (T.instance_norm_temporal, norm_out_of_place):
+            x, r, gain, bias = (T.tensor(a, requires_grad=True) for a in arrays)
+            out = op(x, gain, bias, 1e-5, residual=r if with_residual else None)
+            out.backward(g)
+            results.append([out.data, x.grad, gain.grad, bias.grad] + [r.grad] * with_residual)
+        for a, b in zip(*results):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_family_in_place_forward_keeps_the_bytes(dtype):
+    """The in-place chains give the out-of-place expressions' values and
+    the gradients those values imply."""
+    rng = rng64(24)
+    t, c = 37, 19
+    x = (rng.standard_normal((t, c)) * 4).astype(dtype)
+    labels = rng.integers(0, c, t)
+    g = rng.standard_normal((t, c)).astype(dtype)
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    logp = shifted - np.log(e.sum(axis=-1, keepdims=True))
+    probs_less_onehot = np.exp(logp)
+    probs_less_onehot[np.arange(t), labels] -= 1.0
+    ce = np.asarray(-logp[np.arange(t), labels].mean(), dtype=dtype)
+    tx = [T.tensor(x, requires_grad=True) for _ in range(3)]
+    probs = e / e.sum(axis=-1, keepdims=True)
+    cases = (
+        (T.softmax_lastdim(tx[0]), probs, g),
+        (T.log_softmax_lastdim(tx[1]), logp, g),
+        (T.cross_entropy_from_logits(tx[2], labels), ce, None),
+    )
+    for out, want, grad in cases:
+        assert out.data.dtype == want.dtype and out.data.tobytes() == want.tobytes()
+        out.backward(grad)
+    want_grads = (
+        probs * (g - (g * probs).sum(axis=-1, keepdims=True)),
+        g - np.exp(logp) * g.sum(axis=-1, keepdims=True),
+        probs_less_onehot * (np.ones((), dtype=dtype) / t),
+    )
+    for leaf, want in zip(tx, want_grads):
+        assert leaf.grad.dtype == want.dtype and leaf.grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("op", [T.mul, T.div])
+@pytest.mark.parametrize("shapes", [((4, 3), (4, 3)), ((4, 3), (3,)), ((3,), (4, 3))])
+def test_mul_div_compute_only_the_gradients_operands_need(op, shapes):
+    """With one constant operand, the other's gradient has the bytes it has
+    when both need one (the expressions the op always computed), and the
+    constant's stays None."""
+    rng = rng64(23)
+    values = [rng.standard_normal(s) + 3.0 for s in shapes]  # divisors away from 0
+    g = rng.standard_normal(np.broadcast_shapes(*shapes))
+    both = [T.tensor(a, requires_grad=True) for a in values]
+    op(*both).backward(g)
+    for needs in (0, 1):
+        xs = [T.tensor(a, requires_grad=i == needs) for i, a in enumerate(values)]
+        op(*xs).backward(g)
+        assert xs[needs].grad.tobytes() == both[needs].grad.tobytes()
+        assert xs[1 - needs].grad is None
 
 
 def test_gather_scatter_roundtrip_and_grads():

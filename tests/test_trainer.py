@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from _oracles import adam_loop, add_then_norm, boundary_alignment, dropout_uniform
+from _oracles import (
+    adam_loop,
+    add_then_norm,
+    boundary_alignment,
+    dropout_uniform,
+    norm_out_of_place,
+    slot_mix_per_call,
+    slot_softmax_per_call,
+)
 from tut import data as D
 from tut import net as N
 from tut import tensor as T
@@ -355,9 +363,9 @@ def test_arena_adam_trains_like_the_per_tensor_loop(monkeypatch):
         assert arena.params[name].data.tobytes() == p.data.tobytes(), name
 
 
-def test_lean_graph_trains_like_the_uniform_dropout_and_add_then_norm_nodes(monkeypatch):
-    """A gtea-shaped f32 run gives the same bytes with the float64-uniform
-    dropout and a separate add node before each norm."""
+def _assert_gtea_run_unchanged_by(monkeypatch, replacements):
+    """A gtea-shaped f32 run writes the same log rows and parameter bytes
+    with the ``tensor`` functions swapped for ``replacements``."""
     model_cfg, train_cfg, _ = build_configs("gtea", None, {})
     model_cfg.input_dim, model_cfg.num_classes = 32, 5
     train_cfg.epochs = 2
@@ -365,10 +373,28 @@ def test_lean_graph_trains_like_the_uniform_dropout_and_add_then_norm_nodes(monk
         num_classes=5, num_videos=3, min_len=48, max_len=96, feature_dim=32, noise=0.3, seed=4
     )
     samples, _ = D.generate_synthetic(spec)
-    lean = TR.train(samples, model_cfg, train_cfg)
-    monkeypatch.setattr(T, "dropout", dropout_uniform)
-    monkeypatch.setattr(T, "instance_norm_temporal", add_then_norm)
+    fast = TR.train(samples, model_cfg, train_cfg)
+    for name, fn in replacements.items():
+        monkeypatch.setattr(T, name, fn)
     oracle = TR.train(samples, model_cfg, train_cfg)
-    assert lean.log_rows == oracle.log_rows
+    assert fast.log_rows == oracle.log_rows
     for name, p in oracle.params.items():
-        assert lean.params[name].data.tobytes() == p.data.tobytes(), name
+        assert fast.params[name].data.tobytes() == p.data.tobytes(), name
+
+
+def test_lean_graph_trains_like_the_uniform_dropout_and_add_then_norm_nodes(monkeypatch):
+    """The same bytes with the float64-uniform dropout and a separate add
+    node before each norm."""
+    _assert_gtea_run_unchanged_by(
+        monkeypatch, {"dropout": dropout_uniform, "instance_norm_temporal": add_then_norm}
+    )
+
+
+def test_cached_layout_trains_like_the_per_call_slot_kernels_and_norm(monkeypatch):
+    """The same bytes with slot kernels that rebuild their masks per call
+    and a norm that computes out of place."""
+    _assert_gtea_run_unchanged_by(monkeypatch, {
+        "slot_softmax": slot_softmax_per_call,
+        "slot_mix": slot_mix_per_call,
+        "instance_norm_temporal": norm_out_of_place,
+    })
