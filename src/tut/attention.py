@@ -13,12 +13,12 @@ mixes the value rows those slots read. Attention dropout sits between them.
   length (Li et al., arXiv:1907.00235), O(log T) slots per row.
 - full: no offsets; slot j is key j, computed as head-batched matmuls.
 
-Out-of-range slots are masked before the softmax. Offsets, the in-range
-mask and the additive mask of the edge rows depend only on the pattern,
-the two lengths and w, so ``slot_layout`` builds them once per shape and
-every call of that shape shares the read-only result. The pre-dropout
-probabilities are kept on the record, with the layout, so the boundary
-loss can read similarity distributions straight out of the forward pass.
+Out-of-range slots are masked before the softmax. The offsets and the
+additive mask of the edge rows depend only on the pattern, the two lengths
+and w, so ``slot_layout`` builds them once per shape and every call of that
+shape shares the read-only result. The pre-dropout probabilities are kept
+on the record, with the layout, so the boundary loss can read similarity
+distributions straight out of the forward pass.
 """
 
 from __future__ import annotations
@@ -75,31 +75,18 @@ class RpeTable:
 
 @dataclass
 class AttentionRecord:
-    """One layer's post-softmax attention in slot layout.
+    """One layer's post-softmax attention in slot layout: what the boundary
+    loss reads.
 
     ``probs`` is the (query_len, heads, slots) graph node of every head's
-    probabilities (pre-dropout, so each valid row sums to 1), and ``layout``
-    the shared layout it was computed with. Slot j of query row i reads key
-    i + offsets[j]; ``offsets`` is None for full attention, where slot j is
-    key j. ``valid`` (query_len, slots) marks the slots whose key is in
-    range, and is None when all are.
+    probabilities (pre-dropout, so the in-range slots of each row sum to 1),
+    and ``layout`` the shared layout it was computed with: slot j of query
+    row i reads key i + layout.offsets[j], or key j for full attention.
     """
 
     pattern: str
     probs: Tensor
     layout: SlotLayout
-
-    @property
-    def offsets(self) -> np.ndarray | None:
-        return self.layout.offsets
-
-    @property
-    def valid(self) -> np.ndarray | None:
-        return self.layout.valid
-
-    @property
-    def key_len(self) -> int:
-        return self.layout.key_len
 
     @property
     def query_len(self) -> int:
@@ -108,10 +95,6 @@ class AttentionRecord:
     @property
     def heads(self) -> int:
         return self.probs.data.shape[1]
-
-    @property
-    def entry_count(self) -> int:
-        return self.probs.data.size
 
 
 def slot_offsets(pattern: str, key_len: int, window: int) -> np.ndarray | None:
@@ -127,11 +110,6 @@ def slot_offsets(pattern: str, key_len: int, window: int) -> np.ndarray | None:
         offsets.extend((-off, off))
         off *= 2
     return np.array(offsets)
-
-
-def slot_valid(offsets: np.ndarray | None, query_len: int, key_len: int) -> np.ndarray | None:
-    """(query_len, slots) mask of slots whose key row is in range; None for full."""
-    return SlotLayout.build(offsets, query_len, key_len).valid
 
 
 @lru_cache(maxsize=64)  # a video needs one shape per U-level; keep several videos'
@@ -167,7 +145,7 @@ def attend(
     if q.data.shape[1] != k.data.shape[1] or k.data.shape[1] != v.data.shape[1]:
         raise ShapeError("query/key/value dims differ")
     layout = slot_layout(cfg.pattern, q.data.shape[0], k.data.shape[0], cfg.window)
-    probs = T.slot_softmax(q, k, layout, None, cfg.heads, rpe.weights if rpe is not None else None)
+    probs = T.slot_softmax(q, k, layout, cfg.heads, rpe.weights if rpe is not None else None)
     p_used = probs
     if rng is not None:  # draw head-major, as per-head (T_q, S) masks from this stream would
         p_used = T.dropout(probs, cfg.dropout, rng, train, draw_axes=(1, 0, 2))

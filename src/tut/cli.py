@@ -17,9 +17,13 @@ from .net import load_checkpoint, read_manifest, save_checkpoint
 from .viz import render_timeline
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, exclude=("seed", "root")):
+# config keys without a --key flag: commands take --seed and --data-root
+_NO_FLAG_KEYS = ("seed", "root")
+
+
+def _add_config_flags(parser: argparse.ArgumentParser):
     for key in field_table():
-        if key in exclude:
+        if key in _NO_FLAG_KEYS:
             continue
         flag = "--" + key.replace("_", "-")
         parser.add_argument(flag, dest=key, default=None, metavar="V")
@@ -36,7 +40,7 @@ def _configs_from_args(args):
     overrides = {
         key: getattr(args, key)
         for key in field_table()
-        if key not in ("seed", "root") and getattr(args, key, None) is not None
+        if key not in _NO_FLAG_KEYS and getattr(args, key, None) is not None
     }
     model_cfg, train_cfg, data_cfg = build_configs(args.preset, args.config, overrides)
     if getattr(args, "data_root", None):

@@ -85,14 +85,14 @@ def parse_config_file(path) -> dict[str, dict[str, str]]:
     return out
 
 
-def field_table() -> dict[str, tuple[str, type]]:
-    """flag/key name -> (section, python type); keys are unique across sections."""
-    table: dict[str, tuple[str, type]] = {}
+def field_table() -> dict[str, str]:
+    """flag/key name -> section; keys are unique across sections."""
+    table: dict[str, str] = {}
     for section, cls in SECTIONS.items():
         for f in fields(cls):
             if f.name in table:
                 raise ConfigError(f"duplicate config key {f.name}")
-            table[f.name] = (section, f.type if isinstance(f.type, type) else type(f.default))
+            table[f.name] = section
     return table
 
 
@@ -116,7 +116,7 @@ def build_configs(
             continue
         if key not in table:
             raise ConfigError(f"unknown config key {key!r}")
-        layers[table[key][0]][key] = value
+        layers[table[key]][key] = value
     built = {}
     for section, cls in SECTIONS.items():
         kwargs = {}

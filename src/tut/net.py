@@ -110,8 +110,6 @@ class StageOutputs:
     logits: list[Tensor]
     probs: list[Tensor]
     records: list[tuple[AttentionRecord, AttentionRecord]]  # (encoder first, decoder last)
-    encoder_lengths: list[list[int]]  # pre-downsample length per encoder layer
-    attention_entries: int = 0
 
 
 def final_prediction(outputs: StageOutputs) -> np.ndarray:
@@ -233,14 +231,9 @@ def encoder_layer(
     layer: int,
     train: bool = False,
     streams: SeedStreams | None = None,
-) -> tuple[Tensor, AttentionRecord, int]:
-    """Downsample, windowed self-attention, norm, FFN, norm.
-
-    Returns the layer output, its attention record, and the pre-downsample
-    length (the paired decoder layer's upsample target).
-    """
-    recorded_len = h_prev.data.shape[0]
-    if recorded_len < 1:
+) -> tuple[Tensor, AttentionRecord]:
+    """Downsample, windowed self-attention, norm, FFN, norm."""
+    if h_prev.data.shape[0] < 1:
         raise ConfigError("too many layers for sequence length")
     prefix = f"stage{stage}.enc{layer}"
     _, hidden, _ = cfg.stage_dims(stage)
@@ -254,7 +247,7 @@ def encoder_layer(
     )
     h2 = _norm(params, cfg, f"{prefix}.norm1", attn, h1)
     out = _norm(params, cfg, f"{prefix}.norm2", _ffn(params, cfg, prefix, h2, train, streams), h2)
-    return out, record, recorded_len
+    return out, record
 
 
 def decoder_layer(
@@ -310,7 +303,8 @@ def stage_forward(
     train: bool = False,
     streams: SeedStreams | None = None,
 ):
-    """One projection -> encoder -> decoder -> classifier pass."""
+    """One projection -> encoder -> decoder -> classifier pass; returns the
+    logits, the probabilities and the (encoder first, decoder last) records."""
     t = x.data.shape[0]
     if cfg.architecture == "utrans" and t < 2**cfg.layers:
         raise ConfigError(
@@ -322,14 +316,10 @@ def stage_forward(
     h = T.linear(x, params[f"stage{stage}.proj.w"], params[f"stage{stage}.proj.b"])
 
     enc_outputs = [h]
-    enc_lengths: list[int] = []
-    entries = 0
     enc_first = None
     for layer in range(1, cfg.layers + 1):
-        h, record, recorded = encoder_layer(h, params, cfg, stage, layer, train, streams)
+        h, record = encoder_layer(h, params, cfg, stage, layer, train, streams)
         enc_outputs.append(h)
-        enc_lengths.append(recorded)
-        entries += record.entry_count
         if layer == 1:
             enc_first = record
 
@@ -337,13 +327,11 @@ def stage_forward(
     dec_last = None
     for layer in range(1, cfg.layers + 1):
         peer = enc_outputs[cfg.layers - layer]
-        d, record = decoder_layer(d, peer, params, cfg, stage, layer, train, streams)
-        entries += record.entry_count
-        dec_last = record
+        d, dec_last = decoder_layer(d, peer, params, cfg, stage, layer, train, streams)
 
     logits = T.linear(d, params[f"stage{stage}.cls.w"], params[f"stage{stage}.cls.b"])
     probs = T.softmax_lastdim(logits)
-    return logits, probs, (enc_first, dec_last), enc_lengths, entries
+    return logits, probs, (enc_first, dec_last)
 
 
 def model_forward(
@@ -362,17 +350,13 @@ def model_forward(
         x = Tensor(np.ascontiguousarray(x, dtype=cfg.np_dtype))
     elif x.data.dtype != cfg.np_dtype:
         x = Tensor(x.data.astype(cfg.np_dtype), requires_grad=x.requires_grad)
-    out = StageOutputs(logits=[], probs=[], records=[], encoder_lengths=[])
+    out = StageOutputs(logits=[], probs=[], records=[])
     stage_in = x
     for stage in range(cfg.num_stages):
-        logits, probs, records, enc_lengths, entries = stage_forward(
-            stage_in, params, cfg, stage, train, streams
-        )
+        logits, probs, records = stage_forward(stage_in, params, cfg, stage, train, streams)
         out.logits.append(logits)
         out.probs.append(probs)
         out.records.append(records)
-        out.encoder_lengths.append(enc_lengths)
-        out.attention_entries += entries
         stage_in = probs if cfg.refine_input == "probs" else logits
     return out
 

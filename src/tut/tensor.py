@@ -91,25 +91,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # operator sugar; the named functions below are the real surface
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 def tensor(data, requires_grad=False, dtype=None) -> Tensor:
     """Build a leaf tensor, defaulting to float64 for python data."""
@@ -546,18 +527,17 @@ class SlotLayout:
 
     It depends only on the offsets and the two lengths, so one layout serves
     every call of that shape (``attention.slot_layout`` caches them) and its
-    arrays are read-only. ``offsets`` (S,) and ``valid`` (T_q, S) are None
-    for full attention, where slot j is key j. ``offset_list`` holds the
-    offsets as python ints, ``lo``/``hi`` span them and 0, and ``band`` says
-    they are lo..hi in order. Only the rows of ``edges`` (a leading and a
-    trailing slice) can read an out-of-range key; ``masks`` maps float32 and
-    float64 to those rows' additive masks.
+    arrays are read-only. ``offsets`` (S,) is None for full attention, where
+    slot j is key j. ``offset_list`` holds the offsets as python ints,
+    ``lo``/``hi`` span them and 0, and ``band`` says they are lo..hi in
+    order. Only the rows of ``edges`` (a leading and a trailing slice) can
+    read an out-of-range key; ``masks`` maps float32 and float64 to those
+    rows' additive masks.
     """
 
     query_len: int
     key_len: int
     offsets: Array | None = None
-    valid: Array | None = None
     offset_list: tuple[int, ...] = ()
     lo: int = 0
     hi: int = 0
@@ -577,31 +557,25 @@ class SlotLayout:
         lo, hi = min(min(offs), 0), max(max(offs), 0)
         offsets = _frozen(np.array(offs))
         keys = np.arange(query_len)[:, None] + offsets[None, :]
-        valid = _frozen((keys >= 0) & (keys < key_len))
+        in_range = (keys >= 0) & (keys < key_len)
         # row i's keys lie in [i + lo, i + hi], so only rows below -lo and from
         # key_len - hi on can have one outside [0, key_len)
         lead = min(query_len, -lo)
         edges = (slice(0, lead), slice(max(lead, key_len - hi), query_len))
         masks = MappingProxyType({
-            dt: tuple(_frozen(np.where(valid[rows], dt.type(0.0), dt.type(MASK_VALUE))) for rows in edges)
+            dt: tuple(_frozen(np.where(in_range[rows], dt.type(0.0), dt.type(MASK_VALUE))) for rows in edges)
             for dt in map(np.dtype, (np.float32, np.float64))
         })
         band = offs == tuple(range(lo, hi + 1))
-        return cls(query_len, key_len, offsets, valid, offs, lo, hi, band, edges, masks)
+        return cls(query_len, key_len, offsets, offs, lo, hi, band, edges, masks)
 
 
-def _layout(slots, valid: Array | None, query_len: int, key_len: int) -> SlotLayout:
-    """``slots`` if it is a SlotLayout, else the layout its offsets give; the
-    layout must fit the lengths, and ``valid``, when given, its mask."""
-    layout = slots if isinstance(slots, SlotLayout) else SlotLayout.build(slots, query_len, key_len)
-    if (layout.query_len, layout.key_len) != (query_len, key_len) or (
-        valid is not None and valid is not layout.valid and not np.array_equal(valid, layout.valid)
-    ):
+def _check_fits(layout: SlotLayout, query_len: int, key_len: int):
+    if (layout.query_len, layout.key_len) != (query_len, key_len):
         raise ShapeError(
             f"slot layout for {layout.query_len} x {layout.key_len} rows does not fit "
-            f"{query_len} x {key_len}" + ("" if valid is None else " or its valid mask")
+            f"{query_len} x {key_len}"
         )
-    return layout
 
 
 def _slot_rows(x: Array, heads: int, layout: SlotLayout) -> Array:
@@ -635,27 +609,20 @@ def _fold_slots(coeff: Array, rows3: Array, layout: SlotLayout) -> Array:
 
 
 def slot_softmax(
-    q: Tensor,
-    k: Tensor,
-    slots: SlotLayout | Array | None,
-    valid: Array | None,
-    heads: int,
-    rpe: Tensor | None = None,
+    q: Tensor, k: Tensor, layout: SlotLayout, heads: int, rpe: Tensor | None = None
 ) -> Tensor:
     """Attention probabilities of every head in one node.
 
-    ``slots`` is the SlotLayout of (T_q, T_k), or its offsets (None: full)
-    with the layout built for this one call. Slot j of query row i scores
+    ``layout`` is the SlotLayout of (T_q, T_k). Slot j of query row i scores
     q_i . k_{i+offsets[j]} / sqrt(d_h), or q_i . k_j for full, plus
     ``rpe[j, h]`` of an (S, heads) table when given. Out-of-range slots are
-    masked (``valid``, if passed, must be the layout's mask), and each row is
-    max-stabilized into a softmax over its S slots.
-    Returns a C-ordered (T_q, heads, S); a row with no valid slot spreads
+    masked, and each row is max-stabilized into a softmax over its S slots.
+    Returns a C-ordered (T_q, heads, S); a row with no in-range slot spreads
     uniformly over zero keys.
     """
     t_q, dim = q.data.shape
     t_k = k.data.shape[0]
-    layout = _layout(slots, valid, t_q, t_k)
+    _check_fits(layout, t_q, t_k)
     if dim % heads or k.data.shape[1] != dim or (
         rpe is not None and rpe.data.shape != (layout.slots, heads)
     ):
@@ -676,7 +643,7 @@ def slot_softmax(
     scores *= scale
     if rpe is not None:
         scores += np.ascontiguousarray(rpe.data.T)
-    if layout.valid is not None:
+    if layout.offsets is not None:
         for rows, mask in zip(layout.edges, layout.masks[scores.dtype]):
             scores[rows] += mask[:, None, :]
     rowmax = scores.max(axis=-1, keepdims=True)
@@ -705,15 +672,15 @@ def slot_softmax(
     return _make(probs, (q, k) if rpe is None else (q, k, rpe), backward)
 
 
-def slot_mix(p: Tensor, v: Tensor, slots: SlotLayout | Array | None) -> Tensor:
+def slot_mix(p: Tensor, v: Tensor, layout: SlotLayout) -> Tensor:
     """Per-head weighted sum of the value rows each query row's slots read.
 
     ``p`` is (T_q, heads, S) as from ``slot_softmax`` with the same
-    ``slots``; returns (T_q, d).
+    ``layout``; returns (T_q, d).
     """
     t_q, heads, n_slots = p.data.shape
     t_k, dim = v.data.shape
-    layout = _layout(slots, None, t_q, t_k)
+    _check_fits(layout, t_q, t_k)
     if dim % heads or n_slots != layout.slots:
         raise ShapeError(f"slot mix: p {p.data.shape}, v {v.data.shape}")
     if layout.offsets is None:

@@ -180,24 +180,24 @@ def _fold_slots_per_call(coeff, rows3, offsets, key_len):
     return out
 
 
-def _offsets_and_valid(slots, valid):
-    """Offsets and mask from what the library passes: a SlotLayout, or both."""
-    if isinstance(slots, T.SlotLayout):
-        return slots.offsets, slots.valid
-    return slots, valid
+def in_range_mask(offsets, query_len, key_len):
+    """(query_len, slots) mask of the slots whose key row lies in [0, key_len)."""
+    keys = np.arange(query_len)[:, None] + offsets[None, :]
+    return (keys >= 0) & (keys < key_len)
 
 
-def slot_softmax_per_call(q, k, offsets, valid, heads, rpe=None):
-    """``tensor.slot_softmax`` with the mask built from ``valid`` for every
-    row on each call and each step a new array."""
+def slot_softmax_per_call(q, k, layout, heads, rpe=None):
+    """``tensor.slot_softmax`` with the in-range mask of every row built from
+    the layout's offsets on each call and each step a new array."""
     t_q, dim = q.data.shape
     t_k = k.data.shape[0]
-    offsets, valid = _offsets_and_valid(offsets, valid)
+    offsets = layout.offsets
+    valid = None if offsets is None else in_range_mask(offsets, t_q, t_k)
     slots = t_k if offsets is None else len(offsets)
     if (
         dim % heads
         or k.data.shape[1] != dim
-        or (valid is not None and valid.shape != (t_q, slots))
+        or (layout.query_len, layout.key_len) != (t_q, t_k)
         or (rpe is not None and rpe.data.shape != (slots, heads))
     ):
         raise ShapeError(f"slot softmax: q {q.data.shape}, k {k.data.shape}")
@@ -238,11 +238,12 @@ def slot_softmax_per_call(q, k, offsets, valid, heads, rpe=None):
     return T._make(probs, (q, k) if rpe is None else (q, k, rpe), backward)
 
 
-def slot_mix_per_call(p, v, offsets):
-    """``tensor.slot_mix`` with the slot span and band test redone per call."""
+def slot_mix_per_call(p, v, layout):
+    """``tensor.slot_mix`` with the slot span and band test redone per call
+    from the layout's offsets."""
     t_q, heads, slots = p.data.shape
     t_k, dim = v.data.shape
-    offsets, _ = _offsets_and_valid(offsets, None)
+    offsets = layout.offsets
     if dim % heads or slots != (t_k if offsets is None else len(offsets)):
         raise ShapeError(f"slot mix: p {p.data.shape}, v {v.data.shape}")
     if offsets is None:
@@ -317,7 +318,7 @@ def attention_loop(q, k, v, cfg, rpe=None, rng=None, train=False):
     if offsets is not None:
         keys = np.arange(t_q)[:, None] + offsets[None, :]
         flat_idx = np.clip(keys, 0, t_k - 1).reshape(-1)
-        in_range = (keys >= 0) & (keys < t_k)
+        in_range = in_range_mask(offsets, t_q, t_k)
         mask = T.Tensor(np.where(in_range, 0.0, T.MASK_VALUE).astype(q.data.dtype))
     outs, probs = [], []
     for h, (qh, kh, vh) in enumerate(zip(*(_split_heads(x, cfg.heads) for x in (q, k, v)))):
@@ -408,9 +409,11 @@ def f1_brute(pred, gt, threshold: float, ignored=()) -> tuple[float, int, int, i
 
 def valid_key_sets(record) -> list[set[int]]:
     """Attended key indices per query row of an AttentionRecord."""
-    if record.offsets is None:
-        return [set(range(record.key_len)) for _ in range(record.query_len)]
-    return [set((i + record.offsets[record.valid[i]]).tolist()) for i in range(record.query_len)]
+    offsets, key_len = record.layout.offsets, record.layout.key_len
+    if offsets is None:
+        return [set(range(key_len)) for _ in range(record.query_len)]
+    valid = in_range_mask(offsets, record.query_len, key_len)
+    return [set((i + offsets[valid[i]]).tolist()) for i in range(record.query_len)]
 
 
 def reconstruct_labels(segments) -> list:

@@ -256,22 +256,22 @@ def test_c01_gradient_suite():
             srng.standard_normal((7, 2, slots)), srng.random((7, 2, slots)),
         ))
     for name, offsets, qs, ks, tabs, ws, ps in slot_cases:
-        valid = A.slot_valid(offsets, 7, ks.shape[0])
+        layout = T.SlotLayout.build(offsets, 7, ks.shape[0])
         leaves = [T.tensor(a, requires_grad=True) for a in (qs, ks, tabs) if a is not None]
 
-        def softmax_f(*arrays, offsets=offsets, valid=valid, ws=ws):
+        def softmax_f(*arrays, layout=layout, ws=ws):
             ts = [T.tensor(a) for a in arrays]
-            return float((T.slot_softmax(ts[0], ts[1], offsets, valid, 2, *ts[2:]).data * ws).sum())
+            return float((T.slot_softmax(ts[0], ts[1], layout, 2, *ts[2:]).data * ws).sum())
 
-        T.sum_all(T.mul(T.slot_softmax(leaves[0], leaves[1], offsets, valid, 2, *leaves[2:]),
+        T.sum_all(T.mul(T.slot_softmax(leaves[0], leaves[1], layout, 2, *leaves[2:]),
                         T.tensor(ws))).backward()
         check(f"slot_softmax.{name}", softmax_f, [a.data for a in leaves], [a.grad for a in leaves])
         tp, tv = T.tensor(ps, requires_grad=True), T.tensor(ks, requires_grad=True)
-        T.sum_all(T.mul(T.slot_mix(tp, tv, offsets), T.tensor(wt))).backward()
+        T.sum_all(T.mul(T.slot_mix(tp, tv, layout), T.tensor(wt))).backward()
         check(
             f"slot_mix.{name}",
-            lambda pv, vv, offsets=offsets: float(
-                (T.slot_mix(T.tensor(pv), T.tensor(vv), offsets).data * wt).sum()
+            lambda pv, vv, layout=layout: float(
+                (T.slot_mix(T.tensor(pv), T.tensor(vv), layout).data * wt).sum()
             ),
             [ps, ks], [tp.grad, tv.grad],
         )
@@ -602,7 +602,7 @@ def test_c06_shape_architecture_suite():
     perfect = np.eye(5)[labels] * 30.0
     wrong = np.roll(perfect, 1, axis=1)
     doctored = N.StageOutputs(
-        logits=[T.tensor(perfect), T.tensor(wrong)], probs=[], records=[], encoder_lengths=[]
+        logits=[T.tensor(perfect), T.tensor(wrong)], probs=[], records=[]
     )
     last_stage_ok = bool(
         np.array_equal(N.final_prediction(doctored), np.argmax(wrong, axis=1))

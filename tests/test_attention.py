@@ -5,6 +5,7 @@ import pytest
 
 from _oracles import (
     attention_loop,
+    in_range_mask,
     logsparse_key_set,
     numeric_grad,
     rel_err,
@@ -35,7 +36,8 @@ def test_single_key_is_identity():
     q, k, v = rand_qkv(rng, 1, 4)
     out, record = A.attend(q, k, v, cfg_for("local", window=7, heads=2))
     np.testing.assert_allclose(out.data, v.data, atol=1e-12)
-    np.testing.assert_allclose(record.probs.data[0, 0, record.valid[0]], [1.0])
+    valid = in_range_mask(record.layout.offsets, 1, 1)
+    np.testing.assert_allclose(record.probs.data[0, 0, valid[0]], [1.0])
 
 
 def test_window_clamping_key_sets():
@@ -118,7 +120,8 @@ def test_rows_sum_to_one_all_patterns():
     for pattern in ("full", "local", "logsparse"):
         q, k, v = rand_qkv(rng, 11, 4)
         _, record = A.attend(q, k, v, cfg_for(pattern, window=5, heads=2))
-        valid = True if record.valid is None else record.valid[:, None, :]
+        offsets = record.layout.offsets
+        valid = True if offsets is None else in_range_mask(offsets, 11, 11)[:, None, :]
         sums = np.where(valid, record.probs.data, 0.0).sum(axis=2)
         np.testing.assert_allclose(sums, 1.0, atol=1e-5)
 
@@ -128,8 +131,8 @@ def test_local_storage_bound():
     t, w, h = 40, 7, 2
     q, k, v = rand_qkv(rng, t, 4)
     _, record = A.attend(q, k, v, cfg_for("local", window=w, heads=h))
-    assert record.entry_count == h * w * t
-    assert record.entry_count <= h * w * t
+    assert record.probs.data.size == h * w * t
+    assert record.probs.data.size <= h * w * t
 
 
 def test_zero_rpe_table_leaves_scores_unchanged():
@@ -268,8 +271,7 @@ SLOT_SHAPES = [(9, 9, 5), (6, 11, 5), (11, 6, 5), (3, 3, 7), (1, 1, 5), (1, 4, 3
 @pytest.mark.parametrize("use_rpe", [False, True])
 def test_slot_kernels_match_per_call_oracle_bytes(dtype, pattern, use_rpe):
     """The cached layout and the in-place chain give the per-call kernels'
-    probabilities, output and gradients byte for byte, whether the kernels
-    get the layout or its offsets and mask."""
+    probabilities, output and gradients byte for byte."""
     rng = np.random.default_rng(18)
     heads = 2
     for t_q, t_k, w in SLOT_SHAPES:
@@ -279,30 +281,38 @@ def test_slot_kernels_match_per_call_oracle_bytes(dtype, pattern, use_rpe):
         w_probs = T.tensor(rng.standard_normal((t_q, heads, layout.slots)).astype(dtype))
         w_out = T.tensor(rng.standard_normal((t_q, 3 * heads)).astype(dtype))
         results = []
-        for softmax, mix, slots, valid in (
-            (T.slot_softmax, T.slot_mix, layout, None),
-            (T.slot_softmax, T.slot_mix, layout.offsets, layout.valid),
-            (slot_softmax_per_call, slot_mix_per_call, layout.offsets, layout.valid),
-        ):
+        for softmax, mix in ((T.slot_softmax, T.slot_mix), (slot_softmax_per_call, slot_mix_per_call)):
             leaves = [T.tensor(a, requires_grad=True) for a in arrays]
-            probs = softmax(leaves[0], leaves[1], slots, valid, heads, leaves[3] if use_rpe else None)
-            out = mix(probs, leaves[2], slots)
+            probs = softmax(leaves[0], leaves[1], layout, heads, leaves[3] if use_rpe else None)
+            out = mix(probs, leaves[2], layout)
             T.add(T.sum_all(T.mul(probs, w_probs)), T.sum_all(T.mul(out, w_out))).backward()
             results.append([probs.data, out.data] + [x.grad for x in leaves[: 3 + use_rpe]])
-        for got in results[:2]:
-            for a, b in zip(got, results[2]):
-                assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+        for a, b in zip(*results):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("pattern", ["local", "full"])
+def test_slot_kernels_reject_a_layout_built_for_other_lengths(pattern):
+    rng = np.random.default_rng(20)
+    q, k, v = rand_qkv(rng, 6, 4)
+    for t_q, t_k in ((5, 6), (6, 7)):
+        layout = A.slot_layout(pattern, t_q, t_k, 3)
+        with pytest.raises(ShapeError, match="does not fit"):
+            T.slot_softmax(q, k, layout, 2)
+        p = T.tensor(np.full((6, 2, layout.slots), 1.0 / layout.slots))
+        with pytest.raises(ShapeError, match="does not fit"):
+            T.slot_mix(p, v, layout)
 
 
 def test_slot_layout_is_shared_read_only_and_masks_only_edge_rows():
     layout = A.slot_layout("local", 10, 10, 5)
     assert A.slot_layout("local", 10, 10, 5) is layout
     assert layout.edges == (slice(0, 2), slice(8, 10))  # w//2 rows at each end
-    for arr in (layout.offsets, layout.valid, *layout.masks[np.dtype(np.float32)]):
+    for arr in (layout.offsets, *layout.masks[np.dtype(np.float32)]):
         with pytest.raises(ValueError):
             arr[...] = 0
     full = A.slot_layout("full", 6, 9, 5)
-    assert full.offsets is None and full.valid is None and full.slots == 9
+    assert full.offsets is None and full.masks is None and full.slots == 9
     rng = np.random.default_rng(19)
     shapes = SLOT_SHAPES + [(40, 40, 11), (100, 100, 51), (64, 60, 3)]
     for pattern, (t_q, t_k, w), dtype in itertools.product(
@@ -310,7 +320,8 @@ def test_slot_layout_is_shared_read_only_and_masks_only_edge_rows():
     ):
         layout = A.slot_layout(pattern, t_q, t_k, w)
         scores = rng.standard_normal((t_q, 3, layout.slots)).astype(dtype)
-        want = scores + np.where(layout.valid, dtype(0.0), dtype(T.MASK_VALUE))[:, None, :]
+        valid = in_range_mask(layout.offsets, t_q, t_k)
+        want = scores + np.where(valid, dtype(0.0), dtype(T.MASK_VALUE))[:, None, :]
         for rows, mask in zip(layout.edges, layout.masks[np.dtype(dtype)]):
             scores[rows] += mask[:, None, :]
         assert scores.tobytes() == want.tobytes(), (pattern, t_q, t_k, w)
@@ -323,7 +334,8 @@ def test_attention_dropout_record_keeps_predrop_rows():
     cfg.dropout = 0.5
     stream = np.random.default_rng(0)
     _, record = A.attend(q, k, v, cfg, rng=stream, train=True)
-    sums = np.where(record.valid, record.probs.data[:, 0], 0.0).sum(axis=1)
+    valid = in_range_mask(record.layout.offsets, 12, 12)
+    sums = np.where(valid, record.probs.data[:, 0], 0.0).sum(axis=1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-6)
 
 
@@ -333,7 +345,7 @@ def test_cross_attention_lengths():
     q, k, v = rand_qkv(rng, 10, 4)
     out, record = A.attend(q, k, v, cfg_for("local", window=3, heads=2))
     assert out.data.shape == (10, 4)
-    assert record.query_len == record.key_len == 10
+    assert record.query_len == record.layout.key_len == 10
 
 
 def test_slot_count_formula():

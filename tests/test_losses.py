@@ -329,8 +329,7 @@ def test_total_loss_composition_and_scaling():
 
     # perfect predictions with lambda = beta = 0 -> 0
     perfect = N.StageOutputs(
-        logits=[T.tensor(np.eye(3)[labels] * 60.0)], probs=[], records=[(None, None)],
-        encoder_lengths=[[]],
+        logits=[T.tensor(np.eye(3)[labels] * 60.0)], probs=[], records=[(None, None)]
     )
     total3, _ = L.total_loss(perfect, labels, w_off, window=3)
     assert float(total3.data) < 1e-6
@@ -340,7 +339,6 @@ def test_total_loss_composition_and_scaling():
         logits=[out.logits[0]] * 3,
         probs=[out.probs[0]] * 3,
         records=[out.records[0]] * 3,
-        encoder_lengths=[out.encoder_lengths[0]] * 3,
     )
     weights_all = L.LossWeights(smooth_weight=0.15, boundary_weight=0.02)
     one, _ = L.total_loss(out, labels, weights_all, window=3)

@@ -38,6 +38,21 @@ def build(cfg, seed=0):
     return N.init_params(cfg, T.SeedStreams(seed))
 
 
+def record_every_attend(monkeypatch) -> list:
+    """Patch ``net.attend`` to also append each call's AttentionRecord to the
+    returned list, in call order."""
+    records = []
+    real = N.attend
+
+    def attend(*args, **kwargs):
+        out, record = real(*args, **kwargs)
+        records.append(record)
+        return out, record
+
+    monkeypatch.setattr(N, "attend", attend)
+    return records
+
+
 def test_downsample_examples():
     x = T.tensor(np.arange(8.0).reshape(4, 2))
     np.testing.assert_allclose(N.downsample_nearest(x).data, x.data[[0, 2]])
@@ -86,8 +101,8 @@ def test_zero_weights_reduce_to_normalized_downsample():
         params[f"{prefix}.{leaf}"].data[...] = 0.0
     rng = np.random.default_rng(2)
     h = T.tensor(rng.standard_normal((10, 8)))
-    out, _, recorded = N.encoder_layer(h, params, cfg, stage=0, layer=1)
-    assert recorded == 10
+    out, record = N.encoder_layer(h, params, cfg, stage=0, layer=1)
+    assert record.query_len == 5
     down = N.downsample_nearest(h)
     normed = T.instance_norm_temporal(
         down, T.tensor(np.ones(8)), T.tensor(np.zeros(8)), cfg.norm_eps
@@ -116,18 +131,21 @@ def test_decoder_constant_kv_is_convex_combination():
     out, record = N.decoder_layer(h_prev, peer, params, cfg, stage=0, layer=1)
     h1 = N.upsample_nearest(h_prev, 6)
     np.testing.assert_allclose(out.data - h1.data, np.tile(const_row, (6, 1)), atol=1e-10)
-    assert record.key_len == 6
+    assert record.layout.key_len == 6
 
 
-def test_decoder_peer_pairing_lengths():
+def test_decoder_peer_pairing_lengths(monkeypatch):
     cfg = tiny_cfg(layers=5, refinement_stages=0, input_dim=4, window=3)
     params = build(cfg)
     x = np.random.default_rng(4).standard_normal((64, 4))
+    records = record_every_attend(monkeypatch)
     out = N.model_forward(x, params, cfg)
-    # encoder pre-downsample lengths 64,32,16,8,4; decoder cross-attention
-    # key lengths walk back up 16,...,64 with the last peer = stage input
-    assert out.encoder_lengths[0] == [64, 32, 16, 8, 4]
-    assert out.records[0][1].key_len == 64
+    # encoder layers attend after halving 64 -> 32,...,2; decoder
+    # cross-attention walks back up 4,...,64 with the last peer = stage input
+    lengths = [(r.probs.data.shape[0], r.layout.key_len) for r in records]
+    assert lengths[:5] == [(32, 32), (16, 16), (8, 8), (4, 4), (2, 2)]
+    assert lengths[5:] == [(4, 4), (8, 8), (16, 16), (32, 32), (64, 64)]
+    assert out.records[0][0] is records[0] and out.records[0][1] is records[-1]
     assert out.logits[0].data.shape == (64, 3)
 
 
@@ -235,7 +253,8 @@ def test_positional_modes_forward():
         N.model_forward(x, build(cfg), cfg)
 
 
-def test_memory_accounting_matches_forward():
+def test_memory_accounting_matches_forward(monkeypatch):
+    records = record_every_attend(monkeypatch)
     for arch in ("utrans", "standard"):
         for pattern in ("local", "full", "logsparse"):
             cfg = tiny_cfg(
@@ -244,8 +263,11 @@ def test_memory_accounting_matches_forward():
             )
             params = build(cfg)
             t = 41
-            out = N.model_forward(np.random.default_rng(11).standard_normal((t, 4)), params, cfg)
-            assert out.attention_entries == N.count_attention_entries(cfg, t)
+            records.clear()
+            N.model_forward(np.random.default_rng(11).standard_normal((t, 4)), params, cfg)
+            assert len(records) == 2 * cfg.layers * cfg.num_stages
+            entries = sum(r.probs.data.size for r in records)
+            assert entries == N.count_attention_entries(cfg, t)
 
 
 def test_memory_contract_ordering_t1024():

@@ -604,8 +604,8 @@ def _probs32(rng, shape):
 def _op_cases():
     """(name, build) pairs; build(rng) returns (output, leaves), covering
     every public op of tensor.py, its 0-d outputs and 0-d chains."""
-    valid = np.ones((5, 3), dtype=bool)
-    valid[0, 0] = valid[4, 2] = False
+    band = T.SlotLayout.build(np.arange(-1, 2), 5, 5)
+    full = T.SlotLayout.build(None, 5, 6)
     stream = np.random.default_rng(1)
 
     def leaves(n, shape=(5, 4)):
@@ -617,7 +617,6 @@ def _op_cases():
         "sub": (leaves(2), lambda a, b: T.sub(a, b)),
         "mul": (leaves(2), lambda a, b: T.mul(a, b)),
         "mul.scalar": (leaves(1), lambda a: T.mul(a, 0.3)),
-        "neg": (leaves(1), lambda a: -a),
         "div": (lambda r: [_f32(r, (5, 4)), _f32(r, (5, 4), low=0.5)], lambda a, b: T.div(a, b)),
         "matmul": (lambda r: [_f32(r, (5, 4)), _f32(r, (4, 3))], lambda a, b: T.matmul(a, b)),
         "linear": (lambda r: [_f32(r, (5, 4)), _f32(r, (4, 6)), _f32(r, (6,))], T.linear),
@@ -651,19 +650,19 @@ def _op_cases():
         "dropout": (leaves(1), lambda a: T.dropout(a, 0.5, stream, train=True)),
         "slot_softmax": (
             lambda r: [_f32(r, (5, 4)), _f32(r, (5, 4)), _f32(r, (3, 2))],
-            lambda q, k, rpe: T.slot_softmax(q, k, np.arange(-1, 2), valid, 2, rpe),
+            lambda q, k, rpe: T.slot_softmax(q, k, band, 2, rpe),
         ),
         "slot_softmax.full": (
             lambda r: [_f32(r, (5, 4)), _f32(r, (6, 4))],
-            lambda q, k: T.slot_softmax(q, k, None, None, 2),
+            lambda q, k: T.slot_softmax(q, k, full, 2),
         ),
         "slot_mix": (
             lambda r: [_probs32(r, (5, 2, 3)), _f32(r, (5, 4))],
-            lambda p, v: T.slot_mix(p, v, np.arange(-1, 2)),
+            lambda p, v: T.slot_mix(p, v, band),
         ),
         "slot_mix.full": (
             lambda r: [_probs32(r, (5, 2, 6)), _f32(r, (6, 4))],
-            lambda p, v: T.slot_mix(p, v, None),
+            lambda p, v: T.slot_mix(p, v, full),
         ),
         "cross_entropy_from_logits": (
             leaves(1), lambda a: T.cross_entropy_from_logits(a, [0, 3, 1, 2, 0])
