@@ -49,11 +49,9 @@ def _configs_from_args(args):
 
 
 def _load_split(data_cfg: DataConfig):
-    samples, mapping = D.load_dataset(data_cfg.root, data_cfg.split, fps=data_cfg.fps)
-    if data_cfg.sample_rate > 1:
-        source = data_cfg.fps * data_cfg.sample_rate
-        samples = [D.resample_temporal(s, source, data_cfg.fps) for s in samples]
-    return samples, mapping
+    return D.load_dataset(
+        data_cfg.root, data_cfg.split, fps=data_cfg.fps, stride=data_cfg.sample_rate
+    )
 
 
 def _write_video_artifacts(out_dir: Path, sample, labels, mapping, num_classes):

@@ -17,9 +17,13 @@ from .trainer import TrainConfig
 class DataConfig:
     root: str = ""
     split: str = "splits/all.bundle"
-    sample_rate: int = 1  # temporal stride applied at load
+    sample_rate: int = 1  # temporal stride applied while reading features
     fps: float = 15.0
     ignored_classes: str = ""  # comma-separated class names dropped by metrics
+
+    def __post_init__(self):
+        if self.sample_rate < 1:
+            raise ConfigError(f"sample_rate must be >= 1, got {self.sample_rate}")
 
     def ignored(self) -> set[str]:
         return {part.strip() for part in self.ignored_classes.split(",") if part.strip()}

@@ -9,6 +9,12 @@ On-disk layout (drop-in for the common action-segmentation bundles):
 
 Feature files are self-describing: magic ``TUTFEAT1``, u32 rank (= 2),
 two u64 dims (T, d), then little-endian float32 row-major payload.
+
+The temporal sample rate is applied while reading: ``read_features(path,
+k)`` copies every k-th row into the one array the model consumes, reading
+the payload in chunks of about ``CHUNK_BYTES``, so a strided load never
+holds the full-rate matrix. ``load_dataset(..., stride=k)`` builds the
+strided samples and records their source length for upsampling.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ log = logging.getLogger(__name__)
 
 FEATURE_MAGIC = b"TUTFEAT1"
 HEADER_BYTES = 28  # magic, u32 rank, two u64 dims
+CHUNK_BYTES = 1 << 20  # payload bytes per read when only every k-th row is kept
 
 
 @dataclass
@@ -104,25 +111,44 @@ def write_features(path, array: np.ndarray):
         fh.write(arr.tobytes(order="C"))
 
 
-def read_features(path) -> np.ndarray:
-    """Read a feature file straight into one array; the header and the file
-    size are checked before the payload is allocated."""
+def _check_header(fh, path) -> tuple[int, int]:
+    """Check the magic, the rank and the file size; return (T, d)."""
+    header = fh.read(HEADER_BYTES)
+    if not FEATURE_MAGIC.startswith(header[:8]):  # a cut inside the magic is a truncation
+        raise DatasetError(f"{path}: bad feature magic")
+    if len(header) < HEADER_BYTES:
+        raise DatasetError(f"{path}: truncated header ({len(header)} < {HEADER_BYTES} bytes)")
+    rank, t, d = struct.unpack_from("<IQQ", header, 8)
+    if rank != 2:
+        raise DatasetError(f"{path}: expected rank 2, got {rank}")
+    size = os.fstat(fh.fileno()).st_size
+    expected = HEADER_BYTES + 4 * t * d
+    if size != expected:
+        raise DatasetError(f"{path}: file is {size} bytes, its header says {expected}")
+    return t, d
+
+
+def read_features(path, stride: int = 1) -> np.ndarray:
+    """Read every ``stride``-th row of a feature file into one
+    ``(ceil(T / stride), d)`` array; the header and the file size are checked
+    before it is allocated. At stride 1 the payload is read straight into
+    it; otherwise it passes through a buffer of at most ``CHUNK_BYTES`` (or
+    ``stride`` rows), so the full-rate matrix is never held."""
     with open(path, "rb") as fh:
-        header = fh.read(HEADER_BYTES)
-        if not FEATURE_MAGIC.startswith(header[:8]):  # a cut inside the magic is a truncation
-            raise DatasetError(f"{path}: bad feature magic")
-        if len(header) < HEADER_BYTES:
-            raise DatasetError(f"{path}: truncated header ({len(header)} < {HEADER_BYTES} bytes)")
-        rank, t, d = struct.unpack_from("<IQQ", header, 8)
-        if rank != 2:
-            raise DatasetError(f"{path}: expected rank 2, got {rank}")
-        size = os.fstat(fh.fileno()).st_size
-        expected = HEADER_BYTES + 4 * t * d
-        if size != expected:
-            raise DatasetError(f"{path}: file is {size} bytes, its header says {expected}")
-        out = np.empty((t, d), dtype="<f4")
-        if fh.readinto(out) != out.nbytes:
-            raise DatasetError(f"{path}: file shrank while reading")
+        t, d = _check_header(fh, path)
+        out = np.empty((-(-t // stride), d), dtype="<f4")
+        if stride == 1:
+            if fh.readinto(out) != out.nbytes:
+                raise DatasetError(f"{path}: file shrank while reading")
+            return out
+        group = stride * max(1, CHUNK_BYTES // max(1, 4 * d * stride))  # rows per read
+        buf = np.empty((min(group, t), d), dtype="<f4")
+        for start in range(0, t, group):
+            rows = buf[: min(group, t - start)]
+            if fh.readinto(rows) != rows.nbytes:
+                raise DatasetError(f"{path}: file shrank while reading")
+            kept = rows[::stride]
+            out[start // stride : start // stride + kept.shape[0]] = kept
     return out
 
 
@@ -159,12 +185,16 @@ def _clean_video_id(raw: str) -> str:
     return vid[:-4] if vid.endswith(".txt") else vid
 
 
-def load_dataset(root, split_file, fps: float = 15.0) -> tuple[list[VideoSample], ClassMapping]:
-    """Load every video listed in a split bundle.
+def load_dataset(
+    root, split_file, fps: float = 15.0, stride: int = 1
+) -> tuple[list[VideoSample], ClassMapping]:
+    """Load every video listed in a split bundle, keeping every
+    ``stride``-th frame.
 
-    Feature/label length mismatches are resolved by truncating to the
-    shorter side (with a warning); a missing feature file or an unknown
-    class name is an error.
+    Feature/label length mismatches are resolved by truncating both to the
+    shorter source length (with a warning) before striding; a missing
+    feature file or an unknown class name is an error. A strided sample
+    records its source length, so predictions can be restored to it.
     """
     root = Path(root)
     mapping = read_mapping(root / "mapping.txt")
@@ -183,44 +213,31 @@ def load_dataset(root, split_file, fps: float = 15.0) -> tuple[list[VideoSample]
         feat_path = root / "features" / f"{vid}.feat"
         if not feat_path.exists():
             raise DatasetError(f"missing feature file {feat_path}")
-        features = read_features(feat_path)
+        features = read_features(feat_path, stride)
+        with open(feat_path, "rb") as fh:
+            frames = _check_header(fh, feat_path)[0]  # source rows, before striding
         gt_path = root / "groundTruth" / f"{vid}.txt"
         if not gt_path.exists():
             raise DatasetError(f"missing ground-truth file {gt_path}")
         names = [line.strip() for line in gt_path.read_text().splitlines() if line.strip()]
         labels = np.array([mapping.id_of(name) for name in names], dtype=np.int64)
-        if labels.shape[0] != features.shape[0]:
-            keep = min(labels.shape[0], features.shape[0])
+        keep = min(labels.shape[0], frames)
+        if labels.shape[0] != frames:
             log.warning(
                 "%s: %d labels vs %d feature rows, truncating to %d",
-                vid, labels.shape[0], features.shape[0], keep,
+                vid, labels.shape[0], frames, keep,
             )
             labels = labels[:keep]
-            features = features[:keep]
-        samples.append(VideoSample(vid, features, labels, fps=fps))
+            features = features[: -(-keep // stride)]
+        samples.append(VideoSample(
+            vid, features, labels[::stride], fps=fps,
+            source_len=keep if stride > 1 else None, stride=stride,
+        ))
     return samples, mapping
 
 
 # ---------------------------------------------------------------------------
-# temporal resampling
-
-
-def resample_temporal(sample: VideoSample, source_fps: float, target_fps: float) -> VideoSample:
-    """Stride-k frame selection; only integer ratios are supported."""
-    ratio = source_fps / target_fps
-    if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
-        raise DatasetError(f"unsupported resampling ratio {source_fps}/{target_fps}")
-    k = int(round(ratio))
-    if k == 1:
-        return sample
-    return VideoSample(
-        sample.video_id,
-        np.ascontiguousarray(sample.features[::k]),  # a copy, so the full-rate array is freed
-        sample.labels[::k],
-        fps=target_fps,
-        source_len=sample.num_frames,
-        stride=k,
-    )
+# restoring the source rate
 
 
 def upsample_predictions(labels, factor: int, original_len: int) -> np.ndarray:

@@ -73,13 +73,23 @@ def _levenshtein(a: list, b: list) -> int:
     return prev[-1]
 
 
-def edit_score(pred, gt, ignored_classes=()) -> float:
-    """100 * (1 - normalized Levenshtein between segment-class sequences)."""
-    sp = [s.label for s in extract_segments(pred) if s.label not in ignored_classes]
-    sg = [s.label for s in extract_segments(gt) if s.label not in ignored_classes]
+def _kept_segments(labels, ignored_classes) -> list[Segment]:
+    return [s for s in extract_segments(labels) if s.label not in ignored_classes]
+
+
+def _edit_from_segments(pred_segs: list[Segment], gt_segs: list[Segment]) -> float:
+    sp = [s.label for s in pred_segs]
+    sg = [s.label for s in gt_segs]
     if not sp and not sg:
         return 100.0
     return 100.0 * (1.0 - _levenshtein(sp, sg) / max(len(sp), len(sg)))
+
+
+def edit_score(pred, gt, ignored_classes=()) -> float:
+    """100 * (1 - normalized Levenshtein between segment-class sequences)."""
+    return _edit_from_segments(
+        _kept_segments(pred, ignored_classes), _kept_segments(gt, ignored_classes)
+    )
 
 
 def _segment_iou(a: Segment, b: Segment) -> float:
@@ -99,8 +109,14 @@ def f1_counts(pred, gt, threshold: float, ignored_classes=()) -> tuple[int, int,
     reaches the threshold, consuming the ground-truth segment. Every
     unmatched ground-truth segment is a false negative.
     """
-    pred_segs = [s for s in extract_segments(pred) if s.label not in ignored_classes]
-    gt_segs = [s for s in extract_segments(gt) if s.label not in ignored_classes]
+    return _match_segments(
+        _kept_segments(pred, ignored_classes), _kept_segments(gt, ignored_classes), threshold
+    )
+
+
+def _match_segments(
+    pred_segs: list[Segment], gt_segs: list[Segment], threshold: float
+) -> tuple[int, int, int]:
     matched = [False] * len(gt_segs)
     tp = fp = 0
     for ps in pred_segs:
@@ -131,12 +147,22 @@ def f1_overlap(pred, gt, threshold: float, ignored_classes=()) -> float:
     return _f1_from_counts(*f1_counts(pred, gt, threshold, ignored_classes))
 
 
-def evaluate(pred, gt, thresholds=DEFAULT_THRESHOLDS, ignored_classes=()) -> EvalReport:
-    return EvalReport(
+def _evaluate_video(pred, gt, thresholds, ignored_classes):
+    """One video's report and its TP/FP/FN counts per threshold, read from
+    one segmentation of each label sequence."""
+    pred_segs = _kept_segments(pred, ignored_classes)
+    gt_segs = _kept_segments(gt, ignored_classes)
+    counts = {tau: _match_segments(pred_segs, gt_segs, tau) for tau in thresholds}
+    report = EvalReport(
         acc=frame_accuracy(pred, gt),
-        edit=edit_score(pred, gt, ignored_classes),
-        f1={tau: f1_overlap(pred, gt, tau, ignored_classes) for tau in thresholds},
+        edit=_edit_from_segments(pred_segs, gt_segs),
+        f1={tau: _f1_from_counts(*counts[tau]) for tau in thresholds},
     )
+    return report, counts
+
+
+def evaluate(pred, gt, thresholds=DEFAULT_THRESHOLDS, ignored_classes=()) -> EvalReport:
+    return _evaluate_video(pred, gt, thresholds, ignored_classes)[0]
 
 
 def evaluate_corpus(
@@ -144,19 +170,19 @@ def evaluate_corpus(
 ) -> EvalReport:
     """Corpus metrics: frame-pooled accuracy, per-video-averaged edit,
     TP/FP/FN-pooled F1 (per-video-averaged F1 kept alongside)."""
-    per_video = [evaluate(p, g, thresholds, ignored_classes) for p, g in pairs]
+    per_video = []
     correct = total = 0
     pooled = {tau: [0, 0, 0] for tau in thresholds}
     for pred, gt in pairs:
+        report, counts = _evaluate_video(pred, gt, thresholds, ignored_classes)
+        per_video.append(report)
         pred = np.asarray(pred)
         gt = np.asarray(gt)
         correct += int(np.sum(pred == gt))
         total += len(gt)
         for tau in thresholds:
-            tp, fp, fn = f1_counts(pred, gt, tau, ignored_classes)
-            pooled[tau][0] += tp
-            pooled[tau][1] += fp
-            pooled[tau][2] += fn
+            for i, n in enumerate(counts[tau]):
+                pooled[tau][i] += n
     return EvalReport(
         acc=100.0 * correct / total if total else 100.0,
         edit=float(np.mean([r.edit for r in per_video])) if per_video else 100.0,

@@ -6,9 +6,11 @@ arithmetic for segment metrics, plain-python loops for divergences,
 per-head loops of small graph ops for attention, a per-tensor Adam loop
 for the arena optimizer, the float64-uniform dropout and add-then-norm
 nodes the lean training graph replaced, and the slot kernels and norm that
-rebuilt their masks per call and computed out of place. The last section holds the probes
-that only tests need: they read what the library's forward pass records,
-outside any graph.
+rebuilt their masks per call and computed out of place, the corpus
+metrics that segmented each label sequence once per metric, and the
+load-then-stride resampling the strided feature read replaced. The last
+section holds the probes that only tests need: they read what the
+library's forward pass records, outside any graph.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ import numpy as np
 
 from tut import attention as A
 from tut import losses as L
+from tut import metrics as M
 from tut import net as N
 from tut import tensor as T
-from tut.errors import NumericError, ShapeError
+from tut.data import VideoSample
+from tut.errors import DatasetError, NumericError, ShapeError
 
 
 def numeric_grad(fn, arrays: list[np.ndarray], index: int, h: float = 1e-4) -> np.ndarray:
@@ -401,6 +405,68 @@ def f1_brute(pred, gt, threshold: float, ignored=()) -> tuple[float, int, int, i
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     return 200.0 * precision * recall / (precision + recall), tp, fp, fn
+
+
+# ---------------------------------------------------------------------------
+# corpus metrics through the per-metric functions
+
+
+def evaluate_corpus_per_call(pairs, thresholds=M.DEFAULT_THRESHOLDS, ignored_classes=()):
+    """Corpus report through the public per-metric functions, each of which
+    segments both label sequences again."""
+    per_video = [
+        M.EvalReport(
+            acc=M.frame_accuracy(p, g),
+            edit=M.edit_score(p, g, ignored_classes),
+            f1={tau: M.f1_overlap(p, g, tau, ignored_classes) for tau in thresholds},
+        )
+        for p, g in pairs
+    ]
+    correct = total = 0
+    pooled = {tau: [0, 0, 0] for tau in thresholds}
+    for pred, gt in pairs:
+        pred = np.asarray(pred)
+        gt = np.asarray(gt)
+        correct += int(np.sum(pred == gt))
+        total += len(gt)
+        for tau in thresholds:
+            tp, fp, fn = M.f1_counts(pred, gt, tau, ignored_classes)
+            pooled[tau][0] += tp
+            pooled[tau][1] += fp
+            pooled[tau][2] += fn
+    return M.EvalReport(
+        acc=100.0 * correct / total if total else 100.0,
+        edit=float(np.mean([r.edit for r in per_video])) if per_video else 100.0,
+        f1={tau: M._f1_from_counts(*pooled[tau]) for tau in thresholds},
+        per_video=per_video,
+        per_video_f1={
+            tau: float(np.mean([r.f1[tau] for r in per_video])) if per_video else 0.0
+            for tau in thresholds
+        },
+    )
+
+
+# ---------------------------------------------------------------------------
+# load-then-stride temporal resampling
+
+
+def resample_temporal(sample: VideoSample, source_fps: float, target_fps: float) -> VideoSample:
+    """Stride-k frame selection of a loaded full-rate sample; only integer
+    ratios are supported."""
+    ratio = source_fps / target_fps
+    if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
+        raise DatasetError(f"unsupported resampling ratio {source_fps}/{target_fps}")
+    k = int(round(ratio))
+    if k == 1:
+        return sample
+    return VideoSample(
+        sample.video_id,
+        np.ascontiguousarray(sample.features[::k]),
+        sample.labels[::k],
+        fps=target_fps,
+        source_len=sample.num_frames,
+        stride=k,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -242,12 +242,21 @@ def _truncated_features(trained, synth_root, tmp_path):
             "--checkpoint", str(trained / "checkpoint.ckpt")]
 
 
+def _sample_rate(rate):
+    # a rate below 1 would divide by zero in the strided read
+    def make_argv(trained, synth_root, tmp_path):
+        return ["eval", "--data-root", str(synth_root), "--out", str(tmp_path / "eval"),
+                "--checkpoint", str(trained / "checkpoint.ckpt"), "--sample-rate", rate]
+
+    return make_argv
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [_empty_split, _not_a_checkpoint, _non_finite_features, _feature_dim_mismatch,
-     _truncated_checkpoint, _truncated_features],
+     _truncated_checkpoint, _truncated_features, _sample_rate("0"), _sample_rate("-3")],
     ids=["DatasetError", "CheckpointError", "TrainingDiverged", "ShapeError",
-         "TruncatedCheckpoint", "TruncatedFeatures"],
+         "TruncatedCheckpoint", "TruncatedFeatures", "SampleRateZero", "SampleRateNegative"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_typed_failures_exit_2_with_one_line(make_argv, trained, synth_root, tmp_path, capsys):

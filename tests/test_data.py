@@ -1,10 +1,13 @@
 import re
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from _oracles import resample_temporal
 from tut import data as D
 from tut import losses as L
 from tut import metrics as M
@@ -47,9 +50,9 @@ def test_short_feature_header_raises_dataset_error(tmp_path, keep):
 @given(data=st.data())
 def test_damaged_feature_file_loads_identically_or_raises(tmp_path, data):
     """A truncation anywhere, or a byte flip anywhere in the 28-byte header,
-    loads the same array or raises DatasetError. The format has no checksum,
-    so a flip inside the float payload loads a changed value; such flips are
-    not drawn."""
+    loads the same array (every stride-th row of it, at any stride) or
+    raises DatasetError. The format has no checksum, so a flip inside the
+    float payload loads a changed value; such flips are not drawn."""
     arr = np.random.default_rng(5).standard_normal((6, 4)).astype(np.float32)
     path = tmp_path / "x.feat"
     D.write_features(path, arr)
@@ -61,21 +64,74 @@ def test_damaged_feature_file_loads_identically_or_raises(tmp_path, data):
         flip = data.draw(st.integers(1, 255), label="xor")
         damaged = raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1 :]
     path.write_bytes(damaged)
+    stride = data.draw(st.integers(1, 4), label="stride")
     try:
-        loaded = D.read_features(path)
+        loaded = D.read_features(path, stride)
     except DatasetError as exc:
         assert str(path) in str(exc)
         return
     assert len(damaged) == len(raw)
-    assert loaded.dtype == np.float32 and loaded.shape == arr.shape
-    np.testing.assert_array_equal(loaded, arr)
+    assert loaded.dtype == np.float32 and loaded.shape == arr[::stride].shape
+    np.testing.assert_array_equal(loaded, arr[::stride])
 
 
-def test_resample_keeps_no_view_of_the_full_rate_features():
-    sample = D.VideoSample("v", np.arange(20, dtype=np.float32).reshape(10, 2), np.arange(10))
-    strided = D.resample_temporal(sample, 30.0, 15.0)
-    assert strided.features.base is None and strided.features.flags.c_contiguous
-    np.testing.assert_array_equal(strided.features, sample.features[::2])
+# rows per 1 MiB chunk at d = 64: four of them span several chunks at every stride
+SEVERAL_CHUNKS = 3 * (D.CHUNK_BYTES // (4 * 64)) + 5
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 4])
+@pytest.mark.parametrize("rows", ["1", "k-1", "k", "k+1", "several chunks"])
+@pytest.mark.parametrize("chunk_bytes", [D.CHUNK_BYTES, 40], ids=["chunk", "row-sized-chunk"])
+def test_strided_read_equals_full_read_then_stride(tmp_path, monkeypatch, stride, rows, chunk_bytes):
+    t = {"1": 1, "k-1": stride - 1, "k": stride, "k+1": stride + 1,
+         "several chunks": SEVERAL_CHUNKS}[rows]
+    path = tmp_path / "x.feat"
+    D.write_features(path, np.random.default_rng(t).standard_normal((t, 64)).astype(np.float32))
+    monkeypatch.setattr(D, "CHUNK_BYTES", chunk_bytes)  # 40 bytes: each read is `stride` rows
+    full = D.read_features(path)
+    got = D.read_features(path, stride)
+    assert got.dtype == full.dtype and got.shape == full[::stride].shape
+    assert got.flags.c_contiguous and got.tobytes() == full[::stride].tobytes()
+
+
+@pytest.mark.parametrize("stride", [2, 3])
+def test_strided_read_of_a_damaged_file_raises_with_the_path(tmp_path, monkeypatch, stride):
+    arr = np.arange(40, dtype=np.float32).reshape(10, 4)
+    path = tmp_path / "x.feat"
+    D.write_features(path, arr)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-4])  # truncated payload
+    with pytest.raises(DatasetError, match=re.escape(str(path))):
+        D.read_features(path, stride)
+    path.write_bytes(raw[:16] + (11).to_bytes(8, "little") + raw[24:])  # header says T = 11
+    with pytest.raises(DatasetError, match=re.escape(str(path))):
+        D.read_features(path, stride)
+    # the size check passes, then the payload runs out mid-read
+    path.write_bytes(raw[:-20])
+    monkeypatch.setattr(D, "os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=len(raw))))
+    with pytest.raises(DatasetError, match=re.escape(str(path)) + ".*shrank"):
+        D.read_features(path, stride)
+
+
+def test_strided_load_never_holds_the_full_rate_features(tmp_path):
+    rows, dim = 2000, 1024  # 8 MiB at the full rate, 4 MiB kept
+    write_toy_dataset(tmp_path, {"v": ["a"] * (rows // 2) + ["b"] * (rows // 2)}, d=dim)
+    path = tmp_path / "features" / "v.feat"
+    kept = 4 * dim * (rows // 2)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        features = D.read_features(path, 2)
+        read_peak = tracemalloc.get_traced_memory()[1]
+        del features
+        tracemalloc.reset_peak()
+        samples, _ = D.load_dataset(tmp_path, "splits/all.bundle", stride=2)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples[0].features.nbytes == kept
+    assert read_peak <= kept + D.CHUNK_BYTES + 2**16
+    assert load_peak <= kept + D.CHUNK_BYTES + 2**17  # plus the parsed label lines
 
 
 def test_import_numpy_features(tmp_path):
@@ -127,6 +183,35 @@ def test_label_feature_mismatch_truncates_with_warning(tmp_path, caplog):
     assert any("truncating" in rec.message for rec in caplog.records)
 
 
+@pytest.mark.parametrize("stride", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "extra", [0, 3, -3, -4], ids=["equal", "more-labels", "fewer-labels", "fewer-labels-by-4"]
+)
+def test_strided_load_equals_load_then_stride_oracle(tmp_path, caplog, stride, extra):
+    rows = {"v1": 11, "v2": 13}
+    names = ["a", "a", "b", "c", "c", "c", "a"] * 3
+    write_toy_dataset(tmp_path, {vid: names[: n + extra] for vid, n in rows.items()}, d=5)
+    for seed, (vid, n) in enumerate(rows.items()):
+        features = np.random.default_rng(seed).standard_normal((n, 5)).astype(np.float32)
+        D.write_features(tmp_path / "features" / f"{vid}.feat", features)
+    with caplog.at_level("WARNING"):
+        full, mapping = D.load_dataset(tmp_path, "splits/all.bundle", fps=15.0)
+    oracle_warnings = [rec.getMessage() for rec in caplog.records]
+    assert len(oracle_warnings) == (2 if extra else 0)
+    expected = [resample_temporal(s, 15.0 * stride, 15.0) for s in full]
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        got, got_mapping = D.load_dataset(tmp_path, "splits/all.bundle", fps=15.0, stride=stride)
+    assert [rec.getMessage() for rec in caplog.records] == oracle_warnings
+    assert got_mapping.names == mapping.names
+    fields = ("video_id", "fps", "source_len", "stride", "num_frames")
+    for a, b in zip(got, expected, strict=True):
+        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+        assert a.features.dtype == b.features.dtype and a.features.shape == b.features.shape
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels.dtype == b.labels.dtype and a.labels.tobytes() == b.labels.tobytes()
+
+
 def test_malformed_mapping_line_reports_lineno(tmp_path):
     write_toy_dataset(tmp_path, {"v1": ["a", "b"]})
     (tmp_path / "mapping.txt").write_text("0 a\nbroken line here\n")
@@ -145,17 +230,14 @@ def test_unknown_class_and_missing_feature(tmp_path):
         D.load_dataset(tmp_path, "splits/all.bundle")
 
 
-def test_resample_and_upsample_predictions():
-    sample = D.VideoSample(
-        "v", np.arange(12, dtype=np.float32).reshape(6, 2), np.array([0, 0, 1, 1, 2, 2])
-    )
-    half = D.resample_temporal(sample, 30.0, 15.0)
+def test_resample_and_upsample_predictions(tmp_path):
+    write_toy_dataset(tmp_path, {"v": ["a", "a", "b", "b", "c", "c"]}, d=2)
+    D.write_features(tmp_path / "features" / "v.feat", np.arange(12, dtype=np.float32).reshape(6, 2))
+    (half,), _ = D.load_dataset(tmp_path, "splits/all.bundle", stride=2)
     assert half.num_frames == 3
     np.testing.assert_array_equal(half.labels, [0, 1, 2])
     np.testing.assert_array_equal(half.features[:, 0], [0, 4, 8])
-    assert half.source_len == 6
-    with pytest.raises(DatasetError):
-        D.resample_temporal(sample, 30.0, 20.0)
+    assert half.source_len == 6 and half.stride == 2
 
     np.testing.assert_array_equal(D.upsample_predictions([0, 1], 2, 4), [0, 0, 1, 1])
     np.testing.assert_array_equal(D.upsample_predictions([0, 1, 2], 2, 5), [0, 0, 1, 1, 2])

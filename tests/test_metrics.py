@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import edit_score_brute, f1_brute, reconstruct_labels, segments_brute
+from _oracles import (
+    edit_score_brute,
+    evaluate_corpus_per_call,
+    f1_brute,
+    reconstruct_labels,
+    segments_brute,
+)
 from tut import metrics as M
 from tut.errors import ShapeError
 
@@ -131,6 +137,30 @@ def test_corpus_pooling():
     alone = M.evaluate(*perfect)
     assert single.acc == alone.acc and single.edit == alone.edit
     assert single.f1 == alone.f1
+
+
+@st.composite
+def corpus_pairs(draw):
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        gt = draw(label_seqs)
+        pred = draw(st.lists(st.integers(0, 2), min_size=len(gt), max_size=len(gt)))
+        as_array = draw(st.booleans())
+        pairs.append((np.array(pred), np.array(gt)) if as_array else (pred, gt))
+    return pairs
+
+
+@given(
+    corpus_pairs(),
+    st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0]), max_size=3, unique=True),
+    st.sets(st.integers(0, 2), max_size=2),
+)
+@settings(max_examples=200, deadline=None)
+def test_corpus_report_equals_per_call_oracle(pairs, thresholds, ignored):
+    # dataclass equality: every per-video report and pooled figure, so metrics.csv too
+    assert M.evaluate_corpus(pairs, thresholds, ignored) == evaluate_corpus_per_call(
+        pairs, thresholds, ignored
+    )
 
 
 def test_report_csv_and_table():

@@ -7,6 +7,7 @@ from _oracles import (
     boundary_alignment,
     dropout_uniform,
     norm_out_of_place,
+    resample_temporal,
     slot_mix_per_call,
     slot_softmax_per_call,
 )
@@ -176,7 +177,7 @@ def test_empty_dataset_rejected():
 
 def test_predict_upsamples_to_source_rate():
     samples, _ = tiny_dataset(videos=1)
-    half = D.resample_temporal(samples[0], 30.0, 15.0)
+    half = resample_temporal(samples[0], 30.0, 15.0)
     cfg = tiny_model()
     result = TR.train([half], cfg, TR.TrainConfig(epochs=1, lr=1e-3, seed=5))
     up = TR.predict_sample(result.params, cfg, half, upsample=True)
@@ -187,7 +188,7 @@ def test_upsample_uses_the_load_stride(monkeypatch):
     # 10 source frames at stride 4 keep frames 0, 4, 8; the length ratio
     # rounds to 3, but each prediction must cover 4 source frames
     source = D.VideoSample("v", np.zeros((10, 8), dtype=np.float32), np.zeros(10, dtype=int))
-    strided = D.resample_temporal(source, 60.0, 15.0)
+    strided = resample_temporal(source, 60.0, 15.0)
     assert strided.num_frames == 3
     monkeypatch.setattr(TR, "final_prediction", lambda outputs: np.array([0, 1, 2]))
     cfg = tiny_model(layers=1, refinement_stages=0)
@@ -289,6 +290,9 @@ def test_config_file_and_override_precedence(tmp_path):
     bad.write_text("[nope]\nx = 1\n")
     with pytest.raises(ConfigError):
         build_configs(config_file=bad)
+    for rate in ("0", "-3"):
+        with pytest.raises(ConfigError, match="sample_rate"):
+            build_configs(overrides={"sample_rate": rate})
 
 
 def test_adam_state_lives_across_epochs():
