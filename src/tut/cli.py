@@ -8,6 +8,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import data as D
 from . import metrics as M
 from . import trainer as TR
@@ -58,16 +60,16 @@ def _write_video_artifacts(out_dir: Path, sample, labels, mapping, num_classes):
     (out_dir / "predictions").mkdir(parents=True, exist_ok=True)
     (out_dir / "segments").mkdir(exist_ok=True)
     (out_dir / "timelines").mkdir(exist_ok=True)
-    names = [mapping.name_of(int(c)) for c in labels]
+    lines = np.array([name + "\n" for name in mapping.names], dtype=object)
     (out_dir / "predictions" / f"{sample.video_id}.txt").write_text(
-        "".join(n + "\n" for n in names)
+        "".join(lines[labels].tolist())
     )
     (out_dir / "segments" / f"{sample.video_id}.csv").write_text(
         TR.segments_csv(labels, mapping)
     )
-    strips = [("prediction", list(labels))]
+    strips = [("prediction", labels)]
     if sample.labels is not None and len(sample.labels) == len(labels):
-        strips.append(("ground truth", list(sample.labels)))
+        strips.append(("ground truth", sample.labels))
     (out_dir / "timelines" / f"{sample.video_id}.svg").write_text(
         render_timeline(strips, num_classes)
     )
@@ -107,9 +109,8 @@ def cmd_eval(args) -> int:
     model_cfg, train_cfg, data_cfg = _configs_from_args(args)
     samples, mapping = _load_split(data_cfg)
     thresholds = _thresholds(args.thresholds)
-    report, predictions = TR.evaluate_run(
-        args.checkpoint, samples, thresholds, data_cfg.ignored()
-    )
+    ignored = {mapping.id_of(name) for name in data_cfg.ignored()}
+    report, predictions = TR.evaluate_run(args.checkpoint, samples, thresholds, ignored)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.csv").write_text(M.report_csv(report))

@@ -19,7 +19,7 @@ class DataConfig:
     split: str = "splits/all.bundle"
     sample_rate: int = 1  # temporal stride applied while reading features
     fps: float = 15.0
-    ignored_classes: str = ""  # comma-separated class names dropped by metrics
+    ignored_classes: str = ""  # comma-separated class names edit and F1 drop
 
     def __post_init__(self):
         if self.sample_rate < 1:

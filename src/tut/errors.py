@@ -27,3 +27,7 @@ class CheckpointError(RuntimeError):
 
 class TrainingDiverged(RuntimeError):
     """Training loss became non-finite."""
+
+
+class GraphReleasedError(RuntimeError):
+    """Backward reached a node whose graph an earlier backward released."""

@@ -40,15 +40,18 @@ class EvalReport:
 
 
 def extract_segments(labels) -> list[Segment]:
-    """Run-length encode a label sequence into (class, start, end) segments."""
-    labels = list(labels)
-    segments: list[Segment] = []
-    for i, label in enumerate(labels):
-        if segments and segments[-1].label == label:
-            segments[-1].end = i
-        else:
-            segments.append(Segment(label, i, i))
-    return segments
+    """Run-length encode a label sequence into (class, start, end) segments.
+
+    A segment's label is the sequence's own element at its start, so it
+    keeps that element's type (a numpy scalar from an array, the object
+    itself from any other sequence)."""
+    if not isinstance(labels, np.ndarray):  # compare python elements as python does
+        labels = np.fromiter(labels, dtype=object)
+    if len(labels) == 0:
+        return []
+    starts = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()]
+    ends = [s - 1 for s in starts[1:]] + [len(labels) - 1]
+    return [Segment(labels[s], s, e) for s, e in zip(starts, ends)]
 
 
 def frame_accuracy(pred, gt) -> float:

@@ -2,8 +2,13 @@
 
 Define-by-run: each operation stores its parents and a backward closure on
 the output node; ``Tensor.backward()`` replays the closures in reverse
-topological order. Graphs are rebuilt on every forward pass and garbage
-collected afterwards, so variable-length sequences need no special casing.
+topological order. Graphs are rebuilt on every forward pass, so
+variable-length sequences need no special casing.
+
+Backward releases the graph as it runs (see ``Tensor.backward``): interior
+gradients are not kept, requires-grad leaves keep theirs, and a second
+backward that reaches a released node, from the same root or another one
+sharing part of the graph, raises ``GraphReleasedError``.
 
 float32 is the training default and float64 is used by gradient tests. An
 op's value and gradients keep its inputs' dtype, 0-d results included;
@@ -41,7 +46,7 @@ from types import MappingProxyType
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import DomainError, NumericError, ShapeError
+from .errors import DomainError, GraphReleasedError, NumericError, ShapeError
 
 Array = np.ndarray
 
@@ -51,9 +56,10 @@ MASK_VALUE = -1e30  # additive score for attention slots outside the key range
 class Tensor:
     """N-d array node in the autodiff graph.
 
-    ``grad`` is populated on requires-grad leaves (and intermediates) by
-    ``backward()`` and has the same shape as ``data``. Forward values are
-    immutable once computed; gradient accumulation is single-threaded.
+    ``grad`` is populated on requires-grad leaves by ``backward()`` and has
+    the same shape as ``data``; an interior node's ``grad`` is None again
+    once backward has passed it on. Forward values are immutable once
+    computed; gradient accumulation is single-threaded.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -83,13 +89,27 @@ class Tensor:
         return Tensor(self.data, requires_grad=False)
 
     def backward(self, grad: Array | None = None):
-        """Accumulate gradients into every reachable requires-grad node."""
+        """Accumulate gradients into every reachable requires-grad leaf.
+
+        Nodes run in reverse topological order. Once an interior node's
+        closure has passed its gradient to its parents, the node drops its
+        ``grad``, parents and closure, so the saved activations and interior
+        gradients are freed during the pass, not when the caller lets go of
+        the loss. Leaves keep their gradients. A later backward that
+        reaches a released node raises ``GraphReleasedError`` instead of
+        silently dropping that node's gradient.
+        """
         if grad is None:
             grad = np.ones_like(self.data)
         _accumulate(self, np.asarray(grad, dtype=self.data.dtype))
-        for node in reversed(_toposort(self)):
-            if node._backward is not None and node.grad is not None:
+        order = _toposort(self)
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._parents, node._backward = None, (), _released
 
 
 def tensor(data, requires_grad=False, dtype=None) -> Tensor:
@@ -98,6 +118,12 @@ def tensor(data, requires_grad=False, dtype=None) -> Tensor:
     if arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(np.float64)
     return Tensor(arr, requires_grad=requires_grad)
+
+
+def _released(g: Array):
+    raise GraphReleasedError(
+        "backward reached a node whose graph an earlier backward already released"
+    )
 
 
 def _toposort(root: Tensor) -> list[Tensor]:

@@ -230,7 +230,7 @@ def evaluate_run(
 def segments_csv(labels, mapping: ClassMapping | None = None) -> str:
     buf = io.StringIO()
     buf.write("class,start,end\n")
-    for seg in M.extract_segments(list(labels)):
+    for seg in M.extract_segments(labels):
         name = mapping.name_of(int(seg.label)) if mapping is not None else seg.label
         buf.write(f"{name},{seg.start},{seg.end}\n")
     return buf.getvalue()

@@ -35,7 +35,7 @@ def render_timeline(strips: list[tuple[str, list]], num_classes: int) -> str:
         total = len(labels)
         if total == 0:
             continue
-        for seg in M.extract_segments(list(labels)):
+        for seg in M.extract_segments(labels):
             x = LABEL_WIDTH + bar_width * seg.start / total
             w = bar_width * seg.length / total
             color = class_color(int(seg.label), num_classes)

@@ -3,9 +3,10 @@
 Everything here is deliberately written without touching the library's
 backward passes or fast paths: finite differences for gradients, frame-set
 arithmetic for segment metrics, plain-python loops for divergences,
-per-head loops of small graph ops for attention, a per-tensor Adam loop
-for the arena optimizer, the float64-uniform dropout and add-then-norm
-nodes the lean training graph replaced, and the slot kernels and norm that
+per-head loops of small graph ops for attention, a per-element loop for
+run-length encoding, a backward that keeps every node's gradient, a
+per-tensor Adam loop for the arena optimizer, the float64-uniform dropout
+and add-then-norm nodes the lean training graph replaced, and the slot kernels and norm that
 rebuilt their masks per call and computed out of place, the corpus
 metrics that segmented each label sequence once per metric, and the
 load-then-stride resampling the strided feature read replaced. The last
@@ -351,6 +352,19 @@ def attention_loop(q, k, v, cfg, rpe=None, rng=None, train=False):
 # brute-force segment metrics (frame-set arithmetic, recursive levenshtein)
 
 
+def extract_segments_loop(labels) -> list[M.Segment]:
+    """Run-length encoding one element at a time, as the library did before
+    it split runs with ``np.flatnonzero``."""
+    labels = list(labels)
+    segments: list[M.Segment] = []
+    for i, label in enumerate(labels):
+        if segments and segments[-1].label == label:
+            segments[-1].end = i
+        else:
+            segments.append(M.Segment(label, i, i))
+    return segments
+
+
 def segments_brute(labels) -> list[tuple[int, int, int]]:
     segs = []
     for label, group in itertools.groupby(enumerate(labels), key=lambda p: p[1]):
@@ -405,6 +419,21 @@ def f1_brute(pred, gt, threshold: float, ignored=()) -> tuple[float, int, int, i
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     return 200.0 * precision * recall / (precision + recall), tp, fp, fn
+
+
+# ---------------------------------------------------------------------------
+# backward that keeps the graph
+
+
+def backward_keep_graph(root, grad=None):
+    """Backward as it ran before the engine released the graph during the
+    pass: every node keeps its gradient, parents and closure afterwards."""
+    if grad is None:
+        grad = np.ones_like(root.data)
+    T._accumulate(root, np.asarray(grad, dtype=root.data.dtype))
+    for node in reversed(T._toposort(root)):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 
 from tut import cli
+from tut import metrics as M
 from tut import trainer as TR
 from tut.cli import main
-from tut.data import load_dataset, read_features, write_features
+from tut.data import (
+    ClassMapping,
+    VideoSample,
+    load_dataset,
+    read_features,
+    write_dataset,
+    write_features,
+)
 from tut.net import read_manifest
 
 SMALL_MODEL = [
@@ -170,6 +178,32 @@ def test_eval_loads_once_and_runs_each_video_once(synth_root, trained, tmp_path,
     assert calls == {"model_forward": 3, "load_checkpoint": 1}
 
 
+def test_eval_ignored_classes_drop_the_named_class(trained, tmp_path, monkeypatch):
+    """--ignored-classes names a class that covers half of the ground truth:
+    edit and F1 are those of the class ids without it, and change. Frame
+    accuracy counts every frame, as in the usual protocol."""
+    gt = np.repeat([0, 1, 2], [24, 12, 12])
+    pred = np.repeat([0, 2, 0, 1, 2], [10, 4, 10, 12, 12])
+    features = np.random.default_rng(0).standard_normal((48, 8)).astype(np.float32)
+    root = tmp_path / "half"
+    write_dataset(root, [VideoSample("half", features, gt)], ClassMapping(["c0", "c1", "c2"]))
+    monkeypatch.setattr(TR, "predict_sample", lambda *args, **kwargs: pred)
+    metrics = {}
+    for flags in ([], ["--ignored-classes", "c0"]):
+        out = tmp_path / f"eval{len(flags)}"
+        rc = main([
+            "eval", "--data-root", str(root), "--out", str(out),
+            "--checkpoint", str(trained / "checkpoint.ckpt"), *flags,
+        ])
+        assert rc == 0
+        metrics[len(flags)] = (out / "metrics.csv").read_text()
+    kept, dropped = metrics[0], metrics[2]
+    assert dropped == M.report_csv(M.evaluate_corpus([(pred, gt)], ignored_classes={0}))
+    kept_rows, dropped_rows = kept.splitlines()[1:], dropped.splitlines()[1:]
+    assert kept_rows[0] == dropped_rows[0]  # acc
+    assert all(a != b for a, b in zip(kept_rows[1:], dropped_rows[1:]))  # edit, f1@0.1/0.25/0.5
+
+
 def test_rolling_checkpoints(synth_root, tmp_path):
     out = tmp_path / "roll"
     rc = main([
@@ -242,6 +276,11 @@ def _truncated_features(trained, synth_root, tmp_path):
             "--checkpoint", str(trained / "checkpoint.ckpt")]
 
 
+def _unknown_ignored_class(trained, synth_root, tmp_path):
+    return ["eval", "--data-root", str(synth_root), "--out", str(tmp_path / "eval"),
+            "--checkpoint", str(trained / "checkpoint.ckpt"), "--ignored-classes", "nosuchclass"]
+
+
 def _sample_rate(rate):
     # a rate below 1 would divide by zero in the strided read
     def make_argv(trained, synth_root, tmp_path):
@@ -254,9 +293,11 @@ def _sample_rate(rate):
 @pytest.mark.parametrize(
     "make_argv",
     [_empty_split, _not_a_checkpoint, _non_finite_features, _feature_dim_mismatch,
-     _truncated_checkpoint, _truncated_features, _sample_rate("0"), _sample_rate("-3")],
+     _truncated_checkpoint, _truncated_features, _sample_rate("0"), _sample_rate("-3"),
+     _unknown_ignored_class],
     ids=["DatasetError", "CheckpointError", "TrainingDiverged", "ShapeError",
-         "TruncatedCheckpoint", "TruncatedFeatures", "SampleRateZero", "SampleRateNegative"],
+         "TruncatedCheckpoint", "TruncatedFeatures", "SampleRateZero", "SampleRateNegative",
+         "UnknownIgnoredClass"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_typed_failures_exit_2_with_one_line(make_argv, trained, synth_root, tmp_path, capsys):

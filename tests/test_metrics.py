@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from _oracles import (
     edit_score_brute,
     evaluate_corpus_per_call,
+    extract_segments_loop,
     f1_brute,
     reconstruct_labels,
     segments_brute,
@@ -32,6 +33,22 @@ def test_segment_roundtrip(labels):
     for a, b in zip(segs, segs[1:]):
         assert a.label != b.label
         assert b.start == a.end + 1
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 2), max_size=40),
+        st.lists(st.sampled_from(["bg", "A", "B"]), max_size=40),
+        st.lists(st.integers(-3, 300), max_size=40).map(np.array),
+        st.lists(st.sampled_from(["bg", "A", "B"]), max_size=40).map(np.array),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_extract_segments_equals_loop_oracle(labels):
+    def typed(segs):
+        return [(type(s.label), s.label, s.start, s.end) for s in segs]
+
+    assert typed(M.extract_segments(labels)) == typed(extract_segments_loop(labels))
 
 
 def test_frame_accuracy_examples():

@@ -12,7 +12,7 @@ from _oracles import (
     rel_err,
 )
 from tut import tensor as T
-from tut.errors import DomainError, ShapeError
+from tut.errors import DomainError, GraphReleasedError, ShapeError
 
 
 def rng64(seed=0):
@@ -421,6 +421,29 @@ def test_detach_blocks_gradient():
     z = T.sum_all(T.mul(y.detach(), x))
     z.backward()
     np.testing.assert_allclose(x.grad, y.data)  # only the non-detached path
+
+
+def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
+    x = T.tensor([[1.0, -2.0], [3.0, 4.0]], requires_grad=True)
+    y = T.relu(T.matmul(x, x))
+    loss = T.sum_all(T.mul(y, y))
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, [[90.0, 60.0], [110.0, 250.0]])
+    for node in (y, loss):
+        assert node.grad is None and node._parents == ()
+
+
+def test_second_backward_through_a_released_node_raises():
+    x = T.tensor([1.0, 2.0], requires_grad=True)
+    y = T.mul(x, 3.0)
+    first = T.sum_all(y)
+    second = T.sum_all(T.mul(y, y))  # shares y with the first graph
+    first.backward()
+    with pytest.raises(GraphReleasedError):
+        second.backward()
+    with pytest.raises(GraphReleasedError):
+        first.backward()
+    np.testing.assert_array_equal(x.grad, [3.0, 3.0])  # only the first backward landed
 
 
 def test_no_grad_ops_return_bare_leaves():

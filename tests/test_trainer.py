@@ -1,9 +1,13 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from _oracles import (
     adam_loop,
     add_then_norm,
+    backward_keep_graph,
     boundary_alignment,
     dropout_uniform,
     norm_out_of_place,
@@ -340,6 +344,71 @@ def test_float32_train_step_keeps_float32():
     loss.backward()
     wrong = {n: str(p.grad.dtype) for n, p in params.items() if p.grad.dtype != np.float32}
     assert not wrong
+
+
+def gtea_step(dtype="f32", frames=72, input_dim=32, num_classes=5):
+    """Params and a forward of a gtea-preset step: all three loss terms and
+    every dropout on. Each call draws the same params and masks."""
+    model_cfg, train_cfg, _ = build_configs("gtea", None, {})
+    model_cfg.input_dim, model_cfg.num_classes, model_cfg.dtype = input_dim, num_classes, dtype
+    features = np.random.default_rng(4).standard_normal((frames, input_dim))
+    labels = np.repeat(np.arange(frames // 12 + 1) % num_classes, 12)[:frames]
+    streams = T.SeedStreams(0)
+    params = N.init_params(model_cfg, streams)
+
+    def forward():
+        outputs = N.model_forward(features, params, model_cfg, train=True, streams=streams)
+        loss, parts = TR.total_loss(outputs, labels, train_cfg.loss_weights(), model_cfg.window)
+        assert all(parts[term] > 0 for term in ("ce", "tmse", "ba"))
+        return outputs, loss
+
+    return params, forward
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_backward_matches_the_keep_graph_oracle_and_releases_interior_nodes(dtype):
+    """Leaf gradients are byte-equal to the backward that kept the graph,
+    and every interior node ends with no gradient."""
+    grads, interior_grads = [], []
+    for run_backward in (backward_keep_graph, T.Tensor.backward):
+        params, forward = gtea_step(dtype)
+        _, loss = forward()
+        interior = [n for n in T._toposort(loss) if n._backward is not None]
+        run_backward(loss)
+        grads.append({name: p.grad for name, p in params.items()})
+        interior_grads.append([n.grad for n in interior])
+    (kept, released), (kept_interior, released_interior) = grads, interior_grads
+    assert all(g is not None for g in kept_interior)
+    assert all(g is None for g in released_interior)
+    for name, g in kept.items():
+        assert g.dtype == released[name].dtype and g.tobytes() == released[name].tobytes(), name
+
+
+def test_backward_frees_the_graph_as_it_runs():
+    """tracemalloc on a gtea step at T=160 (d_in=2048), taken as the trainer
+    takes it: the params' gradients already live in the arena and the step's
+    outputs and loss are still referenced. Backward peaks at most 10% above
+    the forward graph's bytes and leaves at most 5% of them live."""
+    params, forward = gtea_step(frames=160, input_dim=2048, num_classes=11)
+    state = AdamState()
+    _, loss = forward()
+    loss.backward()
+    T.adam_step(params, {name: p.grad for name, p in params.items()}, state, lr=1e-4)
+    del loss
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        outputs, loss = forward()
+        graph = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        loss.backward()
+        live, peak = (b - base for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert graph > 4 * 2**20
+    assert peak <= 1.1 * graph, (peak, graph)
+    assert live <= 0.05 * graph, (live, graph)
 
 
 def test_arena_adam_trains_like_the_per_tensor_loop(monkeypatch):
