@@ -79,7 +79,7 @@ def cmd_train(args) -> int:
     model_cfg, train_cfg, data_cfg = _configs_from_args(args)
     train_cfg.seed = args.seed
     samples, mapping = _load_split(data_cfg)
-    model_cfg.input_dim = samples[0].features.shape[1]
+    model_cfg.input_dim = samples[0].feature_dim
     model_cfg.num_classes = mapping.num_classes
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -161,7 +161,7 @@ def cmd_ablate(args) -> int:
     model_cfg, train_cfg, data_cfg = _configs_from_args(args)
     train_cfg.seed = args.seed
     samples, mapping = _load_split(data_cfg)
-    model_cfg.input_dim = samples[0].features.shape[1]
+    model_cfg.input_dim = samples[0].feature_dim
     model_cfg.num_classes = mapping.num_classes
     values = [float(v) for v in args.values.split(",")] if args.values else None
 

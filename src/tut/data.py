@@ -10,9 +10,17 @@ On-disk layout (drop-in for the common action-segmentation bundles):
 Feature files are self-describing: magic ``TUTFEAT1``, u32 rank (= 2),
 two u64 dims (T, d), then little-endian float32 row-major payload.
 
+A dataset is read one video at a time. ``load_dataset`` reads the labels
+and, of each feature file, only the 28-byte header: it checks the magic,
+the rank and the file size there, so a damaged file fails the load. The
+samples it returns hold no features; ``VideoSample.load_features`` reads a
+sample's rows each time a forward needs them, so training and evaluation
+hold one video's features at a time. A file whose header or size changed
+since the load raises ``DatasetError`` naming it when it is read.
+
 The temporal sample rate is applied while reading: ``read_features(path,
 k)`` copies every k-th row into the one array the model consumes, reading
-the payload in chunks of about ``CHUNK_BYTES``, so a strided load never
+the payload in chunks of about ``CHUNK_BYTES``, so a strided read never
 holds the full-rate matrix. ``load_dataset(..., stride=k)`` builds the
 strided samples and records their source length for upsampling.
 """
@@ -58,15 +66,20 @@ class ClassMapping:
 
 @dataclass
 class VideoSample:
+    """One video's labels and its features: held in ``features``, or, for a
+    sample ``load_dataset`` built, read from ``path`` on each use."""
+
     video_id: str
-    features: np.ndarray  # (T, d) float32
+    features: np.ndarray | None  # (T, d) float32; None when read from `path`
     labels: np.ndarray  # (T,) int
     fps: float = 15.0
     source_len: int | None = None  # original length before temporal striding
     stride: int = 1  # source frames per kept frame
+    path: Path | None = None  # feature file read by load_features
+    file_shape: tuple[int, int] | None = None  # (T, d) in its header at load time
 
     def __post_init__(self):
-        if self.features.shape[0] != self.labels.shape[0]:
+        if self.features is not None and self.features.shape[0] != self.labels.shape[0]:
             raise DatasetError(
                 f"{self.video_id}: {self.features.shape[0]} feature rows vs "
                 f"{self.labels.shape[0]} labels"
@@ -75,6 +88,19 @@ class VideoSample:
     @property
     def num_frames(self) -> int:
         return self.labels.shape[0]
+
+    @property
+    def feature_dim(self) -> int:
+        return self.features.shape[1] if self.features is not None else self.file_shape[1]
+
+    def load_features(self) -> np.ndarray:
+        """The ``(num_frames, d)`` float32 matrix a forward consumes: the held
+        array, or every ``stride``-th row of ``path``, read now. A file that
+        no longer has the header or size the load checked raises
+        ``DatasetError`` naming it."""
+        if self.features is not None:
+            return self.features
+        return read_features(self.path, self.stride, shape=self.file_shape)[: self.num_frames]
 
 
 @dataclass
@@ -128,14 +154,20 @@ def _check_header(fh, path) -> tuple[int, int]:
     return t, d
 
 
-def read_features(path, stride: int = 1) -> np.ndarray:
+def read_features(path, stride: int = 1, shape: tuple[int, int] | None = None) -> np.ndarray:
     """Read every ``stride``-th row of a feature file into one
     ``(ceil(T / stride), d)`` array; the header and the file size are checked
-    before it is allocated. At stride 1 the payload is read straight into
-    it; otherwise it passes through a buffer of at most ``CHUNK_BYTES`` (or
+    before it is allocated, and so is ``shape``, the (T, d) the header must
+    hold, when given. At stride 1 the payload is read straight into it;
+    otherwise it passes through a buffer of at most ``CHUNK_BYTES`` (or
     ``stride`` rows), so the full-rate matrix is never held."""
     with open(path, "rb") as fh:
         t, d = _check_header(fh, path)
+        if shape is not None and (t, d) != tuple(shape):
+            raise DatasetError(
+                f"{path}: header now says (T, d) = {(t, d)}, it said {tuple(shape)} "
+                "when the dataset was loaded"
+            )
         out = np.empty((-(-t // stride), d), dtype="<f4")
         if stride == 1:
             if fh.readinto(out) != out.nbytes:
@@ -191,10 +223,12 @@ def load_dataset(
     """Load every video listed in a split bundle, keeping every
     ``stride``-th frame.
 
+    Each feature file is opened once, for its header and size; its rows are
+    read by ``VideoSample.load_features`` when a forward needs them.
     Feature/label length mismatches are resolved by truncating both to the
-    shorter source length (with a warning) before striding; a missing
-    feature file or an unknown class name is an error. A strided sample
-    records its source length, so predictions can be restored to it.
+    shorter source length (with a warning) before striding; a missing or
+    damaged feature file or an unknown class name is an error. A strided
+    sample records its source length, so predictions can be restored to it.
     """
     root = Path(root)
     mapping = read_mapping(root / "mapping.txt")
@@ -213,9 +247,8 @@ def load_dataset(
         feat_path = root / "features" / f"{vid}.feat"
         if not feat_path.exists():
             raise DatasetError(f"missing feature file {feat_path}")
-        features = read_features(feat_path, stride)
         with open(feat_path, "rb") as fh:
-            frames = _check_header(fh, feat_path)[0]  # source rows, before striding
+            frames, dim = _check_header(fh, feat_path)  # source rows, before striding
         gt_path = root / "groundTruth" / f"{vid}.txt"
         if not gt_path.exists():
             raise DatasetError(f"missing ground-truth file {gt_path}")
@@ -228,10 +261,10 @@ def load_dataset(
                 vid, labels.shape[0], frames, keep,
             )
             labels = labels[:keep]
-            features = features[: -(-keep // stride)]
         samples.append(VideoSample(
-            vid, features, labels[::stride], fps=fps,
+            vid, None, labels[::stride], fps=fps,
             source_len=keep if stride > 1 else None, stride=stride,
+            path=feat_path, file_shape=(frames, dim),
         ))
     return samples, mapping
 
@@ -301,7 +334,7 @@ def write_dataset(root, samples: list[VideoSample], mapping: ClassMapping, split
         for i, name in enumerate(mapping.names):
             fh.write(f"{i} {name}\n")
     for sample in samples:
-        write_features(root / "features" / f"{sample.video_id}.feat", sample.features)
+        write_features(root / "features" / f"{sample.video_id}.feat", sample.load_features())
         with open(root / "groundTruth" / f"{sample.video_id}.txt", "w") as fh:
             for label in sample.labels:
                 fh.write(mapping.name_of(int(label)) + "\n")

@@ -65,15 +65,25 @@ def frame_accuracy(pred, gt) -> float:
 
 
 def _levenshtein(a: list, b: list) -> int:
+    """Edit distance between two sequences of hashable labels, one DP row
+    per element of the shorter: substitutions and deletions are vector ops
+    over the longer, and the insertion chain ``cur[j] = min(cur[j],
+    cur[j - 1] + 1)`` is a running minimum of ``cur[j] - j``."""
+    if len(a) > len(b):
+        a, b = b, a
     if not a:
         return len(b)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, cb in enumerate(b, start=1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
-        prev = cur
-    return prev[-1]
+    codes: dict = {}
+    a_codes = [codes.setdefault(x, len(codes)) for x in a]
+    b_codes = np.array([codes.setdefault(x, len(codes)) for x in b])
+    steps = np.arange(len(b) + 1)
+    prev = steps
+    cur = np.empty_like(steps)
+    for i, code in enumerate(a_codes, start=1):
+        cur[0] = i
+        np.minimum(prev[:-1] + (b_codes != code), prev[1:] + 1, out=cur[1:])
+        prev = np.minimum.accumulate(cur - steps) + steps
+    return int(prev[-1])
 
 
 def _kept_segments(labels, ignored_classes) -> list[Segment]:

@@ -3,7 +3,9 @@ the ablation grid harness.
 
 One optimizer step per video (batch size 1); the learning rate halves after
 the epoch-mean training loss has exceeded its predecessor three times since
-the last halving.
+the last halving. Each step and each prediction reads its video's features
+through ``VideoSample.load_features``, so a loaded split is held one video
+at a time.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ def train(
             sample = samples[idx]
             try:
                 outputs = model_forward(
-                    sample.features, params, model_cfg, train=True, streams=streams
+                    sample.load_features(), params, model_cfg, train=True, streams=streams
                 )
                 loss, parts = total_loss(outputs, sample.labels, weights, model_cfg.window)
             except NumericError as exc:
@@ -194,7 +196,9 @@ def predict_sample(
     """Dropout-free, graph-free forward; labels from the last stage,
     optionally restored to the source frame rate."""
     with no_grad():
-        labels = final_prediction(model_forward(sample.features, params, cfg, train=False))
+        labels = final_prediction(
+            model_forward(sample.load_features(), params, cfg, train=False)
+        )
     return restore_source_rate(labels, sample) if upsample else labels
 
 

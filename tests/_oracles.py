@@ -365,6 +365,20 @@ def extract_segments_loop(labels) -> list[M.Segment]:
     return segments
 
 
+def levenshtein_loop(a: list, b: list) -> int:
+    """Edit distance one cell at a time, as ``metrics._levenshtein`` computed
+    it before its rows became numpy vector ops."""
+    if not a:
+        return len(b)
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i] + [0] * len(b)
+        for j, cb in enumerate(b, start=1):
+            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
+        prev = cur
+    return prev[-1]
+
+
 def segments_brute(labels) -> list[tuple[int, int, int]]:
     segs = []
     for label, group in itertools.groupby(enumerate(labels), key=lambda p: p[1]):
@@ -490,7 +504,7 @@ def resample_temporal(sample: VideoSample, source_fps: float, target_fps: float)
         return sample
     return VideoSample(
         sample.video_id,
-        np.ascontiguousarray(sample.features[::k]),
+        np.ascontiguousarray(sample.load_features()[::k]),
         sample.labels[::k],
         fps=target_fps,
         source_len=sample.num_frames,
@@ -557,7 +571,7 @@ def boundary_alignment(params, cfg, samples) -> float | None:
     final stage) and their priors, averaged over videos; a training probe."""
     values = []
     for sample in samples:
-        outputs = N.model_forward(sample.features, params, cfg, train=False)
+        outputs = N.model_forward(sample.load_features(), params, cfg, train=False)
         record = outputs.records[-1][1]
         value = mean_boundary_kl(record, sample.labels, cfg.window)
         if value is not None:

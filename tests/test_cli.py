@@ -310,6 +310,41 @@ def test_typed_failures_exit_2_with_one_line(make_argv, trained, synth_root, tmp
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("change", ["rows", "dim", "truncated"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_feature_file_changed_after_loading_exits_2_naming_it(
+    command, change, trained, tmp_path, monkeypatch, capsys
+):
+    """Features are read when a step uses them, after the load checked the
+    file: a file changed in between fails with one error line naming it."""
+    root = _synth(tmp_path / "data")
+    victim = root / "features" / "synth001.feat"
+    load = cli._load_split
+
+    def load_then_change(data_cfg):
+        loaded = load(data_cfg)
+        features = read_features(victim)
+        if change == "rows":
+            write_features(victim, features[:-1])
+        elif change == "dim":
+            write_features(victim, features[:, :-1])
+        else:
+            victim.write_bytes(victim.read_bytes()[:-4])
+        return loaded
+
+    monkeypatch.setattr(cli, "_load_split", load_then_change)
+    if command == "train":
+        argv = ["train", "--data-root", str(root), "--out", str(tmp_path / "run"), "--seed", "1",
+                "--epochs", "1", *SMALL_MODEL]
+    else:
+        argv = ["eval", "--data-root", str(root), "--out", str(tmp_path / "eval"),
+                "--checkpoint", str(trained / "checkpoint.ckpt")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(victim) in err[0]
+
+
 @pytest.mark.parametrize("flag,rate", [("input-dropout", "1.0"), ("ffn-dropout", "1.5")])
 def test_dropout_rate_outside_unit_interval_exits_2_naming_the_key(
     flag, rate, synth_root, tmp_path, capsys

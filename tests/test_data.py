@@ -126,10 +126,11 @@ def test_strided_load_never_holds_the_full_rate_features(tmp_path):
         del features
         tracemalloc.reset_peak()
         samples, _ = D.load_dataset(tmp_path, "splits/all.bundle", stride=2)
+        features = samples[0].load_features()
         load_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert samples[0].features.nbytes == kept
+    assert features.nbytes == kept
     assert read_peak <= kept + D.CHUNK_BYTES + 2**16
     assert load_peak <= kept + D.CHUNK_BYTES + 2**17  # plus the parsed label lines
 
@@ -207,9 +208,56 @@ def test_strided_load_equals_load_then_stride_oracle(tmp_path, caplog, stride, e
     fields = ("video_id", "fps", "source_len", "stride", "num_frames")
     for a, b in zip(got, expected, strict=True):
         assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
-        assert a.features.dtype == b.features.dtype and a.features.shape == b.features.shape
-        assert a.features.tobytes() == b.features.tobytes()
+        fa, fb = a.load_features(), b.load_features()
+        assert fa.dtype == fb.dtype and fa.shape == fb.shape
+        assert fa.tobytes() == fb.tobytes()
         assert a.labels.dtype == b.labels.dtype and a.labels.tobytes() == b.labels.tobytes()
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("extra", [3, -3], ids=["more-labels", "fewer-labels"])
+def test_loaded_sample_reads_its_rows_on_use(tmp_path, stride, extra):
+    """A loaded sample holds no features; each read gives every stride-th
+    row of its file, cut to its labels, as a fresh array."""
+    rows = 11
+    write_toy_dataset(tmp_path, {"v": (["a", "b", "c"] * 5)[: rows + extra]}, d=4)
+    path = tmp_path / "features" / "v.feat"
+    D.write_features(path, np.random.default_rng(1).standard_normal((rows, 4)).astype(np.float32))
+    (sample,), _ = D.load_dataset(tmp_path, "splits/all.bundle", stride=stride)
+    assert sample.features is None
+    assert sample.path == path and sample.stride == stride and sample.file_shape == (rows, 4)
+    assert sample.feature_dim == 4
+    want = D.read_features(path, stride)[: sample.num_frames]
+    assert want.shape[0] == len(range(0, min(rows, rows + extra), stride))
+    first, second = sample.load_features(), sample.load_features()
+    assert first is not second
+    for got in (first, second):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+def _change_rows(path, features):
+    D.write_features(path, features[:-1])
+
+
+def _change_dim(path, features):
+    D.write_features(path, features[:, :-1])
+
+
+def _truncate_payload(path, features):
+    path.write_bytes(path.read_bytes()[:-4])
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("change", [_change_rows, _change_dim, _truncate_payload],
+                         ids=["rows", "dim", "truncated"])
+def test_feature_file_changed_after_loading_raises_dataset_error(tmp_path, change, stride):
+    write_toy_dataset(tmp_path, {"v": ["a", "b"] * 4}, d=3)
+    path = tmp_path / "features" / "v.feat"
+    (sample,), _ = D.load_dataset(tmp_path, "splits/all.bundle", stride=stride)
+    change(path, D.read_features(path))
+    with pytest.raises(DatasetError, match=re.escape(str(path))):
+        sample.load_features()
 
 
 def test_malformed_mapping_line_reports_lineno(tmp_path):
@@ -236,7 +284,7 @@ def test_resample_and_upsample_predictions(tmp_path):
     (half,), _ = D.load_dataset(tmp_path, "splits/all.bundle", stride=2)
     assert half.num_frames == 3
     np.testing.assert_array_equal(half.labels, [0, 1, 2])
-    np.testing.assert_array_equal(half.features[:, 0], [0, 4, 8])
+    np.testing.assert_array_equal(half.load_features()[:, 0], [0, 4, 8])
     assert half.source_len == 6 and half.stride == 2
 
     np.testing.assert_array_equal(D.upsample_predictions([0, 1], 2, 4), [0, 0, 1, 1])
@@ -286,5 +334,5 @@ def test_write_dataset_roundtrip(tmp_path):
     assert loaded_mapping.names == mapping.names
     for orig, back in zip(samples, loaded):
         assert orig.video_id == back.video_id
-        np.testing.assert_array_equal(orig.features, back.features)
+        np.testing.assert_array_equal(orig.features, back.load_features())
         np.testing.assert_array_equal(orig.labels, back.labels)

@@ -8,6 +8,7 @@ from _oracles import (
     evaluate_corpus_per_call,
     extract_segments_loop,
     f1_brute,
+    levenshtein_loop,
     reconstruct_labels,
     segments_brute,
 )
@@ -101,6 +102,34 @@ def test_edit_and_f1_match_bruteforce(pred, gt):
         want, wtp, wfp, wfn = f1_brute(pred, gt, tau)
         assert M.f1_counts(pred, gt, tau) == (wtp, wfp, wfn)
         np.testing.assert_allclose(M.f1_overlap(pred, gt, tau), want, atol=1e-9)
+
+
+# label pools by type; a disjoint pair draws each side from its own half
+LEVENSHTEIN_POOLS = {
+    "int": [0, 1, 2, 3],
+    "numpy": [np.int64(i) for i in range(4)],
+    "str": ["a", "b", "ab", ""],
+    "object": [object() for _ in range(4)],
+}
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_levenshtein_equals_loop_oracle(data):
+    pool = LEVENSHTEIN_POOLS[data.draw(st.sampled_from(sorted(LEVENSHTEIN_POOLS)), label="type")]
+    relation = data.draw(st.sampled_from(["any", "equal", "disjoint"]), label="relation")
+    left, right = (pool[:2], pool[2:]) if relation == "disjoint" else (pool, pool)
+    a = data.draw(st.lists(st.sampled_from(left), max_size=12), label="a")
+    if relation == "equal":
+        b = list(a)
+    else:
+        b = data.draw(st.lists(st.sampled_from(right), max_size=12), label="b")
+    got = M._levenshtein(a, b)
+    assert type(got) is int and got == levenshtein_loop(a, b)
+    if relation == "equal":
+        assert got == 0
+    if relation == "disjoint":
+        assert got == max(len(a), len(b))
 
 
 @given(label_seqs, label_seqs)

@@ -471,3 +471,94 @@ def test_cached_layout_trains_like_the_per_call_slot_kernels_and_norm(monkeypatc
         "slot_mix": slot_mix_per_call,
         "instance_norm_temporal": norm_out_of_place,
     })
+
+
+def _held_copy(sample):
+    """The same sample with its features read once and held."""
+    return D.VideoSample(
+        sample.video_id, sample.load_features(), sample.labels, fps=sample.fps,
+        source_len=sample.source_len, stride=sample.stride,
+    )
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_file_backed_samples_train_like_held_samples(tmp_path, stride):
+    """A gtea-preset f32 run (all three loss terms, dropout on, best-epoch
+    evaluation each epoch) on samples that read their file at every step
+    gives the bytes of the same run on the features held in memory."""
+    model_cfg, train_cfg, _ = build_configs("gtea", None, {})
+    model_cfg.input_dim, model_cfg.num_classes = 32, 5
+    assert model_cfg.dtype == "f32" and model_cfg.input_dropout > 0 and model_cfg.ffn_dropout > 0
+    assert train_cfg.smooth_weight > 0 and train_cfg.boundary_weight > 0
+    train_cfg.epochs, train_cfg.keep_best, train_cfg.eval_every = 2, True, 1
+    spec = D.SynthSpec(
+        num_classes=5, num_videos=3, min_len=48, max_len=96, feature_dim=32, noise=0.3, seed=6
+    )
+    D.write_dataset(tmp_path, *D.generate_synthetic(spec))
+    loaded, _ = D.load_dataset(tmp_path, "splits/all.bundle", stride=stride)
+    assert all(s.features is None for s in loaded)
+    held = [_held_copy(s) for s in loaded]
+    from_files = TR.train(loaded, model_cfg, train_cfg)
+    in_memory = TR.train(held, model_cfg, train_cfg)
+    assert from_files.log_rows == in_memory.log_rows
+    assert from_files.best_epoch == in_memory.best_epoch
+    for got, want in ((from_files.params, in_memory.params),
+                      (from_files.best_params, in_memory.best_params)):
+        for name, p in want.items():
+            assert got[name].data.tobytes() == p.data.tobytes(), name
+
+
+def test_a_loaded_split_is_held_one_video_at_a_time(tmp_path):
+    """tracemalloc over load_dataset plus one training epoch, and over
+    load_dataset plus one evaluate_model pass, on eleven file-backed videos
+    with wide features: each peaks within half a video's features of the
+    same run on the largest video alone (listed twice, so Adam's state
+    exists at its second step as at the later steps of a longer epoch), and
+    below the sum of the videos' features."""
+    dim, lengths = 4096, list(range(48, 129, 8))
+    names = ["a", "b", "c"]
+    write_toy_dataset_lengths(tmp_path, lengths, dim, names)
+    cfg = tiny_model(input_dim=dim, num_classes=len(names))
+    train_cfg = TR.TrainConfig(epochs=1, lr=1e-3, seed=2)
+    params = N.init_params(cfg, T.SeedStreams(3))
+    largest = 4 * dim * max(lengths)
+
+    def peaks(split):
+        out = []
+        for run in (
+            lambda samples: TR.train(samples, cfg, train_cfg),
+            lambda samples: TR.evaluate_model(params, cfg, samples),
+        ):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                samples, _ = D.load_dataset(tmp_path, split)
+                run(samples)
+                out.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del samples
+        return out
+
+    total = 4 * dim * sum(lengths)
+    for alone, every in zip(peaks("splits/largest.bundle"), peaks("splits/all.bundle")):
+        assert every <= alone + largest // 2, (every, alone, largest)
+        assert every < total, (every, total)
+
+
+def write_toy_dataset_lengths(root, lengths, dim, names):
+    """Videos v0, v1, ... of the given lengths cycling through ``names``;
+    split ``all`` lists them all and ``largest`` the longest one twice."""
+    for sub in ("groundTruth", "features", "splits"):
+        (root / sub).mkdir(parents=True, exist_ok=True)
+    (root / "mapping.txt").write_text("".join(f"{i} {n}\n" for i, n in enumerate(names)))
+    rng = np.random.default_rng(0)
+    for v, t in enumerate(lengths):
+        D.write_features(root / "features" / f"v{v}.feat",
+                         rng.standard_normal((t, dim)).astype(np.float32))
+        (root / "groundTruth" / f"v{v}.txt").write_text(
+            "".join(names[(f // 16) % len(names)] + "\n" for f in range(t))
+        )
+    (root / "splits" / "all.bundle").write_text("".join(f"v{v}\n" for v in range(len(lengths))))
+    longest = f"v{lengths.index(max(lengths))}"
+    (root / "splits" / "largest.bundle").write_text(f"{longest}\n{longest}\n")
