@@ -18,7 +18,9 @@ additive mask of the edge rows depend only on the pattern, the two lengths
 and w, so ``slot_layout`` builds them once per shape and every call of that
 shape shares the read-only result. The pre-dropout probabilities are kept
 on the record, with the layout, so the boundary loss can read similarity
-distributions straight out of the forward pass.
+distributions straight out of the forward pass. Under ``tensor.no_grad``
+there is no loss to read them, so ``attend`` returns no record and the
+probabilities are freed once the mixing has read them.
 """
 
 from __future__ import annotations
@@ -132,8 +134,9 @@ def attend(
     rpe: RpeTable | None = None,
     rng: np.random.Generator | None = None,
     train: bool = False,
-) -> tuple[Tensor, AttentionRecord]:
-    """Attention under ``cfg.pattern``; returns the (T_q, d) output and its record.
+) -> tuple[Tensor, AttentionRecord | None]:
+    """Attention under ``cfg.pattern``; returns the (T_q, d) output and its
+    record, or None for the record when no graph is being built.
 
     Local rows see keys in [i - w//2, i + w//2], clamped: the softmax
     normalizes over in-range slots only, and the relative-position scalar
@@ -149,7 +152,8 @@ def attend(
     p_used = probs
     if rng is not None:  # draw head-major, as per-head (T_q, S) masks from this stream would
         p_used = T.dropout(probs, cfg.dropout, rng, train, draw_axes=(1, 0, 2))
-    return T.slot_mix(p_used, v, layout), AttentionRecord(cfg.pattern, probs, layout)
+    record = AttentionRecord(cfg.pattern, probs, layout) if T.grad_enabled() else None
+    return T.slot_mix(p_used, v, layout), record
 
 
 def sinusoidal_encoding(length: int, dim: int, dtype=np.float64) -> np.ndarray:

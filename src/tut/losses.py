@@ -179,7 +179,7 @@ def _record_ba(
 
 
 def ba_loss(
-    records: tuple[AttentionRecord, AttentionRecord],
+    records: tuple[AttentionRecord | None, AttentionRecord | None],
     boundaries: BoundarySet,
     weights: LossWeights,
     window: int,

@@ -64,24 +64,32 @@ def frame_accuracy(pred, gt) -> float:
     return 100.0 * float(np.mean(pred == gt))
 
 
-def _levenshtein(a: list, b: list) -> int:
-    """Edit distance between two sequences of hashable labels, one DP row
+def _label_codes(*label_lists) -> list[np.ndarray]:
+    """Each list of hashable labels as int64 codes: one code per distinct
+    label (by hash and equality) shared across all the lists, so codes
+    compare exactly as the labels do."""
+    codes: dict = {}
+    return [
+        np.array([codes.setdefault(x, len(codes)) for x in labels], dtype=np.int64)
+        for labels in label_lists
+    ]
+
+
+def _levenshtein(a: np.ndarray, b: np.ndarray) -> int:
+    """Edit distance between two ``_label_codes`` sequences, one DP row
     per element of the shorter: substitutions and deletions are vector ops
     over the longer, and the insertion chain ``cur[j] = min(cur[j],
     cur[j - 1] + 1)`` is a running minimum of ``cur[j] - j``."""
     if len(a) > len(b):
         a, b = b, a
-    if not a:
+    if not len(a):
         return len(b)
-    codes: dict = {}
-    a_codes = [codes.setdefault(x, len(codes)) for x in a]
-    b_codes = np.array([codes.setdefault(x, len(codes)) for x in b])
     steps = np.arange(len(b) + 1)
     prev = steps
     cur = np.empty_like(steps)
-    for i, code in enumerate(a_codes, start=1):
+    for i, code in enumerate(a.tolist(), start=1):
         cur[0] = i
-        np.minimum(prev[:-1] + (b_codes != code), prev[1:] + 1, out=cur[1:])
+        np.minimum(prev[:-1] + (b != code), prev[1:] + 1, out=cur[1:])
         prev = np.minimum.accumulate(cur - steps) + steps
     return int(prev[-1])
 
@@ -90,27 +98,42 @@ def _kept_segments(labels, ignored_classes) -> list[Segment]:
     return [s for s in extract_segments(labels) if s.label not in ignored_classes]
 
 
-def _edit_from_segments(pred_segs: list[Segment], gt_segs: list[Segment]) -> float:
-    sp = [s.label for s in pred_segs]
-    sg = [s.label for s in gt_segs]
-    if not sp and not sg:
+def _coded_segments(pred, gt, ignored_classes):
+    """The kept segments of both label sequences and their labels as
+    shared ``_label_codes``, which the edit distance and the IoU matrix
+    both read."""
+    pred_segs = _kept_segments(pred, ignored_classes)
+    gt_segs = _kept_segments(gt, ignored_classes)
+    p_codes, g_codes = _label_codes([s.label for s in pred_segs], [s.label for s in gt_segs])
+    return pred_segs, gt_segs, p_codes, g_codes
+
+
+def _edit_from_codes(p_codes: np.ndarray, g_codes: np.ndarray) -> float:
+    if not len(p_codes) and not len(g_codes):
         return 100.0
-    return 100.0 * (1.0 - _levenshtein(sp, sg) / max(len(sp), len(sg)))
+    return 100.0 * (1.0 - _levenshtein(p_codes, g_codes) / max(len(p_codes), len(g_codes)))
 
 
 def edit_score(pred, gt, ignored_classes=()) -> float:
     """100 * (1 - normalized Levenshtein between segment-class sequences)."""
-    return _edit_from_segments(
-        _kept_segments(pred, ignored_classes), _kept_segments(gt, ignored_classes)
-    )
+    return _edit_from_codes(*_coded_segments(pred, gt, ignored_classes)[2:])
 
 
-def _segment_iou(a: Segment, b: Segment) -> float:
-    inter = min(a.end, b.end) - max(a.start, b.start) + 1
-    if inter <= 0:
-        return 0.0
-    union = max(a.end, b.end) - min(a.start, b.start) + 1
-    return inter / union
+def _segment_ious(pred_segs, gt_segs, p_codes, g_codes) -> np.ndarray:
+    """(P, G) frame IoU of every prediction/ground-truth pair of one class;
+    -inf where the classes differ, so no threshold admits the pair."""
+
+    def bounds(segs):  # start and end, each as a column
+        rows = [(s.start, s.end) for s in segs]
+        return np.array(rows, dtype=np.int64).reshape(-1, 2).T[:, :, None]
+
+    p_start, p_end = bounds(pred_segs)
+    g_start, g_end = (c.T for c in bounds(gt_segs))
+    inter = np.minimum(p_end, g_end) - np.maximum(p_start, g_start) + 1
+    union = np.maximum(p_end, g_end) - np.minimum(p_start, g_start) + 1
+    ious = np.where(inter > 0, inter / union, 0.0)
+    ious[p_codes[:, None] != g_codes[None, :]] = -np.inf
+    return ious
 
 
 def f1_counts(pred, gt, threshold: float, ignored_classes=()) -> tuple[int, int, int]:
@@ -122,30 +145,27 @@ def f1_counts(pred, gt, threshold: float, ignored_classes=()) -> tuple[int, int,
     reaches the threshold, consuming the ground-truth segment. Every
     unmatched ground-truth segment is a false negative.
     """
-    return _match_segments(
-        _kept_segments(pred, ignored_classes), _kept_segments(gt, ignored_classes), threshold
-    )
+    return _match_counts(_segment_ious(*_coded_segments(pred, gt, ignored_classes)), threshold)
 
 
-def _match_segments(
-    pred_segs: list[Segment], gt_segs: list[Segment], threshold: float
-) -> tuple[int, int, int]:
-    matched = [False] * len(gt_segs)
-    tp = fp = 0
-    for ps in pred_segs:
-        best_iou, best_idx = -1.0, None
-        for idx, gs in enumerate(gt_segs):
-            if matched[idx] or gs.label != ps.label:
-                continue
-            iou = _segment_iou(ps, gs)
-            if iou > best_iou:
-                best_iou, best_idx = iou, idx
-        if best_idx is not None and best_iou >= threshold:
+def _match_counts(ious: np.ndarray, threshold: float) -> tuple[int, int, int]:
+    """Greedy TP/FP/FN from a ``_segment_ious`` matrix, as ``f1_counts``
+    describes. A prediction whose best IoU over every same-class segment
+    misses the threshold is a false positive whatever was matched before
+    it, so only the other rows are scanned, in order."""
+    n_pred, n_gt = ious.shape
+    if n_gt == 0:
+        return 0, n_pred, 0
+    rows = np.flatnonzero(ious.max(axis=1) >= threshold)
+    taken = np.zeros(n_gt)  # -inf once a ground-truth segment is matched
+    tp = 0
+    for row in rows:
+        open_ious = ious[row] + taken
+        best = int(np.argmax(open_ious))  # the first index wins ties
+        if open_ious[best] >= threshold:
+            taken[best] = -np.inf
             tp += 1
-            matched[best_idx] = True
-        else:
-            fp += 1
-    return tp, fp, matched.count(False)
+    return tp, n_pred - tp, n_gt - tp
 
 
 def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
@@ -162,13 +182,13 @@ def f1_overlap(pred, gt, threshold: float, ignored_classes=()) -> float:
 
 def _evaluate_video(pred, gt, thresholds, ignored_classes):
     """One video's report and its TP/FP/FN counts per threshold, read from
-    one segmentation of each label sequence."""
-    pred_segs = _kept_segments(pred, ignored_classes)
-    gt_segs = _kept_segments(gt, ignored_classes)
-    counts = {tau: _match_segments(pred_segs, gt_segs, tau) for tau in thresholds}
+    one segmentation of each label sequence and one IoU matrix."""
+    pred_segs, gt_segs, p_codes, g_codes = _coded_segments(pred, gt, ignored_classes)
+    ious = _segment_ious(pred_segs, gt_segs, p_codes, g_codes)
+    counts = {tau: _match_counts(ious, tau) for tau in thresholds}
     report = EvalReport(
         acc=frame_accuracy(pred, gt),
-        edit=_edit_from_segments(pred_segs, gt_segs),
+        edit=_edit_from_codes(p_codes, g_codes),
         f1={tau: _f1_from_counts(*counts[tau]) for tau in thresholds},
     )
     return report, counts

@@ -8,12 +8,18 @@ Parameter names follow the checkpoint layout
 ``stage{s}.proj.*`` / ``stage{s}.cls.*``; shared relative-position tables
 live under ``stage{s}.rpe.w`` (stage-shared) or ``rpe.scale{e}.w``
 (scale-shared).
+
+A checkpoint is a magic, a manifest and the payloads back to back.
+``load_checkpoint`` parses the manifest from the open file and reads every
+payload into one buffer, so each parameter is an aligned, C-contiguous
+view of it and the file's bytes are held once.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 
@@ -105,11 +111,15 @@ class ModelConfig:
 
 @dataclass
 class StageOutputs:
-    """Per-stage frame logits/probabilities plus what the losses need."""
+    """Per-stage frame logits/probabilities plus what the losses need.
+
+    A forward under ``tensor.no_grad`` builds no loss, so each stage's
+    records are (None, None) there."""
 
     logits: list[Tensor]
     probs: list[Tensor]
-    records: list[tuple[AttentionRecord, AttentionRecord]]  # (encoder first, decoder last)
+    # (encoder first, decoder last)
+    records: list[tuple[AttentionRecord | None, AttentionRecord | None]]
 
 
 def final_prediction(outputs: StageOutputs) -> np.ndarray:
@@ -231,7 +241,7 @@ def encoder_layer(
     layer: int,
     train: bool = False,
     streams: SeedStreams | None = None,
-) -> tuple[Tensor, AttentionRecord]:
+) -> tuple[Tensor, AttentionRecord | None]:
     """Downsample, windowed self-attention, norm, FFN, norm."""
     if h_prev.data.shape[0] < 1:
         raise ConfigError("too many layers for sequence length")
@@ -259,7 +269,7 @@ def decoder_layer(
     layer: int,
     train: bool = False,
     streams: SeedStreams | None = None,
-) -> tuple[Tensor, AttentionRecord]:
+) -> tuple[Tensor, AttentionRecord | None]:
     """Upsample, cross-attention (Q from the decoder path, K/V from the
     same-resolution encoder output), norm, FFN, norm."""
     prefix = f"stage{stage}.dec{layer}"
@@ -390,6 +400,7 @@ def count_attention_entries(cfg: ModelConfig, t: int) -> int:
 # checkpoint container
 
 CHECKPOINT_MAGIC = b"TUTCKPT1"
+_PAYLOAD_ALIGN = 64  # bytes; a cache line, and a multiple of every dtype's size
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(np.uint8): 2}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
@@ -431,73 +442,85 @@ def save_checkpoint(path, params: dict[str, Tensor], cfg: ModelConfig):
             fh.write(payload)
 
 
-def _read_checkpoint(path) -> tuple[bytes, dict, list[tuple[str, np.dtype, tuple, int]]]:
-    """Read a checkpoint once and check its structure.
+def _read_checkpoint(path) -> tuple[dict, list[tuple[str, np.dtype, tuple, int]], list[np.ndarray]]:
+    """Open a checkpoint once, check its structure and read its payloads.
 
     Every entry must have a known dtype code, and the payloads must follow
     the manifest back to back, in entry order, up to the end of the file
-    (so a truncated, padded or mis-pointing file is rejected). Returns the
-    raw bytes, the config and the (name, dtype, shape, offset) entries.
+    (so a truncated, padded or mis-pointing file is rejected). The payloads
+    are read into one buffer, placed so that the first payload wider than a
+    byte starts on a ``_PAYLOAD_ALIGN`` boundary: tensors of one dtype then
+    all sit aligned. Returns the config, the (name, dtype, shape, offset)
+    entries and, in entry order, each payload as a C-contiguous view of that
+    buffer.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a checkpoint")
-    pos = len(CHECKPOINT_MAGIC)
+        size = os.fstat(fh.fileno()).st_size
 
-    def take(fmt: str) -> tuple:
-        nonlocal pos
-        size = struct.calcsize(fmt)
-        if pos + size > len(raw):
-            raise CheckpointError(f"{path}: manifest truncated at byte {len(raw)}")
-        values = struct.unpack_from(fmt, raw, pos)
-        pos += size
-        return values
+        def take(fmt: str) -> tuple:
+            want = struct.calcsize(fmt)
+            chunk = fh.read(want)
+            if len(chunk) < want:
+                raise CheckpointError(f"{path}: manifest truncated at byte {size}")
+            return struct.unpack(fmt, chunk)
 
-    (count,) = take("<I")
-    entries = []
-    for _ in range(count):
-        (name_len,) = take("<H")
-        try:
-            name = take(f"<{name_len}s")[0].decode()
-        except UnicodeDecodeError:
-            raise CheckpointError(f"{path}: entry name is not UTF-8") from None
-        code, rank = take("<BB")
-        shape = tuple(int(d) for d in take(f"<{rank}Q"))
-        (offset,) = take("<Q")
-        if code not in _CODE_DTYPES:
-            raise CheckpointError(f"{path}: entry {name} has unknown dtype code {code}")
-        entries.append((name, _CODE_DTYPES[code], shape, offset))
-    end = pos
-    for name, dtype, shape, offset in entries:
-        nbytes = dtype.itemsize * math.prod(shape)
-        if offset != end or offset + nbytes > len(raw):
-            raise CheckpointError(f"{path}: entry {name} lies outside the file's payload")
-        end += nbytes
-    if end != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - end} bytes after the last entry")
-    config_entry = next((e for e in entries if e[0] == "meta.config"), None)
-    if config_entry is None:
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: bad magic, not a checkpoint")
+        (count,) = take("<I")
+        entries = []
+        for _ in range(count):
+            (name_len,) = take("<H")
+            try:
+                name = take(f"<{name_len}s")[0].decode()
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: entry name is not UTF-8") from None
+            code, rank = take("<BB")
+            shape = tuple(int(d) for d in take(f"<{rank}Q"))
+            (offset,) = take("<Q")
+            if code not in _CODE_DTYPES:
+                raise CheckpointError(f"{path}: entry {name} has unknown dtype code {code}")
+            entries.append((name, _CODE_DTYPES[code], shape, offset))
+        start = end = fh.tell()
+        for name, dtype, shape, offset in entries:
+            nbytes = dtype.itemsize * math.prod(shape)
+            if offset != end or offset + nbytes > size:
+                raise CheckpointError(f"{path}: entry {name} lies outside the file's payload")
+            end += nbytes
+        if end != size:
+            raise CheckpointError(f"{path}: {size - end} bytes after the last entry")
+        first = next((e[3] for e in entries if e[1].itemsize > 1), start)
+        buf = np.empty(size - start + _PAYLOAD_ALIGN, dtype=np.uint8)
+        pad = -(buf.__array_interface__["data"][0] + first - start) % _PAYLOAD_ALIGN
+        if fh.readinto(memoryview(buf)[pad : pad + size - start]) != size - start:
+            raise CheckpointError(f"{path}: file shrank while it was read")
+    payloads = []
+    for _, dtype, shape, offset in entries:
+        at = pad + offset - start
+        payloads.append(buf[at : at + dtype.itemsize * math.prod(shape)].view(dtype).reshape(shape))
+    config_at = next((i for i, e in enumerate(entries) if e[0] == "meta.config"), None)
+    if config_at is None:
         raise CheckpointError(f"{path}: missing config entry")
-    _, _, shape, offset = config_entry
     try:
-        config = json.loads(raw[offset : offset + math.prod(shape)].decode())
+        config = json.loads(payloads[config_at].tobytes().decode())
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise CheckpointError(f"{path}: config is not UTF-8 JSON") from None
     if not isinstance(config, dict):
         raise CheckpointError(f"{path}: config is not a JSON object")
-    return raw, config, entries
+    return config, entries, payloads
 
 
 def read_manifest(path) -> tuple[dict, list[tuple[str, np.dtype, tuple, int]]]:
     """Parse a checkpoint's config and (name, dtype, shape, offset) entries."""
-    _, config, entries = _read_checkpoint(path)
+    config, entries, _ = _read_checkpoint(path)
     return config, entries
 
 
 def load_checkpoint(path, expected_cfg: ModelConfig | None = None):
-    """Rebuild (params, config); shapes are validated against the config."""
-    raw, config_dict, entries = _read_checkpoint(path)
+    """Rebuild (params, config); shapes are validated against the config.
+
+    Each parameter's data is a view into the one buffer the file was read
+    into, not a copy of its own."""
+    config_dict, entries, payloads = _read_checkpoint(path)
     try:
         cfg = ModelConfig(**config_dict)
         cfg.validate()
@@ -507,13 +530,12 @@ def load_checkpoint(path, expected_cfg: ModelConfig | None = None):
         raise CheckpointError(f"{path}: config does not match the requested model config")
     expected = param_shapes(cfg)
     params: dict[str, Tensor] = {}
-    for name, dtype, shape, offset in entries:
+    for (name, _, shape, _), data in zip(entries, payloads):
         if name == "meta.config":
             continue
         if name not in expected or expected[name] != shape:
             raise CheckpointError(f"{path}: unexpected tensor {name} {shape}")
-        arr = np.frombuffer(raw, dtype=dtype, count=math.prod(shape), offset=offset)
-        params[name] = Tensor(arr.reshape(shape).copy(), requires_grad=True)
+        params[name] = Tensor(data, requires_grad=True)
     missing = sorted(set(expected) - set(params))
     if missing:
         raise CheckpointError(f"{path}: checkpoint missing tensors: {missing[:4]}...")

@@ -33,11 +33,17 @@ the next backward accumulates straight into it.
 Inside ``with no_grad():`` every op returns a plain leaf that keeps no
 parents and no backward closure, so inference frees each intermediate as
 soon as nothing reads it. Values are the same as with the graph on.
+``grad_enabled()`` tells code above the engine that no graph is being
+built, so it can drop what only a backward or a loss would read.
+
+Randomness is loaded on first use: ``SeedStreams.stream`` imports
+``hashlib`` and ``numpy.random``, and so does a training-mode dropout with
+p > 0. Importing this module loads neither, so a forward-only run never
+does.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -197,6 +203,12 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
+
+
+def grad_enabled() -> bool:
+    """False inside ``no_grad``: ops build no graph, so nothing will read
+    what only a backward or a loss needs."""
+    return _grad_enabled
 
 
 def _make(data: Array, parents: tuple[Tensor, ...], backward) -> Tensor:
@@ -487,10 +499,6 @@ def instance_norm_temporal(
     return _make(out_data, parents, backward)
 
 
-# bit generators whose random() is (one 64-bit word >> 11) * 2^-53
-_EXACT_DOUBLES = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
-
-
 def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool, draw_axes=None) -> Tensor:
     """Inverted dropout; identity when p == 0 or in eval mode.
 
@@ -509,7 +517,10 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool, draw_axe
         raise DomainError(f"dropout rate must lie in [0, 1), got {p}")
     if not train or p == 0.0:
         return x
-    if not isinstance(rng.bit_generator, _EXACT_DOUBLES):
+    # bit generators whose random() is (one 64-bit word >> 11) * 2^-53; named
+    # here, not at import, so a forward-only run never loads numpy.random
+    exact = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
+    if not isinstance(rng.bit_generator, exact):
         raise TypeError(f"dropout cannot draw from {type(rng.bit_generator).__name__}")
     axes = tuple(range(x.data.ndim)) if draw_axes is None else tuple(draw_axes)
     inverse = sorted(range(len(axes)), key=axes.__getitem__)
@@ -982,6 +993,8 @@ class SeedStreams:
     def stream(self, name: str) -> np.random.Generator:
         gen = self._streams.get(name)
         if gen is None:
+            import hashlib  # loaded on first use: a forward-only run draws nothing
+
             digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
             key = np.frombuffer(digest[:16], dtype=np.uint64)
             gen = np.random.Generator(np.random.Philox(key=key))

@@ -379,6 +379,31 @@ def levenshtein_loop(a: list, b: list) -> int:
     return prev[-1]
 
 
+def match_segments_loop(
+    pred_segs: list[M.Segment], gt_segs: list[M.Segment], threshold: float
+) -> tuple[int, int, int]:
+    """Greedy TP/FP/FN one segment pair at a time, as ``metrics.f1_counts``
+    computed them before one IoU matrix served every threshold."""
+    matched = [False] * len(gt_segs)
+    tp = fp = 0
+    for ps in pred_segs:
+        best_iou, best_idx = -1.0, None
+        for idx, gs in enumerate(gt_segs):
+            if matched[idx] or gs.label != ps.label:
+                continue
+            inter = min(ps.end, gs.end) - max(ps.start, gs.start) + 1
+            union = max(ps.end, gs.end) - min(ps.start, gs.start) + 1
+            iou = inter / union if inter > 0 else 0.0
+            if iou > best_iou:
+                best_iou, best_idx = iou, idx
+        if best_idx is not None and best_iou >= threshold:
+            tp += 1
+            matched[best_idx] = True
+        else:
+            fp += 1
+    return tp, fp, matched.count(False)
+
+
 def segments_brute(labels) -> list[tuple[int, int, int]]:
     segs = []
     for label, group in itertools.groupby(enumerate(labels), key=lambda p: p[1]):

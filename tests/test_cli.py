@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -176,6 +182,31 @@ def test_eval_loads_once_and_runs_each_video_once(synth_root, trained, tmp_path,
     ])
     assert rc == 0
     assert calls == {"model_forward": 3, "load_checkpoint": 1}
+
+
+def test_eval_loads_no_random_or_hashing_modules(synth_root, trained, tmp_path):
+    """A forward-only command draws nothing: beyond what importing numpy
+    loads, ``tut eval`` loads neither numpy.random nor hashlib."""
+    argv = [
+        "eval", "--data-root", str(synth_root), "--out", str(tmp_path / "eval_up"),
+        "--checkpoint", str(trained / "checkpoint.ckpt"), "--sample-rate", "2", "--upsample",
+    ]
+    script = (
+        "import json, sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "from tut.cli import main\n"
+        f"rc = main({argv!r})\n"
+        "loaded = {'numpy.random', 'hashlib', '_hashlib'} & set(sys.modules) - before\n"
+        "print(json.dumps([rc, sorted(loaded)]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
 
 
 def test_eval_ignored_classes_drop_the_named_class(trained, tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ from _oracles import (
     extract_segments_loop,
     f1_brute,
     levenshtein_loop,
+    match_segments_loop,
     reconstruct_labels,
     segments_brute,
 )
@@ -124,12 +125,50 @@ def test_levenshtein_equals_loop_oracle(data):
         b = list(a)
     else:
         b = data.draw(st.lists(st.sampled_from(right), max_size=12), label="b")
-    got = M._levenshtein(a, b)
+    got = M._levenshtein(*M._label_codes(a, b))
     assert type(got) is int and got == levenshtein_loop(a, b)
     if relation == "equal":
         assert got == 0
     if relation == "disjoint":
         assert got == max(len(a), len(b))
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_segment_matching_equals_loop_oracle(data):
+    """Equal (TP, FP, FN) per threshold from one IoU matrix per video, for
+    int, numpy and str labels, ignored ids, and thresholds at, between and
+    outside the IoU values (ties and all-candidate rows included)."""
+    kind = data.draw(st.sampled_from(["int", "numpy", "str"]), label="type")
+    as_label = {"int": int, "numpy": np.int64, "str": lambda c: "abcd"[c]}[kind]
+    n = data.draw(st.integers(0, 40), label="frames")
+    gt = [as_label(c) for c in data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+    pred = [as_label(c) for c in data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+    ignored = {as_label(c) for c in data.draw(st.sets(st.integers(0, 3), max_size=2))}
+    thresholds = data.draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]), st.floats(-0.5, 1.5)),
+            min_size=1, max_size=4, unique=True,
+        ),
+        label="thresholds",
+    )
+    pred_segs = M._kept_segments(pred, ignored)
+    gt_segs = M._kept_segments(gt, ignored)
+    want = {tau: match_segments_loop(pred_segs, gt_segs, tau) for tau in thresholds}
+    assert {tau: M.f1_counts(pred, gt, tau, ignored) for tau in thresholds} == want
+    _, counts = M._evaluate_video(pred, gt, thresholds, ignored)
+    assert counts == want
+
+
+def test_segment_matching_first_index_wins_ties():
+    """The first prediction "a" has IoU 1/7 with both ground-truth "a"
+    segments. Taking the first leaves the second for the later prediction
+    (IoU 0.5): 3 TP with the "b" match. Taking the last would leave 2 TP."""
+    gt = list("aaaabbaaaabbbb")
+    pred = list("cccaaaacaabcbb")
+    want = match_segments_loop(M.extract_segments(pred), M.extract_segments(gt), 0.1)
+    assert want == (3, 4, 1)
+    assert M.f1_counts(pred, gt, 0.1) == want
 
 
 @given(label_seqs, label_seqs)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -468,6 +469,46 @@ def test_load_checkpoint_reads_the_file_once(tmp_path, monkeypatch):
     monkeypatch.setattr(N, "open", counting_open, raising=False)
     N.load_checkpoint(path)
     assert len(opened) == 1
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_loaded_parameters_are_aligned_views_of_one_buffer(tmp_path, dtype):
+    """pe_max_len = 10^k lengthens the config by one byte per k, so the first
+    tensor payload sits at every file offset residue mod 8."""
+    residues = set()
+    for k in range(1, 9):
+        cfg = tiny_cfg(dtype=dtype, pe_max_len=10**k)
+        params = build(cfg, seed=k)
+        path = tmp_path / f"model{k}.ckpt"
+        N.save_checkpoint(path, params, cfg)
+        _, entries = N.read_manifest(path)
+        residues.add(entries[1][3] % 8)
+        loaded, _ = N.load_checkpoint(path)
+        first = next(iter(loaded.values())).data
+        buffer = first.base
+        assert buffer is not None and buffer.dtype == np.uint8
+        assert first.__array_interface__["data"][0] % 64 == 0
+        for name, p in params.items():
+            data = loaded[name].data
+            assert data.base is buffer and data.flags.c_contiguous and data.flags.aligned
+            assert data.__array_interface__["data"][0] % data.itemsize == 0
+            assert data.dtype == p.data.dtype and data.tobytes() == p.data.tobytes()
+    assert residues == set(range(8))
+
+
+def test_load_checkpoint_holds_the_payload_once(tmp_path):
+    cfg = tiny_cfg(dtype="f32", hidden_dim=64, hidden_dim_refine=64, ffn_dim=64, ffn_dim_refine=64)
+    path = tmp_path / "model.ckpt"
+    N.save_checkpoint(path, build(cfg), cfg)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        N.load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size > 400_000
+    assert peak < size + 100_000  # the file's bytes and nothing of their size besides
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -114,6 +114,10 @@ def test_predict_without_graph_matches_graph_forward(dtype):
     assert with_graph.logits[-1]._parents  # the reference forward does build a graph
     with T.no_grad():
         bare = N.model_forward(features, params, cfg, train=False)
+    # without a graph there is no loss to read the attention records
+    assert all(r is not None for pair in with_graph.records for r in pair)
+    assert bare.records == [(None, None)] * cfg.num_stages
+    assert len(bare.logits) == len(bare.probs) == cfg.num_stages
     for ref, out in zip(with_graph.logits + with_graph.probs, bare.logits + bare.probs):
         assert out.data.dtype == cfg.np_dtype
         assert out.data.tobytes() == ref.data.tobytes()
