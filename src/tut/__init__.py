@@ -1,8 +1,8 @@
 """Temporal U-transformer toolkit for frame-wise action segmentation."""
 
-from .attention import AttentionConfig, AttentionRecord, RpeTable
+from .attention import AttentionRecord
 from .data import ClassMapping, SynthSpec, VideoSample, generate_synthetic, load_dataset
-from .losses import BoundarySet, LossWeights, PriorDistribution, derive_boundaries, total_loss
+from .losses import BoundarySet, derive_boundaries, total_loss
 from .metrics import EvalReport, evaluate, evaluate_corpus, extract_segments
 from .net import (
     ModelConfig,

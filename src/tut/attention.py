@@ -21,6 +21,11 @@ on the record, with the layout, so the boundary loss can read similarity
 distributions straight out of the forward pass. Under ``tensor.no_grad``
 there is no loss to read them, so ``attend`` returns no record and the
 probabilities are freed once the mixing has read them.
+
+``attend`` takes only the settings it reads (pattern, window, heads and
+dropout rate) and a relative-position table as a plain (w, heads) tensor.
+They are held and validated once, in ``net.ModelConfig``, and ``net``
+resolves which table each layer reads.
 """
 
 from __future__ import annotations
@@ -32,47 +37,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .tensor import SlotLayout, Tensor
 
 PATTERNS = ("full", "local", "logsparse")
-PE_MODES = ("none", "sinusoidal", "learnable", "relative")
-RPE_SHARES = ("none", "stage", "scale")
-
-
-@dataclass
-class AttentionConfig:
-    """Head layout, sparsity pattern, and positional-encoding switches."""
-
-    pattern: str = "local"
-    window: int = 51
-    heads: int = 4
-    dropout: float = 0.0
-    pe_mode: str = "relative"
-    rpe_share: str = "scale"
-    rpe_split_coders: bool = False  # separate encoder/decoder tables under scale sharing
-
-    def validate(self, model_dim: int):
-        if self.pattern not in PATTERNS:
-            raise ConfigError(f"unknown attention pattern {self.pattern!r}")
-        if self.pe_mode not in PE_MODES:
-            raise ConfigError(f"unknown pe_mode {self.pe_mode!r}")
-        if self.rpe_share not in RPE_SHARES:
-            raise ConfigError(f"unknown rpe_share {self.rpe_share!r}")
-        if self.window < 1 or self.window % 2 == 0:
-            raise ConfigError(f"window must be odd and >= 1, got {self.window}")
-        if self.heads < 1 or model_dim % self.heads != 0:
-            raise ConfigError(f"heads ({self.heads}) must divide model dim ({model_dim})")
-        if self.pe_mode == "relative" and self.pattern != "local":
-            raise ConfigError("relative positional encoding requires the local pattern")
-
-
-@dataclass
-class RpeTable:
-    """Learnable (window, heads) score offsets, keyed by the sharing strategy."""
-
-    key: str
-    weights: Tensor  # (w, h); row index = (j - i) + w // 2
 
 
 @dataclass
@@ -130,29 +98,34 @@ def attend(
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    cfg: AttentionConfig,
-    rpe: RpeTable | None = None,
+    pattern: str,
+    window: int,
+    heads: int,
+    dropout: float = 0.0,
+    rpe: Tensor | None = None,
     rng: np.random.Generator | None = None,
     train: bool = False,
 ) -> tuple[Tensor, AttentionRecord | None]:
-    """Attention under ``cfg.pattern``; returns the (T_q, d) output and its
-    record, or None for the record when no graph is being built.
+    """``heads``-head attention under ``pattern``; returns the (T_q, d)
+    output and its record, or None for the record when no graph is being
+    built. Attention dropout at rate ``dropout`` draws from ``rng`` and
+    applies only when one is given.
 
     Local rows see keys in [i - w//2, i + w//2], clamped: the softmax
-    normalizes over in-range slots only, and the relative-position scalar
-    for offset j - i is added to the score first. w >= 2T - 1 gives the
-    same output as full attention.
+    normalizes over in-range slots only, and row j - i + w//2 of the
+    (w, heads) relative-position table ``rpe`` is added to the score
+    first. w >= 2T - 1 gives the same output as full attention.
     """
     if k.data.shape[0] != v.data.shape[0]:
         raise ShapeError(f"key/value lengths differ: {k.data.shape[0]} vs {v.data.shape[0]}")
     if q.data.shape[1] != k.data.shape[1] or k.data.shape[1] != v.data.shape[1]:
         raise ShapeError("query/key/value dims differ")
-    layout = slot_layout(cfg.pattern, q.data.shape[0], k.data.shape[0], cfg.window)
-    probs = T.slot_softmax(q, k, layout, cfg.heads, rpe.weights if rpe is not None else None)
+    layout = slot_layout(pattern, q.data.shape[0], k.data.shape[0], window)
+    probs = T.slot_softmax(q, k, layout, heads, rpe)
     p_used = probs
     if rng is not None:  # draw head-major, as per-head (T_q, S) masks from this stream would
-        p_used = T.dropout(probs, cfg.dropout, rng, train, draw_axes=(1, 0, 2))
-    record = AttentionRecord(cfg.pattern, probs, layout) if T.grad_enabled() else None
+        p_used = T.dropout(probs, dropout, rng, train, draw_axes=(1, 0, 2))
+    record = AttentionRecord(pattern, probs, layout) if T.grad_enabled() else None
     return T.slot_mix(p_used, v, layout), record
 
 

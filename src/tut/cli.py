@@ -51,9 +51,7 @@ def _configs_from_args(args):
 
 
 def _load_split(data_cfg: DataConfig):
-    return D.load_dataset(
-        data_cfg.root, data_cfg.split, fps=data_cfg.fps, stride=data_cfg.sample_rate
-    )
+    return D.load_dataset(data_cfg.root, data_cfg.split, stride=data_cfg.sample_rate)
 
 
 def _write_video_artifacts(out_dir: Path, sample, labels, mapping, num_classes):
@@ -131,7 +129,9 @@ def cmd_predict(args) -> int:
         raise ConfigError(f"video {args.video!r} not in split {data_cfg.split}")
     sample = matches[0]
     params, cfg = load_checkpoint(args.checkpoint)
-    labels = TR.predict_sample(params, cfg, sample, upsample=args.upsample)
+    labels = TR.predict_sample(params, cfg, sample)
+    if args.upsample:
+        labels = TR.restore_source_rate(labels, sample)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_video_artifacts(out_dir, sample, labels, mapping, mapping.num_classes)

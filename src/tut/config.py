@@ -18,7 +18,6 @@ class DataConfig:
     root: str = ""
     split: str = "splits/all.bundle"
     sample_rate: int = 1  # temporal stride applied while reading features
-    fps: float = 15.0
     ignored_classes: str = ""  # comma-separated class names edit and F1 drop
 
     def __post_init__(self):
@@ -40,7 +39,7 @@ PRESETS: dict[str, dict[str, dict]] = {
             input_dropout=0.4, ffn_dropout=0.3, attention_dropout=0.2,
         ),
         "train": dict(lr=5e-4, weight_decay=1e-5, boundary_weight=0.02),
-        "data": dict(sample_rate=2),  # 30 fps source reduced to 15 fps
+        "data": dict(sample_rate=2),  # 30 frames/s source reduced to 15 frames/s
     },
     "gtea": {
         "model": dict(
@@ -78,9 +77,18 @@ def _coerce(value: str, target_type):
 
 
 def parse_config_file(path) -> dict[str, dict[str, str]]:
-    parser = configparser.ConfigParser()
-    with open(path) as fh:
-        parser.read_file(fh)
+    """Section -> {key: raw value}. Values are taken literally (no ``%``
+    interpolation), and a ``;`` after whitespace starts a comment.
+
+    A file that cannot be read or parsed raises ``ConfigError`` naming it.
+    """
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else " ".join(str(exc).split())
+        raise ConfigError(f"{path}: cannot read config file: {reason}") from None
     out: dict[str, dict[str, str]] = {}
     for section in parser.sections():
         if section not in SECTIONS:

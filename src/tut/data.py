@@ -72,7 +72,6 @@ class VideoSample:
     video_id: str
     features: np.ndarray | None  # (T, d) float32; None when read from `path`
     labels: np.ndarray  # (T,) int
-    fps: float = 15.0
     source_len: int | None = None  # original length before temporal striding
     stride: int = 1  # source frames per kept frame
     path: Path | None = None  # feature file read by load_features
@@ -217,9 +216,7 @@ def _clean_video_id(raw: str) -> str:
     return vid[:-4] if vid.endswith(".txt") else vid
 
 
-def load_dataset(
-    root, split_file, fps: float = 15.0, stride: int = 1
-) -> tuple[list[VideoSample], ClassMapping]:
+def load_dataset(root, split_file, stride: int = 1) -> tuple[list[VideoSample], ClassMapping]:
     """Load every video listed in a split bundle, keeping every
     ``stride``-th frame.
 
@@ -262,7 +259,7 @@ def load_dataset(
             )
             labels = labels[:keep]
         samples.append(VideoSample(
-            vid, None, labels[::stride], fps=fps,
+            vid, None, labels[::stride],
             source_len=keep if stride > 1 else None, stride=stride,
             path=feat_path, file_shape=(frames, dim),
         ))

@@ -5,11 +5,16 @@ boundary frame's local-attention distribution toward an idealized prior.
 Boundary labels are derived from the class labels alone: a frame starts a
 segment iff it is frame 0 or its label differs from the previous frame,
 and ends one iff it is the last frame or its label differs from the next.
+
+``total_loss`` reads the term weights, the smoothing clip and the boundary
+distance off the ``trainer.TrainConfig`` it is given, which also validates
+them; the terms take plain values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,33 +24,16 @@ from .errors import ConfigError, ShapeError
 from .net import StageOutputs
 from .tensor import Tensor
 
+if TYPE_CHECKING:  # trainer imports this module
+    from .trainer import TrainConfig
+
 BA_DISTANCES = ("kl", "js", "l2", "wasserstein")
-
-
-@dataclass
-class LossWeights:
-    smooth_weight: float = 0.15  # truncated-MSE multiplier
-    boundary_weight: float = 0.0  # boundary-aware multiplier, per dataset
-    smooth_clip: float = 4.0  # truncation threshold on the log-prob delta
-    boundary_distance: str = "kl"
-
-    def validate(self):
-        if self.smooth_weight < 0 or self.boundary_weight < 0 or self.smooth_clip <= 0:
-            raise ConfigError("loss weights must be non-negative and smooth_clip positive")
-        if self.boundary_distance not in BA_DISTANCES:
-            raise ConfigError(f"unknown boundary distance {self.boundary_distance!r}")
 
 
 @dataclass
 class BoundarySet:
     start_frames: np.ndarray
     end_frames: np.ndarray
-
-
-@dataclass
-class PriorDistribution:
-    variant: str  # "start" | "end"
-    values: np.ndarray  # length w, sums to 1
 
 
 def ce_loss(logits: Tensor, labels) -> Tensor:
@@ -81,8 +69,9 @@ def derive_boundaries(labels) -> BoundarySet:
     return BoundarySet(starts, ends)
 
 
-def prior(variant: str, window: int) -> PriorDistribution:
-    """Idealized boundary similarity over a window of size w.
+def prior(variant: str, window: int) -> np.ndarray:
+    """Idealized boundary similarity over a window of size w: a length-w
+    array that sums to 1.
 
     A start frame matches its forward neighbors (itself included), an end
     frame its backward neighbors (itself excluded); mass is uniform over
@@ -98,7 +87,7 @@ def prior(variant: str, window: int) -> PriorDistribution:
         values[:half] = 1.0 / half
     else:
         raise ConfigError(f"unknown prior variant {variant!r}")
-    return PriorDistribution(variant, values)
+    return values
 
 
 def _lad_rows(record: AttentionRecord, frames: np.ndarray, window: int) -> Tensor:
@@ -169,7 +158,7 @@ def _record_ba(
         keep = frames[(frames >= lo) & (frames <= hi)]
         if keep.size:
             rows.append(keep)
-            prior_rows.append(np.tile(prior(variant, window).values, (keep.size, 1)))
+            prior_rows.append(np.tile(prior(variant, window), (keep.size, 1)))
     if not rows:
         return None
     frames = np.concatenate(rows)
@@ -181,11 +170,12 @@ def _record_ba(
 def ba_loss(
     records: tuple[AttentionRecord | None, AttentionRecord | None],
     boundaries: BoundarySet,
-    weights: LossWeights,
+    distance: str,
     window: int,
     full_len: int,
 ) -> Tensor:
-    """Boundary divergence summed over the designated layer pair.
+    """Boundary divergence (one of ``BA_DISTANCES``) summed over the
+    designated layer pair.
 
     The decoder-last record sits at full resolution; under the resampling
     architecture the encoder-first record sits at ceil(T/2), so boundary
@@ -197,7 +187,7 @@ def ba_loss(
     dtype = present[0].probs.data.dtype if present else np.float64
     total = Tensor(np.asarray(0.0, dtype=dtype))
     for record in present:
-        term = _record_ba(record, boundaries, full_len, window, weights.boundary_distance, dtype)
+        term = _record_ba(record, boundaries, full_len, window, distance, dtype)
         if term is not None:
             total = T.add(total, term)
     return total
@@ -206,26 +196,29 @@ def ba_loss(
 def total_loss(
     outputs: StageOutputs,
     labels,
-    weights: LossWeights,
+    cfg: TrainConfig,
     window: int,
 ) -> tuple[Tensor, dict[str, float]]:
-    """Weighted sum over stages; the breakdown is for logging."""
+    """Sum over stages of each term weighted as ``cfg`` says; the breakdown
+    is for logging."""
     labels = np.asarray(labels)
     full_len = labels.shape[0]
-    boundaries = derive_boundaries(labels) if weights.boundary_weight > 0 else None
+    boundaries = derive_boundaries(labels) if cfg.boundary_weight > 0 else None
     total = None
     breakdown = {"ce": 0.0, "tmse": 0.0, "ba": 0.0}
     for stage, logits in enumerate(outputs.logits):
         term = ce_loss(logits, labels)
         breakdown["ce"] += float(term.data)
-        if weights.smooth_weight > 0:
-            smooth = tmse_loss(logits, weights.smooth_clip)
+        if cfg.smooth_weight > 0:
+            smooth = tmse_loss(logits, cfg.smooth_clip)
             breakdown["tmse"] += float(smooth.data)
-            term = T.add(term, T.mul(smooth, weights.smooth_weight))
-        if weights.boundary_weight > 0:
-            ba = ba_loss(outputs.records[stage], boundaries, weights, window, full_len)
+            term = T.add(term, T.mul(smooth, cfg.smooth_weight))
+        if cfg.boundary_weight > 0:
+            ba = ba_loss(
+                outputs.records[stage], boundaries, cfg.boundary_distance, window, full_len
+            )
             breakdown["ba"] += float(ba.data)
-            term = T.add(term, T.mul(ba, weights.boundary_weight))
+            term = T.add(term, T.mul(ba, cfg.boundary_weight))
         total = term if total is None else T.add(total, term)
     breakdown["total"] = float(total.data)
     return total, breakdown

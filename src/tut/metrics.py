@@ -31,7 +31,6 @@ class EvalReport:
     edit: float
     f1: dict[float, float]
     per_video: list["EvalReport"] = field(default_factory=list)
-    per_video_f1: dict[float, float] | None = None  # averaged alternative to pooling
 
     def as_rows(self) -> list[tuple[str, str, float]]:
         rows = [("acc", "", self.acc), ("edit", "", self.edit)]
@@ -202,7 +201,7 @@ def evaluate_corpus(
     pairs: list[tuple], thresholds=DEFAULT_THRESHOLDS, ignored_classes=()
 ) -> EvalReport:
     """Corpus metrics: frame-pooled accuracy, per-video-averaged edit,
-    TP/FP/FN-pooled F1 (per-video-averaged F1 kept alongside)."""
+    TP/FP/FN-pooled F1; each video's own report is kept in ``per_video``."""
     per_video = []
     correct = total = 0
     pooled = {tau: [0, 0, 0] for tau in thresholds}
@@ -221,10 +220,6 @@ def evaluate_corpus(
         edit=float(np.mean([r.edit for r in per_video])) if per_video else 100.0,
         f1={tau: _f1_from_counts(*pooled[tau]) for tau in thresholds},
         per_video=per_video,
-        per_video_f1={
-            tau: float(np.mean([r.f1[tau] for r in per_video])) if per_video else 0.0
-            for tau in thresholds
-        },
     )
 
 

@@ -26,18 +26,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import (
-    AttentionConfig,
-    AttentionRecord,
-    RpeTable,
-    attend,
-    sinusoidal_encoding,
-    slot_count,
-)
+from .attention import PATTERNS, AttentionRecord, attend, sinusoidal_encoding, slot_count
 from .errors import CheckpointError, ConfigError, ShapeError
 from .tensor import SeedStreams, Tensor, downsample_nearest, upsample_nearest
 
 ARCHITECTURES = ("utrans", "standard")
+PE_MODES = ("none", "sinusoidal", "learnable", "relative")
+RPE_SHARES = ("none", "stage", "scale")
 
 
 @dataclass
@@ -80,19 +75,19 @@ class ModelConfig:
         for key in ("input_dropout", "ffn_dropout", "attention_dropout"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ConfigError(f"{key} must lie in [0, 1), got {getattr(self, key)}")
+        if self.attention not in PATTERNS:
+            raise ConfigError(f"unknown attention pattern {self.attention!r}")
+        if self.pe_mode not in PE_MODES:
+            raise ConfigError(f"unknown pe_mode {self.pe_mode!r}")
+        if self.rpe_share not in RPE_SHARES:
+            raise ConfigError(f"unknown rpe_share {self.rpe_share!r}")
+        if self.window < 1 or self.window % 2 == 0:
+            raise ConfigError(f"window must be odd and >= 1, got {self.window}")
         for stage_dim in (self.hidden_dim, self.hidden_dim_refine):
-            self.attention_config().validate(stage_dim)
-
-    def attention_config(self) -> AttentionConfig:
-        return AttentionConfig(
-            pattern=self.attention,
-            window=self.window,
-            heads=self.heads,
-            dropout=self.attention_dropout,
-            pe_mode=self.pe_mode,
-            rpe_share=self.rpe_share,
-            rpe_split_coders=self.rpe_split_coders,
-        )
+            if self.heads < 1 or stage_dim % self.heads != 0:
+                raise ConfigError(f"heads ({self.heads}) must divide model dim ({stage_dim})")
+        if self.pe_mode == "relative" and self.attention != "local":
+            raise ConfigError("relative positional encoding requires the local pattern")
 
     @property
     def np_dtype(self):
@@ -226,11 +221,9 @@ def _ffn(params, cfg: ModelConfig, prefix: str, x: Tensor, train, streams) -> Te
     return T.linear(h, params[f"{prefix}.ffn2.w"], params[f"{prefix}.ffn2.b"])
 
 
-def _rpe_for(params, cfg: ModelConfig, stage: int, coder: str, layer: int) -> RpeTable | None:
+def _rpe_for(params, cfg: ModelConfig, stage: int, coder: str, layer: int) -> Tensor | None:
     name = rpe_param_name(cfg, stage, coder, layer)
-    if name is None:
-        return None
-    return RpeTable(key=name[: -len(".w")], weights=params[name])
+    return params[name] if name is not None else None
 
 
 def encoder_layer(
@@ -252,8 +245,8 @@ def encoder_layer(
     q, k, v = (T.slice_cols(qkv, i * hidden, (i + 1) * hidden) for i in range(3))
     rng = streams.stream(f"dropout:{prefix}.attn") if streams is not None else None
     attn, record = attend(
-        q, k, v, cfg.attention_config(), rpe=_rpe_for(params, cfg, stage, "enc", layer),
-        rng=rng, train=train,
+        q, k, v, cfg.attention, cfg.window, cfg.heads, cfg.attention_dropout,
+        rpe=_rpe_for(params, cfg, stage, "enc", layer), rng=rng, train=train,
     )
     h2 = _norm(params, cfg, f"{prefix}.norm1", attn, h1)
     out = _norm(params, cfg, f"{prefix}.norm2", _ffn(params, cfg, prefix, h2, train, streams), h2)
@@ -286,8 +279,8 @@ def decoder_layer(
     k, v = T.slice_cols(kv, 0, hidden), T.slice_cols(kv, hidden, 2 * hidden)
     rng = streams.stream(f"dropout:{prefix}.attn") if streams is not None else None
     attn, record = attend(
-        q, k, v, cfg.attention_config(), rpe=_rpe_for(params, cfg, stage, "dec", layer),
-        rng=rng, train=train,
+        q, k, v, cfg.attention, cfg.window, cfg.heads, cfg.attention_dropout,
+        rpe=_rpe_for(params, cfg, stage, "dec", layer), rng=rng, train=train,
     )
     h2 = _norm(params, cfg, f"{prefix}.norm1", attn, h1)
     out = _norm(params, cfg, f"{prefix}.norm2", _ffn(params, cfg, prefix, h2, train, streams), h2)

@@ -20,7 +20,7 @@ import numpy as np
 from . import metrics as M
 from .data import ClassMapping, VideoSample, upsample_predictions
 from .errors import ConfigError, NumericError, TrainingDiverged
-from .losses import LossWeights, total_loss
+from .losses import BA_DISTANCES, total_loss
 from .net import (
     ModelConfig,
     count_attention_entries,
@@ -53,15 +53,10 @@ class TrainConfig:
     def validate(self):
         if self.epochs < 1 or self.lr <= 0:
             raise ConfigError("epochs must be >= 1 and lr positive")
-        self.loss_weights().validate()
-
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            smooth_weight=self.smooth_weight,
-            boundary_weight=self.boundary_weight,
-            smooth_clip=self.smooth_clip,
-            boundary_distance=self.boundary_distance,
-        )
+        if self.smooth_weight < 0 or self.boundary_weight < 0 or self.smooth_clip <= 0:
+            raise ConfigError("loss weights must be non-negative and smooth_clip positive")
+        if self.boundary_distance not in BA_DISTANCES:
+            raise ConfigError(f"unknown boundary distance {self.boundary_distance!r}")
 
 
 @dataclass
@@ -111,7 +106,6 @@ def train(
     train_cfg.validate()
     if not samples:
         raise ConfigError("cannot train on an empty dataset")
-    weights = train_cfg.loss_weights()
     streams = SeedStreams(train_cfg.seed)
     params = init_params(model_cfg, streams)
     state = TrainState(lr=train_cfg.lr)
@@ -128,7 +122,7 @@ def train(
                 outputs = model_forward(
                     sample.load_features(), params, model_cfg, train=True, streams=streams
                 )
-                loss, parts = total_loss(outputs, sample.labels, weights, model_cfg.window)
+                loss, parts = total_loss(outputs, sample.labels, train_cfg, model_cfg.window)
             except NumericError as exc:
                 raise TrainingDiverged(
                     f"non-finite values on video {sample.video_id} at epoch {epoch}: {exc}"
@@ -190,16 +184,11 @@ def log_csv(rows: list[dict]) -> str:
 # evaluation / prediction
 
 
-def predict_sample(
-    params: dict[str, Tensor], cfg: ModelConfig, sample: VideoSample, upsample: bool = False
-) -> np.ndarray:
-    """Dropout-free, graph-free forward; labels from the last stage,
-    optionally restored to the source frame rate."""
+def predict_sample(params: dict[str, Tensor], cfg: ModelConfig, sample: VideoSample) -> np.ndarray:
+    """Dropout-free, graph-free forward; labels from the last stage, one per
+    kept frame (``restore_source_rate`` maps them back to the source rate)."""
     with no_grad():
-        labels = final_prediction(
-            model_forward(sample.load_features(), params, cfg, train=False)
-        )
-    return restore_source_rate(labels, sample) if upsample else labels
+        return final_prediction(model_forward(sample.load_features(), params, cfg, train=False))
 
 
 def restore_source_rate(labels: np.ndarray, sample: VideoSample) -> np.ndarray:

@@ -28,7 +28,7 @@ from tut import metrics as M
 from tut import net as N
 from tut import tensor as T
 from tut.data import VideoSample
-from tut.errors import DatasetError, NumericError, ShapeError
+from tut.errors import NumericError, ShapeError
 
 
 def numeric_grad(fn, arrays: list[np.ndarray], index: int, h: float = 1e-4) -> np.ndarray:
@@ -307,7 +307,7 @@ def _split_heads(x, heads: int):
     return [T.slice_cols(x, i * head_dim, (i + 1) * head_dim) for i in range(heads)]
 
 
-def attention_loop(q, k, v, cfg, rpe=None, rng=None, train=False):
+def attention_loop(q, k, v, pattern, window, heads, dropout=0.0, rpe=None, rng=None, train=False):
     """``attention.attend`` computed one head at a time from small graph ops.
 
     Full attention is a (T_q, T_k) matmul per head. The slotted patterns
@@ -317,16 +317,16 @@ def attention_loop(q, k, v, cfg, rpe=None, rng=None, train=False):
     """
     t_q, dim = q.data.shape
     t_k = k.data.shape[0]
-    head_dim = dim // cfg.heads
+    head_dim = dim // heads
     scale = 1.0 / math.sqrt(head_dim)
-    offsets = A.slot_offsets(cfg.pattern, t_k, cfg.window)
+    offsets = A.slot_offsets(pattern, t_k, window)
     if offsets is not None:
         keys = np.arange(t_q)[:, None] + offsets[None, :]
         flat_idx = np.clip(keys, 0, t_k - 1).reshape(-1)
         in_range = in_range_mask(offsets, t_q, t_k)
         mask = T.Tensor(np.where(in_range, 0.0, T.MASK_VALUE).astype(q.data.dtype))
     outs, probs = [], []
-    for h, (qh, kh, vh) in enumerate(zip(*(_split_heads(x, cfg.heads) for x in (q, k, v)))):
+    for h, (qh, kh, vh) in enumerate(zip(*(_split_heads(x, heads) for x in (q, k, v)))):
         if offsets is None:
             scores = T.mul(T.matmul(qh, T.transpose2d(kh)), scale)
         else:
@@ -334,12 +334,12 @@ def attention_loop(q, k, v, cfg, rpe=None, rng=None, train=False):
             qe = T.reshape(qh, (t_q, 1, head_dim))
             scores = T.mul(T.sum_axis(T.mul(qe, kg), axis=2), scale)
             if rpe is not None:
-                rpe_row = T.reshape(T.slice_cols(rpe.weights, h, h + 1), (1, len(offsets)))
+                rpe_row = T.reshape(T.slice_cols(rpe, h, h + 1), (1, len(offsets)))
                 scores = T.add(scores, rpe_row)
             scores = T.add(scores, mask)
         p = T.softmax_lastdim(scores)
         probs.append(p)
-        p_used = T.dropout(p, cfg.dropout, rng, train) if rng is not None else p
+        p_used = T.dropout(p, dropout, rng, train) if rng is not None else p
         if offsets is None:
             outs.append(T.matmul(p_used, vh))
         else:
@@ -507,10 +507,6 @@ def evaluate_corpus_per_call(pairs, thresholds=M.DEFAULT_THRESHOLDS, ignored_cla
         edit=float(np.mean([r.edit for r in per_video])) if per_video else 100.0,
         f1={tau: M._f1_from_counts(*pooled[tau]) for tau in thresholds},
         per_video=per_video,
-        per_video_f1={
-            tau: float(np.mean([r.f1[tau] for r in per_video])) if per_video else 0.0
-            for tau in thresholds
-        },
     )
 
 
@@ -518,20 +514,14 @@ def evaluate_corpus_per_call(pairs, thresholds=M.DEFAULT_THRESHOLDS, ignored_cla
 # load-then-stride temporal resampling
 
 
-def resample_temporal(sample: VideoSample, source_fps: float, target_fps: float) -> VideoSample:
-    """Stride-k frame selection of a loaded full-rate sample; only integer
-    ratios are supported."""
-    ratio = source_fps / target_fps
-    if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
-        raise DatasetError(f"unsupported resampling ratio {source_fps}/{target_fps}")
-    k = int(round(ratio))
+def resample_temporal(sample: VideoSample, k: int) -> VideoSample:
+    """Stride-k frame selection of a loaded full-rate sample."""
     if k == 1:
         return sample
     return VideoSample(
         sample.video_id,
         np.ascontiguousarray(sample.load_features()[::k]),
         sample.labels[::k],
-        fps=target_fps,
         source_len=sample.num_frames,
         stride=k,
     )
@@ -581,7 +571,7 @@ def mean_boundary_kl(record, labels, window: int) -> float | None:
         keep = frames[(frames >= lo) & (frames <= hi)]
         if not keep.size:
             continue
-        p = L.prior(variant, window).values
+        p = L.prior(variant, window)
         lads = L._lad_rows(record, keep, window).data
         for row in lads:
             mask = p > 0

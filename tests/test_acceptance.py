@@ -222,16 +222,16 @@ def test_c01_gradient_suite():
     q0, k0, v0 = (rng.standard_normal((7, 4)) for _ in range(3))
     wt = rng.standard_normal((7, 4))
     for pattern in ("full", "local", "logsparse"):
-        cfg = A.AttentionConfig(pattern=pattern, window=3, heads=2, pe_mode="none")
+        cfg = dict(pattern=pattern, window=3, heads=2)
 
         def att_f(qv, kv, vv, cfg=cfg):
-            out, _ = A.attend(T.tensor(qv), T.tensor(kv), T.tensor(vv), cfg)
+            out, _ = A.attend(T.tensor(qv), T.tensor(kv), T.tensor(vv), **cfg)
             return float((out.data * wt).sum())
 
         tq = T.tensor(q0, requires_grad=True)
         tk = T.tensor(k0, requires_grad=True)
         tv = T.tensor(v0, requires_grad=True)
-        out, _ = A.attend(tq, tk, tv, cfg)
+        out, _ = A.attend(tq, tk, tv, **cfg)
         T.sum_all(T.mul(out, T.tensor(wt))).backward()
         check(f"attention.{pattern}", att_f, [q0, k0, v0], [tq.grad, tk.grad, tv.grad])
 
@@ -314,7 +314,7 @@ def test_c01_gradient_suite():
     params = N.init_params(cfg, T.SeedStreams(1))
     x = rng.standard_normal((16, 4))
     labels = np.array([0] * 5 + [1] * 6 + [2] * 5)
-    weights = L.LossWeights(smooth_weight=0.15, boundary_weight=0.02)
+    loss_cfg = TR.TrainConfig(smooth_weight=0.15, boundary_weight=0.02)
 
     def log_softmax_np(arr):
         s = arr - arr.max(axis=1, keepdims=True)
@@ -334,11 +334,11 @@ def test_c01_gradient_suite():
             delta = np.clip(logp[1:] - frozen_prev[s], -4.0, 4.0)
             total += 0.15 * float((delta**2).mean())
             total += 0.02 * float(
-                L.ba_loss(out.records[s], boundaries, weights, cfg.window, t).data
+                L.ba_loss(out.records[s], boundaries, "kl", cfg.window, t).data
             )
         return total
 
-    loss, _ = L.total_loss(N.model_forward(x, params, cfg), labels, weights, cfg.window)
+    loss, _ = L.total_loss(N.model_forward(x, params, cfg), labels, loss_cfg, cfg.window)
     loss.backward()
     analytic = {name: p.grad.copy() if p.grad is not None else None for name, p in params.items()}
     worst = 0.0
@@ -362,7 +362,7 @@ def test_c01_gradient_suite():
     # input gradient too
     tx_in = T.Tensor(x.copy(), requires_grad=True)
     out = N.model_forward(tx_in, params, cfg)
-    L.total_loss(out, labels, weights, cfg.window)[0].backward()
+    L.total_loss(out, labels, loss_cfg, cfg.window)[0].backward()
     err = rel_err(tx_in.grad, numeric_grad(lambda xv: surrogate_loss(xv), [x], 0))
     worst = max(worst, err)
     if err >= 1e-4:
@@ -385,19 +385,13 @@ def test_c02_attention_oracles():
         heads = int(rng.choice([1, 2]))
         q, k, v = (T.tensor(rng.standard_normal((t, d))) for _ in range(3))
         w = 2 * t - 1 if t % 2 == 1 else 2 * t + 1
-        local, _ = A.attend(
-            q, k, v, A.AttentionConfig(pattern="local", window=w, heads=heads, pe_mode="none")
-        )
-        full, _ = A.attend(
-            q, k, v, A.AttentionConfig(pattern="full", heads=heads, pe_mode="none")
-        )
+        local, _ = A.attend(q, k, v, "local", w, heads)
+        full, _ = A.attend(q, k, v, "full", w, heads)
         worst = max(worst, float(np.max(np.abs(local.data - full.data))))
     sets_ok = True
     for t in range(1, 65):
         q, k, v = (T.tensor(rng.standard_normal((t, 2))) for _ in range(3))
-        _, record = A.attend(
-            q, k, v, A.AttentionConfig(pattern="logsparse", heads=1, pe_mode="none")
-        )
+        _, record = A.attend(q, k, v, "logsparse", 51, 1)
         for i, got in enumerate(valid_key_sets(record)):
             if got != logsparse_key_set(t, i):
                 sets_ok = False
@@ -449,9 +443,6 @@ def test_c03_measured_retained_bytes():
     model_cfg, train_cfg, _ = build_configs("gtea", None, {})
     model_cfg.input_dim, model_cfg.num_classes = 32, 5
     params = N.init_params(model_cfg, T.SeedStreams(0))
-    weights = L.LossWeights(
-        smooth_weight=train_cfg.smooth_weight, boundary_weight=train_cfg.boundary_weight
-    )
 
     def retained(t: int) -> int:
         x = np.random.default_rng(t).standard_normal((t, 32)).astype(np.float32)
@@ -460,7 +451,7 @@ def test_c03_measured_retained_bytes():
         tracemalloc.start()
         try:
             out = N.model_forward(x, params, model_cfg, train=True, streams=streams)
-            loss, _ = L.total_loss(out, labels, weights, model_cfg.window)
+            loss, _ = L.total_loss(out, labels, train_cfg, model_cfg.window)
             live = tracemalloc.get_traced_memory()[0]
             assert loss.requires_grad  # the graph was alive when measured
             return live
@@ -488,8 +479,8 @@ def test_c04_loss_correctness():
     L.tmse_loss(tl, 4.0).backward()
     checks.append(np.allclose(tl.grad[0], 0.0))
 
-    checks.append(np.allclose(L.prior("start", 5).values, [0, 0, 1 / 3, 1 / 3, 1 / 3]))
-    checks.append(np.allclose(L.prior("end", 5).values, [0.5, 0.5, 0, 0, 0]))
+    checks.append(np.allclose(L.prior("start", 5), [0, 0, 1 / 3, 1 / 3, 1 / 3]))
+    checks.append(np.allclose(L.prior("end", 5), [0.5, 0.5, 0, 0, 0]))
 
     # BA loss: zero at the prior, and equal to an independent KL script.
     # Segments of length >= 2 keep the start and end sets disjoint so one
@@ -518,12 +509,10 @@ def test_c04_loss_correctness():
         layout = A.slot_layout("local", t, t, w)
         rec = A.AttentionRecord("local", T.tensor(rows[:, None, :]), layout)
         b = L.derive_boundaries(labels)
-        got = float(
-            L.ba_loss((None, rec), b, L.LossWeights(boundary_weight=1.0), w, t).data
-        )
+        got = float(L.ba_loss((None, rec), b, "kl", w, t).data)
         expect = 0.0
         for variant, frames in (("start", b.start_frames), ("end", b.end_frames)):
-            p = L.prior(variant, w).values
+            p = L.prior(variant, w)
             for frame in frames:
                 if w // 2 <= frame <= t - 1 - w // 2:
                     expect += kl_scalar(p, rows[frame])
@@ -532,11 +521,9 @@ def test_c04_loss_correctness():
         for variant, frames in (("start", b.start_frames), ("end", b.end_frames)):
             for frame in frames:
                 if w // 2 <= frame <= t - 1 - w // 2:
-                    aligned[frame] = L.prior(variant, w).values
+                    aligned[frame] = L.prior(variant, w)
         rec2 = A.AttentionRecord("local", T.tensor(aligned[:, None, :]), layout)
-        zero = float(
-            L.ba_loss((None, rec2), b, L.LossWeights(boundary_weight=1.0), w, t).data
-        )
+        zero = float(L.ba_loss((None, rec2), b, "kl", w, t).data)
         checks.append(abs(zero) < 1e-12)
     checks.append(max_err < 1e-8)
     report(4, "loss correctness", all(checks), f"max BA-vs-script error {max_err:.2e}")

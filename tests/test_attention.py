@@ -14,12 +14,14 @@ from _oracles import (
     valid_key_sets,
 )
 from tut import attention as A
+from tut import net as N
 from tut import tensor as T
 from tut.errors import ConfigError, ShapeError
 
 
 def cfg_for(pattern, window=3, heads=1, **kw):
-    return A.AttentionConfig(pattern=pattern, window=window, heads=heads, pe_mode="none", **kw)
+    """``attend``'s settings, as keyword arguments."""
+    return dict(pattern=pattern, window=window, heads=heads, **kw)
 
 
 def rand_qkv(rng, t, d, t_k=None):
@@ -34,7 +36,7 @@ def rand_qkv(rng, t, d, t_k=None):
 def test_single_key_is_identity():
     rng = np.random.default_rng(0)
     q, k, v = rand_qkv(rng, 1, 4)
-    out, record = A.attend(q, k, v, cfg_for("local", window=7, heads=2))
+    out, record = A.attend(q, k, v, **cfg_for("local", window=7, heads=2))
     np.testing.assert_allclose(out.data, v.data, atol=1e-12)
     valid = in_range_mask(record.layout.offsets, 1, 1)
     np.testing.assert_allclose(record.probs.data[0, 0, valid[0]], [1.0])
@@ -43,7 +45,7 @@ def test_single_key_is_identity():
 def test_window_clamping_key_sets():
     rng = np.random.default_rng(1)
     q, k, v = rand_qkv(rng, 4, 2)
-    _, record = A.attend(q, k, v, cfg_for("local", window=3))
+    _, record = A.attend(q, k, v, **cfg_for("local", window=3))
     sets = valid_key_sets(record)
     assert sets[0] == {0, 1}
     assert sets[2] == {1, 2, 3}
@@ -57,8 +59,8 @@ def test_local_matches_full_with_saturating_window():
         heads = int(rng.choice([1, 2]))
         q, k, v = rand_qkv(rng, t, d)
         w = 2 * t - 1 if t % 2 == 1 else 2 * t + 1  # odd, >= 2t-1
-        local, _ = A.attend(q, k, v, cfg_for("local", window=w, heads=heads))
-        full, _ = A.attend(q, k, v, cfg_for("full", heads=heads))
+        local, _ = A.attend(q, k, v, **cfg_for("local", window=w, heads=heads))
+        full, _ = A.attend(q, k, v, **cfg_for("full", heads=heads))
         assert np.max(np.abs(local.data - full.data)) < 1e-6
 
 
@@ -68,7 +70,7 @@ def test_full_attention_uniform_keys():
     q = T.tensor(rng.standard_normal((t, d)))
     k = T.tensor(np.tile(rng.standard_normal((1, d)), (t, 1)))
     v = T.tensor(rng.standard_normal((t, d)))
-    out, record = A.attend(q, k, v, cfg_for("full"))
+    out, record = A.attend(q, k, v, **cfg_for("full"))
     np.testing.assert_allclose(record.probs.data[:, 0], np.full((t, t), 1 / t), atol=1e-12)
     np.testing.assert_allclose(out.data, np.tile(v.data.mean(axis=0), (t, 1)), atol=1e-12)
 
@@ -76,10 +78,10 @@ def test_full_attention_uniform_keys():
 def test_full_attention_kv_permutation_symmetry():
     rng = np.random.default_rng(4)
     q, k, v = rand_qkv(rng, 6, 4)
-    out, _ = A.attend(q, k, v, cfg_for("full", heads=2))
+    out, _ = A.attend(q, k, v, **cfg_for("full", heads=2))
     perm = rng.permutation(6)
     out_p, _ = A.attend(
-        q, T.tensor(k.data[perm]), T.tensor(v.data[perm]), cfg_for("full", heads=2)
+        q, T.tensor(k.data[perm]), T.tensor(v.data[perm]), **cfg_for("full", heads=2)
     )
     np.testing.assert_allclose(out.data, out_p.data, atol=1e-10)
 
@@ -90,14 +92,14 @@ def test_kv_length_mismatch_raises():
     k = T.tensor(rng.standard_normal((4, 2)))
     v = T.tensor(rng.standard_normal((3, 2)))
     with pytest.raises(ShapeError):
-        A.attend(q, k, v, cfg_for("local"))
+        A.attend(q, k, v, **cfg_for("local"))
 
 
 def test_logsparse_key_sets_match_enumeration():
     rng = np.random.default_rng(6)
     for t in range(1, 65):
         q, k, v = rand_qkv(rng, t, 2)
-        _, record = A.attend(q, k, v, cfg_for("logsparse"))
+        _, record = A.attend(q, k, v, **cfg_for("logsparse"))
         sets = valid_key_sets(record)
         bound = 2 * int(np.ceil(np.log2(t))) + 1 if t > 1 else 1
         for i in range(t):
@@ -108,10 +110,10 @@ def test_logsparse_key_sets_match_enumeration():
 def test_logsparse_t9_example_and_t1():
     rng = np.random.default_rng(7)
     q, k, v = rand_qkv(rng, 9, 2)
-    _, record = A.attend(q, k, v, cfg_for("logsparse"))
+    _, record = A.attend(q, k, v, **cfg_for("logsparse"))
     assert valid_key_sets(record)[4] == {4, 3, 5, 2, 6, 0, 8}
     q1, k1, v1 = rand_qkv(rng, 1, 2)
-    out, _ = A.attend(q1, k1, v1, cfg_for("logsparse"))
+    out, _ = A.attend(q1, k1, v1, **cfg_for("logsparse"))
     np.testing.assert_allclose(out.data, v1.data, atol=1e-12)
 
 
@@ -119,7 +121,7 @@ def test_rows_sum_to_one_all_patterns():
     rng = np.random.default_rng(8)
     for pattern in ("full", "local", "logsparse"):
         q, k, v = rand_qkv(rng, 11, 4)
-        _, record = A.attend(q, k, v, cfg_for(pattern, window=5, heads=2))
+        _, record = A.attend(q, k, v, **cfg_for(pattern, window=5, heads=2))
         offsets = record.layout.offsets
         valid = True if offsets is None else in_range_mask(offsets, 11, 11)[:, None, :]
         sums = np.where(valid, record.probs.data, 0.0).sum(axis=2)
@@ -130,7 +132,7 @@ def test_local_storage_bound():
     rng = np.random.default_rng(9)
     t, w, h = 40, 7, 2
     q, k, v = rand_qkv(rng, t, 4)
-    _, record = A.attend(q, k, v, cfg_for("local", window=w, heads=h))
+    _, record = A.attend(q, k, v, **cfg_for("local", window=w, heads=h))
     assert record.probs.data.size == h * w * t
     assert record.probs.data.size <= h * w * t
 
@@ -139,9 +141,9 @@ def test_zero_rpe_table_leaves_scores_unchanged():
     rng = np.random.default_rng(10)
     q, k, v = rand_qkv(rng, 8, 4)
     cfg = cfg_for("local", window=5, heads=2)
-    plain, _ = A.attend(q, k, v, cfg)
-    zero = A.RpeTable("scale0", T.tensor(np.zeros((5, 2))))
-    with_rpe, _ = A.attend(q, k, v, cfg, rpe=zero)
+    plain, _ = A.attend(q, k, v, **cfg)
+    zero = T.tensor(np.zeros((5, 2)))
+    with_rpe, _ = A.attend(q, k, v, **cfg, rpe=zero)
     np.testing.assert_allclose(plain.data, with_rpe.data, atol=1e-12)
 
 
@@ -154,7 +156,7 @@ def test_rpe_additivity_zero_projections():
     k = T.tensor(np.zeros((t, 4)))
     v = T.tensor(rng.standard_normal((t, 4)))
     table = rng.standard_normal((w, h))
-    _, record = A.attend(q, k, v, cfg, rpe=A.RpeTable("s", T.tensor(table)))
+    _, record = A.attend(q, k, v, **cfg, rpe=T.tensor(table))
     half = w // 2
     for i in range(half, t - half):  # full windows only
         for head in range(h):
@@ -167,22 +169,30 @@ def test_rpe_wrong_shape_raises():
     q, k, v = rand_qkv(rng, 4, 4)
     with pytest.raises(ShapeError):
         A.attend(
-            q, k, v, cfg_for("local", window=5, heads=2), rpe=A.RpeTable("x", T.tensor(np.zeros((3, 2))))
+            q, k, v, **cfg_for("local", window=5, heads=2), rpe=T.tensor(np.zeros((3, 2)))
         )
 
 
 def test_relative_pe_requires_local():
-    cfg = A.AttentionConfig(pattern="full", pe_mode="relative", heads=2)
-    with pytest.raises(ConfigError):
-        cfg.validate(4)
+    cfg = N.ModelConfig(attention="full", pe_mode="relative", heads=2)
+    with pytest.raises(ConfigError, match="relative positional encoding requires the local"):
+        cfg.validate()
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        A.AttentionConfig(window=4).validate(8)
-    with pytest.raises(ConfigError):
-        A.AttentionConfig(heads=3).validate(8)
-    A.AttentionConfig(window=5, heads=2, pe_mode="none").validate(8)
+    # ModelConfig holds and checks the settings attend reads
+    dims = dict(hidden_dim=8, hidden_dim_refine=8, pe_mode="none")
+    with pytest.raises(ConfigError, match="window must be odd"):
+        N.ModelConfig(window=4, **dims).validate()
+    with pytest.raises(ConfigError, match=r"heads \(3\) must divide model dim \(8\)"):
+        N.ModelConfig(heads=3, **dims).validate()
+    # heads must divide the refinement stages' dim too
+    with pytest.raises(ConfigError, match=r"model dim \(6\)"):
+        N.ModelConfig(heads=4, hidden_dim=8, hidden_dim_refine=6, pe_mode="none").validate()
+    for key, value in (("attention", "dense"), ("pe_mode", "rotary"), ("rpe_share", "all")):
+        with pytest.raises(ConfigError, match=f"unknown .*{value!r}"):
+            N.ModelConfig(**{**dims, key: value}).validate()
+    N.ModelConfig(window=5, heads=2, **dims).validate()
 
 
 @pytest.mark.parametrize("pattern", ["full", "local", "logsparse"])
@@ -196,13 +206,13 @@ def test_gradients_vs_finite_differences(pattern):
     cfg = cfg_for(pattern, window=w, heads=h)
 
     def f(qv, kv, vv):
-        out, _ = A.attend(T.tensor(qv), T.tensor(kv), T.tensor(vv), cfg)
+        out, _ = A.attend(T.tensor(qv), T.tensor(kv), T.tensor(vv), **cfg)
         return float((out.data * weights).sum())
 
     tq = T.tensor(q0, requires_grad=True)
     tk = T.tensor(k0, requires_grad=True)
     tv = T.tensor(v0, requires_grad=True)
-    out, _ = A.attend(tq, tk, tv, cfg)
+    out, _ = A.attend(tq, tk, tv, **cfg)
     T.sum_all(T.mul(out, T.tensor(weights))).backward()
     for i, ten in enumerate((tq, tk, tv)):
         assert rel_err(ten.grad, numeric_grad(f, [q0, k0, v0], i)) < 1e-4
@@ -218,12 +228,12 @@ def test_rpe_gradient_vs_finite_differences():
 
     def f(tab):
         out, _ = A.attend(
-            T.tensor(q0), T.tensor(k0), T.tensor(v0), cfg, rpe=A.RpeTable("s", T.tensor(tab))
+            T.tensor(q0), T.tensor(k0), T.tensor(v0), **cfg, rpe=T.tensor(tab)
         )
         return float((out.data * weights).sum())
 
     tt = T.tensor(table0, requires_grad=True)
-    out, _ = A.attend(T.tensor(q0), T.tensor(k0), T.tensor(v0), cfg, rpe=A.RpeTable("s", tt))
+    out, _ = A.attend(T.tensor(q0), T.tensor(k0), T.tensor(v0), **cfg, rpe=tt)
     T.sum_all(T.mul(out, T.tensor(weights))).backward()
     assert rel_err(tt.grad, numeric_grad(f, [table0], 0)) < 1e-4
 
@@ -246,9 +256,9 @@ def test_fused_local_matches_slotted_oracle():
         results = []
         for attend in (A.attend, attention_loop):
             leaves = [T.tensor(a, requires_grad=True) for a in arrays]
-            rpe = A.RpeTable("s", leaves[3]) if use_rpe else None
+            rpe = leaves[3] if use_rpe else None
             stream = np.random.default_rng(n) if drop else None
-            out, kept = attend(*leaves[:3], cfg, rpe=rpe, rng=stream, train=drop)
+            out, kept = attend(*leaves[:3], **cfg, rpe=rpe, rng=stream, train=drop)
             T.sum_all(T.mul(out, T.tensor(weights))).backward()
             grads = [np.zeros_like(a) if x.grad is None else x.grad for a, x in zip(arrays, leaves)]
             if attend is A.attend:
@@ -330,10 +340,9 @@ def test_slot_layout_is_shared_read_only_and_masks_only_edge_rows():
 def test_attention_dropout_record_keeps_predrop_rows():
     rng = np.random.default_rng(15)
     q, k, v = rand_qkv(rng, 12, 4)
-    cfg = cfg_for("local", window=5, heads=1)
-    cfg.dropout = 0.5
+    cfg = cfg_for("local", window=5, heads=1, dropout=0.5)
     stream = np.random.default_rng(0)
-    _, record = A.attend(q, k, v, cfg, rng=stream, train=True)
+    _, record = A.attend(q, k, v, **cfg, rng=stream, train=True)
     valid = in_range_mask(record.layout.offsets, 12, 12)
     sums = np.where(valid, record.probs.data[:, 0], 0.0).sum(axis=1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-6)
@@ -343,7 +352,7 @@ def test_cross_attention_lengths():
     # decoder-style call: queries and keys share length after upsampling
     rng = np.random.default_rng(16)
     q, k, v = rand_qkv(rng, 10, 4)
-    out, record = A.attend(q, k, v, cfg_for("local", window=3, heads=2))
+    out, record = A.attend(q, k, v, **cfg_for("local", window=3, heads=2))
     assert out.data.shape == (10, 4)
     assert record.query_len == record.layout.key_len == 10
 

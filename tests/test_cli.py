@@ -11,6 +11,7 @@ from tut import cli
 from tut import metrics as M
 from tut import trainer as TR
 from tut.cli import main
+from tut.config import build_configs
 from tut.data import (
     ClassMapping,
     VideoSample,
@@ -159,6 +160,50 @@ def test_eval_upsample_with_sample_rate(synth_root, trained, tmp_path):
     source_len = samples[0].num_frames
     pred = (out / "predictions" / "synth000.txt").read_text().splitlines()
     assert len(pred) == source_len  # restored to the source frame count
+
+
+def test_predict_upsample_with_sample_rate(synth_root, trained, tmp_path):
+    samples, _ = load_dataset(synth_root, "splits/all.bundle")
+    source_len = next(s.num_frames for s in samples if s.video_id == "synth001")
+    argv = ["predict", "--data-root", str(synth_root), "--checkpoint",
+            str(trained / "checkpoint.ckpt"), "--video", "synth001", "--sample-rate", "2"]
+    for out, extra, want in (("strided", [], (source_len + 1) // 2),
+                             ("restored", ["--upsample"], source_len)):
+        assert main([*argv, "--out", str(tmp_path / out), *extra]) == 0
+        pred = (tmp_path / out / "predictions" / "synth001.txt").read_text().splitlines()
+        assert len(pred) == want, out
+
+
+def test_effective_config_trains_the_same_run_again(tmp_path):
+    """A run's effective_config.cfg, passed back as --config, gives the same
+    effective config and checkpoint bytes. Its values are read literally, so
+    a ``%`` in the data root it records is no interpolation error."""
+    root = _synth(tmp_path / "data 100%")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["train", "--data-root", str(root), "--out", str(first), "--seed", "4",
+                 "--preset", "gtea", "--epochs", "1", *SMALL_MODEL, "--sample-rate", "2",
+                 "--ignored-classes", "class0"]) == 0
+    assert main(["train", "--data-root", str(root), "--out", str(second), "--seed", "4",
+                 "--config", str(first / "effective_config.cfg")]) == 0
+    for name in ("effective_config.cfg", "checkpoint.ckpt", "train_log.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def _documented_config_block() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1]
+    return section.split("```\n", 2)[1]
+
+
+def test_readme_config_example_loads(tmp_path):
+    path = tmp_path / "documented.cfg"
+    path.write_text(_documented_config_block())
+    model_cfg, train_cfg, data_cfg = build_configs(config_file=str(path))
+    assert (model_cfg.layers, model_cfg.window, model_cfg.architecture) == (5, 51, "utrans")
+    assert (train_cfg.boundary_weight, train_cfg.boundary_distance) == (0.02, "kl")
+    assert data_cfg.sample_rate == 2 and data_cfg.ignored() == {"background"}
+    model_cfg.validate()
+    train_cfg.validate()
 
 
 def test_eval_loads_once_and_runs_each_video_once(synth_root, trained, tmp_path, monkeypatch):
@@ -312,6 +357,23 @@ def _unknown_ignored_class(trained, synth_root, tmp_path):
             "--checkpoint", str(trained / "checkpoint.ckpt"), "--ignored-classes", "nosuchclass"]
 
 
+def _config_file(name, text: str | bytes | None):
+    """A train command reading config file ``name``: written as ``text``, or
+    made a directory when ``text`` is None."""
+    def make_argv(trained, synth_root, tmp_path):
+        path = tmp_path / name
+        if text is None:
+            path.mkdir()
+        elif isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        return ["train", "--data-root", str(synth_root), "--out", str(tmp_path / "run"),
+                "--seed", "1", "--config", str(path)]
+
+    return make_argv
+
+
 def _sample_rate(rate):
     # a rate below 1 would divide by zero in the strided read
     def make_argv(trained, synth_root, tmp_path):
@@ -325,10 +387,15 @@ def _sample_rate(rate):
     "make_argv",
     [_empty_split, _not_a_checkpoint, _non_finite_features, _feature_dim_mismatch,
      _truncated_checkpoint, _truncated_features, _sample_rate("0"), _sample_rate("-3"),
-     _unknown_ignored_class],
+     _unknown_ignored_class, _config_file("bare.cfg", "layers = 2\n"),
+     _config_file("twice.cfg", "[model]\nlayers = 2\nlayers = 3\n"),
+     _config_file("novalue.cfg", "[model]\nlayers\n"), _config_file("dir.cfg", None),
+     _config_file("binary.cfg", b"[model]\nlayers = \xff\xfe\n"),
+     _config_file("fps.cfg", "[data]\nfps = 15\n")],
     ids=["DatasetError", "CheckpointError", "TrainingDiverged", "ShapeError",
          "TruncatedCheckpoint", "TruncatedFeatures", "SampleRateZero", "SampleRateNegative",
-         "UnknownIgnoredClass"],
+         "UnknownIgnoredClass", "ConfigNoSectionHeader", "ConfigDuplicateKey",
+         "ConfigParsingError", "ConfigIsADirectory", "ConfigNotUtf8", "ConfigRemovedFps"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_typed_failures_exit_2_with_one_line(make_argv, trained, synth_root, tmp_path, capsys):
@@ -339,6 +406,8 @@ def test_typed_failures_exit_2_with_one_line(make_argv, trained, synth_root, tmp
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if line.startswith("error: ")] == err.splitlines()
     assert len(err.splitlines()) == 1
+    if "--config" in argv:  # the error names the file, or the key it does not know
+        assert argv[argv.index("--config") + 1] in err or "unknown key 'fps'" in err
 
 
 @pytest.mark.parametrize("change", ["rows", "dim", "truncated"])

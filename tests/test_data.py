@@ -196,16 +196,16 @@ def test_strided_load_equals_load_then_stride_oracle(tmp_path, caplog, stride, e
         features = np.random.default_rng(seed).standard_normal((n, 5)).astype(np.float32)
         D.write_features(tmp_path / "features" / f"{vid}.feat", features)
     with caplog.at_level("WARNING"):
-        full, mapping = D.load_dataset(tmp_path, "splits/all.bundle", fps=15.0)
+        full, mapping = D.load_dataset(tmp_path, "splits/all.bundle")
     oracle_warnings = [rec.getMessage() for rec in caplog.records]
     assert len(oracle_warnings) == (2 if extra else 0)
-    expected = [resample_temporal(s, 15.0 * stride, 15.0) for s in full]
+    expected = [resample_temporal(s, stride) for s in full]
     caplog.clear()
     with caplog.at_level("WARNING"):
-        got, got_mapping = D.load_dataset(tmp_path, "splits/all.bundle", fps=15.0, stride=stride)
+        got, got_mapping = D.load_dataset(tmp_path, "splits/all.bundle", stride=stride)
     assert [rec.getMessage() for rec in caplog.records] == oracle_warnings
     assert got_mapping.names == mapping.names
-    fields = ("video_id", "fps", "source_len", "stride", "num_frames")
+    fields = ("video_id", "source_len", "stride", "num_frames")
     for a, b in zip(got, expected, strict=True):
         assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
         fa, fb = a.load_features(), b.load_features()

@@ -9,6 +9,7 @@ from tut import losses as L
 from tut import net as N
 from tut import tensor as T
 from tut.errors import ConfigError
+from tut.trainer import TrainConfig
 
 
 def test_ce_uniform_and_perfect():
@@ -92,12 +93,12 @@ def test_boundary_roundtrip(labels):
 
 def test_prior_examples():
     start = L.prior("start", 5)
-    np.testing.assert_allclose(start.values, [0, 0, 1 / 3, 1 / 3, 1 / 3])
+    np.testing.assert_allclose(start, [0, 0, 1 / 3, 1 / 3, 1 / 3])
     end = L.prior("end", 5)
-    np.testing.assert_allclose(end.values, [0.5, 0.5, 0, 0, 0])
+    np.testing.assert_allclose(end, [0.5, 0.5, 0, 0, 0])
     for w in range(3, 102, 2):
-        assert abs(L.prior("start", w).values.sum() - 1.0) < 1e-12
-        assert abs(L.prior("end", w).values.sum() - 1.0) < 1e-12
+        assert abs(L.prior("start", w).sum() - 1.0) < 1e-12
+        assert abs(L.prior("end", w).sum() - 1.0) < 1e-12
     with pytest.raises(ConfigError):
         L.prior("end", 1)
 
@@ -142,8 +143,8 @@ def test_extract_lad_from_full_record_slices_row():
 def test_ba_loss_zero_when_lads_equal_priors():
     w, t = 5, 12
     labels = np.array([0] * 6 + [1] * 6)
-    start_p = L.prior("start", w).values
-    end_p = L.prior("end", w).values
+    start_p = L.prior("start", w)
+    end_p = L.prior("end", w)
     rows = np.tile(np.full(w, 1.0 / w), (t, 1))
     b = L.derive_boundaries(labels)
     for frame in b.start_frames:
@@ -153,8 +154,7 @@ def test_ba_loss_zero_when_lads_equal_priors():
         if 2 <= frame <= t - 3:
             rows[frame] = end_p
     rec = make_local_record([rows], w)
-    weights = L.LossWeights(boundary_weight=1.0)
-    out = L.ba_loss((None, rec), b, weights, window=w, full_len=t)
+    out = L.ba_loss((None, rec), b, "kl", window=w, full_len=t)
     np.testing.assert_allclose(float(out.data), 0.0, atol=1e-12)
 
 
@@ -164,7 +164,7 @@ def test_ba_loss_empty_window_range_is_zero():
     rows = np.random.default_rng(2).random((4, w))
     rows /= rows.sum(axis=1, keepdims=True)
     rec = make_local_record([rows], w)
-    out = L.ba_loss((None, rec), L.derive_boundaries(labels), L.LossWeights(), w, 4)
+    out = L.ba_loss((None, rec), L.derive_boundaries(labels), "kl", w, 4)
     assert float(out.data) == 0.0
 
 
@@ -183,10 +183,9 @@ def test_ba_loss_matches_independent_kl_script():
     end_row = np.array([0.3, 0.3, 0.2, 0.1, 0.1])
     rows[3] = end_row
     rec = make_local_record([rows], w)
-    weights = L.LossWeights(boundary_weight=1.0)
-    got = float(L.ba_loss((None, rec), L.derive_boundaries(labels), weights, w, t).data)
+    got = float(L.ba_loss((None, rec), L.derive_boundaries(labels), "kl", w, t).data)
     # frames 0 and t-1 are boundaries too but have clipped windows; frame 3/4 count
-    want = (expected + kl_scalar(L.prior("end", w).values, end_row)) / t
+    want = (expected + kl_scalar(L.prior("end", w), end_row)) / t
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
     # 20 random cases, model records vs the plain loop
@@ -197,12 +196,12 @@ def test_ba_loss_matches_independent_kl_script():
         raw = rng.random((t, w)) + 0.05
         rows = raw / raw.sum(axis=1, keepdims=True)
         rec = make_local_record([rows], w)
-        got = float(L.ba_loss((None, rec), L.derive_boundaries(labels), weights, w, t).data)
+        got = float(L.ba_loss((None, rec), L.derive_boundaries(labels), "kl", w, t).data)
         b = L.derive_boundaries(labels)
         expect = 0.0
         half = w // 2
         for variant, frames in (("start", b.start_frames), ("end", b.end_frames)):
-            p = L.prior(variant, w).values
+            p = L.prior(variant, w)
             for frame in frames:
                 if half <= frame <= t - 1 - half:
                     expect += kl_scalar(p, rows[frame])
@@ -219,12 +218,11 @@ def test_ba_loss_encoder_record_maps_to_half_resolution():
     raw = rng.random((half_t, w)) + 0.1
     rows = raw / raw.sum(axis=1, keepdims=True)
     rec = make_local_record([rows], w)
-    weights = L.LossWeights(boundary_weight=1.0)
-    got = float(L.ba_loss((rec, None), L.derive_boundaries(labels), weights, w, t).data)
+    got = float(L.ba_loss((rec, None), L.derive_boundaries(labels), "kl", w, t).data)
     # mapped starts {0, 4}, ends {3, 7}; frames 0 and 7 have clipped windows
     want = (
-        kl_scalar(L.prior("start", w).values, rows[4])
-        + kl_scalar(L.prior("end", w).values, rows[3])
+        kl_scalar(L.prior("start", w), rows[4])
+        + kl_scalar(L.prior("end", w), rows[3])
     ) / half_t
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -237,20 +235,19 @@ def test_ba_distances_nonnegative_and_zero_at_prior(kind):
     raw = rng.random((t, w)) + 0.02
     rows = raw / raw.sum(axis=1, keepdims=True)
     rec = make_local_record([rows], w)
-    weights = L.LossWeights(boundary_weight=1.0, boundary_distance=kind)
-    out = float(L.ba_loss((None, rec), L.derive_boundaries(labels), weights, w, t).data)
+    out = float(L.ba_loss((None, rec), L.derive_boundaries(labels), kind, w, t).data)
     assert out >= 0.0
     if kind == "kl":
         aligned = rows.copy()
         b = L.derive_boundaries(labels)
         for f in b.start_frames:
             if 2 <= f <= t - 3:
-                aligned[f] = L.prior("start", w).values
+                aligned[f] = L.prior("start", w)
         for f in b.end_frames:
             if 2 <= f <= t - 3:
-                aligned[f] = L.prior("end", w).values
+                aligned[f] = L.prior("end", w)
         rec2 = make_local_record([aligned], w)
-        out2 = float(L.ba_loss((None, rec2), b, weights, w, t).data)
+        out2 = float(L.ba_loss((None, rec2), b, kind, w, t).data)
         np.testing.assert_allclose(out2, 0.0, atol=1e-12)
 
 
@@ -258,21 +255,17 @@ def test_ba_gradient_flows_into_attention_inputs():
     rng = np.random.default_rng(6)
     t, d, w = 12, 4, 3
     labels = np.array([0] * 6 + [1] * 6)
-    cfg = A.AttentionConfig(pattern="local", window=w, heads=2, pe_mode="none")
     q0, k0, v0 = (rng.standard_normal((t, d)) for _ in range(3))
-    weights = L.LossWeights(boundary_weight=1.0)
 
     def f(qv, kv, vv):
-        _, rec = A.attend(T.tensor(qv), T.tensor(kv), T.tensor(vv), cfg)
-        return float(
-            L.ba_loss((None, rec), L.derive_boundaries(labels), weights, w, t).data
-        )
+        _, rec = A.attend(T.tensor(qv), T.tensor(kv), T.tensor(vv), "local", w, 2)
+        return float(L.ba_loss((None, rec), L.derive_boundaries(labels), "kl", w, t).data)
 
     tq = T.tensor(q0, requires_grad=True)
     tk = T.tensor(k0, requires_grad=True)
     tv = T.tensor(v0, requires_grad=True)
-    _, rec = A.attend(tq, tk, tv, cfg)
-    L.ba_loss((None, rec), L.derive_boundaries(labels), weights, w, t).backward()
+    _, rec = A.attend(tq, tk, tv, "local", w, 2)
+    L.ba_loss((None, rec), L.derive_boundaries(labels), "kl", w, t).backward()
     assert rel_err(tq.grad, numeric_grad(f, [q0, k0, v0], 0)) < 1e-4
     assert rel_err(tk.grad, numeric_grad(f, [q0, k0, v0], 1)) < 1e-4
     assert tv.grad is None or np.allclose(tv.grad, 0.0)  # values never enter the record
@@ -286,15 +279,13 @@ def test_ba_loss_full_record_matches_local_record(distance):
     rng = np.random.default_rng(8)
     t, d, w = 16, 4, 5
     labels = np.array([0] * 5 + [1] * 6 + [2] * 5)
-    weights = L.LossWeights(boundary_weight=1.0, boundary_distance=distance)
     q0, k0, v0 = (rng.standard_normal((t, d)) for _ in range(3))
     for heads in (1, 2, 4):
         results = []
         for pattern in ("local", "full"):
-            cfg = A.AttentionConfig(pattern=pattern, window=w, heads=heads, pe_mode="none")
             tq, tk = T.tensor(q0, requires_grad=True), T.tensor(k0, requires_grad=True)
-            _, rec = A.attend(tq, tk, T.tensor(v0), cfg)
-            loss = L.ba_loss((None, rec), L.derive_boundaries(labels), weights, w, t)
+            _, rec = A.attend(tq, tk, T.tensor(v0), pattern, w, heads)
+            loss = L.ba_loss((None, rec), L.derive_boundaries(labels), distance, w, t)
             loss.backward()
             results.append((float(loss.data), tq.grad, tk.grad))
         (local, dq_local, dk_local), (full, dq_full, dk_full) = results
@@ -319,11 +310,11 @@ def test_total_loss_composition_and_scaling():
     params = N.init_params(single_cfg, T.SeedStreams(0))
     out = N.model_forward(x, params, single_cfg)
 
-    w_off = L.LossWeights(smooth_weight=0.0, boundary_weight=0.0)
+    w_off = TrainConfig(smooth_weight=0.0, boundary_weight=0.0)
     total, parts = L.total_loss(out, labels, w_off, window=3)
     np.testing.assert_allclose(float(total.data), parts["ce"])
 
-    w_beta0 = L.LossWeights(smooth_weight=0.15, boundary_weight=0.0)
+    w_beta0 = TrainConfig(smooth_weight=0.15, boundary_weight=0.0)
     total2, parts2 = L.total_loss(out, labels, w_beta0, window=3)
     np.testing.assert_allclose(float(total2.data), parts2["ce"] + 0.15 * parts2["tmse"])
 
@@ -340,7 +331,7 @@ def test_total_loss_composition_and_scaling():
         probs=[out.probs[0]] * 3,
         records=[out.records[0]] * 3,
     )
-    weights_all = L.LossWeights(smooth_weight=0.15, boundary_weight=0.02)
+    weights_all = TrainConfig(smooth_weight=0.15, boundary_weight=0.02)
     one, _ = L.total_loss(out, labels, weights_all, window=3)
     three, _ = L.total_loss(stacked, labels, weights_all, window=3)
     np.testing.assert_allclose(float(three.data), 3 * float(one.data), rtol=1e-12)
@@ -367,7 +358,7 @@ def test_mean_boundary_kl_diagnostic():
     b = L.derive_boundaries(labels)
     expected = []
     for variant, frames in (("start", b.start_frames), ("end", b.end_frames)):
-        p = L.prior(variant, w).values
+        p = L.prior(variant, w)
         for f in frames:
             if 2 <= f <= t - 3:
                 expected.append(kl_scalar(p, rows[f]))

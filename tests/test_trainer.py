@@ -185,10 +185,10 @@ def test_empty_dataset_rejected():
 
 def test_predict_upsamples_to_source_rate():
     samples, _ = tiny_dataset(videos=1)
-    half = resample_temporal(samples[0], 30.0, 15.0)
+    half = resample_temporal(samples[0], 2)
     cfg = tiny_model()
     result = TR.train([half], cfg, TR.TrainConfig(epochs=1, lr=1e-3, seed=5))
-    up = TR.predict_sample(result.params, cfg, half, upsample=True)
+    up = TR.restore_source_rate(TR.predict_sample(result.params, cfg, half), half)
     assert up.shape[0] == samples[0].num_frames
 
 
@@ -196,12 +196,12 @@ def test_upsample_uses_the_load_stride(monkeypatch):
     # 10 source frames at stride 4 keep frames 0, 4, 8; the length ratio
     # rounds to 3, but each prediction must cover 4 source frames
     source = D.VideoSample("v", np.zeros((10, 8), dtype=np.float32), np.zeros(10, dtype=int))
-    strided = resample_temporal(source, 60.0, 15.0)
+    strided = resample_temporal(source, 4)
     assert strided.num_frames == 3
     monkeypatch.setattr(TR, "final_prediction", lambda outputs: np.array([0, 1, 2]))
     cfg = tiny_model(layers=1, refinement_stages=0)
     params = N.init_params(cfg, T.SeedStreams(0))
-    up = TR.predict_sample(params, cfg, strided, upsample=True)
+    up = TR.restore_source_rate(TR.predict_sample(params, cfg, strided), strided)
     np.testing.assert_array_equal(up, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2])
 
 
@@ -343,7 +343,7 @@ def test_float32_train_step_keeps_float32():
     streams = T.SeedStreams(0)
     params = N.init_params(model_cfg, streams)
     outputs = N.model_forward(features, params, model_cfg, train=True, streams=streams)
-    loss, _ = TR.total_loss(outputs, labels, train_cfg.loss_weights(), model_cfg.window)
+    loss, _ = TR.total_loss(outputs, labels, train_cfg, model_cfg.window)
     assert loss.data.dtype == np.float32
     loss.backward()
     wrong = {n: str(p.grad.dtype) for n, p in params.items() if p.grad.dtype != np.float32}
@@ -362,7 +362,7 @@ def gtea_step(dtype="f32", frames=72, input_dim=32, num_classes=5):
 
     def forward():
         outputs = N.model_forward(features, params, model_cfg, train=True, streams=streams)
-        loss, parts = TR.total_loss(outputs, labels, train_cfg.loss_weights(), model_cfg.window)
+        loss, parts = TR.total_loss(outputs, labels, train_cfg, model_cfg.window)
         assert all(parts[term] > 0 for term in ("ce", "tmse", "ba"))
         return outputs, loss
 
@@ -480,7 +480,7 @@ def test_cached_layout_trains_like_the_per_call_slot_kernels_and_norm(monkeypatc
 def _held_copy(sample):
     """The same sample with its features read once and held."""
     return D.VideoSample(
-        sample.video_id, sample.load_features(), sample.labels, fps=sample.fps,
+        sample.video_id, sample.load_features(), sample.labels,
         source_len=sample.source_len, stride=sample.stride,
     )
 
