@@ -104,7 +104,6 @@ def attend(
     dropout: float = 0.0,
     rpe: Tensor | None = None,
     rng: np.random.Generator | None = None,
-    train: bool = False,
 ) -> tuple[Tensor, AttentionRecord | None]:
     """``heads``-head attention under ``pattern``; returns the (T_q, d)
     output and its record, or None for the record when no graph is being
@@ -124,7 +123,7 @@ def attend(
     probs = T.slot_softmax(q, k, layout, heads, rpe)
     p_used = probs
     if rng is not None:  # draw head-major, as per-head (T_q, S) masks from this stream would
-        p_used = T.dropout(probs, dropout, rng, train, draw_axes=(1, 0, 2))
+        p_used = T.dropout(probs, dropout, rng, draw_axes=(1, 0, 2))
     record = AttentionRecord(pattern, probs, layout) if T.grad_enabled() else None
     return T.slot_mix(p_used, v, layout), record
 

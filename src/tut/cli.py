@@ -1,11 +1,14 @@
 """Command-line interface: train, eval, predict, synth, ablate,
-inspect-checkpoint. Every config key doubles as a ``--key value`` flag.
+inspect-checkpoint. ``train`` and ``ablate`` take every config key as a
+``--key value`` flag. ``eval`` and ``predict`` take their model from the
+checkpoint, so they take only the ``[data]`` keys they read.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,22 +16,22 @@ import numpy as np
 from . import data as D
 from . import metrics as M
 from . import trainer as TR
-from .config import DataConfig, build_configs, field_table, format_config
+from .config import DataConfig, build_configs, build_data_config, field_table, format_config
 from .errors import CheckpointError, ConfigError, DatasetError, ShapeError, TrainingDiverged
 from .net import load_checkpoint, read_manifest, save_checkpoint
 from .viz import render_timeline
 
 
-# config keys without a --key flag: commands take --seed and --data-root
-_NO_FLAG_KEYS = ("seed", "root")
+# every config key but seed and root, which commands take as --seed and --data-root
+TRAIN_KEYS = tuple(key for key in field_table() if key not in ("seed", "root"))
+EVAL_KEYS = ("split", "sample_rate", "ignored_classes")
+PREDICT_KEYS = ("split", "sample_rate")
 
 
-def _add_config_flags(parser: argparse.ArgumentParser):
-    for key in field_table():
-        if key in _NO_FLAG_KEYS:
-            continue
-        flag = "--" + key.replace("_", "-")
-        parser.add_argument(flag, dest=key, default=None, metavar="V")
+def _add_config_flags(parser: argparse.ArgumentParser, keys: tuple[str, ...]):
+    for key in keys:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None, metavar="V")
+    parser.set_defaults(config_keys=keys)
 
 
 def _common_data_flags(parser):
@@ -38,16 +41,9 @@ def _common_data_flags(parser):
     parser.add_argument("--preset", default=None, help="named dataset preset")
 
 
-def _configs_from_args(args):
-    overrides = {
-        key: getattr(args, key)
-        for key in field_table()
-        if key not in _NO_FLAG_KEYS and getattr(args, key, None) is not None
-    }
-    model_cfg, train_cfg, data_cfg = build_configs(args.preset, args.config, overrides)
-    if getattr(args, "data_root", None):
-        data_cfg.root = args.data_root
-    return model_cfg, train_cfg, data_cfg
+def _overrides(args) -> dict[str, str | None]:
+    """The command's config flags, and --data-root as the [data] root."""
+    return {"root": args.data_root, **{key: getattr(args, key) for key in args.config_keys}}
 
 
 def _load_split(data_cfg: DataConfig):
@@ -74,7 +70,7 @@ def _write_video_artifacts(out_dir: Path, sample, labels, mapping, num_classes):
 
 
 def cmd_train(args) -> int:
-    model_cfg, train_cfg, data_cfg = _configs_from_args(args)
+    model_cfg, train_cfg, data_cfg = build_configs(args.preset, args.config, _overrides(args))
     train_cfg.seed = args.seed
     samples, mapping = _load_split(data_cfg)
     model_cfg.input_dim = samples[0].feature_dim
@@ -99,14 +95,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _thresholds(arg: str):
-    return tuple(float(part) for part in arg.split(",") if part)
-
-
 def cmd_eval(args) -> int:
-    model_cfg, train_cfg, data_cfg = _configs_from_args(args)
+    data_cfg = build_data_config(args.preset, args.config, _overrides(args))
     samples, mapping = _load_split(data_cfg)
-    thresholds = _thresholds(args.thresholds)
+    thresholds = tuple(float(part) for part in args.thresholds.split(",") if part)
     ignored = {mapping.id_of(name) for name in data_cfg.ignored()}
     report, predictions = TR.evaluate_run(args.checkpoint, samples, thresholds, ignored)
     out_dir = Path(args.out)
@@ -122,7 +114,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model_cfg, train_cfg, data_cfg = _configs_from_args(args)
+    data_cfg = build_data_config(args.preset, args.config, _overrides(args))
     samples, mapping = _load_split(data_cfg)
     matches = [s for s in samples if s.video_id == args.video]
     if not matches:
@@ -140,17 +132,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = D.SynthSpec(
-        num_classes=args.classes,
-        num_videos=args.videos,
-        min_len=args.min_len,
-        max_len=args.max_len,
-        min_segments=args.min_segments,
-        max_segments=args.max_segments,
-        feature_dim=args.feature_dim,
-        noise=args.noise,
-        seed=args.seed,
-    )
+    spec = D.SynthSpec(**{f.name: getattr(args, f.name) for f in fields(D.SynthSpec)})
     samples, mapping = D.generate_synthetic(spec)
     D.write_dataset(args.out, samples, mapping)
     print(f"wrote {len(samples)} videos, {mapping.num_classes} classes to {args.out}")
@@ -158,11 +140,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    model_cfg, train_cfg, data_cfg = _configs_from_args(args)
+    model_cfg, train_cfg, data_cfg = build_configs(args.preset, args.config, _overrides(args))
     train_cfg.seed = args.seed
     samples, mapping = _load_split(data_cfg)
     model_cfg.input_dim = samples[0].feature_dim
     model_cfg.num_classes = mapping.num_classes
+    ignored = {mapping.id_of(name) for name in data_cfg.ignored()}
     values = [float(v) for v in args.values.split(",")] if args.values else None
 
     def on_cell(row):
@@ -172,7 +155,7 @@ def cmd_ablate(args) -> int:
             f"acc={row['acc']} entries={row['entries']}"
         )
 
-    rows = TR.ablate(args.axis, samples, model_cfg, train_cfg, values=values, on_cell=on_cell)
+    rows = TR.ablate(args.axis, samples, model_cfg, train_cfg, values, on_cell, ignored)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     Path(args.out).write_text(TR.ablate_csv(rows))
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -197,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a model")
     _common_data_flags(p_train)
     p_train.add_argument("--seed", type=int, required=True, help="run seed (mandatory)")
-    _add_config_flags(p_train)
+    _add_config_flags(p_train, TRAIN_KEYS)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a split")
@@ -205,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--thresholds", default="0.1,0.25,0.5")
     p_eval.add_argument("--upsample", action="store_true", help="restore source frame rate")
-    _add_config_flags(p_eval)
+    _add_config_flags(p_eval, EVAL_KEYS)
     p_eval.set_defaults(func=cmd_eval)
 
     p_pred = sub.add_parser("predict", help="predict one video")
@@ -213,13 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--checkpoint", required=True)
     p_pred.add_argument("--video", required=True)
     p_pred.add_argument("--upsample", action="store_true")
-    _add_config_flags(p_pred)
+    _add_config_flags(p_pred, PREDICT_KEYS)
     p_pred.set_defaults(func=cmd_predict)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--classes", type=int, default=4)
-    p_synth.add_argument("--videos", type=int, default=8)
+    p_synth.add_argument("--classes", dest="num_classes", type=int, default=4)
+    p_synth.add_argument("--videos", dest="num_videos", type=int, default=8)
     p_synth.add_argument("--min-len", type=int, default=128)
     p_synth.add_argument("--max-len", type=int, default=256)
     p_synth.add_argument("--min-segments", type=int, default=3)
@@ -234,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_abl.add_argument("--axis", required=True, choices=TR.ABLATE_AXES)
     p_abl.add_argument("--seed", type=int, required=True)
     p_abl.add_argument("--values", default=None, help="comma list for window/heads/beta axes")
-    _add_config_flags(p_abl)
+    _add_config_flags(p_abl, TRAIN_KEYS)
     p_abl.set_defaults(func=cmd_ablate)
 
     p_ins = sub.add_parser("inspect-checkpoint", help="print a checkpoint manifest")

@@ -62,7 +62,9 @@ PRESETS: dict[str, dict[str, dict]] = {
 }
 
 
-def _coerce(value: str, target_type):
+def _coerce(value, target_type):
+    if isinstance(value, target_type):
+        return value
     if target_type is bool:
         lowered = str(value).strip().lower()
         if lowered in ("1", "true", "yes", "on"):
@@ -80,7 +82,8 @@ def parse_config_file(path) -> dict[str, dict[str, str]]:
     """Section -> {key: raw value}. Values are taken literally (no ``%``
     interpolation), and a ``;`` after whitespace starts a comment.
 
-    A file that cannot be read or parsed raises ``ConfigError`` naming it.
+    A file that cannot be read or parsed, or that names a section or key no
+    config has, raises ``ConfigError`` naming it.
     """
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
@@ -94,6 +97,10 @@ def parse_config_file(path) -> dict[str, dict[str, str]]:
         if section not in SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]")
         out[section] = dict(parser.items(section))
+        known = {f.name for f in fields(SECTIONS[section])}
+        for key in out[section]:
+            if key not in known:
+                raise ConfigError(f"{path}: unknown key {key!r} in section [{section}]")
     return out
 
 
@@ -108,11 +115,9 @@ def field_table() -> dict[str, str]:
     return table
 
 
-def build_configs(
-    preset: str | None = None,
-    config_file: str | None = None,
-    overrides: dict[str, object] | None = None,
-) -> tuple[ModelConfig, TrainConfig, DataConfig]:
+def _layered_values(preset, config_file, overrides) -> dict[str, dict[str, object]]:
+    """Section -> {key: typed value} of the keys set by the preset, then the
+    config file, then the overrides; a later source wins."""
     layers: dict[str, dict] = {name: {} for name in SECTIONS}
     if preset is not None:
         if preset not in PRESETS:
@@ -129,17 +134,21 @@ def build_configs(
         if key not in table:
             raise ConfigError(f"unknown config key {key!r}")
         layers[table[key]][key] = value
-    built = {}
-    for section, cls in SECTIONS.items():
-        kwargs = {}
-        types = {f.name: f for f in fields(cls)}
-        for key, value in layers[section].items():
-            if key not in types:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            target = type(types[key].default)
-            kwargs[key] = value if isinstance(value, target) else _coerce(value, target)
-        built[section] = cls(**kwargs)
-    return built["model"], built["train"], built["data"]
+    types = {f.name: type(f.default) for cls in SECTIONS.values() for f in fields(cls)}
+    return {s: {k: _coerce(v, types[k]) for k, v in kv.items()} for s, kv in layers.items()}
+
+
+def build_configs(
+    preset: str | None = None, config_file: str | None = None, overrides: dict | None = None
+) -> tuple[ModelConfig, TrainConfig, DataConfig]:
+    values = _layered_values(preset, config_file, overrides)
+    return tuple(cls(**values[section]) for section, cls in SECTIONS.items())
+
+
+def build_data_config(preset=None, config_file=None, overrides=None) -> DataConfig:
+    """``build_configs``' DataConfig alone, for commands whose model is a
+    checkpoint's; the [model] and [train] keys are still checked and parsed."""
+    return DataConfig(**_layered_values(preset, config_file, overrides)["data"])
 
 
 def format_config(model: ModelConfig, train: TrainConfig, data: DataConfig) -> str:

@@ -184,8 +184,16 @@ def read_features(path, stride: int = 1, shape: tuple[int, int] | None = None) -
 
 
 def import_numpy_features(src, dst, transpose: bool = False):
-    """Convert a .npy dump (optionally stored (d, T)) into the native format."""
-    arr = np.load(src)
+    """Convert a .npy dump (optionally stored (d, T)) into the native format.
+    A source that is not a .npy file of a 2-D numeric array raises DatasetError."""
+    try:
+        with open(src, "rb") as fh:
+            arr = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise DatasetError(f"{src}: cannot read .npy features: {reason}") from None
+    if arr.dtype.kind not in "biuf" or arr.ndim != 2:
+        raise DatasetError(f"{src}: expected a 2-D array of numbers, got {arr.ndim}-D {arr.dtype}")
     if transpose:
         arr = arr.T
     write_features(dst, arr)

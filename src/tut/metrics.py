@@ -5,7 +5,7 @@ segmental F1 at frame-IoU thresholds, per video and pooled over a corpus.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class EvalReport:
     acc: float
     edit: float
     f1: dict[float, float]
-    per_video: list["EvalReport"] = field(default_factory=list)
 
     def as_rows(self) -> list[tuple[str, str, float]]:
         rows = [("acc", "", self.acc), ("edit", "", self.edit)]
@@ -201,13 +200,13 @@ def evaluate_corpus(
     pairs: list[tuple], thresholds=DEFAULT_THRESHOLDS, ignored_classes=()
 ) -> EvalReport:
     """Corpus metrics: frame-pooled accuracy, per-video-averaged edit,
-    TP/FP/FN-pooled F1; each video's own report is kept in ``per_video``."""
-    per_video = []
+    TP/FP/FN-pooled F1."""
+    edits = []
     correct = total = 0
     pooled = {tau: [0, 0, 0] for tau in thresholds}
     for pred, gt in pairs:
         report, counts = _evaluate_video(pred, gt, thresholds, ignored_classes)
-        per_video.append(report)
+        edits.append(report.edit)
         pred = np.asarray(pred)
         gt = np.asarray(gt)
         correct += int(np.sum(pred == gt))
@@ -217,9 +216,8 @@ def evaluate_corpus(
                 pooled[tau][i] += n
     return EvalReport(
         acc=100.0 * correct / total if total else 100.0,
-        edit=float(np.mean([r.edit for r in per_video])) if per_video else 100.0,
+        edit=float(np.mean(edits)) if edits else 100.0,
         f1={tau: _f1_from_counts(*pooled[tau]) for tau in thresholds},
-        per_video=per_video,
     )
 
 

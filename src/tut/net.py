@@ -214,10 +214,10 @@ def _norm(params, cfg: ModelConfig, name: str, x: Tensor, residual: Tensor) -> T
     )
 
 
-def _ffn(params, cfg: ModelConfig, prefix: str, x: Tensor, train, streams) -> Tensor:
+def _ffn(params, cfg: ModelConfig, prefix: str, x: Tensor, streams) -> Tensor:
     h = T.relu(T.linear(x, params[f"{prefix}.ffn1.w"], params[f"{prefix}.ffn1.b"]))
     if streams is not None:
-        h = T.dropout(h, cfg.ffn_dropout, streams.stream(f"dropout:{prefix}.ffn"), train)
+        h = T.dropout(h, cfg.ffn_dropout, streams.stream(f"dropout:{prefix}.ffn"))
     return T.linear(h, params[f"{prefix}.ffn2.w"], params[f"{prefix}.ffn2.b"])
 
 
@@ -232,7 +232,6 @@ def encoder_layer(
     cfg: ModelConfig,
     stage: int,
     layer: int,
-    train: bool = False,
     streams: SeedStreams | None = None,
 ) -> tuple[Tensor, AttentionRecord | None]:
     """Downsample, windowed self-attention, norm, FFN, norm."""
@@ -246,10 +245,10 @@ def encoder_layer(
     rng = streams.stream(f"dropout:{prefix}.attn") if streams is not None else None
     attn, record = attend(
         q, k, v, cfg.attention, cfg.window, cfg.heads, cfg.attention_dropout,
-        rpe=_rpe_for(params, cfg, stage, "enc", layer), rng=rng, train=train,
+        rpe=_rpe_for(params, cfg, stage, "enc", layer), rng=rng,
     )
     h2 = _norm(params, cfg, f"{prefix}.norm1", attn, h1)
-    out = _norm(params, cfg, f"{prefix}.norm2", _ffn(params, cfg, prefix, h2, train, streams), h2)
+    out = _norm(params, cfg, f"{prefix}.norm2", _ffn(params, cfg, prefix, h2, streams), h2)
     return out, record
 
 
@@ -260,7 +259,6 @@ def decoder_layer(
     cfg: ModelConfig,
     stage: int,
     layer: int,
-    train: bool = False,
     streams: SeedStreams | None = None,
 ) -> tuple[Tensor, AttentionRecord | None]:
     """Upsample, cross-attention (Q from the decoder path, K/V from the
@@ -280,10 +278,10 @@ def decoder_layer(
     rng = streams.stream(f"dropout:{prefix}.attn") if streams is not None else None
     attn, record = attend(
         q, k, v, cfg.attention, cfg.window, cfg.heads, cfg.attention_dropout,
-        rpe=_rpe_for(params, cfg, stage, "dec", layer), rng=rng, train=train,
+        rpe=_rpe_for(params, cfg, stage, "dec", layer), rng=rng,
     )
     h2 = _norm(params, cfg, f"{prefix}.norm1", attn, h1)
-    out = _norm(params, cfg, f"{prefix}.norm2", _ffn(params, cfg, prefix, h2, train, streams), h2)
+    out = _norm(params, cfg, f"{prefix}.norm2", _ffn(params, cfg, prefix, h2, streams), h2)
     return out, record
 
 
@@ -303,7 +301,6 @@ def stage_forward(
     params: dict[str, Tensor],
     cfg: ModelConfig,
     stage: int,
-    train: bool = False,
     streams: SeedStreams | None = None,
 ):
     """One projection -> encoder -> decoder -> classifier pass; returns the
@@ -315,13 +312,13 @@ def stage_forward(
         )
     x = _positional_input(params, cfg, stage, x)
     if streams is not None:
-        x = T.dropout(x, cfg.input_dropout, streams.stream(f"dropout:stage{stage}.input"), train)
+        x = T.dropout(x, cfg.input_dropout, streams.stream(f"dropout:stage{stage}.input"))
     h = T.linear(x, params[f"stage{stage}.proj.w"], params[f"stage{stage}.proj.b"])
 
     enc_outputs = [h]
     enc_first = None
     for layer in range(1, cfg.layers + 1):
-        h, record = encoder_layer(h, params, cfg, stage, layer, train, streams)
+        h, record = encoder_layer(h, params, cfg, stage, layer, streams)
         enc_outputs.append(h)
         if layer == 1:
             enc_first = record
@@ -330,7 +327,7 @@ def stage_forward(
     dec_last = None
     for layer in range(1, cfg.layers + 1):
         peer = enc_outputs[cfg.layers - layer]
-        d, dec_last = decoder_layer(d, peer, params, cfg, stage, layer, train, streams)
+        d, dec_last = decoder_layer(d, peer, params, cfg, stage, layer, streams)
 
     logits = T.linear(d, params[f"stage{stage}.cls.w"], params[f"stage{stage}.cls.b"])
     probs = T.softmax_lastdim(logits)
@@ -348,15 +345,18 @@ def model_forward(
 
     Stage 0 consumes the projected input features; stage s > 0 consumes the
     previous stage's softmax probabilities (or logits, per config).
+    Dropout draws from ``streams`` only when ``train``: every layer below
+    drops out iff it is given streams, so this is the one place that decides.
     """
     if not isinstance(x, Tensor):
         x = Tensor(np.ascontiguousarray(x, dtype=cfg.np_dtype))
     elif x.data.dtype != cfg.np_dtype:
         x = Tensor(x.data.astype(cfg.np_dtype), requires_grad=x.requires_grad)
     out = StageOutputs(logits=[], probs=[], records=[])
+    streams = streams if train else None
     stage_in = x
     for stage in range(cfg.num_stages):
-        logits, probs, records = stage_forward(stage_in, params, cfg, stage, train, streams)
+        logits, probs, records = stage_forward(stage_in, params, cfg, stage, streams)
         out.logits.append(logits)
         out.probs.append(probs)
         out.records.append(records)

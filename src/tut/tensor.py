@@ -499,8 +499,9 @@ def instance_norm_temporal(
     return _make(out_data, parents, backward)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool, draw_axes=None) -> Tensor:
-    """Inverted dropout; identity when p == 0 or in eval mode.
+def dropout(x: Tensor, p: float, rng: np.random.Generator, draw_axes=None) -> Tensor:
+    """Inverted dropout; identity when p == 0. A forward without dropout
+    does not call it.
 
     ``draw_axes`` lists x's axes in the order the uniforms are drawn,
     slowest first (default: x's own order). Drawing a (T, heads, w) tensor
@@ -515,7 +516,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool, draw_axe
     """
     if not 0.0 <= p < 1.0:
         raise DomainError(f"dropout rate must lie in [0, 1), got {p}")
-    if not train or p == 0.0:
+    if p == 0.0:
         return x
     # bit generators whose random() is (one 64-bit word >> 11) * 2^-53; named
     # here, not at import, so a forward-only run never loads numpy.random

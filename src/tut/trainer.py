@@ -43,12 +43,8 @@ class TrainConfig:
     boundary_weight: float = 0.0
     boundary_distance: str = "kl"
     seed: int = 0
-    shuffle: bool = True
-    lr_decay_factor: float = 0.5
-    lr_decay_patience: int = 3  # loss increases before a halving
     checkpoint_every: int = 0  # epochs between rolling saves; 0 = final only
-    eval_every: int = 0  # evaluation cadence during training; 0 = off
-    keep_best: bool = False  # track the best-accuracy epoch (final epoch stays the default artifact)
+    eval_every: int = 0  # epochs between best-accuracy checks on the training videos; 0 = off
 
     def validate(self):
         if self.epochs < 1 or self.lr <= 0:
@@ -68,13 +64,17 @@ class TrainState:
     adam: AdamState = field(default_factory=AdamState)
 
 
-def apply_lr_rule(state: TrainState, epoch_loss: float, factor: float, patience: int):
+LR_DECAY_FACTOR = 0.5
+LR_DECAY_PATIENCE = 3  # loss increases before a halving
+
+
+def apply_lr_rule(state: TrainState, epoch_loss: float):
     """Count epochs whose mean loss beats the previous epoch's; halve the
-    rate at the configured count, then reset the counter."""
+    rate at the third, then reset the counter."""
     if state.loss_history and epoch_loss > state.loss_history[-1]:
         state.increase_count += 1
-        if state.increase_count >= patience:
-            state.lr *= factor
+        if state.increase_count >= LR_DECAY_PATIENCE:
+            state.lr *= LR_DECAY_FACTOR
             state.increase_count = 0
     state.loss_history.append(epoch_loss)
 
@@ -99,7 +99,6 @@ def train(
     train_cfg: TrainConfig,
     on_epoch=None,
     checkpoint_dir=None,
-    eval_samples: list[VideoSample] | None = None,
 ) -> TrainResult:
     """Train on the given videos; deterministic in (configs, seed)."""
     model_cfg.validate()
@@ -114,7 +113,7 @@ def train(
     best: tuple[int, float, dict[str, Tensor]] | None = None
     for epoch in range(1, train_cfg.epochs + 1):
         state.epoch = epoch
-        order = shuffle_rng.permutation(len(samples)) if train_cfg.shuffle else range(len(samples))
+        order = shuffle_rng.permutation(len(samples))
         sums = {"ce": 0.0, "tmse": 0.0, "ba": 0.0, "total": 0.0}
         for idx in order:
             sample = samples[idx]
@@ -150,7 +149,7 @@ def train(
             "total": sums["total"] / n,
             "lr": state.lr,
         }
-        apply_lr_rule(state, row["total"], train_cfg.lr_decay_factor, train_cfg.lr_decay_patience)
+        apply_lr_rule(state, row["total"])
         log_rows.append(row)
         if on_epoch is not None:
             on_epoch(row)
@@ -160,8 +159,8 @@ def train(
             and epoch % train_cfg.checkpoint_every == 0
         ):
             save_checkpoint(Path(checkpoint_dir) / f"epoch{epoch:04d}.ckpt", params, model_cfg)
-        if train_cfg.keep_best and train_cfg.eval_every and epoch % train_cfg.eval_every == 0:
-            report, _ = evaluate_model(params, model_cfg, eval_samples or samples)
+        if train_cfg.eval_every and epoch % train_cfg.eval_every == 0:
+            report, _ = evaluate_model(params, model_cfg, samples)
             if best is None or report.acc > best[1]:
                 snapshot = {n: Tensor(p.data.copy(), requires_grad=True) for n, p in params.items()}
                 best = (epoch, report.acc, snapshot)
@@ -274,17 +273,17 @@ def ablate(
     samples: list[VideoSample],
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
-    eval_samples: list[VideoSample] | None = None,
     values=None,
     on_cell=None,
+    ignored_classes=(),
 ) -> list[dict]:
     """Train+evaluate one run per grid cell; returns CSV-ready rows.
 
     Each row carries the attention-score entry count of a forward pass at
     the corpus' longest video, the memory analogue of the pattern ablation.
     Unsupported combinations are skipped with a reason in the status column.
+    Edit and F1 drop the class ids in ``ignored_classes``.
     """
-    eval_samples = eval_samples if eval_samples is not None else samples
     max_len = max(s.num_frames for s in samples)
     rows = []
     for model_over, train_over in _grid_cells(axis, model_cfg, train_cfg, values):
@@ -305,7 +304,9 @@ def ablate(
             if cell_train.boundary_weight > 0 and cell_model.attention == "logsparse":
                 raise ConfigError("boundary loss is undefined for the logsparse pattern")
             result = train(samples, cell_model, cell_train)
-            report, _ = evaluate_model(result.params, cell_model, eval_samples)
+            report, _ = evaluate_model(
+                result.params, cell_model, samples, ignored_classes=ignored_classes
+            )
             row.update(
                 acc=f"{report.acc:.2f}",
                 edit=f"{report.edit:.2f}",

@@ -114,9 +114,9 @@ def adam_loop(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight
 # the graph ops the lean training graph must match byte for byte
 
 
-def dropout_uniform(x, p, rng, train, draw_axes=None):
+def dropout_uniform(x, p, rng, draw_axes=None):
     """``tensor.dropout`` drawn as float64 uniforms, with a mask in x's dtype."""
-    if not train or p <= 0.0:
+    if p <= 0.0:
         return x
     axes = tuple(range(x.data.ndim)) if draw_axes is None else tuple(draw_axes)
     draws = rng.random(tuple(x.data.shape[a] for a in axes)).transpose(np.argsort(axes))
@@ -307,7 +307,7 @@ def _split_heads(x, heads: int):
     return [T.slice_cols(x, i * head_dim, (i + 1) * head_dim) for i in range(heads)]
 
 
-def attention_loop(q, k, v, pattern, window, heads, dropout=0.0, rpe=None, rng=None, train=False):
+def attention_loop(q, k, v, pattern, window, heads, dropout=0.0, rpe=None, rng=None):
     """``attention.attend`` computed one head at a time from small graph ops.
 
     Full attention is a (T_q, T_k) matmul per head. The slotted patterns
@@ -339,7 +339,7 @@ def attention_loop(q, k, v, pattern, window, heads, dropout=0.0, rpe=None, rng=N
             scores = T.add(scores, mask)
         p = T.softmax_lastdim(scores)
         probs.append(p)
-        p_used = T.dropout(p, dropout, rng, train) if rng is not None else p
+        p_used = T.dropout(p, dropout, rng) if rng is not None else p
         if offsets is None:
             outs.append(T.matmul(p_used, vh))
         else:
@@ -482,14 +482,7 @@ def backward_keep_graph(root, grad=None):
 def evaluate_corpus_per_call(pairs, thresholds=M.DEFAULT_THRESHOLDS, ignored_classes=()):
     """Corpus report through the public per-metric functions, each of which
     segments both label sequences again."""
-    per_video = [
-        M.EvalReport(
-            acc=M.frame_accuracy(p, g),
-            edit=M.edit_score(p, g, ignored_classes),
-            f1={tau: M.f1_overlap(p, g, tau, ignored_classes) for tau in thresholds},
-        )
-        for p, g in pairs
-    ]
+    edits = [M.edit_score(p, g, ignored_classes) for p, g in pairs]
     correct = total = 0
     pooled = {tau: [0, 0, 0] for tau in thresholds}
     for pred, gt in pairs:
@@ -504,9 +497,8 @@ def evaluate_corpus_per_call(pairs, thresholds=M.DEFAULT_THRESHOLDS, ignored_cla
             pooled[tau][2] += fn
     return M.EvalReport(
         acc=100.0 * correct / total if total else 100.0,
-        edit=float(np.mean([r.edit for r in per_video])) if per_video else 100.0,
+        edit=float(np.mean(edits)) if edits else 100.0,
         f1={tau: M._f1_from_counts(*pooled[tau]) for tau in thresholds},
-        per_video=per_video,
     )
 
 

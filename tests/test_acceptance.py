@@ -212,7 +212,7 @@ def test_c01_gradient_suite():
     stream = np.random.default_rng(5)
     xdr = rng.standard_normal((30, 4))
     txdr = T.tensor(xdr, requires_grad=True)
-    out = T.dropout(txdr, 0.4, stream, train=True)
+    out = T.dropout(txdr, 0.4, stream)
     T.sum_all(out).backward()
     mask = (out.data != 0).astype(float) / 0.6
     if rel_err(txdr.grad, mask) >= 1e-12:

@@ -258,7 +258,7 @@ def test_fused_local_matches_slotted_oracle():
             leaves = [T.tensor(a, requires_grad=True) for a in arrays]
             rpe = leaves[3] if use_rpe else None
             stream = np.random.default_rng(n) if drop else None
-            out, kept = attend(*leaves[:3], **cfg, rpe=rpe, rng=stream, train=drop)
+            out, kept = attend(*leaves[:3], **cfg, rpe=rpe, rng=stream)
             T.sum_all(T.mul(out, T.tensor(weights))).backward()
             grads = [np.zeros_like(a) if x.grad is None else x.grad for a, x in zip(arrays, leaves)]
             if attend is A.attend:
@@ -342,7 +342,7 @@ def test_attention_dropout_record_keeps_predrop_rows():
     q, k, v = rand_qkv(rng, 12, 4)
     cfg = cfg_for("local", window=5, heads=1, dropout=0.5)
     stream = np.random.default_rng(0)
-    _, record = A.attend(q, k, v, **cfg, rng=stream, train=True)
+    _, record = A.attend(q, k, v, **cfg, rng=stream)
     valid = in_range_mask(record.layout.offsets, 12, 12)
     sums = np.where(valid, record.probs.data[:, 0], 0.0).sum(axis=1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-6)

@@ -144,6 +144,46 @@ def test_import_numpy_features(tmp_path):
     np.testing.assert_array_equal(D.read_features(dst), arr)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint8])
+def test_import_numpy_features_converts_numbers_to_float32(tmp_path, dtype):
+    arr = (np.arange(24).reshape(4, 6) * 3).astype(dtype)
+    np.save(tmp_path / "x.npy", arr)
+    D.import_numpy_features(tmp_path / "x.npy", tmp_path / "x.feat")
+    got = D.read_features(tmp_path / "x.feat")
+    assert got.dtype == np.float32
+    np.testing.assert_array_equal(got, arr.astype(np.float32))
+
+
+def _write_npy(path, case):
+    if case == "missing":
+        return
+    if case == "not_npy":
+        path.write_bytes(b"T,d\n1,2\n")
+    elif case == "npz":
+        with open(path, "wb") as fh:
+            np.savez(fh, x=np.zeros((2, 3)))
+    elif case == "pickled_objects":
+        np.save(path, np.array([[{"a": 1}, None]], dtype=object), allow_pickle=True)
+    elif case == "cut":
+        np.save(path, np.zeros((4, 3)))
+        path.write_bytes(path.read_bytes()[:40])
+    elif case == "strings":
+        np.save(path, np.array([["a", "b"]]))
+    else:
+        np.save(path, np.zeros({"1d": (5,), "3d": (2, 3, 4)}[case]))
+
+
+@pytest.mark.parametrize(
+    "case", ["missing", "not_npy", "npz", "pickled_objects", "cut", "strings", "1d", "3d"]
+)
+def test_import_numpy_features_failures_raise_dataset_error_naming_the_source(tmp_path, case):
+    src, dst = tmp_path / "dump.npy", tmp_path / "out.feat"
+    _write_npy(src, case)
+    with pytest.raises(DatasetError, match=re.escape(str(src))):
+        D.import_numpy_features(src, dst)
+    assert not dst.exists()
+
+
 def write_toy_dataset(root, labels_by_video, d=3, extra_labels=0):
     names = sorted({name for labels in labels_by_video.values() for name in labels})
     mapping = D.ClassMapping(names)

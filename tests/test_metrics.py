@@ -215,7 +215,6 @@ def test_corpus_pooling():
     np.testing.assert_allclose(rep.acc, 50.0)  # frame-pooled 3/6
     # pooled F1 at 0.5: video1 tp=2, video2 fp=1 fn=1 -> p=2/3, r=2/3
     np.testing.assert_allclose(rep.f1[0.5], 200 * (2 / 3) * (2 / 3) / (4 / 3))
-    assert len(rep.per_video) == 2
 
     single = M.evaluate_corpus([perfect])
     alone = M.evaluate(*perfect)

@@ -132,14 +132,14 @@ def test_instance_norm_gradient():
 
 def test_dropout_p0_is_identity():
     x = T.tensor(np.arange(6.0).reshape(2, 3))
-    out = T.dropout(x, 0.0, np.random.default_rng(0), train=True)
+    out = T.dropout(x, 0.0, np.random.default_rng(0))
     assert out is x
 
 
 def test_dropout_scales_and_masks():
     rng = np.random.default_rng(7)
     x = T.tensor(np.ones((200, 5)), requires_grad=True)
-    out = T.dropout(x, 0.4, rng, train=True)
+    out = T.dropout(x, 0.4, rng)
     kept = out.data != 0
     np.testing.assert_allclose(out.data[kept], 1.0 / 0.6)
     assert 0.45 < kept.mean() < 0.75
@@ -163,10 +163,10 @@ def test_dropout_matches_float64_uniform_oracle(bit_generator, dtype, p, shape, 
     for op in (T.dropout, dropout_uniform):
         stream = np.random.Generator(bit_generator(5))
         x = T.Tensor(data.copy(), requires_grad=True)
-        out = op(x, p, stream, True, draw_axes=draw_axes)
+        out = op(x, p, stream, draw_axes=draw_axes)
         out.backward(g)
         mask = T.Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-        mask_out = op(mask, p, np.random.Generator(bit_generator(5)), True, draw_axes)
+        mask_out = op(mask, p, np.random.Generator(bit_generator(5)), draw_axes)
         mask_out.backward(np.ones_like(g))  # the gradient of ones is scale times the mask
         outs.append((out.data.dtype, out.data.tobytes()))
         grads.append((x.grad.dtype, x.grad.tobytes(), mask.grad.tobytes()))
@@ -179,15 +179,14 @@ def test_dropout_matches_float64_uniform_oracle(bit_generator, dtype, p, shape, 
 def test_dropout_rejects_a_generator_with_other_doubles():
     x = T.tensor(np.ones((4, 3)), requires_grad=True)
     with pytest.raises(TypeError):
-        T.dropout(x, 0.2, np.random.Generator(np.random.MT19937(0)), train=True)
+        T.dropout(x, 0.2, np.random.Generator(np.random.MT19937(0)))
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, -0.1, float("nan")])
 def test_dropout_rate_outside_unit_interval_raises(p):
     x = T.tensor(np.ones((4, 3)), requires_grad=True)
-    for train in (True, False):
-        with pytest.raises(DomainError):
-            T.dropout(x, p, np.random.default_rng(0), train=train)
+    with pytest.raises(DomainError):
+        T.dropout(x, p, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -670,7 +669,7 @@ def _op_cases():
             lambda r: [_f32(r, (5, 4)), _f32(r, (5, 4)), _f32(r, (4,)), _f32(r, (4,))],
             lambda x, res, g, b: T.instance_norm_temporal(x, g, b, residual=res),
         ),
-        "dropout": (leaves(1), lambda a: T.dropout(a, 0.5, stream, train=True)),
+        "dropout": (leaves(1), lambda a: T.dropout(a, 0.5, stream)),
         "slot_softmax": (
             lambda r: [_f32(r, (5, 4)), _f32(r, (5, 4)), _f32(r, (3, 2))],
             lambda q, k, rpe: T.slot_softmax(q, k, band, 2, rpe),

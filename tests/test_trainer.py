@@ -58,7 +58,7 @@ def test_lr_rule_scripted_trace():
     trace = [5.0, 4.0, 4.5, 3.0, 3.5, 2.0, 2.5, 1.0]
     lrs = []
     for loss in trace:
-        TR.apply_lr_rule(state, loss, factor=0.5, patience=3)
+        TR.apply_lr_rule(state, loss)
         lrs.append(state.lr)
         assert 0 <= state.increase_count < 3
     assert lrs == [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.5]
@@ -131,7 +131,7 @@ def test_eval_during_training_leaves_training_unchanged():
     cfg = tiny_model()
     plain = TR.train(samples, cfg, TR.TrainConfig(epochs=3, lr=1e-3, seed=14))
     watched = TR.train(
-        samples, cfg, TR.TrainConfig(epochs=3, lr=1e-3, seed=14, keep_best=True, eval_every=1)
+        samples, cfg, TR.TrainConfig(epochs=3, lr=1e-3, seed=14, eval_every=1)
     )
     assert watched.best_epoch is not None
     assert TR.log_csv(watched.log_rows) == TR.log_csv(plain.log_rows)
@@ -316,7 +316,7 @@ def test_keep_best_tracks_best_epoch():
     cfg = tiny_model()
     result = TR.train(
         samples, cfg,
-        TR.TrainConfig(epochs=6, lr=1e-3, seed=12, keep_best=True, eval_every=2),
+        TR.TrainConfig(epochs=6, lr=1e-3, seed=12, eval_every=2),
     )
     assert result.best_epoch in (2, 4, 6)
     assert result.best_params is not None and result.best_acc is not None
@@ -494,7 +494,7 @@ def test_file_backed_samples_train_like_held_samples(tmp_path, stride):
     model_cfg.input_dim, model_cfg.num_classes = 32, 5
     assert model_cfg.dtype == "f32" and model_cfg.input_dropout > 0 and model_cfg.ffn_dropout > 0
     assert train_cfg.smooth_weight > 0 and train_cfg.boundary_weight > 0
-    train_cfg.epochs, train_cfg.keep_best, train_cfg.eval_every = 2, True, 1
+    train_cfg.epochs, train_cfg.eval_every = 2, 1
     spec = D.SynthSpec(
         num_classes=5, num_videos=3, min_len=48, max_len=96, feature_dim=32, noise=0.3, seed=6
     )
