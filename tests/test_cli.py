@@ -20,7 +20,7 @@ from tut.data import (
     write_dataset,
     write_features,
 )
-from tut.net import read_manifest
+from tut.net import RETIRED_KEYS, read_manifest
 
 SMALL_MODEL = [
     "--layers", "2", "--refinement-stages", "1", "--window", "5", "--heads", "2",
@@ -125,9 +125,65 @@ def test_ablate_command(synth_root, tmp_path):
     assert lines[0].split(",")[:2] == ["architecture", "attention"]
 
 
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
 def test_train_requires_seed(synth_root, tmp_path, capsys):
-    with pytest.raises(SystemExit):
-        main(["train", "--data-root", str(synth_root), "--out", str(tmp_path / "x")])
+    """A seed comes from --seed or the config file; with neither, train
+    exits 2 with one line naming it."""
+    capsys.readouterr()
+    assert main(["train", "--data-root", str(synth_root), "--out", str(tmp_path / "x")]) == 2
+    assert "seed" in _one_error_line(capsys)
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command,key", [
+    ("ablate", "seed"), ("train", "root"), ("ablate", "root"), ("eval", "root"), ("predict", "root"),
+])
+def test_commands_require_seed_and_root(command, key, trained, synth_root, tmp_path, capsys):
+    """Each command that trains needs a seed, and each that reads a split
+    needs its root: unset by flag and config file, it exits 2 naming it."""
+    given = {"seed": ["--seed", "1"], "root": ["--data-root", str(synth_root)]}
+    argv = {
+        "train": ["train", "--epochs", "1", *SMALL_MODEL, *given["seed"]],
+        "ablate": ["ablate", "--axis", "beta", "--values", "0", "--epochs", "1", *SMALL_MODEL,
+                   *given["seed"]],
+        "eval": ["eval", "--checkpoint", str(trained / "checkpoint.ckpt")],
+        "predict": ["predict", "--checkpoint", str(trained / "checkpoint.ckpt"),
+                    "--video", "synth000"],
+    }[command]
+    argv = [*argv, *given["root"], "--out", str(tmp_path / "out")]
+    at = argv.index(given[key][0])
+    del argv[at : at + 2]
+    capsys.readouterr()
+    assert main(argv) == 2
+    line = _one_error_line(capsys)
+    assert key in line and given[key][0] in line
+
+
+def test_config_file_seed_and_root_train_as_the_flags_do(synth_root, trained, tmp_path):
+    """[train] seed and [data] root in --config are read like every other
+    key, and a flag given as well wins over the file."""
+    common = ["--epochs", "1", *SMALL_MODEL]
+    flags = ["--data-root", str(synth_root), "--seed", "7"]
+    assert main(["train", "--out", str(tmp_path / "flags"), *flags, *common]) == 0
+    run_cfg = tmp_path / "run.cfg"
+    run_cfg.write_text(f"[train]\nseed = 7\n\n[data]\nroot = {synth_root}\n")
+    assert main(["train", "--out", str(tmp_path / "file"), "--config", str(run_cfg), *common]) == 0
+    other = tmp_path / "other.cfg"
+    other.write_text(f"[train]\nseed = 99\n\n[data]\nroot = {tmp_path / 'missing'}\n")
+    assert main(["train", "--out", str(tmp_path / "both"), "--config", str(other), *flags,
+                 *common]) == 0
+    for run in ("file", "both"):
+        for name in ("checkpoint.ckpt", "train_log.csv", "effective_config.cfg"):
+            assert (tmp_path / run / name).read_bytes() == (
+                tmp_path / "flags" / name
+            ).read_bytes(), (run, name)
+    assert main(["eval", "--out", str(tmp_path / "eval"), "--config", str(run_cfg),
+                 "--checkpoint", str(trained / "checkpoint.ckpt")]) == 0
 
 
 def test_config_file_through_cli(synth_root, tmp_path):
@@ -183,8 +239,7 @@ def test_effective_config_trains_the_same_run_again(tmp_path):
     assert main(["train", "--data-root", str(root), "--out", str(first), "--seed", "4",
                  "--preset", "gtea", "--epochs", "1", *SMALL_MODEL, "--sample-rate", "2",
                  "--ignored-classes", "class0"]) == 0
-    assert main(["train", "--data-root", str(root), "--out", str(second), "--seed", "4",
-                 "--config", str(first / "effective_config.cfg")]) == 0
+    assert main(["train", "--out", str(second), "--config", str(first / "effective_config.cfg")]) == 0
     for name in ("effective_config.cfg", "checkpoint.ckpt", "train_log.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
@@ -306,10 +361,13 @@ def test_ablate_ignored_classes_drop_the_named_class(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
-@pytest.mark.parametrize("key", [k for k, section in field_table().items() if section != "data"])
+@pytest.mark.parametrize(
+    "key", [k for k, section in field_table().items() if section != "data"] + list(RETIRED_KEYS)
+)
 def test_eval_and_predict_take_no_model_or_train_flag(command, key, tmp_path, capsys):
     """The model comes from the checkpoint, so a [model] or [train] flag
-    would be ignored: argparse refuses it with exit 2."""
+    would be ignored: argparse refuses it with exit 2. A retired model key
+    has no flag either."""
     argv = [command, "--data-root", str(tmp_path), "--out", str(tmp_path / "out"),
             "--checkpoint", "run.ckpt", *(["--video", "v"] if command == "predict" else [])]
     cli.build_parser().parse_args(argv)
@@ -418,9 +476,10 @@ def _unknown_ignored_class_ablate(trained, synth_root, tmp_path):
             "--ignored-classes", "nosuchclass"]
 
 
-def _config_file(name, text: str | bytes | None):
+def _config_file(name, text: str | bytes | None, names=()):
     """A train command reading config file ``name``: written as ``text``, or
-    made a directory when ``text`` is None."""
+    made a directory when ``text`` is None. The error also names each of
+    ``names``."""
     def make_argv(trained, synth_root, tmp_path):
         path = tmp_path / name
         if text is None:
@@ -432,6 +491,22 @@ def _config_file(name, text: str | bytes | None):
         return ["train", "--data-root", str(synth_root), "--out", str(tmp_path / "run"),
                 "--seed", "1", "--config", str(path)]
 
+    make_argv.names = names
+    return make_argv
+
+
+def _bad_flag(command, flag, value):
+    """``command`` given a ``flag`` value that does not parse; the error
+    names the flag."""
+    def make_argv(trained, synth_root, tmp_path):
+        argv = {
+            "train": ["train", "--seed", "1", "--epochs", "1", *SMALL_MODEL],
+            "eval": ["eval", "--checkpoint", str(trained / "checkpoint.ckpt")],
+            "ablate": ["ablate", "--axis", "beta", "--seed", "1", "--epochs", "1", *SMALL_MODEL],
+        }[command]
+        return [*argv, "--data-root", str(synth_root), "--out", str(tmp_path / "out"), flag, value]
+
+    make_argv.names = (flag,)
     return make_argv
 
 
@@ -455,12 +530,17 @@ def _sample_rate(rate):
      _config_file("binary.cfg", b"[model]\nlayers = \xff\xfe\n"),
      _config_file("fps.cfg", "[data]\nfps = 15\n"),
      _config_file("shuffle.cfg", "[train]\nshuffle = True\n"),
-     _config_file("keep_best.cfg", "[train]\nkeep_best = true\n")],
+     _config_file("keep_best.cfg", "[train]\nkeep_best = true\n"),
+     _config_file("normalize.cfg", "[model]\nnormalize = true\n", names=("normalize",)),
+     _config_file("badint.cfg", "[model]\nlayers = abc\n", names=("layers", "abc")),
+     _bad_flag("train", "--epochs", "x"), _bad_flag("train", "--seed", "one"),
+     _bad_flag("eval", "--thresholds", "0.1,x"), _bad_flag("ablate", "--values", "0,x")],
     ids=["DatasetError", "CheckpointError", "TrainingDiverged", "ShapeError",
          "TruncatedCheckpoint", "TruncatedFeatures", "SampleRateZero", "SampleRateNegative",
          "UnknownIgnoredClass", "UnknownIgnoredClassAblate", "ConfigNoSectionHeader", "ConfigDuplicateKey",
          "ConfigParsingError", "ConfigIsADirectory", "ConfigNotUtf8", "ConfigRemovedFps",
-         "ConfigRemovedShuffle", "ConfigRemovedKeepBest"],
+         "ConfigRemovedShuffle", "ConfigRemovedKeepBest", "ConfigRemovedNormalize",
+         "ConfigBadValue", "FlagBadValue", "FlagBadSeed", "EvalBadThresholds", "AblateBadValues"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_typed_failures_exit_2_with_one_line(make_argv, trained, synth_root, tmp_path, capsys):
@@ -473,6 +553,8 @@ def test_typed_failures_exit_2_with_one_line(make_argv, trained, synth_root, tmp
     assert len(err.splitlines()) == 1
     if "--config" in argv:  # the error names the file
         assert argv[argv.index("--config") + 1] in err
+    for name in getattr(make_argv, "names", ()):
+        assert name in err
 
 
 @pytest.mark.parametrize("change", ["rows", "dim", "truncated"])

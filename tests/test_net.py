@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -106,13 +107,19 @@ def test_zero_weights_reduce_to_normalized_downsample():
     assert record.query_len == 5
     down = N.downsample_nearest(h)
     normed = T.instance_norm_temporal(
-        down, T.tensor(np.ones(8)), T.tensor(np.zeros(8)), cfg.norm_eps
+        down, T.tensor(np.ones(8)), T.tensor(np.zeros(8)), N.NORM_EPS
     )
     np.testing.assert_allclose(out.data, normed.data, atol=1e-4)
 
 
-def test_decoder_constant_kv_is_convex_combination():
-    cfg = tiny_cfg(refinement_stages=0, normalize=False, pe_mode="none")
+def _plain_residual(monkeypatch):
+    """Every norm node becomes the plain sum x + residual."""
+    monkeypatch.setattr(N, "_norm", lambda params, name, x, residual: T.add(x, residual))
+
+
+def test_decoder_constant_kv_is_convex_combination(monkeypatch):
+    _plain_residual(monkeypatch)
+    cfg = tiny_cfg(refinement_stages=0, pe_mode="none")
     params = build(cfg)
     prefix = "stage0.dec1"
     hidden = 8
@@ -233,15 +240,6 @@ def test_rpe_sharing_table_counts():
     assert N.rpe_param_name(cfg, 0, "enc", 1) == N.rpe_param_name(cfg, 1, "enc", 1)
     assert N.rpe_param_name(cfg, 0, "enc", 1) == N.rpe_param_name(cfg, 0, "dec", 1)
 
-    cfg = tiny_cfg(rpe_share="scale", rpe_split_coders=True, layers=2, refinement_stages=0)
-    names = sorted(n for n in N.param_shapes(cfg) if "rpe" in n)
-    assert names == [
-        "rpe.dec.scale0.w",
-        "rpe.dec.scale1.w",
-        "rpe.enc.scale1.w",
-        "rpe.enc.scale2.w",
-    ]
-
 
 def test_positional_modes_forward():
     x = np.random.default_rng(10).standard_normal((12, 4))
@@ -287,10 +285,11 @@ def test_memory_contract_ordering_t1024():
     assert standard_local == 4 * 51 * t * 10
 
 
-def test_receptive_field_probe():
+def test_receptive_field_probe(monkeypatch):
     # the U-shaped arm spreads a frame-0 perturbation far beyond the window;
     # one standard layer stays inside it (norms off so the Jacobian support
     # reflects attention reach alone)
+    _plain_residual(monkeypatch)
     t, d = 64, 4
     x = np.random.default_rng(12).standard_normal((t, d))
 
@@ -301,15 +300,12 @@ def test_receptive_field_probe():
         moved = N.model_forward(bumped, params, cfg).logits[0].data
         return np.abs(moved - base).max(axis=1)
 
-    cfg_u = tiny_cfg(
-        layers=3, refinement_stages=0, window=3, normalize=False, pe_mode="none"
-    )
+    cfg_u = tiny_cfg(layers=3, refinement_stages=0, window=3, pe_mode="none")
     delta = influence(cfg_u, build(cfg_u, seed=3))
     assert np.nonzero(delta)[0].max() >= 12
 
     cfg_s = tiny_cfg(
-        architecture="standard", layers=1, refinement_stages=0, window=3,
-        normalize=False, pe_mode="none",
+        architecture="standard", layers=1, refinement_stages=0, window=3, pe_mode="none",
     )
     delta = influence(cfg_s, build(cfg_s, seed=3))
     assert np.nonzero(delta)[0].max() <= 2
@@ -369,6 +365,54 @@ def test_checkpoint_config_mismatch(tmp_path):
         N.load_checkpoint(bad)
 
 
+# the four config keys every checkpoint held before they were retired, at
+# the values every run gave them
+OLD_CONFIG_KEYS = {"refine_input": "probs", "rpe_split_coders": False, "normalize": True,
+                   "norm_eps": 1e-05}
+
+
+def _save_with_config_keys(path, params, cfg, monkeypatch, keys):
+    """``save_checkpoint`` with ``keys`` added to the config JSON it writes."""
+    with monkeypatch.context() as patch:
+        patch.setattr(N, "asdict", lambda c: {**dataclasses.asdict(c), **keys})
+        N.save_checkpoint(path, params, cfg)
+
+
+def test_checkpoint_with_retired_keys_at_their_values_loads(tmp_path, monkeypatch):
+    cfg = tiny_cfg(dtype="f32")
+    params = build(cfg, seed=21)
+    path = tmp_path / "old.ckpt"
+    _save_with_config_keys(path, params, cfg, monkeypatch, OLD_CONFIG_KEYS)
+    config, _ = N.read_manifest(path)
+    assert {key: config[key] for key in OLD_CONFIG_KEYS} == OLD_CONFIG_KEYS
+    loaded, loaded_cfg = N.load_checkpoint(path, expected_cfg=cfg)
+    assert loaded_cfg == cfg
+    assert not set(OLD_CONFIG_KEYS) & set(dataclasses.asdict(loaded_cfg))
+    assert list(loaded) == list(params)
+    for name, param in params.items():
+        assert loaded[name].data.tobytes() == param.data.tobytes(), name
+
+
+@pytest.mark.parametrize("key,value", [("normalize", False), ("refine_input", "logits"),
+                                       ("rpe_split_coders", True), ("norm_eps", 1e-6)])
+def test_checkpoint_with_retired_key_at_another_value_raises(key, value, tmp_path, monkeypatch):
+    cfg = tiny_cfg(dtype="f32")
+    path = tmp_path / "old.ckpt"
+    keys = {**OLD_CONFIG_KEYS, key: value}
+    _save_with_config_keys(path, build(cfg), cfg, monkeypatch, keys)
+    with pytest.raises(CheckpointError, match=re.escape(str(path))) as exc:
+        N.load_checkpoint(path)
+    assert repr(key) in str(exc.value)
+
+
+def test_checkpoint_with_unknown_config_key_raises(tmp_path, monkeypatch):
+    cfg = tiny_cfg(dtype="f32")
+    path = tmp_path / "odd.ckpt"
+    _save_with_config_keys(path, build(cfg), cfg, monkeypatch, {"layerz": 3})
+    with pytest.raises(CheckpointError, match="invalid model config.*'layerz'"):
+        N.load_checkpoint(path)
+
+
 def test_checkpoint_bytes_deterministic(tmp_path):
     cfg = tiny_cfg(dtype="f32")
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -390,18 +434,15 @@ def test_parameter_names_follow_checkpoint_layout():
     assert len(names) == 2 * (4 + 2 * 11)
 
 
-def test_refine_input_logits_switch():
+def test_refinement_stage_reads_previous_probabilities():
     x = np.random.default_rng(20).standard_normal((16, 4))
-    cfg_probs = tiny_cfg(refinement_stages=1)
-    params = build(cfg_probs, seed=8)
-    out_probs = N.model_forward(x, params, cfg_probs)
-    import dataclasses
-
-    cfg_logits = dataclasses.replace(cfg_probs, refine_input="logits")
-    out_logits = N.model_forward(x, params, cfg_logits)
-    # stage 0 identical, refinement differs once fed raw logits
-    np.testing.assert_array_equal(out_probs.logits[0].data, out_logits.logits[0].data)
-    assert not np.allclose(out_probs.logits[1].data, out_logits.logits[1].data)
+    cfg = tiny_cfg(refinement_stages=1)
+    params = build(cfg, seed=8)
+    out = N.model_forward(x, params, cfg)
+    logits, _, _ = N.stage_forward(out.probs[0], params, cfg, stage=1)
+    np.testing.assert_array_equal(out.logits[1].data, logits.data)
+    fed_logits, _, _ = N.stage_forward(out.logits[0], params, cfg, stage=1)
+    assert not np.allclose(out.logits[1].data, fed_logits.data)
 
 
 def test_large_shape_contract():
