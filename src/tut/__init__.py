@@ -3,7 +3,7 @@
 from .attention import AttentionRecord
 from .data import ClassMapping, SynthSpec, VideoSample, generate_synthetic, load_dataset
 from .losses import BoundarySet, derive_boundaries, total_loss
-from .metrics import EvalReport, evaluate, evaluate_corpus, extract_segments
+from .metrics import EvalReport, evaluate_corpus, extract_segments
 from .net import (
     ModelConfig,
     StageOutputs,

@@ -6,6 +6,7 @@ Precedence: dataclass defaults < preset < config file < command line.
 from __future__ import annotations
 
 import configparser
+import re
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -72,6 +73,19 @@ def _coerce(value, target_type, source: str):
         raise ConfigError(f"{source}: cannot parse {target_type.__name__} from {value!r}") from None
 
 
+def _check_reads_back(value, source: str):
+    """Refuse a string that ``format_config`` would write as a value that
+    ``parse_config_file`` reads differently: one with leading or trailing
+    whitespace, a line break, or a ``;`` that would start a comment."""
+    if isinstance(value, str) and (
+        value != value.strip() or re.search(r"[\r\n]|(?:^|\s);", value)
+    ):
+        raise ConfigError(
+            f"{source}: {value!r} would not read back from a config file "
+            "(leading or trailing whitespace, a line break, or ';' after whitespace)"
+        )
+
+
 def parse_config_file(path) -> dict[str, dict[str, str]]:
     """Section -> {key: raw value}. Values are taken literally (no ``%``
     interpolation), and a ``;`` after whitespace starts a comment.
@@ -126,7 +140,9 @@ def build_configs(
     layers: dict[str, dict] = {name: {} for name in SECTIONS}
 
     def put(key, value, source):
-        layers[table[key]][key] = _coerce(value, types[key], source)
+        value = _coerce(value, types[key], source)
+        _check_reads_back(value, source)
+        layers[table[key]][key] = value
 
     if preset is not None:
         if preset not in PRESETS:

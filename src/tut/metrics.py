@@ -179,10 +179,6 @@ def _evaluate_video(pred, gt, thresholds, ignored_classes):
     return report, counts
 
 
-def evaluate(pred, gt, thresholds=DEFAULT_THRESHOLDS, ignored_classes=()) -> EvalReport:
-    return _evaluate_video(pred, gt, thresholds, ignored_classes)[0]
-
-
 def evaluate_corpus(
     pairs: list[tuple], thresholds=DEFAULT_THRESHOLDS, ignored_classes=()
 ) -> EvalReport:

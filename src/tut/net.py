@@ -63,8 +63,12 @@ class ModelConfig:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
         if self.layers < 1 or self.refinement_stages < 0:
             raise ConfigError("layers must be >= 1 and refinement_stages >= 0")
-        if min(self.input_dim, self.num_classes, self.hidden_dim, self.hidden_dim_refine) < 1:
-            raise ConfigError("all dimensions must be positive")
+        for key in (
+            "input_dim", "num_classes", "hidden_dim", "hidden_dim_refine", "ffn_dim",
+            "ffn_dim_refine", "pe_max_len",
+        ):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.dtype not in ("f32", "f64"):
             raise ConfigError(f"unknown dtype {self.dtype!r}")
         for key in ("input_dropout", "ffn_dropout", "attention_dropout"):

@@ -26,9 +26,10 @@ out=)``), with the same operations in the same order as the out-of-place
 expression, so the bytes do not change. It never writes into an input's
 ``data``, a view of it, or a shared read-only ``SlotLayout``.
 
-``adam_step`` updates parameters in place: each ``p.data`` and ``p.grad``
-is a view of one flat arena, and the step leaves every gradient zeroed, so
-the next backward accumulates straight into it.
+``AdamState(params)`` packs the parameters once, before training: each
+``p.data`` and ``p.grad`` becomes a view of one flat arena, gradients start
+at zero, and every backward accumulates straight into them. ``adam_step``
+updates the arena in place and zeroes the gradients again.
 
 Inside ``with no_grad():`` every op returns a plain leaf that keeps no
 parents and no backward closure, so inference frees each intermediate as
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -841,76 +842,38 @@ def wasserstein1_from_probs(p: Tensor, d: Tensor) -> Tensor:
 ADAM_BLOCK = 1 << 15  # elements per Adam pass: six f64 block slices fit a 4 MiB L2
 
 
-@dataclass
-class ParamArena:
-    """One flat buffer each for parameters, gradients and Adam's moments.
-
-    Tensors sit in ``names`` order; ``data[i]`` and ``grad[i]`` are the
-    views bound to parameter i's ``data`` and ``grad``.
-    """
-
-    names: tuple[str, ...]
-    flat: Array
-    flat_grad: Array
-    flat_m: Array
-    flat_v: Array
-    data: list[Array]
-    grad: list[Array]
-    scratch: tuple[Array, Array]
-
-
-@dataclass
 class AdamState:
-    """First/second moment estimates plus the shared step counter.
+    """Adam's parameter arena: one flat buffer each for parameters,
+    gradients and both moments, in ``params`` order, plus the shared step
+    counter.
 
-    Once ``adam_step`` has run, ``m[name]`` and ``v[name]`` are views of
-    the arena's moment buffers.
+    Built once, before the first forward: the parameters are copied in,
+    every ``p.data`` and ``p.grad`` is bound to its view, and gradients and
+    moments start at zero, so every backward accumulates into the arena.
     """
 
-    m: dict[str, Array] = field(default_factory=dict)
-    v: dict[str, Array] = field(default_factory=dict)
-    step: int = 0
-    arena: ParamArena | None = field(default=None, repr=False, compare=False)
-
-
-def _pack(params: dict[str, Tensor], state: AdamState) -> ParamArena:
-    """Copy the current parameters and moments into fresh flat buffers and
-    rebind every ``p.data``, ``state.m`` and ``state.v`` entry to its view.
-    Gradients start at zero."""
-    dtypes = {p.data.dtype for p in params.values()}
-    if len(dtypes) > 1:
-        raise TypeError(f"adam_step needs one parameter dtype, got {sorted(map(str, dtypes))}")
-    dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
-    total = sum(p.data.size for p in params.values())
-    flat, flat_grad, flat_m, flat_v = (np.zeros(total, dtype=dtype) for _ in range(4))
-    data, grad, m, v = [], [], {}, {}
-    end = 0
-    for name, p in params.items():
-        shape, start = p.data.shape, end
-        end += p.data.size
-        for old in (state.m.get(name), state.v.get(name)):
-            if old is not None and old.shape != shape:
-                raise ShapeError(f"adam state shape mismatch for {name}")
-        p_view, g_view, m_view, v_view = (
-            buf[start:end].reshape(shape) for buf in (flat, flat_grad, flat_m, flat_v)
+    def __init__(self, params: dict[str, Tensor]):
+        dtypes = {p.data.dtype for p in params.values()}
+        if len(dtypes) > 1:
+            raise TypeError(f"AdamState needs one parameter dtype, got {sorted(map(str, dtypes))}")
+        dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
+        total = sum(p.data.size for p in params.values())
+        self.flat, self.flat_grad, self.flat_m, self.flat_v = (
+            np.zeros(total, dtype=dtype) for _ in range(4)
         )
-        p_view[...] = p.data
-        p.data = p_view
-        if name in state.m:
-            m_view[...] = state.m[name]
-            v_view[...] = state.v[name]
-        data.append(p_view)
-        grad.append(g_view)
-        m[name], v[name] = m_view, v_view
-    state.m, state.v = m, v
-    block = min(total, ADAM_BLOCK)
-    scratch = (np.empty(block, dtype=dtype), np.empty(block, dtype=dtype))
-    return ParamArena(tuple(params), flat, flat_grad, flat_m, flat_v, data, grad, scratch)
+        end = 0
+        for p in params.values():
+            shape, start = p.data.shape, end
+            end += p.data.size
+            view = self.flat[start:end].reshape(shape)
+            view[...] = p.data
+            p.data, p.grad = view, self.flat_grad[start:end].reshape(shape)
+        block = min(total, ADAM_BLOCK)
+        self.scratch = (np.empty(block, dtype=dtype), np.empty(block, dtype=dtype))
+        self.step = 0
 
 
 def adam_step(
-    params: dict[str, Tensor],
-    grads: dict[str, Array | None],
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
@@ -918,39 +881,19 @@ def adam_step(
     eps: float = 1e-8,
     weight_decay: float = 0.0,
 ):
-    """One Adam update with bias correction and decoupled weight decay.
-
-    Missing/None gradients are treated as zero; weight decay still applies,
-    so unused parameters shrink but their moments stay untouched by noise.
-
-    The update runs in place over ``state.arena``, packed on the first call
-    and again whenever the names change or a ``p.data`` is no longer its
-    arena view. A gradient that is not its arena view is copied in. On
-    return every ``p.data`` and ``p.grad`` is an arena view and every
-    gradient is zero, so the next backward accumulates into the arena.
-    """
-    arena = state.arena
-    if (
-        arena is None
-        or arena.names != tuple(params)
-        or any(p.data is not view for p, view in zip(params.values(), arena.data))
-    ):
-        arena = state.arena = _pack(params, state)
-    for name, p, g_view in zip(arena.names, params.values(), arena.grad):
-        g = grads.get(name)
-        if g is not g_view:
-            g_view[...] = 0.0 if g is None else g
-        p.grad = g_view
+    """One Adam update with bias correction and decoupled weight decay, in
+    place over the arena, which leaves every gradient zero. A parameter
+    that received no gradient still decays, and its moments only shrink."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     # the per-element formula and order of the textbook loop, as in-place
     # passes over cache-sized blocks
-    for start in range(0, arena.flat.size, ADAM_BLOCK):
+    for start in range(0, state.flat.size, ADAM_BLOCK):
         part = slice(start, start + ADAM_BLOCK)
-        p, g, m, v = arena.flat[part], arena.flat_grad[part], arena.flat_m[part], arena.flat_v[part]
-        a, b = (s[: p.size] for s in arena.scratch)
+        p, g, m, v = state.flat[part], state.flat_grad[part], state.flat_m[part], state.flat_v[part]
+        a, b = (s[: p.size] for s in state.scratch)
         np.multiply(m, beta1, out=m)
         np.multiply(g, 1.0 - beta1, out=a)
         np.add(m, a, out=m)
@@ -968,7 +911,7 @@ def adam_step(
             np.add(b, a, out=b)
         np.multiply(b, lr, out=b)
         np.subtract(p, b, out=p)
-    arena.flat_grad.fill(0.0)
+    state.flat_grad.fill(0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -47,10 +48,14 @@ class TrainConfig:
     eval_every: int = 0  # epochs between best-accuracy checks on the training videos; 0 = off
 
     def validate(self):
-        if self.epochs < 1 or self.lr <= 0:
-            raise ConfigError("epochs must be >= 1 and lr positive")
-        if self.smooth_weight < 0 or self.boundary_weight < 0 or self.smooth_clip <= 0:
-            raise ConfigError("loss weights must be non-negative and smooth_clip positive")
+        for key, least in (("epochs", 1), ("checkpoint_every", 0), ("eval_every", 0)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        for key in ("lr", "smooth_clip", "weight_decay", "smooth_weight", "boundary_weight"):
+            value, positive = getattr(self, key), key in ("lr", "smooth_clip")
+            if not math.isfinite(value) or value < 0 or (positive and value == 0):
+                bound = "> 0" if positive else ">= 0"
+                raise ConfigError(f"{key} must be finite and {bound}, got {value}")
         if self.boundary_distance not in BA_DISTANCES:
             raise ConfigError(f"unknown boundary distance {self.boundary_distance!r}")
 
@@ -61,7 +66,7 @@ class TrainState:
     epoch: int = 0
     loss_history: list[float] = field(default_factory=list)
     increase_count: int = 0
-    adam: AdamState = field(default_factory=AdamState)
+    adam: AdamState | None = None  # packed by ``train`` before its first forward
 
 
 LR_DECAY_FACTOR = 0.5
@@ -107,7 +112,7 @@ def train(
         raise ConfigError("cannot train on an empty dataset")
     streams = SeedStreams(train_cfg.seed)
     params = init_params(model_cfg, streams)
-    state = TrainState(lr=train_cfg.lr)
+    state = TrainState(lr=train_cfg.lr, adam=AdamState(params))
     shuffle_rng = streams.stream("shuffle")
     log_rows: list[dict] = []
     best: tuple[int, float, dict[str, Tensor]] | None = None
@@ -133,13 +138,7 @@ def train(
                     )
                 sums[term] += value
             loss.backward()
-            adam_step(
-                params,
-                {name: p.grad for name, p in params.items()},
-                state.adam,
-                lr=state.lr,
-                weight_decay=train_cfg.weight_decay,
-            )
+            adam_step(state.adam, lr=state.lr, weight_decay=train_cfg.weight_decay)
         n = len(samples)
         row = {
             "epoch": epoch,

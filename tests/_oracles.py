@@ -8,8 +8,8 @@ run-length encoding, a backward that keeps every node's gradient, a
 per-tensor Adam loop for the arena optimizer, the float64-uniform dropout
 and add-then-norm nodes the lean training graph replaced, and the slot kernels and norm that
 rebuilt their masks per call and computed out of place, the per-video
-edit and F1 functions and the corpus metrics built on them, which segment
-each label sequence once per metric, and the
+edit, F1 and whole-report functions and the corpus metrics built on them,
+which segment each label sequence once per metric, and the
 load-then-stride resampling the strided feature read replaced. The last
 section holds the probes that only tests need: they read what the
 library's forward pass records, outside any graph.
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -84,9 +85,20 @@ def logsparse_key_set(t: int, i: int) -> set[int]:
 # per-tensor Adam: the reference the arena optimizer is tested against
 
 
+@dataclass
+class LoopAdamState:
+    """``adam_loop``'s state: the parameters it was built for, the step
+    counter, and the moments as one plain array per tensor."""
+
+    params: dict[str, T.Tensor]
+    step: int = 0
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
+
+
 def adam_loop(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
     """``tensor.adam_step`` one tensor at a time, each ``p.data`` replaced by
-    a new array; moments live in ``state.m`` / ``state.v`` as plain arrays."""
+    a new array; a missing or None gradient counts as zero."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1**t
@@ -493,6 +505,11 @@ def f1_counts(pred, gt, threshold: float, ignored_classes=()) -> tuple[int, int,
 
 def f1_overlap(pred, gt, threshold: float, ignored_classes=()) -> float:
     return M._f1_from_counts(*f1_counts(pred, gt, threshold, ignored_classes))
+
+
+def evaluate(pred, gt, thresholds=M.DEFAULT_THRESHOLDS, ignored_classes=()) -> M.EvalReport:
+    """One video's report (``metrics._evaluate_video`` without its counts)."""
+    return M._evaluate_video(pred, gt, thresholds, ignored_classes)[0]
 
 
 def evaluate_corpus_per_call(pairs, thresholds=M.DEFAULT_THRESHOLDS, ignored_classes=()):

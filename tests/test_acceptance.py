@@ -14,6 +14,7 @@ from _oracles import (
     boundary_alignment,
     edit_score,
     edit_score_brute,
+    evaluate,
     f1_brute,
     f1_overlap,
     kl_scalar,
@@ -25,7 +26,6 @@ from _oracles import (
 from tut import attention as A
 from tut import data as D
 from tut import losses as L
-from tut import metrics as M
 from tut import net as N
 from tut import tensor as T
 from tut import trainer as TR
@@ -559,7 +559,7 @@ def test_c05_metric_oracles():
         and f1_overlap(["A", "A", "B", "B", "C"], ["A", "A", "A", "B", "C"], 0.5) == 100.0
         and abs(f1_overlap(["A", "A", "B", "B", "C"], ["A", "A", "A", "B", "C"], 0.75) - 100 / 3) < 1e-9
     )
-    ident = M.evaluate([0, 1, 1, 2], [0, 1, 1, 2])
+    ident = evaluate([0, 1, 1, 2], [0, 1, 1, 2])
     ident_ok = ident.acc == ident.edit == 100.0 and all(v == 100.0 for v in ident.f1.values())
     ok = max_edit_err < 1e-9 and f1_mismatches == 0 and mono_ok and hand_ok and ident_ok
     report(

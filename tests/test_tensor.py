@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    LoopAdamState,
     adam_loop,
     add_then_norm,
     dropout_uniform,
@@ -484,15 +485,16 @@ def test_sum_axis_div_reshape_grads():
 
 def test_adam_zero_gradient_only_decays():
     p = T.tensor(np.array([2.0, -4.0]))
-    state = T.AdamState()
-    T.adam_step({"p": p}, {"p": np.zeros(2)}, state, lr=0.1, weight_decay=0.01)
+    state = T.AdamState({"p": p})
+    T.adam_step(state, lr=0.1, weight_decay=0.01)
     np.testing.assert_allclose(p.data, np.array([2.0, -4.0]) * (1 - 0.1 * 0.01))
 
 
 def test_adam_single_step_hand_value():
     p = T.tensor(np.array([1.0]))
-    state = T.AdamState()
-    T.adam_step({"p": p}, {"p": np.array([1.0])}, state, lr=0.001)
+    state = T.AdamState({"p": p})
+    p.grad += 1.0
+    T.adam_step(state, lr=0.001)
     # bias-corrected first step moves by ~lr regardless of gradient scale
     np.testing.assert_allclose(p.data, 1.0 - 0.001 * (1.0 / (1.0 + 1e-8)), atol=1e-12)
 
@@ -501,64 +503,41 @@ def test_adam_deterministic_repeat():
     def run():
         rng = np.random.default_rng(42)
         p = T.tensor(rng.standard_normal(8))
-        state = T.AdamState()
+        state = T.AdamState({"p": p})
         for _ in range(25):
-            g = rng.standard_normal(8)
-            T.adam_step({"p": p}, {"p": g}, state, lr=0.01, weight_decay=1e-4)
+            p.grad += rng.standard_normal(8)
+            T.adam_step(state, lr=0.01, weight_decay=1e-4)
         return p.data.tobytes()
 
     assert run() == run()
-
-
-def test_adam_state_shape_check():
-    p = T.tensor(np.zeros(3))
-    state = T.AdamState(m={"p": np.zeros(2)}, v={"p": np.zeros(2)})
-    with pytest.raises(ShapeError):
-        T.adam_step({"p": p}, {"p": np.zeros(3)}, state, lr=0.1)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
 def test_adam_arena_matches_per_tensor_loop(dtype, weight_decay):
     # "big" spans more than one block and the total is no block multiple;
-    # "unused" always gets a None gradient
+    # "unused" never receives a gradient
     shapes = {"big": (T.ADAM_BLOCK + 77,), "w": (33, 7), "b": (7,), "unused": (5,), "s": ()}
     rng = rng64(21)
     init = {n: np.asarray(rng.standard_normal(s), dtype=dtype) for n, s in shapes.items()}
     fast = {n: T.Tensor(a.copy(), requires_grad=True) for n, a in init.items()}
     slow = {n: T.Tensor(a.copy(), requires_grad=True) for n, a in init.items()}
-    fast_state, slow_state = T.AdamState(), T.AdamState()
+    fast_state, slow_state = T.AdamState(fast), LoopAdamState(slow)
+    ends = np.cumsum([a.size for a in init.values()])
+    spans = {n: slice(end - a.size, end) for (n, a), end in zip(init.items(), ends)}
     for step in range(25):
         grads = {n: np.asarray(rng.standard_normal(s), dtype=dtype) for n, s in shapes.items()}
         grads["unused"] = None
         for n, g in grads.items():
-            p = fast[n]
-            if g is None:
-                continue
-            if p.grad is None or step % 5 == 4:  # a gradient from outside the arena
-                p.grad = g.copy()
-            else:
-                p.grad += g  # in place, as a backward pass accumulates
-        if step == 12:  # rebinding one tensor re-packs and keeps every moment
-            before = fast_state.arena
-            fast["w"].data = fast["w"].data * 0.5
-            slow["w"].data = slow["w"].data * 0.5
-        T.adam_step(
-            fast, {n: fast[n].grad if g is not None else None for n, g in grads.items()},
-            fast_state, lr=1e-2, weight_decay=weight_decay,
-        )
+            if g is not None:
+                fast[n].grad += g  # in place, as a backward pass accumulates
+        T.adam_step(fast_state, lr=1e-2, weight_decay=weight_decay)
         adam_loop(slow, grads, slow_state, lr=1e-2, weight_decay=weight_decay)
-        if step == 12:
-            assert fast_state.arena is not before
-        arena = fast_state.arena
-        for n in shapes:
+        for n, span in spans.items():
             assert fast[n].data.tobytes() == slow[n].data.tobytes(), (step, n)
-            assert fast_state.m[n].tobytes() == slow_state.m[n].tobytes(), (step, n)
-            assert fast_state.v[n].tobytes() == slow_state.v[n].tobytes(), (step, n)
-            for view, flat in (
-                (fast[n].data, arena.flat), (fast[n].grad, arena.flat_grad),
-                (fast_state.m[n], arena.flat_m), (fast_state.v[n], arena.flat_v),
-            ):
+            assert fast_state.flat_m[span].tobytes() == slow_state.m[n].tobytes(), (step, n)
+            assert fast_state.flat_v[span].tobytes() == slow_state.v[n].tobytes(), (step, n)
+            for view, flat in ((fast[n].data, fast_state.flat), (fast[n].grad, fast_state.flat_grad)):
                 assert view.dtype == dtype and np.shares_memory(view, flat), (step, n)
             assert not fast[n].grad.any()
     assert fast_state.step == slow_state.step == 25
@@ -567,7 +546,7 @@ def test_adam_arena_matches_per_tensor_loop(dtype, weight_decay):
 def test_adam_arena_needs_one_dtype():
     params = {"a": T.tensor(np.zeros(2)), "b": T.tensor(np.zeros(2), dtype=np.float32)}
     with pytest.raises(TypeError):
-        T.adam_step(params, {}, T.AdamState(), lr=0.1)
+        T.AdamState(params)
 
 
 def test_linear_skips_unneeded_input_gradient():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    LoopAdamState,
     adam_loop,
     add_then_norm,
     backward_keep_graph,
@@ -19,7 +20,7 @@ from tut import data as D
 from tut import net as N
 from tut import tensor as T
 from tut import trainer as TR
-from tut.config import PRESETS, build_configs
+from tut.config import PRESETS, SECTIONS, build_configs, field_table, format_config
 from tut.errors import ConfigError, TrainingDiverged
 from tut.tensor import AdamState
 
@@ -303,12 +304,64 @@ def test_config_file_and_override_precedence(tmp_path):
             build_configs(overrides={"sample_rate": rate})
 
 
+@pytest.mark.parametrize("preset", [None, *PRESETS])
+def test_every_key_reads_back_from_its_formatted_config(preset, tmp_path):
+    """Each key set away from its default, a string holding ``;``, ``=``,
+    ``%`` and ``[`` included, comes back unchanged from ``format_config``'s
+    file."""
+    table = field_table()
+    defaults = build_configs(preset)
+    for key, section in table.items():
+        default = getattr(defaults[list(SECTIONS).index(section)], key)
+        if isinstance(default, str):
+            value = f"{key};x = %(y)s [z]"
+        else:
+            value = default + (2 if isinstance(default, int) else 1 / 3)
+        configs = build_configs(preset, overrides={key: str(value)})
+        path = tmp_path / f"{key}.cfg"
+        path.write_text(format_config(*configs))
+        assert build_configs(config_file=path) == configs, key
+
+
+def test_value_that_would_not_read_back_is_refused(tmp_path):
+    for value in ("runs ;old", "runs\t;old", ";old", " runs", "runs ", "runs\nold", "runs\rold"):
+        with pytest.raises(ConfigError, match="--data-root"):
+            build_configs(overrides={"root": value})
+    path = tmp_path / "run.cfg"
+    path.write_text("[data]\nroot = runs\n  old\n")  # a continuation line reads as a line break
+    with pytest.raises(ConfigError, match=r"run\.cfg: \[data\] root"):
+        build_configs(config_file=path)
+
+
 def test_adam_state_lives_across_epochs():
     samples, _ = tiny_dataset(videos=1)
     cfg = tiny_model()
     result = TR.train(samples, cfg, TR.TrainConfig(epochs=3, lr=1e-3, seed=10))
     assert isinstance(result.state.adam, AdamState)
     assert result.state.adam.step == 3  # one step per video per epoch
+
+
+def test_adam_state_binds_gradients_to_the_arena_before_any_backward():
+    """``AdamState`` hands every parameter a zeroed gradient view, so the
+    first backward accumulates into the arena like every later one; after a
+    gtea-shaped ``train`` step each gradient is still that view."""
+    params, _ = gtea_step()
+    state = AdamState(params)
+    for name, p in params.items():
+        assert np.shares_memory(p.data, state.flat), name
+        assert np.shares_memory(p.grad, state.flat_grad) and not p.grad.any(), name
+    model_cfg, train_cfg, _ = build_configs("gtea", None, {})
+    model_cfg.input_dim, model_cfg.num_classes = 32, 5
+    train_cfg.epochs = 1
+    spec = D.SynthSpec(
+        num_classes=5, num_videos=1, min_len=48, max_len=48, feature_dim=32, noise=0.3, seed=2
+    )
+    samples, _ = D.generate_synthetic(spec)
+    result = TR.train(samples, model_cfg, train_cfg)
+    arena = result.state.adam
+    assert arena.step == 1
+    for name, p in result.params.items():
+        assert np.shares_memory(p.grad, arena.flat_grad), name
 
 
 def test_keep_best_tracks_best_epoch():
@@ -394,10 +447,10 @@ def test_backward_frees_the_graph_as_it_runs():
     outputs and loss are still referenced. Backward peaks at most 10% above
     the forward graph's bytes and leaves at most 5% of them live."""
     params, forward = gtea_step(frames=160, input_dim=2048, num_classes=11)
-    state = AdamState()
+    state = AdamState(params)
     _, loss = forward()
     loss.backward()
-    T.adam_step(params, {name: p.grad for name, p in params.items()}, state, lr=1e-4)
+    T.adam_step(state, lr=1e-4)
     del loss
     gc.collect()
     tracemalloc.start()
@@ -427,11 +480,13 @@ def test_arena_adam_trains_like_the_per_tensor_loop(monkeypatch):
     samples, _ = D.generate_synthetic(spec)
     arena = TR.train(samples, model_cfg, train_cfg)
 
-    def loop_then_clear(params, grads, state, **kwargs):
-        adam_loop(params, grads, state, **kwargs)
+    def loop_then_clear(state, **kwargs):
+        params = state.params
+        adam_loop(params, {name: p.grad for name, p in params.items()}, state, **kwargs)
         for p in params.values():
             p.grad = None
 
+    monkeypatch.setattr(TR, "AdamState", LoopAdamState)
     monkeypatch.setattr(TR, "adam_step", loop_then_clear)
     loop = TR.train(samples, model_cfg, train_cfg)
     assert TR.log_csv(arena.log_rows) == TR.log_csv(loop.log_rows)
