@@ -80,6 +80,8 @@ def cmd_train(args) -> int:
     samples, mapping = _load_split(data_cfg)
     model_cfg.input_dim = samples[0].feature_dim
     model_cfg.num_classes = mapping.num_classes
+    model_cfg.validate()  # a refused setting leaves no --out directory behind
+    train_cfg.validate()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

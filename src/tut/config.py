@@ -36,7 +36,7 @@ PRESETS: dict[str, dict[str, dict]] = {
     "50salads": {
         "model": dict(
             refinement_stages=3, layers=5, window=51, heads=4,
-            hidden_dim=128, ffn_dim=128, hidden_dim_refine=64, ffn_dim_refine=64,
+            hidden_dim=128, hidden_dim_refine=64,
             input_dropout=0.4, ffn_dropout=0.3, attention_dropout=0.2,
         ),
         "train": dict(lr=5e-4, weight_decay=1e-5, boundary_weight=0.02),
@@ -45,7 +45,7 @@ PRESETS: dict[str, dict[str, dict]] = {
     "gtea": {
         "model": dict(
             refinement_stages=3, layers=4, window=11, heads=4,
-            hidden_dim=64, ffn_dim=64, hidden_dim_refine=64, ffn_dim_refine=64,
+            hidden_dim=64, hidden_dim_refine=64,
             input_dropout=0.5, ffn_dropout=0.3, attention_dropout=0.2,
         ),
         "train": dict(lr=5e-4, weight_decay=1e-5, boundary_weight=0.1),
@@ -54,7 +54,7 @@ PRESETS: dict[str, dict[str, dict]] = {
     "breakfast": {
         "model": dict(
             refinement_stages=3, layers=5, window=25, heads=6,
-            hidden_dim=192, ffn_dim=192, hidden_dim_refine=96, ffn_dim_refine=96,
+            hidden_dim=192, hidden_dim_refine=96,
             input_dropout=0.4, ffn_dropout=0.3, attention_dropout=0.2,
         ),
         "train": dict(lr=2e-4, weight_decay=5e-5, boundary_weight=0.005),

@@ -6,9 +6,9 @@ Boundary labels are derived from the class labels alone: a frame starts a
 segment iff it is frame 0 or its label differs from the previous frame,
 and ends one iff it is the last frame or its label differs from the next.
 
-``total_loss`` reads the term weights, the smoothing clip and the boundary
-distance off the ``trainer.TrainConfig`` it is given, which also validates
-them; the terms take plain values.
+``total_loss`` reads the term weights and the boundary distance off the
+``trainer.TrainConfig`` it is given, which also validates them; the terms
+take plain values. ``tmse_loss`` clips at its default tau = 4.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def total_loss(
         term = ce_loss(logits, labels)
         breakdown["ce"] += float(term.data)
         if cfg.smooth_weight > 0:
-            smooth = tmse_loss(logits, cfg.smooth_clip)
+            smooth = tmse_loss(logits)
             breakdown["tmse"] += float(smooth.data)
             term = T.add(term, T.mul(smooth, cfg.smooth_weight))
         if cfg.boundary_weight > 0:

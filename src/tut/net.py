@@ -34,10 +34,16 @@ ARCHITECTURES = ("utrans", "standard")
 PE_MODES = ("none", "sinusoidal", "learnable", "relative")
 RPE_SHARES = ("none", "stage", "scale")
 NORM_EPS = 1e-5  # instance norm's variance floor
+PE_MAX_LEN = 4096  # rows of a learnable positional encoding: the longest sequence it takes
 
 
 @dataclass
 class ModelConfig:
+    """Model geometry, attention and dropout settings. Every encoder and
+    decoder layer is attention plus an FFN as wide as its stage's hidden
+    dim: ``hidden_dim`` in the generation stage, ``hidden_dim_refine`` in
+    each refinement stage."""
+
     input_dim: int = 16
     num_classes: int = 4
     architecture: str = "utrans"
@@ -48,14 +54,11 @@ class ModelConfig:
     heads: int = 4
     hidden_dim: int = 128
     hidden_dim_refine: int = 64
-    ffn_dim: int = 128
-    ffn_dim_refine: int = 64
     input_dropout: float = 0.4
     ffn_dropout: float = 0.3
     attention_dropout: float = 0.2
     pe_mode: str = "relative"
     rpe_share: str = "scale"
-    pe_max_len: int = 4096
     dtype: str = "f32"
 
     def validate(self):
@@ -63,10 +66,7 @@ class ModelConfig:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
         if self.layers < 1 or self.refinement_stages < 0:
             raise ConfigError("layers must be >= 1 and refinement_stages >= 0")
-        for key in (
-            "input_dim", "num_classes", "hidden_dim", "hidden_dim_refine", "ffn_dim",
-            "ffn_dim_refine", "pe_max_len",
-        ):
+        for key in ("input_dim", "num_classes", "hidden_dim", "hidden_dim_refine"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.dtype not in ("f32", "f64"):
@@ -92,11 +92,11 @@ class ModelConfig:
     def np_dtype(self):
         return np.float32 if self.dtype == "f32" else np.float64
 
-    def stage_dims(self, stage: int) -> tuple[int, int, int]:
-        """(input dim, hidden dim, ffn inner dim) of one stage."""
+    def stage_dims(self, stage: int) -> tuple[int, int]:
+        """(input dim, hidden dim) of one stage; its FFN is hidden dim wide too."""
         if stage == 0:
-            return self.input_dim, self.hidden_dim, self.ffn_dim
-        return self.num_classes, self.hidden_dim_refine, self.ffn_dim_refine
+            return self.input_dim, self.hidden_dim
+        return self.num_classes, self.hidden_dim_refine
 
     @property
     def num_stages(self) -> int:
@@ -146,9 +146,9 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape for every learnable tensor, in checkpoint order."""
     shapes: dict[str, tuple[int, ...]] = {}
     for s in range(cfg.num_stages):
-        in_dim, hidden, ffn = cfg.stage_dims(s)
+        in_dim, hidden = cfg.stage_dims(s)
         if cfg.pe_mode == "learnable":
-            shapes[f"stage{s}.ape.w"] = (cfg.pe_max_len, in_dim)
+            shapes[f"stage{s}.ape.w"] = (PE_MAX_LEN, in_dim)
         shapes[f"stage{s}.proj.w"] = (in_dim, hidden)
         shapes[f"stage{s}.proj.b"] = (hidden,)
         for coder in ("enc", "dec"):
@@ -158,9 +158,9 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
                 shapes[f"{prefix}.qkv.b"] = (3 * hidden,)
                 shapes[f"{prefix}.norm1.w"] = (hidden,)
                 shapes[f"{prefix}.norm1.b"] = (hidden,)
-                shapes[f"{prefix}.ffn1.w"] = (hidden, ffn)
-                shapes[f"{prefix}.ffn1.b"] = (ffn,)
-                shapes[f"{prefix}.ffn2.w"] = (ffn, hidden)
+                shapes[f"{prefix}.ffn1.w"] = (hidden, hidden)
+                shapes[f"{prefix}.ffn1.b"] = (hidden,)
+                shapes[f"{prefix}.ffn2.w"] = (hidden, hidden)
                 shapes[f"{prefix}.ffn2.b"] = (hidden,)
                 shapes[f"{prefix}.norm2.w"] = (hidden,)
                 shapes[f"{prefix}.norm2.b"] = (hidden,)
@@ -232,7 +232,7 @@ def encoder_layer(
     if h_prev.data.shape[0] < 1:
         raise ConfigError("too many layers for sequence length")
     prefix = f"stage{stage}.enc{layer}"
-    _, hidden, _ = cfg.stage_dims(stage)
+    _, hidden = cfg.stage_dims(stage)
     h1 = downsample_nearest(h_prev) if cfg.architecture == "utrans" else h_prev
     qkv = T.linear(h1, params[f"{prefix}.qkv.w"], params[f"{prefix}.qkv.b"])
     q, k, v = (T.slice_cols(qkv, i * hidden, (i + 1) * hidden) for i in range(3))
@@ -258,7 +258,7 @@ def decoder_layer(
     """Upsample, cross-attention (Q from the decoder path, K/V from the
     same-resolution encoder output), norm, FFN, norm."""
     prefix = f"stage{stage}.dec{layer}"
-    _, hidden, _ = cfg.stage_dims(stage)
+    _, hidden = cfg.stage_dims(stage)
     target_len = h_enc_peer.data.shape[0]
     h1 = upsample_nearest(h_prev_dec, target_len) if cfg.architecture == "utrans" else h_prev_dec
     if h1.data.shape[0] != target_len:
@@ -284,8 +284,10 @@ def _positional_input(params, cfg: ModelConfig, stage: int, x: Tensor) -> Tensor
     if cfg.pe_mode == "sinusoidal":
         return T.add(x, Tensor(sinusoidal_encoding(t, in_dim, dtype=x.data.dtype)))
     if cfg.pe_mode == "learnable":
-        if t > cfg.pe_max_len:
-            raise ConfigError(f"sequence length {t} exceeds pe_max_len {cfg.pe_max_len}")
+        if t > PE_MAX_LEN:
+            raise ConfigError(
+                f"sequence length {t} exceeds the learnable encoding's {PE_MAX_LEN} rows"
+            )
         return T.add(x, T.slice_rows(params[f"stage{stage}.ape.w"], 0, t))
     return x
 
@@ -392,41 +394,27 @@ _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(np.ui
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 
-def _pack_manifest(entries: list[tuple[str, np.ndarray]]) -> tuple[bytes, list[bytes]]:
-    header = struct.pack("<I", len(entries))
-    records = []
-    payloads = []
-    for name, arr in entries:
-        name_b = name.encode()
-        records.append(
-            (name_b, _DTYPE_CODES[arr.dtype], arr.shape, arr.tobytes(order="C"))
-        )
-    manifest_len = len(CHECKPOINT_MAGIC) + 4
-    for name_b, _, shape, _ in records:
-        manifest_len += 2 + len(name_b) + 1 + 1 + 8 * len(shape) + 8
-    offset = manifest_len
-    blob = bytearray(header)
-    for name_b, code, shape, payload in records:
-        blob += struct.pack("<H", len(name_b)) + name_b
-        blob += struct.pack("<BB", code, len(shape))
-        blob += b"".join(struct.pack("<Q", dim) for dim in shape)
-        blob += struct.pack("<Q", offset)
-        payloads.append(payload)
-        offset += len(payload)
-    return bytes(blob), payloads
-
-
 def save_checkpoint(path, params: dict[str, Tensor], cfg: ModelConfig):
-    """Versioned binary container: magic, manifest, little-endian payloads."""
+    """Versioned binary container: magic, manifest, little-endian payloads.
+
+    The manifest is built once, and each payload is written from its
+    array's own buffer."""
     config_blob = np.frombuffer(json.dumps(asdict(cfg), sort_keys=True).encode(), dtype=np.uint8)
-    entries = [("meta.config", config_blob)]
-    entries += [(name, np.ascontiguousarray(p.data)) for name, p in params.items()]
-    manifest, payloads = _pack_manifest(entries)
+    entries = [(b"meta.config", config_blob)]
+    entries += [(name.encode(), np.ascontiguousarray(p.data)) for name, p in params.items()]
+    # per entry: name length, name, dtype code, rank, dims, payload offset
+    formats = [f"<H{len(name)}sBB{arr.ndim}QQ" for name, arr in entries]
+    offset = len(CHECKPOINT_MAGIC) + struct.calcsize("<I") + sum(map(struct.calcsize, formats))
+    manifest = bytearray(CHECKPOINT_MAGIC + struct.pack("<I", len(entries)))
+    for fmt, (name, arr) in zip(formats, entries):
+        manifest += struct.pack(
+            fmt, len(name), name, _DTYPE_CODES[arr.dtype], arr.ndim, *arr.shape, offset
+        )
+        offset += arr.nbytes
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
         fh.write(manifest)
-        for payload in payloads:
-            fh.write(payload)
+        for _, arr in entries:
+            fh.write(arr.data)
 
 
 def _read_checkpoint(path) -> tuple[dict, list[tuple[str, np.dtype, tuple, int]], list[np.ndarray]]:
@@ -502,9 +490,17 @@ def read_manifest(path) -> tuple[dict, list[tuple[str, np.dtype, tuple, int]]]:
     return config, entries
 
 
-# config keys that earlier checkpoints hold, each at the one value every run gave it
-RETIRED_KEYS = {"refine_input": "probs", "rpe_split_coders": False, "normalize": True,
-                "norm_eps": NORM_EPS}
+# config keys that earlier checkpoints hold, each at the one value every run
+# gave it, as read off the rest of the config
+RETIRED_KEYS = {
+    "refine_input": lambda cfg: "probs",
+    "rpe_split_coders": lambda cfg: False,
+    "normalize": lambda cfg: True,
+    "norm_eps": lambda cfg: NORM_EPS,
+    "pe_max_len": lambda cfg: PE_MAX_LEN,
+    "ffn_dim": lambda cfg: cfg.hidden_dim,  # each FFN was its stage's hidden width
+    "ffn_dim_refine": lambda cfg: cfg.hidden_dim_refine,
+}
 
 
 def load_checkpoint(path, expected_cfg: ModelConfig | None = None):
@@ -514,15 +510,16 @@ def load_checkpoint(path, expected_cfg: ModelConfig | None = None):
     value raises ``CheckpointError`` naming it. Each parameter's data is a
     view into the one buffer the file was read into, not a copy of its own."""
     config_dict, entries, payloads = _read_checkpoint(path)
-    for key, value in RETIRED_KEYS.items():
-        found = config_dict.pop(key, value)
-        if found != value:
-            raise CheckpointError(f"{path}: retired config key {key!r} is {found!r}, not {value!r}")
+    retired = {key: config_dict.pop(key) for key in RETIRED_KEYS if key in config_dict}
     try:
         cfg = ModelConfig(**config_dict)
         cfg.validate()
     except (TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: invalid model config: {exc}") from None
+    for key, found in retired.items():
+        value = RETIRED_KEYS[key](cfg)
+        if found != value:
+            raise CheckpointError(f"{path}: retired config key {key!r} is {found!r}, not {value!r}")
     if expected_cfg is not None and asdict(expected_cfg) != asdict(cfg):
         raise CheckpointError(f"{path}: config does not match the requested model config")
     expected = param_shapes(cfg)

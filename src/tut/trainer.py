@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,6 @@ class TrainConfig:
     lr: float = 5e-4
     weight_decay: float = 1e-5
     smooth_weight: float = 0.15
-    smooth_clip: float = 4.0
     boundary_weight: float = 0.0
     boundary_distance: str = "kl"
     seed: int = 0
@@ -51,8 +50,8 @@ class TrainConfig:
         for key, least in (("epochs", 1), ("checkpoint_every", 0), ("eval_every", 0)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
-        for key in ("lr", "smooth_clip", "weight_decay", "smooth_weight", "boundary_weight"):
-            value, positive = getattr(self, key), key in ("lr", "smooth_clip")
+        for key in ("lr", "weight_decay", "smooth_weight", "boundary_weight"):
+            value, positive = getattr(self, key), key == "lr"
             if not math.isfinite(value) or value < 0 or (positive and value == 0):
                 bound = "> 0" if positive else ">= 0"
                 raise ConfigError(f"{key} must be finite and {bound}, got {value}")
@@ -63,8 +62,7 @@ class TrainConfig:
 @dataclass
 class TrainState:
     lr: float
-    epoch: int = 0
-    loss_history: list[float] = field(default_factory=list)
+    last_loss: float | None = None  # the previous epoch's mean loss
     increase_count: int = 0
     adam: AdamState | None = None  # packed by ``train`` before its first forward
 
@@ -76,12 +74,12 @@ LR_DECAY_PATIENCE = 3  # loss increases before a halving
 def apply_lr_rule(state: TrainState, epoch_loss: float):
     """Count epochs whose mean loss beats the previous epoch's; halve the
     rate at the third, then reset the counter."""
-    if state.loss_history and epoch_loss > state.loss_history[-1]:
+    if state.last_loss is not None and epoch_loss > state.last_loss:
         state.increase_count += 1
         if state.increase_count >= LR_DECAY_PATIENCE:
             state.lr *= LR_DECAY_FACTOR
             state.increase_count = 0
-    state.loss_history.append(epoch_loss)
+    state.last_loss = epoch_loss
 
 
 @dataclass
@@ -89,7 +87,6 @@ class TrainResult:
     params: dict[str, Tensor]
     state: TrainState
     log_rows: list[dict]
-    model_cfg: ModelConfig
     best_epoch: int | None = None
     best_acc: float | None = None
     best_params: dict[str, Tensor] | None = None
@@ -117,7 +114,6 @@ def train(
     log_rows: list[dict] = []
     best: tuple[int, float, dict[str, Tensor]] | None = None
     for epoch in range(1, train_cfg.epochs + 1):
-        state.epoch = epoch
         order = shuffle_rng.permutation(len(samples))
         sums = {"ce": 0.0, "tmse": 0.0, "ba": 0.0, "total": 0.0}
         for idx in order:
@@ -163,7 +159,7 @@ def train(
             if best is None or report.acc > best[1]:
                 snapshot = {n: Tensor(p.data.copy(), requires_grad=True) for n, p in params.items()}
                 best = (epoch, report.acc, snapshot)
-    result = TrainResult(params, state, log_rows, model_cfg)
+    result = TrainResult(params, state, log_rows)
     if best is not None:
         result.best_epoch, result.best_acc, result.best_params = best
     return result

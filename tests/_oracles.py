@@ -10,7 +10,8 @@ and add-then-norm nodes the lean training graph replaced, and the slot kernels a
 rebuilt their masks per call and computed out of place, the per-video
 edit, F1 and whole-report functions and the corpus metrics built on them,
 which segment each label sequence once per metric, and the
-load-then-stride resampling the strided feature read replaced. The last
+load-then-stride resampling the strided feature read replaced, and the
+checkpoint writer that copied every payload before writing it. The last
 section holds the probes that only tests need: they read what the
 library's forward pass records, outside any graph.
 """
@@ -18,8 +19,10 @@ library's forward pass records, outside any graph.
 from __future__ import annotations
 
 import itertools
+import json
 import math
-from dataclasses import dataclass, field
+import struct
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -550,6 +553,42 @@ def resample_temporal(sample: VideoSample, k: int) -> VideoSample:
         source_len=sample.num_frames,
         stride=k,
     )
+
+
+# ---------------------------------------------------------------------------
+# the two-pass checkpoint writer
+
+
+def save_checkpoint_copying(path, params, cfg):
+    """``net.save_checkpoint`` as it was before it wrote from each array's
+    buffer: every payload copied with ``tobytes`` and the manifest length
+    found in a second walk over the records."""
+    config_blob = np.frombuffer(json.dumps(asdict(cfg), sort_keys=True).encode(), dtype=np.uint8)
+    entries = [("meta.config", config_blob)]
+    entries += [(name, np.ascontiguousarray(p.data)) for name, p in params.items()]
+    records = []
+    for name, arr in entries:
+        records.append(
+            (name.encode(), N._DTYPE_CODES[arr.dtype], arr.shape, arr.tobytes(order="C"))
+        )
+    manifest_len = len(N.CHECKPOINT_MAGIC) + 4
+    for name_b, _, shape, _ in records:
+        manifest_len += 2 + len(name_b) + 1 + 1 + 8 * len(shape) + 8
+    offset = manifest_len
+    blob = bytearray(struct.pack("<I", len(entries)))
+    payloads = []
+    for name_b, code, shape, payload in records:
+        blob += struct.pack("<H", len(name_b)) + name_b
+        blob += struct.pack("<BB", code, len(shape))
+        blob += b"".join(struct.pack("<Q", dim) for dim in shape)
+        blob += struct.pack("<Q", offset)
+        payloads.append(payload)
+        offset += len(payload)
+    with open(path, "wb") as fh:
+        fh.write(N.CHECKPOINT_MAGIC)
+        fh.write(bytes(blob))
+        for payload in payloads:
+            fh.write(payload)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ DESK_SPEC = D.SynthSpec(
 DESK_MODEL = dict(
     input_dim=16, num_classes=4, layers=3, refinement_stages=1,
     window=11, heads=2, hidden_dim=32, hidden_dim_refine=32,
-    ffn_dim=32, ffn_dim_refine=32,
     input_dropout=0.1, ffn_dropout=0.1, attention_dropout=0.0,
 )
 
@@ -309,7 +308,7 @@ def test_c01_gradient_suite():
     # (the function the analytic gradient is defined for).
     cfg = N.ModelConfig(
         input_dim=4, num_classes=3, layers=2, refinement_stages=1, window=3, heads=2,
-        hidden_dim=4, hidden_dim_refine=4, ffn_dim=4, ffn_dim_refine=4,
+        hidden_dim=4, hidden_dim_refine=4,
         input_dropout=0.0, ffn_dropout=0.0, attention_dropout=0.0,
         pe_mode="relative", rpe_share="scale", dtype="f64",
     )
@@ -409,8 +408,8 @@ def test_c03_complexity_contract():
     def cell(arch, pattern):
         cfg = N.ModelConfig(
             architecture=arch, attention=pattern, layers=layers, refinement_stages=0,
-            window=w, heads=h, hidden_dim=8, hidden_dim_refine=8, ffn_dim=8,
-            ffn_dim_refine=8, pe_mode="none", input_dim=4, num_classes=3,
+            window=w, heads=h, hidden_dim=8, hidden_dim_refine=8,
+            pe_mode="none", input_dim=4, num_classes=3,
         )
         return N.count_attention_entries(cfg, t)
 
@@ -571,7 +570,7 @@ def test_c05_metric_oracles():
 def test_c06_shape_architecture_suite():
     cfg = N.ModelConfig(
         input_dim=4, num_classes=5, layers=5, refinement_stages=2, window=5, heads=2,
-        hidden_dim=8, hidden_dim_refine=8, ffn_dim=8, ffn_dim_refine=8,
+        hidden_dim=8, hidden_dim_refine=8,
         input_dropout=0.0, ffn_dropout=0.0, attention_dropout=0.0, pe_mode="none",
     )
     params = N.init_params(cfg, T.SeedStreams(2))
@@ -636,8 +635,7 @@ def test_c09_determinism(tmp_path):
     flags = [
         "--seed", "17", "--epochs", "3", "--lr", "0.001",
         "--layers", "2", "--refinement-stages", "1", "--window", "5", "--heads", "2",
-        "--hidden-dim", "16", "--hidden-dim-refine", "16",
-        "--ffn-dim", "16", "--ffn-dim-refine", "16", "--boundary-weight", "0.02",
+        "--hidden-dim", "16", "--hidden-dim-refine", "16", "--boundary-weight", "0.02",
     ]
     blobs = []
     for run in ("one", "two"):
@@ -669,7 +667,6 @@ def test_c10_ablation_harness(tmp_path):
         "--seed", "19", "--epochs", "1", "--lr", "0.001",
         "--layers", "2", "--refinement-stages", "0", "--window", "5", "--heads", "2",
         "--hidden-dim", "16", "--hidden-dim-refine", "16",
-        "--ffn-dim", "16", "--ffn-dim-refine", "16",
     ]
     arch_csv = tmp_path / "arch.csv"
     assert cli_main([

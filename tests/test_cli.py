@@ -25,7 +25,6 @@ from tut.net import RETIRED_KEYS, read_manifest
 SMALL_MODEL = [
     "--layers", "2", "--refinement-stages", "1", "--window", "5", "--heads", "2",
     "--hidden-dim", "16", "--hidden-dim-refine", "16",
-    "--ffn-dim", "16", "--ffn-dim-refine", "16",
 ]
 
 
@@ -190,7 +189,7 @@ def test_config_file_through_cli(synth_root, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "[model]\nlayers = 2\nrefinement_stages = 0\nwindow = 5\nheads = 2\n"
-        "hidden_dim = 16\nhidden_dim_refine = 16\nffn_dim = 16\nffn_dim_refine = 16\n"
+        "hidden_dim = 16\nhidden_dim_refine = 16\n"
         "\n[train]\nepochs = 1\nlr = 0.001\n"
     )
     out = tmp_path / "run"
@@ -512,12 +511,13 @@ def _bad_flag(command, flag, value):
 
 def _bad_setting(key, value):
     """``tut train`` given a ``key`` value its config refuses; the error names
-    the key."""
+    the key, and no ``--out`` directory is made."""
     def make_argv(trained, synth_root, tmp_path):
         return ["train", "--data-root", str(synth_root), "--out", str(tmp_path / "run"),
                 "--seed", "1", "--epochs", "1", *SMALL_MODEL, "--" + key.replace("_", "-"), value]
 
     make_argv.names = (key,)
+    make_argv.makes_no_out = True
     return make_argv
 
 
@@ -543,23 +543,27 @@ def _sample_rate(rate):
      _config_file("shuffle.cfg", "[train]\nshuffle = True\n"),
      _config_file("keep_best.cfg", "[train]\nkeep_best = true\n"),
      _config_file("normalize.cfg", "[model]\nnormalize = true\n", names=("normalize",)),
+     _config_file("ffn_dim.cfg", "[model]\nffn_dim = 64\n", names=("ffn_dim",)),
+     _config_file("pe_max_len.cfg", "[model]\npe_max_len = 4096\n", names=("pe_max_len",)),
+     _config_file("smooth_clip.cfg", "[train]\nsmooth_clip = 4.0\n", names=("smooth_clip",)),
      _config_file("badint.cfg", "[model]\nlayers = abc\n", names=("layers", "abc")),
      _bad_flag("train", "--epochs", "x"), _bad_flag("train", "--seed", "one"),
      _bad_flag("eval", "--thresholds", "0.1,x"), _bad_flag("ablate", "--values", "0,x"),
      _bad_setting("lr", "nan"), _bad_setting("weight_decay", "-0.5"),
      _bad_setting("smooth_weight", "nan"), _bad_setting("boundary_weight", "nan"),
-     _bad_setting("smooth_clip", "inf"), _bad_setting("checkpoint_every", "-1"),
-     _bad_setting("eval_every", "-2"), _bad_setting("ffn_dim", "0"), _bad_setting("ffn_dim", "-1"),
-     _bad_setting("ffn_dim_refine", "0"), _bad_setting("pe_max_len", "0")],
+     _bad_setting("checkpoint_every", "-1"), _bad_setting("eval_every", "-2"),
+     _bad_setting("hidden_dim", "0"), _bad_setting("hidden_dim", "-1"),
+     _bad_setting("hidden_dim_refine", "0")],
     ids=["DatasetError", "CheckpointError", "TrainingDiverged", "ShapeError",
          "TruncatedCheckpoint", "TruncatedFeatures", "SampleRateZero", "SampleRateNegative",
          "UnknownIgnoredClass", "UnknownIgnoredClassAblate", "ConfigNoSectionHeader", "ConfigDuplicateKey",
          "ConfigParsingError", "ConfigIsADirectory", "ConfigNotUtf8", "ConfigRemovedFps",
          "ConfigRemovedShuffle", "ConfigRemovedKeepBest", "ConfigRemovedNormalize",
+         "ConfigRemovedFfnDim", "ConfigRemovedPeMaxLen", "ConfigRemovedSmoothClip",
          "ConfigBadValue", "FlagBadValue", "FlagBadSeed", "EvalBadThresholds", "AblateBadValues",
          "LrNan", "WeightDecayNegative", "SmoothWeightNan", "BoundaryWeightNan",
-         "SmoothClipInf", "CheckpointEveryNegative", "EvalEveryNegative", "FfnDimZero",
-         "FfnDimNegative", "FfnDimRefineZero", "PeMaxLenZero"],
+         "CheckpointEveryNegative", "EvalEveryNegative", "HiddenDimZero",
+         "HiddenDimNegative", "HiddenDimRefineZero"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_typed_failures_exit_2_with_one_line(make_argv, trained, synth_root, tmp_path, capsys):
@@ -574,6 +578,8 @@ def test_typed_failures_exit_2_with_one_line(make_argv, trained, synth_root, tmp
         assert argv[argv.index("--config") + 1] in err
     for name in getattr(make_argv, "names", ()):
         assert name in err
+    if getattr(make_argv, "makes_no_out", False):
+        assert not os.path.exists(argv[argv.index("--out") + 1])
 
 
 @pytest.mark.parametrize("change", ["rows", "dim", "truncated"])

@@ -34,8 +34,8 @@ def test_tmse_clamp_contributes_theta_squared():
     logp = T.log_softmax_lastdim(logits).data
     deltas = np.abs(logp[1] - logp[0])
     assert np.all(deltas > 4.0)
-    out = float(L.tmse_loss(logits, clip_at=4.0).data)
-    np.testing.assert_allclose(out, 16.0)  # every clamped term contributes 16
+    out = float(L.tmse_loss(logits).data)
+    np.testing.assert_allclose(out, 16.0)  # every term clamped at the default 4 contributes 16
 
 
 def test_tmse_stop_gradient():
@@ -298,7 +298,7 @@ def test_ba_loss_full_record_matches_local_record(distance):
 def test_total_loss_composition_and_scaling():
     cfg = dict(
         input_dim=4, num_classes=3, layers=1, window=3, heads=2,
-        hidden_dim=8, hidden_dim_refine=8, ffn_dim=8, ffn_dim_refine=8,
+        hidden_dim=8, hidden_dim_refine=8,
         input_dropout=0.0, ffn_dropout=0.0, attention_dropout=0.0,
         pe_mode="none", dtype="f64",
     )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _oracles import numeric_grad, rel_err
+from _oracles import numeric_grad, rel_err, save_checkpoint_copying
 from tut import net as N
 from tut import tensor as T
 from tut.errors import CheckpointError, ConfigError, ShapeError
@@ -23,8 +23,6 @@ def tiny_cfg(**kw):
         heads=2,
         hidden_dim=8,
         hidden_dim_refine=8,
-        ffn_dim=8,
-        ffn_dim_refine=8,
         input_dropout=0.0,
         ffn_dropout=0.0,
         attention_dropout=0.0,
@@ -247,9 +245,10 @@ def test_positional_modes_forward():
         cfg = tiny_cfg(pe_mode=mode, refinement_stages=0)
         out = N.model_forward(x, build(cfg), cfg)
         assert out.logits[0].data.shape == (12, 3)
-    cfg = tiny_cfg(pe_mode="learnable", pe_max_len=8, refinement_stages=0)
-    with pytest.raises(ConfigError):
-        N.model_forward(x, build(cfg), cfg)
+    cfg = tiny_cfg(pe_mode="learnable", refinement_stages=0)
+    longest = np.zeros((N.PE_MAX_LEN + 1, 4))
+    with pytest.raises(ConfigError, match=f"sequence length {N.PE_MAX_LEN + 1}"):
+        N.model_forward(longest, build(cfg), cfg)
 
 
 def test_memory_accounting_matches_forward(monkeypatch):
@@ -365,10 +364,12 @@ def test_checkpoint_config_mismatch(tmp_path):
         N.load_checkpoint(bad)
 
 
-# the four config keys every checkpoint held before they were retired, at
-# the values every run gave them
+# the config keys every checkpoint held before they were retired, at the
+# values every run gave them: each FFN width is its stage's hidden width in
+# OLD_CFG, whose two stage widths differ
+OLD_CFG = dict(dtype="f32", hidden_dim=8, hidden_dim_refine=4)
 OLD_CONFIG_KEYS = {"refine_input": "probs", "rpe_split_coders": False, "normalize": True,
-                   "norm_eps": 1e-05}
+                   "norm_eps": 1e-05, "pe_max_len": 4096, "ffn_dim": 8, "ffn_dim_refine": 4}
 
 
 def _save_with_config_keys(path, params, cfg, monkeypatch, keys):
@@ -379,7 +380,7 @@ def _save_with_config_keys(path, params, cfg, monkeypatch, keys):
 
 
 def test_checkpoint_with_retired_keys_at_their_values_loads(tmp_path, monkeypatch):
-    cfg = tiny_cfg(dtype="f32")
+    cfg = tiny_cfg(**OLD_CFG)
     params = build(cfg, seed=21)
     path = tmp_path / "old.ckpt"
     _save_with_config_keys(path, params, cfg, monkeypatch, OLD_CONFIG_KEYS)
@@ -394,9 +395,10 @@ def test_checkpoint_with_retired_keys_at_their_values_loads(tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("key,value", [("normalize", False), ("refine_input", "logits"),
-                                       ("rpe_split_coders", True), ("norm_eps", 1e-6)])
+                                       ("rpe_split_coders", True), ("norm_eps", 1e-6),
+                                       ("pe_max_len", 8), ("ffn_dim", 4), ("ffn_dim_refine", 8)])
 def test_checkpoint_with_retired_key_at_another_value_raises(key, value, tmp_path, monkeypatch):
-    cfg = tiny_cfg(dtype="f32")
+    cfg = tiny_cfg(**OLD_CFG)
     path = tmp_path / "old.ckpt"
     keys = {**OLD_CONFIG_KEYS, key: value}
     _save_with_config_keys(path, build(cfg), cfg, monkeypatch, keys)
@@ -413,7 +415,7 @@ def test_checkpoint_with_unknown_config_key_raises(tmp_path, monkeypatch):
         N.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("key", ["ffn_dim", "ffn_dim_refine", "pe_max_len"])
+@pytest.mark.parametrize("key", ["hidden_dim", "hidden_dim_refine"])
 def test_checkpoint_with_a_size_below_one_raises(key, tmp_path, monkeypatch):
     cfg = tiny_cfg(dtype="f32")
     path = tmp_path / "zero.ckpt"
@@ -428,6 +430,25 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     N.save_checkpoint(a, build(cfg, seed=33), cfg)
     N.save_checkpoint(b, build(cfg, seed=33), cfg)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("source", ["init", "arena", "loaded"])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_checkpoint_writer_matches_the_copying_writer(source, dtype, tmp_path):
+    """Writing each payload from its array's buffer lays out the bytes the
+    copying writer did, whether the parameters are fresh arrays, views of
+    Adam's arena or views of a loaded file's buffer."""
+    cfg = tiny_cfg(dtype=dtype, pe_mode="learnable", hidden_dim_refine=4)
+    params = build(cfg, seed=3)
+    if source == "arena":
+        arena = T.AdamState(params).flat
+        assert all(p.data.base is arena for p in params.values())
+    elif source == "loaded":
+        save_checkpoint_copying(tmp_path / "first.ckpt", params, cfg)
+        params, _ = N.load_checkpoint(tmp_path / "first.ckpt")
+    N.save_checkpoint(tmp_path / "new.ckpt", params, cfg)
+    save_checkpoint_copying(tmp_path / "old.ckpt", params, cfg)
+    assert (tmp_path / "new.ckpt").read_bytes() == (tmp_path / "old.ckpt").read_bytes()
 
 
 def test_parameter_names_follow_checkpoint_layout():
@@ -458,7 +479,7 @@ def test_large_shape_contract():
     # M=3 refinement stages on a long sequence: four logit tensors, T x C
     cfg = tiny_cfg(
         layers=5, refinement_stages=3, window=5, num_classes=17, input_dim=8,
-        hidden_dim=8, hidden_dim_refine=8, ffn_dim=8, ffn_dim_refine=8, dtype="f32",
+        hidden_dim=8, hidden_dim_refine=8, dtype="f32",
     )
     params = build(cfg)
     out = N.model_forward(np.random.default_rng(21).standard_normal((512, 8)), params, cfg)
@@ -523,11 +544,11 @@ def test_load_checkpoint_reads_the_file_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
 def test_loaded_parameters_are_aligned_views_of_one_buffer(tmp_path, dtype):
-    """pe_max_len = 10^k lengthens the config by one byte per k, so the first
+    """input_dropout = 0.5^k is k + 2 bytes long in the config, so the first
     tensor payload sits at every file offset residue mod 8."""
     residues = set()
     for k in range(1, 9):
-        cfg = tiny_cfg(dtype=dtype, pe_max_len=10**k)
+        cfg = tiny_cfg(dtype=dtype, input_dropout=0.5**k)
         params = build(cfg, seed=k)
         path = tmp_path / f"model{k}.ckpt"
         N.save_checkpoint(path, params, cfg)
@@ -547,7 +568,7 @@ def test_loaded_parameters_are_aligned_views_of_one_buffer(tmp_path, dtype):
 
 
 def test_load_checkpoint_holds_the_payload_once(tmp_path):
-    cfg = tiny_cfg(dtype="f32", hidden_dim=64, hidden_dim_refine=64, ffn_dim=64, ffn_dim_refine=64)
+    cfg = tiny_cfg(dtype="f32", hidden_dim=64, hidden_dim_refine=64)
     path = tmp_path / "model.ckpt"
     N.save_checkpoint(path, build(cfg), cfg)
     size = path.stat().st_size

@@ -35,8 +35,6 @@ def tiny_model(**kw):
         heads=2,
         hidden_dim=16,
         hidden_dim_refine=16,
-        ffn_dim=16,
-        ffn_dim_refine=16,
         input_dropout=0.1,
         ffn_dropout=0.1,
         attention_dropout=0.0,
@@ -73,7 +71,6 @@ def test_train_loss_trends_down():
     result = TR.train(samples, cfg, TR.TrainConfig(epochs=20, lr=1e-3, seed=4))
     assert result.log_rows[19]["total"] < result.log_rows[0]["total"]
     assert len(result.log_rows) == 20
-    assert result.state.epoch == 20
 
 
 def test_train_deterministic_bytes(tmp_path):
@@ -269,7 +266,7 @@ def test_presets_match_documented_values():
     assert (model.window, model.layers, model.refinement_stages, model.heads) == (51, 5, 3, 4)
     assert (model.hidden_dim, model.hidden_dim_refine) == (128, 64)
     assert (train.lr, train.weight_decay) == (5e-4, 1e-5)
-    assert train.smooth_weight == 0.15 and train.smooth_clip == 4.0
+    assert train.smooth_weight == 0.15
     assert data.sample_rate == 2
     model, train, _ = build_configs(preset="gtea")
     assert (model.layers, model.window, model.hidden_dim, model.heads) == (4, 11, 64, 4)
