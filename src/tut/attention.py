@@ -24,8 +24,8 @@ probabilities are freed once the mixing has read them.
 
 ``attend`` takes only the settings it reads (pattern, window, heads and
 dropout rate) and a relative-position table as a plain (w, heads) tensor.
-They are held and validated once, in ``net.ModelConfig``, and ``net``
-resolves which table each layer reads.
+They are held in ``net.ModelConfig``, checked once when it is built, and
+``net`` resolves which table each layer reads.
 """
 
 from __future__ import annotations

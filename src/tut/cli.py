@@ -1,14 +1,16 @@
 """Command-line interface: train, eval, predict, synth, ablate,
 inspect-checkpoint. ``train`` and ``ablate`` take every config key as a
-flag, which wins over ``--config``; ``eval`` and ``predict`` take their
-model from the checkpoint, so only the ``[data]`` keys they read.
+flag, which wins over ``--config``; the split gives the model its feature
+width and class count. ``eval`` and ``predict`` take their model from the
+checkpoint, so only the ``[data]`` keys they read. A command makes its
+output only once it has something to write.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +58,16 @@ def _load_split(data_cfg):
     return D.load_dataset(data_cfg.root, data_cfg.split, stride=data_cfg.sample_rate)
 
 
-def _write_video_artifacts(out_dir: Path, sample, labels, mapping, num_classes):
+def _training_setup(args):
+    """The configs and the split, the model sized to the split's width and classes."""
+    model_cfg, train_cfg, data_cfg = _configs(args, "seed", "root")
+    samples, mapping = _load_split(data_cfg)
+    width, classes = samples[0].feature_dim, mapping.num_classes
+    model_cfg = replace(model_cfg, input_dim=width, num_classes=classes)
+    return model_cfg, train_cfg, data_cfg, samples, mapping
+
+
+def _write_video_artifacts(out_dir: Path, sample, labels, mapping):
     (out_dir / "predictions").mkdir(parents=True, exist_ok=True)
     (out_dir / "segments").mkdir(exist_ok=True)
     (out_dir / "timelines").mkdir(exist_ok=True)
@@ -71,19 +82,13 @@ def _write_video_artifacts(out_dir: Path, sample, labels, mapping, num_classes):
     if sample.labels is not None and len(sample.labels) == len(labels):
         strips.append(("ground truth", sample.labels))
     (out_dir / "timelines" / f"{sample.video_id}.svg").write_text(
-        render_timeline(strips, num_classes)
+        render_timeline(strips, mapping.num_classes)
     )
 
 
 def cmd_train(args) -> int:
-    model_cfg, train_cfg, data_cfg = _configs(args, "seed", "root")
-    samples, mapping = _load_split(data_cfg)
-    model_cfg.input_dim = samples[0].feature_dim
-    model_cfg.num_classes = mapping.num_classes
-    model_cfg.validate()  # a refused setting leaves no --out directory behind
-    train_cfg.validate()
+    model_cfg, train_cfg, data_cfg, samples, _ = _training_setup(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def on_epoch(row):
         print(
@@ -92,6 +97,7 @@ def cmd_train(args) -> int:
         )
 
     result = TR.train(samples, model_cfg, train_cfg, on_epoch=on_epoch, checkpoint_dir=out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_dir / "checkpoint.ckpt", result.params, model_cfg)
     if result.best_params is not None:
         save_checkpoint(out_dir / "checkpoint_best.ckpt", result.best_params, model_cfg)
@@ -115,7 +121,7 @@ def cmd_eval(args) -> int:
         labels = predictions[sample.video_id]
         if args.upsample:
             labels = TR.restore_source_rate(labels, sample)
-        _write_video_artifacts(out_dir, sample, labels, mapping, mapping.num_classes)
+        _write_video_artifacts(out_dir, sample, labels, mapping)
     print(M.report_table(report))
     return 0
 
@@ -133,7 +139,7 @@ def cmd_predict(args) -> int:
         labels = TR.restore_source_rate(labels, sample)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_video_artifacts(out_dir, sample, labels, mapping, mapping.num_classes)
+    _write_video_artifacts(out_dir, sample, labels, mapping)
     print(f"wrote prediction artifacts for {sample.video_id} to {out_dir}")
     return 0
 
@@ -148,10 +154,7 @@ def cmd_synth(args) -> int:
 
 def cmd_ablate(args) -> int:
     values = _floats("--values", args.values) if args.values else None
-    model_cfg, train_cfg, data_cfg = _configs(args, "seed", "root")
-    samples, mapping = _load_split(data_cfg)
-    model_cfg.input_dim = samples[0].feature_dim
-    model_cfg.num_classes = mapping.num_classes
+    model_cfg, train_cfg, data_cfg, samples, mapping = _training_setup(args)
     ignored = {mapping.id_of(name) for name in data_cfg.ignored()}
 
     def on_cell(row):

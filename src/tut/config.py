@@ -1,6 +1,8 @@
 """Experiment configuration: line-based ``key = value`` files with
 [model]/[train]/[data] sections, named dataset presets, and CLI overrides.
 Precedence: dataclass defaults < preset < config file < command line.
+Each config is frozen and checks its values when built. The split, not a
+key, gives the model's ``input_dim`` and ``num_classes``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from .net import ModelConfig
 from .trainer import TrainConfig
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataConfig:
     root: str = ""
     split: str = "splits/all.bundle"
@@ -30,6 +32,8 @@ class DataConfig:
 
 
 SECTIONS = {"model": ModelConfig, "train": TrainConfig, "data": DataConfig}
+# config fields the split gives, not a setting: its features' width and class count
+SPLIT_FIELDS = ("input_dim", "num_classes")
 
 # Table-8-style per-dataset presets (model geometry + optimizer knobs).
 PRESETS: dict[str, dict[str, dict]] = {
@@ -100,23 +104,26 @@ def parse_config_file(path) -> dict[str, dict[str, str]]:
     except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else " ".join(str(exc).split())
         raise ConfigError(f"{path}: cannot read config file: {reason}") from None
+    table = field_table()
     out: dict[str, dict[str, str]] = {}
     for section in parser.sections():
         if section not in SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]")
         out[section] = dict(parser.items(section))
-        known = {f.name for f in fields(SECTIONS[section])}
         for key in out[section]:
-            if key not in known:
+            if table.get(key) != section:
                 raise ConfigError(f"{path}: unknown key {key!r} in section [{section}]")
     return out
 
 
 def field_table() -> dict[str, str]:
-    """flag/key name -> section; keys are unique across sections."""
+    """Config key (and flag) -> section, in field order: every config field
+    but the ``SPLIT_FIELDS``. Keys are unique across sections."""
     table: dict[str, str] = {}
     for section, cls in SECTIONS.items():
         for f in fields(cls):
+            if f.name in SPLIT_FIELDS:
+                continue
             if f.name in table:
                 raise ConfigError(f"duplicate config key {f.name}")
             table[f.name] = section
@@ -167,11 +174,11 @@ def build_configs(
 
 
 def format_config(model: ModelConfig, train: TrainConfig, data: DataConfig) -> str:
-    """Render the effective configuration back out as a config file."""
+    """Render the effective configuration's keys back out as a config file."""
+    table = field_table()
     lines = []
     for section, cfg in (("model", model), ("train", train), ("data", data)):
         lines.append(f"[{section}]")
-        for f in fields(cfg):
-            lines.append(f"{f.name} = {getattr(cfg, f.name)}")
+        lines += [f"{key} = {getattr(cfg, key)}" for key in table if table[key] == section]
         lines.append("")
     return "\n".join(lines)

@@ -102,8 +102,10 @@ class VideoSample:
         return read_features(self.path, self.stride, shape=self.file_shape)[: self.num_frames]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
+    """Frozen; a size below 1 or an inverted range raises ``DatasetError``."""
+
     num_classes: int = 4
     num_videos: int = 8
     min_len: int = 128
@@ -114,7 +116,7 @@ class SynthSpec:
     noise: float = 0.25
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if min(self.num_classes, self.num_videos, self.min_len, self.feature_dim) < 1:
             raise DatasetError("synthetic spec fields must be positive")
         if self.min_len > self.max_len or self.min_segments > self.max_segments:
@@ -232,7 +234,8 @@ def load_dataset(root, split_file, stride: int = 1) -> tuple[list[VideoSample], 
     read by ``VideoSample.load_features`` when a forward needs them.
     Feature/label length mismatches are resolved by truncating both to the
     shorter source length (with a warning) before striding; a missing or
-    damaged feature file or an unknown class name is an error. A strided
+    damaged feature file, an unknown class name, or a feature file whose
+    width differs from the first file's is an error. A strided
     sample records its source length, so predictions can be restored to it.
     """
     root = Path(root)
@@ -254,6 +257,11 @@ def load_dataset(root, split_file, stride: int = 1) -> tuple[list[VideoSample], 
             raise DatasetError(f"missing feature file {feat_path}")
         with open(feat_path, "rb") as fh:
             frames, dim = _check_header(fh, feat_path)  # source rows, before striding
+        if samples and dim != samples[0].feature_dim:
+            raise DatasetError(
+                f"{feat_path}: features are {dim} wide, not {samples[0].feature_dim} "
+                f"as in {samples[0].path}"
+            )
         gt_path = root / "groundTruth" / f"{vid}.txt"
         if not gt_path.exists():
             raise DatasetError(f"missing ground-truth file {gt_path}")
@@ -305,7 +313,6 @@ def generate_synthetic(spec: SynthSpec) -> tuple[list[VideoSample], ClassMapping
     Adjacent segments never share a class, and with zero noise every frame's
     nearest prototype is its true class, so the set is perfectly separable.
     """
-    spec.validate()
     mapping = ClassMapping([f"class{str(i).zfill(2)}" for i in range(spec.num_classes)])
     protos = class_prototypes(spec)
     rng = np.random.default_rng(spec.seed)

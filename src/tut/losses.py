@@ -7,8 +7,8 @@ segment iff it is frame 0 or its label differs from the previous frame,
 and ends one iff it is the last frame or its label differs from the next.
 
 ``total_loss`` reads the term weights and the boundary distance off the
-``trainer.TrainConfig`` it is given, which also validates them; the terms
-take plain values. ``tmse_loss`` clips at its default tau = 4.
+``trainer.TrainConfig`` it is given, which checked them when it was built;
+the terms take plain values. ``tmse_loss`` clips at its default tau = 4.
 """
 
 from __future__ import annotations
@@ -101,15 +101,13 @@ def _lad_rows(record: AttentionRecord, frames: np.ndarray, window: int) -> Tenso
         if probs.data.shape[2] != window:
             raise ShapeError(f"record window {probs.data.shape[2]} != requested {window}")
         rows = T.gather_rows(probs, frames)
-    elif record.pattern == "full":  # frame f's window is slots f - w//2 .. f + w//2
+    else:  # full: frame f's window is slots f - w//2 .. f + w//2
         _, heads, key_len = probs.data.shape
         keys = frames[:, None, None] + np.arange(-(window // 2), window // 2 + 1)
         flat = (frames[:, None, None] * heads + np.arange(heads)[None, :, None]) * key_len + keys
         rows = T.gather_rows(T.reshape(probs, (-1,)), flat)
         # renormalize each head over its window, as a local row already is
         rows = T.div(rows, T.sum_axis(rows, axis=2, keepdims=True))
-    else:
-        raise ConfigError(f"boundary loss is undefined for the {record.pattern} pattern")
     avg = T.mul(T.sum_axis(rows, axis=1), 1.0 / record.heads)
     return T.div(avg, T.sum_axis(avg, axis=1, keepdims=True))
 
@@ -149,6 +147,8 @@ def _record_ba(
     kind: str,
     dtype,
 ) -> Tensor | None:
+    if record.pattern not in ("local", "full"):  # whether or not a frame has a full window
+        raise ConfigError(f"boundary loss is undefined for the {record.pattern} pattern")
     mapped = _map_boundaries(boundaries, full_len, record.query_len)
     half = window // 2
     lo, hi = half, record.query_len - 1 - half

@@ -1,5 +1,6 @@
-"""Segmentation metrics: frame accuracy, segmental edit score, and
-segmental F1 at frame-IoU thresholds, per video and pooled over a corpus.
+"""Segmentation metrics over a corpus: frame-pooled accuracy, the
+per-video mean of the segmental edit score, and segmental F1 at frame-IoU
+thresholds from pooled TP/FP/FN counts.
 """
 
 from __future__ import annotations
@@ -50,16 +51,6 @@ def extract_segments(labels) -> list[Segment]:
     starts = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()]
     ends = [s - 1 for s in starts[1:]] + [len(labels) - 1]
     return [Segment(labels[s], s, e) for s, e in zip(starts, ends)]
-
-
-def frame_accuracy(pred, gt) -> float:
-    pred = np.asarray(pred)
-    gt = np.asarray(gt)
-    if pred.shape != gt.shape:
-        raise ShapeError(f"length mismatch: {pred.shape} vs {gt.shape}")
-    if pred.size == 0:
-        return 100.0
-    return 100.0 * float(np.mean(pred == gt))
 
 
 def _label_codes(*label_lists) -> list[np.ndarray]:
@@ -166,32 +157,29 @@ def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
 
 
 def _evaluate_video(pred, gt, thresholds, ignored_classes):
-    """One video's report and its TP/FP/FN counts per threshold, read from
-    one segmentation of each label sequence and one IoU matrix."""
+    """One video's edit score and its TP/FP/FN counts per threshold, read
+    from one segmentation of each label sequence and one IoU matrix."""
     pred_segs, gt_segs, p_codes, g_codes = _coded_segments(pred, gt, ignored_classes)
     ious = _segment_ious(pred_segs, gt_segs, p_codes, g_codes)
     counts = {tau: _match_counts(ious, tau) for tau in thresholds}
-    report = EvalReport(
-        acc=frame_accuracy(pred, gt),
-        edit=_edit_from_codes(p_codes, g_codes),
-        f1={tau: _f1_from_counts(*counts[tau]) for tau in thresholds},
-    )
-    return report, counts
+    return _edit_from_codes(p_codes, g_codes), counts
 
 
 def evaluate_corpus(
     pairs: list[tuple], thresholds=DEFAULT_THRESHOLDS, ignored_classes=()
 ) -> EvalReport:
     """Corpus metrics: frame-pooled accuracy, per-video-averaged edit,
-    TP/FP/FN-pooled F1."""
+    TP/FP/FN-pooled F1. A prediction of another length than its ground
+    truth raises ``ShapeError``."""
     edits = []
     correct = total = 0
     pooled = {tau: [0, 0, 0] for tau in thresholds}
     for pred, gt in pairs:
-        report, counts = _evaluate_video(pred, gt, thresholds, ignored_classes)
-        edits.append(report.edit)
-        pred = np.asarray(pred)
-        gt = np.asarray(gt)
+        edit, counts = _evaluate_video(pred, gt, thresholds, ignored_classes)
+        edits.append(edit)
+        pred, gt = np.asarray(pred), np.asarray(gt)
+        if pred.shape != gt.shape:
+            raise ShapeError(f"length mismatch: {pred.shape} vs {gt.shape}")
         correct += int(np.sum(pred == gt))
         total += len(gt)
         for tau in thresholds:

@@ -37,12 +37,13 @@ NORM_EPS = 1e-5  # instance norm's variance floor
 PE_MAX_LEN = 4096  # rows of a learnable positional encoding: the longest sequence it takes
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
-    """Model geometry, attention and dropout settings. Every encoder and
-    decoder layer is attention plus an FFN as wide as its stage's hidden
-    dim: ``hidden_dim`` in the generation stage, ``hidden_dim_refine`` in
-    each refinement stage."""
+    """Model geometry, attention and dropout settings; frozen, and a value
+    out of range raises ``ConfigError`` when it is built. ``input_dim`` and
+    ``num_classes`` come from the split. Each encoder and decoder layer is
+    attention plus an FFN as wide as its stage's hidden dim (``hidden_dim``,
+    then ``hidden_dim_refine`` in each refinement stage)."""
 
     input_dim: int = 16
     num_classes: int = 4
@@ -61,7 +62,7 @@ class ModelConfig:
     rpe_share: str = "scale"
     dtype: str = "f32"
 
-    def validate(self):
+    def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
         if self.layers < 1 or self.refinement_stages < 0:
@@ -105,13 +106,12 @@ class ModelConfig:
 
 @dataclass
 class StageOutputs:
-    """Per-stage frame logits/probabilities plus what the losses need.
+    """Per-stage frame logits plus what the losses need.
 
     A forward under ``tensor.no_grad`` builds no loss, so each stage's
     records are (None, None) there."""
 
     logits: list[Tensor]
-    probs: list[Tensor]
     # (encoder first, decoder last)
     records: list[tuple[AttentionRecord | None, AttentionRecord | None]]
 
@@ -178,7 +178,6 @@ def init_params(cfg: ModelConfig, streams: SeedStreams) -> dict[str, Tensor]:
     Each parameter draws from its own named stream, so changing the layer
     count or stage count never reshuffles the other parameters' draws.
     """
-    cfg.validate()
     dtype = cfg.np_dtype
     params: dict[str, Tensor] = {}
     for name, shape in param_shapes(cfg).items():
@@ -348,13 +347,12 @@ def model_forward(
         x = Tensor(np.ascontiguousarray(x, dtype=cfg.np_dtype))
     elif x.data.dtype != cfg.np_dtype:
         x = Tensor(x.data.astype(cfg.np_dtype), requires_grad=x.requires_grad)
-    out = StageOutputs(logits=[], probs=[], records=[])
+    out = StageOutputs(logits=[], records=[])
     streams = streams if train else None
     stage_in = x
     for stage in range(cfg.num_stages):
         logits, probs, records = stage_forward(stage_in, params, cfg, stage, streams)
         out.logits.append(logits)
-        out.probs.append(probs)
         out.records.append(records)
         stage_in = probs
     return out
@@ -513,7 +511,6 @@ def load_checkpoint(path, expected_cfg: ModelConfig | None = None):
     retired = {key: config_dict.pop(key) for key in RETIRED_KEYS if key in config_dict}
     try:
         cfg = ModelConfig(**config_dict)
-        cfg.validate()
     except (TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: invalid model config: {exc}") from None
     for key, found in retired.items():

@@ -13,14 +13,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics as M
 from .data import ClassMapping, VideoSample, upsample_predictions
-from .errors import ConfigError, NumericError, TrainingDiverged
+from .errors import ConfigError, DatasetError, NumericError, TrainingDiverged
 from .losses import BA_DISTANCES, total_loss
 from .net import (
     ModelConfig,
@@ -34,8 +34,11 @@ from .net import (
 from .tensor import AdamState, SeedStreams, Tensor, adam_step, no_grad
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Optimizer, loss and schedule settings; frozen, and a value out of
+    range raises ``ConfigError`` when it is built."""
+
     epochs: int = 150
     lr: float = 5e-4
     weight_decay: float = 1e-5
@@ -46,7 +49,7 @@ class TrainConfig:
     checkpoint_every: int = 0  # epochs between rolling saves; 0 = final only
     eval_every: int = 0  # epochs between best-accuracy checks on the training videos; 0 = off
 
-    def validate(self):
+    def __post_init__(self):
         for key, least in (("epochs", 1), ("checkpoint_every", 0), ("eval_every", 0)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
@@ -102,9 +105,8 @@ def train(
     on_epoch=None,
     checkpoint_dir=None,
 ) -> TrainResult:
-    """Train on the given videos; deterministic in (configs, seed)."""
-    model_cfg.validate()
-    train_cfg.validate()
+    """Train on the given videos; deterministic in (configs, seed).
+    ``checkpoint_dir`` is made only to hold a rolling checkpoint."""
     if not samples:
         raise ConfigError("cannot train on an empty dataset")
     streams = SeedStreams(train_cfg.seed)
@@ -148,11 +150,9 @@ def train(
         log_rows.append(row)
         if on_epoch is not None:
             on_epoch(row)
-        if (
-            checkpoint_dir is not None
-            and train_cfg.checkpoint_every
-            and epoch % train_cfg.checkpoint_every == 0
-        ):
+        every = train_cfg.checkpoint_every
+        if checkpoint_dir is not None and every and epoch % every == 0:
+            Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
             save_checkpoint(Path(checkpoint_dir) / f"epoch{epoch:04d}.ckpt", params, model_cfg)
         if train_cfg.eval_every and epoch % train_cfg.eval_every == 0:
             report, _ = evaluate_model(params, model_cfg, samples)
@@ -180,7 +180,11 @@ def log_csv(rows: list[dict]) -> str:
 
 def predict_sample(params: dict[str, Tensor], cfg: ModelConfig, sample: VideoSample) -> np.ndarray:
     """Dropout-free, graph-free forward; labels from the last stage, one per
-    kept frame (``restore_source_rate`` maps them back to the source rate)."""
+    kept frame (``restore_source_rate`` maps them back to the source rate).
+    Features not ``cfg.input_dim`` wide raise ``DatasetError``."""
+    if sample.feature_dim != cfg.input_dim:
+        where, width = sample.path or sample.video_id, sample.feature_dim
+        raise DatasetError(f"{where}: features are {width} wide, the model takes {cfg.input_dim}")
     with no_grad():
         return final_prediction(model_forward(sample.load_features(), params, cfg, train=False))
 
@@ -276,28 +280,21 @@ def ablate(
 
     Each row carries the attention-score entry count of a forward pass at
     the corpus' longest video, the memory analogue of the pattern ablation.
-    Unsupported combinations are skipped with a reason in the status column.
-    Edit and F1 drop the class ids in ``ignored_classes``.
+    A cell that cannot be built (then with no entry count) or trained is
+    skipped with the reason in the status column. Edit and F1 drop the
+    class ids in ``ignored_classes``.
     """
     max_len = max(s.num_frames for s in samples)
     rows = []
     for model_over, train_over in _grid_cells(axis, model_cfg, train_cfg, values):
-        cell_model = replace(model_cfg, **model_over)
-        cell_train = replace(train_cfg, **train_over)
-        row = {
-            "architecture": cell_model.architecture,
-            "attention": cell_model.attention,
-            "pe_mode": cell_model.pe_mode,
-            "rpe_share": cell_model.rpe_share if cell_model.pe_mode == "relative" else "",
-            "window": cell_model.window,
-            "heads": cell_model.heads,
-            "beta": cell_train.boundary_weight,
-            "entries": count_attention_entries(cell_model, max_len),
-        }
+        cell = {**asdict(model_cfg), **model_over}
+        row = {key: cell.get(key, "") for key in ABLATE_FIELDS}
+        row["rpe_share"] = cell["rpe_share"] if cell["pe_mode"] == "relative" else ""
+        row["beta"] = train_over.get("boundary_weight", train_cfg.boundary_weight)
         try:
-            cell_model.validate()
-            if cell_train.boundary_weight > 0 and cell_model.attention == "logsparse":
-                raise ConfigError("boundary loss is undefined for the logsparse pattern")
+            cell_model = replace(model_cfg, **model_over)
+            cell_train = replace(train_cfg, **train_over)
+            row["entries"] = count_attention_entries(cell_model, max_len)
             result = train(samples, cell_model, cell_train)
             report, _ = evaluate_model(
                 result.params, cell_model, samples, ignored_classes=ignored_classes
@@ -311,7 +308,7 @@ def ablate(
                 status="ok",
             )
         except ConfigError as exc:
-            row.update(acc="", edit="", f1_10="", f1_25="", f1_50="", status=f"skipped: {exc}")
+            row["status"] = f"skipped: {exc}"
         rows.append(row)
         if on_cell is not None:
             on_cell(row)

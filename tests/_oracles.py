@@ -8,7 +8,7 @@ run-length encoding, a backward that keeps every node's gradient, a
 per-tensor Adam loop for the arena optimizer, the float64-uniform dropout
 and add-then-norm nodes the lean training graph replaced, and the slot kernels and norm that
 rebuilt their masks per call and computed out of place, the per-video
-edit, F1 and whole-report functions and the corpus metrics built on them,
+accuracy, edit, F1 and whole-report functions and the corpus metrics built on them,
 which segment each label sequence once per metric, and the
 load-then-stride resampling the strided feature read replaced, and the
 checkpoint writer that copied every payload before writing it. The last
@@ -510,9 +510,23 @@ def f1_overlap(pred, gt, threshold: float, ignored_classes=()) -> float:
     return M._f1_from_counts(*f1_counts(pred, gt, threshold, ignored_classes))
 
 
+def frame_accuracy(pred, gt) -> float:
+    pred = np.asarray(pred)
+    gt = np.asarray(gt)
+    if pred.shape != gt.shape:
+        raise ShapeError(f"length mismatch: {pred.shape} vs {gt.shape}")
+    if pred.size == 0:
+        return 100.0
+    return 100.0 * float(np.mean(pred == gt))
+
+
 def evaluate(pred, gt, thresholds=M.DEFAULT_THRESHOLDS, ignored_classes=()) -> M.EvalReport:
-    """One video's report (``metrics._evaluate_video`` without its counts)."""
-    return M._evaluate_video(pred, gt, thresholds, ignored_classes)[0]
+    """One video's report: accuracy, edit and F1 at each threshold."""
+    return M.EvalReport(
+        acc=frame_accuracy(pred, gt),
+        edit=edit_score(pred, gt, ignored_classes),
+        f1={tau: f1_overlap(pred, gt, tau, ignored_classes) for tau in thresholds},
+    )
 
 
 def evaluate_corpus_per_call(pairs, thresholds=M.DEFAULT_THRESHOLDS, ignored_classes=()):

@@ -6,6 +6,7 @@ complete; the heavyweight training runs are shared across criteria.
 
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -442,7 +443,7 @@ def test_c03_measured_retained_bytes():
     alive for backward grow linearly with T, so their per-frame figure stays
     flat from T=256 to T=512 (gtea geometry, narrow input, dropout on)."""
     model_cfg, train_cfg, _ = build_configs("gtea", None, {})
-    model_cfg.input_dim, model_cfg.num_classes = 32, 5
+    model_cfg = replace(model_cfg, input_dim=32, num_classes=5)
     params = N.init_params(model_cfg, T.SeedStreams(0))
 
     def retained(t: int) -> int:
@@ -581,7 +582,7 @@ def test_c06_shape_architecture_suite():
         out = N.model_forward(rng.standard_normal((t, 4)), params, cfg)
         for logits in out.logits:
             shapes_ok &= logits.data.shape == (t, 5)
-        for probs in out.probs:
+        for probs in map(T.softmax_lastdim, out.logits):
             probs_ok &= bool(np.allclose(probs.data.sum(axis=1), 1.0, atol=1e-5))
             probs_ok &= bool(np.all(probs.data >= 0))
     # final prediction comes from the last refinement stage even when an
@@ -590,7 +591,7 @@ def test_c06_shape_architecture_suite():
     perfect = np.eye(5)[labels] * 30.0
     wrong = np.roll(perfect, 1, axis=1)
     doctored = N.StageOutputs(
-        logits=[T.tensor(perfect), T.tensor(wrong)], probs=[], records=[]
+        logits=[T.tensor(perfect), T.tensor(wrong)], records=[]
     )
     last_stage_ok = bool(
         np.array_equal(N.final_prediction(doctored), np.argmax(wrong, axis=1))

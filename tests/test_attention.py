@@ -174,25 +174,24 @@ def test_rpe_wrong_shape_raises():
 
 
 def test_relative_pe_requires_local():
-    cfg = N.ModelConfig(attention="full", pe_mode="relative", heads=2)
     with pytest.raises(ConfigError, match="relative positional encoding requires the local"):
-        cfg.validate()
+        N.ModelConfig(attention="full", pe_mode="relative", heads=2)
 
 
 def test_config_validation():
-    # ModelConfig holds and checks the settings attend reads
+    # ModelConfig holds the settings attend reads and checks them when built
     dims = dict(hidden_dim=8, hidden_dim_refine=8, pe_mode="none")
     with pytest.raises(ConfigError, match="window must be odd"):
-        N.ModelConfig(window=4, **dims).validate()
+        N.ModelConfig(window=4, **dims)
     with pytest.raises(ConfigError, match=r"heads \(3\) must divide model dim \(8\)"):
-        N.ModelConfig(heads=3, **dims).validate()
+        N.ModelConfig(heads=3, **dims)
     # heads must divide the refinement stages' dim too
     with pytest.raises(ConfigError, match=r"model dim \(6\)"):
-        N.ModelConfig(heads=4, hidden_dim=8, hidden_dim_refine=6, pe_mode="none").validate()
+        N.ModelConfig(heads=4, hidden_dim=8, hidden_dim_refine=6, pe_mode="none")
     for key, value in (("attention", "dense"), ("pe_mode", "rotary"), ("rpe_share", "all")):
         with pytest.raises(ConfigError, match=f"unknown .*{value!r}"):
-            N.ModelConfig(**{**dims, key: value}).validate()
-    N.ModelConfig(window=5, heads=2, **dims).validate()
+            N.ModelConfig(**{**dims, key: value})
+    N.ModelConfig(window=5, heads=2, **dims)
 
 
 @pytest.mark.parametrize("pattern", ["full", "local", "logsparse"])

@@ -11,7 +11,7 @@ from tut import cli
 from tut import metrics as M
 from tut import trainer as TR
 from tut.cli import main
-from tut.config import build_configs, field_table
+from tut.config import SPLIT_FIELDS, build_configs, field_table
 from tut.data import (
     ClassMapping,
     VideoSample,
@@ -252,12 +252,11 @@ def _documented_config_block() -> str:
 def test_readme_config_example_loads(tmp_path):
     path = tmp_path / "documented.cfg"
     path.write_text(_documented_config_block())
+    # the configs check their values when built, so the example is in range
     model_cfg, train_cfg, data_cfg = build_configs(config_file=str(path))
     assert (model_cfg.layers, model_cfg.window, model_cfg.architecture) == (5, 51, "utrans")
     assert (train_cfg.boundary_weight, train_cfg.boundary_distance) == (0.02, "kl")
     assert data_cfg.sample_rate == 2 and data_cfg.ignored() == {"background"}
-    model_cfg.validate()
-    train_cfg.validate()
 
 
 def test_eval_loads_once_and_runs_each_video_once(synth_root, trained, tmp_path, monkeypatch):
@@ -361,12 +360,14 @@ def test_ablate_ignored_classes_drop_the_named_class(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
 @pytest.mark.parametrize(
-    "key", [k for k, section in field_table().items() if section != "data"] + list(RETIRED_KEYS)
+    "key",
+    [k for k, section in field_table().items() if section != "data"]
+    + list(RETIRED_KEYS) + list(SPLIT_FIELDS),
 )
 def test_eval_and_predict_take_no_model_or_train_flag(command, key, tmp_path, capsys):
     """The model comes from the checkpoint, so a [model] or [train] flag
     would be ignored: argparse refuses it with exit 2. A retired model key
-    has no flag either."""
+    and the split's geometry have no flag either."""
     argv = [command, "--data-root", str(tmp_path), "--out", str(tmp_path / "out"),
             "--checkpoint", "run.ckpt", *(["--video", "v"] if command == "predict" else [])]
     cli.build_parser().parse_args(argv)
@@ -444,10 +445,18 @@ def _non_finite_features(trained, synth_root, tmp_path):
             "--epochs", "1", *SMALL_MODEL]
 
 
-def _feature_dim_mismatch(trained, synth_root, tmp_path):
-    root = _synth(tmp_path / "narrow", **{"feature-dim": "6"})
-    return ["eval", "--data-root", str(root), "--out", str(tmp_path / "eval"),
-            "--checkpoint", str(trained / "checkpoint.ckpt")]
+def _feature_dim_mismatch(command):
+    """``command`` on 6-wide features with a checkpoint whose model reads 8:
+    the error names the file and both widths, and no ``--out`` is made."""
+    def make_argv(trained, synth_root, tmp_path):
+        root = _synth(tmp_path / "narrow", **{"feature-dim": "6"})
+        return [command, "--data-root", str(root), "--out", str(tmp_path / "eval"),
+                "--checkpoint", str(trained / "checkpoint.ckpt"),
+                *(["--video", "synth000"] if command == "predict" else [])]
+
+    make_argv.names = ("narrow/features/synth000.feat", "features are 6 wide", "takes 8")
+    make_argv.makes_no_out = True
+    return make_argv
 
 
 def _truncated_checkpoint(trained, synth_root, tmp_path):
@@ -521,6 +530,18 @@ def _bad_setting(key, value):
     return make_argv
 
 
+def _mixed_width_split(trained, synth_root, tmp_path):
+    root = _synth(tmp_path / "mixed")
+    wide = root / "features" / "synth001.feat"
+    write_features(wide, np.zeros((40, 9), dtype=np.float32))
+    return ["train", "--data-root", str(root), "--out", str(tmp_path / "run"), "--seed", "1",
+            "--epochs", "1", *SMALL_MODEL]
+
+
+_mixed_width_split.names = ("synth001.feat", "9 wide", "not 8")
+_mixed_width_split.makes_no_out = True
+
+
 def _sample_rate(rate):
     # a rate below 1 would divide by zero in the strided read
     def make_argv(trained, synth_root, tmp_path):
@@ -532,7 +553,7 @@ def _sample_rate(rate):
 
 @pytest.mark.parametrize(
     "make_argv",
-    [_empty_split, _not_a_checkpoint, _non_finite_features, _feature_dim_mismatch,
+    [_empty_split, _not_a_checkpoint, _non_finite_features, _feature_dim_mismatch("eval"),
      _truncated_checkpoint, _truncated_features, _sample_rate("0"), _sample_rate("-3"),
      _unknown_ignored_class, _unknown_ignored_class_ablate,
      _config_file("bare.cfg", "layers = 2\n"),
@@ -547,6 +568,9 @@ def _sample_rate(rate):
      _config_file("pe_max_len.cfg", "[model]\npe_max_len = 4096\n", names=("pe_max_len",)),
      _config_file("smooth_clip.cfg", "[train]\nsmooth_clip = 4.0\n", names=("smooth_clip",)),
      _config_file("badint.cfg", "[model]\nlayers = abc\n", names=("layers", "abc")),
+     _config_file("num_classes.cfg", "[model]\nnum_classes = 5\n", names=("num_classes",)),
+     _config_file("input_dim.cfg", "[model]\ninput_dim = 8\n", names=("input_dim",)),
+     _mixed_width_split, _feature_dim_mismatch("predict"),
      _bad_flag("train", "--epochs", "x"), _bad_flag("train", "--seed", "one"),
      _bad_flag("eval", "--thresholds", "0.1,x"), _bad_flag("ablate", "--values", "0,x"),
      _bad_setting("lr", "nan"), _bad_setting("weight_decay", "-0.5"),
@@ -560,7 +584,9 @@ def _sample_rate(rate):
          "ConfigParsingError", "ConfigIsADirectory", "ConfigNotUtf8", "ConfigRemovedFps",
          "ConfigRemovedShuffle", "ConfigRemovedKeepBest", "ConfigRemovedNormalize",
          "ConfigRemovedFfnDim", "ConfigRemovedPeMaxLen", "ConfigRemovedSmoothClip",
-         "ConfigBadValue", "FlagBadValue", "FlagBadSeed", "EvalBadThresholds", "AblateBadValues",
+         "ConfigBadValue", "ConfigSplitNumClasses", "ConfigSplitInputDim", "MixedWidthSplit",
+         "PredictFeatureWidth",
+         "FlagBadValue", "FlagBadSeed", "EvalBadThresholds", "AblateBadValues",
          "LrNan", "WeightDecayNegative", "SmoothWeightNan", "BoundaryWeightNan",
          "CheckpointEveryNegative", "EvalEveryNegative", "HiddenDimZero",
          "HiddenDimNegative", "HiddenDimRefineZero"],
@@ -580,6 +606,47 @@ def test_typed_failures_exit_2_with_one_line(make_argv, trained, synth_root, tmp
         assert name in err
     if getattr(make_argv, "makes_no_out", False):
         assert not os.path.exists(argv[argv.index("--out") + 1])
+
+
+def test_ablate_with_a_refused_setting_exits_2_and_writes_no_grid(synth_root, tmp_path, capsys):
+    """ablate builds its configs as train does, so a refused setting stops
+    it before any cell runs: one line naming the key, and no CSV."""
+    out = tmp_path / "grids" / "grid.csv"
+    argv = ["ablate", "--data-root", str(synth_root), "--out", str(out), "--axis", "beta",
+            "--values", "0,0.02", "--seed", "1", "--epochs", "1", *SMALL_MODEL, "--lr", "nan"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "lr must be finite" in _one_error_line(capsys)
+    assert not out.parent.exists()
+
+
+def test_logsparse_with_boundary_loss_exits_2_and_writes_nothing(synth_root, tmp_path, capsys):
+    """The boundary loss reads local windows, which logsparse attention has
+    not: training stops at its first step, before anything is written."""
+    out = tmp_path / "run"
+    argv = ["train", "--data-root", str(synth_root), "--out", str(out), "--seed", "1",
+            "--epochs", "1", *SMALL_MODEL, "--attention", "logsparse", "--pe-mode", "none",
+            "--boundary-weight", "0.1", "--checkpoint-every", "1"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "undefined for the logsparse pattern" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--input-dim", "--num-classes"])
+def test_the_split_gives_the_model_its_width_and_class_count(flag, trained, synth_root, tmp_path):
+    """input_dim and num_classes are no train flag and no line of a run's
+    effective config; the checkpoint holds the split's values."""
+    argv = ["train", "--data-root", str(synth_root), "--out", str(tmp_path / "run"),
+            "--seed", "1", "--epochs", "1", *SMALL_MODEL]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "5"])
+    assert exc.value.code == 2 and not (tmp_path / "run").exists()
+    key = flag[2:].replace("-", "_")
+    text = (trained / "effective_config.cfg").read_text()
+    assert not any(line.startswith(key) for line in text.splitlines())
+    config, _ = read_manifest(trained / "checkpoint.ckpt")
+    assert (config["input_dim"], config["num_classes"]) == (8, 3)
 
 
 @pytest.mark.parametrize("change", ["rows", "dim", "truncated"])

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 from types import SimpleNamespace
@@ -300,6 +301,19 @@ def test_feature_file_changed_after_loading_raises_dataset_error(tmp_path, chang
         sample.load_features()
 
 
+def test_a_split_of_mixed_feature_widths_fails_naming_the_file(tmp_path):
+    """Every video of a split has the first file's feature width: the first
+    file of another width fails the load, named with both widths."""
+    write_toy_dataset(tmp_path, {"v1": ["a", "b"], "v2": ["b", "a"], "v3": ["a", "a"]}, d=8)
+    wide = tmp_path / "features" / "v2.feat"
+    D.write_features(wide, np.zeros((2, 9), dtype=np.float32))
+    D.write_features(tmp_path / "features" / "v3.feat", np.zeros((2, 7), dtype=np.float32))
+    first = tmp_path / "features" / "v1.feat"
+    with pytest.raises(DatasetError) as exc:
+        D.load_dataset(tmp_path, "splits/all.bundle")
+    assert str(exc.value) == f"{wide}: features are 9 wide, not 8 as in {first}"
+
+
 def test_malformed_mapping_line_reports_lineno(tmp_path):
     write_toy_dataset(tmp_path, {"v1": ["a", "b"]})
     (tmp_path / "mapping.txt").write_text("0 a\nbroken line here\n")
@@ -330,6 +344,15 @@ def test_resample_and_upsample_predictions(tmp_path):
     np.testing.assert_array_equal(D.upsample_predictions([0, 1], 2, 4), [0, 0, 1, 1])
     np.testing.assert_array_equal(D.upsample_predictions([0, 1, 2], 2, 5), [0, 0, 1, 1, 2])
     np.testing.assert_array_equal(D.upsample_predictions([0, 1], 2, 5), [0, 0, 1, 1, 1])
+
+
+def test_synth_spec_checks_itself_when_built_and_is_frozen():
+    with pytest.raises(DatasetError, match="positive"):
+        D.SynthSpec(num_videos=0)
+    with pytest.raises(DatasetError, match="inverted"):
+        D.SynthSpec(min_len=10, max_len=5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        D.SynthSpec().seed = 1
 
 
 def test_synthetic_reproducible_and_bounded():

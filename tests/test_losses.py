@@ -320,7 +320,7 @@ def test_total_loss_composition_and_scaling():
 
     # perfect predictions with lambda = beta = 0 -> 0
     perfect = N.StageOutputs(
-        logits=[T.tensor(np.eye(3)[labels] * 60.0)], probs=[], records=[(None, None)]
+        logits=[T.tensor(np.eye(3)[labels] * 60.0)], records=[(None, None)]
     )
     total3, _ = L.total_loss(perfect, labels, w_off, window=3)
     assert float(total3.data) < 1e-6
@@ -328,7 +328,6 @@ def test_total_loss_composition_and_scaling():
     # M+1 identical stages scale the total by M+1
     stacked = N.StageOutputs(
         logits=[out.logits[0]] * 3,
-        probs=[out.probs[0]] * 3,
         records=[out.records[0]] * 3,
     )
     weights_all = TrainConfig(smooth_weight=0.15, boundary_weight=0.02)

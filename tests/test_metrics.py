@@ -12,6 +12,7 @@ from _oracles import (
     f1_brute,
     f1_counts,
     f1_overlap,
+    frame_accuracy,
     levenshtein_loop,
     match_segments_loop,
     reconstruct_labels,
@@ -58,11 +59,13 @@ def test_extract_segments_equals_loop_oracle(labels):
 
 
 def test_frame_accuracy_examples():
-    assert M.frame_accuracy([1, 2, 3], [1, 2, 3]) == 100.0
-    assert M.frame_accuracy(list("AABBC"), list("AAABC")) == 80.0
-    assert M.frame_accuracy([1, 1], [2, 2]) == 0.0
+    assert frame_accuracy([1, 2, 3], [1, 2, 3]) == 100.0
+    assert frame_accuracy(list("AABBC"), list("AAABC")) == 80.0
+    assert frame_accuracy([1, 1], [2, 2]) == 0.0
     with pytest.raises(ShapeError):
-        M.frame_accuracy([1, 2], [1])
+        frame_accuracy([1, 2], [1])
+    with pytest.raises(ShapeError):  # the corpus metrics pool frames of equal-length pairs
+        M.evaluate_corpus([([1, 2], [1, 2]), ([1, 2], [1])])
 
 
 def test_edit_score_examples():
@@ -189,7 +192,7 @@ def test_class_permutation_invariance(gt, perm):
     pred = [int(rng.integers(0, 3)) for _ in gt]
     mapped_pred = [perm[c] for c in pred]
     mapped_gt = [perm[c] for c in gt]
-    assert M.frame_accuracy(pred, gt) == M.frame_accuracy(mapped_pred, mapped_gt)
+    assert frame_accuracy(pred, gt) == frame_accuracy(mapped_pred, mapped_gt)
     assert edit_score(pred, gt) == edit_score(mapped_pred, mapped_gt)
     for tau in (0.25, 0.5):
         assert f1_overlap(pred, gt, tau) == f1_overlap(mapped_pred, mapped_gt, tau)

@@ -170,7 +170,8 @@ def test_model_forward_stage_contracts():
     t = 32
     out = N.model_forward(np.random.default_rng(6).standard_normal((t, 4)), params, cfg)
     assert len(out.logits) == 4
-    for probs in out.probs:
+    for logits in out.logits:
+        probs = T.softmax_lastdim(logits)
         np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-6)
         assert np.all(np.isfinite(probs.data))
     labels = N.final_prediction(out)
@@ -216,9 +217,9 @@ def test_deterministic_repeat_with_dropout():
 @pytest.mark.parametrize("key", ["input_dropout", "ffn_dropout", "attention_dropout"])
 @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1])
 def test_dropout_rate_outside_unit_interval_is_a_config_error(key, rate):
-    tiny_cfg(**{key: 0.99}).validate()
+    tiny_cfg(**{key: 0.99})
     with pytest.raises(ConfigError, match=key):
-        tiny_cfg(**{key: rate}).validate()
+        tiny_cfg(**{key: rate})
 
 
 def test_rpe_sharing_table_counts():
@@ -469,7 +470,7 @@ def test_refinement_stage_reads_previous_probabilities():
     cfg = tiny_cfg(refinement_stages=1)
     params = build(cfg, seed=8)
     out = N.model_forward(x, params, cfg)
-    logits, _, _ = N.stage_forward(out.probs[0], params, cfg, stage=1)
+    logits, _, _ = N.stage_forward(T.softmax_lastdim(out.logits[0]), params, cfg, stage=1)
     np.testing.assert_array_equal(out.logits[1].data, logits.data)
     fed_logits, _, _ = N.stage_forward(out.logits[0], params, cfg, stage=1)
     assert not np.allclose(out.logits[1].data, fed_logits.data)
@@ -485,8 +486,8 @@ def test_large_shape_contract():
     out = N.model_forward(np.random.default_rng(21).standard_normal((512, 8)), params, cfg)
     assert len(out.logits) == 4
     assert all(lg.data.shape == (512, 17) for lg in out.logits)
-    for probs in out.probs[:-1]:  # refinement inputs are probability rows
-        np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-5)
+    for logits in out.logits[:-1]:  # refinement inputs are probability rows
+        np.testing.assert_allclose(T.softmax_lastdim(logits).data.sum(axis=1), 1.0, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +22,9 @@ from tut import data as D
 from tut import net as N
 from tut import tensor as T
 from tut import trainer as TR
-from tut.config import PRESETS, SECTIONS, build_configs, field_table, format_config
-from tut.errors import ConfigError, TrainingDiverged
+from tut.config import PRESETS, SECTIONS, DataConfig, build_configs, field_table, format_config
+from tut.errors import ConfigError, DatasetError, TrainingDiverged
+from tut.losses import BA_DISTANCES
 from tut.tensor import AdamState
 
 
@@ -115,8 +118,11 @@ def test_predict_without_graph_matches_graph_forward(dtype):
     # without a graph there is no loss to read the attention records
     assert all(r is not None for pair in with_graph.records for r in pair)
     assert bare.records == [(None, None)] * cfg.num_stages
-    assert len(bare.logits) == len(bare.probs) == cfg.num_stages
-    for ref, out in zip(with_graph.logits + with_graph.probs, bare.logits + bare.probs):
+    assert len(bare.logits) == cfg.num_stages
+    graph_probs = [T.softmax_lastdim(logits) for logits in with_graph.logits]
+    with T.no_grad():
+        bare_probs = [T.softmax_lastdim(logits) for logits in bare.logits]
+    for ref, out in zip(with_graph.logits + graph_probs, bare.logits + bare_probs):
         assert out.data.dtype == cfg.np_dtype
         assert out.data.tobytes() == ref.data.tobytes()
         assert not out.requires_grad and out._parents == ()
@@ -258,6 +264,66 @@ def test_ablate_skips_unsupported_cell():
     assert rows[1]["status"].startswith("skipped")
 
 
+def test_logsparse_with_boundary_loss_is_refused_whatever_the_video():
+    """The boundary loss reads local windows, which logsparse attention has
+    not. Training refuses the pair at its first step even where no boundary
+    frame has a full window (here w = 51 on 32-48 frames), and ablate skips
+    the cell with that reason."""
+    samples, _ = tiny_dataset(videos=1)
+    cfg = tiny_model(attention="logsparse", pe_mode="none", window=51)
+    train_cfg = TR.TrainConfig(epochs=1, lr=1e-3, seed=9, boundary_weight=0.02)
+    with pytest.raises(ConfigError, match="boundary loss is undefined for the logsparse pattern"):
+        TR.train(samples, cfg, train_cfg)
+    row = TR.ablate("beta", samples, cfg, train_cfg, values=[0.02])[0]
+    assert row["status"] == "skipped: boundary loss is undefined for the logsparse pattern"
+    assert row["entries"] > 0
+
+
+def test_ablate_cell_that_cannot_be_built_is_skipped_with_no_entry_count():
+    """A grid value its config refuses skips that cell with the config's
+    reason, and no entry count, since no model of it exists."""
+    samples, _ = tiny_dataset(videos=1)
+    train_cfg = TR.TrainConfig(epochs=1, lr=1e-3, seed=9)
+    rows = TR.ablate("heads", samples, tiny_model(), train_cfg, values=[2, 3])
+    assert rows[0]["status"] == "ok" and rows[0]["entries"] > 0
+    assert rows[1]["status"] == "skipped: heads (3) must divide model dim (16)"
+    assert (rows[1]["heads"], rows[1]["entries"], rows[1]["acc"]) == (3, "", "")
+    beta = TR.ablate("beta", samples, tiny_model(), train_cfg, values=[float("nan")])[0]
+    assert beta["status"].startswith("skipped: boundary_weight must be finite")
+    assert beta["entries"] == ""
+
+
+@pytest.mark.parametrize("cls,key,value", [
+    (N.ModelConfig, "hidden_dim", 0), (N.ModelConfig, "input_dim", 0),
+    (N.ModelConfig, "window", 4), (TR.TrainConfig, "lr", float("nan")),
+    (TR.TrainConfig, "epochs", 0), (DataConfig, "sample_rate", 0),
+])
+def test_configs_check_themselves_when_built_and_are_frozen(cls, key, value):
+    """An out-of-range value makes no config, built directly or through
+    ``replace``, and a built config takes no assignment."""
+    with pytest.raises(ConfigError, match=key):
+        cls(**{key: value})
+    with pytest.raises(ConfigError, match=key):
+        replace(cls(), **{key: value})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cls(), key, value)
+
+
+def test_predict_refuses_features_of_another_width(tmp_path):
+    """The model reads ``input_dim`` features a frame; a sample of another
+    width fails naming its file (or its id, when it holds its features)."""
+    samples, mapping = tiny_dataset(videos=1)
+    D.write_dataset(tmp_path, samples, mapping)
+    loaded, _ = D.load_dataset(tmp_path, "splits/all.bundle")
+    cfg = tiny_model(input_dim=6)
+    params = N.init_params(cfg, T.SeedStreams(0))
+    with pytest.raises(DatasetError) as exc:
+        TR.predict_sample(params, cfg, loaded[0])
+    assert str(exc.value) == f"{loaded[0].path}: features are 8 wide, the model takes 6"
+    with pytest.raises(DatasetError, match="synth000: features are 8 wide, the model takes 6"):
+        TR.predict_sample(params, cfg, samples[0])
+
+
 def test_presets_match_documented_values():
     assert PRESETS["50salads"]["train"]["boundary_weight"] == 0.02
     assert PRESETS["gtea"]["train"]["boundary_weight"] == 0.1
@@ -301,6 +367,25 @@ def test_config_file_and_override_precedence(tmp_path):
             build_configs(overrides={"sample_rate": rate})
 
 
+def _away_from_default(key, default) -> dict:
+    """Overrides that set ``key`` away from ``default`` and still build a
+    config: free text becomes a string holding ``;``, ``=``, ``%`` and
+    ``[``, and a key with a fixed set of values takes another of them (a
+    pattern other than local with no relative encoding)."""
+    choices = {
+        "architecture": N.ARCHITECTURES, "attention": N.PATTERNS, "pe_mode": N.PE_MODES,
+        "rpe_share": N.RPE_SHARES, "dtype": ("f32", "f64"), "boundary_distance": BA_DISTANCES,
+    }
+    if key in choices:
+        other = next(value for value in choices[key] if value != default)
+        return {key: other, **({"pe_mode": "none"} if key == "attention" else {})}
+    if isinstance(default, str):
+        return {key: f"{key};x = %(y)s [z]"}
+    if key in ("heads", "hidden_dim", "hidden_dim_refine"):  # heads divide both dims
+        return {key: 2 * default}
+    return {key: default + (2 if isinstance(default, int) else 1 / 3)}
+
+
 @pytest.mark.parametrize("preset", [None, *PRESETS])
 def test_every_key_reads_back_from_its_formatted_config(preset, tmp_path):
     """Each key set away from its default, a string holding ``;``, ``=``,
@@ -310,11 +395,9 @@ def test_every_key_reads_back_from_its_formatted_config(preset, tmp_path):
     defaults = build_configs(preset)
     for key, section in table.items():
         default = getattr(defaults[list(SECTIONS).index(section)], key)
-        if isinstance(default, str):
-            value = f"{key};x = %(y)s [z]"
-        else:
-            value = default + (2 if isinstance(default, int) else 1 / 3)
-        configs = build_configs(preset, overrides={key: str(value)})
+        overrides = _away_from_default(key, default)
+        configs = build_configs(preset, overrides={k: str(v) for k, v in overrides.items()})
+        assert getattr(configs[list(SECTIONS).index(section)], key) != default, key
         path = tmp_path / f"{key}.cfg"
         path.write_text(format_config(*configs))
         assert build_configs(config_file=path) == configs, key
@@ -348,8 +431,8 @@ def test_adam_state_binds_gradients_to_the_arena_before_any_backward():
         assert np.shares_memory(p.data, state.flat), name
         assert np.shares_memory(p.grad, state.flat_grad) and not p.grad.any(), name
     model_cfg, train_cfg, _ = build_configs("gtea", None, {})
-    model_cfg.input_dim, model_cfg.num_classes = 32, 5
-    train_cfg.epochs = 1
+    model_cfg = replace(model_cfg, input_dim=32, num_classes=5)
+    train_cfg = replace(train_cfg, epochs=1)
     spec = D.SynthSpec(
         num_classes=5, num_videos=1, min_len=48, max_len=48, feature_dim=32, noise=0.3, seed=2
     )
@@ -386,7 +469,7 @@ def test_float32_train_step_keeps_float32():
     """A gtea-shaped f32 step (all three loss terms) yields an f32 loss and
     f32 gradients on every parameter."""
     model_cfg, train_cfg, _ = build_configs("gtea", None, {})
-    model_cfg.input_dim, model_cfg.num_classes = 32, 5
+    model_cfg = replace(model_cfg, input_dim=32, num_classes=5)
     rng = np.random.default_rng(4)
     features = rng.standard_normal((72, 32)).astype(np.float32)
     labels = np.repeat([0, 3, 1, 4, 2, 0], 12)
@@ -404,7 +487,7 @@ def gtea_step(dtype="f32", frames=72, input_dim=32, num_classes=5):
     """Params and a forward of a gtea-preset step: all three loss terms and
     every dropout on. Each call draws the same params and masks."""
     model_cfg, train_cfg, _ = build_configs("gtea", None, {})
-    model_cfg.input_dim, model_cfg.num_classes, model_cfg.dtype = input_dim, num_classes, dtype
+    model_cfg = replace(model_cfg, input_dim=input_dim, num_classes=num_classes, dtype=dtype)
     features = np.random.default_rng(4).standard_normal((frames, input_dim))
     labels = np.repeat(np.arange(frames // 12 + 1) % num_classes, 12)[:frames]
     streams = T.SeedStreams(0)
@@ -469,8 +552,8 @@ def test_arena_adam_trains_like_the_per_tensor_loop(monkeypatch):
     """A gtea-shaped f32 run gives the same bytes with the per-tensor Adam
     loop and fresh gradients every step."""
     model_cfg, train_cfg, _ = build_configs("gtea", None, {})
-    model_cfg.input_dim, model_cfg.num_classes = 32, 5
-    train_cfg.epochs = 2
+    model_cfg = replace(model_cfg, input_dim=32, num_classes=5)
+    train_cfg = replace(train_cfg, epochs=2)
     spec = D.SynthSpec(
         num_classes=5, num_videos=3, min_len=48, max_len=96, feature_dim=32, noise=0.3, seed=2
     )
@@ -496,8 +579,8 @@ def _assert_gtea_run_unchanged_by(monkeypatch, replacements):
     """A gtea-shaped f32 run writes the same log rows and parameter bytes
     with the ``tensor`` functions swapped for ``replacements``."""
     model_cfg, train_cfg, _ = build_configs("gtea", None, {})
-    model_cfg.input_dim, model_cfg.num_classes = 32, 5
-    train_cfg.epochs = 2
+    model_cfg = replace(model_cfg, input_dim=32, num_classes=5)
+    train_cfg = replace(train_cfg, epochs=2)
     spec = D.SynthSpec(
         num_classes=5, num_videos=3, min_len=48, max_len=96, feature_dim=32, noise=0.3, seed=4
     )
@@ -543,10 +626,10 @@ def test_file_backed_samples_train_like_held_samples(tmp_path, stride):
     evaluation each epoch) on samples that read their file at every step
     gives the bytes of the same run on the features held in memory."""
     model_cfg, train_cfg, _ = build_configs("gtea", None, {})
-    model_cfg.input_dim, model_cfg.num_classes = 32, 5
+    model_cfg = replace(model_cfg, input_dim=32, num_classes=5)
     assert model_cfg.dtype == "f32" and model_cfg.input_dropout > 0 and model_cfg.ffn_dropout > 0
     assert train_cfg.smooth_weight > 0 and train_cfg.boundary_weight > 0
-    train_cfg.epochs, train_cfg.eval_every = 2, 1
+    train_cfg = replace(train_cfg, epochs=2, eval_every=1)
     spec = D.SynthSpec(
         num_classes=5, num_videos=3, min_len=48, max_len=96, feature_dim=32, noise=0.3, seed=6
     )
