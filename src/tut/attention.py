@@ -128,9 +128,10 @@ def attend(
     return T.slot_mix(p_used, v, layout), record
 
 
-def sinusoidal_encoding(length: int, dim: int, dtype=np.float64) -> np.ndarray:
-    """Fixed sin/cos position table of shape (length, dim)."""
-    pos = np.arange(length, dtype=np.float64)[:, None]
+def sinusoidal_encoding(length: int, dim: int, dtype=np.float64, start: int = 0) -> np.ndarray:
+    """Rows ``start`` to ``start + length`` of the fixed sin/cos position
+    table, shape (length, dim); each row depends only on its position."""
+    pos = np.arange(start, start + length, dtype=np.float64)[:, None]
     half = (dim + 1) // 2
     freq = np.exp(-math.log(10000.0) * (2.0 * np.arange(half) / dim))[None, :]
     angles = pos * freq

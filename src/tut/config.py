@@ -25,7 +25,9 @@ class DataConfig:
 
     def __post_init__(self):
         if self.sample_rate < 1:
-            raise ConfigError(f"sample_rate must be >= 1, got {self.sample_rate}")
+            raise ConfigError(
+                f"sample_rate must be >= 1, got {self.sample_rate}", ("sample_rate",)
+            )
 
     def ignored(self) -> set[str]:
         return {part.strip() for part in self.ignored_classes.split(",") if part.strip()}
@@ -141,36 +143,48 @@ def build_configs(
 ) -> tuple[ModelConfig, TrainConfig, DataConfig]:
     """The configs of the keys set by the preset, then the config file, then
     the overrides; a later source wins. A key in ``required`` that no
-    source sets raises ``ConfigError`` naming it."""
+    source sets raises ``ConfigError`` naming it. A value a config refuses
+    raises ``ConfigError`` prefixed with where it came from: of the keys
+    the check names, the one set by the latest source (the first of those
+    on a tie)."""
     table = field_table()
     types = {f.name: type(f.default) for cls in SECTIONS.values() for f in fields(cls)}
     layers: dict[str, dict] = {name: {} for name in SECTIONS}
+    sources: dict[str, tuple[int, str]] = {}  # key -> (0 preset, 1 file, 2 flag; its source)
 
-    def put(key, value, source):
+    def put(key, value, source, rank):
         value = _coerce(value, types[key], source)
         _check_reads_back(value, source)
         layers[table[key]][key] = value
+        sources[key] = (rank, source)
 
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r} (have {sorted(PRESETS)})")
         for values in PRESETS[preset].values():
             for key, value in values.items():
-                put(key, value, f"preset {preset}: {key}")
+                put(key, value, f"preset {preset}: {key}", 0)
     if config_file is not None:
         for section, values in parse_config_file(config_file).items():
             for key, value in values.items():
-                put(key, value, f"{config_file}: [{section}] {key}")
+                put(key, value, f"{config_file}: [{section}] {key}", 1)
     for key, value in (overrides or {}).items():
         if value is None:
             continue
         if key not in table:
             raise ConfigError(f"unknown config key {key!r}")
-        put(key, value, flag_name(key))
+        put(key, value, flag_name(key), 2)
     for key in required:
         if key not in layers[table[key]]:
             raise ConfigError(f"no {key} given: pass {flag_name(key)} or set it in --config")
-    return tuple(cls(**layers[section]) for section, cls in SECTIONS.items())
+    try:
+        return tuple(cls(**layers[section]) for section, cls in SECTIONS.items())
+    except ConfigError as exc:
+        named = [sources[key] for key in exc.keys if key in sources]
+        if not named:
+            raise
+        source = max(named, key=lambda named_source: named_source[0])[1]
+        raise ConfigError(f"{source}: {exc}", exc.keys) from None
 
 
 def format_config(model: ModelConfig, train: TrainConfig, data: DataConfig) -> str:

@@ -13,16 +13,22 @@ two u64 dims (T, d), then little-endian float32 row-major payload.
 A dataset is read one video at a time. ``load_dataset`` reads the labels
 and, of each feature file, only the 28-byte header: it checks the magic,
 the rank and the file size there, so a damaged file fails the load. The
-samples it returns hold no features; ``VideoSample.load_features`` reads a
-sample's rows each time a forward needs them, so training and evaluation
-hold one video's features at a time. A file whose header or size changed
-since the load raises ``DatasetError`` naming it when it is read.
+samples it returns hold no features; each time a forward needs a sample's
+rows they are read again, so training and evaluation hold one video's
+features at a time. A file whose header or size changed since the load
+raises ``DatasetError`` naming it when it is read.
 
-The temporal sample rate is applied while reading: ``read_features(path,
-k)`` copies every k-th row into the one array the model consumes, reading
-the payload in chunks of about ``CHUNK_BYTES``, so a strided read never
-holds the full-rate matrix. ``load_dataset(..., stride=k)`` builds the
-strided samples and records their source length for upsampling.
+The temporal sample rate is applied while reading, and one block loop
+(``_read_blocks``) reads every payload byte. ``read_features(path, k)``
+copies every k-th row into the one array training consumes
+(``VideoSample.load_features``); at stride 1 it reads straight into it, and
+otherwise through a buffer of about ``CHUNK_BYTES``, so a strided read
+never holds the full-rate matrix. A forward-only pass reads
+``VideoSample.feature_rows()`` instead: a ``FeatureRows`` reader whose
+blocks of kept rows (strided views of one reused buffer)
+``net.model_forward`` projects as they arrive, so the (T, d) matrix never
+exists whole. ``load_dataset(..., stride=k)`` builds the strided samples
+and records their source length for upsampling.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ log = logging.getLogger(__name__)
 
 FEATURE_MAGIC = b"TUTFEAT1"
 HEADER_BYTES = 28  # magic, u32 rank, two u64 dims
-CHUNK_BYTES = 1 << 20  # payload bytes per read when only every k-th row is kept
+CHUNK_BYTES = 1 << 20  # payload bytes per read_features read when only every k-th row is kept
 
 
 @dataclass
@@ -93,13 +99,49 @@ class VideoSample:
         return self.features.shape[1] if self.features is not None else self.file_shape[1]
 
     def load_features(self) -> np.ndarray:
-        """The ``(num_frames, d)`` float32 matrix a forward consumes: the held
-        array, or every ``stride``-th row of ``path``, read now. A file that
-        no longer has the header or size the load checked raises
+        """The ``(num_frames, d)`` float32 matrix a training forward consumes:
+        the held array, or every ``stride``-th row of ``path``, read now. A
+        file that no longer has the header or size the load checked raises
         ``DatasetError`` naming it."""
         if self.features is not None:
             return self.features
         return read_features(self.path, self.stride, shape=self.file_shape)[: self.num_frames]
+
+    def feature_rows(self) -> np.ndarray | FeatureRows:
+        """What a forward-only pass reads: the held array, or a
+        ``FeatureRows`` reader of ``path`` that reads the same rows block by
+        block when the forward iterates it."""
+        if self.features is not None:
+            return self.features
+        return FeatureRows(self.path, self.stride, self.file_shape, self.num_frames)
+
+
+@dataclass(frozen=True)
+class FeatureRows:
+    """A row source: every ``stride``-th row of a feature file, the first
+    ``frames`` of them, with ``shape == (frames, d)``. Each ``blocks``
+    pass opens the file and checks its header against ``file_shape``, the
+    (T, d) the load saw."""
+
+    path: Path
+    stride: int
+    file_shape: tuple[int, int]
+    frames: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.frames, self.file_shape[1]
+
+    def blocks(self, size: int):
+        """Yield ``(start, rows)`` in row order: ``size`` kept rows at a
+        time, a tail under half that joined to the block before it, so no
+        block is shorter than ``size // 2`` unless the video is. ``rows`` is
+        a float32 view of one reused buffer (strided when ``stride > 1``),
+        valid until the next block. A file whose header or size changed
+        since the load raises ``DatasetError`` naming it."""
+        with open(self.path, "rb") as fh:
+            shape = _check_header(fh, self.path, self.file_shape)
+            yield from _read_blocks(fh, self.path, shape, self.stride, self.frames, size)
 
 
 @dataclass(frozen=True)
@@ -138,8 +180,9 @@ def write_features(path, array: np.ndarray):
         fh.write(arr.tobytes(order="C"))
 
 
-def _check_header(fh, path) -> tuple[int, int]:
-    """Check the magic, the rank and the file size; return (T, d)."""
+def _check_header(fh, path, shape: tuple[int, int] | None = None) -> tuple[int, int]:
+    """Check the magic, the rank, the file size and, when given, that the
+    header holds ``shape``; return (T, d)."""
     header = fh.read(HEADER_BYTES)
     if not FEATURE_MAGIC.startswith(header[:8]):  # a cut inside the magic is a truncation
         raise DatasetError(f"{path}: bad feature magic")
@@ -152,36 +195,65 @@ def _check_header(fh, path) -> tuple[int, int]:
     expected = HEADER_BYTES + 4 * t * d
     if size != expected:
         raise DatasetError(f"{path}: file is {size} bytes, its header says {expected}")
+    if shape is not None and (t, d) != tuple(shape):
+        raise DatasetError(
+            f"{path}: header now says (T, d) = {(t, d)}, it said {tuple(shape)} "
+            "when the dataset was loaded"
+        )
     return t, d
+
+
+def _block_bounds(rows: int, size: int) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive blocks of ``size`` rows covering
+    ``rows``; a tail shorter than half a block joins the block before it."""
+    starts = list(range(0, rows, size))
+    if len(starts) > 1 and 2 * (rows - starts[-1]) < size:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [rows]))
+
+
+def _read_blocks(fh, path, shape: tuple[int, int], stride: int, rows: int, size: int, out=None):
+    """Read every ``stride``-th row of the (T, d) ``shape`` payload after
+    ``fh``'s header, the first ``rows`` of them, and yield ``(start, kept)``
+    per block of ``size`` kept rows (``_block_bounds``). Each block reads
+    its source rows in one ``readinto``: into ``out[start:stop]`` when
+    ``out`` is given (stride 1 only), else into one reused buffer, of which
+    ``kept`` is a strided view. A short read raises ``DatasetError`` naming
+    ``path``."""
+    t, d = shape
+    bounds = _block_bounds(rows, size)
+    if out is None and bounds:
+        longest = max(stop - start for start, stop in bounds) * stride
+        buf = np.empty((min(longest, t), d), dtype="<f4")
+    for start, stop in bounds:
+        if out is not None:
+            chunk = kept = out[start:stop]
+        else:
+            chunk = buf[: min(stop * stride, t) - start * stride]
+            kept = chunk[::stride]
+        if fh.readinto(chunk) != chunk.nbytes:
+            raise DatasetError(f"{path}: file shrank while reading")
+        yield start, kept
 
 
 def read_features(path, stride: int = 1, shape: tuple[int, int] | None = None) -> np.ndarray:
     """Read every ``stride``-th row of a feature file into one
     ``(ceil(T / stride), d)`` array; the header and the file size are checked
     before it is allocated, and so is ``shape``, the (T, d) the header must
-    hold, when given. At stride 1 the payload is read straight into it;
-    otherwise it passes through a buffer of at most ``CHUNK_BYTES`` (or
-    ``stride`` rows), so the full-rate matrix is never held."""
+    hold, when given. At stride 1 the payload is read straight into it, in
+    one block; otherwise it passes through a buffer of ``CHUNK_BYTES`` (at
+    least ``stride`` rows; half as much again when a short tail joins the
+    last block), so the full-rate matrix is never held."""
     with open(path, "rb") as fh:
-        t, d = _check_header(fh, path)
-        if shape is not None and (t, d) != tuple(shape):
-            raise DatasetError(
-                f"{path}: header now says (T, d) = {(t, d)}, it said {tuple(shape)} "
-                "when the dataset was loaded"
-            )
+        t, d = _check_header(fh, path, shape)
         out = np.empty((-(-t // stride), d), dtype="<f4")
         if stride == 1:
-            if fh.readinto(out) != out.nbytes:
-                raise DatasetError(f"{path}: file shrank while reading")
-            return out
-        group = stride * max(1, CHUNK_BYTES // max(1, 4 * d * stride))  # rows per read
-        buf = np.empty((min(group, t), d), dtype="<f4")
-        for start in range(0, t, group):
-            rows = buf[: min(group, t - start)]
-            if fh.readinto(rows) != rows.nbytes:
-                raise DatasetError(f"{path}: file shrank while reading")
-            kept = rows[::stride]
-            out[start // stride : start // stride + kept.shape[0]] = kept
+            into, size = out, max(len(out), 1)
+        else:
+            into, size = None, max(1, CHUNK_BYTES // max(1, 4 * d * stride))
+        for start, kept in _read_blocks(fh, path, (t, d), stride, len(out), size, into):
+            if into is None:
+                out[start : start + len(kept)] = kept
     return out
 
 

@@ -14,7 +14,12 @@ class NumericError(ArithmeticError):
 
 
 class ConfigError(ValueError):
-    """Inconsistent or unsupported model/training configuration."""
+    """Inconsistent or unsupported model/training configuration. ``keys``
+    names the config keys whose values a check refused, if any."""
+
+    def __init__(self, message: str, keys: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.keys = keys
 
 
 class DatasetError(RuntimeError):

@@ -34,6 +34,11 @@ ARCHITECTURES = ("utrans", "standard")
 PE_MODES = ("none", "sinusoidal", "learnable", "relative")
 RPE_SHARES = ("none", "stage", "scale")
 NORM_EPS = 1e-5  # instance norm's variance floor
+# multiply-adds per block when stage 0 projects a row source (128 rows of the
+# 50salads preset's 2,048 x 128 projection): few BLAS calls, and each on the
+# kernel the whole product takes, since OpenBLAS sums products of up to 10^6
+# multiply-adds with a small-matrix kernel that rounds differently
+BLOCK_MACS = 1 << 25
 PE_MAX_LEN = 4096  # rows of a learnable positional encoding: the longest sequence it takes
 
 
@@ -64,30 +69,37 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
-            raise ConfigError(f"unknown architecture {self.architecture!r}")
+            raise ConfigError(f"unknown architecture {self.architecture!r}", ("architecture",))
         if self.layers < 1 or self.refinement_stages < 0:
-            raise ConfigError("layers must be >= 1 and refinement_stages >= 0")
+            raise ConfigError(
+                "layers must be >= 1 and refinement_stages >= 0", ("layers", "refinement_stages")
+            )
         for key in ("input_dim", "num_classes", "hidden_dim", "hidden_dim_refine"):
             if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}", (key,))
         if self.dtype not in ("f32", "f64"):
-            raise ConfigError(f"unknown dtype {self.dtype!r}")
+            raise ConfigError(f"unknown dtype {self.dtype!r}", ("dtype",))
         for key in ("input_dropout", "ffn_dropout", "attention_dropout"):
             if not 0.0 <= getattr(self, key) < 1.0:
-                raise ConfigError(f"{key} must lie in [0, 1), got {getattr(self, key)}")
+                raise ConfigError(f"{key} must lie in [0, 1), got {getattr(self, key)}", (key,))
         if self.attention not in PATTERNS:
-            raise ConfigError(f"unknown attention pattern {self.attention!r}")
+            raise ConfigError(f"unknown attention pattern {self.attention!r}", ("attention",))
         if self.pe_mode not in PE_MODES:
-            raise ConfigError(f"unknown pe_mode {self.pe_mode!r}")
+            raise ConfigError(f"unknown pe_mode {self.pe_mode!r}", ("pe_mode",))
         if self.rpe_share not in RPE_SHARES:
-            raise ConfigError(f"unknown rpe_share {self.rpe_share!r}")
+            raise ConfigError(f"unknown rpe_share {self.rpe_share!r}", ("rpe_share",))
         if self.window < 1 or self.window % 2 == 0:
-            raise ConfigError(f"window must be odd and >= 1, got {self.window}")
-        for stage_dim in (self.hidden_dim, self.hidden_dim_refine):
+            raise ConfigError(f"window must be odd and >= 1, got {self.window}", ("window",))
+        for key in ("hidden_dim", "hidden_dim_refine"):
+            stage_dim = getattr(self, key)
             if self.heads < 1 or stage_dim % self.heads != 0:
-                raise ConfigError(f"heads ({self.heads}) must divide model dim ({stage_dim})")
+                raise ConfigError(
+                    f"heads ({self.heads}) must divide model dim ({stage_dim})", ("heads", key)
+                )
         if self.pe_mode == "relative" and self.attention != "local":
-            raise ConfigError("relative positional encoding requires the local pattern")
+            raise ConfigError(
+                "relative positional encoding requires the local pattern", ("pe_mode", "attention")
+            )
 
     @property
     def np_dtype(self):
@@ -278,37 +290,69 @@ def decoder_layer(
     return out, record
 
 
-def _positional_input(params, cfg: ModelConfig, stage: int, x: Tensor) -> Tensor:
+def _input_projection(params, cfg: ModelConfig, stage: int, x: Tensor, streams) -> Tensor:
+    """Positional encoding, input dropout and the projection to the stage's
+    hidden width."""
     t, in_dim = x.data.shape
     if cfg.pe_mode == "sinusoidal":
-        return T.add(x, Tensor(sinusoidal_encoding(t, in_dim, dtype=x.data.dtype)))
-    if cfg.pe_mode == "learnable":
-        if t > PE_MAX_LEN:
-            raise ConfigError(
-                f"sequence length {t} exceeds the learnable encoding's {PE_MAX_LEN} rows"
-            )
-        return T.add(x, T.slice_rows(params[f"stage{stage}.ape.w"], 0, t))
-    return x
+        x = T.add(x, Tensor(sinusoidal_encoding(t, in_dim, dtype=x.data.dtype)))
+    elif cfg.pe_mode == "learnable":
+        x = T.add(x, T.slice_rows(params[f"stage{stage}.ape.w"], 0, t))
+    if streams is not None:
+        x = T.dropout(x, cfg.input_dropout, streams.stream(f"dropout:stage{stage}.input"))
+    return T.linear(x, params[f"stage{stage}.proj.w"], params[f"stage{stage}.proj.b"])
+
+
+def _project_blocks(params, cfg: ModelConfig, stage: int, source) -> Tensor:
+    """``_input_projection`` of a row source, with no graph and no dropout:
+    each ``(start, rows)`` block is cast to the model dtype, gets its rows of
+    the positional encoding and is multiplied into rows start..stop of the
+    (T, hidden) output, so the (T, input_dim) input never exists whole.
+    Every element takes the whole-array path's operations in its order, and
+    a block of ``BLOCK_MACS`` (at least half that for a tail) keeps the
+    product's sums in the whole product's order too."""
+    t, in_dim = source.shape
+    w, b = params[f"stage{stage}.proj.w"].data, params[f"stage{stage}.proj.b"].data
+    if in_dim != w.shape[0]:
+        raise ShapeError(f"linear: {tuple(source.shape)} x {w.shape} + {b.shape}")
+    dtype = cfg.np_dtype
+    h = np.empty((t, w.shape[1]), dtype=dtype)
+    for start, rows in source.blocks(-(-BLOCK_MACS // w.size)):
+        stop = start + rows.shape[0]
+        if rows.dtype != dtype:
+            rows = rows.astype(dtype)
+        if cfg.pe_mode == "sinusoidal":
+            rows = rows + sinusoidal_encoding(stop - start, in_dim, dtype=dtype, start=start)
+        elif cfg.pe_mode == "learnable":
+            rows = rows + params[f"stage{stage}.ape.w"].data[start:stop]
+        np.matmul(rows, w, out=h[start:stop])
+        h[start:stop] += b
+    return Tensor(h)
 
 
 def stage_forward(
-    x: Tensor,
+    x,
     params: dict[str, Tensor],
     cfg: ModelConfig,
     stage: int,
     streams: SeedStreams | None = None,
 ):
-    """One projection -> encoder -> decoder -> classifier pass; returns the
-    logits, the probabilities and the (encoder first, decoder last) records."""
-    t = x.data.shape[0]
+    """One projection -> encoder -> decoder -> classifier pass on a Tensor
+    or (stage 0, under ``no_grad``) a row source; returns the logits and the
+    (encoder first, decoder last) records."""
+    t = x.shape[0]
     if cfg.architecture == "utrans" and t < 2**cfg.layers:
         raise ConfigError(
             f"too many layers for sequence length: T={t} < 2^{cfg.layers}"
         )
-    x = _positional_input(params, cfg, stage, x)
-    if streams is not None:
-        x = T.dropout(x, cfg.input_dropout, streams.stream(f"dropout:stage{stage}.input"))
-    h = T.linear(x, params[f"stage{stage}.proj.w"], params[f"stage{stage}.proj.b"])
+    if cfg.pe_mode == "learnable" and t > PE_MAX_LEN:
+        raise ConfigError(
+            f"sequence length {t} exceeds the learnable encoding's {PE_MAX_LEN} rows"
+        )
+    if isinstance(x, Tensor):
+        h = _input_projection(params, cfg, stage, x, streams)
+    else:
+        h = _project_blocks(params, cfg, stage, x)
 
     enc_outputs = [h]
     enc_first = None
@@ -325,8 +369,7 @@ def stage_forward(
         d, dec_last = decoder_layer(d, peer, params, cfg, stage, layer, streams)
 
     logits = T.linear(d, params[f"stage{stage}.cls.w"], params[f"stage{stage}.cls.b"])
-    probs = T.softmax_lastdim(logits)
-    return logits, probs, (enc_first, dec_last)
+    return logits, (enc_first, dec_last)
 
 
 def model_forward(
@@ -339,11 +382,24 @@ def model_forward(
     """Run the generation stage plus every refinement stage.
 
     Stage 0 consumes the projected input features; stage s > 0 consumes the
-    previous stage's softmax probabilities.
-    Dropout draws from ``streams`` only when ``train``: every layer below
-    drops out iff it is given streams, so this is the one place that decides.
+    softmax probabilities of stage s - 1, so the last stage's are never
+    computed. Dropout draws from ``streams`` only when ``train``: every
+    layer below drops out iff it is given streams, so this is the one place
+    that decides.
+
+    ``x`` is the (T, input_dim) features: an array or a Tensor, or, under
+    ``tensor.no_grad``, a row source such as ``data.FeatureRows``:
+    ``x.shape == (T, input_dim)``, and ``x.blocks(size)`` yields ``(start,
+    rows)`` in row order, ``size`` rows at a time and never fewer than
+    ``size // 2`` unless T is. Stage 0 projects a row source as it is read,
+    so the whole matrix is never held, and every logit is byte-equal to the
+    whole array's. Training needs the array, since the projection's backward
+    reads it, so a row source raises ``TypeError`` while grad is enabled.
     """
-    if not isinstance(x, Tensor):
+    if hasattr(x, "blocks"):
+        if T.grad_enabled():
+            raise TypeError("a row source is read only under no_grad; training needs the array")
+    elif not isinstance(x, Tensor):
         x = Tensor(np.ascontiguousarray(x, dtype=cfg.np_dtype))
     elif x.data.dtype != cfg.np_dtype:
         x = Tensor(x.data.astype(cfg.np_dtype), requires_grad=x.requires_grad)
@@ -351,10 +407,11 @@ def model_forward(
     streams = streams if train else None
     stage_in = x
     for stage in range(cfg.num_stages):
-        logits, probs, records = stage_forward(stage_in, params, cfg, stage, streams)
+        if stage:
+            stage_in = T.softmax_lastdim(out.logits[-1])
+        logits, records = stage_forward(stage_in, params, cfg, stage, streams)
         out.logits.append(logits)
         out.records.append(records)
-        stage_in = probs
     return out
 
 
@@ -390,6 +447,7 @@ CHECKPOINT_MAGIC = b"TUTCKPT1"
 _PAYLOAD_ALIGN = 64  # bytes; a cache line, and a multiple of every dtype's size
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(np.uint8): 2}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
+_MANIFEST_READ = 1 << 16  # bytes per read while the manifest is parsed
 
 
 def save_checkpoint(path, params: dict[str, Tensor], cfg: ModelConfig):
@@ -418,42 +476,50 @@ def save_checkpoint(path, params: dict[str, Tensor], cfg: ModelConfig):
 def _read_checkpoint(path) -> tuple[dict, list[tuple[str, np.dtype, tuple, int]], list[np.ndarray]]:
     """Open a checkpoint once, check its structure and read its payloads.
 
-    Every entry must have a known dtype code, and the payloads must follow
-    the manifest back to back, in entry order, up to the end of the file
-    (so a truncated, padded or mis-pointing file is rejected). The payloads
-    are read into one buffer, placed so that the first payload wider than a
-    byte starts on a ``_PAYLOAD_ALIGN`` boundary: tensors of one dtype then
-    all sit aligned. Returns the config, the (name, dtype, shape, offset)
-    entries and, in entry order, each payload as a C-contiguous view of that
-    buffer.
+    The manifest is parsed with ``struct.unpack_from`` from one read of the
+    file's first ``_MANIFEST_READ`` bytes (read on if it runs longer). Every
+    entry must have a known dtype code, and the payloads must follow the
+    manifest back to back, in entry order, up to the end of the file (so a
+    truncated, padded or mis-pointing file is rejected). The payloads are
+    then read with one ``readinto`` into one buffer, placed so that the
+    first payload wider than a byte starts on a ``_PAYLOAD_ALIGN`` boundary:
+    tensors of one dtype then all sit aligned. Returns the config, the
+    (name, dtype, shape, offset) entries and, in entry order, each payload
+    as a C-contiguous view of that buffer.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_MANIFEST_READ)
+        if head[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: bad magic, not a checkpoint")
+        pos = len(CHECKPOINT_MAGIC)
 
         def take(fmt: str) -> tuple:
-            want = struct.calcsize(fmt)
-            chunk = fh.read(want)
-            if len(chunk) < want:
-                raise CheckpointError(f"{path}: manifest truncated at byte {size}")
-            return struct.unpack(fmt, chunk)
+            nonlocal head, pos
+            at, pos = pos, pos + struct.calcsize(fmt)
+            while len(head) < pos:
+                more = fh.read(max(_MANIFEST_READ, pos - len(head)))
+                if not more:
+                    raise CheckpointError(f"{path}: manifest truncated at byte {size}")
+                head += more
+            return struct.unpack_from(fmt, head, at)
 
-        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: bad magic, not a checkpoint")
         (count,) = take("<I")
         entries = []
         for _ in range(count):
+            # per entry: name length, then name, dtype code and rank, then dims and offset
             (name_len,) = take("<H")
+            name, code, rank = take(f"<{name_len}sBB")
+            *shape, offset = take(f"<{rank + 1}Q")
             try:
-                name = take(f"<{name_len}s")[0].decode()
+                name = name.decode()
             except UnicodeDecodeError:
                 raise CheckpointError(f"{path}: entry name is not UTF-8") from None
-            code, rank = take("<BB")
-            shape = tuple(int(d) for d in take(f"<{rank}Q"))
-            (offset,) = take("<Q")
+            shape = tuple(shape)
             if code not in _CODE_DTYPES:
                 raise CheckpointError(f"{path}: entry {name} has unknown dtype code {code}")
             entries.append((name, _CODE_DTYPES[code], shape, offset))
-        start = end = fh.tell()
+        start = end = pos
         for name, dtype, shape, offset in entries:
             nbytes = dtype.itemsize * math.prod(shape)
             if offset != end or offset + nbytes > size:
@@ -464,12 +530,12 @@ def _read_checkpoint(path) -> tuple[dict, list[tuple[str, np.dtype, tuple, int]]
         first = next((e[3] for e in entries if e[1].itemsize > 1), start)
         buf = np.empty(size - start + _PAYLOAD_ALIGN, dtype=np.uint8)
         pad = -(buf.__array_interface__["data"][0] + first - start) % _PAYLOAD_ALIGN
+        fh.seek(start)
         if fh.readinto(memoryview(buf)[pad : pad + size - start]) != size - start:
             raise CheckpointError(f"{path}: file shrank while it was read")
-    payloads = []
-    for _, dtype, shape, offset in entries:
-        at = pad + offset - start
-        payloads.append(buf[at : at + dtype.itemsize * math.prod(shape)].view(dtype).reshape(shape))
+    payloads = [
+        np.ndarray(shape, dtype, buf, pad + offset - start) for _, dtype, shape, offset in entries
+    ]
     config_at = next((i for i, e in enumerate(entries) if e[0] == "meta.config"), None)
     if config_at is None:
         raise CheckpointError(f"{path}: missing config entry")

@@ -3,9 +3,10 @@ the ablation grid harness.
 
 One optimizer step per video (batch size 1); the learning rate halves after
 the epoch-mean training loss has exceeded its predecessor three times since
-the last halving. Each step and each prediction reads its video's features
-through ``VideoSample.load_features``, so a loaded split is held one video
-at a time.
+the last halving. Each step reads its video's features through
+``VideoSample.load_features`` and each prediction through
+``VideoSample.feature_rows``, so a loaded split is held one video at a
+time, and a prediction holds no video's whole feature matrix.
 """
 
 from __future__ import annotations
@@ -52,14 +53,16 @@ class TrainConfig:
     def __post_init__(self):
         for key, least in (("epochs", 1), ("checkpoint_every", 0), ("eval_every", 0)):
             if getattr(self, key) < least:
-                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}", (key,))
         for key in ("lr", "weight_decay", "smooth_weight", "boundary_weight"):
             value, positive = getattr(self, key), key == "lr"
             if not math.isfinite(value) or value < 0 or (positive and value == 0):
                 bound = "> 0" if positive else ">= 0"
-                raise ConfigError(f"{key} must be finite and {bound}, got {value}")
+                raise ConfigError(f"{key} must be finite and {bound}, got {value}", (key,))
         if self.boundary_distance not in BA_DISTANCES:
-            raise ConfigError(f"unknown boundary distance {self.boundary_distance!r}")
+            raise ConfigError(
+                f"unknown boundary distance {self.boundary_distance!r}", ("boundary_distance",)
+            )
 
 
 @dataclass
@@ -181,12 +184,14 @@ def log_csv(rows: list[dict]) -> str:
 def predict_sample(params: dict[str, Tensor], cfg: ModelConfig, sample: VideoSample) -> np.ndarray:
     """Dropout-free, graph-free forward; labels from the last stage, one per
     kept frame (``restore_source_rate`` maps them back to the source rate).
-    Features not ``cfg.input_dim`` wide raise ``DatasetError``."""
+    A sample read from a file is projected block by block as it is read
+    (``VideoSample.feature_rows``), so its whole feature matrix is never
+    held. Features not ``cfg.input_dim`` wide raise ``DatasetError``."""
     if sample.feature_dim != cfg.input_dim:
         where, width = sample.path or sample.video_id, sample.feature_dim
         raise DatasetError(f"{where}: features are {width} wide, the model takes {cfg.input_dim}")
     with no_grad():
-        return final_prediction(model_forward(sample.load_features(), params, cfg, train=False))
+        return final_prediction(model_forward(sample.feature_rows(), params, cfg, train=False))
 
 
 def restore_source_rate(labels: np.ndarray, sample: VideoSample) -> np.ndarray:

@@ -520,12 +520,14 @@ def _bad_flag(command, flag, value):
 
 def _bad_setting(key, value):
     """``tut train`` given a ``key`` value its config refuses; the error names
-    the key, and no ``--out`` directory is made."""
+    the key and the flag, and no ``--out`` directory is made."""
+    flag = "--" + key.replace("_", "-")
+
     def make_argv(trained, synth_root, tmp_path):
         return ["train", "--data-root", str(synth_root), "--out", str(tmp_path / "run"),
-                "--seed", "1", "--epochs", "1", *SMALL_MODEL, "--" + key.replace("_", "-"), value]
+                "--seed", "1", "--epochs", "1", *SMALL_MODEL, flag, value]
 
-    make_argv.names = (key,)
+    make_argv.names = (key, flag + ": ")
     make_argv.makes_no_out = True
     return make_argv
 
@@ -577,7 +579,8 @@ def _sample_rate(rate):
      _bad_setting("smooth_weight", "nan"), _bad_setting("boundary_weight", "nan"),
      _bad_setting("checkpoint_every", "-1"), _bad_setting("eval_every", "-2"),
      _bad_setting("hidden_dim", "0"), _bad_setting("hidden_dim", "-1"),
-     _bad_setting("hidden_dim_refine", "0")],
+     _bad_setting("hidden_dim_refine", "0"), _bad_setting("heads", "3"),
+     _config_file("lr_nan.cfg", "[train]\nlr = nan\n", names=("lr_nan.cfg: [train] lr: ",))],
     ids=["DatasetError", "CheckpointError", "TrainingDiverged", "ShapeError",
          "TruncatedCheckpoint", "TruncatedFeatures", "SampleRateZero", "SampleRateNegative",
          "UnknownIgnoredClass", "UnknownIgnoredClassAblate", "ConfigNoSectionHeader", "ConfigDuplicateKey",
@@ -589,7 +592,7 @@ def _sample_rate(rate):
          "FlagBadValue", "FlagBadSeed", "EvalBadThresholds", "AblateBadValues",
          "LrNan", "WeightDecayNegative", "SmoothWeightNan", "BoundaryWeightNan",
          "CheckpointEveryNegative", "EvalEveryNegative", "HiddenDimZero",
-         "HiddenDimNegative", "HiddenDimRefineZero"],
+         "HiddenDimNegative", "HiddenDimRefineZero", "HeadsNotDividing", "ConfigLrNan"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_typed_failures_exit_2_with_one_line(make_argv, trained, synth_root, tmp_path, capsys):
@@ -650,7 +653,7 @@ def test_the_split_gives_the_model_its_width_and_class_count(flag, trained, synt
 
 
 @pytest.mark.parametrize("change", ["rows", "dim", "truncated"])
-@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("command", ["train", "eval", "eval-strided"])
 def test_feature_file_changed_after_loading_exits_2_naming_it(
     command, change, trained, tmp_path, monkeypatch, capsys
 ):
@@ -678,6 +681,8 @@ def test_feature_file_changed_after_loading_exits_2_naming_it(
     else:
         argv = ["eval", "--data-root", str(root), "--out", str(tmp_path / "eval"),
                 "--checkpoint", str(trained / "checkpoint.ckpt")]
+        if command == "eval-strided":
+            argv += ["--sample-rate", "2"]
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()

@@ -52,8 +52,10 @@ def test_short_feature_header_raises_dataset_error(tmp_path, keep):
 def test_damaged_feature_file_loads_identically_or_raises(tmp_path, data):
     """A truncation anywhere, or a byte flip anywhere in the 28-byte header,
     loads the same array (every stride-th row of it, at any stride) or
-    raises DatasetError. The format has no checksum, so a flip inside the
-    float payload loads a changed value; such flips are not drawn."""
+    raises DatasetError, through ``read_features`` and through the
+    ``FeatureRows`` reader a forward-only pass iterates. The format has no
+    checksum, so a flip inside the float payload loads a changed value; such
+    flips are not drawn."""
     arr = np.random.default_rng(5).standard_normal((6, 4)).astype(np.float32)
     path = tmp_path / "x.feat"
     D.write_features(path, arr)
@@ -66,14 +68,19 @@ def test_damaged_feature_file_loads_identically_or_raises(tmp_path, data):
         damaged = raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1 :]
     path.write_bytes(damaged)
     stride = data.draw(st.integers(1, 4), label="stride")
-    try:
-        loaded = D.read_features(path, stride)
-    except DatasetError as exc:
-        assert str(path) in str(exc)
-        return
-    assert len(damaged) == len(raw)
-    assert loaded.dtype == np.float32 and loaded.shape == arr[::stride].shape
-    np.testing.assert_array_equal(loaded, arr[::stride])
+    rows = D.FeatureRows(path, stride, arr.shape, len(arr[::stride]))
+    for read in (
+        lambda: D.read_features(path, stride),
+        lambda: np.concatenate([kept.copy() for _, kept in rows.blocks(2)]),
+    ):
+        try:
+            loaded = read()
+        except DatasetError as exc:
+            assert str(path) in str(exc)
+            continue
+        assert len(damaged) == len(raw)
+        assert loaded.dtype == np.float32 and loaded.shape == arr[::stride].shape
+        np.testing.assert_array_equal(loaded, arr[::stride])
 
 
 # rows per 1 MiB chunk at d = 64: four of them span several chunks at every stride
@@ -299,6 +306,36 @@ def test_feature_file_changed_after_loading_raises_dataset_error(tmp_path, chang
     change(path, D.read_features(path))
     with pytest.raises(DatasetError, match=re.escape(str(path))):
         sample.load_features()
+    with pytest.raises(DatasetError, match=re.escape(str(path))):
+        list(sample.feature_rows().blocks(2))
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 40, 128, 131, 3 * 128 + 64, 3 * 128 + 63])
+def test_feature_rows_blocks_cover_the_strided_rows(tmp_path, rows, stride):
+    """``blocks(size)`` yields the rows ``load_features`` returns, in order,
+    in blocks of ``size`` and never fewer than ``size // 2`` unless the
+    video is shorter, each a view of one reused buffer; labels shorter than
+    the file leave its last rows unread."""
+    size = 128
+    write_toy_dataset(tmp_path, {"v": ["a", "b"] * (rows + 1)}, d=5)
+    path = tmp_path / "features" / "v.feat"
+    features = np.random.default_rng(rows).standard_normal((rows + 2, 5)).astype(np.float32)
+    D.write_features(path, features)
+    (sample,), _ = D.load_dataset(tmp_path, "splits/all.bundle", stride=stride)
+    cut = dataclasses.replace(sample, labels=sample.labels[: max(1, sample.num_frames - 2)])
+    for s in (sample, cut):
+        source = s.feature_rows()
+        assert isinstance(source, D.FeatureRows) and source.shape == (s.num_frames, 5)
+        blocks = [(start, kept.copy(), kept.base) for start, kept in source.blocks(size)]
+        sizes = [len(kept) for _, kept, _ in blocks]
+        assert [start for start, _, _ in blocks] == list(np.cumsum([0] + sizes[:-1]))
+        assert sum(sizes) == s.num_frames
+        assert all(n == size for n in sizes[:-1])
+        assert len(sizes) == 1 or size // 2 <= sizes[-1] < size + size // 2
+        assert len({id(base) for _, _, base in blocks}) == 1
+        got = np.concatenate([kept for _, kept, _ in blocks])
+        assert got.dtype == np.float32 and got.tobytes() == s.load_features().tobytes()
 
 
 def test_a_split_of_mixed_feature_widths_fails_naming_the_file(tmp_path):

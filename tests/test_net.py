@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _oracles import numeric_grad, rel_err, save_checkpoint_copying
+from tut import data as D
 from tut import net as N
 from tut import tensor as T
 from tut.errors import CheckpointError, ConfigError, ShapeError
@@ -470,10 +471,104 @@ def test_refinement_stage_reads_previous_probabilities():
     cfg = tiny_cfg(refinement_stages=1)
     params = build(cfg, seed=8)
     out = N.model_forward(x, params, cfg)
-    logits, _, _ = N.stage_forward(T.softmax_lastdim(out.logits[0]), params, cfg, stage=1)
+    logits, _ = N.stage_forward(T.softmax_lastdim(out.logits[0]), params, cfg, stage=1)
     np.testing.assert_array_equal(out.logits[1].data, logits.data)
-    fed_logits, _, _ = N.stage_forward(out.logits[0], params, cfg, stage=1)
+    fed_logits, _ = N.stage_forward(out.logits[0], params, cfg, stage=1)
     assert not np.allclose(out.logits[1].data, fed_logits.data)
+
+
+@pytest.mark.parametrize("stages", [1, 2, 4])
+@pytest.mark.parametrize("graph", [True, False])
+def test_only_a_stage_that_feeds_another_takes_a_softmax(stages, graph, monkeypatch):
+    cfg = tiny_cfg(refinement_stages=stages - 1)
+    params = build(cfg)
+    calls = []
+    real = T.softmax_lastdim
+
+    def softmax_lastdim(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(T, "softmax_lastdim", softmax_lastdim)
+    x = np.random.default_rng(4).standard_normal((16, 4))
+    if graph:
+        N.model_forward(x, params, cfg)
+    else:
+        with T.no_grad():
+            N.model_forward(x, params, cfg)
+    assert len(calls) == stages - 1
+
+
+# kept rows, in blocks of 64: fewer than one block, one block, 1-3 rows past
+# a block boundary (a tail that joins the block before it), a tail of half a
+# block (a block of its own) and one a row short of that
+ROW_SOURCE_FRAMES = [40, 64, 65, 66, 67, 2 * 64 + 32, 3 * 64 + 31]
+
+
+def _row_source_forwards(tmp_path, cfg, frames, stride, seed=9):
+    """The forward-only logits of ``frames`` kept rows at ``stride``, over
+    the whole strided array and over a ``FeatureRows`` reader of its file."""
+    params = build(cfg, seed=seed)
+    rng = np.random.default_rng([frames, stride, cfg.input_dim])
+    for p in params.values():  # no zero encoding table or bias: every term counts
+        p.data += rng.uniform(-0.5, 0.5, p.data.shape)
+    t = (frames - 1) * stride + 1  # the last kept row is the file's last row
+    features = rng.standard_normal((t, cfg.input_dim)).astype(np.float32)
+    path = tmp_path / "x.feat"
+    D.write_features(path, features)
+    source = D.FeatureRows(path, stride, (t, cfg.input_dim), frames)
+    assert source.shape == (frames, cfg.input_dim)
+    with T.no_grad():
+        whole = N.model_forward(features[::stride], params, cfg)
+        blocks = N.model_forward(source, params, cfg)
+    return whole.logits, blocks.logits
+
+
+@pytest.mark.parametrize("frames", ROW_SOURCE_FRAMES)
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("pe_mode", N.PE_MODES)
+def test_row_source_forward_is_byte_equal_to_the_whole_array(
+    tmp_path, monkeypatch, pe_mode, dtype, stride, frames
+):
+    """A forward-only pass over a ``FeatureRows`` reader, which stage 0
+    projects block by block, gives every stage's logits byte for byte as the
+    pass over the whole strided array."""
+    cfg = tiny_cfg(input_dim=24, pe_mode=pe_mode, dtype=dtype)
+    monkeypatch.setattr(N, "BLOCK_MACS", 64 * 24 * 8)  # blocks of 64 rows
+    whole, blocks = _row_source_forwards(tmp_path, cfg, frames, stride)
+    assert len(blocks) == cfg.num_stages
+    for got, want in zip(blocks, whole):
+        assert got.data.dtype == want.data.dtype == cfg.np_dtype
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("input_dim,hidden,frames", [(512, 8, 1100), (2048, 32, 1100)])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_row_source_blocks_are_byte_equal_at_wide_inputs(
+    tmp_path, input_dim, hidden, frames, dtype
+):
+    """At the block size the model picks, wide inputs too: a thin
+    projection (512 x 8) takes a block of the whole video, where blocks of
+    128 rows would each be a product small enough for another BLAS kernel."""
+    cfg = tiny_cfg(input_dim=input_dim, hidden_dim=hidden, hidden_dim_refine=8, dtype=dtype)
+    whole, blocks = _row_source_forwards(tmp_path, cfg, frames, stride=2)
+    for got, want in zip(blocks, whole):
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_a_row_source_needs_no_grad_and_the_model_width(tmp_path):
+    """Training keeps the whole array, since the projection's backward reads
+    it; and a source of another width is refused before it is read."""
+    cfg = tiny_cfg()
+    params = build(cfg)
+    path = tmp_path / "x.feat"
+    D.write_features(path, np.zeros((16, 5), dtype=np.float32))
+    source = D.FeatureRows(path, 1, (16, 5), 16)
+    with pytest.raises(TypeError, match="no_grad"):
+        N.model_forward(source, params, cfg)
+    with T.no_grad(), pytest.raises(ShapeError, match=re.escape("(16, 5) x (4, 8)")):
+        N.model_forward(source, params, cfg)
 
 
 def test_large_shape_contract():
@@ -529,18 +624,59 @@ def test_unknown_dtype_code_and_bad_config_raise_checkpoint_error(tmp_path):
         N.read_manifest(path)
 
 
+class _CountedReads:
+    """A file whose read and readinto calls are appended to ``calls``."""
+
+    def __init__(self, fh, calls):
+        self.fh, self.calls = fh, calls
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def __getattr__(self, name):
+        attr = getattr(self.fh, name)
+        if name not in ("read", "readinto"):
+            return attr
+
+        def counted(*args):
+            self.calls.append(name)
+            return attr(*args)
+
+        return counted
+
+
 def test_load_checkpoint_reads_the_file_once(tmp_path, monkeypatch):
+    """One open; the manifest comes from one read and the payloads from one
+    readinto, where parsing field by field made about five reads per entry."""
     path = tmp_path / "model.ckpt"
     _saved_checkpoint(path)
-    opened = []
+    opened, reads = [], []
 
     def counting_open(*args, **kwargs):
         opened.append(args[0])
-        return open(*args, **kwargs)
+        return _CountedReads(open(*args, **kwargs), reads)
 
     monkeypatch.setattr(N, "open", counting_open, raising=False)
     N.load_checkpoint(path)
     assert len(opened) == 1
+    assert reads == ["read", "readinto"]
+
+
+def test_a_manifest_longer_than_one_read_loads_the_same(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    params = _saved_checkpoint(path)
+    monkeypatch.setattr(N, "_MANIFEST_READ", 16)  # the magic, then a read per few fields
+    loaded, _ = N.load_checkpoint(path)
+    assert set(loaded) == set(params)
+    for name, p in params.items():
+        assert loaded[name].data.tobytes() == p.data.tobytes()
+    for keep in (30, 300):  # a cut inside the manifest still names the file
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: manifest truncated")):
+            N.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -413,6 +414,36 @@ def test_value_that_would_not_read_back_is_refused(tmp_path):
         build_configs(config_file=path)
 
 
+def test_a_refused_value_names_the_source_that_set_it(tmp_path):
+    """A value a config refuses is prefixed with where it came from: the
+    file and key or the flag; for a check on two keys, the source of the
+    one set last (a flag over a file over a preset)."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[train]\nlr = nan\n[model]\nheads = 5\n")
+    cases = [
+        ({"config_file": bad, "overrides": {"heads": "4"}},
+         f"{bad}: [train] lr: lr must be finite and > 0, got nan", ("lr",)),
+        ({"preset": "gtea", "overrides": {"heads": "3"}},
+         "--heads: heads (3) must divide model dim (64)", ("heads", "hidden_dim")),
+        ({"preset": "gtea", "overrides": {"hidden_dim": "66"}},
+         "--hidden-dim: heads (4) must divide model dim (66)", ("heads", "hidden_dim")),
+        ({"preset": "gtea", "overrides": {"lr": "1e-3", "hidden_dim": "10", "heads": "5"}},
+         "--heads: heads (5) must divide model dim (64)", ("heads", "hidden_dim_refine")),
+        ({"overrides": {"sample_rate": "0"}},
+         "--sample-rate: sample_rate must be >= 1, got 0", ("sample_rate",)),
+        ({"overrides": {"attention": "full"}},
+         "--attention: relative positional encoding requires the local pattern",
+         ("pe_mode", "attention")),
+    ]
+    for kwargs, message, keys in cases:
+        with pytest.raises(ConfigError) as exc:
+            build_configs(**kwargs)
+        assert str(exc.value) == message and exc.value.keys == keys
+    bad.write_text("[model]\nheads = 5\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{bad}: [model] heads: heads (5)")):
+        build_configs("gtea", config_file=bad)
+
+
 def test_adam_state_lives_across_epochs():
     samples, _ = tiny_dataset(videos=1)
     cfg = tiny_model()
@@ -683,6 +714,37 @@ def test_a_loaded_split_is_held_one_video_at_a_time(tmp_path):
     for alone, every in zip(peaks("splits/largest.bundle"), peaks("splits/all.bundle")):
         assert every <= alone + largest // 2, (every, alone, largest)
         assert every < total, (every, total)
+
+
+def test_predict_never_holds_a_videos_whole_feature_matrix(tmp_path):
+    """tracemalloc over one predict_sample of a file-backed video at T = 2,000
+    and d_in = 2,048 (15.6 MiB of features), projected to the 50salads
+    preset's 128 hidden units: stage 0 projects the rows as they are read,
+    so it peaks at least 10 MiB below a forward of the whole array, with
+    every stage's logits byte-equal to that forward's."""
+    dim, frames = 2048, 2000
+    write_toy_dataset_lengths(tmp_path, [frames], dim, ["a", "b", "c"])
+    (sample,), _ = D.load_dataset(tmp_path, "splits/all.bundle")
+    cfg = tiny_model(input_dim=dim, hidden_dim=128)
+    params = N.init_params(cfg, T.SeedStreams(3))
+
+    def traced(run):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                out = run()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole, whole_peak = traced(lambda: N.model_forward(sample.load_features(), params, cfg))
+    blocks, _ = traced(lambda: N.model_forward(sample.feature_rows(), params, cfg))
+    labels, peak = traced(lambda: TR.predict_sample(params, cfg, sample))
+    assert whole_peak - peak >= 10 * 2**20, (whole_peak, peak)
+    assert labels.tobytes() == N.final_prediction(whole).tobytes()
+    for got, want in zip(blocks.logits, whole.logits):
+        assert got.data.tobytes() == want.data.tobytes()
 
 
 def write_toy_dataset_lengths(root, lengths, dim, names):
