@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .losses import check_boundary_loss
 from .net import ModelConfig
 from .trainer import TrainConfig
 
@@ -143,10 +144,11 @@ def build_configs(
 ) -> tuple[ModelConfig, TrainConfig, DataConfig]:
     """The configs of the keys set by the preset, then the config file, then
     the overrides; a later source wins. A key in ``required`` that no
-    source sets raises ``ConfigError`` naming it. A value a config refuses
-    raises ``ConfigError`` prefixed with where it came from: of the keys
-    the check names, the one set by the latest source (the first of those
-    on a tie)."""
+    source sets raises ``ConfigError`` naming it. A value a config refuses,
+    or a boundary weight the model's attention cannot take
+    (``losses.check_boundary_loss``), raises ``ConfigError`` prefixed with
+    where it came from: of the keys the check names, the one set by the
+    latest source (the first of those on a tie)."""
     table = field_table()
     types = {f.name: type(f.default) for cls in SECTIONS.values() for f in fields(cls)}
     layers: dict[str, dict] = {name: {} for name in SECTIONS}
@@ -178,7 +180,10 @@ def build_configs(
         if key not in layers[table[key]]:
             raise ConfigError(f"no {key} given: pass {flag_name(key)} or set it in --config")
     try:
-        return tuple(cls(**layers[section]) for section, cls in SECTIONS.items())
+        model, train, data = (cls(**layers[section]) for section, cls in SECTIONS.items())
+        if train.boundary_weight > 0:
+            check_boundary_loss(model.attention, model.window)
+        return model, train, data
     except ConfigError as exc:
         named = [sources[key] for key in exc.keys if key in sources]
         if not named:

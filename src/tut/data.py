@@ -23,12 +23,12 @@ The temporal sample rate is applied while reading, and one block loop
 copies every k-th row into the one array training consumes
 (``VideoSample.load_features``); at stride 1 it reads straight into it, and
 otherwise through a buffer of about ``CHUNK_BYTES``, so a strided read
-never holds the full-rate matrix. A forward-only pass reads
-``VideoSample.feature_rows()`` instead: a ``FeatureRows`` reader whose
-blocks of kept rows (strided views of one reused buffer)
-``net.model_forward`` projects as they arrive, so the (T, d) matrix never
-exists whole. ``load_dataset(..., stride=k)`` builds the strided samples
-and records their source length for upsampling.
+never holds the full-rate matrix. A forward-only pass hands
+``net.model_forward`` the sample itself, a row source: its
+``blocks(size)`` yields the same rows block by block (strided views of
+one reused buffer), which stage 0 projects as they arrive, so the (T, d)
+matrix never exists whole. ``load_dataset(..., stride=k)`` builds the
+strided samples and records their source length for upsampling.
 """
 
 from __future__ import annotations
@@ -73,7 +73,9 @@ class ClassMapping:
 @dataclass
 class VideoSample:
     """One video's labels and its features: held in ``features``, or, for a
-    sample ``load_dataset`` built, read from ``path`` on each use."""
+    sample ``load_dataset`` built, read from ``path`` on each use. A sample
+    is a row source of ``shape == (num_frames, feature_dim)``: ``blocks``
+    yields the rows ``load_features`` returns, block by block."""
 
     video_id: str
     features: np.ndarray | None  # (T, d) float32; None when read from `path`
@@ -98,6 +100,10 @@ class VideoSample:
     def feature_dim(self) -> int:
         return self.features.shape[1] if self.features is not None else self.file_shape[1]
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.num_frames, self.feature_dim
+
     def load_features(self) -> np.ndarray:
         """The ``(num_frames, d)`` float32 matrix a training forward consumes:
         the held array, or every ``stride``-th row of ``path``, read now. A
@@ -107,41 +113,19 @@ class VideoSample:
             return self.features
         return read_features(self.path, self.stride, shape=self.file_shape)[: self.num_frames]
 
-    def feature_rows(self) -> np.ndarray | FeatureRows:
-        """What a forward-only pass reads: the held array, or a
-        ``FeatureRows`` reader of ``path`` that reads the same rows block by
-        block when the forward iterates it."""
-        if self.features is not None:
-            return self.features
-        return FeatureRows(self.path, self.stride, self.file_shape, self.num_frames)
-
-
-@dataclass(frozen=True)
-class FeatureRows:
-    """A row source: every ``stride``-th row of a feature file, the first
-    ``frames`` of them, with ``shape == (frames, d)``. Each ``blocks``
-    pass opens the file and checks its header against ``file_shape``, the
-    (T, d) the load saw."""
-
-    path: Path
-    stride: int
-    file_shape: tuple[int, int]
-    frames: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.frames, self.file_shape[1]
-
     def blocks(self, size: int):
-        """Yield ``(start, rows)`` in row order: ``size`` kept rows at a
-        time, a tail under half that joined to the block before it, so no
-        block is shorter than ``size // 2`` unless the video is. ``rows`` is
-        a float32 view of one reused buffer (strided when ``stride > 1``),
+        """Yield ``(start, rows)`` of the rows ``load_features`` returns, at
+        ``_block_bounds(num_frames, size)``: a slice of the held array, or a
+        float32 view of one reused buffer (strided when ``stride > 1``)
         valid until the next block. A file whose header or size changed
         since the load raises ``DatasetError`` naming it."""
+        if self.features is not None:
+            for start, stop in _block_bounds(self.num_frames, size):
+                yield start, self.features[start:stop]
+            return
         with open(self.path, "rb") as fh:
             shape = _check_header(fh, self.path, self.file_shape)
-            yield from _read_blocks(fh, self.path, shape, self.stride, self.frames, size)
+            yield from _read_blocks(fh, self.path, shape, self.stride, self.num_frames, size)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ and ends one iff it is the last frame or its label differs from the next.
 
 ``total_loss`` reads the term weights and the boundary distance off the
 ``trainer.TrainConfig`` it is given, which checked them when it was built;
-the terms take plain values. ``tmse_loss`` clips at its default tau = 4.
+the terms take plain values. ``check_boundary_loss`` says which models
+the boundary loss can read; ``config.build_configs`` applies it too.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ if TYPE_CHECKING:  # trainer imports this module
     from .trainer import TrainConfig
 
 BA_DISTANCES = ("kl", "js", "l2", "wasserstein")
+BA_PATTERNS = ("local", "full")  # attention patterns that give every frame its window
+TMSE_CLIP = 4.0  # tau: the largest log-probability delta the smoothing loss counts
 
 
 @dataclass
@@ -41,12 +44,12 @@ def ce_loss(logits: Tensor, labels) -> Tensor:
     return T.cross_entropy_from_logits(logits, labels)
 
 
-def tmse_loss(logits: Tensor, clip_at: float = 4.0) -> Tensor:
+def tmse_loss(logits: Tensor) -> Tensor:
     """Truncated MSE over adjacent-frame log-probability deltas.
 
-    Deltas are clamped at +-clip_at before squaring and the frame t-1 branch
-    is detached, so smoothing never drags earlier frames toward later ones.
-    Returns 0 for single-frame videos.
+    Deltas are clamped at +-``TMSE_CLIP`` before squaring and the frame
+    t-1 branch is detached, so smoothing never drags earlier frames toward
+    later ones. Returns 0 for single-frame videos.
     """
     t, c = logits.data.shape
     if t < 2:
@@ -54,8 +57,22 @@ def tmse_loss(logits: Tensor, clip_at: float = 4.0) -> Tensor:
     logp = T.log_softmax_lastdim(logits)
     cur = T.slice_rows(logp, 1, t)
     prev = Tensor(logp.data[:-1])
-    delta = T.clip(T.sub(cur, prev), -clip_at, clip_at)
+    delta = T.clip(T.sub(cur, prev), -TMSE_CLIP, TMSE_CLIP)
     return T.mul(T.sum_all(T.mul(delta, delta)), 1.0 / ((t - 1) * c))
+
+
+def check_boundary_loss(attention: str, window: int):
+    """Refuse a model the boundary loss cannot read: a pattern with no local
+    window per frame, or a window with no neighbour on either side."""
+    if attention not in BA_PATTERNS:
+        raise ConfigError(
+            f"boundary loss is undefined for the {attention} pattern",
+            ("boundary_weight", "attention"),
+        )
+    if window < 3:
+        raise ConfigError(
+            f"boundary loss needs a window >= 3, got {window}", ("boundary_weight", "window")
+        )
 
 
 def derive_boundaries(labels) -> BoundarySet:
@@ -147,8 +164,7 @@ def _record_ba(
     kind: str,
     dtype,
 ) -> Tensor | None:
-    if record.pattern not in ("local", "full"):  # whether or not a frame has a full window
-        raise ConfigError(f"boundary loss is undefined for the {record.pattern} pattern")
+    check_boundary_loss(record.pattern, window)
     mapped = _map_boundaries(boundaries, full_len, record.query_len)
     half = window // 2
     lo, hi = half, record.query_len - 1 - half

@@ -290,43 +290,34 @@ def decoder_layer(
     return out, record
 
 
-def _input_projection(params, cfg: ModelConfig, stage: int, x: Tensor, streams) -> Tensor:
+def _input_projection(params, cfg: ModelConfig, stage: int, x: Tensor, streams, start=0) -> Tensor:
     """Positional encoding, input dropout and the projection to the stage's
-    hidden width."""
+    hidden width; ``x`` holds the sequence's rows from ``start`` on."""
     t, in_dim = x.data.shape
     if cfg.pe_mode == "sinusoidal":
-        x = T.add(x, Tensor(sinusoidal_encoding(t, in_dim, dtype=x.data.dtype)))
+        x = T.add(x, Tensor(sinusoidal_encoding(t, in_dim, dtype=x.data.dtype, start=start)))
     elif cfg.pe_mode == "learnable":
-        x = T.add(x, T.slice_rows(params[f"stage{stage}.ape.w"], 0, t))
+        x = T.add(x, T.slice_rows(params[f"stage{stage}.ape.w"], start, start + t))
     if streams is not None:
         x = T.dropout(x, cfg.input_dropout, streams.stream(f"dropout:stage{stage}.input"))
     return T.linear(x, params[f"stage{stage}.proj.w"], params[f"stage{stage}.proj.b"])
 
 
 def _project_blocks(params, cfg: ModelConfig, stage: int, source) -> Tensor:
-    """``_input_projection`` of a row source, with no graph and no dropout:
-    each ``(start, rows)`` block is cast to the model dtype, gets its rows of
-    the positional encoding and is multiplied into rows start..stop of the
-    (T, hidden) output, so the (T, input_dim) input never exists whole.
-    Every element takes the whole-array path's operations in its order, and
-    a block of ``BLOCK_MACS`` (at least half that for a tail) keeps the
-    product's sums in the whole product's order too."""
+    """``_input_projection`` of a row source, block by block, with no graph
+    and no dropout: each ``(start, rows)`` block, in the model dtype, fills
+    rows start..stop of the (T, hidden) output, so the (T, input_dim) input
+    never exists whole. A block of ``BLOCK_MACS`` (at least half that for a
+    tail) keeps the product's sums in the whole product's order, so every
+    element is the whole-array path's."""
     t, in_dim = source.shape
     w, b = params[f"stage{stage}.proj.w"].data, params[f"stage{stage}.proj.b"].data
     if in_dim != w.shape[0]:
         raise ShapeError(f"linear: {tuple(source.shape)} x {w.shape} + {b.shape}")
-    dtype = cfg.np_dtype
-    h = np.empty((t, w.shape[1]), dtype=dtype)
+    h = np.empty((t, w.shape[1]), dtype=cfg.np_dtype)
     for start, rows in source.blocks(-(-BLOCK_MACS // w.size)):
-        stop = start + rows.shape[0]
-        if rows.dtype != dtype:
-            rows = rows.astype(dtype)
-        if cfg.pe_mode == "sinusoidal":
-            rows = rows + sinusoidal_encoding(stop - start, in_dim, dtype=dtype, start=start)
-        elif cfg.pe_mode == "learnable":
-            rows = rows + params[f"stage{stage}.ape.w"].data[start:stop]
-        np.matmul(rows, w, out=h[start:stop])
-        h[start:stop] += b
+        x = Tensor(rows.astype(cfg.np_dtype, copy=False))
+        h[start : start + len(rows)] = _input_projection(params, cfg, stage, x, None, start).data
     return Tensor(h)
 
 
@@ -387,22 +378,21 @@ def model_forward(
     layer below drops out iff it is given streams, so this is the one place
     that decides.
 
-    ``x`` is the (T, input_dim) features: an array or a Tensor, or, under
-    ``tensor.no_grad``, a row source such as ``data.FeatureRows``:
-    ``x.shape == (T, input_dim)``, and ``x.blocks(size)`` yields ``(start,
-    rows)`` in row order, ``size`` rows at a time and never fewer than
-    ``size // 2`` unless T is. Stage 0 projects a row source as it is read,
-    so the whole matrix is never held, and every logit is byte-equal to the
-    whole array's. Training needs the array, since the projection's backward
-    reads it, so a row source raises ``TypeError`` while grad is enabled.
+    ``x`` is the (T, input_dim) features: an array, a Tensor of the model
+    dtype, or, under ``tensor.no_grad``, a row source such as a
+    ``data.VideoSample``: ``x.shape == (T, input_dim)``, and
+    ``x.blocks(size)`` yields ``(start, rows)`` in row order, ``size`` rows
+    at a time and never fewer than ``size // 2`` unless T is. Stage 0
+    projects a row source as it is read, so the whole matrix is never held,
+    and every logit is byte-equal to the whole array's. Training needs the
+    array, since the projection's backward reads it, so a row source raises
+    ``TypeError`` while grad is enabled.
     """
     if hasattr(x, "blocks"):
         if T.grad_enabled():
             raise TypeError("a row source is read only under no_grad; training needs the array")
     elif not isinstance(x, Tensor):
         x = Tensor(np.ascontiguousarray(x, dtype=cfg.np_dtype))
-    elif x.data.dtype != cfg.np_dtype:
-        x = Tensor(x.data.astype(cfg.np_dtype), requires_grad=x.requires_grad)
     out = StageOutputs(logits=[], records=[])
     streams = streams if train else None
     stage_in = x
@@ -567,7 +557,7 @@ RETIRED_KEYS = {
 }
 
 
-def load_checkpoint(path, expected_cfg: ModelConfig | None = None):
+def load_checkpoint(path):
     """Rebuild (params, config); shapes are validated against the config.
 
     A retired config key is dropped when it holds its one value; any other
@@ -583,8 +573,6 @@ def load_checkpoint(path, expected_cfg: ModelConfig | None = None):
         value = RETIRED_KEYS[key](cfg)
         if found != value:
             raise CheckpointError(f"{path}: retired config key {key!r} is {found!r}, not {value!r}")
-    if expected_cfg is not None and asdict(expected_cfg) != asdict(cfg):
-        raise CheckpointError(f"{path}: config does not match the requested model config")
     expected = param_shapes(cfg)
     params: dict[str, Tensor] = {}
     for (name, _, shape, _), data in zip(entries, payloads):

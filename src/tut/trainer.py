@@ -4,9 +4,9 @@ the ablation grid harness.
 One optimizer step per video (batch size 1); the learning rate halves after
 the epoch-mean training loss has exceeded its predecessor three times since
 the last halving. Each step reads its video's features through
-``VideoSample.load_features`` and each prediction through
-``VideoSample.feature_rows``, so a loaded split is held one video at a
-time, and a prediction holds no video's whole feature matrix.
+``VideoSample.load_features`` and each prediction through the sample's
+blocks, so a loaded split is held one video at a time, and a prediction
+holds no video's whole feature matrix.
 """
 
 from __future__ import annotations
@@ -184,14 +184,14 @@ def log_csv(rows: list[dict]) -> str:
 def predict_sample(params: dict[str, Tensor], cfg: ModelConfig, sample: VideoSample) -> np.ndarray:
     """Dropout-free, graph-free forward; labels from the last stage, one per
     kept frame (``restore_source_rate`` maps them back to the source rate).
-    A sample read from a file is projected block by block as it is read
-    (``VideoSample.feature_rows``), so its whole feature matrix is never
-    held. Features not ``cfg.input_dim`` wide raise ``DatasetError``."""
+    Stage 0 projects the sample block by block (``VideoSample.blocks``),
+    so the whole feature matrix of a sample read from a file is never held.
+    Features not ``cfg.input_dim`` wide raise ``DatasetError``."""
     if sample.feature_dim != cfg.input_dim:
         where, width = sample.path or sample.video_id, sample.feature_dim
         raise DatasetError(f"{where}: features are {width} wide, the model takes {cfg.input_dim}")
     with no_grad():
-        return final_prediction(model_forward(sample.feature_rows(), params, cfg, train=False))
+        return final_prediction(model_forward(sample, params, cfg, train=False))
 
 
 def restore_source_rate(labels: np.ndarray, sample: VideoSample) -> np.ndarray:

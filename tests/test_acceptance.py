@@ -473,12 +473,12 @@ def test_c04_loss_correctness():
     checks = []
     # clamp: |delta| > 4 contributes exactly theta^2 = 16
     logits = T.tensor(np.array([[0.0, 10.0], [10.0, 0.0]]))
-    checks.append(abs(float(L.tmse_loss(logits, 4.0).data) - 16.0) < 1e-9)
+    checks.append(abs(float(L.tmse_loss(logits).data) - 16.0) < 1e-9)
 
     # stop-gradient: frame 0 appears only in the detached branch
     base = np.random.default_rng(2).standard_normal((6, 3))
     tl = T.tensor(base, requires_grad=True)
-    L.tmse_loss(tl, 4.0).backward()
+    L.tmse_loss(tl).backward()
     checks.append(np.allclose(tl.grad[0], 0.0))
 
     checks.append(np.allclose(L.prior("start", 5), [0, 0, 1 / 3, 1 / 3, 1 / 3]))

@@ -625,7 +625,8 @@ def test_ablate_with_a_refused_setting_exits_2_and_writes_no_grid(synth_root, tm
 
 def test_logsparse_with_boundary_loss_exits_2_and_writes_nothing(synth_root, tmp_path, capsys):
     """The boundary loss reads local windows, which logsparse attention has
-    not: training stops at its first step, before anything is written."""
+    not: the configs refuse the pair when they are built, before anything is
+    written."""
     out = tmp_path / "run"
     argv = ["train", "--data-root", str(synth_root), "--out", str(out), "--seed", "1",
             "--epochs", "1", *SMALL_MODEL, "--attention", "logsparse", "--pe-mode", "none",
@@ -634,6 +635,43 @@ def test_logsparse_with_boundary_loss_exits_2_and_writes_nothing(synth_root, tmp
     assert main(argv) == 2
     assert "undefined for the logsparse pattern" in _one_error_line(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config,flags,error",
+    [
+        (None, ["--attention", "logsparse", "--pe-mode", "none", "--boundary-weight", "0.1"],
+         "--boundary-weight: boundary loss is undefined for the logsparse pattern"),
+        (None, ["--boundary-weight", "0.1", "--window", "1"],
+         "--boundary-weight: boundary loss needs a window >= 3, got 1"),
+        ("[train]\nboundary_weight = 0.1\n", ["--window", "1"],
+         "--window: boundary loss needs a window >= 3, got 1"),
+        ("[model]\nwindow = 1\n", ["--preset", "gtea"],
+         "ba.cfg: [model] window: boundary loss needs a window >= 3, got 1"),
+        ("[model]\nattention = full\n[train]\nboundary_weight = 0.1\n",
+         ["--attention", "logsparse", "--pe-mode", "none"],
+         "--attention: boundary loss is undefined for the logsparse pattern"),
+    ],
+    ids=["logsparse-flags", "window-flags", "window-flag-over-file", "file-over-preset",
+         "attention-flag-over-file"],
+)
+def test_boundary_loss_the_model_cannot_take_is_refused_before_the_split_is_read(
+    tmp_path, capsys, config, flags, error
+):
+    """A boundary weight with logsparse attention or a window under 3 is
+    refused when the configs are built: exit 2, one line naming the source
+    of the latest of the two keys, before the split (here a missing data
+    root) is read and before --out is made."""
+    argv = ["train", "--data-root", str(tmp_path / "no-data"), "--out", str(tmp_path / "run"),
+            "--seed", "1", "--epochs", "1", *flags]
+    if config is not None:
+        (tmp_path / "ba.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "ba.cfg")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    line = _one_error_line(capsys)
+    assert line.endswith(error), line
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("flag", ["--input-dim", "--num-classes"])

@@ -53,7 +53,7 @@ def test_damaged_feature_file_loads_identically_or_raises(tmp_path, data):
     """A truncation anywhere, or a byte flip anywhere in the 28-byte header,
     loads the same array (every stride-th row of it, at any stride) or
     raises DatasetError, through ``read_features`` and through the
-    ``FeatureRows`` reader a forward-only pass iterates. The format has no
+    ``VideoSample.blocks`` a forward-only pass iterates. The format has no
     checksum, so a flip inside the float payload loads a changed value; such
     flips are not drawn."""
     arr = np.random.default_rng(5).standard_normal((6, 4)).astype(np.float32)
@@ -68,7 +68,8 @@ def test_damaged_feature_file_loads_identically_or_raises(tmp_path, data):
         damaged = raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1 :]
     path.write_bytes(damaged)
     stride = data.draw(st.integers(1, 4), label="stride")
-    rows = D.FeatureRows(path, stride, arr.shape, len(arr[::stride]))
+    labels = np.zeros(len(arr[::stride]), dtype=np.int64)
+    rows = D.VideoSample("x", None, labels, stride=stride, path=path, file_shape=arr.shape)
     for read in (
         lambda: D.read_features(path, stride),
         lambda: np.concatenate([kept.copy() for _, kept in rows.blocks(2)]),
@@ -307,7 +308,7 @@ def test_feature_file_changed_after_loading_raises_dataset_error(tmp_path, chang
     with pytest.raises(DatasetError, match=re.escape(str(path))):
         sample.load_features()
     with pytest.raises(DatasetError, match=re.escape(str(path))):
-        list(sample.feature_rows().blocks(2))
+        list(sample.blocks(2))
 
 
 @pytest.mark.parametrize("stride", [1, 2, 3])
@@ -315,8 +316,8 @@ def test_feature_file_changed_after_loading_raises_dataset_error(tmp_path, chang
 def test_feature_rows_blocks_cover_the_strided_rows(tmp_path, rows, stride):
     """``blocks(size)`` yields the rows ``load_features`` returns, in order,
     in blocks of ``size`` and never fewer than ``size // 2`` unless the
-    video is shorter, each a view of one reused buffer; labels shorter than
-    the file leave its last rows unread."""
+    video is shorter, each a view of one reused buffer (of the array a held
+    sample holds); labels shorter than the file leave its last rows unread."""
     size = 128
     write_toy_dataset(tmp_path, {"v": ["a", "b"] * (rows + 1)}, d=5)
     path = tmp_path / "features" / "v.feat"
@@ -324,10 +325,10 @@ def test_feature_rows_blocks_cover_the_strided_rows(tmp_path, rows, stride):
     D.write_features(path, features)
     (sample,), _ = D.load_dataset(tmp_path, "splits/all.bundle", stride=stride)
     cut = dataclasses.replace(sample, labels=sample.labels[: max(1, sample.num_frames - 2)])
-    for s in (sample, cut):
-        source = s.feature_rows()
-        assert isinstance(source, D.FeatureRows) and source.shape == (s.num_frames, 5)
-        blocks = [(start, kept.copy(), kept.base) for start, kept in source.blocks(size)]
+    held = D.VideoSample("v", sample.load_features(), sample.labels)
+    for s in (sample, cut, held):
+        assert s.shape == (s.num_frames, 5)
+        blocks = [(start, kept.copy(), kept.base) for start, kept in s.blocks(size)]
         sizes = [len(kept) for _, kept, _ in blocks]
         assert [start for start, _, _ in blocks] == list(np.cumsum([0] + sizes[:-1]))
         assert sum(sizes) == s.num_frames

@@ -739,12 +739,35 @@ def test_predict_never_holds_a_videos_whole_feature_matrix(tmp_path):
             tracemalloc.stop()
 
     whole, whole_peak = traced(lambda: N.model_forward(sample.load_features(), params, cfg))
-    blocks, _ = traced(lambda: N.model_forward(sample.feature_rows(), params, cfg))
+    blocks, _ = traced(lambda: N.model_forward(sample, params, cfg))
     labels, peak = traced(lambda: TR.predict_sample(params, cfg, sample))
     assert whole_peak - peak >= 10 * 2**20, (whole_peak, peak)
     assert labels.tobytes() == N.final_prediction(whole).tobytes()
     for got, want in zip(blocks.logits, whole.logits):
         assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("pe_mode", ["relative", "sinusoidal", "learnable"])
+def test_predict_on_a_held_sample_gives_the_whole_array_labels(monkeypatch, pe_mode, dtype):
+    """A held sample is a row source too: predict_sample projects its array
+    block by block (8 rows here) and gives the labels of a forward over the
+    whole array byte for byte, from logits byte-equal to that forward's."""
+    cfg = tiny_model(pe_mode=pe_mode, dtype=dtype)
+    monkeypatch.setattr(N, "BLOCK_MACS", 8 * cfg.input_dim * cfg.hidden_dim)
+    params = N.init_params(cfg, T.SeedStreams(4))
+    rng = np.random.default_rng(4)
+    for p in params.values():  # no zero encoding table or bias: every term counts
+        p.data += rng.uniform(-0.5, 0.5, p.data.shape)
+    samples, _ = tiny_dataset(videos=3)
+    for sample in samples:
+        with T.no_grad():
+            whole = N.model_forward(sample.features, params, cfg)
+            blocks = N.model_forward(sample, params, cfg)
+        labels = TR.predict_sample(params, cfg, sample)
+        assert labels.tobytes() == N.final_prediction(whole).tobytes()
+        for got, want in zip(blocks.logits, whole.logits):
+            assert got.data.tobytes() == want.data.tobytes()
 
 
 def write_toy_dataset_lengths(root, lengths, dim, names):
