@@ -16,11 +16,11 @@ mixes the value rows those slots read. Attention dropout sits between them.
 Out-of-range slots are masked before the softmax. The offsets and the
 additive mask of the edge rows depend only on the pattern, the two lengths
 and w, so ``slot_layout`` builds them once per shape and every call of that
-shape shares the read-only result. The pre-dropout probabilities are kept
-on the record, with the layout, so the boundary loss can read similarity
-distributions straight out of the forward pass. Under ``tensor.no_grad``
-there is no loss to read them, so ``attend`` returns no record and the
-probabilities are freed once the mixing has read them.
+shape shares the read-only result. ``attend`` returns the pre-dropout
+probability node beside its output, so the boundary loss can read
+similarity distributions straight out of the forward pass. Under
+``tensor.no_grad`` there is no loss to read them, so ``attend`` returns
+None for them and they are freed once the mixing has read them.
 
 ``attend`` takes only the settings it reads (pattern, window, heads and
 dropout rate) and a relative-position table as a plain (w, heads) tensor.
@@ -31,7 +31,6 @@ They are held in ``net.ModelConfig``, checked once when it is built, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,30 +40,6 @@ from .errors import ShapeError
 from .tensor import SlotLayout, Tensor
 
 PATTERNS = ("full", "local", "logsparse")
-
-
-@dataclass
-class AttentionRecord:
-    """One layer's post-softmax attention in slot layout: what the boundary
-    loss reads.
-
-    ``probs`` is the (query_len, heads, slots) graph node of every head's
-    probabilities (pre-dropout, so the in-range slots of each row sum to 1),
-    and ``layout`` the shared layout it was computed with: slot j of query
-    row i reads key i + layout.offsets[j], or key j for full attention.
-    """
-
-    pattern: str
-    probs: Tensor
-    layout: SlotLayout
-
-    @property
-    def query_len(self) -> int:
-        return self.probs.data.shape[0]
-
-    @property
-    def heads(self) -> int:
-        return self.probs.data.shape[1]
 
 
 def slot_offsets(pattern: str, key_len: int, window: int) -> np.ndarray | None:
@@ -104,11 +79,13 @@ def attend(
     dropout: float = 0.0,
     rpe: Tensor | None = None,
     rng: np.random.Generator | None = None,
-) -> tuple[Tensor, AttentionRecord | None]:
+) -> tuple[Tensor, Tensor | None]:
     """``heads``-head attention under ``pattern``; returns the (T_q, d)
-    output and its record, or None for the record when no graph is being
-    built. Attention dropout at rate ``dropout`` draws from ``rng`` and
-    applies only when one is given.
+    output and the (T_q, heads, S) pre-dropout probabilities, whose
+    in-range slots of each row sum to 1 (slot j of row i reads key
+    i + offsets[j], or key j for full attention), or None for them when no
+    graph is being built. Attention dropout at rate ``dropout`` draws from
+    ``rng`` and applies only when one is given.
 
     Local rows see keys in [i - w//2, i + w//2], clamped: the softmax
     normalizes over in-range slots only, and row j - i + w//2 of the
@@ -124,8 +101,7 @@ def attend(
     p_used = probs
     if rng is not None:  # draw head-major, as per-head (T_q, S) masks from this stream would
         p_used = T.dropout(probs, dropout, rng, draw_axes=(1, 0, 2))
-    record = AttentionRecord(pattern, probs, layout) if T.grad_enabled() else None
-    return T.slot_mix(p_used, v, layout), record
+    return T.slot_mix(p_used, v, layout), probs if T.grad_enabled() else None
 
 
 def sinusoidal_encoding(length: int, dim: int, dtype=np.float64, start: int = 0) -> np.ndarray:

@@ -7,9 +7,11 @@ segment iff it is frame 0 or its label differs from the previous frame,
 and ends one iff it is the last frame or its label differs from the next.
 
 ``total_loss`` reads the term weights and the boundary distance off the
-``trainer.TrainConfig`` it is given, which checked them when it was built;
-the terms take plain values. ``check_boundary_loss`` says which models
-the boundary loss can read; ``config.build_configs`` applies it too.
+``trainer.TrainConfig``, and the attention pattern and window off the
+``net.ModelConfig``; each checked itself when it was built, and the terms
+take plain values. The boundary term reads the probability nodes of
+``net.StageOutputs.records``. ``check_boundary_loss`` says which models it
+can read; ``config.build_configs`` and ``trainer.train`` apply it too.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionRecord
 from .errors import ConfigError, ShapeError
-from .net import StageOutputs
+from .net import ModelConfig, StageOutputs
 from .tensor import Tensor
 
 if TYPE_CHECKING:  # trainer imports this module
@@ -107,25 +108,25 @@ def prior(variant: str, window: int) -> np.ndarray:
     return values
 
 
-def _lad_rows(record: AttentionRecord, frames: np.ndarray, window: int) -> Tensor:
-    """Head-averaged, renormalized attention windows of the given frames.
+def _lad_rows(probs: Tensor, frames: np.ndarray, attention: str, window: int) -> Tensor:
+    """Head-averaged, renormalized windows of the given frames, read from
+    (T_q, heads, S) probabilities under ``attention``.
 
-    Each head's window sums to 1 before the average, so a full record gives
-    the local record's rows and every head weighs the same.
+    Each head's window sums to 1 before the average, so full attention gives
+    local attention's rows and every head weighs the same.
     """
-    probs = record.probs
-    if record.pattern == "local":
-        if probs.data.shape[2] != window:
-            raise ShapeError(f"record window {probs.data.shape[2]} != requested {window}")
+    _, heads, slots = probs.data.shape
+    if attention == "local":
+        if slots != window:
+            raise ShapeError(f"attention window {slots} != requested {window}")
         rows = T.gather_rows(probs, frames)
     else:  # full: frame f's window is slots f - w//2 .. f + w//2
-        _, heads, key_len = probs.data.shape
         keys = frames[:, None, None] + np.arange(-(window // 2), window // 2 + 1)
-        flat = (frames[:, None, None] * heads + np.arange(heads)[None, :, None]) * key_len + keys
+        flat = (frames[:, None, None] * heads + np.arange(heads)[None, :, None]) * slots + keys
         rows = T.gather_rows(T.reshape(probs, (-1,)), flat)
         # renormalize each head over its window, as a local row already is
         rows = T.div(rows, T.sum_axis(rows, axis=2, keepdims=True))
-    avg = T.mul(T.sum_axis(rows, axis=1), 1.0 / record.heads)
+    avg = T.mul(T.sum_axis(rows, axis=1), 1.0 / heads)
     return T.div(avg, T.sum_axis(avg, axis=1, keepdims=True))
 
 
@@ -146,28 +147,28 @@ def _distance(kind: str, priors: Tensor, lads: Tensor) -> Tensor:
     raise ConfigError(f"unknown boundary distance {kind!r}")
 
 
-def _map_boundaries(boundaries: BoundarySet, full_len: int, record_len: int) -> BoundarySet:
-    if record_len == full_len:
+def _map_boundaries(boundaries: BoundarySet, full_len: int, query_len: int) -> BoundarySet:
+    if query_len == full_len:
         return boundaries
-    if record_len == (full_len + 1) // 2:
+    if query_len == (full_len + 1) // 2:
         return BoundarySet(
             np.unique(boundaries.start_frames // 2), np.unique(boundaries.end_frames // 2)
         )
-    raise ShapeError(f"record length {record_len} not derivable from video length {full_len}")
+    raise ShapeError(f"attention length {query_len} not derivable from video length {full_len}")
 
 
 def _record_ba(
-    record: AttentionRecord,
+    probs: Tensor,
     boundaries: BoundarySet,
     full_len: int,
+    attention: str,
     window: int,
     kind: str,
-    dtype,
 ) -> Tensor | None:
-    check_boundary_loss(record.pattern, window)
-    mapped = _map_boundaries(boundaries, full_len, record.query_len)
+    query_len = probs.data.shape[0]
+    mapped = _map_boundaries(boundaries, full_len, query_len)
     half = window // 2
-    lo, hi = half, record.query_len - 1 - half
+    lo, hi = half, query_len - 1 - half
     rows = []
     prior_rows = []
     for variant, frames in (("start", mapped.start_frames), ("end", mapped.end_frames)):
@@ -178,32 +179,35 @@ def _record_ba(
     if not rows:
         return None
     frames = np.concatenate(rows)
-    priors = Tensor(np.concatenate(prior_rows).astype(dtype))
-    lads = _lad_rows(record, frames, window)
-    return T.mul(_distance(kind, priors, lads), 1.0 / record.query_len)
+    priors = Tensor(np.concatenate(prior_rows).astype(probs.data.dtype))
+    lads = _lad_rows(probs, frames, attention, window)
+    return T.mul(_distance(kind, priors, lads), 1.0 / query_len)
 
 
 def ba_loss(
-    records: tuple[AttentionRecord | None, AttentionRecord | None],
+    records: tuple[Tensor | None, Tensor | None],
     boundaries: BoundarySet,
     distance: str,
+    attention: str,
     window: int,
     full_len: int,
 ) -> Tensor:
     """Boundary divergence (one of ``BA_DISTANCES``) summed over the
-    designated layer pair.
+    designated layer pair: (T_q, heads, S) probabilities under
+    ``attention`` with ``window``, a pair ``check_boundary_loss`` must take.
 
-    The decoder-last record sits at full resolution; under the resampling
-    architecture the encoder-first record sits at ceil(T/2), so boundary
+    The decoder-last layer sits at full resolution; under the resampling
+    architecture the encoder-first layer sits at ceil(T/2), so boundary
     indices are mapped t -> t // 2 (deduplicated) and the full-window
-    restriction is re-checked there. Each record's sum is normalized by its
+    restriction is re-checked there. Each layer's sum is normalized by its
     own sequence length. Frames without a full window contribute nothing.
     """
-    present = [r for r in records if r is not None]
-    dtype = present[0].probs.data.dtype if present else np.float64
+    check_boundary_loss(attention, window)
+    present = [p for p in records if p is not None]
+    dtype = present[0].data.dtype if present else np.float64
     total = Tensor(np.asarray(0.0, dtype=dtype))
-    for record in present:
-        term = _record_ba(record, boundaries, full_len, window, distance, dtype)
+    for probs in present:
+        term = _record_ba(probs, boundaries, full_len, attention, window, distance)
         if term is not None:
             total = T.add(total, term)
     return total
@@ -213,10 +217,10 @@ def total_loss(
     outputs: StageOutputs,
     labels,
     cfg: TrainConfig,
-    window: int,
+    model_cfg: ModelConfig,
 ) -> tuple[Tensor, dict[str, float]]:
-    """Sum over stages of each term weighted as ``cfg`` says; the breakdown
-    is for logging."""
+    """Sum over stages of each term weighted as ``cfg`` says, the boundary
+    term read as ``model_cfg`` attends; the breakdown is for logging."""
     labels = np.asarray(labels)
     full_len = labels.shape[0]
     boundaries = derive_boundaries(labels) if cfg.boundary_weight > 0 else None
@@ -231,7 +235,8 @@ def total_loss(
             term = T.add(term, T.mul(smooth, cfg.smooth_weight))
         if cfg.boundary_weight > 0:
             ba = ba_loss(
-                outputs.records[stage], boundaries, cfg.boundary_distance, window, full_len
+                outputs.records[stage], boundaries, cfg.boundary_distance,
+                model_cfg.attention, model_cfg.window, full_len,
             )
             breakdown["ba"] += float(ba.data)
             term = T.add(term, T.mul(ba, cfg.boundary_weight))

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import PATTERNS, AttentionRecord, attend, sinusoidal_encoding, slot_count
+from .attention import PATTERNS, attend, sinusoidal_encoding, slot_count
 from .errors import CheckpointError, ConfigError, ShapeError
 from .tensor import SeedStreams, Tensor, downsample_nearest, upsample_nearest
 
@@ -118,14 +118,14 @@ class ModelConfig:
 
 @dataclass
 class StageOutputs:
-    """Per-stage frame logits plus what the losses need.
-
+    """Per-stage frame logits plus what the losses need: the probability
+    nodes ``attend`` returned for encoder layer 1 and decoder layer N.
     A forward under ``tensor.no_grad`` builds no loss, so each stage's
     records are (None, None) there."""
 
     logits: list[Tensor]
     # (encoder first, decoder last)
-    records: list[tuple[AttentionRecord | None, AttentionRecord | None]]
+    records: list[tuple[Tensor | None, Tensor | None]]
 
 
 def final_prediction(outputs: StageOutputs) -> np.ndarray:
@@ -238,23 +238,21 @@ def encoder_layer(
     stage: int,
     layer: int,
     streams: SeedStreams | None = None,
-) -> tuple[Tensor, AttentionRecord | None]:
+) -> tuple[Tensor, Tensor | None]:
     """Downsample, windowed self-attention, norm, FFN, norm."""
-    if h_prev.data.shape[0] < 1:
-        raise ConfigError("too many layers for sequence length")
     prefix = f"stage{stage}.enc{layer}"
     _, hidden = cfg.stage_dims(stage)
     h1 = downsample_nearest(h_prev) if cfg.architecture == "utrans" else h_prev
     qkv = T.linear(h1, params[f"{prefix}.qkv.w"], params[f"{prefix}.qkv.b"])
     q, k, v = (T.slice_cols(qkv, i * hidden, (i + 1) * hidden) for i in range(3))
     rng = streams.stream(f"dropout:{prefix}.attn") if streams is not None else None
-    attn, record = attend(
+    attn, probs = attend(
         q, k, v, cfg.attention, cfg.window, cfg.heads, cfg.attention_dropout,
         rpe=_rpe_for(params, cfg, stage, "enc", layer), rng=rng,
     )
     h2 = _norm(params, f"{prefix}.norm1", attn, h1)
     out = _norm(params, f"{prefix}.norm2", _ffn(params, cfg, prefix, h2, streams), h2)
-    return out, record
+    return out, probs
 
 
 def decoder_layer(
@@ -265,29 +263,25 @@ def decoder_layer(
     stage: int,
     layer: int,
     streams: SeedStreams | None = None,
-) -> tuple[Tensor, AttentionRecord | None]:
+) -> tuple[Tensor, Tensor | None]:
     """Upsample, cross-attention (Q from the decoder path, K/V from the
     same-resolution encoder output), norm, FFN, norm."""
     prefix = f"stage{stage}.dec{layer}"
     _, hidden = cfg.stage_dims(stage)
     target_len = h_enc_peer.data.shape[0]
     h1 = upsample_nearest(h_prev_dec, target_len) if cfg.architecture == "utrans" else h_prev_dec
-    if h1.data.shape[0] != target_len:
-        raise ShapeError(
-            f"decoder length {h1.data.shape[0]} does not match encoder peer {target_len}"
-        )
     w, b = params[f"{prefix}.qkv.w"], params[f"{prefix}.qkv.b"]
     q = T.linear(h1, w, b, cols=(0, hidden))
     kv = T.linear(h_enc_peer, w, b, cols=(hidden, 3 * hidden))
     k, v = T.slice_cols(kv, 0, hidden), T.slice_cols(kv, hidden, 2 * hidden)
     rng = streams.stream(f"dropout:{prefix}.attn") if streams is not None else None
-    attn, record = attend(
+    attn, probs = attend(
         q, k, v, cfg.attention, cfg.window, cfg.heads, cfg.attention_dropout,
         rpe=_rpe_for(params, cfg, stage, "dec", layer), rng=rng,
     )
     h2 = _norm(params, f"{prefix}.norm1", attn, h1)
     out = _norm(params, f"{prefix}.norm2", _ffn(params, cfg, prefix, h2, streams), h2)
-    return out, record
+    return out, probs
 
 
 def _input_projection(params, cfg: ModelConfig, stage: int, x: Tensor, streams, start=0) -> Tensor:
@@ -321,6 +315,18 @@ def _project_blocks(params, cfg: ModelConfig, stage: int, source) -> Tensor:
     return Tensor(h)
 
 
+def check_length(cfg: ModelConfig, t: int):
+    """Refuse a sequence length the model cannot take: none is empty, a
+    U-transformer halves it once per layer, and a learnable encoding has
+    ``PE_MAX_LEN`` rows."""
+    if t < 1:
+        raise ConfigError("sequence length 0: the model needs at least 1 frame")
+    if cfg.architecture == "utrans" and t < 2**cfg.layers:
+        raise ConfigError(f"too many layers for sequence length: T={t} < 2^{cfg.layers}")
+    if cfg.pe_mode == "learnable" and t > PE_MAX_LEN:
+        raise ConfigError(f"sequence length {t} exceeds the learnable encoding's {PE_MAX_LEN} rows")
+
+
 def stage_forward(
     x,
     params: dict[str, Tensor],
@@ -330,16 +336,8 @@ def stage_forward(
 ):
     """One projection -> encoder -> decoder -> classifier pass on a Tensor
     or (stage 0, under ``no_grad``) a row source; returns the logits and the
-    (encoder first, decoder last) records."""
-    t = x.shape[0]
-    if cfg.architecture == "utrans" and t < 2**cfg.layers:
-        raise ConfigError(
-            f"too many layers for sequence length: T={t} < 2^{cfg.layers}"
-        )
-    if cfg.pe_mode == "learnable" and t > PE_MAX_LEN:
-        raise ConfigError(
-            f"sequence length {t} exceeds the learnable encoding's {PE_MAX_LEN} rows"
-        )
+    (encoder first, decoder last) attention probabilities."""
+    check_length(cfg, x.shape[0])
     if isinstance(x, Tensor):
         h = _input_projection(params, cfg, stage, x, streams)
     else:
@@ -348,10 +346,10 @@ def stage_forward(
     enc_outputs = [h]
     enc_first = None
     for layer in range(1, cfg.layers + 1):
-        h, record = encoder_layer(h, params, cfg, stage, layer, streams)
+        h, probs = encoder_layer(h, params, cfg, stage, layer, streams)
         enc_outputs.append(h)
         if layer == 1:
-            enc_first = record
+            enc_first = probs
 
     d = enc_outputs[-1]
     dec_last = None

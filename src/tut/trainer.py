@@ -22,9 +22,10 @@ import numpy as np
 from . import metrics as M
 from .data import ClassMapping, VideoSample, upsample_predictions
 from .errors import ConfigError, DatasetError, NumericError, TrainingDiverged
-from .losses import BA_DISTANCES, total_loss
+from .losses import BA_DISTANCES, check_boundary_loss, total_loss
 from .net import (
     ModelConfig,
+    check_length,
     count_attention_entries,
     final_prediction,
     init_params,
@@ -109,9 +110,15 @@ def train(
     checkpoint_dir=None,
 ) -> TrainResult:
     """Train on the given videos; deterministic in (configs, seed).
-    ``checkpoint_dir`` is made only to hold a rolling checkpoint."""
+    ``checkpoint_dir`` is made only to hold a rolling checkpoint. A boundary
+    loss the model cannot take, or a video it cannot take, raises
+    ``ConfigError`` before the model is built."""
     if not samples:
         raise ConfigError("cannot train on an empty dataset")
+    if train_cfg.boundary_weight > 0:
+        check_boundary_loss(model_cfg.attention, model_cfg.window)
+    for sample in samples:
+        _check_length(model_cfg, sample)
     streams = SeedStreams(train_cfg.seed)
     params = init_params(model_cfg, streams)
     state = TrainState(lr=train_cfg.lr, adam=AdamState(params))
@@ -127,7 +134,7 @@ def train(
                 outputs = model_forward(
                     sample.load_features(), params, model_cfg, train=True, streams=streams
                 )
-                loss, parts = total_loss(outputs, sample.labels, train_cfg, model_cfg.window)
+                loss, parts = total_loss(outputs, sample.labels, train_cfg, model_cfg)
             except NumericError as exc:
                 raise TrainingDiverged(
                     f"non-finite values on video {sample.video_id} at epoch {epoch}: {exc}"
@@ -181,15 +188,25 @@ def log_csv(rows: list[dict]) -> str:
 # evaluation / prediction
 
 
+def _check_length(cfg: ModelConfig, sample: VideoSample):
+    """``net.check_length`` of one video, naming its feature file (or id)."""
+    try:
+        check_length(cfg, sample.num_frames)
+    except ConfigError as exc:
+        raise ConfigError(f"{sample.path or sample.video_id}: {exc}") from None
+
+
 def predict_sample(params: dict[str, Tensor], cfg: ModelConfig, sample: VideoSample) -> np.ndarray:
     """Dropout-free, graph-free forward; labels from the last stage, one per
     kept frame (``restore_source_rate`` maps them back to the source rate).
     Stage 0 projects the sample block by block (``VideoSample.blocks``),
     so the whole feature matrix of a sample read from a file is never held.
-    Features not ``cfg.input_dim`` wide raise ``DatasetError``."""
+    Features not ``cfg.input_dim`` wide raise ``DatasetError``, and a
+    length the model cannot take ``ConfigError``, each naming the file."""
     if sample.feature_dim != cfg.input_dim:
         where, width = sample.path or sample.video_id, sample.feature_dim
         raise DatasetError(f"{where}: features are {width} wide, the model takes {cfg.input_dim}")
+    _check_length(cfg, sample)
     with no_grad():
         return final_prediction(model_forward(sample, params, cfg, train=False))
 

@@ -606,16 +606,18 @@ def save_checkpoint_copying(path, params, cfg):
 
 
 # ---------------------------------------------------------------------------
-# test-only probes of library records
+# test-only probes of the attention probabilities the boundary loss reads
 
 
-def valid_key_sets(record) -> list[set[int]]:
-    """Attended key indices per query row of an AttentionRecord."""
-    offsets, key_len = record.layout.offsets, record.layout.key_len
-    if offsets is None:
-        return [set(range(key_len)) for _ in range(record.query_len)]
-    valid = in_range_mask(offsets, record.query_len, key_len)
-    return [set((i + offsets[valid[i]]).tolist()) for i in range(record.query_len)]
+def valid_key_sets(probs, layout) -> list[set[int]]:
+    """Key indices per query row that head 0 of ``attend``'s (T_q, heads, S)
+    probabilities gives weight, read through the layout they were computed
+    with (``attention.slot_layout``); a masked slot holds exactly 0."""
+    sets = []
+    for i, row in enumerate(probs.data[:, 0]):
+        slots = np.flatnonzero(row > 0)
+        sets.append(set((slots if layout.offsets is None else i + layout.offsets[slots]).tolist()))
+    return sets
 
 
 def reconstruct_labels(segments) -> list:
@@ -626,31 +628,33 @@ def reconstruct_labels(segments) -> list:
     return out
 
 
-def extract_lad(record, frame: int, window: int):
+def extract_lad(probs, frame: int, attention: str, window: int):
     """One frame's local-attention distribution; None if its window is clipped."""
     half = window // 2
-    if frame < half or frame > record.query_len - 1 - half:
+    if frame < half or frame > probs.data.shape[0] - 1 - half:
         return None
-    return T.reshape(L._lad_rows(record, np.array([frame]), window), (window,))
+    return T.reshape(L._lad_rows(probs, np.array([frame]), attention, window), (window,))
 
 
-def mean_boundary_kl(record, labels, window: int) -> float | None:
-    """Mean KL(prior || LAD) over in-range boundary frames.
+def mean_boundary_kl(probs, labels, attention: str, window: int) -> float | None:
+    """Mean KL(prior || LAD) over in-range boundary frames of one layer's
+    attention probabilities.
 
     Pure numpy (no graph); None when no boundary frame has a full window.
     """
     labels = np.asarray(labels)
     boundaries = L.derive_boundaries(labels)
-    mapped = L._map_boundaries(boundaries, labels.shape[0], record.query_len)
+    query_len = probs.data.shape[0]
+    mapped = L._map_boundaries(boundaries, labels.shape[0], query_len)
     half = window // 2
-    lo, hi = half, record.query_len - 1 - half
+    lo, hi = half, query_len - 1 - half
     divergences = []
     for variant, frames in (("start", mapped.start_frames), ("end", mapped.end_frames)):
         keep = frames[(frames >= lo) & (frames <= hi)]
         if not keep.size:
             continue
         p = L.prior(variant, window)
-        lads = L._lad_rows(record, keep, window).data
+        lads = L._lad_rows(probs, keep, attention, window).data
         for row in lads:
             mask = p > 0
             divergences.append(float(np.sum(p[mask] * np.log(p[mask] / row[mask]))))
@@ -665,8 +669,8 @@ def boundary_alignment(params, cfg, samples) -> float | None:
     values = []
     for sample in samples:
         outputs = N.model_forward(sample.load_features(), params, cfg, train=False)
-        record = outputs.records[-1][1]
-        value = mean_boundary_kl(record, sample.labels, cfg.window)
+        probs = outputs.records[-1][1]
+        value = mean_boundary_kl(probs, sample.labels, cfg.attention, cfg.window)
         if value is not None:
             values.append(value)
     return float(np.mean(values)) if values else None

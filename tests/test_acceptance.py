@@ -336,11 +336,11 @@ def test_c01_gradient_suite():
             delta = np.clip(logp[1:] - frozen_prev[s], -4.0, 4.0)
             total += 0.15 * float((delta**2).mean())
             total += 0.02 * float(
-                L.ba_loss(out.records[s], boundaries, "kl", cfg.window, t).data
+                L.ba_loss(out.records[s], boundaries, "kl", cfg.attention, cfg.window, t).data
             )
         return total
 
-    loss, _ = L.total_loss(N.model_forward(x, params, cfg), labels, loss_cfg, cfg.window)
+    loss, _ = L.total_loss(N.model_forward(x, params, cfg), labels, loss_cfg, cfg)
     loss.backward()
     analytic = {name: p.grad.copy() if p.grad is not None else None for name, p in params.items()}
     worst = 0.0
@@ -364,7 +364,7 @@ def test_c01_gradient_suite():
     # input gradient too
     tx_in = T.Tensor(x.copy(), requires_grad=True)
     out = N.model_forward(tx_in, params, cfg)
-    L.total_loss(out, labels, loss_cfg, cfg.window)[0].backward()
+    L.total_loss(out, labels, loss_cfg, cfg)[0].backward()
     err = rel_err(tx_in.grad, numeric_grad(lambda xv: surrogate_loss(xv), [x], 0))
     worst = max(worst, err)
     if err >= 1e-4:
@@ -393,8 +393,8 @@ def test_c02_attention_oracles():
     sets_ok = True
     for t in range(1, 65):
         q, k, v = (T.tensor(rng.standard_normal((t, 2))) for _ in range(3))
-        _, record = A.attend(q, k, v, "logsparse", 51, 1)
-        for i, got in enumerate(valid_key_sets(record)):
+        _, probs = A.attend(q, k, v, "logsparse", 51, 1)
+        for i, got in enumerate(valid_key_sets(probs, A.slot_layout("logsparse", t, t, 51))):
             if got != logsparse_key_set(t, i):
                 sets_ok = False
     report(
@@ -453,7 +453,7 @@ def test_c03_measured_retained_bytes():
         tracemalloc.start()
         try:
             out = N.model_forward(x, params, model_cfg, train=True, streams=streams)
-            loss, _ = L.total_loss(out, labels, train_cfg, model_cfg.window)
+            loss, _ = L.total_loss(out, labels, train_cfg, model_cfg)
             live = tracemalloc.get_traced_memory()[0]
             assert loss.requires_grad  # the graph was alive when measured
             return live
@@ -508,10 +508,8 @@ def test_c04_loss_correctness():
         labels = segmented_labels(rng, t)
         raw = rng.random((t, w)) + 0.05
         rows = raw / raw.sum(axis=1, keepdims=True)
-        layout = A.slot_layout("local", t, t, w)
-        rec = A.AttentionRecord("local", T.tensor(rows[:, None, :]), layout)
         b = L.derive_boundaries(labels)
-        got = float(L.ba_loss((None, rec), b, "kl", w, t).data)
+        got = float(L.ba_loss((None, T.tensor(rows[:, None, :])), b, "kl", "local", w, t).data)
         expect = 0.0
         for variant, frames in (("start", b.start_frames), ("end", b.end_frames)):
             p = L.prior(variant, w)
@@ -524,8 +522,7 @@ def test_c04_loss_correctness():
             for frame in frames:
                 if w // 2 <= frame <= t - 1 - w // 2:
                     aligned[frame] = L.prior(variant, w)
-        rec2 = A.AttentionRecord("local", T.tensor(aligned[:, None, :]), layout)
-        zero = float(L.ba_loss((None, rec2), b, "kl", w, t).data)
+        zero = float(L.ba_loss((None, T.tensor(aligned[:, None, :])), b, "kl", "local", w, t).data)
         checks.append(abs(zero) < 1e-12)
     checks.append(max_err < 1e-8)
     report(4, "loss correctness", all(checks), f"max BA-vs-script error {max_err:.2e}")

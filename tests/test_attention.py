@@ -36,17 +36,17 @@ def rand_qkv(rng, t, d, t_k=None):
 def test_single_key_is_identity():
     rng = np.random.default_rng(0)
     q, k, v = rand_qkv(rng, 1, 4)
-    out, record = A.attend(q, k, v, **cfg_for("local", window=7, heads=2))
+    out, probs = A.attend(q, k, v, **cfg_for("local", window=7, heads=2))
     np.testing.assert_allclose(out.data, v.data, atol=1e-12)
-    valid = in_range_mask(record.layout.offsets, 1, 1)
-    np.testing.assert_allclose(record.probs.data[0, 0, valid[0]], [1.0])
+    valid = in_range_mask(A.slot_layout("local", 1, 1, 7).offsets, 1, 1)
+    np.testing.assert_allclose(probs.data[0, 0, valid[0]], [1.0])
 
 
 def test_window_clamping_key_sets():
     rng = np.random.default_rng(1)
     q, k, v = rand_qkv(rng, 4, 2)
-    _, record = A.attend(q, k, v, **cfg_for("local", window=3))
-    sets = valid_key_sets(record)
+    _, probs = A.attend(q, k, v, **cfg_for("local", window=3))
+    sets = valid_key_sets(probs, A.slot_layout("local", 4, 4, 3))
     assert sets[0] == {0, 1}
     assert sets[2] == {1, 2, 3}
 
@@ -70,8 +70,8 @@ def test_full_attention_uniform_keys():
     q = T.tensor(rng.standard_normal((t, d)))
     k = T.tensor(np.tile(rng.standard_normal((1, d)), (t, 1)))
     v = T.tensor(rng.standard_normal((t, d)))
-    out, record = A.attend(q, k, v, **cfg_for("full"))
-    np.testing.assert_allclose(record.probs.data[:, 0], np.full((t, t), 1 / t), atol=1e-12)
+    out, probs = A.attend(q, k, v, **cfg_for("full"))
+    np.testing.assert_allclose(probs.data[:, 0], np.full((t, t), 1 / t), atol=1e-12)
     np.testing.assert_allclose(out.data, np.tile(v.data.mean(axis=0), (t, 1)), atol=1e-12)
 
 
@@ -99,8 +99,8 @@ def test_logsparse_key_sets_match_enumeration():
     rng = np.random.default_rng(6)
     for t in range(1, 65):
         q, k, v = rand_qkv(rng, t, 2)
-        _, record = A.attend(q, k, v, **cfg_for("logsparse"))
-        sets = valid_key_sets(record)
+        _, probs = A.attend(q, k, v, **cfg_for("logsparse"))
+        sets = valid_key_sets(probs, A.slot_layout("logsparse", t, t, 3))
         bound = 2 * int(np.ceil(np.log2(t))) + 1 if t > 1 else 1
         for i in range(t):
             assert sets[i] == logsparse_key_set(t, i)
@@ -110,8 +110,8 @@ def test_logsparse_key_sets_match_enumeration():
 def test_logsparse_t9_example_and_t1():
     rng = np.random.default_rng(7)
     q, k, v = rand_qkv(rng, 9, 2)
-    _, record = A.attend(q, k, v, **cfg_for("logsparse"))
-    assert valid_key_sets(record)[4] == {4, 3, 5, 2, 6, 0, 8}
+    _, probs = A.attend(q, k, v, **cfg_for("logsparse"))
+    assert valid_key_sets(probs, A.slot_layout("logsparse", 9, 9, 3))[4] == {4, 3, 5, 2, 6, 0, 8}
     q1, k1, v1 = rand_qkv(rng, 1, 2)
     out, _ = A.attend(q1, k1, v1, **cfg_for("logsparse"))
     np.testing.assert_allclose(out.data, v1.data, atol=1e-12)
@@ -121,10 +121,10 @@ def test_rows_sum_to_one_all_patterns():
     rng = np.random.default_rng(8)
     for pattern in ("full", "local", "logsparse"):
         q, k, v = rand_qkv(rng, 11, 4)
-        _, record = A.attend(q, k, v, **cfg_for(pattern, window=5, heads=2))
-        offsets = record.layout.offsets
+        _, probs = A.attend(q, k, v, **cfg_for(pattern, window=5, heads=2))
+        offsets = A.slot_layout(pattern, 11, 11, 5).offsets
         valid = True if offsets is None else in_range_mask(offsets, 11, 11)[:, None, :]
-        sums = np.where(valid, record.probs.data, 0.0).sum(axis=2)
+        sums = np.where(valid, probs.data, 0.0).sum(axis=2)
         np.testing.assert_allclose(sums, 1.0, atol=1e-5)
 
 
@@ -132,9 +132,9 @@ def test_local_storage_bound():
     rng = np.random.default_rng(9)
     t, w, h = 40, 7, 2
     q, k, v = rand_qkv(rng, t, 4)
-    _, record = A.attend(q, k, v, **cfg_for("local", window=w, heads=h))
-    assert record.probs.data.size == h * w * t
-    assert record.probs.data.size <= h * w * t
+    _, probs = A.attend(q, k, v, **cfg_for("local", window=w, heads=h))
+    assert probs.data.size == h * w * t
+    assert probs.data.size <= h * w * t
 
 
 def test_zero_rpe_table_leaves_scores_unchanged():
@@ -156,12 +156,12 @@ def test_rpe_additivity_zero_projections():
     k = T.tensor(np.zeros((t, 4)))
     v = T.tensor(rng.standard_normal((t, 4)))
     table = rng.standard_normal((w, h))
-    _, record = A.attend(q, k, v, **cfg, rpe=T.tensor(table))
+    _, probs = A.attend(q, k, v, **cfg, rpe=T.tensor(table))
     half = w // 2
     for i in range(half, t - half):  # full windows only
         for head in range(h):
             e = np.exp(table[:, head] - table[:, head].max())
-            np.testing.assert_allclose(record.probs.data[i, head], e / e.sum(), atol=1e-10)
+            np.testing.assert_allclose(probs.data[i, head], e / e.sum(), atol=1e-10)
 
 
 def test_rpe_wrong_shape_raises():
@@ -261,7 +261,7 @@ def test_fused_local_matches_slotted_oracle():
             T.sum_all(T.mul(out, T.tensor(weights))).backward()
             grads = [np.zeros_like(a) if x.grad is None else x.grad for a, x in zip(arrays, leaves)]
             if attend is A.attend:
-                probs = kept.probs.data
+                probs = kept.data
             else:
                 probs = np.stack([p.data for p in kept], axis=1)
             results.append((out.data, grads, probs))
@@ -341,9 +341,9 @@ def test_attention_dropout_record_keeps_predrop_rows():
     q, k, v = rand_qkv(rng, 12, 4)
     cfg = cfg_for("local", window=5, heads=1, dropout=0.5)
     stream = np.random.default_rng(0)
-    _, record = A.attend(q, k, v, **cfg, rng=stream)
-    valid = in_range_mask(record.layout.offsets, 12, 12)
-    sums = np.where(valid, record.probs.data[:, 0], 0.0).sum(axis=1)
+    _, probs = A.attend(q, k, v, **cfg, rng=stream)
+    valid = in_range_mask(A.slot_layout("local", 12, 12, 5).offsets, 12, 12)
+    sums = np.where(valid, probs.data[:, 0], 0.0).sum(axis=1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-6)
 
 
@@ -351,9 +351,9 @@ def test_cross_attention_lengths():
     # decoder-style call: queries and keys share length after upsampling
     rng = np.random.default_rng(16)
     q, k, v = rand_qkv(rng, 10, 4)
-    out, record = A.attend(q, k, v, **cfg_for("local", window=3, heads=2))
+    out, probs = A.attend(q, k, v, **cfg_for("local", window=3, heads=2))
     assert out.data.shape == (10, 4)
-    assert record.query_len == record.layout.key_len == 10
+    assert probs.data.shape == (10, 2, A.slot_layout("local", 10, 10, 3).slots)
 
 
 def test_slot_count_formula():

@@ -544,6 +544,27 @@ _mixed_width_split.names = ("synth001.feat", "9 wide", "not 8")
 _mixed_width_split.makes_no_out = True
 
 
+def _short_video(command):
+    """``command`` on a split whose last video has 3 frames, for a model of
+    2 layers, which halves a video twice: the error names that video's
+    feature file before any step, and no ``--out`` is made."""
+    def make_argv(trained, synth_root, tmp_path):
+        root = _synth(tmp_path / "short")
+        labels = (root / "groundTruth" / "synth000.txt").read_text().splitlines(keepends=True)
+        write_features(root / "features" / "tiny.feat", np.zeros((3, 8), dtype=np.float32))
+        (root / "groundTruth" / "tiny.txt").write_text("".join(labels[:3]))
+        with open(root / "splits" / "all.bundle", "a") as fh:
+            fh.write("tiny\n")
+        argv = [command, "--data-root", str(root), "--out", str(tmp_path / "out")]
+        if command == "train":
+            return [*argv, "--seed", "1", "--epochs", "1", *SMALL_MODEL]
+        return [*argv, "--checkpoint", str(trained / "checkpoint.ckpt")]
+
+    make_argv.names = ("short/features/tiny.feat: ", "T=3 < 2^2")
+    make_argv.makes_no_out = True
+    return make_argv
+
+
 def _sample_rate(rate):
     # a rate below 1 would divide by zero in the strided read
     def make_argv(trained, synth_root, tmp_path):
@@ -580,7 +601,8 @@ def _sample_rate(rate):
      _bad_setting("checkpoint_every", "-1"), _bad_setting("eval_every", "-2"),
      _bad_setting("hidden_dim", "0"), _bad_setting("hidden_dim", "-1"),
      _bad_setting("hidden_dim_refine", "0"), _bad_setting("heads", "3"),
-     _config_file("lr_nan.cfg", "[train]\nlr = nan\n", names=("lr_nan.cfg: [train] lr: ",))],
+     _config_file("lr_nan.cfg", "[train]\nlr = nan\n", names=("lr_nan.cfg: [train] lr: ",)),
+     _short_video("train"), _short_video("eval")],
     ids=["DatasetError", "CheckpointError", "TrainingDiverged", "ShapeError",
          "TruncatedCheckpoint", "TruncatedFeatures", "SampleRateZero", "SampleRateNegative",
          "UnknownIgnoredClass", "UnknownIgnoredClassAblate", "ConfigNoSectionHeader", "ConfigDuplicateKey",
@@ -592,7 +614,8 @@ def _sample_rate(rate):
          "FlagBadValue", "FlagBadSeed", "EvalBadThresholds", "AblateBadValues",
          "LrNan", "WeightDecayNegative", "SmoothWeightNan", "BoundaryWeightNan",
          "CheckpointEveryNegative", "EvalEveryNegative", "HiddenDimZero",
-         "HiddenDimNegative", "HiddenDimRefineZero", "HeadsNotDividing", "ConfigLrNan"],
+         "HiddenDimNegative", "HiddenDimRefineZero", "HeadsNotDividing", "ConfigLrNan",
+         "TrainShortVideo", "EvalShortVideo"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_typed_failures_exit_2_with_one_line(make_argv, trained, synth_root, tmp_path, capsys):

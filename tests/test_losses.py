@@ -103,30 +103,29 @@ def test_prior_examples():
         L.prior("end", 1)
 
 
-def make_local_record(rows_per_head, window):
-    """Record with given post-softmax rows; rows_per_head: list of (T, w)."""
-    t = rows_per_head[0].shape[0]
-    probs = T.tensor(np.stack(rows_per_head, axis=1))
-    return A.AttentionRecord("local", probs, A.slot_layout("local", t, t, window))
+def local_probs(rows_per_head):
+    """(T, heads, w) local-attention probabilities with the given
+    post-softmax rows; rows_per_head: list of (T, w)."""
+    return T.tensor(np.stack(rows_per_head, axis=1))
 
 
 def test_extract_lad_single_and_averaged_heads():
     w, t = 3, 7
     rows = np.tile([0.2, 0.5, 0.3], (t, 1))
-    rec = make_local_record([rows], w)
-    lad = extract_lad(rec, 3, w)
+    probs = local_probs([rows])
+    lad = extract_lad(probs, 3, "local", w)
     np.testing.assert_allclose(lad.data, [0.2, 0.5, 0.3])
     # identical heads average to themselves
-    rec2 = make_local_record([rows, rows], w)
-    np.testing.assert_allclose(extract_lad(rec2, 3, w).data, [0.2, 0.5, 0.3])
+    probs2 = local_probs([rows, rows])
+    np.testing.assert_allclose(extract_lad(probs2, 3, "local", w).data, [0.2, 0.5, 0.3])
     # opposing one-hot heads -> renormalized average
     h1 = np.tile([1.0, 0.0, 0.0], (t, 1))
     h2 = np.tile([0.0, 0.0, 1.0], (t, 1))
-    rec3 = make_local_record([h1, h2], w)
-    np.testing.assert_allclose(extract_lad(rec3, 3, w).data, [0.5, 0.0, 0.5])
+    probs3 = local_probs([h1, h2])
+    np.testing.assert_allclose(extract_lad(probs3, 3, "local", w).data, [0.5, 0.0, 0.5])
     # clipped-window frames signal skip
-    assert extract_lad(rec, 0, w) is None
-    assert extract_lad(rec, t - 1, w) is None
+    assert extract_lad(probs, 0, "local", w) is None
+    assert extract_lad(probs, t - 1, "local", w) is None
 
 
 def test_extract_lad_from_full_record_slices_row():
@@ -134,8 +133,7 @@ def test_extract_lad_from_full_record_slices_row():
     rng = np.random.default_rng(1)
     probs = rng.random((t, 2, t))
     probs /= probs.sum(axis=2, keepdims=True)
-    rec = A.AttentionRecord("full", T.tensor(probs), A.slot_layout("full", t, t, w))
-    lad = extract_lad(rec, 2, w)
+    lad = extract_lad(T.tensor(probs), 2, "full", w)
     heads = probs[2, :, 1:4]  # each head renormalized over the window, then averaged
     np.testing.assert_allclose(lad.data, (heads / heads.sum(axis=1, keepdims=True)).mean(axis=0))
 
@@ -153,8 +151,8 @@ def test_ba_loss_zero_when_lads_equal_priors():
     for frame in b.end_frames:
         if 2 <= frame <= t - 3:
             rows[frame] = end_p
-    rec = make_local_record([rows], w)
-    out = L.ba_loss((None, rec), b, "kl", window=w, full_len=t)
+    probs = local_probs([rows])
+    out = L.ba_loss((None, probs), b, "kl", "local", window=w, full_len=t)
     np.testing.assert_allclose(float(out.data), 0.0, atol=1e-12)
 
 
@@ -163,8 +161,8 @@ def test_ba_loss_empty_window_range_is_zero():
     labels = np.array([0, 0, 1, 1])  # T=4 < w: no frame has a full window
     rows = np.random.default_rng(2).random((4, w))
     rows /= rows.sum(axis=1, keepdims=True)
-    rec = make_local_record([rows], w)
-    out = L.ba_loss((None, rec), L.derive_boundaries(labels), "kl", w, 4)
+    probs = local_probs([rows])
+    out = L.ba_loss((None, probs), L.derive_boundaries(labels), "kl", "local", w, 4)
     assert float(out.data) == 0.0
 
 
@@ -182,21 +180,21 @@ def test_ba_loss_matches_independent_kl_script():
     rows[4] = d_row
     end_row = np.array([0.3, 0.3, 0.2, 0.1, 0.1])
     rows[3] = end_row
-    rec = make_local_record([rows], w)
-    got = float(L.ba_loss((None, rec), L.derive_boundaries(labels), "kl", w, t).data)
+    probs = local_probs([rows])
+    got = float(L.ba_loss((None, probs), L.derive_boundaries(labels), "kl", "local", w, t).data)
     # frames 0 and t-1 are boundaries too but have clipped windows; frame 3/4 count
     want = (expected + kl_scalar(L.prior("end", w), end_row)) / t
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
-    # 20 random cases, model records vs the plain loop
+    # 20 random cases, model probabilities vs the plain loop
     rng = np.random.default_rng(3)
     for _ in range(20):
         t = int(rng.integers(w, 40))
         labels = rng.integers(0, 3, size=t)
         raw = rng.random((t, w)) + 0.05
         rows = raw / raw.sum(axis=1, keepdims=True)
-        rec = make_local_record([rows], w)
-        got = float(L.ba_loss((None, rec), L.derive_boundaries(labels), "kl", w, t).data)
+        probs = local_probs([rows])
+        got = float(L.ba_loss((None, probs), L.derive_boundaries(labels), "kl", "local", w, t).data)
         b = L.derive_boundaries(labels)
         expect = 0.0
         half = w // 2
@@ -217,14 +215,26 @@ def test_ba_loss_encoder_record_maps_to_half_resolution():
     rng = np.random.default_rng(4)
     raw = rng.random((half_t, w)) + 0.1
     rows = raw / raw.sum(axis=1, keepdims=True)
-    rec = make_local_record([rows], w)
-    got = float(L.ba_loss((rec, None), L.derive_boundaries(labels), "kl", w, t).data)
+    probs = local_probs([rows])
+    got = float(L.ba_loss((probs, None), L.derive_boundaries(labels), "kl", "local", w, t).data)
     # mapped starts {0, 4}, ends {3, 7}; frames 0 and 7 have clipped windows
     want = (
         kl_scalar(L.prior("start", w), rows[4])
         + kl_scalar(L.prior("end", w), rows[3])
     ) / half_t
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_ba_loss_refuses_a_model_it_cannot_read():
+    """The pattern and window come from the model config, and each call
+    checks them once, whatever probabilities it is given, even none."""
+    w, t = 5, 12
+    probs = local_probs([np.full((t, w), 1.0 / w)])
+    b = L.derive_boundaries(np.array([0] * 6 + [1] * 6))
+    with pytest.raises(ConfigError, match="boundary loss is undefined for the logsparse pattern"):
+        L.ba_loss((probs, probs), b, "kl", "logsparse", w, t)
+    with pytest.raises(ConfigError, match="boundary loss needs a window >= 3, got 1"):
+        L.ba_loss((None, None), b, "kl", "local", 1, t)
 
 
 @pytest.mark.parametrize("kind", ["kl", "js", "l2", "wasserstein"])
@@ -234,8 +244,8 @@ def test_ba_distances_nonnegative_and_zero_at_prior(kind):
     rng = np.random.default_rng(5)
     raw = rng.random((t, w)) + 0.02
     rows = raw / raw.sum(axis=1, keepdims=True)
-    rec = make_local_record([rows], w)
-    out = float(L.ba_loss((None, rec), L.derive_boundaries(labels), kind, w, t).data)
+    probs = local_probs([rows])
+    out = float(L.ba_loss((None, probs), L.derive_boundaries(labels), kind, "local", w, t).data)
     assert out >= 0.0
     if kind == "kl":
         aligned = rows.copy()
@@ -246,8 +256,8 @@ def test_ba_distances_nonnegative_and_zero_at_prior(kind):
         for f in b.end_frames:
             if 2 <= f <= t - 3:
                 aligned[f] = L.prior("end", w)
-        rec2 = make_local_record([aligned], w)
-        out2 = float(L.ba_loss((None, rec2), b, kind, w, t).data)
+        probs2 = local_probs([aligned])
+        out2 = float(L.ba_loss((None, probs2), b, kind, "local", w, t).data)
         np.testing.assert_allclose(out2, 0.0, atol=1e-12)
 
 
@@ -258,23 +268,23 @@ def test_ba_gradient_flows_into_attention_inputs():
     q0, k0, v0 = (rng.standard_normal((t, d)) for _ in range(3))
 
     def f(qv, kv, vv):
-        _, rec = A.attend(T.tensor(qv), T.tensor(kv), T.tensor(vv), "local", w, 2)
-        return float(L.ba_loss((None, rec), L.derive_boundaries(labels), "kl", w, t).data)
+        _, probs = A.attend(T.tensor(qv), T.tensor(kv), T.tensor(vv), "local", w, 2)
+        return float(L.ba_loss((None, probs), L.derive_boundaries(labels), "kl", "local", w, t).data)
 
     tq = T.tensor(q0, requires_grad=True)
     tk = T.tensor(k0, requires_grad=True)
     tv = T.tensor(v0, requires_grad=True)
-    _, rec = A.attend(tq, tk, tv, "local", w, 2)
-    L.ba_loss((None, rec), L.derive_boundaries(labels), "kl", w, t).backward()
+    _, probs = A.attend(tq, tk, tv, "local", w, 2)
+    L.ba_loss((None, probs), L.derive_boundaries(labels), "kl", "local", w, t).backward()
     assert rel_err(tq.grad, numeric_grad(f, [q0, k0, v0], 0)) < 1e-4
     assert rel_err(tk.grad, numeric_grad(f, [q0, k0, v0], 1)) < 1e-4
-    assert tv.grad is None or np.allclose(tv.grad, 0.0)  # values never enter the record
+    assert tv.grad is None or np.allclose(tv.grad, 0.0)  # values never enter the probabilities
 
 
 @pytest.mark.parametrize("distance", L.BA_DISTANCES)
 def test_ba_loss_full_record_matches_local_record(distance):
     # a frame with a full window: each head's full attention renormalized over
-    # the window is exactly its local softmax there, so both records give one
+    # the window is exactly its local softmax there, so both patterns give one
     # loss whatever the head count
     rng = np.random.default_rng(8)
     t, d, w = 16, 4, 5
@@ -284,8 +294,8 @@ def test_ba_loss_full_record_matches_local_record(distance):
         results = []
         for pattern in ("local", "full"):
             tq, tk = T.tensor(q0, requires_grad=True), T.tensor(k0, requires_grad=True)
-            _, rec = A.attend(tq, tk, T.tensor(v0), pattern, w, heads)
-            loss = L.ba_loss((None, rec), L.derive_boundaries(labels), distance, w, t)
+            _, probs = A.attend(tq, tk, T.tensor(v0), pattern, w, heads)
+            loss = L.ba_loss((None, probs), L.derive_boundaries(labels), distance, pattern, w, t)
             loss.backward()
             results.append((float(loss.data), tq.grad, tk.grad))
         (local, dq_local, dk_local), (full, dq_full, dk_full) = results
@@ -311,18 +321,18 @@ def test_total_loss_composition_and_scaling():
     out = N.model_forward(x, params, single_cfg)
 
     w_off = TrainConfig(smooth_weight=0.0, boundary_weight=0.0)
-    total, parts = L.total_loss(out, labels, w_off, window=3)
+    total, parts = L.total_loss(out, labels, w_off, single_cfg)
     np.testing.assert_allclose(float(total.data), parts["ce"])
 
     w_beta0 = TrainConfig(smooth_weight=0.15, boundary_weight=0.0)
-    total2, parts2 = L.total_loss(out, labels, w_beta0, window=3)
+    total2, parts2 = L.total_loss(out, labels, w_beta0, single_cfg)
     np.testing.assert_allclose(float(total2.data), parts2["ce"] + 0.15 * parts2["tmse"])
 
     # perfect predictions with lambda = beta = 0 -> 0
     perfect = N.StageOutputs(
         logits=[T.tensor(np.eye(3)[labels] * 60.0)], records=[(None, None)]
     )
-    total3, _ = L.total_loss(perfect, labels, w_off, window=3)
+    total3, _ = L.total_loss(perfect, labels, w_off, single_cfg)
     assert float(total3.data) < 1e-6
 
     # M+1 identical stages scale the total by M+1
@@ -331,8 +341,8 @@ def test_total_loss_composition_and_scaling():
         records=[out.records[0]] * 3,
     )
     weights_all = TrainConfig(smooth_weight=0.15, boundary_weight=0.02)
-    one, _ = L.total_loss(out, labels, weights_all, window=3)
-    three, _ = L.total_loss(stacked, labels, weights_all, window=3)
+    one, _ = L.total_loss(out, labels, weights_all, single_cfg)
+    three, _ = L.total_loss(stacked, labels, weights_all, single_cfg)
     np.testing.assert_allclose(float(three.data), 3 * float(one.data), rtol=1e-12)
 
 
@@ -352,8 +362,8 @@ def test_mean_boundary_kl_diagnostic():
     rng = np.random.default_rng(8)
     raw = rng.random((t, w)) + 0.05
     rows = raw / raw.sum(axis=1, keepdims=True)
-    rec = make_local_record([rows], w)
-    value = mean_boundary_kl(rec, labels, w)
+    probs = local_probs([rows])
+    value = mean_boundary_kl(probs, labels, "local", w)
     b = L.derive_boundaries(labels)
     expected = []
     for variant, frames in (("start", b.start_frames), ("end", b.end_frames)):
@@ -362,5 +372,5 @@ def test_mean_boundary_kl_diagnostic():
             if 2 <= f <= t - 3:
                 expected.append(kl_scalar(p, rows[f]))
     np.testing.assert_allclose(value, np.mean(expected))
-    tiny = make_local_record([rows[:3]], w)
-    assert mean_boundary_kl(tiny, labels[:3], w) is None
+    tiny = local_probs([rows[:3]])
+    assert mean_boundary_kl(tiny, labels[:3], "local", w) is None

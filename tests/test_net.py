@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _oracles import numeric_grad, rel_err, save_checkpoint_copying
+from _oracles import in_range_mask, numeric_grad, rel_err, save_checkpoint_copying
+from tut import attention as A
 from tut import data as D
 from tut import net as N
 from tut import tensor as T
@@ -40,18 +41,18 @@ def build(cfg, seed=0):
 
 
 def record_every_attend(monkeypatch) -> list:
-    """Patch ``net.attend`` to also append each call's AttentionRecord to the
-    returned list, in call order."""
-    records = []
+    """Patch ``net.attend`` to also append each call's key length and the
+    probabilities it returned to the returned list, in call order."""
+    calls = []
     real = N.attend
 
-    def attend(*args, **kwargs):
-        out, record = real(*args, **kwargs)
-        records.append(record)
-        return out, record
+    def attend(q, k, *args, **kwargs):
+        out, probs = real(q, k, *args, **kwargs)
+        calls.append((k.data.shape[0], probs))
+        return out, probs
 
     monkeypatch.setattr(N, "attend", attend)
-    return records
+    return calls
 
 
 def test_downsample_examples():
@@ -102,8 +103,8 @@ def test_zero_weights_reduce_to_normalized_downsample():
         params[f"{prefix}.{leaf}"].data[...] = 0.0
     rng = np.random.default_rng(2)
     h = T.tensor(rng.standard_normal((10, 8)))
-    out, record = N.encoder_layer(h, params, cfg, stage=0, layer=1)
-    assert record.query_len == 5
+    out, probs = N.encoder_layer(h, params, cfg, stage=0, layer=1)
+    assert probs.data.shape[0] == 5
     down = N.downsample_nearest(h)
     normed = T.instance_norm_temporal(
         down, T.tensor(np.ones(8)), T.tensor(np.zeros(8)), N.NORM_EPS
@@ -135,25 +136,46 @@ def test_decoder_constant_kv_is_convex_combination(monkeypatch):
     const_row = rng.standard_normal(hidden)
     peer = T.tensor(np.tile(const_row, (6, 1)))
     h_prev = T.tensor(rng.standard_normal((3, hidden)))
-    out, record = N.decoder_layer(h_prev, peer, params, cfg, stage=0, layer=1)
+    out, probs = N.decoder_layer(h_prev, peer, params, cfg, stage=0, layer=1)
     h1 = N.upsample_nearest(h_prev, 6)
     np.testing.assert_allclose(out.data - h1.data, np.tile(const_row, (6, 1)), atol=1e-10)
-    assert record.layout.key_len == 6
+    slots = A.slot_layout(cfg.attention, 6, 6, cfg.window).slots
+    assert probs.data.shape == (6, cfg.heads, slots)
 
 
 def test_decoder_peer_pairing_lengths(monkeypatch):
     cfg = tiny_cfg(layers=5, refinement_stages=0, input_dim=4, window=3)
     params = build(cfg)
     x = np.random.default_rng(4).standard_normal((64, 4))
-    records = record_every_attend(monkeypatch)
+    calls = record_every_attend(monkeypatch)
     out = N.model_forward(x, params, cfg)
     # encoder layers attend after halving 64 -> 32,...,2; decoder
     # cross-attention walks back up 4,...,64 with the last peer = stage input
-    lengths = [(r.probs.data.shape[0], r.layout.key_len) for r in records]
+    lengths = [(probs.data.shape[0], key_len) for key_len, probs in calls]
     assert lengths[:5] == [(32, 32), (16, 16), (8, 8), (4, 4), (2, 2)]
     assert lengths[5:] == [(4, 4), (8, 8), (16, 16), (32, 32), (64, 64)]
-    assert out.records[0][0] is records[0] and out.records[0][1] is records[-1]
+    assert out.records[0][0] is calls[0][1] and out.records[0][1] is calls[-1][1]
     assert out.logits[0].data.shape == (64, 3)
+
+
+def test_training_records_are_the_nodes_attend_returned(monkeypatch):
+    """Each stage's records in a training forward are the very probability
+    nodes ``attend`` returned for encoder layer 1 and decoder layer N: the
+    pre-dropout rows, in the graph the loss backpropagates through."""
+    cfg = tiny_cfg(layers=3, refinement_stages=2, attention_dropout=0.3, dtype="f32")
+    calls = record_every_attend(monkeypatch)
+    x = np.random.default_rng(12).standard_normal((24, 4))
+    out = N.model_forward(x, build(cfg), cfg, train=True, streams=T.SeedStreams(0))
+    per_stage = 2 * cfg.layers
+    assert len(calls) == per_stage * cfg.num_stages == per_stage * len(out.records)
+    for s, (enc_first, dec_last) in enumerate(out.records):
+        stage = [probs for _, probs in calls[s * per_stage : (s + 1) * per_stage]]
+        assert enc_first is stage[0] and dec_last is stage[-1]
+        for probs, t in ((enc_first, 12), (dec_last, 24)):
+            assert probs.requires_grad and probs.data.shape == (t, cfg.heads, cfg.window)
+            valid = in_range_mask(A.slot_layout("local", t, t, cfg.window).offsets, t, t)
+            sums = np.where(valid[:, None, :], probs.data, 0.0).sum(axis=2)
+            np.testing.assert_allclose(sums, 1.0, atol=1e-6)
 
 
 @pytest.mark.parametrize("t", [33, 64, 100, 257])
@@ -199,7 +221,7 @@ def test_standard_arm_keeps_lengths():
     params = build(cfg)
     out = N.model_forward(np.random.default_rng(8).standard_normal((9, 4)), params, cfg)
     assert out.logits[0].data.shape == (9, 3)
-    assert out.records[0][0].query_len == 9
+    assert out.records[0][0].data.shape[0] == 9
 
 
 def test_deterministic_repeat_with_dropout():
@@ -254,7 +276,7 @@ def test_positional_modes_forward():
 
 
 def test_memory_accounting_matches_forward(monkeypatch):
-    records = record_every_attend(monkeypatch)
+    calls = record_every_attend(monkeypatch)
     for arch in ("utrans", "standard"):
         for pattern in ("local", "full", "logsparse"):
             cfg = tiny_cfg(
@@ -263,10 +285,10 @@ def test_memory_accounting_matches_forward(monkeypatch):
             )
             params = build(cfg)
             t = 41
-            records.clear()
+            calls.clear()
             N.model_forward(np.random.default_rng(11).standard_normal((t, 4)), params, cfg)
-            assert len(records) == 2 * cfg.layers * cfg.num_stages
-            entries = sum(r.probs.data.size for r in records)
+            assert len(calls) == 2 * cfg.layers * cfg.num_stages
+            entries = sum(probs.data.size for _, probs in calls)
             assert entries == N.count_attention_entries(cfg, t)
 
 

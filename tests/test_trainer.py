@@ -55,6 +55,18 @@ def tiny_dataset(videos=3, seed=0, noise=0.15):
     return D.generate_synthetic(spec)
 
 
+def count_calls(monkeypatch, *names) -> dict[str, int]:
+    """Patch each named ``trainer`` function to count its calls."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, real=getattr(TR, name), name=name, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(TR, name, counted)
+    return counts
+
+
 def test_lr_rule_scripted_trace():
     state = TR.TrainState(lr=1.0)
     # increases at epochs 3, 5, 7 -> halve after epoch 7, counter resets
@@ -267,9 +279,9 @@ def test_ablate_skips_unsupported_cell():
 
 def test_logsparse_with_boundary_loss_is_refused_whatever_the_video():
     """The boundary loss reads local windows, which logsparse attention has
-    not. Training refuses the pair at its first step even where no boundary
-    frame has a full window (here w = 51 on 32-48 frames), and ablate skips
-    the cell with that reason."""
+    not. Training refuses the pair before it builds the model, even where no
+    boundary frame has a full window (here w = 51 on 32-48 frames), and
+    ablate skips the cell with that reason."""
     samples, _ = tiny_dataset(videos=1)
     cfg = tiny_model(attention="logsparse", pe_mode="none", window=51)
     train_cfg = TR.TrainConfig(epochs=1, lr=1e-3, seed=9, boundary_weight=0.02)
@@ -278,6 +290,48 @@ def test_logsparse_with_boundary_loss_is_refused_whatever_the_video():
     row = TR.ablate("beta", samples, cfg, train_cfg, values=[0.02])[0]
     assert row["status"] == "skipped: boundary loss is undefined for the logsparse pattern"
     assert row["entries"] > 0
+
+
+def test_ablate_skips_a_cell_the_boundary_loss_cannot_read_before_building_it(monkeypatch):
+    """The two logsparse cells of a boundary-weighted arch-attention grid
+    are skipped before their models are built or run: only the four cells
+    that train build a model, and each runs 2 training and 2 eval forwards."""
+    samples, _ = tiny_dataset(videos=2)
+    calls = count_calls(monkeypatch, "init_params", "model_forward")
+    train_cfg = TR.TrainConfig(epochs=1, boundary_weight=0.1)
+    rows = TR.ablate("arch-attention", samples, tiny_model(pe_mode="none"), train_cfg)
+    skipped = "skipped: boundary loss is undefined for the logsparse pattern"
+    assert [r["status"] for r in rows] == ["ok", skipped, "ok"] * 2
+    assert calls == {"init_params": 4, "model_forward": 16}
+
+
+@pytest.mark.parametrize(
+    "overrides,frames,message",
+    [
+        ({}, 3, "too many layers for sequence length: T=3 < 2^2"),
+        ({"architecture": "standard"}, 0, "sequence length 0: the model needs at least 1 frame"),
+        ({"pe_mode": "learnable"}, N.PE_MAX_LEN + 1,
+         f"sequence length {N.PE_MAX_LEN + 1} exceeds the learnable encoding's {N.PE_MAX_LEN} rows"),
+    ],
+    ids=["utrans-short", "empty", "learnable-long"],
+)
+def test_a_video_the_model_cannot_take_is_named_before_any_work(
+    monkeypatch, overrides, frames, message
+):
+    """``train`` checks every video's length before it builds the model, and
+    ``predict_sample`` before its forward; each names the video (its id, for
+    a held sample) and runs nothing."""
+    samples, _ = tiny_dataset(videos=2)
+    cfg = tiny_model(**overrides)
+    odd = D.VideoSample("odd", np.zeros((frames, 8), np.float32), np.zeros(frames, int))
+    params = N.init_params(cfg, T.SeedStreams(0))
+    calls = count_calls(monkeypatch, "init_params", "model_forward")
+    want = "^" + re.escape(f"odd: {message}") + "$"
+    with pytest.raises(ConfigError, match=want):
+        TR.train([*samples, odd], cfg, TR.TrainConfig(epochs=1))
+    with pytest.raises(ConfigError, match=want):
+        TR.predict_sample(params, cfg, odd)
+    assert calls == {"init_params": 0, "model_forward": 0}
 
 
 def test_ablate_cell_that_cannot_be_built_is_skipped_with_no_entry_count():
@@ -507,7 +561,7 @@ def test_float32_train_step_keeps_float32():
     streams = T.SeedStreams(0)
     params = N.init_params(model_cfg, streams)
     outputs = N.model_forward(features, params, model_cfg, train=True, streams=streams)
-    loss, _ = TR.total_loss(outputs, labels, train_cfg, model_cfg.window)
+    loss, _ = TR.total_loss(outputs, labels, train_cfg, model_cfg)
     assert loss.data.dtype == np.float32
     loss.backward()
     wrong = {n: str(p.grad.dtype) for n, p in params.items() if p.grad.dtype != np.float32}
@@ -526,7 +580,7 @@ def gtea_step(dtype="f32", frames=72, input_dim=32, num_classes=5):
 
     def forward():
         outputs = N.model_forward(features, params, model_cfg, train=True, streams=streams)
-        loss, parts = TR.total_loss(outputs, labels, train_cfg, model_cfg.window)
+        loss, parts = TR.total_loss(outputs, labels, train_cfg, model_cfg)
         assert all(parts[term] > 0 for term in ("ce", "tmse", "ba"))
         return outputs, loss
 
