@@ -1,14 +1,20 @@
 """Multi-head attention with full, windowed-local, and logsparse patterns.
 
-Every pattern runs the same two graph nodes. ``tensor.slot_softmax`` scores,
-masks and normalizes all heads at once into (T_q, heads, S) probabilities:
-slot j of query row i reads key row i + offsets[j]. ``tensor.slot_mix``
-mixes the value rows those slots read. Attention dropout sits between them.
+Every pattern runs the same three graph nodes, and each keeps only what its
+backward reads. ``tensor.slot_project`` writes the Q|K|V projection (for
+cross-attention, the memory's K|V, beside a plain ``linear`` for Q) into one
+buffer whose key rows sit between zero rows (full attention needs none);
+its backward reads only its inputs. ``tensor.slot_softmax`` scores, masks
+and normalizes all heads at once into (T_q, heads, S) probabilities: slot j
+of query row i reads key row i + offsets[j]. It keeps those probabilities
+and views of the buffer. ``tensor.slot_mix`` applies attention dropout and
+mixes the value rows those slots read; it keeps the 1-byte dropout mask,
+not the dropped copy.
 
 - local: offsets -w//2..w//2, the banded sliding-window attention of
   Longformer (Beltagy et al., arXiv:2004.05150). Keys and values are read
-  through a window view of zero-padded rows, so no T x T score matrix and
-  no per-slot copy is made.
+  through a strided window view of the buffer's rows, so no T x T score
+  matrix, no padded copy and no per-slot copy is made.
 - logsparse: offsets [0, -1, +1, -2, +2, -4, +4, ...] within the key
   length (Li et al., arXiv:1907.00235), O(log T) slots per row.
 - full: no offsets; slot j is key j, computed as head-batched matmuls.
@@ -20,12 +26,14 @@ shape shares the read-only result. ``attend`` returns the pre-dropout
 probability node beside its output, so the boundary loss can read
 similarity distributions straight out of the forward pass. Under
 ``tensor.no_grad`` there is no loss to read them, so ``attend`` returns
-None for them and they are freed once the mixing has read them.
+None for them, and they and the projection buffer are freed before the
+layer's FFN runs.
 
-``attend`` takes only the settings it reads (pattern, window, heads and
-dropout rate) and a relative-position table as a plain (w, heads) tensor.
-They are held in ``net.ModelConfig``, checked once when it is built, and
-``net`` resolves which table each layer reads.
+``attend`` takes the layer's rows and its Q|K|V weight and bias, only the
+settings it reads (pattern, window, heads and dropout rate) and a
+relative-position table as a plain (w, heads) tensor. They are held in
+``net.ModelConfig``, checked once when it is built, and ``net`` resolves
+which table each layer reads.
 """
 
 from __future__ import annotations
@@ -36,7 +44,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError
 from .tensor import SlotLayout, Tensor
 
 PATTERNS = ("full", "local", "logsparse")
@@ -70,38 +77,41 @@ def slot_count(pattern: str, length: int, window: int) -> int:
 
 
 def attend(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor,
     pattern: str,
     window: int,
     heads: int,
     dropout: float = 0.0,
     rpe: Tensor | None = None,
     rng: np.random.Generator | None = None,
+    memory: Tensor | None = None,
 ) -> tuple[Tensor, Tensor | None]:
-    """``heads``-head attention under ``pattern``; returns the (T_q, d)
-    output and the (T_q, heads, S) pre-dropout probabilities, whose
-    in-range slots of each row sum to 1 (slot j of row i reads key
-    i + offsets[j], or key j for full attention), or None for them when no
-    graph is being built. Attention dropout at rate ``dropout`` draws from
-    ``rng`` and applies only when one is given.
+    """``heads``-head attention under ``pattern`` from the rows of ``x`` to
+    those of ``memory``, or of x itself when it is None.
+
+    ``weight`` (d_in, 3d) and ``bias`` (3d,) project Q from x and K and V
+    from the key rows. Returns the (T_q, d) output and the (T_q, heads, S)
+    pre-dropout probabilities, whose in-range slots of each row sum to 1
+    (slot j of row i reads key i + offsets[j], or key j for full attention),
+    or None for them when no graph is being built. Attention dropout at rate
+    ``dropout`` draws from ``rng`` and applies only when one is given.
 
     Local rows see keys in [i - w//2, i + w//2], clamped: the softmax
     normalizes over in-range slots only, and row j - i + w//2 of the
     (w, heads) relative-position table ``rpe`` is added to the score
     first. w >= 2T - 1 gives the same output as full attention.
     """
-    if k.data.shape[0] != v.data.shape[0]:
-        raise ShapeError(f"key/value lengths differ: {k.data.shape[0]} vs {v.data.shape[0]}")
-    if q.data.shape[1] != k.data.shape[1] or k.data.shape[1] != v.data.shape[1]:
-        raise ShapeError("query/key/value dims differ")
-    layout = slot_layout(pattern, q.data.shape[0], k.data.shape[0], window)
-    probs = T.slot_softmax(q, k, layout, heads, rpe)
-    p_used = probs
-    if rng is not None:  # draw head-major, as per-head (T_q, S) masks from this stream would
-        p_used = T.dropout(probs, dropout, rng, draw_axes=(1, 0, 2))
-    return T.slot_mix(p_used, v, layout), probs if T.grad_enabled() else None
+    keys = x if memory is None else memory
+    layout = slot_layout(pattern, x.data.shape[0], keys.data.shape[0], window)
+    if memory is None:
+        q = kv = T.slot_project(x, weight, bias, layout)
+    else:
+        q = T.linear(x, weight, bias, cols=(0, weight.data.shape[1] // 3))
+        kv = T.slot_project(memory, weight, bias, layout, queries=False)
+    probs = T.slot_softmax(q, kv, layout, heads, rpe)
+    return T.slot_mix(probs, kv, layout, dropout, rng), probs if T.grad_enabled() else None
 
 
 def sinusoidal_encoding(length: int, dim: int, dtype=np.float64, start: int = 0) -> np.ndarray:

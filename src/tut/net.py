@@ -220,10 +220,11 @@ def _norm(params, name: str, x: Tensor, residual: Tensor) -> Tensor:
 
 
 def _ffn(params, cfg: ModelConfig, prefix: str, x: Tensor, streams) -> Tensor:
-    h = T.relu(T.linear(x, params[f"{prefix}.ffn1.w"], params[f"{prefix}.ffn1.b"]))
-    if streams is not None:
-        h = T.dropout(h, cfg.ffn_dropout, streams.stream(f"dropout:{prefix}.ffn"))
-    return T.linear(h, params[f"{prefix}.ffn2.w"], params[f"{prefix}.ffn2.b"])
+    rng = streams.stream(f"dropout:{prefix}.ffn") if streams is not None else None
+    return T.ffn_block(
+        x, params[f"{prefix}.ffn1.w"], params[f"{prefix}.ffn1.b"],
+        params[f"{prefix}.ffn2.w"], params[f"{prefix}.ffn2.b"], cfg.ffn_dropout, rng,
+    )
 
 
 def _rpe_for(params, cfg: ModelConfig, stage: int, coder: str, layer: int) -> Tensor | None:
@@ -241,14 +242,11 @@ def encoder_layer(
 ) -> tuple[Tensor, Tensor | None]:
     """Downsample, windowed self-attention, norm, FFN, norm."""
     prefix = f"stage{stage}.enc{layer}"
-    _, hidden = cfg.stage_dims(stage)
     h1 = downsample_nearest(h_prev) if cfg.architecture == "utrans" else h_prev
-    qkv = T.linear(h1, params[f"{prefix}.qkv.w"], params[f"{prefix}.qkv.b"])
-    q, k, v = (T.slice_cols(qkv, i * hidden, (i + 1) * hidden) for i in range(3))
     rng = streams.stream(f"dropout:{prefix}.attn") if streams is not None else None
     attn, probs = attend(
-        q, k, v, cfg.attention, cfg.window, cfg.heads, cfg.attention_dropout,
-        rpe=_rpe_for(params, cfg, stage, "enc", layer), rng=rng,
+        h1, params[f"{prefix}.qkv.w"], params[f"{prefix}.qkv.b"], cfg.attention, cfg.window,
+        cfg.heads, cfg.attention_dropout, rpe=_rpe_for(params, cfg, stage, "enc", layer), rng=rng,
     )
     h2 = _norm(params, f"{prefix}.norm1", attn, h1)
     out = _norm(params, f"{prefix}.norm2", _ffn(params, cfg, prefix, h2, streams), h2)
@@ -267,17 +265,13 @@ def decoder_layer(
     """Upsample, cross-attention (Q from the decoder path, K/V from the
     same-resolution encoder output), norm, FFN, norm."""
     prefix = f"stage{stage}.dec{layer}"
-    _, hidden = cfg.stage_dims(stage)
     target_len = h_enc_peer.data.shape[0]
     h1 = upsample_nearest(h_prev_dec, target_len) if cfg.architecture == "utrans" else h_prev_dec
-    w, b = params[f"{prefix}.qkv.w"], params[f"{prefix}.qkv.b"]
-    q = T.linear(h1, w, b, cols=(0, hidden))
-    kv = T.linear(h_enc_peer, w, b, cols=(hidden, 3 * hidden))
-    k, v = T.slice_cols(kv, 0, hidden), T.slice_cols(kv, hidden, 2 * hidden)
     rng = streams.stream(f"dropout:{prefix}.attn") if streams is not None else None
     attn, probs = attend(
-        q, k, v, cfg.attention, cfg.window, cfg.heads, cfg.attention_dropout,
-        rpe=_rpe_for(params, cfg, stage, "dec", layer), rng=rng,
+        h1, params[f"{prefix}.qkv.w"], params[f"{prefix}.qkv.b"], cfg.attention, cfg.window,
+        cfg.heads, cfg.attention_dropout, rpe=_rpe_for(params, cfg, stage, "dec", layer), rng=rng,
+        memory=h_enc_peer,
     )
     h2 = _norm(params, f"{prefix}.norm1", attn, h1)
     out = _norm(params, f"{prefix}.norm2", _ffn(params, cfg, prefix, h2, streams), h2)

@@ -26,6 +26,14 @@ out=)``), with the same operations in the same order as the out-of-place
 expression, so the bytes do not change. It never writes into an input's
 ``data``, a view of it, or a shared read-only ``SlotLayout``.
 
+A node keeps only what its backward reads. ``dropout``, ``slot_mix`` and
+``ffn_block`` keep a 1-byte mask, not the dropped copy; a backward that
+needs the dropped values (``slot_mix``'s value gradient, ``ffn_block``'s
+``w2`` gradient) rebuilds them with the forward's two multiplies.
+``ffn_block`` keeps its ReLU output and ``slot_softmax`` its probabilities,
+and both slot kernels read keys and values through views of
+``slot_project``'s padded buffer: the local band keeps no other copy.
+
 ``AdamState(params)`` packs the parameters once, before training: each
 ``p.data`` and ``p.grad`` becomes a view of one flat arena, gradients start
 at zero, and every backward accumulates straight into them. ``adam_step``
@@ -160,13 +168,21 @@ def _accumulate(node: Tensor, grad: Array, own: bool = False):
         node.grad += grad
 
 
-def _accumulate_part(node: Tensor, where, grad: Array):
-    """Accumulate grad into node.grad[where]; the rest of node.grad is untouched."""
+def _grad_buffer(node: Tensor) -> Array | None:
+    """node.grad, zeros until something is added into it; None when the node
+    takes no gradient. Backward rules add into parts of it in place."""
     if not node.requires_grad:
-        return
+        return None
     if node.grad is None:
         node.grad = np.zeros_like(node.data)
-    node.grad[where] += grad
+    return node.grad
+
+
+def _accumulate_part(node: Tensor, where, grad: Array):
+    """Accumulate grad into node.grad[where]; the rest of node.grad is untouched."""
+    buf = _grad_buffer(node)
+    if buf is not None:
+        buf[where] += grad
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -285,6 +301,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
+# no caller in src/tut (ffn_block has its own); perfbench's tracer patches it by name
 def relu(x: Tensor) -> Tensor:
     out_data = np.maximum(x.data, 0)
 
@@ -320,6 +337,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _make(x.data.reshape(shape), (x,), backward)
 
 
+# no caller in src/tut (slot_project replaced it); perfbench's tracer patches it by name
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     """Columns start..stop as a view; backward adds into those columns only."""
 
@@ -511,44 +529,59 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, draw_axes=None) -> Te
     that 1-byte mask. Generators whose doubles are built otherwise (MT19937)
     raise TypeError.
     """
+    mask = _dropout_mask(x.data, p, rng, draw_axes)
+    if mask is None:
+        return x
+
+    def backward(g):
+        _accumulate(x, _masked(g, mask), own=True)
+
+    return _make(_masked(x.data, mask), (x,), backward)
+
+
+def _dropout_mask(x: Array, p: float, rng: np.random.Generator, draw_axes=None):
+    """(keep, scale) of inverted dropout over an array shaped like x, drawn
+    as ``dropout`` describes, or None when p == 0 (nothing is drawn)."""
     if not 0.0 <= p < 1.0:
         raise DomainError(f"dropout rate must lie in [0, 1), got {p}")
     if p == 0.0:
-        return x
+        return None
     # bit generators whose random() is (one 64-bit word >> 11) * 2^-53; named
     # here, not at import, so a forward-only run never loads numpy.random
     exact = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
     if not isinstance(rng.bit_generator, exact):
         raise TypeError(f"dropout cannot draw from {type(rng.bit_generator).__name__}")
-    axes = tuple(range(x.data.ndim)) if draw_axes is None else tuple(draw_axes)
+    axes = tuple(range(x.ndim)) if draw_axes is None else tuple(draw_axes)
     inverse = sorted(range(len(axes)), key=axes.__getitem__)
-    raw = rng.bit_generator.random_raw(x.data.size)
+    raw = rng.bit_generator.random_raw(x.size)
     keep = raw >= np.uint64(math.ceil(p * 2.0**53) << 11)
-    keep = keep.reshape([x.data.shape[a] for a in axes]).transpose(inverse)
+    keep = keep.reshape([x.shape[a] for a in axes]).transpose(inverse)
     # a 1-element array: numpy 1.x and 2.x both divide in x's dtype
-    scale = (np.ones(1, dtype=x.data.dtype) / (1.0 - p))[0]
-    out_data = x.data * scale
-    out_data *= keep
+    scale = (np.ones(1, dtype=x.dtype) / (1.0 - p))[0]
+    return keep, scale
 
-    def backward(g):
-        grad = g * scale
-        grad *= keep
-        _accumulate(x, grad, own=True)
 
-    return _make(out_data, (x,), backward)
+def _masked(a: Array, mask) -> Array:
+    """a * scale * keep as a new array: the dropped values in forward, the
+    input's gradient in backward, and the dropped values rebuilt there."""
+    keep, scale = mask
+    out = a * scale
+    out *= keep
+    return out
 
 
 # ---------------------------------------------------------------------------
 # slot attention kernels
 #
 # Query row i, head h, slot j looks at key row i + offsets[j]; with no
-# offsets, slot j is key j and every row reads every key. Keys and values are
-# zero-padded and read through a sliding-window view of the padded rows: an
-# ascending contiguous band (the local window) is that view itself, with no
-# per-slot copy, and any other offsets index it once. Backward passes add one
-# shifted slice per slot back into the padding instead of scattering. Without
-# offsets, scores and mixing are head-batched (heads, T_q, d_h) x
-# (heads, d_h, T_k) matmuls.
+# offsets, slot j is key j and every row reads every key. ``slot_project``
+# writes the Q|K|V (or K|V) projection into one buffer whose key rows sit
+# between zero rows, so the other kernels read the keys and values through a
+# sliding-window view of its rows: an ascending contiguous band (the local
+# window) is that view itself, with no copy, and any other offsets index it
+# once. Backward passes add one shifted slice per slot straight into the
+# buffer's gradient instead of scattering. Without offsets, scores and
+# mixing are head-batched (heads, T_q, d_h) x (heads, d_h, T_k) matmuls.
 
 
 def _frozen(a: Array) -> Array:
@@ -584,6 +617,20 @@ class SlotLayout:
     def slots(self) -> int:
         return self.key_len if self.offsets is None else len(self.offset_list)
 
+    @property
+    def pad(self) -> int:
+        """Zero rows before key row 0 in a ``slot_project`` buffer."""
+        return -self.lo
+
+    @property
+    def padded_rows(self) -> int:
+        """Rows of a ``slot_project`` buffer: every key row, with -lo zero
+        rows before them and, after the longer of the two lengths, hi more.
+        Full attention reads no window, so its buffer is the key rows."""
+        if self.offsets is None:
+            return self.key_len
+        return -self.lo + max(self.query_len, self.key_len) + self.hi
+
     @classmethod
     def build(cls, offsets: Array | None, query_len: int, key_len: int) -> "SlotLayout":
         if offsets is None:
@@ -605,74 +652,119 @@ class SlotLayout:
         return cls(query_len, key_len, offsets, offs, lo, hi, band, edges, masks)
 
 
-def _check_fits(layout: SlotLayout, query_len: int, key_len: int):
-    if (layout.query_len, layout.key_len) != (query_len, key_len):
+def _check_fits(layout: SlotLayout, query_len: int, kv: Tensor):
+    if kv.data.ndim != 3 or (layout.query_len, layout.padded_rows) != (query_len, kv.data.shape[0]):
         raise ShapeError(
             f"slot layout for {layout.query_len} x {layout.key_len} rows does not fit "
-            f"{query_len} x {key_len}"
+            f"{query_len} queries and a {kv.data.shape} buffer"
         )
 
 
-def _slot_rows(x: Array, heads: int, layout: SlotLayout) -> Array:
-    """Slot view of x (T_k, d): entry [i, h, :, j] is head h of x row
-    i + offsets[j], zeros outside [0, T_k)."""
-    lo, hi, rows = layout.lo, layout.hi, layout.query_len
-    kept = min(x.shape[0], rows + hi)  # later rows fall in no slot
-    padded = np.empty((rows + hi - lo, heads, x.shape[1] // heads), dtype=x.dtype)
-    padded[:-lo] = 0.0
-    padded[-lo : -lo + kept] = x[:kept].reshape(kept, heads, -1)
-    padded[-lo + kept :] = 0.0
-    # the window view of padded's rows: [i, h, :, jj] is padded[i + jj, h]
+def _window(block: Array, heads: int, layout: SlotLayout) -> Array:
+    """Slot view of one (padded_rows, d) block of a ``slot_project`` buffer:
+    entry [i, h, :, j] is head h of key row i + offsets[j], zeros outside
+    [0, T_k)."""
+    lo, hi = layout.lo, layout.hi
+    rows3 = block.reshape(block.shape[0], heads, -1)
+    # the window view of the buffer's rows: [i, h, :, jj] is rows3[i + jj, h]
     view = as_strided(
-        padded, (rows,) + padded.shape[1:] + (hi - lo + 1,), padded.strides + padded.strides[:1],
-        writeable=False,
+        rows3, (layout.query_len,) + rows3.shape[1:] + (hi - lo + 1,),
+        rows3.strides + rows3.strides[:1], writeable=False,
     )
     return view if layout.band else view[..., layout.offsets - lo]
 
 
-def _fold_slots(coeff: Array, rows3: Array, layout: SlotLayout) -> Array:
-    """Gradient of a slot view: out[i + offsets[j]] += coeff[i, :, j] * rows3[i]."""
+def _fold_slots(coeff: Array, rows3: Array, layout: SlotLayout, into: Array):
+    """Gradient of a window view, added into ``into``, the (padded_rows, d)
+    block of the buffer it viewed: key row i + offsets[j] gains
+    coeff[i, :, j] * rows3[i]."""
     t_q, heads, _ = coeff.shape
-    lo, hi, key_len = layout.lo, layout.hi, layout.key_len
-    padded = np.zeros((t_q + hi - lo,) + rows3.shape[1:], dtype=rows3.dtype)
+    # the slots add into contiguous rows, and the strided block takes one add
+    padded = np.zeros((into.shape[0], heads, rows3.shape[2]), dtype=rows3.dtype)
     for j, off in enumerate(layout.offset_list):
-        padded[off - lo : off - lo + t_q] += coeff[:, :, j, None] * rows3
-    out = np.zeros((key_len, heads * rows3.shape[2]), dtype=rows3.dtype)
-    kept = min(key_len, t_q + hi)
-    out[:kept] = padded[-lo : -lo + kept].reshape(kept, -1)
-    return out
+        padded[off - layout.lo : off - layout.lo + t_q] += coeff[:, :, j, None] * rows3
+    into += padded.reshape(into.shape)
+
+
+def slot_project(
+    x: Tensor, weight: Tensor, bias: Tensor, layout: SlotLayout, queries: bool = True
+) -> Tensor:
+    """Attention's projection x @ weight + bias in one node, as the buffer
+    the other slot kernels read.
+
+    ``weight`` (d_in, 3d) and ``bias`` (3d,) hold the Q, K and V columns in
+    that order; without ``queries`` only K|V is projected (the memory of
+    cross-attention). x holds the T_k key rows of ``layout``, and the query
+    rows too with ``queries``. Returns a (layout.padded_rows, blocks, d)
+    buffer: x row r is buffer row layout.pad + r, and the other rows are
+    zero, so the key windows are strided views of it. Backward forms one
+    (T_k, blocks * d) gradient, so the weight gets one GEMM.
+    """
+    dim = weight.data.shape[1] // 3
+    part = slice(0 if queries else dim, None)
+    w, b = weight.data[:, part], bias.data[part]
+    _check_linear(x.data, w, b)
+    if weight.data.shape[1] != 3 * dim:
+        raise ShapeError(f"slot projection: {weight.data.shape[1]} columns are not Q|K|V blocks")
+    t = x.data.shape[0]
+    if t != layout.key_len or (queries and t != layout.query_len):
+        raise ShapeError(
+            f"slot layout for {layout.query_len} x {layout.key_len} rows does not fit {t} rows"
+            + (" of queries and keys" if queries else " of keys")
+        )
+    rows = slice(layout.pad, layout.pad + t)
+    buf = np.empty((layout.padded_rows, w.shape[1]), dtype=np.result_type(x.data, w))
+    buf[: rows.start] = 0.0
+    buf[rows.stop :] = 0.0
+    np.matmul(x.data, w, out=buf[rows])
+    buf[rows] += b
+
+    def backward(g):
+        g_rows = g[rows].reshape(t, -1)
+        if x.requires_grad:
+            _accumulate(x, g_rows @ w.T, own=True)
+        _accumulate_weights(weight, bias, part, x.data, g_rows)
+
+    return _make(buf.reshape(len(buf), -1, dim), (x, weight, bias), backward)
 
 
 def slot_softmax(
-    q: Tensor, k: Tensor, layout: SlotLayout, heads: int, rpe: Tensor | None = None
+    q: Tensor, kv: Tensor, layout: SlotLayout, heads: int, rpe: Tensor | None = None
 ) -> Tensor:
     """Attention probabilities of every head in one node.
 
-    ``layout`` is the SlotLayout of (T_q, T_k). Slot j of query row i scores
+    ``layout`` is the SlotLayout of (T_q, T_k) and ``kv`` a ``slot_project``
+    buffer for it, whose next-to-last block holds the keys. ``q`` is the
+    (T_q, d) queries, or ``kv`` itself, whose first block then holds them
+    (self-attention). Slot j of query row i scores
     q_i . k_{i+offsets[j]} / sqrt(d_h), or q_i . k_j for full, plus
     ``rpe[j, h]`` of an (S, heads) table when given. Out-of-range slots are
     masked, and each row is max-stabilized into a softmax over its S slots.
     Returns a C-ordered (T_q, heads, S); a row with no in-range slot spreads
-    uniformly over zero keys.
+    uniformly over zero keys. The node keeps the probabilities and views of
+    its inputs.
     """
-    t_q, dim = q.data.shape
-    t_k = k.data.shape[0]
-    _check_fits(layout, t_q, t_k)
-    if dim % heads or k.data.shape[1] != dim or (
+    t_q, t_k = layout.query_len, layout.key_len
+    _check_fits(layout, q.data.shape[0] if q is not kv else t_k, kv)
+    dim = kv.data.shape[2]
+    queries = kv.data[layout.pad : layout.pad + t_q, 0] if q is kv else q.data
+    if queries.shape != (t_q, dim) or dim % heads or (
         rpe is not None and rpe.data.shape != (layout.slots, heads)
     ):
         raise ShapeError(
-            f"slot softmax: q {q.data.shape}, k {k.data.shape}, {layout.slots} slots, {heads} heads"
+            f"slot softmax: q {q.data.shape}, kv {kv.data.shape}, {layout.slots} slots, "
+            f"{heads} heads"
             + ("" if rpe is None else f", rpe {rpe.data.shape}")
         )
+    keys = kv.data[:, -2]
     scale = 1.0 / math.sqrt(dim // heads)
-    q3 = q.data.reshape(t_q, heads, -1)
+    q3 = queries.reshape(t_q, heads, -1)
     if layout.offsets is None:
-        k3 = k.data.reshape(t_k, heads, -1)
-        scores = np.empty((t_q, heads, t_k), dtype=np.result_type(q.data, k.data))
+        k3 = keys.reshape(t_k, heads, -1)
+        scores = np.empty((t_q, heads, t_k), dtype=np.result_type(queries, keys))
         np.matmul(q3.transpose(1, 0, 2), k3.transpose(1, 2, 0), out=scores.transpose(1, 0, 2))
     else:
-        k_win = _slot_rows(k.data, heads, layout)
+        k_win = _window(keys, heads, layout)
         scores = np.matmul(q3[:, :, None, :], k_win)[:, :, 0, :]
     # the chain below runs in place on the matmul output
     scores *= scale
@@ -693,52 +785,107 @@ def slot_softmax(
         if rpe is not None:
             _accumulate(rpe, ds.sum(axis=0).T, own=True)
         ds *= scale
+        grad = _grad_buffer(kv)
         if layout.offsets is None:
             ds_h = ds.transpose(1, 0, 2)  # (heads, T_q, T_k)
             dq = np.matmul(ds_h, k3.transpose(1, 0, 2)).transpose(1, 0, 2)
-            dk = np.matmul(ds_h.transpose(0, 2, 1), q3.transpose(1, 0, 2)).transpose(1, 0, 2)
-            dk = dk.reshape(t_k, dim)
+            if grad is not None:
+                dk = np.matmul(ds_h.transpose(0, 2, 1), q3.transpose(1, 0, 2)).transpose(1, 0, 2)
+                grad[:, -2] += dk.reshape(t_k, dim)
         else:
             dq = np.matmul(ds[:, :, None, :], k_win.swapaxes(2, 3))[:, :, 0, :]
-            dk = _fold_slots(ds, q3, layout)
-        _accumulate(q, dq.reshape(t_q, dim), own=True)
-        _accumulate(k, dk, own=True)
+            if grad is not None:
+                _fold_slots(ds, q3, layout, grad[:, -2])
+        if q is not kv:
+            _accumulate(q, dq.reshape(t_q, dim), own=True)
+        elif grad is not None:
+            grad[layout.pad : layout.pad + t_q, 0] += dq.reshape(t_q, dim)
 
-    return _make(probs, (q, k) if rpe is None else (q, k, rpe), backward)
+    parents = (kv,) if q is kv else (q, kv)
+    return _make(probs, parents if rpe is None else parents + (rpe,), backward)
 
 
-def slot_mix(p: Tensor, v: Tensor, layout: SlotLayout) -> Tensor:
+def slot_mix(
+    p: Tensor, kv: Tensor, layout: SlotLayout, dropout: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> Tensor:
     """Per-head weighted sum of the value rows each query row's slots read.
 
     ``p`` is (T_q, heads, S) as from ``slot_softmax`` with the same
-    ``layout``; returns (T_q, d).
+    ``layout`` and ``kv``, whose last block holds the values; returns
+    (T_q, d). With ``rng``, p is first dropped out at rate ``dropout``,
+    drawn head-major as one (T_q, S) ``dropout`` per head would be. The node
+    keeps only that 1-byte mask, and its backward rebuilds the dropped
+    probabilities from p with the forward's two multiplies.
     """
     t_q, heads, n_slots = p.data.shape
-    t_k, dim = v.data.shape
-    _check_fits(layout, t_q, t_k)
+    t_k = layout.key_len
+    _check_fits(layout, t_q, kv)
+    dim = kv.data.shape[2]
     if dim % heads or n_slots != layout.slots:
-        raise ShapeError(f"slot mix: p {p.data.shape}, v {v.data.shape}")
+        raise ShapeError(f"slot mix: p {p.data.shape}, kv {kv.data.shape}")
+    mask = None if rng is None else _dropout_mask(p.data, dropout, rng, draw_axes=(1, 0, 2))
+    weights = p.data if mask is None else _masked(p.data, mask)
+    values = kv.data[:, -1]
     if layout.offsets is None:
-        v3 = v.data.reshape(t_k, heads, -1).transpose(1, 0, 2)  # (heads, T_k, d_h)
-        out_data = np.empty((t_q, heads, dim // heads), dtype=np.result_type(p.data, v.data))
-        np.matmul(p.data.transpose(1, 0, 2), v3, out=out_data.transpose(1, 0, 2))
+        v3 = values.reshape(t_k, heads, -1).transpose(1, 0, 2)  # (heads, T_k, d_h)
+        out_data = np.empty((t_q, heads, dim // heads), dtype=np.result_type(p.data, values))
+        np.matmul(weights.transpose(1, 0, 2), v3, out=out_data.transpose(1, 0, 2))
     else:
-        v_win = _slot_rows(v.data, heads, layout)
-        out_data = np.matmul(p.data[:, :, None, :], v_win.swapaxes(2, 3))[:, :, 0, :]
+        v_win = _window(values, heads, layout)
+        out_data = np.matmul(weights[:, :, None, :], v_win.swapaxes(2, 3))[:, :, 0, :]
 
     def backward(g):
         g3 = g.reshape(t_q, heads, -1)
+        grad = _grad_buffer(kv)
+        weights = p.data if mask is None or grad is None else _masked(p.data, mask)
         if layout.offsets is None:
             g_h = g3.transpose(1, 0, 2)  # (heads, T_q, d_h)
             dp = np.matmul(g_h, v3.transpose(0, 2, 1)).transpose(1, 0, 2)
-            dv = np.matmul(p.data.transpose(1, 2, 0), g_h).transpose(1, 0, 2).reshape(t_k, dim)
+            if grad is not None:
+                dv = np.matmul(weights.transpose(1, 2, 0), g_h).transpose(1, 0, 2)
+                grad[:, -1] += dv.reshape(t_k, dim)
         else:
             dp = np.matmul(g3[:, :, None, :], v_win)[:, :, 0, :]
-            dv = _fold_slots(p.data, g3, layout)
-        _accumulate(p, dp, own=True)
-        _accumulate(v, dv, own=True)
+            if grad is not None:
+                _fold_slots(weights, g3, layout, grad[:, -1])
+        _accumulate(p, dp if mask is None else _masked(dp, mask), own=True)
 
-    return _make(out_data.reshape(t_q, dim), (p, v), backward)
+    return _make(out_data.reshape(t_q, dim), (p, kv), backward)
+
+
+def ffn_block(
+    x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, dropout: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """relu(x @ w1 + b1) @ w2 + b2 in one node; with ``rng``, the ReLU output
+    is dropped out at rate ``dropout`` first, as ``dropout`` would.
+
+    The node keeps the ReLU output and the 1-byte mask. Its backward
+    rebuilds the dropped values with the forward's two multiplies and runs
+    the two linear maps', the dropout's and the ReLU's rules in turn.
+    """
+    _check_linear(x.data, w1.data, b1.data)
+    hidden = x.data @ w1.data
+    hidden += b1.data
+    np.maximum(hidden, 0, out=hidden)
+    _check_linear(hidden, w2.data, b2.data)
+    mask = None if rng is None else _dropout_mask(hidden, dropout, rng)
+    out_data = (hidden if mask is None else _masked(hidden, mask)) @ w2.data
+    out_data += b2.data
+
+    def backward(g):
+        dh = g @ w2.data.T
+        dropped = hidden if mask is None else _masked(hidden, mask)
+        _accumulate_weights(w2, b2, slice(None), dropped, g)
+        if mask is not None:
+            dh = _masked(dh, mask)
+        dh *= hidden > 0
+        if x.requires_grad:
+            _accumulate(x, dh @ w1.data.T, own=True)
+        _accumulate_weights(w1, b1, slice(None), x.data, dh)
+
+    return _make(out_data, (x, w1, b1, w2, b2), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor, cols: tuple[int, int] | None = None) -> Tensor:
@@ -749,18 +896,28 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, cols: tuple[int, int] | None
     """
     part = slice(None) if cols is None else slice(*cols)
     w, b = weight.data[:, part], bias.data[part]
-    if x.data.ndim != 2 or w.ndim != 2 or x.data.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError(f"linear: {x.data.shape} x {w.shape} + {b.shape}")
+    _check_linear(x.data, w, b)
     out_data = x.data @ w
     out_data += b
 
     def backward(g):
         if x.requires_grad:
             _accumulate(x, g @ w.T, own=True)
-        _accumulate_part(weight, (slice(None), part), x.data.T @ g)
-        _accumulate_part(bias, part, g.sum(axis=0))
+        _accumulate_weights(weight, bias, part, x.data, g)
 
     return _make(out_data, (x, weight, bias), backward)
+
+
+def _check_linear(x: Array, w: Array, b: Array):
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: {x.shape} x {w.shape} + {b.shape}")
+
+
+def _accumulate_weights(weight: Tensor, bias: Tensor, part: slice, x: Array, g: Array):
+    """The gradients of x @ weight[:, part] + bias[part] given g, added into
+    those columns of the weight's and bias's."""
+    _accumulate_part(weight, (slice(None), part), x.T @ g)
+    _accumulate_part(bias, part, g.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------

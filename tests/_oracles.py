@@ -7,13 +7,16 @@ per-head loops of small graph ops for attention, a per-element loop for
 run-length encoding, a backward that keeps every node's gradient, a
 per-tensor Adam loop for the arena optimizer, the float64-uniform dropout
 and add-then-norm nodes the lean training graph replaced, and the slot kernels and norm that
-rebuilt their masks per call and computed out of place, the per-video
+rebuilt their masks per call and computed out of place, the encoder and
+decoder layer composed from small nodes that the fused attention and FFN
+nodes replaced, the per-video
 accuracy, edit, F1 and whole-report functions and the corpus metrics built on them,
 which segment each label sequence once per metric, and the
 load-then-stride resampling the strided feature read replaced, and the
 checkpoint writer that copied every payload before writing it. The last
-section holds the probes that only tests need: they read what the
-library's forward pass records, outside any graph.
+section holds what only tests need: probes that read what the library's
+forward pass records, outside any graph, and an adapter that runs
+``attend`` on given queries, keys and values.
 """
 
 from __future__ import annotations
@@ -207,9 +210,10 @@ def in_range_mask(offsets, query_len, key_len):
     return (keys >= 0) & (keys < key_len)
 
 
-def slot_softmax_per_call(q, k, layout, heads, rpe=None):
-    """``tensor.slot_softmax`` with the in-range mask of every row built from
-    the layout's offsets on each call and each step a new array."""
+def slot_softmax_plain(q, k, layout, heads, rpe=None):
+    """The slot softmax on (T_q, d) queries and (T_k, d) keys, with the
+    in-range mask of every row built from the layout's offsets on each call
+    and each step a new array."""
     t_q, dim = q.data.shape
     t_k = k.data.shape[0]
     offsets = layout.offsets
@@ -259,9 +263,9 @@ def slot_softmax_per_call(q, k, layout, heads, rpe=None):
     return T._make(probs, (q, k) if rpe is None else (q, k, rpe), backward)
 
 
-def slot_mix_per_call(p, v, layout):
-    """``tensor.slot_mix`` with the slot span and band test redone per call
-    from the layout's offsets."""
+def slot_mix_plain(p, v, layout):
+    """The slot mix of (T_k, d) values, with the slot span and band test
+    redone per call from the layout's offsets."""
     t_q, heads, slots = p.data.shape
     t_k, dim = v.data.shape
     offsets = layout.offsets
@@ -287,6 +291,32 @@ def slot_mix_per_call(p, v, layout):
         T._accumulate(v, dv, own=True)
 
     return T._make(out_data.reshape(t_q, dim), (p, v), backward)
+
+
+def _buffer_block(kv, layout, block, rows):
+    """Rows layout.pad .. + rows of one block of a ``slot_project`` buffer,
+    as slice nodes of a 2-D view, so gradients reach the buffer."""
+    r, blocks, dim = kv.data.shape
+    flat = T.reshape(kv, (r, blocks * dim))
+    cols = T.slice_cols(flat, block * dim, (block + 1) * dim)
+    return T.slice_rows(cols, layout.pad, layout.pad + rows)
+
+
+def slot_softmax_per_call(q, kv, layout, heads, rpe=None):
+    """``tensor.slot_softmax`` as slices of the buffer's Q and K rows and the
+    per-call softmax on them."""
+    keys = _buffer_block(kv, layout, kv.data.shape[1] - 2, layout.key_len)
+    queries = _buffer_block(kv, layout, 0, layout.query_len) if q is kv else q
+    return slot_softmax_plain(queries, keys, layout, heads, rpe)
+
+
+def slot_mix_per_call(p, kv, layout, dropout=0.0, rng=None):
+    """``tensor.slot_mix`` as a ``dropout`` node, drawn head-major, then the
+    per-call mix of a slice of the buffer's V rows."""
+    if rng is not None:
+        p = T.dropout(p, dropout, rng, draw_axes=(1, 0, 2))
+    values = _buffer_block(kv, layout, kv.data.shape[1] - 1, layout.key_len)
+    return slot_mix_plain(p, values, layout)
 
 
 def norm_out_of_place(x, gain, bias, eps=1e-5, residual=None):
@@ -362,6 +392,60 @@ def attention_loop(q, k, v, pattern, window, heads, dropout=0.0, rpe=None, rng=N
             vg = T.reshape(T.gather_rows(vh, flat_idx), (t_q, len(offsets), head_dim))
             outs.append(T.sum_axis(T.mul(T.reshape(p_used, (t_q, len(offsets), 1)), vg), axis=1))
     return T.concat_cols(outs), probs
+
+
+# ---------------------------------------------------------------------------
+# the composed layer: the reference the fused attention and FFN nodes must
+# match byte for byte
+
+
+def attend_composed(q, k, v, pattern, window, heads, dropout=0.0, rpe=None, rng=None):
+    """Attention on given queries, keys and values as separate nodes: the
+    per-call softmax, a ``dropout`` node drawn head-major, and the per-call
+    mix. Returns the output and the pre-dropout probabilities."""
+    if k.data.shape[0] != v.data.shape[0]:
+        raise ShapeError(f"key/value lengths differ: {k.data.shape[0]} vs {v.data.shape[0]}")
+    layout = A.slot_layout(pattern, q.data.shape[0], k.data.shape[0], window)
+    probs = slot_softmax_plain(q, k, layout, heads, rpe)
+    p_used = probs if rng is None else T.dropout(probs, dropout, rng, draw_axes=(1, 0, 2))
+    return slot_mix_plain(p_used, v, layout), probs
+
+
+def layer_composed(h_prev, params, cfg, stage, coder, layer, streams=None, h_enc_peer=None):
+    """``net.encoder_layer`` (coder "enc") or ``net.decoder_layer`` ("dec",
+    cross-attending to ``h_enc_peer``) built from small nodes: ``linear``,
+    ``slice_cols``, ``attend_composed``, norm, then ``linear``, ``relu``,
+    ``dropout``, ``linear`` and norm. Returns the output and probabilities."""
+    prefix = f"stage{stage}.{coder}{layer}"
+    _, hidden = cfg.stage_dims(stage)
+    resample = cfg.architecture == "utrans"
+    w, b = params[f"{prefix}.qkv.w"], params[f"{prefix}.qkv.b"]
+    if coder == "enc":
+        h1 = T.downsample_nearest(h_prev) if resample else h_prev
+        qkv = T.linear(h1, w, b)
+        q, k, v = (T.slice_cols(qkv, i * hidden, (i + 1) * hidden) for i in range(3))
+    else:
+        h1 = T.upsample_nearest(h_prev, h_enc_peer.data.shape[0]) if resample else h_prev
+        q = T.linear(h1, w, b, cols=(0, hidden))
+        kv = T.linear(h_enc_peer, w, b, cols=(hidden, 3 * hidden))
+        k, v = T.slice_cols(kv, 0, hidden), T.slice_cols(kv, hidden, 2 * hidden)
+    rpe_name = N.rpe_param_name(cfg, stage, coder, layer)
+    attn, probs = attend_composed(
+        q, k, v, cfg.attention, cfg.window, cfg.heads, cfg.attention_dropout,
+        rpe=params[rpe_name] if rpe_name else None,
+        rng=streams.stream(f"dropout:{prefix}.attn") if streams is not None else None,
+    )
+
+    def norm(name, x, residual):
+        gain, bias = params[f"{prefix}.{name}.w"], params[f"{prefix}.{name}.b"]
+        return T.instance_norm_temporal(x, gain, bias, N.NORM_EPS, residual=residual)
+
+    h2 = norm("norm1", attn, h1)
+    ffn = T.relu(T.linear(h2, params[f"{prefix}.ffn1.w"], params[f"{prefix}.ffn1.b"]))
+    if streams is not None:
+        ffn = T.dropout(ffn, cfg.ffn_dropout, streams.stream(f"dropout:{prefix}.ffn"))
+    ffn = T.linear(ffn, params[f"{prefix}.ffn2.w"], params[f"{prefix}.ffn2.b"])
+    return norm("norm2", ffn, h2), probs
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +690,8 @@ def save_checkpoint_copying(path, params, cfg):
 
 
 # ---------------------------------------------------------------------------
-# test-only probes of the attention probabilities the boundary loss reads
+# test-only probes of the attention probabilities the boundary loss reads,
+# and attention on given queries, keys and values
 
 
 def valid_key_sets(probs, layout) -> list[set[int]]:
@@ -674,3 +759,24 @@ def boundary_alignment(params, cfg, samples) -> float | None:
         if value is not None:
             values.append(value)
     return float(np.mean(values)) if values else None
+
+
+def attend_qkv(q, k, v, pattern, window, heads, dropout=0.0, rpe=None, rng=None):
+    """``attention.attend`` on given queries, keys and values. They are
+    columns of its input rows, and a zero-bias identity projection gives
+    them back exactly, so their gradients reach q, k and v. Equal lengths
+    run self-attention on [q | k | v]; otherwise [q | 0 | 0] attends to the
+    memory [0 | k | v]."""
+    dim, dtype = q.data.shape[1], q.data.dtype
+    eye = T.Tensor(np.eye(3 * dim, dtype=dtype))
+    zero = T.Tensor(np.zeros(3 * dim, dtype=dtype))
+    settings = dict(dropout=dropout, rpe=rpe, rng=rng)
+    if q.data.shape[0] == k.data.shape[0] == v.data.shape[0]:
+        return A.attend(T.concat_cols([q, k, v]), eye, zero, pattern, window, heads, **settings)
+
+    def blank(rows):
+        return T.Tensor(np.zeros((rows, dim), dtype=dtype))
+
+    x = T.concat_cols([q, blank(q.data.shape[0]), blank(q.data.shape[0])])
+    memory = T.concat_cols([blank(k.data.shape[0]), k, v])
+    return A.attend(x, eye, zero, pattern, window, heads, memory=memory, **settings)

@@ -4,6 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
 complete; the heavyweight training runs are shared across criteria.
 """
 
+import itertools
 import time
 import tracemalloc
 from dataclasses import replace
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    attend_qkv,
     boundary_alignment,
     edit_score,
     edit_score_brute,
@@ -220,63 +222,83 @@ def test_c01_gradient_suite():
     if rel_err(txdr.grad, mask) >= 1e-12:
         failures.append("dropout mask gradient")
 
-    # attention patterns
-    q0, k0, v0 = (rng.standard_normal((7, 4)) for _ in range(3))
+    # attention patterns: attend projects Q|K|V from x itself, or Q from x
+    # and K|V from a memory of other length
+    q0, k0, _ = (rng.standard_normal((7, 4)) for _ in range(3))  # rng's later draws stay put
     wt = rng.standard_normal((7, 4))
+    arng = np.random.default_rng(2)
+    wq, bq = arng.standard_normal((4, 12)), arng.standard_normal(12)
     for pattern in ("full", "local", "logsparse"):
         cfg = dict(pattern=pattern, window=3, heads=2)
 
-        def att_f(qv, kv, vv, cfg=cfg):
-            out, _ = A.attend(T.tensor(qv), T.tensor(kv), T.tensor(vv), **cfg)
+        def att_f(xv, mv, wv, bv, cfg=cfg):
+            out, _ = A.attend(T.tensor(xv), T.tensor(wv), T.tensor(bv), **cfg, memory=T.tensor(mv))
             return float((out.data * wt).sum())
 
-        tq = T.tensor(q0, requires_grad=True)
-        tk = T.tensor(k0, requires_grad=True)
-        tv = T.tensor(v0, requires_grad=True)
-        out, _ = A.attend(tq, tk, tv, **cfg)
+        leaves = [T.tensor(a, requires_grad=True) for a in (q0, k0[:6], wq, bq)]
+        out, _ = A.attend(leaves[0], leaves[2], leaves[3], **cfg, memory=leaves[1])
         T.sum_all(T.mul(out, T.tensor(wt))).backward()
-        check(f"attention.{pattern}", att_f, [q0, k0, v0], [tq.grad, tk.grad, tv.grad])
+        check(f"attention.{pattern}", att_f, [a.data for a in leaves], [a.grad for a in leaves])
 
-    # slot attention kernels and resampling; their own streams leave the
-    # end-to-end model's draws below unchanged. The local band (query and key
-    # lengths differ, with a relative-position table) draws from brng; the
-    # other offsets draw from srng, so brng's later draws do not shift.
-    brng = np.random.default_rng(3)
+    # the slot kernels and the FFN node, in f64 and in f32 (whose gradients
+    # are held to the f64 finite differences too), with dropout off and on;
+    # their own streams leave the end-to-end model's draws below unchanged.
+    # The local band, the unsorted logsparse offsets with gaps and full
+    # attention each run self-attention (T=7) and cross-attention (T_k=6, 9).
     srng = np.random.default_rng(6)
-    kb, tab = brng.standard_normal((6, 4)), brng.standard_normal((5, 2))
-    wb = brng.standard_normal((7, 2, 5))
-    pb = brng.random((7, 2, 5))
-    slot_cases = [("local", A.slot_offsets("local", 6, 5), q0, kb, tab, wb, pb)]
+    slot_cases = []
     for name, offsets, t_k, rpe in (
-        ("logsparse", np.array([0, -1, 1, -2, 2, -4, 4]), 6, True),  # unsorted, with gaps
+        ("local", A.slot_offsets("local", 6, 5), 6, True),
+        ("logsparse", np.array([0, -1, 1, -2, 2, -4, 4]), 6, True),
         ("full", None, 9, False),
     ):
-        slots = t_k if offsets is None else len(offsets)
-        slot_cases.append((
-            name, offsets, q0, srng.standard_normal((t_k, 4)),
-            srng.standard_normal((slots, 2)) if rpe else None,
-            srng.standard_normal((7, 2, slots)), srng.random((7, 2, slots)),
-        ))
-    for name, offsets, qs, ks, tabs, ws, ps in slot_cases:
-        layout = T.SlotLayout.build(offsets, 7, ks.shape[0])
-        leaves = [T.tensor(a, requires_grad=True) for a in (qs, ks, tabs) if a is not None]
+        for keys in (7, t_k):
+            layout = T.SlotLayout.build(offsets, 7, keys)
+            arrays = [srng.standard_normal(shape) for shape in ((7, 3), (keys, 3), (3, 12), (12,))]
+            if rpe:
+                arrays.append(srng.standard_normal((layout.slots, 2)))
+            weights = (srng.standard_normal((7, 2, layout.slots)), srng.standard_normal((7, 4)))
+            kind = "self" if keys == 7 else "cross"
+            slot_cases.append((f"{name}.{kind}", layout, arrays, weights))
 
-        def softmax_f(*arrays, layout=layout, ws=ws):
-            ts = [T.tensor(a) for a in arrays]
-            return float((T.slot_softmax(ts[0], ts[1], layout, 2, *ts[2:]).data * ws).sum())
+    def slot_loss(layout, leaves, weights, drop):
+        x, memory, w, b, *rpe = leaves
+        if layout.key_len == layout.query_len:
+            q = kv = T.slot_project(x, w, b, layout)
+        else:
+            q = T.linear(x, w, b, cols=(0, 4))
+            kv = T.slot_project(memory, w, b, layout, queries=False)
+        probs = T.slot_softmax(q, kv, layout, 2, *rpe)
+        out = T.slot_mix(probs, kv, layout, 0.3, np.random.default_rng(9) if drop else None)
+        w_probs, w_out = (T.tensor(a.astype(x.dtype)) for a in weights)
+        return T.add(T.sum_all(T.mul(probs, w_probs)), T.sum_all(T.mul(out, w_out)))
 
-        T.sum_all(T.mul(T.slot_softmax(leaves[0], leaves[1], layout, 2, *leaves[2:]),
-                        T.tensor(ws))).backward()
-        check(f"slot_softmax.{name}", softmax_f, [a.data for a in leaves], [a.grad for a in leaves])
-        tp, tv = T.tensor(ps, requires_grad=True), T.tensor(ks, requires_grad=True)
-        T.sum_all(T.mul(T.slot_mix(tp, tv, layout), T.tensor(wt))).backward()
+    frng = np.random.default_rng(7)
+    ffn_arrays = [frng.standard_normal(s) for s in ((6, 3), (3, 5), (5,), (5, 4), (4,))]
+    ffn_weights = frng.standard_normal((6, 4))
+
+    def ffn_loss(leaves, drop):
+        out = T.ffn_block(*leaves, 0.4, np.random.default_rng(10) if drop else None)
+        return T.sum_all(T.mul(out, T.tensor(ffn_weights.astype(out.dtype))))
+
+    node_cases = [
+        (f"slot_nodes.{name}", arrays, lambda ls, drop, la=la, ws=ws: slot_loss(la, ls, ws, drop))
+        for name, la, arrays, ws in slot_cases
+    ] + [("ffn_block", ffn_arrays, ffn_loss)]
+    for (name, arrays, loss_of), drop, dtype in itertools.product(
+        node_cases, (False, True), (np.float64, np.float32)
+    ):
+        leaves = [T.Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+        loss_of(leaves, drop).backward()
+        grads = [np.zeros_like(a) if t.grad is None else t.grad for a, t in zip(arrays, leaves)]
         check(
-            f"slot_mix.{name}",
-            lambda pv, vv, layout=layout: float(
-                (T.slot_mix(T.tensor(pv), T.tensor(vv), layout).data * wt).sum()
-            ),
-            [ps, ks], [tp.grad, tv.grad],
+            f"{name}.drop={drop}.{np.dtype(dtype).name}",
+            lambda *vals, f=loss_of, drop=drop: float(f([T.tensor(v) for v in vals], drop).data),
+            arrays, grads,
         )
+
+    # resampling, on its own stream too
+    brng = np.random.default_rng(3)
     for name, resample, rows in (
         ("downsample_nearest", T.downsample_nearest, 4),
         ("upsample_nearest", lambda x: T.upsample_nearest(x, 13), 13),
@@ -387,13 +409,13 @@ def test_c02_attention_oracles():
         heads = int(rng.choice([1, 2]))
         q, k, v = (T.tensor(rng.standard_normal((t, d))) for _ in range(3))
         w = 2 * t - 1 if t % 2 == 1 else 2 * t + 1
-        local, _ = A.attend(q, k, v, "local", w, heads)
-        full, _ = A.attend(q, k, v, "full", w, heads)
+        local, _ = attend_qkv(q, k, v, "local", w, heads)
+        full, _ = attend_qkv(q, k, v, "full", w, heads)
         worst = max(worst, float(np.max(np.abs(local.data - full.data))))
     sets_ok = True
     for t in range(1, 65):
         q, k, v = (T.tensor(rng.standard_normal((t, 2))) for _ in range(3))
-        _, probs = A.attend(q, k, v, "logsparse", 51, 1)
+        _, probs = attend_qkv(q, k, v, "logsparse", 51, 1)
         for i, got in enumerate(valid_key_sets(probs, A.slot_layout("logsparse", t, t, 51))):
             if got != logsparse_key_set(t, i):
                 sets_ok = False
@@ -438,10 +460,16 @@ def test_c03_complexity_contract():
     )
 
 
+RETAINED_KIB_PER_FRAME = 44  # gtea geometry at T=512; it measures 37.2
+
+
 def test_c03_measured_retained_bytes():
     """The measured side of C03: the bytes a training forward and loss keep
     alive for backward grow linearly with T, so their per-frame figure stays
-    flat from T=256 to T=512 (gtea geometry, narrow input, dropout on)."""
+    flat from T=256 to T=512 (gtea geometry, narrow input, dropout on). At
+    T=512 they stay under ``RETAINED_KIB_PER_FRAME``: each layer keeps 1-byte
+    dropout masks and views of one padded Q/K/V buffer, where the layer
+    composed of small nodes kept about 50 KiB per frame."""
     model_cfg, train_cfg, _ = build_configs("gtea", None, {})
     model_cfg = replace(model_cfg, input_dim=32, num_classes=5)
     params = N.init_params(model_cfg, T.SeedStreams(0))
@@ -464,7 +492,8 @@ def test_c03_measured_retained_bytes():
     per_frame = {t: retained(t) / t for t in (256, 512)}
     ratio = per_frame[512] / per_frame[256]
     report(
-        3, "measured retained bytes", 0.9 < ratio < 1.1,
+        3, "measured retained bytes",
+        0.9 < ratio < 1.1 and per_frame[512] < RETAINED_KIB_PER_FRAME * 1024,
         f"{per_frame[256] / 1024:.1f} KiB/frame at T=256, {per_frame[512] / 1024:.1f} at T=512",
     )
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    attend_qkv,
     attention_loop,
     in_range_mask,
     logsparse_key_set,
@@ -36,7 +37,7 @@ def rand_qkv(rng, t, d, t_k=None):
 def test_single_key_is_identity():
     rng = np.random.default_rng(0)
     q, k, v = rand_qkv(rng, 1, 4)
-    out, probs = A.attend(q, k, v, **cfg_for("local", window=7, heads=2))
+    out, probs = attend_qkv(q, k, v, **cfg_for("local", window=7, heads=2))
     np.testing.assert_allclose(out.data, v.data, atol=1e-12)
     valid = in_range_mask(A.slot_layout("local", 1, 1, 7).offsets, 1, 1)
     np.testing.assert_allclose(probs.data[0, 0, valid[0]], [1.0])
@@ -45,7 +46,7 @@ def test_single_key_is_identity():
 def test_window_clamping_key_sets():
     rng = np.random.default_rng(1)
     q, k, v = rand_qkv(rng, 4, 2)
-    _, probs = A.attend(q, k, v, **cfg_for("local", window=3))
+    _, probs = attend_qkv(q, k, v, **cfg_for("local", window=3))
     sets = valid_key_sets(probs, A.slot_layout("local", 4, 4, 3))
     assert sets[0] == {0, 1}
     assert sets[2] == {1, 2, 3}
@@ -59,8 +60,8 @@ def test_local_matches_full_with_saturating_window():
         heads = int(rng.choice([1, 2]))
         q, k, v = rand_qkv(rng, t, d)
         w = 2 * t - 1 if t % 2 == 1 else 2 * t + 1  # odd, >= 2t-1
-        local, _ = A.attend(q, k, v, **cfg_for("local", window=w, heads=heads))
-        full, _ = A.attend(q, k, v, **cfg_for("full", heads=heads))
+        local, _ = attend_qkv(q, k, v, **cfg_for("local", window=w, heads=heads))
+        full, _ = attend_qkv(q, k, v, **cfg_for("full", heads=heads))
         assert np.max(np.abs(local.data - full.data)) < 1e-6
 
 
@@ -70,7 +71,7 @@ def test_full_attention_uniform_keys():
     q = T.tensor(rng.standard_normal((t, d)))
     k = T.tensor(np.tile(rng.standard_normal((1, d)), (t, 1)))
     v = T.tensor(rng.standard_normal((t, d)))
-    out, probs = A.attend(q, k, v, **cfg_for("full"))
+    out, probs = attend_qkv(q, k, v, **cfg_for("full"))
     np.testing.assert_allclose(probs.data[:, 0], np.full((t, t), 1 / t), atol=1e-12)
     np.testing.assert_allclose(out.data, np.tile(v.data.mean(axis=0), (t, 1)), atol=1e-12)
 
@@ -78,28 +79,29 @@ def test_full_attention_uniform_keys():
 def test_full_attention_kv_permutation_symmetry():
     rng = np.random.default_rng(4)
     q, k, v = rand_qkv(rng, 6, 4)
-    out, _ = A.attend(q, k, v, **cfg_for("full", heads=2))
+    out, _ = attend_qkv(q, k, v, **cfg_for("full", heads=2))
     perm = rng.permutation(6)
-    out_p, _ = A.attend(
+    out_p, _ = attend_qkv(
         q, T.tensor(k.data[perm]), T.tensor(v.data[perm]), **cfg_for("full", heads=2)
     )
     np.testing.assert_allclose(out.data, out_p.data, atol=1e-10)
 
 
 def test_kv_length_mismatch_raises():
+    # K and V are one projection of the memory rows: a memory whose length
+    # is not the layout's key length is refused before anything is read
     rng = np.random.default_rng(5)
-    q = T.tensor(rng.standard_normal((4, 2)))
-    k = T.tensor(rng.standard_normal((4, 2)))
-    v = T.tensor(rng.standard_normal((3, 2)))
-    with pytest.raises(ShapeError):
-        A.attend(q, k, v, **cfg_for("local"))
+    w, b = T.tensor(rng.standard_normal((2, 6))), T.tensor(np.zeros(6))
+    layout = A.slot_layout("local", 4, 4, 3)
+    with pytest.raises(ShapeError, match="does not fit"):
+        T.slot_project(T.tensor(rng.standard_normal((3, 2))), w, b, layout, queries=False)
 
 
 def test_logsparse_key_sets_match_enumeration():
     rng = np.random.default_rng(6)
     for t in range(1, 65):
         q, k, v = rand_qkv(rng, t, 2)
-        _, probs = A.attend(q, k, v, **cfg_for("logsparse"))
+        _, probs = attend_qkv(q, k, v, **cfg_for("logsparse"))
         sets = valid_key_sets(probs, A.slot_layout("logsparse", t, t, 3))
         bound = 2 * int(np.ceil(np.log2(t))) + 1 if t > 1 else 1
         for i in range(t):
@@ -110,10 +112,10 @@ def test_logsparse_key_sets_match_enumeration():
 def test_logsparse_t9_example_and_t1():
     rng = np.random.default_rng(7)
     q, k, v = rand_qkv(rng, 9, 2)
-    _, probs = A.attend(q, k, v, **cfg_for("logsparse"))
+    _, probs = attend_qkv(q, k, v, **cfg_for("logsparse"))
     assert valid_key_sets(probs, A.slot_layout("logsparse", 9, 9, 3))[4] == {4, 3, 5, 2, 6, 0, 8}
     q1, k1, v1 = rand_qkv(rng, 1, 2)
-    out, _ = A.attend(q1, k1, v1, **cfg_for("logsparse"))
+    out, _ = attend_qkv(q1, k1, v1, **cfg_for("logsparse"))
     np.testing.assert_allclose(out.data, v1.data, atol=1e-12)
 
 
@@ -121,7 +123,7 @@ def test_rows_sum_to_one_all_patterns():
     rng = np.random.default_rng(8)
     for pattern in ("full", "local", "logsparse"):
         q, k, v = rand_qkv(rng, 11, 4)
-        _, probs = A.attend(q, k, v, **cfg_for(pattern, window=5, heads=2))
+        _, probs = attend_qkv(q, k, v, **cfg_for(pattern, window=5, heads=2))
         offsets = A.slot_layout(pattern, 11, 11, 5).offsets
         valid = True if offsets is None else in_range_mask(offsets, 11, 11)[:, None, :]
         sums = np.where(valid, probs.data, 0.0).sum(axis=2)
@@ -132,7 +134,7 @@ def test_local_storage_bound():
     rng = np.random.default_rng(9)
     t, w, h = 40, 7, 2
     q, k, v = rand_qkv(rng, t, 4)
-    _, probs = A.attend(q, k, v, **cfg_for("local", window=w, heads=h))
+    _, probs = attend_qkv(q, k, v, **cfg_for("local", window=w, heads=h))
     assert probs.data.size == h * w * t
     assert probs.data.size <= h * w * t
 
@@ -141,9 +143,9 @@ def test_zero_rpe_table_leaves_scores_unchanged():
     rng = np.random.default_rng(10)
     q, k, v = rand_qkv(rng, 8, 4)
     cfg = cfg_for("local", window=5, heads=2)
-    plain, _ = A.attend(q, k, v, **cfg)
+    plain, _ = attend_qkv(q, k, v, **cfg)
     zero = T.tensor(np.zeros((5, 2)))
-    with_rpe, _ = A.attend(q, k, v, **cfg, rpe=zero)
+    with_rpe, _ = attend_qkv(q, k, v, **cfg, rpe=zero)
     np.testing.assert_allclose(plain.data, with_rpe.data, atol=1e-12)
 
 
@@ -156,7 +158,7 @@ def test_rpe_additivity_zero_projections():
     k = T.tensor(np.zeros((t, 4)))
     v = T.tensor(rng.standard_normal((t, 4)))
     table = rng.standard_normal((w, h))
-    _, probs = A.attend(q, k, v, **cfg, rpe=T.tensor(table))
+    _, probs = attend_qkv(q, k, v, **cfg, rpe=T.tensor(table))
     half = w // 2
     for i in range(half, t - half):  # full windows only
         for head in range(h):
@@ -168,7 +170,7 @@ def test_rpe_wrong_shape_raises():
     rng = np.random.default_rng(12)
     q, k, v = rand_qkv(rng, 4, 4)
     with pytest.raises(ShapeError):
-        A.attend(
+        attend_qkv(
             q, k, v, **cfg_for("local", window=5, heads=2), rpe=T.tensor(np.zeros((3, 2)))
         )
 
@@ -205,13 +207,13 @@ def test_gradients_vs_finite_differences(pattern):
     cfg = cfg_for(pattern, window=w, heads=h)
 
     def f(qv, kv, vv):
-        out, _ = A.attend(T.tensor(qv), T.tensor(kv), T.tensor(vv), **cfg)
+        out, _ = attend_qkv(T.tensor(qv), T.tensor(kv), T.tensor(vv), **cfg)
         return float((out.data * weights).sum())
 
     tq = T.tensor(q0, requires_grad=True)
     tk = T.tensor(k0, requires_grad=True)
     tv = T.tensor(v0, requires_grad=True)
-    out, _ = A.attend(tq, tk, tv, **cfg)
+    out, _ = attend_qkv(tq, tk, tv, **cfg)
     T.sum_all(T.mul(out, T.tensor(weights))).backward()
     for i, ten in enumerate((tq, tk, tv)):
         assert rel_err(ten.grad, numeric_grad(f, [q0, k0, v0], i)) < 1e-4
@@ -226,13 +228,13 @@ def test_rpe_gradient_vs_finite_differences():
     cfg = cfg_for("local", window=w, heads=h)
 
     def f(tab):
-        out, _ = A.attend(
+        out, _ = attend_qkv(
             T.tensor(q0), T.tensor(k0), T.tensor(v0), **cfg, rpe=T.tensor(tab)
         )
         return float((out.data * weights).sum())
 
     tt = T.tensor(table0, requires_grad=True)
-    out, _ = A.attend(T.tensor(q0), T.tensor(k0), T.tensor(v0), **cfg, rpe=tt)
+    out, _ = attend_qkv(T.tensor(q0), T.tensor(k0), T.tensor(v0), **cfg, rpe=tt)
     T.sum_all(T.mul(out, T.tensor(weights))).backward()
     assert rel_err(tt.grad, numeric_grad(f, [table0], 0)) < 1e-4
 
@@ -253,14 +255,14 @@ def test_fused_local_matches_slotted_oracle():
         arrays = [rng.standard_normal(shape) for shape in ((t_q, d), (t_k, d), (t_k, d), (w, heads))]
         weights = rng.standard_normal((t_q, d))
         results = []
-        for attend in (A.attend, attention_loop):
+        for attend in (attend_qkv, attention_loop):
             leaves = [T.tensor(a, requires_grad=True) for a in arrays]
             rpe = leaves[3] if use_rpe else None
             stream = np.random.default_rng(n) if drop else None
             out, kept = attend(*leaves[:3], **cfg, rpe=rpe, rng=stream)
             T.sum_all(T.mul(out, T.tensor(weights))).backward()
             grads = [np.zeros_like(a) if x.grad is None else x.grad for a, x in zip(arrays, leaves)]
-            if attend is A.attend:
+            if attend is attend_qkv:
                 probs = kept.data
             else:
                 probs = np.stack([p.data for p in kept], axis=1)
@@ -279,38 +281,77 @@ SLOT_SHAPES = [(9, 9, 5), (6, 11, 5), (11, 6, 5), (3, 3, 7), (1, 1, 5), (1, 4, 3
 @pytest.mark.parametrize("pattern", ["local", "logsparse", "full"])
 @pytest.mark.parametrize("use_rpe", [False, True])
 def test_slot_kernels_match_per_call_oracle_bytes(dtype, pattern, use_rpe):
-    """The cached layout and the in-place chain give the per-call kernels'
-    probabilities, output and gradients byte for byte."""
+    """The fused kernels (cached layout, in-place chain, window views of the
+    projection buffer, dropout inside the mix) give the per-call kernels'
+    probabilities, output and gradients byte for byte, with dropout off and
+    on; square shapes run self-attention, the others cross-attention."""
     rng = np.random.default_rng(18)
-    heads = 2
-    for t_q, t_k, w in SLOT_SHAPES:
+    heads, d_in = 2, 5
+    dim = 3 * heads
+    for (t_q, t_k, w), drop in itertools.product(SLOT_SHAPES, (False, True)):
         layout = A.slot_layout(pattern, t_q, t_k, w)
-        shapes = ((t_q, 3 * heads), (t_k, 3 * heads), (t_k, 3 * heads), (layout.slots, heads))
+        cross = t_q != t_k
+        shapes = ((t_q, d_in), (t_k, d_in), (d_in, 3 * dim), (3 * dim,), (layout.slots, heads))
         arrays = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
         w_probs = T.tensor(rng.standard_normal((t_q, heads, layout.slots)).astype(dtype))
-        w_out = T.tensor(rng.standard_normal((t_q, 3 * heads)).astype(dtype))
+        w_out = T.tensor(rng.standard_normal((t_q, dim)).astype(dtype))
         results = []
         for softmax, mix in ((T.slot_softmax, T.slot_mix), (slot_softmax_per_call, slot_mix_per_call)):
             leaves = [T.tensor(a, requires_grad=True) for a in arrays]
-            probs = softmax(leaves[0], leaves[1], layout, heads, leaves[3] if use_rpe else None)
-            out = mix(probs, leaves[2], layout)
+            x, memory, weight, bias, rpe = leaves
+            if cross:
+                q = T.linear(x, weight, bias, cols=(0, dim))
+                kv = T.slot_project(memory, weight, bias, layout, queries=False)
+            else:
+                q = kv = T.slot_project(x, weight, bias, layout)
+            probs = softmax(q, kv, layout, heads, rpe if use_rpe else None)
+            out = mix(probs, kv, layout, 0.5, np.random.default_rng(7) if drop else None)
             T.add(T.sum_all(T.mul(probs, w_probs)), T.sum_all(T.mul(out, w_out))).backward()
-            results.append([probs.data, out.data] + [x.grad for x in leaves[: 3 + use_rpe]])
-        for a, b in zip(*results):
+            grads = [leaf.grad for leaf in leaves]
+            assert (memory.grad is None) != cross and (rpe.grad is None) != use_rpe
+            results.append([probs.data, out.data] + [g for g in grads if g is not None])
+        for a, b in zip(*results, strict=True):
             assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_slot_project_rows_are_the_linear_bytes_between_zero_rows(dtype):
+    """The projection buffer holds x @ w + b, byte for byte as ``linear``
+    gives it, in rows pad .. pad + T_k, and zeros in every other row."""
+    rng = np.random.default_rng(21)
+    for pattern, (t_q, t_k, w) in itertools.product(("local", "logsparse", "full"), SLOT_SHAPES):
+        layout = A.slot_layout(pattern, t_q, t_k, w)
+        x = T.tensor(rng.standard_normal((t_k, 7)).astype(dtype))
+        weight, bias = (T.tensor(rng.standard_normal(s).astype(dtype)) for s in ((7, 12), (12,)))
+        for queries, cols in ((True, None), (False, (4, 12))):
+            if queries and t_q != t_k:
+                continue
+            buf = T.slot_project(x, weight, bias, layout, queries=queries).data
+            want = T.linear(x, weight, bias, cols=cols).data
+            rows = slice(layout.pad, layout.pad + t_k)
+            assert buf.shape == (layout.padded_rows, 3 if queries else 2, 4)
+            assert buf[rows].reshape(t_k, -1).tobytes() == want.tobytes()
+            assert not buf[: rows.start].any() and not buf[rows.stop :].any()
 
 
 @pytest.mark.parametrize("pattern", ["local", "full"])
 def test_slot_kernels_reject_a_layout_built_for_other_lengths(pattern):
     rng = np.random.default_rng(20)
-    q, k, v = rand_qkv(rng, 6, 4)
+    x = T.tensor(rng.standard_normal((6, 3)))
+    w, b = T.tensor(rng.standard_normal((3, 12))), T.tensor(rng.standard_normal(12))
+    built = A.slot_layout(pattern, 6, 6, 3)
+    qkv = T.slot_project(x, w, b, built)
+    q, kv = T.linear(x, w, b, cols=(0, 4)), T.slot_project(x, w, b, built, queries=False)
     for t_q, t_k in ((5, 6), (6, 7)):
         layout = A.slot_layout(pattern, t_q, t_k, 3)
         with pytest.raises(ShapeError, match="does not fit"):
-            T.slot_softmax(q, k, layout, 2)
+            T.slot_project(x, w, b, layout)
         p = T.tensor(np.full((6, 2, layout.slots), 1.0 / layout.slots))
-        with pytest.raises(ShapeError, match="does not fit"):
-            T.slot_mix(p, v, layout)
+        for queries, buf in ((qkv, qkv), (q, kv)):
+            with pytest.raises(ShapeError, match="does not fit"):
+                T.slot_softmax(queries, buf, layout, 2)
+            with pytest.raises(ShapeError, match="does not fit"):
+                T.slot_mix(p, buf, layout)
 
 
 def test_slot_layout_is_shared_read_only_and_masks_only_edge_rows():
@@ -341,17 +382,19 @@ def test_attention_dropout_record_keeps_predrop_rows():
     q, k, v = rand_qkv(rng, 12, 4)
     cfg = cfg_for("local", window=5, heads=1, dropout=0.5)
     stream = np.random.default_rng(0)
-    _, probs = A.attend(q, k, v, **cfg, rng=stream)
+    _, probs = attend_qkv(q, k, v, **cfg, rng=stream)
     valid = in_range_mask(A.slot_layout("local", 12, 12, 5).offsets, 12, 12)
     sums = np.where(valid, probs.data[:, 0], 0.0).sum(axis=1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-6)
 
 
 def test_cross_attention_lengths():
-    # decoder-style call: queries and keys share length after upsampling
+    # decoder-style call: Q from x, K and V from a memory of the same length,
+    # as after upsampling
     rng = np.random.default_rng(16)
-    q, k, v = rand_qkv(rng, 10, 4)
-    out, probs = A.attend(q, k, v, **cfg_for("local", window=3, heads=2))
+    x, memory = (T.tensor(rng.standard_normal((10, 3))) for _ in range(2))
+    w, b = T.tensor(rng.standard_normal((3, 12))), T.tensor(rng.standard_normal(12))
+    out, probs = A.attend(x, w, b, **cfg_for("local", window=3, heads=2), memory=memory)
     assert out.data.shape == (10, 4)
     assert probs.data.shape == (10, 2, A.slot_layout("local", 10, 10, 3).slots)
 

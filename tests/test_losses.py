@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import extract_lad, kl_scalar, mean_boundary_kl, numeric_grad, rel_err
-from tut import attention as A
+from _oracles import attend_qkv, extract_lad, kl_scalar, mean_boundary_kl, numeric_grad, rel_err
 from tut import losses as L
 from tut import net as N
 from tut import tensor as T
@@ -268,13 +267,13 @@ def test_ba_gradient_flows_into_attention_inputs():
     q0, k0, v0 = (rng.standard_normal((t, d)) for _ in range(3))
 
     def f(qv, kv, vv):
-        _, probs = A.attend(T.tensor(qv), T.tensor(kv), T.tensor(vv), "local", w, 2)
+        _, probs = attend_qkv(T.tensor(qv), T.tensor(kv), T.tensor(vv), "local", w, 2)
         return float(L.ba_loss((None, probs), L.derive_boundaries(labels), "kl", "local", w, t).data)
 
     tq = T.tensor(q0, requires_grad=True)
     tk = T.tensor(k0, requires_grad=True)
     tv = T.tensor(v0, requires_grad=True)
-    _, probs = A.attend(tq, tk, tv, "local", w, 2)
+    _, probs = attend_qkv(tq, tk, tv, "local", w, 2)
     L.ba_loss((None, probs), L.derive_boundaries(labels), "kl", "local", w, t).backward()
     assert rel_err(tq.grad, numeric_grad(f, [q0, k0, v0], 0)) < 1e-4
     assert rel_err(tk.grad, numeric_grad(f, [q0, k0, v0], 1)) < 1e-4
@@ -294,7 +293,7 @@ def test_ba_loss_full_record_matches_local_record(distance):
         results = []
         for pattern in ("local", "full"):
             tq, tk = T.tensor(q0, requires_grad=True), T.tensor(k0, requires_grad=True)
-            _, probs = A.attend(tq, tk, T.tensor(v0), pattern, w, heads)
+            _, probs = attend_qkv(tq, tk, T.tensor(v0), pattern, w, heads)
             loss = L.ba_loss((None, probs), L.derive_boundaries(labels), distance, pattern, w, t)
             loss.backward()
             results.append((float(loss.data), tq.grad, tk.grad))

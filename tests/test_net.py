@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _oracles import in_range_mask, numeric_grad, rel_err, save_checkpoint_copying
+from _oracles import in_range_mask, layer_composed, numeric_grad, rel_err, save_checkpoint_copying
 from tut import attention as A
 from tut import data as D
 from tut import net as N
@@ -46,9 +46,9 @@ def record_every_attend(monkeypatch) -> list:
     calls = []
     real = N.attend
 
-    def attend(q, k, *args, **kwargs):
-        out, probs = real(q, k, *args, **kwargs)
-        calls.append((k.data.shape[0], probs))
+    def attend(x, *args, memory=None, **kwargs):
+        out, probs = real(x, *args, memory=memory, **kwargs)
+        calls.append(((x if memory is None else memory).data.shape[0], probs))
         return out, probs
 
     monkeypatch.setattr(N, "attend", attend)
@@ -176,6 +176,52 @@ def test_training_records_are_the_nodes_attend_returned(monkeypatch):
             valid = in_range_mask(A.slot_layout("local", t, t, cfg.window).offsets, t, t)
             sums = np.where(valid[:, None, :], probs.data, 0.0).sum(axis=2)
             np.testing.assert_allclose(sums, 1.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("coder", ["enc", "dec"])
+@pytest.mark.parametrize("pattern", ["local", "full", "logsparse"])
+@pytest.mark.parametrize("arch", ["utrans", "standard"])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_fused_layer_matches_the_composed_layer_bytes(dtype, arch, pattern, coder):
+    """An encoder or decoder layer of the fused attention and FFN nodes gives
+    the output, probabilities and every gradient of the same layer composed
+    from small nodes, byte for byte: dropout off and on, and a sequence
+    shorter than the window as well as a longer one."""
+    cfg = tiny_cfg(
+        architecture=arch, attention=pattern, dtype=dtype, window=11, layers=3,
+        pe_mode="relative" if pattern == "local" else "none",
+        attention_dropout=0.3, ffn_dropout=0.4,
+    )
+    rng = np.random.default_rng(22)
+    for t, drop in ((5, False), (5, True), (23, False), (23, True)):
+        t_out = (t + 1) // 2 if arch == "utrans" and coder == "enc" else t
+        t_prev = (t + 1) // 2 if arch == "utrans" and coder == "dec" else t
+        arrays = [rng.standard_normal((rows, 8)).astype(cfg.np_dtype) for rows in (t_prev, t)]
+        w_out = T.Tensor(rng.standard_normal((t_out, 8)).astype(cfg.np_dtype))
+        slots = A.slot_layout(pattern, t_out, t_out, cfg.window).slots
+        w_probs = T.Tensor(rng.standard_normal((t_out, cfg.heads, slots)).astype(cfg.np_dtype))
+        results = []
+        for fused in (True, False):
+            params = build(cfg)
+            h_prev, peer = (T.Tensor(a.copy(), requires_grad=True) for a in arrays)
+            streams = T.SeedStreams(3) if drop else None
+            if fused and coder == "enc":
+                out, probs = N.encoder_layer(h_prev, params, cfg, 0, 2, streams)
+            elif fused:
+                out, probs = N.decoder_layer(h_prev, peer, params, cfg, 0, 2, streams)
+            else:
+                out, probs = layer_composed(h_prev, params, cfg, 0, coder, 2, streams, peer)
+            T.add(T.sum_all(T.mul(out, w_out)), T.sum_all(T.mul(probs, w_probs))).backward()
+            grads = {name: p.grad for name, p in params.items()}
+            grads.update(h_prev=h_prev.grad, peer=peer.grad)
+            results.append((out.data, probs.data, grads))
+        (out, probs, grads), (want_out, want_probs, want_grads) = results
+        assert out.dtype == want_out.dtype == cfg.np_dtype
+        assert out.tobytes() == want_out.tobytes() and probs.tobytes() == want_probs.tobytes()
+        assert {k for k, g in grads.items() if g is None} == {k for k, g in want_grads.items() if g is None}
+        assert grads["h_prev"] is not None and (grads["peer"] is None) == (coder == "enc")
+        for name, g in grads.items():
+            assert g is None or g.tobytes() == want_grads[name].tobytes(), (t, drop, name)
 
 
 @pytest.mark.parametrize("t", [33, 64, 100, 257])

@@ -649,21 +649,41 @@ def _op_cases():
             lambda x, res, g, b: T.instance_norm_temporal(x, g, b, residual=res),
         ),
         "dropout": (leaves(1), lambda a: T.dropout(a, 0.5, stream)),
+        "slot_project": (
+            lambda r: [_f32(r, (5, 3)), _f32(r, (3, 12)), _f32(r, (12,))],
+            lambda x, w, b: T.slot_project(x, w, b, band),
+        ),
+        "slot_project.keys": (
+            lambda r: [_f32(r, (6, 3)), _f32(r, (3, 12)), _f32(r, (12,))],
+            lambda x, w, b: T.slot_project(x, w, b, full, queries=False),
+        ),
         "slot_softmax": (
-            lambda r: [_f32(r, (5, 4)), _f32(r, (5, 4)), _f32(r, (3, 2))],
-            lambda q, k, rpe: T.slot_softmax(q, k, band, 2, rpe),
+            lambda r: [_f32(r, (band.padded_rows, 3, 4)), _f32(r, (3, 2))],
+            lambda qkv, rpe: T.slot_softmax(qkv, qkv, band, 2, rpe),
         ),
         "slot_softmax.full": (
-            lambda r: [_f32(r, (5, 4)), _f32(r, (6, 4))],
-            lambda q, k: T.slot_softmax(q, k, full, 2),
+            lambda r: [_f32(r, (5, 4)), _f32(r, (6, 2, 4))],
+            lambda q, kv: T.slot_softmax(q, kv, full, 2),
         ),
         "slot_mix": (
-            lambda r: [_probs32(r, (5, 2, 3)), _f32(r, (5, 4))],
-            lambda p, v: T.slot_mix(p, v, band),
+            lambda r: [_probs32(r, (5, 2, 3)), _f32(r, (band.padded_rows, 3, 4))],
+            lambda p, qkv: T.slot_mix(p, qkv, band),
+        ),
+        "slot_mix.dropout": (
+            lambda r: [_probs32(r, (5, 2, 3)), _f32(r, (band.padded_rows, 3, 4))],
+            lambda p, qkv: T.slot_mix(p, qkv, band, 0.5, stream),
         ),
         "slot_mix.full": (
-            lambda r: [_probs32(r, (5, 2, 6)), _f32(r, (6, 4))],
-            lambda p, v: T.slot_mix(p, v, full),
+            lambda r: [_probs32(r, (5, 2, 6)), _f32(r, (6, 2, 4))],
+            lambda p, kv: T.slot_mix(p, kv, full),
+        ),
+        "ffn_block": (
+            lambda r: [_f32(r, (5, 4)), _f32(r, (4, 6)), _f32(r, (6,)), _f32(r, (6, 3)), _f32(r, (3,))],
+            T.ffn_block,
+        ),
+        "ffn_block.dropout": (
+            lambda r: [_f32(r, (5, 4)), _f32(r, (4, 6)), _f32(r, (6,)), _f32(r, (6, 3)), _f32(r, (3,))],
+            lambda *leaves: T.ffn_block(*leaves, 0.5, stream),
         ),
         "cross_entropy_from_logits": (
             leaves(1), lambda a: T.cross_entropy_from_logits(a, [0, 3, 1, 2, 0])
