@@ -137,7 +137,7 @@ def _distance(kind: str, priors: Tensor, lads: Tensor) -> Tensor:
         mid = T.add(T.mul(priors, 0.5), T.mul(lads, 0.5))
         return T.add(
             T.mul(T.kl_from_probs(priors, mid), 0.5),
-            T.mul(T.kl_from_probs(lads, mid, check_domain=False), 0.5),
+            T.mul(T.kl_from_probs(lads, mid), 0.5),
         )
     if kind == "l2":
         diff = T.sub(priors, lads)

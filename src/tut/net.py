@@ -232,6 +232,24 @@ def _rpe_for(params, cfg: ModelConfig, stage: int, coder: str, layer: int) -> Te
     return params[name] if name is not None else None
 
 
+def _layer(
+    h1: Tensor, memory: Tensor | None, params: dict[str, Tensor], cfg: ModelConfig, stage: int,
+    coder: str, layer: int, streams: SeedStreams | None,
+) -> tuple[Tensor, Tensor | None]:
+    """Attention from the rows of h1 to those of ``memory`` (h1's own when
+    it is None), norm, FFN, norm."""
+    prefix = f"stage{stage}.{coder}{layer}"
+    rng = streams.stream(f"dropout:{prefix}.attn") if streams is not None else None
+    attn, probs = attend(
+        h1, params[f"{prefix}.qkv.w"], params[f"{prefix}.qkv.b"], cfg.attention, cfg.window,
+        cfg.heads, cfg.attention_dropout, rpe=_rpe_for(params, cfg, stage, coder, layer), rng=rng,
+        memory=memory,
+    )
+    h2 = _norm(params, f"{prefix}.norm1", attn, h1)
+    out = _norm(params, f"{prefix}.norm2", _ffn(params, cfg, prefix, h2, streams), h2)
+    return out, probs
+
+
 def encoder_layer(
     h_prev: Tensor,
     params: dict[str, Tensor],
@@ -241,16 +259,8 @@ def encoder_layer(
     streams: SeedStreams | None = None,
 ) -> tuple[Tensor, Tensor | None]:
     """Downsample, windowed self-attention, norm, FFN, norm."""
-    prefix = f"stage{stage}.enc{layer}"
     h1 = downsample_nearest(h_prev) if cfg.architecture == "utrans" else h_prev
-    rng = streams.stream(f"dropout:{prefix}.attn") if streams is not None else None
-    attn, probs = attend(
-        h1, params[f"{prefix}.qkv.w"], params[f"{prefix}.qkv.b"], cfg.attention, cfg.window,
-        cfg.heads, cfg.attention_dropout, rpe=_rpe_for(params, cfg, stage, "enc", layer), rng=rng,
-    )
-    h2 = _norm(params, f"{prefix}.norm1", attn, h1)
-    out = _norm(params, f"{prefix}.norm2", _ffn(params, cfg, prefix, h2, streams), h2)
-    return out, probs
+    return _layer(h1, None, params, cfg, stage, "enc", layer, streams)
 
 
 def decoder_layer(
@@ -262,20 +272,11 @@ def decoder_layer(
     layer: int,
     streams: SeedStreams | None = None,
 ) -> tuple[Tensor, Tensor | None]:
-    """Upsample, cross-attention (Q from the decoder path, K/V from the
-    same-resolution encoder output), norm, FFN, norm."""
-    prefix = f"stage{stage}.dec{layer}"
+    """Upsample to the peer's length, cross-attention (Q from the decoder
+    path, K/V from the same-resolution encoder output), norm, FFN, norm."""
     target_len = h_enc_peer.data.shape[0]
     h1 = upsample_nearest(h_prev_dec, target_len) if cfg.architecture == "utrans" else h_prev_dec
-    rng = streams.stream(f"dropout:{prefix}.attn") if streams is not None else None
-    attn, probs = attend(
-        h1, params[f"{prefix}.qkv.w"], params[f"{prefix}.qkv.b"], cfg.attention, cfg.window,
-        cfg.heads, cfg.attention_dropout, rpe=_rpe_for(params, cfg, stage, "dec", layer), rng=rng,
-        memory=h_enc_peer,
-    )
-    h2 = _norm(params, f"{prefix}.norm1", attn, h1)
-    out = _norm(params, f"{prefix}.norm2", _ffn(params, cfg, prefix, h2, streams), h2)
-    return out, probs
+    return _layer(h1, h_enc_peer, params, cfg, stage, "dec", layer, streams)
 
 
 def _input_projection(params, cfg: ModelConfig, stage: int, x: Tensor, streams, start=0) -> Tensor:

@@ -574,14 +574,16 @@ def _masked(a: Array, mask) -> Array:
 # slot attention kernels
 #
 # Query row i, head h, slot j looks at key row i + offsets[j]; with no
-# offsets, slot j is key j and every row reads every key. ``slot_project``
-# writes the Q|K|V (or K|V) projection into one buffer whose key rows sit
-# between zero rows, so the other kernels read the keys and values through a
+# offsets, slot j is key j and every row reads every key. Queries and keys
+# have one length. ``slot_project`` writes the Q|K|V projection (Q of the
+# query rows, K|V of the key rows) into one buffer whose rows sit between
+# zero rows, so the other kernels read the keys and values through a
 # sliding-window view of its rows: an ascending contiguous band (the local
 # window) is that view itself, with no copy, and any other offsets index it
-# once. Backward passes add one shifted slice per slot straight into the
-# buffer's gradient instead of scattering. Without offsets, scores and
-# mixing are head-batched (heads, T_q, d_h) x (heads, d_h, T_k) matmuls.
+# once, in forward and again in backward, so no node keeps that copy.
+# Backward passes add one shifted slice per slot straight into the buffer's
+# gradient instead of scattering. Without offsets, scores and mixing are
+# head-batched (heads, T, d_h) x (heads, d_h, T) matmuls.
 
 
 def _frozen(a: Array) -> Array:
@@ -593,18 +595,17 @@ def _frozen(a: Array) -> Array:
 class SlotLayout:
     """Which key row each slot of each query row reads, for one shape.
 
-    It depends only on the offsets and the two lengths, so one layout serves
-    every call of that shape (``attention.slot_layout`` caches them) and its
-    arrays are read-only. ``offsets`` (S,) is None for full attention, where
-    slot j is key j. ``offset_list`` holds the offsets as python ints,
-    ``lo``/``hi`` span them and 0, and ``band`` says they are lo..hi in
-    order. Only the rows of ``edges`` (a leading and a trailing slice) can
-    read an out-of-range key; ``masks`` maps float32 and float64 to those
-    rows' additive masks.
+    It depends only on the offsets and the ``length`` that queries and keys
+    share, so one layout serves every call of that shape
+    (``attention.slot_layout`` caches them) and its arrays are read-only.
+    ``offsets`` (S,) is None for full attention, where slot j is key j.
+    ``offset_list`` holds the offsets as python ints, ``lo``/``hi`` span
+    them and 0, and ``band`` says they are lo..hi in order. Only the rows
+    of ``edges`` (a leading and a trailing slice) can read an out-of-range
+    key; ``masks`` maps float32 and float64 to those rows' additive masks.
     """
 
-    query_len: int
-    key_len: int
+    length: int
     offsets: Array | None = None
     offset_list: tuple[int, ...] = ()
     lo: int = 0
@@ -615,7 +616,7 @@ class SlotLayout:
 
     @property
     def slots(self) -> int:
-        return self.key_len if self.offsets is None else len(self.offset_list)
+        return self.length if self.offsets is None else len(self.offset_list)
 
     @property
     def pad(self) -> int:
@@ -624,51 +625,52 @@ class SlotLayout:
 
     @property
     def padded_rows(self) -> int:
-        """Rows of a ``slot_project`` buffer: every key row, with -lo zero
-        rows before them and, after the longer of the two lengths, hi more.
-        Full attention reads no window, so its buffer is the key rows."""
+        """Rows of a ``slot_project`` buffer: every row, with -lo zero rows
+        before them and hi after. Full attention reads no window, so its
+        buffer is the rows alone."""
         if self.offsets is None:
-            return self.key_len
-        return -self.lo + max(self.query_len, self.key_len) + self.hi
+            return self.length
+        return -self.lo + self.length + self.hi
 
     @classmethod
-    def build(cls, offsets: Array | None, query_len: int, key_len: int) -> "SlotLayout":
+    def build(cls, offsets: Array | None, length: int) -> "SlotLayout":
         if offsets is None:
-            return cls(query_len, key_len)
+            return cls(length)
         offs = tuple(np.asarray(offsets).tolist())
         lo, hi = min(min(offs), 0), max(max(offs), 0)
         offsets = _frozen(np.array(offs))
-        keys = np.arange(query_len)[:, None] + offsets[None, :]
-        in_range = (keys >= 0) & (keys < key_len)
+        keys = np.arange(length)[:, None] + offsets[None, :]
+        in_range = (keys >= 0) & (keys < length)
         # row i's keys lie in [i + lo, i + hi], so only rows below -lo and from
-        # key_len - hi on can have one outside [0, key_len)
-        lead = min(query_len, -lo)
-        edges = (slice(0, lead), slice(max(lead, key_len - hi), query_len))
+        # length - hi on can have one outside [0, length)
+        lead = min(length, -lo)
+        edges = (slice(0, lead), slice(max(lead, length - hi), length))
         masks = MappingProxyType({
             dt: tuple(_frozen(np.where(in_range[rows], dt.type(0.0), dt.type(MASK_VALUE))) for rows in edges)
             for dt in map(np.dtype, (np.float32, np.float64))
         })
         band = offs == tuple(range(lo, hi + 1))
-        return cls(query_len, key_len, offsets, offs, lo, hi, band, edges, masks)
+        return cls(length, offsets, offs, lo, hi, band, edges, masks)
 
 
-def _check_fits(layout: SlotLayout, query_len: int, kv: Tensor):
-    if kv.data.ndim != 3 or (layout.query_len, layout.padded_rows) != (query_len, kv.data.shape[0]):
+def _check_fits(layout: SlotLayout, length: int, qkv: Tensor):
+    fits = qkv.data.ndim == 3 and qkv.data.shape[:2] == (layout.padded_rows, 3)
+    if not fits or length != layout.length:
         raise ShapeError(
-            f"slot layout for {layout.query_len} x {layout.key_len} rows does not fit "
-            f"{query_len} queries and a {kv.data.shape} buffer"
+            f"slot layout for {layout.length} rows does not fit {length} rows "
+            f"and a {qkv.data.shape} buffer"
         )
 
 
 def _window(block: Array, heads: int, layout: SlotLayout) -> Array:
     """Slot view of one (padded_rows, d) block of a ``slot_project`` buffer:
     entry [i, h, :, j] is head h of key row i + offsets[j], zeros outside
-    [0, T_k)."""
+    [0, T)."""
     lo, hi = layout.lo, layout.hi
     rows3 = block.reshape(block.shape[0], heads, -1)
     # the window view of the buffer's rows: [i, h, :, jj] is rows3[i + jj, h]
     view = as_strided(
-        rows3, (layout.query_len,) + rows3.shape[1:] + (hi - lo + 1,),
+        rows3, (layout.length,) + rows3.shape[1:] + (hi - lo + 1,),
         rows3.strides + rows3.strides[:1], writeable=False,
     )
     return view if layout.band else view[..., layout.offsets - lo]
@@ -678,90 +680,87 @@ def _fold_slots(coeff: Array, rows3: Array, layout: SlotLayout, into: Array):
     """Gradient of a window view, added into ``into``, the (padded_rows, d)
     block of the buffer it viewed: key row i + offsets[j] gains
     coeff[i, :, j] * rows3[i]."""
-    t_q, heads, _ = coeff.shape
+    t, heads, _ = coeff.shape
     # the slots add into contiguous rows, and the strided block takes one add
     padded = np.zeros((into.shape[0], heads, rows3.shape[2]), dtype=rows3.dtype)
     for j, off in enumerate(layout.offset_list):
-        padded[off - layout.lo : off - layout.lo + t_q] += coeff[:, :, j, None] * rows3
+        padded[off - layout.lo : off - layout.lo + t] += coeff[:, :, j, None] * rows3
     into += padded.reshape(into.shape)
 
 
 def slot_project(
-    x: Tensor, weight: Tensor, bias: Tensor, layout: SlotLayout, queries: bool = True
+    x: Tensor, weight: Tensor, bias: Tensor, layout: SlotLayout, memory: Tensor | None = None
 ) -> Tensor:
-    """Attention's projection x @ weight + bias in one node, as the buffer
-    the other slot kernels read.
+    """Attention's Q|K|V projection in one node, as the buffer the other slot
+    kernels read.
 
     ``weight`` (d_in, 3d) and ``bias`` (3d,) hold the Q, K and V columns in
-    that order; without ``queries`` only K|V is projected (the memory of
-    cross-attention). x holds the T_k key rows of ``layout``, and the query
-    rows too with ``queries``. Returns a (layout.padded_rows, blocks, d)
-    buffer: x row r is buffer row layout.pad + r, and the other rows are
-    zero, so the key windows are strided views of it. Backward forms one
-    (T_k, blocks * d) gradient, so the weight gets one GEMM.
+    that order. Q is projected from the rows of x, and K|V from those of
+    ``memory`` (cross-attention) or of x itself when it is None; each holds
+    ``layout.length`` rows. Returns a (layout.padded_rows, 3, d) buffer: row
+    r is buffer row layout.pad + r, and the other rows are zero, so the key
+    windows are strided views of it. Forward and backward run one GEMM per
+    source, so self-attention's weight gets one (T, 3d) gradient GEMM.
     """
     dim = weight.data.shape[1] // 3
-    part = slice(0 if queries else dim, None)
-    w, b = weight.data[:, part], bias.data[part]
-    _check_linear(x.data, w, b)
     if weight.data.shape[1] != 3 * dim:
         raise ShapeError(f"slot projection: {weight.data.shape[1]} columns are not Q|K|V blocks")
-    t = x.data.shape[0]
-    if t != layout.key_len or (queries and t != layout.query_len):
-        raise ShapeError(
-            f"slot layout for {layout.query_len} x {layout.key_len} rows does not fit {t} rows"
-            + (" of queries and keys" if queries else " of keys")
-        )
-    rows = slice(layout.pad, layout.pad + t)
-    buf = np.empty((layout.padded_rows, w.shape[1]), dtype=np.result_type(x.data, w))
+    if memory is None:
+        parts = ((x, slice(None)),)
+    else:
+        parts = ((x, slice(0, dim)), (memory, slice(dim, None)))
+    for source, cols in parts:
+        _check_linear(source.data, weight.data[:, cols], bias.data[cols])
+        if source.data.shape[0] != layout.length:
+            raise ShapeError(
+                f"slot layout for {layout.length} rows does not fit {source.data.shape[0]} rows"
+            )
+    rows = slice(layout.pad, layout.pad + layout.length)
+    buf = np.empty((layout.padded_rows, 3 * dim), dtype=np.result_type(x.data, weight.data))
     buf[: rows.start] = 0.0
     buf[rows.stop :] = 0.0
-    np.matmul(x.data, w, out=buf[rows])
-    buf[rows] += b
+    for source, cols in parts:
+        np.matmul(source.data, weight.data[:, cols], out=buf[rows, cols])
+    buf[rows] += bias.data
 
     def backward(g):
-        g_rows = g[rows].reshape(t, -1)
-        if x.requires_grad:
-            _accumulate(x, g_rows @ w.T, own=True)
-        _accumulate_weights(weight, bias, part, x.data, g_rows)
+        g_rows = g[rows].reshape(layout.length, -1)
+        for source, cols in parts:
+            if source.requires_grad:
+                _accumulate(source, g_rows[:, cols] @ weight.data[:, cols].T, own=True)
+            _accumulate_weights(weight, bias, cols, source.data, g_rows[:, cols])
 
-    return _make(buf.reshape(len(buf), -1, dim), (x, weight, bias), backward)
+    parents = (x,) if memory is None else (x, memory)
+    return _make(buf.reshape(len(buf), 3, dim), parents + (weight, bias), backward)
 
 
-def slot_softmax(
-    q: Tensor, kv: Tensor, layout: SlotLayout, heads: int, rpe: Tensor | None = None
-) -> Tensor:
+def slot_softmax(qkv: Tensor, layout: SlotLayout, heads: int, rpe: Tensor | None = None) -> Tensor:
     """Attention probabilities of every head in one node.
 
-    ``layout`` is the SlotLayout of (T_q, T_k) and ``kv`` a ``slot_project``
-    buffer for it, whose next-to-last block holds the keys. ``q`` is the
-    (T_q, d) queries, or ``kv`` itself, whose first block then holds them
-    (self-attention). Slot j of query row i scores
+    ``qkv`` is a ``slot_project`` buffer for ``layout``, whose three blocks
+    hold the queries, keys and values. Slot j of query row i scores
     q_i . k_{i+offsets[j]} / sqrt(d_h), or q_i . k_j for full, plus
     ``rpe[j, h]`` of an (S, heads) table when given. Out-of-range slots are
     masked, and each row is max-stabilized into a softmax over its S slots.
-    Returns a C-ordered (T_q, heads, S); a row with no in-range slot spreads
+    Returns a C-ordered (T, heads, S); a row with no in-range slot spreads
     uniformly over zero keys. The node keeps the probabilities and views of
     its inputs.
     """
-    t_q, t_k = layout.query_len, layout.key_len
-    _check_fits(layout, q.data.shape[0] if q is not kv else t_k, kv)
-    dim = kv.data.shape[2]
-    queries = kv.data[layout.pad : layout.pad + t_q, 0] if q is kv else q.data
-    if queries.shape != (t_q, dim) or dim % heads or (
-        rpe is not None and rpe.data.shape != (layout.slots, heads)
-    ):
+    t = layout.length
+    _check_fits(layout, t, qkv)
+    dim = qkv.data.shape[2]
+    if dim % heads or (rpe is not None and rpe.data.shape != (layout.slots, heads)):
         raise ShapeError(
-            f"slot softmax: q {q.data.shape}, kv {kv.data.shape}, {layout.slots} slots, "
-            f"{heads} heads"
+            f"slot softmax: qkv {qkv.data.shape}, {layout.slots} slots, {heads} heads"
             + ("" if rpe is None else f", rpe {rpe.data.shape}")
         )
-    keys = kv.data[:, -2]
+    rows = slice(layout.pad, layout.pad + t)
+    queries, keys = qkv.data[rows, 0], qkv.data[:, 1]
     scale = 1.0 / math.sqrt(dim // heads)
-    q3 = queries.reshape(t_q, heads, -1)
+    q3 = queries.reshape(t, heads, -1)
     if layout.offsets is None:
-        k3 = keys.reshape(t_k, heads, -1)
-        scores = np.empty((t_q, heads, t_k), dtype=np.result_type(queries, keys))
+        k3 = keys.reshape(t, heads, -1)
+        scores = np.empty((t, heads, t), dtype=np.result_type(queries, keys))
         np.matmul(q3.transpose(1, 0, 2), k3.transpose(1, 2, 0), out=scores.transpose(1, 0, 2))
     else:
         k_win = _window(keys, heads, layout)
@@ -771,8 +770,8 @@ def slot_softmax(
     if rpe is not None:
         scores += np.ascontiguousarray(rpe.data.T)
     if layout.offsets is not None:
-        for rows, mask in zip(layout.edges, layout.masks[scores.dtype]):
-            scores[rows] += mask[:, None, :]
+        for edge, mask in zip(layout.edges, layout.masks[scores.dtype]):
+            scores[edge] += mask[:, None, :]
     rowmax = scores.max(axis=-1, keepdims=True)
     if not np.isfinite(rowmax.max()):
         raise NumericError("attention scores contain non-finite values")
@@ -784,74 +783,71 @@ def slot_softmax(
         ds = probs * (g - (g * probs).sum(axis=-1, keepdims=True))
         if rpe is not None:
             _accumulate(rpe, ds.sum(axis=0).T, own=True)
+        grad = _grad_buffer(qkv)
+        if grad is None:
+            return
         ds *= scale
-        grad = _grad_buffer(kv)
         if layout.offsets is None:
-            ds_h = ds.transpose(1, 0, 2)  # (heads, T_q, T_k)
+            ds_h = ds.transpose(1, 0, 2)  # (heads, T, T)
             dq = np.matmul(ds_h, k3.transpose(1, 0, 2)).transpose(1, 0, 2)
-            if grad is not None:
-                dk = np.matmul(ds_h.transpose(0, 2, 1), q3.transpose(1, 0, 2)).transpose(1, 0, 2)
-                grad[:, -2] += dk.reshape(t_k, dim)
+            dk = np.matmul(ds_h.transpose(0, 2, 1), q3.transpose(1, 0, 2)).transpose(1, 0, 2)
+            grad[:, 1] += dk.reshape(t, dim)
         else:
+            k_win = _window(keys, heads, layout)  # indexed again: a logsparse one is a copy
             dq = np.matmul(ds[:, :, None, :], k_win.swapaxes(2, 3))[:, :, 0, :]
-            if grad is not None:
-                _fold_slots(ds, q3, layout, grad[:, -2])
-        if q is not kv:
-            _accumulate(q, dq.reshape(t_q, dim), own=True)
-        elif grad is not None:
-            grad[layout.pad : layout.pad + t_q, 0] += dq.reshape(t_q, dim)
+            _fold_slots(ds, q3, layout, grad[:, 1])
+        grad[rows, 0] += dq.reshape(t, dim)
 
-    parents = (kv,) if q is kv else (q, kv)
-    return _make(probs, parents if rpe is None else parents + (rpe,), backward)
+    return _make(probs, (qkv,) if rpe is None else (qkv, rpe), backward)
 
 
 def slot_mix(
-    p: Tensor, kv: Tensor, layout: SlotLayout, dropout: float = 0.0,
+    p: Tensor, qkv: Tensor, layout: SlotLayout, dropout: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Per-head weighted sum of the value rows each query row's slots read.
 
-    ``p`` is (T_q, heads, S) as from ``slot_softmax`` with the same
-    ``layout`` and ``kv``, whose last block holds the values; returns
-    (T_q, d). With ``rng``, p is first dropped out at rate ``dropout``,
-    drawn head-major as one (T_q, S) ``dropout`` per head would be. The node
-    keeps only that 1-byte mask, and its backward rebuilds the dropped
-    probabilities from p with the forward's two multiplies.
+    ``p`` is (T, heads, S) as from ``slot_softmax`` with the same ``layout``
+    and ``qkv``, whose last block holds the values; returns (T, d). With
+    ``rng``, p is first dropped out at rate ``dropout``, drawn head-major as
+    one (T, S) ``dropout`` per head would be. The node keeps only that
+    1-byte mask, and its backward rebuilds the dropped probabilities from p
+    with the forward's two multiplies.
     """
-    t_q, heads, n_slots = p.data.shape
-    t_k = layout.key_len
-    _check_fits(layout, t_q, kv)
-    dim = kv.data.shape[2]
+    t, heads, n_slots = p.data.shape
+    _check_fits(layout, t, qkv)
+    dim = qkv.data.shape[2]
     if dim % heads or n_slots != layout.slots:
-        raise ShapeError(f"slot mix: p {p.data.shape}, kv {kv.data.shape}")
+        raise ShapeError(f"slot mix: p {p.data.shape}, qkv {qkv.data.shape}")
     mask = None if rng is None else _dropout_mask(p.data, dropout, rng, draw_axes=(1, 0, 2))
     weights = p.data if mask is None else _masked(p.data, mask)
-    values = kv.data[:, -1]
+    values = qkv.data[:, 2]
     if layout.offsets is None:
-        v3 = values.reshape(t_k, heads, -1).transpose(1, 0, 2)  # (heads, T_k, d_h)
-        out_data = np.empty((t_q, heads, dim // heads), dtype=np.result_type(p.data, values))
+        v3 = values.reshape(t, heads, -1).transpose(1, 0, 2)  # (heads, T, d_h)
+        out_data = np.empty((t, heads, dim // heads), dtype=np.result_type(p.data, values))
         np.matmul(weights.transpose(1, 0, 2), v3, out=out_data.transpose(1, 0, 2))
     else:
         v_win = _window(values, heads, layout)
         out_data = np.matmul(weights[:, :, None, :], v_win.swapaxes(2, 3))[:, :, 0, :]
 
     def backward(g):
-        g3 = g.reshape(t_q, heads, -1)
-        grad = _grad_buffer(kv)
+        g3 = g.reshape(t, heads, -1)
+        grad = _grad_buffer(qkv)
         weights = p.data if mask is None or grad is None else _masked(p.data, mask)
         if layout.offsets is None:
-            g_h = g3.transpose(1, 0, 2)  # (heads, T_q, d_h)
+            g_h = g3.transpose(1, 0, 2)  # (heads, T, d_h)
             dp = np.matmul(g_h, v3.transpose(0, 2, 1)).transpose(1, 0, 2)
             if grad is not None:
                 dv = np.matmul(weights.transpose(1, 2, 0), g_h).transpose(1, 0, 2)
-                grad[:, -1] += dv.reshape(t_k, dim)
+                grad[:, 2] += dv.reshape(t, dim)
         else:
+            v_win = _window(values, heads, layout)  # indexed again: a logsparse one is a copy
             dp = np.matmul(g3[:, :, None, :], v_win)[:, :, 0, :]
             if grad is not None:
-                _fold_slots(weights, g3, layout, grad[:, -1])
+                _fold_slots(weights, g3, layout, grad[:, 2])
         _accumulate(p, dp if mask is None else _masked(dp, mask), own=True)
 
-    return _make(out_data.reshape(t_q, dim), (p, kv), backward)
+    return _make(out_data.reshape(t, dim), (p, qkv), backward)
 
 
 def ffn_block(
@@ -888,22 +884,16 @@ def ffn_block(
     return _make(out_data, (x, w1, b1, w2, b2), backward)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor, cols: tuple[int, int] | None = None) -> Tensor:
-    """x @ weight + bias in one node, bias broadcast over rows.
-
-    ``cols=(start, stop)`` uses only those columns of weight and bias, and
-    its backward writes only their gradient there.
-    """
-    part = slice(None) if cols is None else slice(*cols)
-    w, b = weight.data[:, part], bias.data[part]
-    _check_linear(x.data, w, b)
-    out_data = x.data @ w
-    out_data += b
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """x @ weight + bias in one node, bias broadcast over rows."""
+    _check_linear(x.data, weight.data, bias.data)
+    out_data = x.data @ weight.data
+    out_data += bias.data
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, g @ w.T, own=True)
-        _accumulate_weights(weight, bias, part, x.data, g)
+            _accumulate(x, g @ weight.data.T, own=True)
+        _accumulate_weights(weight, bias, slice(None), x.data, g)
 
     return _make(out_data, (x, weight, bias), backward)
 
@@ -946,7 +936,7 @@ def cross_entropy_from_logits(logits: Tensor, labels: Array) -> Tensor:
     return _make(out_data, (logits,), backward)
 
 
-def kl_from_probs(p: Tensor, d: Tensor, check_domain: bool = True) -> Tensor:
+def kl_from_probs(p: Tensor, d: Tensor) -> Tensor:
     """Sum of p * log(p / d) over all entries, with 0 * log 0 == 0.
 
     Rows of ``p`` and ``d`` are probability vectors over the same support;
@@ -955,10 +945,9 @@ def kl_from_probs(p: Tensor, d: Tensor, check_domain: bool = True) -> Tensor:
     if p.data.shape != d.data.shape:
         raise ShapeError(f"kl operands differ: {p.data.shape} vs {d.data.shape}")
     tol = 1e-6 if p.data.dtype == np.float64 else 1e-5  # f32 row sums round harder
-    if check_domain:
-        for name, arr in (("p", p.data), ("d", d.data)):
-            if arr.min() < -tol or arr.max() > 1.0 + tol:
-                raise DomainError(f"{name} entries outside [0, 1]")
+    for name, arr in (("p", p.data), ("d", d.data)):
+        if arr.min() < -tol or arr.max() > 1.0 + tol:
+            raise DomainError(f"{name} entries outside [0, 1]")
     support = p.data > 0.0
     safe_p = np.where(support, p.data, 1.0)
     safe_d = np.where(support, d.data, 1.0)

@@ -178,11 +178,11 @@ def _offset_span(offsets):
     return min(min(offs), 0), max(max(offs), 0)
 
 
-def _slot_rows_per_call(x, heads, offsets, rows):
+def _slot_rows_per_call(x, heads, offsets):
     lo, hi = _offset_span(offsets)
-    kept = min(x.shape[0], rows + hi)
+    rows = x.shape[0]
     padded = np.zeros((rows + hi - lo, heads, x.shape[1] // heads), dtype=x.dtype)
-    padded[-lo : -lo + kept] = x[:kept].reshape(kept, heads, -1)
+    padded[-lo : -lo + rows] = x.reshape(rows, heads, -1)
     view = np.lib.stride_tricks.as_strided(
         padded, (rows,) + padded.shape[1:] + (hi - lo + 1,), padded.strides + padded.strides[:1],
         writeable=False,
@@ -192,47 +192,43 @@ def _slot_rows_per_call(x, heads, offsets, rows):
     return view[..., offsets - lo]
 
 
-def _fold_slots_per_call(coeff, rows3, offsets, key_len):
-    t_q, heads, _ = coeff.shape
+def _fold_slots_per_call(coeff, rows3, offsets):
+    t = coeff.shape[0]
     lo, hi = _offset_span(offsets)
-    padded = np.zeros((t_q + hi - lo,) + rows3.shape[1:], dtype=rows3.dtype)
+    padded = np.zeros((t + hi - lo,) + rows3.shape[1:], dtype=rows3.dtype)
     for j, off in enumerate(offsets.tolist()):
-        padded[off - lo : off - lo + t_q] += coeff[:, :, j, None] * rows3
-    out = np.zeros((key_len, heads * rows3.shape[2]), dtype=rows3.dtype)
-    kept = min(key_len, t_q + hi)
-    out[:kept] = padded[-lo : -lo + kept].reshape(kept, -1)
-    return out
+        padded[off - lo : off - lo + t] += coeff[:, :, j, None] * rows3
+    return padded[-lo : -lo + t].reshape(t, -1)
 
 
-def in_range_mask(offsets, query_len, key_len):
-    """(query_len, slots) mask of the slots whose key row lies in [0, key_len)."""
-    keys = np.arange(query_len)[:, None] + offsets[None, :]
-    return (keys >= 0) & (keys < key_len)
+def in_range_mask(offsets, length):
+    """(length, slots) mask of the slots whose key row lies in [0, length)."""
+    keys = np.arange(length)[:, None] + offsets[None, :]
+    return (keys >= 0) & (keys < length)
 
 
 def slot_softmax_plain(q, k, layout, heads, rpe=None):
-    """The slot softmax on (T_q, d) queries and (T_k, d) keys, with the
-    in-range mask of every row built from the layout's offsets on each call
-    and each step a new array."""
-    t_q, dim = q.data.shape
-    t_k = k.data.shape[0]
+    """The slot softmax on (T, d) queries and keys, with the in-range mask of
+    every row built from the layout's offsets on each call and each step a
+    new array."""
+    t, dim = q.data.shape
     offsets = layout.offsets
-    valid = None if offsets is None else in_range_mask(offsets, t_q, t_k)
-    slots = t_k if offsets is None else len(offsets)
+    valid = None if offsets is None else in_range_mask(offsets, t)
+    slots = t if offsets is None else len(offsets)
     if (
         dim % heads
-        or k.data.shape[1] != dim
-        or (layout.query_len, layout.key_len) != (t_q, t_k)
+        or k.data.shape != (t, dim)
+        or layout.length != t
         or (rpe is not None and rpe.data.shape != (slots, heads))
     ):
         raise ShapeError(f"slot softmax: q {q.data.shape}, k {k.data.shape}")
     scale = 1.0 / math.sqrt(dim // heads)
-    q3 = q.data.reshape(t_q, heads, -1)
+    q3 = q.data.reshape(t, heads, -1)
     if offsets is None:
-        k3 = k.data.reshape(t_k, heads, -1)
+        k3 = k.data.reshape(t, heads, -1)
         scores = np.matmul(q3.transpose(1, 0, 2), k3.transpose(1, 2, 0)).transpose(1, 0, 2) * scale
     else:
-        k_win = _slot_rows_per_call(k.data, heads, offsets, t_q)
+        k_win = _slot_rows_per_call(k.data, heads, offsets)
         scores = np.matmul(q3[:, :, None, :], k_win)[:, :, 0, :] * scale
     if rpe is not None:
         scores += rpe.data.T
@@ -253,70 +249,68 @@ def slot_softmax_plain(q, k, layout, heads, rpe=None):
             ds_h = ds.transpose(1, 0, 2)
             dq = np.matmul(ds_h, k3.transpose(1, 0, 2)).transpose(1, 0, 2)
             dk = np.matmul(ds_h.transpose(0, 2, 1), q3.transpose(1, 0, 2)).transpose(1, 0, 2)
-            dk = dk.reshape(t_k, dim)
+            dk = dk.reshape(t, dim)
         else:
             dq = np.matmul(ds[:, :, None, :], k_win.swapaxes(2, 3))[:, :, 0, :]
-            dk = _fold_slots_per_call(ds, q3, offsets, t_k)
-        T._accumulate(q, dq.reshape(t_q, dim), own=True)
+            dk = _fold_slots_per_call(ds, q3, offsets)
+        T._accumulate(q, dq.reshape(t, dim), own=True)
         T._accumulate(k, dk, own=True)
 
     return T._make(probs, (q, k) if rpe is None else (q, k, rpe), backward)
 
 
 def slot_mix_plain(p, v, layout):
-    """The slot mix of (T_k, d) values, with the slot span and band test
+    """The slot mix of (T, d) values, with the slot span and band test
     redone per call from the layout's offsets."""
-    t_q, heads, slots = p.data.shape
-    t_k, dim = v.data.shape
+    t, heads, slots = p.data.shape
+    dim = v.data.shape[1]
     offsets = layout.offsets
-    if dim % heads or slots != (t_k if offsets is None else len(offsets)):
+    if dim % heads or v.data.shape[0] != t or slots != (t if offsets is None else len(offsets)):
         raise ShapeError(f"slot mix: p {p.data.shape}, v {v.data.shape}")
     if offsets is None:
-        v3 = v.data.reshape(t_k, heads, -1).transpose(1, 0, 2)
+        v3 = v.data.reshape(t, heads, -1).transpose(1, 0, 2)
         out_data = np.matmul(p.data.transpose(1, 0, 2), v3).transpose(1, 0, 2)
     else:
-        v_win = _slot_rows_per_call(v.data, heads, offsets, t_q)
+        v_win = _slot_rows_per_call(v.data, heads, offsets)
         out_data = np.matmul(p.data[:, :, None, :], v_win.swapaxes(2, 3))[:, :, 0, :]
 
     def backward(g):
-        g3 = g.reshape(t_q, heads, -1)
+        g3 = g.reshape(t, heads, -1)
         if offsets is None:
             g_h = g3.transpose(1, 0, 2)
             dp = np.matmul(g_h, v3.transpose(0, 2, 1)).transpose(1, 0, 2)
-            dv = np.matmul(p.data.transpose(1, 2, 0), g_h).transpose(1, 0, 2).reshape(t_k, dim)
+            dv = np.matmul(p.data.transpose(1, 2, 0), g_h).transpose(1, 0, 2).reshape(t, dim)
         else:
             dp = np.matmul(g3[:, :, None, :], v_win)[:, :, 0, :]
-            dv = _fold_slots_per_call(p.data, g3, offsets, t_k)
+            dv = _fold_slots_per_call(p.data, g3, offsets)
         T._accumulate(p, dp, own=True)
         T._accumulate(v, dv, own=True)
 
-    return T._make(out_data.reshape(t_q, dim), (p, v), backward)
+    return T._make(out_data.reshape(t, dim), (p, v), backward)
 
 
-def _buffer_block(kv, layout, block, rows):
-    """Rows layout.pad .. + rows of one block of a ``slot_project`` buffer,
-    as slice nodes of a 2-D view, so gradients reach the buffer."""
-    r, blocks, dim = kv.data.shape
-    flat = T.reshape(kv, (r, blocks * dim))
+def _buffer_block(qkv, layout, block):
+    """Rows layout.pad .. + layout.length of one block of a ``slot_project``
+    buffer, as slice nodes of a 2-D view, so gradients reach the buffer."""
+    r, blocks, dim = qkv.data.shape
+    flat = T.reshape(qkv, (r, blocks * dim))
     cols = T.slice_cols(flat, block * dim, (block + 1) * dim)
-    return T.slice_rows(cols, layout.pad, layout.pad + rows)
+    return T.slice_rows(cols, layout.pad, layout.pad + layout.length)
 
 
-def slot_softmax_per_call(q, kv, layout, heads, rpe=None):
+def slot_softmax_per_call(qkv, layout, heads, rpe=None):
     """``tensor.slot_softmax`` as slices of the buffer's Q and K rows and the
     per-call softmax on them."""
-    keys = _buffer_block(kv, layout, kv.data.shape[1] - 2, layout.key_len)
-    queries = _buffer_block(kv, layout, 0, layout.query_len) if q is kv else q
+    queries, keys = (_buffer_block(qkv, layout, block) for block in (0, 1))
     return slot_softmax_plain(queries, keys, layout, heads, rpe)
 
 
-def slot_mix_per_call(p, kv, layout, dropout=0.0, rng=None):
+def slot_mix_per_call(p, qkv, layout, dropout=0.0, rng=None):
     """``tensor.slot_mix`` as a ``dropout`` node, drawn head-major, then the
     per-call mix of a slice of the buffer's V rows."""
     if rng is not None:
         p = T.dropout(p, dropout, rng, draw_axes=(1, 0, 2))
-    values = _buffer_block(kv, layout, kv.data.shape[1] - 1, layout.key_len)
-    return slot_mix_plain(p, values, layout)
+    return slot_mix_plain(p, _buffer_block(qkv, layout, 2), layout)
 
 
 def norm_out_of_place(x, gain, bias, eps=1e-5, residual=None):
@@ -356,20 +350,19 @@ def _split_heads(x, heads: int):
 def attention_loop(q, k, v, pattern, window, heads, dropout=0.0, rpe=None, rng=None):
     """``attention.attend`` computed one head at a time from small graph ops.
 
-    Full attention is a (T_q, T_k) matmul per head. The slotted patterns
-    gather each slot's key row (clamped into range) and mask out-of-range
-    slots before the softmax. Dropout draws one (T_q, S) mask per head, in
-    head order. Returns the (T_q, d) output and the per-head probabilities.
+    Full attention is a (T, T) matmul per head. The slotted patterns gather
+    each slot's key row (clamped into range) and mask out-of-range slots
+    before the softmax. Dropout draws one (T, S) mask per head, in head
+    order. Returns the (T, d) output and the per-head probabilities.
     """
     t_q, dim = q.data.shape
-    t_k = k.data.shape[0]
     head_dim = dim // heads
     scale = 1.0 / math.sqrt(head_dim)
-    offsets = A.slot_offsets(pattern, t_k, window)
+    offsets = A.slot_offsets(pattern, t_q, window)
     if offsets is not None:
         keys = np.arange(t_q)[:, None] + offsets[None, :]
-        flat_idx = np.clip(keys, 0, t_k - 1).reshape(-1)
-        in_range = in_range_mask(offsets, t_q, t_k)
+        flat_idx = np.clip(keys, 0, t_q - 1).reshape(-1)
+        in_range = in_range_mask(offsets, t_q)
         mask = T.Tensor(np.where(in_range, 0.0, T.MASK_VALUE).astype(q.data.dtype))
     outs, probs = [], []
     for h, (qh, kh, vh) in enumerate(zip(*(_split_heads(x, heads) for x in (q, k, v)))):
@@ -405,17 +398,26 @@ def attend_composed(q, k, v, pattern, window, heads, dropout=0.0, rpe=None, rng=
     mix. Returns the output and the pre-dropout probabilities."""
     if k.data.shape[0] != v.data.shape[0]:
         raise ShapeError(f"key/value lengths differ: {k.data.shape[0]} vs {v.data.shape[0]}")
-    layout = A.slot_layout(pattern, q.data.shape[0], k.data.shape[0], window)
+    layout = A.slot_layout(pattern, q.data.shape[0], window)
     probs = slot_softmax_plain(q, k, layout, heads, rpe)
     p_used = probs if rng is None else T.dropout(probs, dropout, rng, draw_axes=(1, 0, 2))
     return slot_mix_plain(p_used, v, layout), probs
+
+
+def _linear_cols(x, weight, bias, start, stop):
+    """``linear`` through columns start..stop of weight and bias, each a
+    ``slice_cols`` node, so only those columns get a gradient."""
+    cols = T.reshape(T.slice_cols(T.reshape(bias, (1, -1)), start, stop), (stop - start,))
+    return T.linear(x, T.slice_cols(weight, start, stop), cols)
 
 
 def layer_composed(h_prev, params, cfg, stage, coder, layer, streams=None, h_enc_peer=None):
     """``net.encoder_layer`` (coder "enc") or ``net.decoder_layer`` ("dec",
     cross-attending to ``h_enc_peer``) built from small nodes: ``linear``,
     ``slice_cols``, ``attend_composed``, norm, then ``linear``, ``relu``,
-    ``dropout``, ``linear`` and norm. Returns the output and probabilities."""
+    ``dropout``, ``linear`` and norm. A decoder projects Q and K|V through
+    ``slice_cols`` of the weight and bias columns. Returns the output and
+    probabilities."""
     prefix = f"stage{stage}.{coder}{layer}"
     _, hidden = cfg.stage_dims(stage)
     resample = cfg.architecture == "utrans"
@@ -426,8 +428,8 @@ def layer_composed(h_prev, params, cfg, stage, coder, layer, streams=None, h_enc
         q, k, v = (T.slice_cols(qkv, i * hidden, (i + 1) * hidden) for i in range(3))
     else:
         h1 = T.upsample_nearest(h_prev, h_enc_peer.data.shape[0]) if resample else h_prev
-        q = T.linear(h1, w, b, cols=(0, hidden))
-        kv = T.linear(h_enc_peer, w, b, cols=(hidden, 3 * hidden))
+        q = _linear_cols(h1, w, b, 0, hidden)
+        kv = _linear_cols(h_enc_peer, w, b, hidden, 3 * hidden)
         k, v = T.slice_cols(kv, 0, hidden), T.slice_cols(kv, hidden, 2 * hidden)
     rpe_name = N.rpe_param_name(cfg, stage, coder, layer)
     attn, probs = attend_composed(
@@ -761,22 +763,18 @@ def boundary_alignment(params, cfg, samples) -> float | None:
     return float(np.mean(values)) if values else None
 
 
-def attend_qkv(q, k, v, pattern, window, heads, dropout=0.0, rpe=None, rng=None):
-    """``attention.attend`` on given queries, keys and values. They are
-    columns of its input rows, and a zero-bias identity projection gives
-    them back exactly, so their gradients reach q, k and v. Equal lengths
-    run self-attention on [q | k | v]; otherwise [q | 0 | 0] attends to the
-    memory [0 | k | v]."""
+def attend_qkv(q, k, v, pattern, window, heads, dropout=0.0, rpe=None, rng=None, cross=False):
+    """``attention.attend`` on given queries, keys and values of one length.
+    They are columns of its input rows, and a zero-bias identity projection
+    gives them back exactly, so their gradients reach q, k and v. It runs
+    self-attention on [q | k | v], or with ``cross`` [q | 0 | 0] attends to
+    the memory [0 | k | v]."""
     dim, dtype = q.data.shape[1], q.data.dtype
     eye = T.Tensor(np.eye(3 * dim, dtype=dtype))
     zero = T.Tensor(np.zeros(3 * dim, dtype=dtype))
     settings = dict(dropout=dropout, rpe=rpe, rng=rng)
-    if q.data.shape[0] == k.data.shape[0] == v.data.shape[0]:
+    if not cross:
         return A.attend(T.concat_cols([q, k, v]), eye, zero, pattern, window, heads, **settings)
-
-    def blank(rows):
-        return T.Tensor(np.zeros((rows, dim), dtype=dtype))
-
-    x = T.concat_cols([q, blank(q.data.shape[0]), blank(q.data.shape[0])])
-    memory = T.concat_cols([blank(k.data.shape[0]), k, v])
+    blank = T.Tensor(np.zeros(q.data.shape, dtype=dtype))
+    x, memory = T.concat_cols([q, blank, blank]), T.concat_cols([blank, k, v])
     return A.attend(x, eye, zero, pattern, window, heads, memory=memory, **settings)

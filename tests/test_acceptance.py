@@ -222,8 +222,8 @@ def test_c01_gradient_suite():
     if rel_err(txdr.grad, mask) >= 1e-12:
         failures.append("dropout mask gradient")
 
-    # attention patterns: attend projects Q|K|V from x itself, or Q from x
-    # and K|V from a memory of other length
+    # attention patterns: attend projects Q from x and K|V from a memory of
+    # the same length, as a decoder layer does
     q0, k0, _ = (rng.standard_normal((7, 4)) for _ in range(3))  # rng's later draws stay put
     wt = rng.standard_normal((7, 4))
     arng = np.random.default_rng(2)
@@ -235,7 +235,7 @@ def test_c01_gradient_suite():
             out, _ = A.attend(T.tensor(xv), T.tensor(wv), T.tensor(bv), **cfg, memory=T.tensor(mv))
             return float((out.data * wt).sum())
 
-        leaves = [T.tensor(a, requires_grad=True) for a in (q0, k0[:6], wq, bq)]
+        leaves = [T.tensor(a, requires_grad=True) for a in (q0, k0, wq, bq)]
         out, _ = A.attend(leaves[0], leaves[2], leaves[3], **cfg, memory=leaves[1])
         T.sum_all(T.mul(out, T.tensor(wt))).backward()
         check(f"attention.{pattern}", att_f, [a.data for a in leaves], [a.grad for a in leaves])
@@ -244,32 +244,28 @@ def test_c01_gradient_suite():
     # are held to the f64 finite differences too), with dropout off and on;
     # their own streams leave the end-to-end model's draws below unchanged.
     # The local band, the unsorted logsparse offsets with gaps and full
-    # attention each run self-attention (T=7) and cross-attention (T_k=6, 9).
+    # attention each run self-attention and cross-attention to a memory leaf
+    # of the same length (T=7), the decoder's node form.
     srng = np.random.default_rng(6)
     slot_cases = []
-    for name, offsets, t_k, rpe in (
-        ("local", A.slot_offsets("local", 6, 5), 6, True),
-        ("logsparse", np.array([0, -1, 1, -2, 2, -4, 4]), 6, True),
-        ("full", None, 9, False),
+    for name, offsets, rpe in (
+        ("local", A.slot_offsets("local", 7, 5), True),
+        ("logsparse", np.array([0, -1, 1, -2, 2, -4, 4]), True),
+        ("full", None, False),
     ):
-        for keys in (7, t_k):
-            layout = T.SlotLayout.build(offsets, 7, keys)
-            arrays = [srng.standard_normal(shape) for shape in ((7, 3), (keys, 3), (3, 12), (12,))]
+        layout = T.SlotLayout.build(offsets, 7)
+        for kind in ("self", "cross"):
+            arrays = [srng.standard_normal(shape) for shape in ((7, 3), (7, 3), (3, 12), (12,))]
             if rpe:
                 arrays.append(srng.standard_normal((layout.slots, 2)))
             weights = (srng.standard_normal((7, 2, layout.slots)), srng.standard_normal((7, 4)))
-            kind = "self" if keys == 7 else "cross"
-            slot_cases.append((f"{name}.{kind}", layout, arrays, weights))
+            slot_cases.append((f"{name}.{kind}", layout, weights, kind == "cross", arrays))
 
-    def slot_loss(layout, leaves, weights, drop):
+    def slot_loss(layout, weights, cross, leaves, drop):
         x, memory, w, b, *rpe = leaves
-        if layout.key_len == layout.query_len:
-            q = kv = T.slot_project(x, w, b, layout)
-        else:
-            q = T.linear(x, w, b, cols=(0, 4))
-            kv = T.slot_project(memory, w, b, layout, queries=False)
-        probs = T.slot_softmax(q, kv, layout, 2, *rpe)
-        out = T.slot_mix(probs, kv, layout, 0.3, np.random.default_rng(9) if drop else None)
+        qkv = T.slot_project(x, w, b, layout, memory if cross else None)
+        probs = T.slot_softmax(qkv, layout, 2, *rpe)
+        out = T.slot_mix(probs, qkv, layout, 0.3, np.random.default_rng(9) if drop else None)
         w_probs, w_out = (T.tensor(a.astype(x.dtype)) for a in weights)
         return T.add(T.sum_all(T.mul(probs, w_probs)), T.sum_all(T.mul(out, w_out)))
 
@@ -282,8 +278,8 @@ def test_c01_gradient_suite():
         return T.sum_all(T.mul(out, T.tensor(ffn_weights.astype(out.dtype))))
 
     node_cases = [
-        (f"slot_nodes.{name}", arrays, lambda ls, drop, la=la, ws=ws: slot_loss(la, ls, ws, drop))
-        for name, la, arrays, ws in slot_cases
+        (f"slot_nodes.{name}", arrays, lambda ls, drop, case=case: slot_loss(*case, ls, drop))
+        for name, *case, arrays in slot_cases
     ] + [("ffn_block", ffn_arrays, ffn_loss)]
     for (name, arrays, loss_of), drop, dtype in itertools.product(
         node_cases, (False, True), (np.float64, np.float32)
@@ -309,20 +305,16 @@ def test_c01_gradient_suite():
         check(name, lambda xv, f=resample, wr=wr: float((f(T.tensor(xv)).data * wr).sum()),
               [q0], [tr.grad])
 
-    # fused dense layer, whole and column-ranged (gradients outside the
-    # range stay zero); its own stream, like the slot kernels above
+    # fused dense layer; its own stream, like the slot kernels above
     lrng = np.random.default_rng(4)
     xl, wl, bl = lrng.standard_normal((5, 3)), lrng.standard_normal((3, 6)), lrng.standard_normal(6)
-    for cols in (None, (2, 5)):
-        part = slice(None) if cols is None else slice(*cols)
-        wo = lrng.standard_normal((5, 6))[:, part]
-        tx, tw, tb = (T.tensor(a, requires_grad=True) for a in (xl, wl, bl))
-        T.sum_all(T.mul(T.linear(tx, tw, tb, cols), T.tensor(wo))).backward()
-        check(
-            f"linear.cols={cols}",
-            lambda xv, wv, bv, part=part, wo=wo: float(((xv @ wv[:, part] + bv[part]) * wo).sum()),
-            [xl, wl, bl], [tx.grad, tw.grad, tb.grad],
-        )
+    wo = lrng.standard_normal((5, 6))
+    tx, tw, tb = (T.tensor(a, requires_grad=True) for a in (xl, wl, bl))
+    T.sum_all(T.mul(T.linear(tx, tw, tb), T.tensor(wo))).backward()
+    check(
+        "linear", lambda xv, wv, bv: float(((xv @ wv + bv) * wo).sum()),
+        [xl, wl, bl], [tx.grad, tw.grad, tb.grad],
+    )
 
     # end-to-end tiny model: T=16, d=4, N=2, M=1, w=3, f64, dropout off,
     # full three-term loss, finite differences over every parameter. The
@@ -416,7 +408,7 @@ def test_c02_attention_oracles():
     for t in range(1, 65):
         q, k, v = (T.tensor(rng.standard_normal((t, 2))) for _ in range(3))
         _, probs = attend_qkv(q, k, v, "logsparse", 51, 1)
-        for i, got in enumerate(valid_key_sets(probs, A.slot_layout("logsparse", t, t, 51))):
+        for i, got in enumerate(valid_key_sets(probs, A.slot_layout("logsparse", t, 51))):
             if got != logsparse_key_set(t, i):
                 sets_ok = False
     report(

@@ -25,13 +25,8 @@ def cfg_for(pattern, window=3, heads=1, **kw):
     return dict(pattern=pattern, window=window, heads=heads, **kw)
 
 
-def rand_qkv(rng, t, d, t_k=None):
-    t_k = t if t_k is None else t_k
-    return (
-        T.tensor(rng.standard_normal((t, d))),
-        T.tensor(rng.standard_normal((t_k, d))),
-        T.tensor(rng.standard_normal((t_k, d))),
-    )
+def rand_qkv(rng, t, d):
+    return tuple(T.tensor(rng.standard_normal((t, d))) for _ in range(3))
 
 
 def test_single_key_is_identity():
@@ -39,7 +34,7 @@ def test_single_key_is_identity():
     q, k, v = rand_qkv(rng, 1, 4)
     out, probs = attend_qkv(q, k, v, **cfg_for("local", window=7, heads=2))
     np.testing.assert_allclose(out.data, v.data, atol=1e-12)
-    valid = in_range_mask(A.slot_layout("local", 1, 1, 7).offsets, 1, 1)
+    valid = in_range_mask(A.slot_layout("local", 1, 7).offsets, 1)
     np.testing.assert_allclose(probs.data[0, 0, valid[0]], [1.0])
 
 
@@ -47,7 +42,7 @@ def test_window_clamping_key_sets():
     rng = np.random.default_rng(1)
     q, k, v = rand_qkv(rng, 4, 2)
     _, probs = attend_qkv(q, k, v, **cfg_for("local", window=3))
-    sets = valid_key_sets(probs, A.slot_layout("local", 4, 4, 3))
+    sets = valid_key_sets(probs, A.slot_layout("local", 4, 3))
     assert sets[0] == {0, 1}
     assert sets[2] == {1, 2, 3}
 
@@ -89,12 +84,13 @@ def test_full_attention_kv_permutation_symmetry():
 
 def test_kv_length_mismatch_raises():
     # K and V are one projection of the memory rows: a memory whose length
-    # is not the layout's key length is refused before anything is read
+    # is not the queries' is refused before anything is read
     rng = np.random.default_rng(5)
     w, b = T.tensor(rng.standard_normal((2, 6))), T.tensor(np.zeros(6))
-    layout = A.slot_layout("local", 4, 4, 3)
+    layout = A.slot_layout("local", 4, 3)
+    x, memory = (T.tensor(rng.standard_normal((rows, 2))) for rows in (4, 3))
     with pytest.raises(ShapeError, match="does not fit"):
-        T.slot_project(T.tensor(rng.standard_normal((3, 2))), w, b, layout, queries=False)
+        T.slot_project(x, w, b, layout, memory)
 
 
 def test_logsparse_key_sets_match_enumeration():
@@ -102,7 +98,7 @@ def test_logsparse_key_sets_match_enumeration():
     for t in range(1, 65):
         q, k, v = rand_qkv(rng, t, 2)
         _, probs = attend_qkv(q, k, v, **cfg_for("logsparse"))
-        sets = valid_key_sets(probs, A.slot_layout("logsparse", t, t, 3))
+        sets = valid_key_sets(probs, A.slot_layout("logsparse", t, 3))
         bound = 2 * int(np.ceil(np.log2(t))) + 1 if t > 1 else 1
         for i in range(t):
             assert sets[i] == logsparse_key_set(t, i)
@@ -113,7 +109,7 @@ def test_logsparse_t9_example_and_t1():
     rng = np.random.default_rng(7)
     q, k, v = rand_qkv(rng, 9, 2)
     _, probs = attend_qkv(q, k, v, **cfg_for("logsparse"))
-    assert valid_key_sets(probs, A.slot_layout("logsparse", 9, 9, 3))[4] == {4, 3, 5, 2, 6, 0, 8}
+    assert valid_key_sets(probs, A.slot_layout("logsparse", 9, 3))[4] == {4, 3, 5, 2, 6, 0, 8}
     q1, k1, v1 = rand_qkv(rng, 1, 2)
     out, _ = attend_qkv(q1, k1, v1, **cfg_for("logsparse"))
     np.testing.assert_allclose(out.data, v1.data, atol=1e-12)
@@ -124,8 +120,8 @@ def test_rows_sum_to_one_all_patterns():
     for pattern in ("full", "local", "logsparse"):
         q, k, v = rand_qkv(rng, 11, 4)
         _, probs = attend_qkv(q, k, v, **cfg_for(pattern, window=5, heads=2))
-        offsets = A.slot_layout(pattern, 11, 11, 5).offsets
-        valid = True if offsets is None else in_range_mask(offsets, 11, 11)[:, None, :]
+        offsets = A.slot_layout(pattern, 11, 5).offsets
+        valid = True if offsets is None else in_range_mask(offsets, 11)[:, None, :]
         sums = np.where(valid, probs.data, 0.0).sum(axis=2)
         np.testing.assert_allclose(sums, 1.0, atol=1e-5)
 
@@ -241,28 +237,30 @@ def test_rpe_gradient_vs_finite_differences():
 
 def test_fused_local_matches_slotted_oracle():
     # every pattern's two slot nodes against the per-head loops, with and
-    # without dropout; the relative-position table exists only under local
+    # without dropout, as self- and as cross-attention; the relative-position
+    # table exists only under local
     rng = np.random.default_rng(17)
     flags = (False, True)
     cases = [("local", *c) for c in itertools.product((1, 2, 4), (1, 3, 11, 51), flags, flags)]
     cases += [(p, h, 1, False, drop) for p in ("full", "logsparse") for h in (1, 2, 4) for drop in flags]
     for n, (pattern, heads, w, use_rpe, drop) in enumerate(c for c in cases for _ in range(5)):
-        t_q = 1 + n % 40
-        # cross lengths keep t_k >= t_q - w//2, so every query row has a key in range
-        t_k = t_q if n % 2 else int(rng.integers(max(1, t_q - w // 2), t_q + w // 2 + 4))
+        t = 1 + n % 40
         d = heads * int(rng.integers(1, 4))
         cfg = cfg_for(pattern, window=w, heads=heads, dropout=0.5)
-        arrays = [rng.standard_normal(shape) for shape in ((t_q, d), (t_k, d), (t_k, d), (w, heads))]
-        weights = rng.standard_normal((t_q, d))
+        arrays = [rng.standard_normal(shape) for shape in ((t, d), (t, d), (t, d), (w, heads))]
+        weights = rng.standard_normal((t, d))
         results = []
-        for attend in (attend_qkv, attention_loop):
+        for fused in flags:
             leaves = [T.tensor(a, requires_grad=True) for a in arrays]
             rpe = leaves[3] if use_rpe else None
             stream = np.random.default_rng(n) if drop else None
-            out, kept = attend(*leaves[:3], **cfg, rpe=rpe, rng=stream)
+            if fused:
+                out, kept = attend_qkv(*leaves[:3], **cfg, rpe=rpe, rng=stream, cross=n % 2 == 0)
+            else:
+                out, kept = attention_loop(*leaves[:3], **cfg, rpe=rpe, rng=stream)
             T.sum_all(T.mul(out, T.tensor(weights))).backward()
             grads = [np.zeros_like(a) if x.grad is None else x.grad for a, x in zip(arrays, leaves)]
-            if attend is attend_qkv:
+            if fused:
                 probs = kept.data
             else:
                 probs = np.stack([p.data for p in kept], axis=1)
@@ -273,8 +271,12 @@ def test_fused_local_matches_slotted_oracle():
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-# (T_q, T_k, w): square, T_q < T_k, T_q > T_k, T < w, T = 1, a wide window
-SLOT_SHAPES = [(9, 9, 5), (6, 11, 5), (11, 6, 5), (3, 3, 7), (1, 1, 5), (1, 4, 3), (20, 20, 51)]
+# (T, w, cross): self-attention, cross-attention to a memory of T rows,
+# T < w, T = 1, a wide window
+SLOT_SHAPES = [
+    (9, 5, False), (6, 5, True), (11, 5, True), (3, 7, False), (1, 5, False), (1, 3, True),
+    (20, 51, False),
+]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -284,28 +286,23 @@ def test_slot_kernels_match_per_call_oracle_bytes(dtype, pattern, use_rpe):
     """The fused kernels (cached layout, in-place chain, window views of the
     projection buffer, dropout inside the mix) give the per-call kernels'
     probabilities, output and gradients byte for byte, with dropout off and
-    on; square shapes run self-attention, the others cross-attention."""
+    on; a cross shape projects K|V from a memory leaf of its own."""
     rng = np.random.default_rng(18)
     heads, d_in = 2, 5
     dim = 3 * heads
-    for (t_q, t_k, w), drop in itertools.product(SLOT_SHAPES, (False, True)):
-        layout = A.slot_layout(pattern, t_q, t_k, w)
-        cross = t_q != t_k
-        shapes = ((t_q, d_in), (t_k, d_in), (d_in, 3 * dim), (3 * dim,), (layout.slots, heads))
+    for (t, w, cross), drop in itertools.product(SLOT_SHAPES, (False, True)):
+        layout = A.slot_layout(pattern, t, w)
+        shapes = ((t, d_in), (t, d_in), (d_in, 3 * dim), (3 * dim,), (layout.slots, heads))
         arrays = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
-        w_probs = T.tensor(rng.standard_normal((t_q, heads, layout.slots)).astype(dtype))
-        w_out = T.tensor(rng.standard_normal((t_q, dim)).astype(dtype))
+        w_probs = T.tensor(rng.standard_normal((t, heads, layout.slots)).astype(dtype))
+        w_out = T.tensor(rng.standard_normal((t, dim)).astype(dtype))
         results = []
         for softmax, mix in ((T.slot_softmax, T.slot_mix), (slot_softmax_per_call, slot_mix_per_call)):
             leaves = [T.tensor(a, requires_grad=True) for a in arrays]
             x, memory, weight, bias, rpe = leaves
-            if cross:
-                q = T.linear(x, weight, bias, cols=(0, dim))
-                kv = T.slot_project(memory, weight, bias, layout, queries=False)
-            else:
-                q = kv = T.slot_project(x, weight, bias, layout)
-            probs = softmax(q, kv, layout, heads, rpe if use_rpe else None)
-            out = mix(probs, kv, layout, 0.5, np.random.default_rng(7) if drop else None)
+            qkv = T.slot_project(x, weight, bias, layout, memory if cross else None)
+            probs = softmax(qkv, layout, heads, rpe if use_rpe else None)
+            out = mix(probs, qkv, layout, 0.5, np.random.default_rng(7) if drop else None)
             T.add(T.sum_all(T.mul(probs, w_probs)), T.sum_all(T.mul(out, w_out))).backward()
             grads = [leaf.grad for leaf in leaves]
             assert (memory.grad is None) != cross and (rpe.grad is None) != use_rpe
@@ -317,20 +314,27 @@ def test_slot_kernels_match_per_call_oracle_bytes(dtype, pattern, use_rpe):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_slot_project_rows_are_the_linear_bytes_between_zero_rows(dtype):
     """The projection buffer holds x @ w + b, byte for byte as ``linear``
-    gives it, in rows pad .. pad + T_k, and zeros in every other row."""
+    gives it, in rows pad .. pad + T, and zeros in every other row; with a
+    memory, its Q columns are x's and its K|V columns the memory's."""
     rng = np.random.default_rng(21)
-    for pattern, (t_q, t_k, w) in itertools.product(("local", "logsparse", "full"), SLOT_SHAPES):
-        layout = A.slot_layout(pattern, t_q, t_k, w)
-        x = T.tensor(rng.standard_normal((t_k, 7)).astype(dtype))
-        weight, bias = (T.tensor(rng.standard_normal(s).astype(dtype)) for s in ((7, 12), (12,)))
-        for queries, cols in ((True, None), (False, (4, 12))):
-            if queries and t_q != t_k:
-                continue
-            buf = T.slot_project(x, weight, bias, layout, queries=queries).data
-            want = T.linear(x, weight, bias, cols=cols).data
-            rows = slice(layout.pad, layout.pad + t_k)
-            assert buf.shape == (layout.padded_rows, 3 if queries else 2, 4)
-            assert buf[rows].reshape(t_k, -1).tobytes() == want.tobytes()
+    for pattern, (t, w, _) in itertools.product(("local", "logsparse", "full"), SLOT_SHAPES):
+        layout = A.slot_layout(pattern, t, w)
+        x, memory = (T.tensor(rng.standard_normal((t, 7)).astype(dtype)) for _ in range(2))
+        weight, bias = (rng.standard_normal(s).astype(dtype) for s in ((7, 12), (12,)))
+        rows = slice(layout.pad, layout.pad + t)
+
+        def linear(source, cols):
+            return T.linear(source, T.tensor(weight[:, cols]), T.tensor(bias[cols])).data
+
+        for source in (None, memory):
+            buf = T.slot_project(x, T.tensor(weight), T.tensor(bias), layout, source).data
+            assert buf.shape == (layout.padded_rows, 3, 4)
+            got = buf[rows].reshape(t, -1)
+            if source is None:
+                assert got.tobytes() == linear(x, slice(None)).tobytes()
+            else:
+                assert got[:, :4].tobytes() == linear(x, slice(0, 4)).tobytes()
+                assert got[:, 4:].tobytes() == linear(memory, slice(4, None)).tobytes()
             assert not buf[: rows.start].any() and not buf[rows.stop :].any()
 
 
@@ -339,42 +343,42 @@ def test_slot_kernels_reject_a_layout_built_for_other_lengths(pattern):
     rng = np.random.default_rng(20)
     x = T.tensor(rng.standard_normal((6, 3)))
     w, b = T.tensor(rng.standard_normal((3, 12))), T.tensor(rng.standard_normal(12))
-    built = A.slot_layout(pattern, 6, 6, 3)
+    built = A.slot_layout(pattern, 6, 3)
     qkv = T.slot_project(x, w, b, built)
-    q, kv = T.linear(x, w, b, cols=(0, 4)), T.slot_project(x, w, b, built, queries=False)
-    for t_q, t_k in ((5, 6), (6, 7)):
-        layout = A.slot_layout(pattern, t_q, t_k, 3)
+    for t in (5, 7):
+        layout = A.slot_layout(pattern, t, 3)
         with pytest.raises(ShapeError, match="does not fit"):
             T.slot_project(x, w, b, layout)
+        with pytest.raises(ShapeError, match="does not fit"):
+            T.slot_project(x, w, b, built, T.tensor(rng.standard_normal((t, 3))))
         p = T.tensor(np.full((6, 2, layout.slots), 1.0 / layout.slots))
-        for queries, buf in ((qkv, qkv), (q, kv)):
-            with pytest.raises(ShapeError, match="does not fit"):
-                T.slot_softmax(queries, buf, layout, 2)
-            with pytest.raises(ShapeError, match="does not fit"):
-                T.slot_mix(p, buf, layout)
+        with pytest.raises(ShapeError, match="does not fit"):
+            T.slot_softmax(qkv, layout, 2)
+        with pytest.raises(ShapeError, match="does not fit"):
+            T.slot_mix(p, qkv, layout)
 
 
 def test_slot_layout_is_shared_read_only_and_masks_only_edge_rows():
-    layout = A.slot_layout("local", 10, 10, 5)
-    assert A.slot_layout("local", 10, 10, 5) is layout
+    layout = A.slot_layout("local", 10, 5)
+    assert A.slot_layout("local", 10, 5) is layout
     assert layout.edges == (slice(0, 2), slice(8, 10))  # w//2 rows at each end
     for arr in (layout.offsets, *layout.masks[np.dtype(np.float32)]):
         with pytest.raises(ValueError):
             arr[...] = 0
-    full = A.slot_layout("full", 6, 9, 5)
+    full = A.slot_layout("full", 9, 5)
     assert full.offsets is None and full.masks is None and full.slots == 9
     rng = np.random.default_rng(19)
-    shapes = SLOT_SHAPES + [(40, 40, 11), (100, 100, 51), (64, 60, 3)]
-    for pattern, (t_q, t_k, w), dtype in itertools.product(
+    shapes = [(t, w) for t, w, _ in SLOT_SHAPES] + [(40, 11), (100, 51), (60, 3)]
+    for pattern, (t, w), dtype in itertools.product(
         ("local", "logsparse"), shapes, (np.float32, np.float64)
     ):
-        layout = A.slot_layout(pattern, t_q, t_k, w)
-        scores = rng.standard_normal((t_q, 3, layout.slots)).astype(dtype)
-        valid = in_range_mask(layout.offsets, t_q, t_k)
+        layout = A.slot_layout(pattern, t, w)
+        scores = rng.standard_normal((t, 3, layout.slots)).astype(dtype)
+        valid = in_range_mask(layout.offsets, t)
         want = scores + np.where(valid, dtype(0.0), dtype(T.MASK_VALUE))[:, None, :]
         for rows, mask in zip(layout.edges, layout.masks[np.dtype(dtype)]):
             scores[rows] += mask[:, None, :]
-        assert scores.tobytes() == want.tobytes(), (pattern, t_q, t_k, w)
+        assert scores.tobytes() == want.tobytes(), (pattern, t, w)
 
 
 def test_attention_dropout_record_keeps_predrop_rows():
@@ -383,7 +387,7 @@ def test_attention_dropout_record_keeps_predrop_rows():
     cfg = cfg_for("local", window=5, heads=1, dropout=0.5)
     stream = np.random.default_rng(0)
     _, probs = attend_qkv(q, k, v, **cfg, rng=stream)
-    valid = in_range_mask(A.slot_layout("local", 12, 12, 5).offsets, 12, 12)
+    valid = in_range_mask(A.slot_layout("local", 12, 5).offsets, 12)
     sums = np.where(valid, probs.data[:, 0], 0.0).sum(axis=1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-6)
 
@@ -396,7 +400,7 @@ def test_cross_attention_lengths():
     w, b = T.tensor(rng.standard_normal((3, 12))), T.tensor(rng.standard_normal(12))
     out, probs = A.attend(x, w, b, **cfg_for("local", window=3, heads=2), memory=memory)
     assert out.data.shape == (10, 4)
-    assert probs.data.shape == (10, 2, A.slot_layout("local", 10, 10, 3).slots)
+    assert probs.data.shape == (10, 2, A.slot_layout("local", 10, 3).slots)
 
 
 def test_slot_count_formula():

@@ -139,7 +139,7 @@ def test_decoder_constant_kv_is_convex_combination(monkeypatch):
     out, probs = N.decoder_layer(h_prev, peer, params, cfg, stage=0, layer=1)
     h1 = N.upsample_nearest(h_prev, 6)
     np.testing.assert_allclose(out.data - h1.data, np.tile(const_row, (6, 1)), atol=1e-10)
-    slots = A.slot_layout(cfg.attention, 6, 6, cfg.window).slots
+    slots = A.slot_layout(cfg.attention, 6, cfg.window).slots
     assert probs.data.shape == (6, cfg.heads, slots)
 
 
@@ -173,7 +173,7 @@ def test_training_records_are_the_nodes_attend_returned(monkeypatch):
         assert enc_first is stage[0] and dec_last is stage[-1]
         for probs, t in ((enc_first, 12), (dec_last, 24)):
             assert probs.requires_grad and probs.data.shape == (t, cfg.heads, cfg.window)
-            valid = in_range_mask(A.slot_layout("local", t, t, cfg.window).offsets, t, t)
+            valid = in_range_mask(A.slot_layout("local", t, cfg.window).offsets, t)
             sums = np.where(valid[:, None, :], probs.data, 0.0).sum(axis=2)
             np.testing.assert_allclose(sums, 1.0, atol=1e-6)
 
@@ -198,7 +198,7 @@ def test_fused_layer_matches_the_composed_layer_bytes(dtype, arch, pattern, code
         t_prev = (t + 1) // 2 if arch == "utrans" and coder == "dec" else t
         arrays = [rng.standard_normal((rows, 8)).astype(cfg.np_dtype) for rows in (t_prev, t)]
         w_out = T.Tensor(rng.standard_normal((t_out, 8)).astype(cfg.np_dtype))
-        slots = A.slot_layout(pattern, t_out, t_out, cfg.window).slots
+        slots = A.slot_layout(pattern, t_out, cfg.window).slots
         w_probs = T.Tensor(rng.standard_normal((t_out, cfg.heads, slots)).astype(cfg.np_dtype))
         results = []
         for fused in (True, False):

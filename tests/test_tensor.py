@@ -605,8 +605,8 @@ def _probs32(rng, shape):
 def _op_cases():
     """(name, build) pairs; build(rng) returns (output, leaves), covering
     every public op of tensor.py, its 0-d outputs and 0-d chains."""
-    band = T.SlotLayout.build(np.arange(-1, 2), 5, 5)
-    full = T.SlotLayout.build(None, 5, 6)
+    band = T.SlotLayout.build(np.arange(-1, 2), 5)
+    full = T.SlotLayout.build(None, 6)
     stream = np.random.default_rng(1)
 
     def leaves(n, shape=(5, 4)):
@@ -621,10 +621,6 @@ def _op_cases():
         "div": (lambda r: [_f32(r, (5, 4)), _f32(r, (5, 4), low=0.5)], lambda a, b: T.div(a, b)),
         "matmul": (lambda r: [_f32(r, (5, 4)), _f32(r, (4, 3))], lambda a, b: T.matmul(a, b)),
         "linear": (lambda r: [_f32(r, (5, 4)), _f32(r, (4, 6)), _f32(r, (6,))], T.linear),
-        "linear.cols": (
-            lambda r: [_f32(r, (5, 4)), _f32(r, (4, 6)), _f32(r, (6,))],
-            lambda x, w, b: T.linear(x, w, b, cols=(2, 5)),
-        ),
         "relu": (leaves(1), T.relu),
         "clip": (leaves(1), lambda a: T.clip(a, -0.5, 0.5)),
         "transpose2d": (leaves(1), T.transpose2d),
@@ -654,16 +650,16 @@ def _op_cases():
             lambda x, w, b: T.slot_project(x, w, b, band),
         ),
         "slot_project.keys": (
-            lambda r: [_f32(r, (6, 3)), _f32(r, (3, 12)), _f32(r, (12,))],
-            lambda x, w, b: T.slot_project(x, w, b, full, queries=False),
+            lambda r: [_f32(r, (6, 3)), _f32(r, (6, 3)), _f32(r, (3, 12)), _f32(r, (12,))],
+            lambda x, memory, w, b: T.slot_project(x, w, b, full, memory),
         ),
         "slot_softmax": (
             lambda r: [_f32(r, (band.padded_rows, 3, 4)), _f32(r, (3, 2))],
-            lambda qkv, rpe: T.slot_softmax(qkv, qkv, band, 2, rpe),
+            lambda qkv, rpe: T.slot_softmax(qkv, band, 2, rpe),
         ),
         "slot_softmax.full": (
-            lambda r: [_f32(r, (5, 4)), _f32(r, (6, 2, 4))],
-            lambda q, kv: T.slot_softmax(q, kv, full, 2),
+            lambda r: [_f32(r, (6, 3, 4))],
+            lambda qkv: T.slot_softmax(qkv, full, 2),
         ),
         "slot_mix": (
             lambda r: [_probs32(r, (5, 2, 3)), _f32(r, (band.padded_rows, 3, 4))],
@@ -674,8 +670,8 @@ def _op_cases():
             lambda p, qkv: T.slot_mix(p, qkv, band, 0.5, stream),
         ),
         "slot_mix.full": (
-            lambda r: [_probs32(r, (5, 2, 6)), _f32(r, (6, 2, 4))],
-            lambda p, kv: T.slot_mix(p, kv, full),
+            lambda r: [_probs32(r, (6, 2, 6)), _f32(r, (6, 3, 4))],
+            lambda p, qkv: T.slot_mix(p, qkv, full),
         ),
         "ffn_block": (
             lambda r: [_f32(r, (5, 4)), _f32(r, (4, 6)), _f32(r, (6,)), _f32(r, (6, 3)), _f32(r, (3,))],

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import re
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -631,6 +632,68 @@ def test_backward_frees_the_graph_as_it_runs():
     assert graph > 4 * 2**20
     assert peak <= 1.1 * graph, (peak, graph)
     assert live <= 0.05 * graph, (live, graph)
+
+
+def _op_counts(root: T.Tensor) -> Counter:
+    """The graph nodes under root, counted by the tensor op that built them."""
+    return Counter(
+        node._backward.__qualname__.split(".")[0]
+        for node in T._toposort(root) if node._backward is not None
+    )
+
+
+def test_a_gtea_step_is_353_nodes_and_every_layer_7():
+    """A gtea-preset training forward plus loss builds 353 graph nodes, of
+    which 8 are ``linear`` (each stage's projection and classifier). An
+    encoder and a decoder layer are the same 7 nodes: the resample,
+    ``slot_project``, ``slot_softmax``, ``slot_mix``, two norms and
+    ``ffn_block``; a decoder's Q is a block of its projection node."""
+    _, forward = gtea_step()
+    _, loss = forward()
+    ops = _op_counts(loss)
+    assert (sum(ops.values()), ops["linear"]) == (353, 8), ops
+    model_cfg, _, _ = build_configs("gtea", None, {})
+    model_cfg = replace(model_cfg, input_dim=32, num_classes=5)
+    params = N.init_params(model_cfg, T.SeedStreams(0))
+    rng = np.random.default_rng(0)
+    h_enc, h_dec = (
+        T.Tensor(rng.standard_normal((rows, 64)).astype(np.float32), requires_grad=True)
+        for rows in (24, 12)
+    )
+    enc, _ = N.encoder_layer(h_enc, params, model_cfg, 0, 1, T.SeedStreams(1))
+    dec, _ = N.decoder_layer(h_dec, h_enc, params, model_cfg, 0, 1, T.SeedStreams(1))
+    layer = Counter(slot_project=1, slot_softmax=1, slot_mix=1, instance_norm_temporal=2, ffn_block=1)
+    assert _op_counts(enc) == layer + Counter(downsample_nearest=1)
+    assert _op_counts(dec) == layer + Counter(upsample_nearest=1)
+
+
+def test_logsparse_slot_kernels_keep_no_window_copy():
+    """tracemalloc of a gtea-preset training forward plus loss at T=128:
+    a logsparse model's graph retains under 1.5x a local one's. Its slot
+    kernels read the key and value windows through the projection buffer
+    again in backward; a kept (T, heads, d_h, S) copy of each, S = 15 slots
+    here, made it about 3x."""
+
+    def retained(pattern: str) -> int:
+        pe_mode = "relative" if pattern == "local" else "none"
+        overrides = {"attention": pattern, "pe_mode": pe_mode, "boundary_weight": 0.0}
+        model_cfg, train_cfg, _ = build_configs("gtea", None, overrides)
+        model_cfg = replace(model_cfg, input_dim=64, num_classes=5)
+        params = N.init_params(model_cfg, T.SeedStreams(0))
+        x = np.random.default_rng(2).standard_normal((128, 64)).astype(np.float32)
+        labels = np.repeat(np.arange(5), 26)[:128]
+        tracemalloc.start()
+        try:
+            out = N.model_forward(x, params, model_cfg, train=True, streams=T.SeedStreams(1))
+            loss, _ = TR.total_loss(out, labels, train_cfg, model_cfg)
+            assert loss.requires_grad
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    retained("local")  # warm-up: first-call caches are not graph
+    local, logsparse = retained("local"), retained("logsparse")
+    assert logsparse < 1.5 * local, (logsparse, local)
 
 
 def test_arena_adam_trains_like_the_per_tensor_loop(monkeypatch):
