@@ -73,16 +73,16 @@ def _write_video_artifacts(out_dir: Path, sample, labels, mapping):
     (out_dir / "timelines").mkdir(exist_ok=True)
     lines = np.array([name + "\n" for name in mapping.names], dtype=object)
     (out_dir / "predictions" / f"{sample.video_id}.txt").write_text(
-        "".join(lines[labels].tolist())
+        "".join(lines[labels].tolist()), encoding="utf-8"
     )
     (out_dir / "segments" / f"{sample.video_id}.csv").write_text(
-        TR.segments_csv(labels, mapping)
+        TR.segments_csv(labels, mapping), encoding="utf-8"
     )
     strips = [("prediction", labels)]
     if sample.labels is not None and len(sample.labels) == len(labels):
         strips.append(("ground truth", sample.labels))
     (out_dir / "timelines" / f"{sample.video_id}.svg").write_text(
-        render_timeline(strips, mapping.num_classes)
+        render_timeline(strips, mapping.num_classes), encoding="utf-8"
     )
 
 
@@ -102,8 +102,10 @@ def cmd_train(args) -> int:
     if result.best_params is not None:
         save_checkpoint(out_dir / "checkpoint_best.ckpt", result.best_params, model_cfg)
         print(f"best epoch {result.best_epoch} (acc {result.best_acc:.2f})")
-    (out_dir / "train_log.csv").write_text(TR.log_csv(result.log_rows))
-    (out_dir / "effective_config.cfg").write_text(format_config(model_cfg, train_cfg, data_cfg))
+    (out_dir / "train_log.csv").write_text(TR.log_csv(result.log_rows), encoding="utf-8")
+    (out_dir / "effective_config.cfg").write_text(
+        format_config(model_cfg, train_cfg, data_cfg), encoding="utf-8"
+    )
     print(f"saved {out_dir / 'checkpoint.ckpt'}")
     return 0
 
@@ -116,7 +118,7 @@ def cmd_eval(args) -> int:
     report, predictions = TR.evaluate_run(args.checkpoint, samples, thresholds, ignored)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "metrics.csv").write_text(M.report_csv(report))
+    (out_dir / "metrics.csv").write_text(M.report_csv(report), encoding="utf-8")
     for sample in samples:
         labels = predictions[sample.video_id]
         if args.upsample:
@@ -166,7 +168,7 @@ def cmd_ablate(args) -> int:
 
     rows = TR.ablate(args.axis, samples, model_cfg, train_cfg, values, on_cell, ignored)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out).write_text(TR.ablate_csv(rows))
+    Path(args.out).write_text(TR.ablate_csv(rows), encoding="utf-8")
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -102,7 +102,7 @@ def parse_config_file(path) -> dict[str, dict[str, str]]:
     """
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else " ".join(str(exc).split())

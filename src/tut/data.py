@@ -261,20 +261,43 @@ def import_numpy_features(src, dst, transpose: bool = False):
 # loading
 
 
+def _read_text(path) -> str:
+    """A text file of the layout, read as UTF-8 whatever the locale; a byte
+    that is not UTF-8 raises ``DatasetError`` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
+        ) from None
+
+
 def read_mapping(path) -> ClassMapping:
-    entries: dict[int, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2 or not parts[0].isdigit():
-                raise DatasetError(f"{path}:{lineno}: malformed mapping line {line!r}")
-            entries[int(parts[0])] = parts[1]
-    if sorted(entries) != list(range(len(entries))):
+    """Class names by id. A line that is not a decimal id and a name, an id
+    or a name listed twice, and ids that are not 0..n-1 raise
+    ``DatasetError`` naming the file (and the line)."""
+    names: dict[int, str] = {}
+    id_line: dict[int, int] = {}
+    name_line: dict[str, int] = {}
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2 or not parts[0].isdecimal():  # isdigit also passes "²"
+            raise DatasetError(f"{path}:{lineno}: malformed mapping line {line!r}")
+        class_id, name = int(parts[0]), parts[1]
+        if class_id in id_line:
+            raise DatasetError(f"{path}:{lineno}: class id {class_id} is listed again "
+                               f"(first at line {id_line[class_id]})")
+        if name in name_line:
+            raise DatasetError(f"{path}:{lineno}: class name {name!r} is listed again "
+                               f"(first at line {name_line[name]})")
+        id_line[class_id] = name_line[name] = lineno
+        names[class_id] = name
+    if sorted(names) != list(range(len(names))):
         raise DatasetError(f"{path}: class ids must be contiguous from 0")
-    return ClassMapping([entries[i] for i in range(len(entries))])
+    return ClassMapping([names[i] for i in range(len(names))])
 
 
 def _clean_video_id(raw: str) -> str:
@@ -301,7 +324,7 @@ def load_dataset(root, split_file, stride: int = 1) -> tuple[list[VideoSample], 
         split_path = root / split_file
     video_ids = [
         _clean_video_id(line)
-        for line in split_path.read_text().splitlines()
+        for line in _read_text(split_path).splitlines()
         if line.strip()
     ]
     if not video_ids:
@@ -321,7 +344,7 @@ def load_dataset(root, split_file, stride: int = 1) -> tuple[list[VideoSample], 
         gt_path = root / "groundTruth" / f"{vid}.txt"
         if not gt_path.exists():
             raise DatasetError(f"missing ground-truth file {gt_path}")
-        names = [line.strip() for line in gt_path.read_text().splitlines() if line.strip()]
+        names = [line.strip() for line in _read_text(gt_path).splitlines() if line.strip()]
         labels = np.array([mapping.id_of(name) for name in names], dtype=np.int64)
         keep = min(labels.shape[0], frames)
         if labels.shape[0] != frames:
@@ -398,15 +421,17 @@ def write_dataset(root, samples: list[VideoSample], mapping: ClassMapping, split
     (root / "groundTruth").mkdir(parents=True, exist_ok=True)
     (root / "features").mkdir(exist_ok=True)
     (root / "splits").mkdir(exist_ok=True)
-    with open(root / "mapping.txt", "w") as fh:
+    with open(root / "mapping.txt", "w", encoding="utf-8") as fh:
         for i, name in enumerate(mapping.names):
             fh.write(f"{i} {name}\n")
     for sample in samples:
         write_features(root / "features" / f"{sample.video_id}.feat", sample.load_features())
-        with open(root / "groundTruth" / f"{sample.video_id}.txt", "w") as fh:
+        with open(root / "groundTruth" / f"{sample.video_id}.txt", "w", encoding="utf-8") as fh:
             for label in sample.labels:
                 fh.write(mapping.name_of(int(label)) + "\n")
     if splits is None:
         splits = {"all": [s.video_id for s in samples]}
     for name, ids in splits.items():
-        (root / "splits" / f"{name}.bundle").write_text("".join(f"{v}\n" for v in ids))
+        (root / "splits" / f"{name}.bundle").write_text(
+            "".join(f"{v}\n" for v in ids), encoding="utf-8"
+        )

@@ -2,8 +2,12 @@
 
 Define-by-run: each operation stores its parents and a backward closure on
 the output node; ``Tensor.backward()`` replays the closures in reverse
-topological order. Graphs are rebuilt on every forward pass, so
-variable-length sequences need no special casing.
+creation order. A node's parents exist before it does, so that order is
+topological by construction, and it alone fixes the order in which a node
+with several consumers sums their gradients: the latest-created consumer's
+first, whatever order each consumer lists its parents in. Graphs are
+rebuilt on every forward pass, so variable-length sequences need no special
+casing.
 
 Backward releases the graph as it runs (see ``Tensor.backward``): interior
 gradients are not kept, requires-grad leaves keep theirs, and a second
@@ -53,6 +57,7 @@ does.
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -66,6 +71,7 @@ from .errors import DomainError, GraphReleasedError, NumericError, ShapeError
 Array = np.ndarray
 
 MASK_VALUE = -1e30  # additive score for attention slots outside the key range
+DRAW_BLOCK = 1 << 15  # 64-bit words a dropout mask draws at a time (256 KiB)
 
 
 class Tensor:
@@ -77,7 +83,7 @@ class Tensor:
     computed; gradient accumulation is single-threaded.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_seq")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         if not isinstance(data, np.ndarray):  # a numpy scalar (0-d op result) keeps its dtype
@@ -87,6 +93,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._backward = _backward
+        self._seq = 0  # creation stamp of a graph node (``_make``); 0 on a leaf
 
     @property
     def shape(self):
@@ -102,9 +109,10 @@ class Tensor:
     def backward(self, grad: Array | None = None):
         """Accumulate gradients into every reachable requires-grad leaf.
 
-        Nodes run in reverse topological order. Once an interior node's
-        closure has passed its gradient to its parents, the node drops its
-        ``grad``, parents and closure, so the saved activations and interior
+        Nodes run in reverse creation order (``_graph``). Once an interior
+        node's closure has passed its gradient to its parents, the node drops
+        its ``grad``, parents and closure, and the pass drops its own
+        reference to the node, so the saved activations and interior
         gradients are freed during the pass, not when the caller lets go of
         the loss. Leaves keep their gradients. A later backward that
         reaches a released node raises ``GraphReleasedError`` instead of
@@ -113,11 +121,10 @@ class Tensor:
         if grad is None:
             grad = np.ones_like(self.data)
         _accumulate(self, np.asarray(grad, dtype=self.data.dtype))
-        order = _toposort(self)
+        order = _graph(self)
+        order.reverse()  # popped from the end: the latest-created node first
         while order:
             node = order.pop()
-            if node._backward is None:
-                continue
             if node.grad is not None:
                 node._backward(node.grad)
             node.grad, node._parents, node._backward = None, (), _released
@@ -137,23 +144,22 @@ def _released(g: Array):
     )
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _graph(root: Tensor) -> list[Tensor]:
+    """The graph nodes reachable from root (root included), latest-created
+    first: the order backward runs them in. A released node is one of them,
+    so a backward that reaches it raises; leaves are not."""
+    nodes: list[Tensor] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack = [root]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
+        node = stack.pop()
+        if node._backward is None or id(node) in seen:
             continue
         seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad:
-                stack.append((parent, False))
-    return order
+        nodes.append(node)
+        stack.extend(node._parents)
+    nodes.sort(key=lambda node: node._seq, reverse=True)
+    return nodes
 
 
 def _accumulate(node: Tensor, grad: Array, own: bool = False):
@@ -224,10 +230,15 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
+_created = itertools.count(1)  # stamps graph nodes in creation order
+
+
 def _make(data: Array, parents: tuple[Tensor, ...], backward) -> Tensor:
     if not _grad_enabled or not any(p.requires_grad for p in parents):
         return Tensor(data)
-    return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
+    out = Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
+    out._seq = next(_created)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +552,9 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, draw_axes=None) -> Te
 
 def _dropout_mask(x: Array, p: float, rng: np.random.Generator, draw_axes=None):
     """(keep, scale) of inverted dropout over an array shaped like x, drawn
-    as ``dropout`` describes, or None when p == 0 (nothing is drawn)."""
+    as ``dropout`` describes, or None when p == 0 (nothing is drawn). The
+    words come ``DRAW_BLOCK`` at a time, in one stream order, so only the
+    1-byte mask is ever whole."""
     if not 0.0 <= p < 1.0:
         raise DomainError(f"dropout rate must lie in [0, 1), got {p}")
     if p == 0.0:
@@ -553,8 +566,11 @@ def _dropout_mask(x: Array, p: float, rng: np.random.Generator, draw_axes=None):
         raise TypeError(f"dropout cannot draw from {type(rng.bit_generator).__name__}")
     axes = tuple(range(x.ndim)) if draw_axes is None else tuple(draw_axes)
     inverse = sorted(range(len(axes)), key=axes.__getitem__)
-    raw = rng.bit_generator.random_raw(x.size)
-    keep = raw >= np.uint64(math.ceil(p * 2.0**53) << 11)
+    threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
+    keep = np.empty(x.size, dtype=bool)
+    for start in range(0, x.size, DRAW_BLOCK):
+        words = rng.bit_generator.random_raw(min(DRAW_BLOCK, x.size - start))
+        np.greater_equal(words, threshold, out=keep[start:start + words.size])
     keep = keep.reshape([x.shape[a] for a in axes]).transpose(inverse)
     # a 1-element array: numpy 1.x and 2.x both divide in x's dtype
     scale = (np.ones(1, dtype=x.dtype) / (1.0 - p))[0]

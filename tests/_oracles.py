@@ -567,13 +567,14 @@ def f1_brute(pred, gt, threshold: float, ignored=()) -> tuple[float, int, int, i
 
 
 def backward_keep_graph(root, grad=None):
-    """Backward as it ran before the engine released the graph during the
-    pass: every node keeps its gradient, parents and closure afterwards."""
+    """Backward in the engine's order (``tensor._graph``) as it ran before
+    the engine released the graph during the pass: every node keeps its
+    gradient, parents and closure afterwards."""
     if grad is None:
         grad = np.ones_like(root.data)
     T._accumulate(root, np.asarray(grad, dtype=root.data.dtype))
-    for node in reversed(T._toposort(root)):
-        if node._backward is not None and node.grad is not None:
+    for node in T._graph(root):
+        if node.grad is not None:
             node._backward(node.grad)
 
 

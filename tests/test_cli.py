@@ -307,6 +307,43 @@ def test_eval_loads_no_random_or_hashing_modules(synth_root, trained, tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
 
 
+def test_class_names_outside_ascii_round_trip_under_an_ascii_locale(tmp_path):
+    """Every text file a command reads or writes is UTF-8 whatever the
+    locale. Under an ASCII locale with Python's UTF-8 mode off, class names
+    outside ASCII train and evaluate, a run's effective config naming one
+    as ignored reads back, and eval writes each prediction as the mapping
+    spells it."""
+    root = _synth(tmp_path / "data")
+    mapping = load_dataset(root, "splits/all.bundle")[1]
+    renamed = {name: name + "\u00e9" for name in mapping.names}
+    (root / "mapping.txt").write_text(
+        "".join(f"{i} {renamed[n]}\n" for i, n in enumerate(mapping.names)), encoding="utf-8"
+    )
+    for path in (root / "groundTruth").iterdir():
+        names = path.read_text(encoding="utf-8").split()
+        path.write_text("".join(renamed[n] + "\n" for n in names), encoding="utf-8")
+    run, out = tmp_path / "run", tmp_path / "eval"
+    ignored = renamed[mapping.names[0]]
+    train = ["train", "--data-root", str(root), "--out", str(run), "--seed", "1", "--epochs", "1",
+             "--ignored-classes", ignored, *SMALL_MODEL]
+    evaluate = ["eval", "--out", str(out), "--checkpoint", str(run / "checkpoint.ckpt"),
+                "--config", str(run / "effective_config.cfg")]
+    script = (
+        "import sys\n"
+        "from tut.cli import main\n"
+        f"sys.exit(main({ascii(train)}) or main({ascii(evaluate)}))\n"
+    )  # ascii(): the command line itself is read in the ASCII locale
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {"PATH": os.environ.get("PATH", ""), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-c", script], capture_output=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    assert f"ignored_classes = {ignored}\n" in (run / "effective_config.cfg").read_text(encoding="utf-8")
+    for path in (out / "predictions").iterdir():
+        assert set(path.read_text(encoding="utf-8").split()) <= set(renamed.values())
+
+
 def test_eval_ignored_classes_drop_the_named_class(trained, tmp_path, monkeypatch):
     """--ignored-classes names a class that covers half of the ground truth:
     edit and F1 are those of the class ids without it, and change. Frame
@@ -565,6 +602,23 @@ def _short_video(command):
     return make_argv
 
 
+def _not_utf8(command, name):
+    """``command`` on a split whose ``name`` file ends with the byte 0xff:
+    the error names the file, and no ``--out`` is made."""
+    def make_argv(trained, synth_root, tmp_path):
+        root = _synth(tmp_path / "bytes")
+        with open(root / name, "ab") as fh:
+            fh.write(b"\xff\n")
+        argv = [command, "--data-root", str(root), "--out", str(tmp_path / "out")]
+        if command == "train":
+            return [*argv, "--seed", "1", "--epochs", "1", *SMALL_MODEL]
+        return [*argv, "--checkpoint", str(trained / "checkpoint.ckpt")]
+
+    make_argv.names = (f"bytes/{name}: not UTF-8 text (byte 0xff at offset ",)
+    make_argv.makes_no_out = True
+    return make_argv
+
+
 def _sample_rate(rate):
     # a rate below 1 would divide by zero in the strided read
     def make_argv(trained, synth_root, tmp_path):
@@ -602,7 +656,9 @@ def _sample_rate(rate):
      _bad_setting("hidden_dim", "0"), _bad_setting("hidden_dim", "-1"),
      _bad_setting("hidden_dim_refine", "0"), _bad_setting("heads", "3"),
      _config_file("lr_nan.cfg", "[train]\nlr = nan\n", names=("lr_nan.cfg: [train] lr: ",)),
-     _short_video("train"), _short_video("eval")],
+     _short_video("train"), _short_video("eval"),
+     _not_utf8("train", "mapping.txt"), _not_utf8("eval", "groundTruth/synth000.txt"),
+     _not_utf8("train", "splits/all.bundle")],
     ids=["DatasetError", "CheckpointError", "TrainingDiverged", "ShapeError",
          "TruncatedCheckpoint", "TruncatedFeatures", "SampleRateZero", "SampleRateNegative",
          "UnknownIgnoredClass", "UnknownIgnoredClassAblate", "ConfigNoSectionHeader", "ConfigDuplicateKey",
@@ -615,7 +671,8 @@ def _sample_rate(rate):
          "LrNan", "WeightDecayNegative", "SmoothWeightNan", "BoundaryWeightNan",
          "CheckpointEveryNegative", "EvalEveryNegative", "HiddenDimZero",
          "HiddenDimNegative", "HiddenDimRefineZero", "HeadsNotDividing", "ConfigLrNan",
-         "TrainShortVideo", "EvalShortVideo"],
+         "TrainShortVideo", "EvalShortVideo",
+         "MappingNotUtf8", "GroundTruthNotUtf8", "SplitNotUtf8"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_typed_failures_exit_2_with_one_line(make_argv, trained, synth_root, tmp_path, capsys):

@@ -359,6 +359,41 @@ def test_malformed_mapping_line_reports_lineno(tmp_path):
         D.load_dataset(tmp_path, "splits/all.bundle")
 
 
+@pytest.mark.parametrize(
+    "line,error",
+    [("\u00b2 b", "malformed mapping line '\u00b2 b'"),  # str.isdigit, but not int
+     ("1 a", "class name 'a' is listed again (first at line 1)"),
+     ("0 b", "class id 0 is listed again (first at line 1)")],
+    ids=["superscript-id", "name-twice", "id-twice"],
+)
+def test_mapping_line_that_reads_two_ways_is_refused_at_its_line(tmp_path, line, error):
+    """A superscript digit passes ``str.isdigit`` but not ``int``, and a name
+    or an id listed twice would make one class name two ids or two names one
+    id: each is refused with the file and the line."""
+    write_toy_dataset(tmp_path, {"v1": ["a", "b"]})
+    path = tmp_path / "mapping.txt"
+    path.write_text(f"0 a\n{line}\n", encoding="utf-8")
+    with pytest.raises(DatasetError) as exc:
+        D.load_dataset(tmp_path, "splits/all.bundle")
+    assert str(exc.value) == f"{path}:2: {error}"
+
+
+@pytest.mark.parametrize(
+    "name", ["mapping.txt", "groundTruth/v1.txt", "splits/all.bundle"]
+)
+def test_text_that_is_not_utf8_raises_dataset_error_naming_the_file(tmp_path, name):
+    """The mapping, a ground-truth file and the split are read as UTF-8
+    whatever the locale; a byte that is not UTF-8 names the file and where
+    the byte is."""
+    write_toy_dataset(tmp_path, {"v1": ["a", "b"]})
+    path = tmp_path / name
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    offset = path.stat().st_size - 2
+    with pytest.raises(DatasetError) as exc:
+        D.load_dataset(tmp_path, "splits/all.bundle")
+    assert str(exc.value) == f"{path}: not UTF-8 text (byte 0xff at offset {offset})"
+
+
 def test_unknown_class_and_missing_feature(tmp_path):
     write_toy_dataset(tmp_path, {"v1": ["a", "b"]})
     (tmp_path / "groundTruth" / "v1.txt").write_text("a\nmystery\n")

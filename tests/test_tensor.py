@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +178,42 @@ def test_dropout_matches_float64_uniform_oracle(bit_generator, dtype, p, shape, 
     assert outs[0] == outs[1]
     assert grads[0] == grads[1]
     assert streams[0] == streams[1]
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64])
+@pytest.mark.parametrize(
+    "shape,draw_axes", [((37, 11), None), ((9, 4, 13), (1, 0, 2)), ((5, 3, 7), (2, 0, 1))]
+)
+def test_dropout_mask_drawn_in_blocks_is_the_one_call_draw(monkeypatch, bit_generator, shape,
+                                                            draw_axes):
+    """Blocks of 7 words (several per mask, the last one short) keep the
+    same elements as one draw of every word and leave the generator at the
+    same word."""
+    x = np.zeros(shape, dtype=np.float32)
+    assert x.size <= T.DRAW_BLOCK  # one block: the one-call draw
+    masks, nexts = [], []
+    for block in (T.DRAW_BLOCK, 7):
+        monkeypatch.setattr(T, "DRAW_BLOCK", block)
+        rng = np.random.Generator(bit_generator(5))
+        keep, _ = T._dropout_mask(x, 0.3, rng, draw_axes)
+        masks.append(keep.tobytes())
+        nexts.append(rng.bit_generator.random_raw(9).tobytes())
+    assert masks[0] == masks[1]
+    assert nexts[0] == nexts[1]
+
+
+def test_dropout_mask_never_holds_every_word():
+    """A 2^18-element mask allocates its 1-byte keep array and at most two
+    blocks of 64-bit words, not 2 MiB of words at once."""
+    x = np.zeros((512, 512), dtype=np.float32)
+    rng = np.random.Generator(np.random.Philox(5))
+    tracemalloc.start()
+    try:
+        T._dropout_mask(x, 0.3, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= x.size + 2 * 8 * T.DRAW_BLOCK + 2**12, peak
 
 
 def test_dropout_rejects_a_generator_with_other_doubles():
@@ -431,6 +470,44 @@ def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
     np.testing.assert_array_equal(x.grad, [[90.0, 60.0], [110.0, 250.0]])
     for node in (y, loss):
         assert node.grad is None and node._parents == ()
+
+
+def _consumers_of(x, other, x_first, passed, ran):
+    """One graph node per ``x_first`` flag, made in that order, that lists
+    its parents as (x, other) or (other, x); node i records i when its
+    backward runs and passes x ``passed[i]``."""
+    def consumer(i):
+        def backward(g):
+            ran.append(i)
+            T._accumulate(x, passed[i:i + 1])
+
+        parents = (x, other) if x_first[i] else (other, x)
+        return T._make(np.zeros(1, np.float32), parents, backward)
+
+    return [consumer(i) for i in range(len(x_first))]
+
+
+def test_a_node_sums_its_consumers_gradients_in_reverse_creation_order():
+    """x feeds three consumers, made in the order 0, 1, 2, that pass it 1,
+    1e8 and -1e8 in float32, whose sum depends on its order. Whatever order
+    the root and each consumer list their parents in, backward runs the
+    consumers 2, 1, 0, so x's gradient is (-1e8 + 1e8) + 1 = 1."""
+    passed = np.array([1.0, 1e8, -1e8], dtype=np.float32)
+    for root_order in itertools.permutations(range(3)):
+        for x_first in itertools.product((True, False), repeat=3):
+            x = T.tensor(np.zeros(1, np.float32), requires_grad=True)
+            other = T.tensor(np.zeros(1, np.float32), requires_grad=True)
+            ran = []
+            consumers = _consumers_of(x, other, x_first, passed, ran)
+
+            def backward(g, consumers=consumers):
+                for consumer in consumers:
+                    T._accumulate(consumer, g)
+
+            parents = tuple(consumers[i] for i in root_order)
+            T._make(np.zeros(1, np.float32), parents, backward).backward()
+            assert ran == [2, 1, 0], (root_order, x_first)
+            assert x.grad.tobytes() == np.float32([1.0]).tobytes(), (root_order, x_first)
 
 
 def test_second_backward_through_a_released_node_raises():

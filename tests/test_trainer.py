@@ -596,7 +596,7 @@ def test_backward_matches_the_keep_graph_oracle_and_releases_interior_nodes(dtyp
     for run_backward in (backward_keep_graph, T.Tensor.backward):
         params, forward = gtea_step(dtype)
         _, loss = forward()
-        interior = [n for n in T._toposort(loss) if n._backward is not None]
+        interior = T._graph(loss)
         run_backward(loss)
         grads.append({name: p.grad for name, p in params.items()})
         interior_grads.append([n.grad for n in interior])
@@ -637,8 +637,7 @@ def test_backward_frees_the_graph_as_it_runs():
 def _op_counts(root: T.Tensor) -> Counter:
     """The graph nodes under root, counted by the tensor op that built them."""
     return Counter(
-        node._backward.__qualname__.split(".")[0]
-        for node in T._toposort(root) if node._backward is not None
+        node._backward.__qualname__.split(".")[0] for node in T._graph(root)
     )
 
 
