@@ -58,6 +58,20 @@ def _load_split(data_cfg):
     return D.load_dataset(data_cfg.root, data_cfg.split, stride=data_cfg.sample_rate)
 
 
+def _ignored_ids(args, data_cfg, mapping) -> set[int]:
+    """The class ids ``ignored_classes`` names. A name the split's mapping
+    lacks raises ``ConfigError`` naming the flag, or the config file and
+    key, that set it: no preset sets the key."""
+    try:
+        return {mapping.id_of(name) for name in data_cfg.ignored()}
+    except DatasetError as exc:
+        if args.ignored_classes is not None:
+            source = flag_name("ignored_classes")
+        else:
+            source = f"{args.config}: [data] ignored_classes"
+        raise ConfigError(f"{source}: {exc}") from None
+
+
 def _training_setup(args):
     """The configs and the split, the model sized to the split's width and classes."""
     model_cfg, train_cfg, data_cfg = _configs(args, "seed", "root")
@@ -114,7 +128,7 @@ def cmd_eval(args) -> int:
     thresholds = _floats("--thresholds", args.thresholds)
     data_cfg = _configs(args, "root")[2]
     samples, mapping = _load_split(data_cfg)
-    ignored = {mapping.id_of(name) for name in data_cfg.ignored()}
+    ignored = _ignored_ids(args, data_cfg, mapping)
     report, predictions = TR.evaluate_run(args.checkpoint, samples, thresholds, ignored)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -157,7 +171,7 @@ def cmd_synth(args) -> int:
 def cmd_ablate(args) -> int:
     values = _floats("--values", args.values) if args.values else None
     model_cfg, train_cfg, data_cfg, samples, mapping = _training_setup(args)
-    ignored = {mapping.id_of(name) for name in data_cfg.ignored()}
+    ignored = _ignored_ids(args, data_cfg, mapping)
 
     def on_cell(row):
         print(

@@ -344,8 +344,15 @@ def load_dataset(root, split_file, stride: int = 1) -> tuple[list[VideoSample], 
         gt_path = root / "groundTruth" / f"{vid}.txt"
         if not gt_path.exists():
             raise DatasetError(f"missing ground-truth file {gt_path}")
-        names = [line.strip() for line in _read_text(gt_path).splitlines() if line.strip()]
-        labels = np.array([mapping.id_of(name) for name in names], dtype=np.int64)
+        labels = []
+        for number, line in enumerate(_read_text(gt_path).splitlines(), 1):
+            name = line.strip()
+            if name:
+                try:
+                    labels.append(mapping.id_of(name))
+                except DatasetError as exc:
+                    raise DatasetError(f"{gt_path}:{number}: {exc}") from None
+        labels = np.array(labels, dtype=np.int64)
         keep = min(labels.shape[0], frames)
         if labels.shape[0] != frames:
             log.warning(

@@ -346,13 +346,14 @@ def stage_forward(
         if layer == 1:
             enc_first = probs
 
-    d = enc_outputs[-1]
+    # The skips are a stack: each is popped into the one decoder layer that
+    # reads it, so under no_grad it is freed when that layer returns.
+    h = enc_outputs.pop()
     dec_last = None
     for layer in range(1, cfg.layers + 1):
-        peer = enc_outputs[cfg.layers - layer]
-        d, dec_last = decoder_layer(d, peer, params, cfg, stage, layer, streams)
+        h, dec_last = decoder_layer(h, enc_outputs.pop(), params, cfg, stage, layer, streams)
 
-    logits = T.linear(d, params[f"stage{stage}.cls.w"], params[f"stage{stage}.cls.b"])
+    logits = T.linear(h, params[f"stage{stage}.cls.w"], params[f"stage{stage}.cls.b"])
     return logits, (enc_first, dec_last)
 
 

@@ -510,15 +510,27 @@ def _truncated_features(trained, synth_root, tmp_path):
             "--checkpoint", str(trained / "checkpoint.ckpt")]
 
 
-def _unknown_ignored_class(trained, synth_root, tmp_path):
-    return ["eval", "--data-root", str(synth_root), "--out", str(tmp_path / "eval"),
-            "--checkpoint", str(trained / "checkpoint.ckpt"), "--ignored-classes", "nosuchclass"]
+def _unknown_ignored_class(command, config=False):
+    """``command`` told to ignore a class the split lacks, by the flag or by
+    a config file: the error names the class and where it was set, and no
+    ``--out`` is made."""
+    def make_argv(trained, synth_root, tmp_path):
+        argv = {
+            "eval": ["eval", "--checkpoint", str(trained / "checkpoint.ckpt")],
+            "ablate": ["ablate", "--axis", "beta", "--values", "0", "--seed", "1", "--epochs", "1",
+                       *SMALL_MODEL],
+        }[command]
+        if config:
+            (tmp_path / "ignored.cfg").write_text("[data]\nignored_classes = nosuchclass\n")
+            argv += ["--config", str(tmp_path / "ignored.cfg")]
+        else:
+            argv += ["--ignored-classes", "nosuchclass"]
+        return [*argv, "--data-root", str(synth_root), "--out", str(tmp_path / "out")]
 
-
-def _unknown_ignored_class_ablate(trained, synth_root, tmp_path):
-    return ["ablate", "--data-root", str(synth_root), "--out", str(tmp_path / "grid.csv"),
-            "--axis", "beta", "--values", "0", "--seed", "1", "--epochs", "1", *SMALL_MODEL,
-            "--ignored-classes", "nosuchclass"]
+    source = "ignored.cfg: [data] ignored_classes: " if config else "--ignored-classes: "
+    make_argv.names = (source + "unknown class name 'nosuchclass'",)
+    make_argv.makes_no_out = True
+    return make_argv
 
 
 def _config_file(name, text: str | bytes | None, names=()):
@@ -632,7 +644,8 @@ def _sample_rate(rate):
     "make_argv",
     [_empty_split, _not_a_checkpoint, _non_finite_features, _feature_dim_mismatch("eval"),
      _truncated_checkpoint, _truncated_features, _sample_rate("0"), _sample_rate("-3"),
-     _unknown_ignored_class, _unknown_ignored_class_ablate,
+     _unknown_ignored_class("eval"), _unknown_ignored_class("ablate"),
+     _unknown_ignored_class("eval", config=True), _unknown_ignored_class("ablate", config=True),
      _config_file("bare.cfg", "layers = 2\n"),
      _config_file("twice.cfg", "[model]\nlayers = 2\nlayers = 3\n"),
      _config_file("novalue.cfg", "[model]\nlayers\n"), _config_file("dir.cfg", None),
@@ -661,7 +674,8 @@ def _sample_rate(rate):
      _not_utf8("train", "splits/all.bundle")],
     ids=["DatasetError", "CheckpointError", "TrainingDiverged", "ShapeError",
          "TruncatedCheckpoint", "TruncatedFeatures", "SampleRateZero", "SampleRateNegative",
-         "UnknownIgnoredClass", "UnknownIgnoredClassAblate", "ConfigNoSectionHeader", "ConfigDuplicateKey",
+         "UnknownIgnoredClass", "UnknownIgnoredClassAblate", "UnknownIgnoredClassConfig",
+         "UnknownIgnoredClassAblateConfig", "ConfigNoSectionHeader", "ConfigDuplicateKey",
          "ConfigParsingError", "ConfigIsADirectory", "ConfigNotUtf8", "ConfigRemovedFps",
          "ConfigRemovedShuffle", "ConfigRemovedKeepBest", "ConfigRemovedNormalize",
          "ConfigRemovedFfnDim", "ConfigRemovedPeMaxLen", "ConfigRemovedSmoothClip",

@@ -405,6 +405,14 @@ def test_unknown_class_and_missing_feature(tmp_path):
         D.load_dataset(tmp_path, "splits/all.bundle")
 
 
+def test_an_unknown_class_names_its_ground_truth_file_and_line(tmp_path):
+    write_toy_dataset(tmp_path, {"v1": ["a", "b"], "v2": ["a", "b"]})
+    gt = tmp_path / "groundTruth" / "v2.txt"
+    gt.write_text("a\n\nb\n  mystery  \nb\n")  # the blank line still counts
+    with pytest.raises(DatasetError, match=re.escape(f"{gt}:4: unknown class name 'mystery'")):
+        D.load_dataset(tmp_path, "splits/all.bundle")
+
+
 def test_resample_and_upsample_predictions(tmp_path):
     write_toy_dataset(tmp_path, {"v": ["a", "a", "b", "b", "c", "c"]}, d=2)
     D.write_features(tmp_path / "features" / "v.feat", np.arange(12, dtype=np.float32).reshape(6, 2))

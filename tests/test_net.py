@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -156,6 +157,27 @@ def test_decoder_peer_pairing_lengths(monkeypatch):
     assert lengths[5:] == [(4, 4), (8, 8), (16, 16), (32, 32), (64, 64)]
     assert out.records[0][0] is calls[0][1] and out.records[0][1] is calls[-1][1]
     assert out.logits[0].data.shape == (64, 3)
+
+
+@pytest.mark.parametrize("arch", ["utrans", "standard"])
+def test_a_forward_only_pass_frees_each_skip_once_its_decoder_layer_has_read_it(arch, monkeypatch):
+    """Under no_grad, every encoder output that an earlier decoder layer
+    read as its skip is dead when the next decoder layer starts. A Tensor
+    has ``__slots__``, so the check holds weak references to the arrays."""
+    cfg = tiny_cfg(layers=4, refinement_stages=1, architecture=arch)
+    params = build(cfg)
+    read = []
+    real = N.decoder_layer
+
+    def decoder_layer(h_prev_dec, h_enc_peer, *args):
+        assert all(ref() is None for ref in read)
+        read.append(weakref.ref(h_enc_peer.data))
+        return real(h_prev_dec, h_enc_peer, *args)
+
+    monkeypatch.setattr(N, "decoder_layer", decoder_layer)
+    with T.no_grad():
+        N.model_forward(np.random.default_rng(5).standard_normal((32, 4)), params, cfg)
+    assert len(read) == cfg.layers * cfg.num_stages
 
 
 def test_training_records_are_the_nodes_attend_returned(monkeypatch):

@@ -588,6 +588,31 @@ def gtea_step(dtype="f32", frames=72, input_dim=32, num_classes=5):
     return params, forward
 
 
+def test_the_ffn2_and_key_biases_get_no_gradient_and_the_ffn1_biases_do():
+    """An f64 gtea-shaped step with every bias, norm gain and RPE table drawn
+    away from its initial value. ``ffn2.b`` is a per-channel constant just
+    before ``norm2``, which subtracts each channel's mean over time, and the
+    K third of ``qkv.b`` adds one constant to a query row's scores, which
+    the softmax cancels: both gradients are rounding noise. ``ffn1.b``
+    passes the ReLU and is live."""
+    params, forward = gtea_step("f64")
+    rng = np.random.default_rng(7)
+    for name, p in params.items():
+        if name.endswith(".b") or ".norm" in name or ".rpe." in name:
+            p.data += rng.uniform(-0.5, 0.5, p.data.shape)
+    _, loss = forward()
+    loss.backward()
+    dead = {name: np.abs(p.grad).max() for name, p in params.items() if name.endswith(".ffn2.b")}
+    dead.update(
+        (name, np.abs(np.split(p.grad, 3)[1]).max())  # Q | K | V
+        for name, p in params.items() if name.endswith(".qkv.b")
+    )
+    live = {name: np.abs(p.grad).max() for name, p in params.items() if name.endswith(".ffn1.b")}
+    assert len(dead) == 2 * len(live) == 2 * 4 * 2 * 4  # stages x coders x layers
+    assert max(dead.values()) < 1e-12, max(dead.items(), key=lambda item: item[1])
+    assert min(live.values()) > 1e-3, min(live.items(), key=lambda item: item[1])
+
+
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
 def test_backward_matches_the_keep_graph_oracle_and_releases_interior_nodes(dtype):
     """Leaf gradients are byte-equal to the backward that kept the graph,
