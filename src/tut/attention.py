@@ -20,6 +20,10 @@ those slots read; it keeps the 1-byte dropout mask, not the dropped copy.
   length (Li et al., arXiv:1907.00235), O(log T) slots per row.
 - full: no offsets; slot j is key j, computed as head-batched matmuls.
 
+Only ``tensor._slot_dot``, ``tensor._slot_sum`` and ``tensor._fold_slots``
+tell full attention from a window; both kernels call them in forward and
+backward.
+
 Out-of-range slots are masked before the softmax. The offsets and the
 additive mask of the edge rows depend only on the pattern, the length
 and w, so ``slot_layout`` builds them once per shape and every call of that

@@ -126,6 +126,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     thresholds = _floats("--thresholds", args.thresholds)
+    if not all(0.0 < tau <= 1.0 for tau in thresholds):
+        raise ConfigError(f"--thresholds: each must lie in (0, 1], got {args.thresholds!r}")
     data_cfg = _configs(args, "root")[2]
     samples, mapping = _load_split(data_cfg)
     ignored = _ignored_ids(args, data_cfg, mapping)
@@ -170,6 +172,8 @@ def cmd_synth(args) -> int:
 
 def cmd_ablate(args) -> int:
     values = _floats("--values", args.values) if args.values else None
+    if args.axis in ("window", "heads") and not all(v.is_integer() for v in values or ()):
+        raise ConfigError(f"--values: {args.axis} values must be whole, got {args.values!r}")
     model_cfg, train_cfg, data_cfg, samples, mapping = _training_setup(args)
     ignored = _ignored_ids(args, data_cfg, mapping)
 

@@ -60,7 +60,7 @@ from __future__ import annotations
 import itertools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -71,6 +71,8 @@ from .errors import DomainError, GraphReleasedError, NumericError, ShapeError
 Array = np.ndarray
 
 MASK_VALUE = -1e30  # additive score for attention slots outside the key range
+# a full SlotLayout's edge masks: it reads no out-of-range key
+_NO_MASKS = MappingProxyType({np.dtype(np.float32): (), np.dtype(np.float64): ()})
 DRAW_BLOCK = 1 << 15  # 64-bit words a dropout mask draws at a time (256 KiB)
 
 
@@ -460,30 +462,46 @@ def mean_all(x: Tensor) -> Tensor:
 
 def softmax_lastdim(x: Tensor) -> Tensor:
     """Row-stochastic softmax over the last axis, max-stabilized."""
-    rowmax = x.data.max(axis=-1, keepdims=True)
-    if not np.isfinite(rowmax.max()):
-        raise NumericError("softmax input contains non-finite values")
-    probs = x.data - rowmax
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs = _softmax(x.data)
 
     def backward(g):
-        inner = (g * probs).sum(axis=-1, keepdims=True)
-        _accumulate(x, probs * (g - inner), own=True)
+        _accumulate(x, _softmax_grad(probs, g), own=True)
 
     return _make(probs, (x,), backward)
 
 
 def log_softmax_lastdim(x: Tensor) -> Tensor:
-    out_data = x.data - x.data.max(axis=-1, keepdims=True)
-    probs = np.exp(out_data)
-    out_data -= np.log(probs.sum(axis=-1, keepdims=True))
-    np.exp(out_data, out=probs)
+    out_data, probs = _log_softmax(x.data)
 
     def backward(g):
         _accumulate(x, g - probs * g.sum(axis=-1, keepdims=True), own=True)
 
     return _make(out_data, (x,), backward)
+
+
+def _softmax(a: Array, out: Array | None = None) -> Array:
+    """Max-stabilized softmax over a's last axis, in place on ``out`` (new if None)."""
+    rowmax = a.max(axis=-1, keepdims=True)
+    if not np.isfinite(rowmax.max()):
+        raise NumericError("softmax input contains non-finite values")
+    probs = np.subtract(a, rowmax, out=out)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
+
+
+def _softmax_grad(probs: Array, g: Array) -> Array:
+    """The softmax input's gradient, given the output gradient g."""
+    return probs * (g - (g * probs).sum(axis=-1, keepdims=True))
+
+
+def _log_softmax(a: Array) -> tuple[Array, Array]:
+    """Log-softmax over a's last axis and its exp, as two new arrays."""
+    logp = a - a.max(axis=-1, keepdims=True)
+    probs = np.exp(logp)
+    logp -= np.log(probs.sum(axis=-1, keepdims=True))
+    np.exp(logp, out=probs)
+    return logp, probs
 
 
 def instance_norm_temporal(
@@ -597,9 +615,10 @@ def _masked(a: Array, mask) -> Array:
 # sliding-window view of its rows: an ascending contiguous band (the local
 # window) is that view itself, with no copy, and any other offsets index it
 # once, in forward and again in backward, so no node keeps that copy.
-# Backward passes add one shifted slice per slot straight into the buffer's
-# gradient instead of scattering. Without offsets, scores and mixing are
-# head-batched (heads, T, d_h) x (heads, d_h, T) matmuls.
+# Only ``_slot_dot`` (scores; the mix's dp), ``_slot_sum`` (the mix; the
+# scores' dq) and ``_fold_slots`` (dk, dv) tell full attention, head-batched
+# (heads, T, ·) matmuls, from a window, whose fold adds one shifted slice
+# per slot straight into the buffer's gradient instead of scattering.
 
 
 def _frozen(a: Array) -> Array:
@@ -628,7 +647,7 @@ class SlotLayout:
     hi: int = 0
     band: bool = False
     edges: tuple[slice, ...] = ()
-    masks: MappingProxyType | None = None
+    masks: MappingProxyType = field(default_factory=lambda: _NO_MASKS)
 
     @property
     def slots(self) -> int:
@@ -692,11 +711,38 @@ def _window(block: Array, heads: int, layout: SlotLayout) -> Array:
     return view if layout.band else view[..., layout.offsets - lo]
 
 
+def _slot_dot(a3: Array, block: Array, layout: SlotLayout) -> Array:
+    """(T, heads, S): [i, h, j] is a3[i, h] . head h of the key row that slot j
+    of row i reads from ``block``, a (padded_rows, d) block of the buffer."""
+    heads = a3.shape[1]
+    if layout.offsets is None:
+        out = np.empty((layout.length, heads, layout.length), dtype=np.result_type(a3, block))
+        rows3 = block.reshape(layout.length, heads, -1)
+        np.matmul(a3.transpose(1, 0, 2), rows3.transpose(1, 2, 0), out=out.transpose(1, 0, 2))
+        return out
+    return np.matmul(a3[:, :, None, :], _window(block, heads, layout))[:, :, 0, :]
+
+
+def _slot_sum(w: Array, block: Array, layout: SlotLayout) -> Array:
+    """(T, heads, d_h): [i, h] sums w[i, h, j] times head h of the key row
+    that slot j of row i reads from ``block``, as in ``_slot_dot``."""
+    t, heads, _ = w.shape
+    if layout.offsets is None:
+        out = np.empty((t, heads, block.shape[1] // heads), dtype=np.result_type(w, block))
+        rows3 = block.reshape(t, heads, -1)
+        np.matmul(w.transpose(1, 0, 2), rows3.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+        return out
+    return np.matmul(w[:, :, None, :], _window(block, heads, layout).swapaxes(2, 3))[:, :, 0, :]
+
+
 def _fold_slots(coeff: Array, rows3: Array, layout: SlotLayout, into: Array):
-    """Gradient of a window view, added into ``into``, the (padded_rows, d)
-    block of the buffer it viewed: key row i + offsets[j] gains
-    coeff[i, :, j] * rows3[i]."""
+    """Adds into ``into``, the block ``_slot_dot`` and ``_slot_sum`` read, its
+    gradient: the key row that slot j of row i reads gains coeff[i, :, j] * rows3[i]."""
     t, heads, _ = coeff.shape
+    if layout.offsets is None:
+        folded = np.matmul(coeff.transpose(1, 2, 0), rows3.transpose(1, 0, 2))
+        into += folded.transpose(1, 0, 2).reshape(into.shape)
+        return
     # the slots add into contiguous rows, and the strided block takes one add
     padded = np.zeros((into.shape[0], heads, rows3.shape[2]), dtype=rows3.dtype)
     for j, off in enumerate(layout.offset_list):
@@ -742,9 +788,7 @@ def slot_project(
     def backward(g):
         g_rows = g[rows].reshape(layout.length, -1)
         for source, cols in parts:
-            if source.requires_grad:
-                _accumulate(source, g_rows[:, cols] @ weight.data[:, cols].T, own=True)
-            _accumulate_weights(weight, bias, cols, source.data, g_rows[:, cols])
+            _linear_grads(source, weight, bias, g_rows[:, cols], cols)
 
     parents = (x,) if memory is None else (x, memory)
     return _make(buf.reshape(len(buf), 3, dim), parents + (weight, bias), backward)
@@ -771,48 +815,27 @@ def slot_softmax(qkv: Tensor, layout: SlotLayout, heads: int, rpe: Tensor | None
             + ("" if rpe is None else f", rpe {rpe.data.shape}")
         )
     rows = slice(layout.pad, layout.pad + t)
-    queries, keys = qkv.data[rows, 0], qkv.data[:, 1]
+    q3, keys = qkv.data[rows, 0].reshape(t, heads, -1), qkv.data[:, 1]
     scale = 1.0 / math.sqrt(dim // heads)
-    q3 = queries.reshape(t, heads, -1)
-    if layout.offsets is None:
-        k3 = keys.reshape(t, heads, -1)
-        scores = np.empty((t, heads, t), dtype=np.result_type(queries, keys))
-        np.matmul(q3.transpose(1, 0, 2), k3.transpose(1, 2, 0), out=scores.transpose(1, 0, 2))
-    else:
-        k_win = _window(keys, heads, layout)
-        scores = np.matmul(q3[:, :, None, :], k_win)[:, :, 0, :]
+    scores = _slot_dot(q3, keys, layout)
     # the chain below runs in place on the matmul output
     scores *= scale
     if rpe is not None:
         scores += np.ascontiguousarray(rpe.data.T)
-    if layout.offsets is not None:
-        for edge, mask in zip(layout.edges, layout.masks[scores.dtype]):
-            scores[edge] += mask[:, None, :]
-    rowmax = scores.max(axis=-1, keepdims=True)
-    if not np.isfinite(rowmax.max()):
-        raise NumericError("attention scores contain non-finite values")
-    scores -= rowmax
-    probs = np.exp(scores, out=scores)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    for edge, mask in zip(layout.edges, layout.masks[scores.dtype]):
+        scores[edge] += mask[:, None, :]
+    probs = _softmax(scores, out=scores)
 
     def backward(g):
-        ds = probs * (g - (g * probs).sum(axis=-1, keepdims=True))
+        ds = _softmax_grad(probs, g)
         if rpe is not None:
             _accumulate(rpe, ds.sum(axis=0).T, own=True)
         grad = _grad_buffer(qkv)
         if grad is None:
             return
         ds *= scale
-        if layout.offsets is None:
-            ds_h = ds.transpose(1, 0, 2)  # (heads, T, T)
-            dq = np.matmul(ds_h, k3.transpose(1, 0, 2)).transpose(1, 0, 2)
-            dk = np.matmul(ds_h.transpose(0, 2, 1), q3.transpose(1, 0, 2)).transpose(1, 0, 2)
-            grad[:, 1] += dk.reshape(t, dim)
-        else:
-            k_win = _window(keys, heads, layout)  # indexed again: a logsparse one is a copy
-            dq = np.matmul(ds[:, :, None, :], k_win.swapaxes(2, 3))[:, :, 0, :]
-            _fold_slots(ds, q3, layout, grad[:, 1])
-        grad[rows, 0] += dq.reshape(t, dim)
+        grad[rows, 0] += _slot_sum(ds, keys, layout).reshape(t, dim)
+        _fold_slots(ds, q3, layout, grad[:, 1])
 
     return _make(probs, (qkv,) if rpe is None else (qkv, rpe), backward)
 
@@ -838,29 +861,14 @@ def slot_mix(
     mask = None if rng is None else _dropout_mask(p.data, dropout, rng, draw_axes=(1, 0, 2))
     weights = p.data if mask is None else _masked(p.data, mask)
     values = qkv.data[:, 2]
-    if layout.offsets is None:
-        v3 = values.reshape(t, heads, -1).transpose(1, 0, 2)  # (heads, T, d_h)
-        out_data = np.empty((t, heads, dim // heads), dtype=np.result_type(p.data, values))
-        np.matmul(weights.transpose(1, 0, 2), v3, out=out_data.transpose(1, 0, 2))
-    else:
-        v_win = _window(values, heads, layout)
-        out_data = np.matmul(weights[:, :, None, :], v_win.swapaxes(2, 3))[:, :, 0, :]
+    out_data = _slot_sum(weights, values, layout)
 
     def backward(g):
         g3 = g.reshape(t, heads, -1)
         grad = _grad_buffer(qkv)
-        weights = p.data if mask is None or grad is None else _masked(p.data, mask)
-        if layout.offsets is None:
-            g_h = g3.transpose(1, 0, 2)  # (heads, T, d_h)
-            dp = np.matmul(g_h, v3.transpose(0, 2, 1)).transpose(1, 0, 2)
-            if grad is not None:
-                dv = np.matmul(weights.transpose(1, 2, 0), g_h).transpose(1, 0, 2)
-                grad[:, 2] += dv.reshape(t, dim)
-        else:
-            v_win = _window(values, heads, layout)  # indexed again: a logsparse one is a copy
-            dp = np.matmul(g3[:, :, None, :], v_win)[:, :, 0, :]
-            if grad is not None:
-                _fold_slots(weights, g3, layout, grad[:, 2])
+        if grad is not None:
+            _fold_slots(p.data if mask is None else _masked(p.data, mask), g3, layout, grad[:, 2])
+        dp = _slot_dot(g3, values, layout)
         _accumulate(p, dp if mask is None else _masked(dp, mask), own=True)
 
     return _make(out_data.reshape(t, dim), (p, qkv), backward)
@@ -889,13 +897,11 @@ def ffn_block(
     def backward(g):
         dh = g @ w2.data.T
         dropped = hidden if mask is None else _masked(hidden, mask)
-        _accumulate_weights(w2, b2, slice(None), dropped, g)
+        _linear_grads(Tensor(dropped), w2, b2, g)
         if mask is not None:
             dh = _masked(dh, mask)
         dh *= hidden > 0
-        if x.requires_grad:
-            _accumulate(x, dh @ w1.data.T, own=True)
-        _accumulate_weights(w1, b1, slice(None), x.data, dh)
+        _linear_grads(x, w1, b1, dh)
 
     return _make(out_data, (x, w1, b1, w2, b2), backward)
 
@@ -907,9 +913,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     out_data += bias.data
 
     def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g @ weight.data.T, own=True)
-        _accumulate_weights(weight, bias, slice(None), x.data, g)
+        _linear_grads(x, weight, bias, g)
 
     return _make(out_data, (x, weight, bias), backward)
 
@@ -919,10 +923,12 @@ def _check_linear(x: Array, w: Array, b: Array):
         raise ShapeError(f"linear: {x.shape} x {w.shape} + {b.shape}")
 
 
-def _accumulate_weights(weight: Tensor, bias: Tensor, part: slice, x: Array, g: Array):
+def _linear_grads(x: Tensor, weight: Tensor, bias: Tensor, g: Array, part: slice = slice(None)):
     """The gradients of x @ weight[:, part] + bias[part] given g, added into
-    those columns of the weight's and bias's."""
-    _accumulate_part(weight, (slice(None), part), x.T @ g)
+    x's and into those columns of the weight's and bias's."""
+    if x.requires_grad:
+        _accumulate(x, g @ weight.data[:, part].T, own=True)
+    _accumulate_part(weight, (slice(None), part), x.data.T @ g)
     _accumulate_part(bias, part, g.sum(axis=0))
 
 
@@ -938,11 +944,8 @@ def cross_entropy_from_logits(logits: Tensor, labels: Array) -> Tensor:
         raise ShapeError(f"labels shape {labels.shape} does not match {t} frames")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise DomainError(f"labels must lie in [0, {c})")
-    logp = logits.data - logits.data.max(axis=1, keepdims=True)
-    probs = np.exp(logp)
-    logp -= np.log(probs.sum(axis=1, keepdims=True))
+    logp, probs = _log_softmax(logits.data)
     out_data = np.asarray(-logp[np.arange(t), labels].mean(), dtype=logits.data.dtype)
-    np.exp(logp, out=probs)
 
     def backward(g):
         grad = probs.copy()
@@ -1002,6 +1005,9 @@ def wasserstein1_from_probs(p: Tensor, d: Tensor) -> Tensor:
 
 
 ADAM_BLOCK = 1 << 15  # elements per Adam pass: six f64 block slices fit a 4 MiB L2
+ADAM_BETA1 = 0.9  # first-moment decay
+ADAM_BETA2 = 0.999  # second-moment decay
+ADAM_EPS = 1e-8  # added to the second moment's root
 
 
 class AdamState:
@@ -1035,37 +1041,30 @@ class AdamState:
         self.step = 0
 
 
-def adam_step(
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    weight_decay: float = 0.0,
-):
+def adam_step(state: AdamState, lr: float, weight_decay: float = 0.0):
     """One Adam update with bias correction and decoupled weight decay, in
     place over the arena, which leaves every gradient zero. A parameter
     that received no gradient still decays, and its moments only shrink."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     # the per-element formula and order of the textbook loop, as in-place
     # passes over cache-sized blocks
     for start in range(0, state.flat.size, ADAM_BLOCK):
         part = slice(start, start + ADAM_BLOCK)
         p, g, m, v = state.flat[part], state.flat_grad[part], state.flat_m[part], state.flat_v[part]
         a, b = (s[: p.size] for s in state.scratch)
-        np.multiply(m, beta1, out=m)
-        np.multiply(g, 1.0 - beta1, out=a)
+        np.multiply(m, ADAM_BETA1, out=m)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
         np.add(m, a, out=m)
-        np.multiply(v, beta2, out=v)
+        np.multiply(v, ADAM_BETA2, out=v)
         np.multiply(g, g, out=a)
-        np.multiply(a, 1.0 - beta2, out=a)
+        np.multiply(a, 1.0 - ADAM_BETA2, out=a)
         np.add(v, a, out=v)
         np.divide(v, bc2, out=a)
         np.sqrt(a, out=a)
-        np.add(a, eps, out=a)
+        np.add(a, ADAM_EPS, out=a)
         np.divide(m, bc1, out=b)
         np.divide(b, a, out=b)  # update = (m / bc1) / (sqrt(v / bc2) + eps)
         if weight_decay:

@@ -201,14 +201,19 @@ def predict_sample(params: dict[str, Tensor], cfg: ModelConfig, sample: VideoSam
     kept frame (``restore_source_rate`` maps them back to the source rate).
     Stage 0 projects the sample block by block (``VideoSample.blocks``),
     so the whole feature matrix of a sample read from a file is never held.
-    Features not ``cfg.input_dim`` wide raise ``DatasetError``, and a
+    Features not ``cfg.input_dim`` wide, or that make the forward pass
+    non-finite (a NaN or inf among them), raise ``DatasetError``, and a
     length the model cannot take ``ConfigError``, each naming the file."""
+    where = sample.path or sample.video_id
     if sample.feature_dim != cfg.input_dim:
-        where, width = sample.path or sample.video_id, sample.feature_dim
+        width = sample.feature_dim
         raise DatasetError(f"{where}: features are {width} wide, the model takes {cfg.input_dim}")
     _check_length(cfg, sample)
     with no_grad():
-        return final_prediction(model_forward(sample, params, cfg, train=False))
+        try:
+            return final_prediction(model_forward(sample, params, cfg, train=False))
+        except NumericError as exc:
+            raise DatasetError(f"{where}: non-finite forward pass on these features ({exc})") from None
 
 
 def restore_source_rate(labels: np.ndarray, sample: VideoSample) -> np.ndarray:

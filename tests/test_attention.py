@@ -272,10 +272,10 @@ def test_fused_local_matches_slotted_oracle():
 
 
 # (T, w, cross): self-attention, cross-attention to a memory of T rows,
-# T < w, T = 1, a wide window
+# T < w, T = 1, a wide window, and T = 130, past BLAS's small-matrix sizes
 SLOT_SHAPES = [
     (9, 5, False), (6, 5, True), (11, 5, True), (3, 7, False), (1, 5, False), (1, 3, True),
-    (20, 51, False),
+    (20, 51, False), (130, 11, False), (130, 11, True),
 ]
 
 
@@ -366,7 +366,8 @@ def test_slot_layout_is_shared_read_only_and_masks_only_edge_rows():
         with pytest.raises(ValueError):
             arr[...] = 0
     full = A.slot_layout("full", 9, 5)
-    assert full.offsets is None and full.masks is None and full.slots == 9
+    assert full.offsets is None and full.slots == 9
+    assert full.edges == () and all(full.masks[np.dtype(dt)] == () for dt in (np.float32, np.float64))
     rng = np.random.default_rng(19)
     shapes = [(t, w) for t, w, _ in SLOT_SHAPES] + [(40, 11), (100, 51), (60, 3)]
     for pattern, (t, w), dtype in itertools.product(

@@ -482,6 +482,25 @@ def _non_finite_features(trained, synth_root, tmp_path):
             "--epochs", "1", *SMALL_MODEL]
 
 
+def _nan_feature(command):
+    """``command`` on a split one of whose feature values is NaN, which makes
+    the forward pass non-finite: the error names that file, and no ``--out``
+    is made."""
+    def make_argv(trained, synth_root, tmp_path):
+        root = _synth(tmp_path / "nanfeat")
+        path = root / "features" / "synth001.feat"
+        features = read_features(path)
+        features[5, 0] = np.nan
+        write_features(path, features)
+        return [command, "--data-root", str(root), "--out", str(tmp_path / "out"),
+                "--checkpoint", str(trained / "checkpoint.ckpt"),
+                *(["--video", "synth001"] if command == "predict" else [])]
+
+    make_argv.names = ("nanfeat/features/synth001.feat: ",)
+    make_argv.makes_no_out = True
+    return make_argv
+
+
 def _feature_dim_mismatch(command):
     """``command`` on 6-wide features with a checkpoint whose model reads 8:
     the error names the file and both widths, and no ``--out`` is made."""
@@ -552,18 +571,20 @@ def _config_file(name, text: str | bytes | None, names=()):
     return make_argv
 
 
-def _bad_flag(command, flag, value):
-    """``command`` given a ``flag`` value that does not parse; the error
-    names the flag."""
+def _bad_flag(command, flag, value, axis="beta"):
+    """``command`` given a ``flag`` value that does not parse or that the flag
+    refuses (ablate over ``axis``); the error names the flag, and no
+    ``--out`` is made."""
     def make_argv(trained, synth_root, tmp_path):
         argv = {
             "train": ["train", "--seed", "1", "--epochs", "1", *SMALL_MODEL],
             "eval": ["eval", "--checkpoint", str(trained / "checkpoint.ckpt")],
-            "ablate": ["ablate", "--axis", "beta", "--seed", "1", "--epochs", "1", *SMALL_MODEL],
+            "ablate": ["ablate", "--axis", axis, "--seed", "1", "--epochs", "1", *SMALL_MODEL],
         }[command]
         return [*argv, "--data-root", str(synth_root), "--out", str(tmp_path / "out"), flag, value]
 
-    make_argv.names = (flag,)
+    make_argv.names = (flag + ": ",)
+    make_argv.makes_no_out = True
     return make_argv
 
 
@@ -663,6 +684,12 @@ def _sample_rate(rate):
      _mixed_width_split, _feature_dim_mismatch("predict"),
      _bad_flag("train", "--epochs", "x"), _bad_flag("train", "--seed", "one"),
      _bad_flag("eval", "--thresholds", "0.1,x"), _bad_flag("ablate", "--values", "0,x"),
+     _nan_feature("eval"), _nan_feature("predict"),
+     _bad_flag("eval", "--thresholds", "nan"), _bad_flag("eval", "--thresholds", "0.1,inf"),
+     _bad_flag("eval", "--thresholds", "-1"), _bad_flag("eval", "--thresholds", "0.5,2"),
+     _bad_flag("ablate", "--values", "nan", axis="window"),
+     _bad_flag("ablate", "--values", "inf", axis="heads"),
+     _bad_flag("ablate", "--values", "2.5", axis="window"),
      _bad_setting("lr", "nan"), _bad_setting("weight_decay", "-0.5"),
      _bad_setting("smooth_weight", "nan"), _bad_setting("boundary_weight", "nan"),
      _bad_setting("checkpoint_every", "-1"), _bad_setting("eval_every", "-2"),
@@ -682,6 +709,9 @@ def _sample_rate(rate):
          "ConfigBadValue", "ConfigSplitNumClasses", "ConfigSplitInputDim", "MixedWidthSplit",
          "PredictFeatureWidth",
          "FlagBadValue", "FlagBadSeed", "EvalBadThresholds", "AblateBadValues",
+         "EvalNanFeature", "PredictNanFeature", "ThresholdNan", "ThresholdInf",
+         "ThresholdNegative", "ThresholdAboveOne", "AblateWindowNan", "AblateHeadsInf",
+         "AblateWindowFraction",
          "LrNan", "WeightDecayNegative", "SmoothWeightNan", "BoundaryWeightNan",
          "CheckpointEveryNegative", "EvalEveryNegative", "HiddenDimZero",
          "HiddenDimNegative", "HiddenDimRefineZero", "HeadsNotDividing", "ConfigLrNan",
