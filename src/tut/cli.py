@@ -48,10 +48,14 @@ def _configs(args, *required: str):
 
 
 def _floats(flag: str, text: str) -> tuple[float, ...]:
+    """A comma list holding at least one number."""
     try:
-        return tuple(float(part) for part in text.split(",") if part)
+        values = tuple(float(part) for part in text.split(",") if part)
     except ValueError:
-        raise ConfigError(f"{flag}: cannot parse a comma list of numbers from {text!r}") from None
+        values = ()
+    if not values:
+        raise ConfigError(f"{flag}: cannot parse a comma list of numbers from {text!r}")
+    return values
 
 
 def _load_split(data_cfg):
@@ -171,9 +175,18 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    values = _floats("--values", args.values) if args.values else None
-    if args.axis in ("window", "heads") and not all(v.is_integer() for v in values or ()):
-        raise ConfigError(f"--values: {args.axis} values must be whole, got {args.values!r}")
+    values = None
+    if args.values is not None:
+        if args.axis not in ("window", "heads", "beta"):
+            raise ConfigError(f"--values: the {args.axis} axis takes none (window, heads, beta do)")
+        values = _floats("--values", args.values)
+        if args.axis != "beta" and not all(v.is_integer() for v in values):
+            raise ConfigError(f"--values: {args.axis} values must be whole, got {args.values!r}")
+        for beta in values if args.axis == "beta" else ():
+            try:
+                TR.TrainConfig(boundary_weight=beta)  # the check each cell's config makes
+            except ConfigError as exc:
+                raise ConfigError(f"--values: {exc}") from None
     model_cfg, train_cfg, data_cfg, samples, mapping = _training_setup(args)
     ignored = _ignored_ids(args, data_cfg, mapping)
 

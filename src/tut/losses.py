@@ -23,6 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
+from .metrics import extract_segments
 from .net import ModelConfig, StageOutputs
 from .tensor import Tensor
 
@@ -77,13 +78,10 @@ def check_boundary_loss(attention: str, window: int):
 
 
 def derive_boundaries(labels) -> BoundarySet:
-    labels = np.asarray(labels)
-    t = labels.shape[0]
-    if t == 0:
-        return BoundarySet(np.empty(0, dtype=int), np.empty(0, dtype=int))
-    changed = labels[1:] != labels[:-1]
-    starts = np.flatnonzero(np.concatenate(([True], changed)))
-    ends = np.flatnonzero(np.concatenate((changed, [True])))
+    """The first and last frame of each label run (``metrics.extract_segments``)."""
+    segments = extract_segments(np.asarray(labels))
+    starts = np.array([s.start for s in segments], dtype=int)
+    ends = np.array([s.end for s in segments], dtype=int)
     return BoundarySet(starts, ends)
 
 

@@ -15,8 +15,9 @@ backward that reaches a released node, from the same root or another one
 sharing part of the graph, raises ``GraphReleasedError``.
 
 float32 is the training default and float64 is used by gradient tests. An
-op's value and gradients keep its inputs' dtype, 0-d results included;
-only python data defaults to float64.
+op's value and gradients keep its inputs' dtype, 0-d results included; a
+python scalar operand of ``add``, ``sub`` or ``mul`` takes the tensor's
+dtype, and only a ``Tensor`` built from python data defaults to float64.
 
 A node's gradient is the first array it receives, and later ones are added
 into it in place. So a backward that passes on an array something else
@@ -130,14 +131,6 @@ class Tensor:
             if node.grad is not None:
                 node._backward(node.grad)
             node.grad, node._parents, node._backward = None, (), _released
-
-
-def tensor(data, requires_grad=False, dtype=None) -> Tensor:
-    """Build a leaf tensor, defaulting to float64 for python data."""
-    arr = np.asarray(data, dtype=dtype if dtype is not None else None)
-    if arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(np.float64)
-    return Tensor(arr, requires_grad=requires_grad)
 
 
 def _released(g: Array):
@@ -270,15 +263,7 @@ def sub(a: Tensor, b) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):  # scalar fast path
-        scalar = float(b)
-        out_data = a.data * scalar
-
-        def backward_scalar(g):
-            _accumulate(a, g * scalar, own=True)
-
-        return _make(out_data, (a,), backward_scalar)
-
+    b = _coerce(b, a)
     out_data = a.data * b.data
 
     def backward(g):

@@ -175,13 +175,19 @@ def train(
     return result
 
 
-def log_csv(rows: list[dict]) -> str:
+def _csv_text(fields: tuple[str, ...], rows) -> str:
+    """Dict rows as CSV text under a header of ``fields``."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=LOG_FIELDS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: (f"{v:.6f}" if isinstance(v, float) else v) for k, v in row.items()})
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def log_csv(rows: list[dict]) -> str:
+    """``train_log.csv``: one row per epoch, floats to six decimals."""
+    cells = ({k: f"{v:.6f}" if isinstance(v, float) else v for k, v in row.items()} for row in rows)
+    return _csv_text(LOG_FIELDS, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +215,7 @@ def predict_sample(params: dict[str, Tensor], cfg: ModelConfig, sample: VideoSam
         width = sample.feature_dim
         raise DatasetError(f"{where}: features are {width} wide, the model takes {cfg.input_dim}")
     _check_length(cfg, sample)
-    with no_grad():
+    with no_grad(), np.errstate(invalid="ignore"):  # the NumericError below names the file
         try:
             return final_prediction(model_forward(sample, params, cfg, train=False))
         except NumericError as exc:
@@ -343,9 +349,4 @@ def ablate(
 
 
 def ablate_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=ABLATE_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+    return _csv_text(ABLATE_FIELDS, rows)

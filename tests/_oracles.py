@@ -16,7 +16,8 @@ load-then-stride resampling the strided feature read replaced, and the
 checkpoint writer that copied every payload before writing it. The last
 section holds what only tests need: probes that read what the library's
 forward pass records, outside any graph, and an adapter that runs
-``attend`` on given queries, keys and values.
+``attend`` on given queries, keys and values; ``tensor`` builds the
+tests' leaf inputs.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ from tut import net as N
 from tut import tensor as T
 from tut.data import VideoSample
 from tut.errors import NumericError, ShapeError
+
+
+def tensor(data, requires_grad=False, dtype=None) -> T.Tensor:
+    """A leaf tensor of data in its float dtype; other data becomes float64."""
+    arr = np.asarray(data, dtype=dtype)
+    if arr.dtype not in (np.float32, np.float64):
+        arr = arr.astype(np.float64)
+    return T.Tensor(arr, requires_grad=requires_grad)
 
 
 def numeric_grad(fn, arrays: list[np.ndarray], index: int, h: float = 1e-4) -> np.ndarray:

@@ -24,6 +24,7 @@ from _oracles import (
     logsparse_key_set,
     numeric_grad,
     rel_err,
+    tensor,
     valid_key_sets,
 )
 from tut import attention as A
@@ -93,15 +94,15 @@ def test_c01_gradient_suite():
 
     # matmul
     a, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
-    ta, tb = T.tensor(a, requires_grad=True), T.tensor(b, requires_grad=True)
+    ta, tb = tensor(a, requires_grad=True), tensor(b, requires_grad=True)
     T.sum_all(T.matmul(ta, tb)).backward()
     check("matmul", lambda av, bv: float((av @ bv).sum()), [a, b], [ta.grad, tb.grad])
 
     # softmax / log-softmax via weighted sums
     x = rng.standard_normal((4, 5))
     w = rng.standard_normal((4, 5))
-    tx = T.tensor(x, requires_grad=True)
-    T.sum_all(T.mul(T.softmax_lastdim(tx), T.tensor(w))).backward()
+    tx = tensor(x, requires_grad=True)
+    T.sum_all(T.mul(T.softmax_lastdim(tx), tensor(w))).backward()
 
     def soft_f(xv):
         e = np.exp(xv - xv.max(axis=-1, keepdims=True))
@@ -109,8 +110,8 @@ def test_c01_gradient_suite():
 
     check("softmax", soft_f, [x], [tx.grad])
 
-    tx2 = T.tensor(x, requires_grad=True)
-    T.sum_all(T.mul(T.log_softmax_lastdim(tx2), T.tensor(w))).backward()
+    tx2 = tensor(x, requires_grad=True)
+    T.sum_all(T.mul(T.log_softmax_lastdim(tx2), tensor(w))).backward()
 
     def logsoft_f(xv):
         s = xv - xv.max(axis=-1, keepdims=True)
@@ -122,10 +123,10 @@ def test_c01_gradient_suite():
     xn = rng.standard_normal((6, 3))
     gn, bn = rng.standard_normal(3), rng.standard_normal(3)
     wn = rng.standard_normal((6, 3))
-    txn = T.tensor(xn, requires_grad=True)
-    tgn = T.tensor(gn, requires_grad=True)
-    tbn = T.tensor(bn, requires_grad=True)
-    T.sum_all(T.mul(T.instance_norm_temporal(txn, tgn, tbn), T.tensor(wn))).backward()
+    txn = tensor(xn, requires_grad=True)
+    tgn = tensor(gn, requires_grad=True)
+    tbn = tensor(bn, requires_grad=True)
+    T.sum_all(T.mul(T.instance_norm_temporal(txn, tgn, tbn), tensor(wn))).backward()
 
     def in_f(xv, gv, bv):
         xhat = (xv - xv.mean(axis=0)) / np.sqrt(xv.var(axis=0) + 1e-5)
@@ -135,8 +136,8 @@ def test_c01_gradient_suite():
 
     # instance norm of x + residual in one node (own draws: the rest of C01 keeps its inputs)
     rn = np.random.default_rng(1).standard_normal((6, 3))
-    txn, trn, tgn, tbn = (T.tensor(a, requires_grad=True) for a in (xn, rn, gn, bn))
-    T.sum_all(T.mul(T.instance_norm_temporal(txn, tgn, tbn, residual=trn), T.tensor(wn))).backward()
+    txn, trn, tgn, tbn = (tensor(a, requires_grad=True) for a in (xn, rn, gn, bn))
+    T.sum_all(T.mul(T.instance_norm_temporal(txn, tgn, tbn, residual=trn), tensor(wn))).backward()
     check(
         "instance_norm.residual",
         lambda xv, rv, gv, bv: in_f(xv + rv, gv, bv),
@@ -146,8 +147,8 @@ def test_c01_gradient_suite():
 
     # relu, clip, gather, scatter, div
     xr = rng.standard_normal((5, 4)) * 2
-    txr = T.tensor(xr, requires_grad=True)
-    T.sum_all(T.mul(T.relu(T.clip(txr, -1.0, 1.0)), T.tensor(xr))).backward()
+    txr = tensor(xr, requires_grad=True)
+    T.sum_all(T.mul(T.relu(T.clip(txr, -1.0, 1.0)), tensor(xr))).backward()
     check(
         "relu.clip",
         lambda xv: float((np.maximum(np.clip(xv, -1, 1), 0) * xr).sum()),
@@ -155,14 +156,14 @@ def test_c01_gradient_suite():
         [txr.grad],
     )
     idx = np.array([0, 2, 2, 4])
-    txg = T.tensor(xr, requires_grad=True)
-    T.sum_all(T.mul(T.gather_rows(txg, idx), T.tensor(xr[idx]))).backward()
+    txg = tensor(xr, requires_grad=True)
+    T.sum_all(T.mul(T.gather_rows(txg, idx), tensor(xr[idx]))).backward()
     check("gather_rows", lambda xv: float((xv[idx] * xr[idx]).sum()), [xr], [txg.grad])
-    txl = T.tensor(xr, requires_grad=True)
-    T.sum_all(T.mul(T.slice_rows(txl, 1, 4), T.tensor(xr[1:4]))).backward()
+    txl = tensor(xr, requires_grad=True)
+    T.sum_all(T.mul(T.slice_rows(txl, 1, 4), tensor(xr[1:4]))).backward()
     check("slice_rows", lambda xv: float((xv[1:4] * xr[1:4]).sum()), [xr], [txl.grad])
-    txs = T.tensor(xr[idx], requires_grad=True)
-    T.sum_all(T.mul(T.scatter_add_rows(txs, idx, 5), T.tensor(xr))).backward()
+    txs = tensor(xr[idx], requires_grad=True)
+    T.sum_all(T.mul(T.scatter_add_rows(txs, idx, 5), tensor(xr))).backward()
 
     def scat_f(xv):
         out = np.zeros((5, 4))
@@ -173,8 +174,8 @@ def test_c01_gradient_suite():
 
     xd = rng.random((4, 3)) + 0.5
     wd = rng.standard_normal((4, 3))
-    txd = T.tensor(xd, requires_grad=True)
-    T.sum_all(T.mul(T.div(txd, T.sum_axis(txd, 1, keepdims=True)), T.tensor(wd))).backward()
+    txd = tensor(xd, requires_grad=True)
+    T.sum_all(T.mul(T.div(txd, T.sum_axis(txd, 1, keepdims=True)), tensor(wd))).backward()
     check(
         "div.sum_axis",
         lambda xv: float((wd * xv / xv.sum(axis=1, keepdims=True)).sum()),
@@ -185,7 +186,7 @@ def test_c01_gradient_suite():
     # cross-entropy, kl, wasserstein
     logits = rng.standard_normal((5, 3))
     labels = np.array([0, 1, 2, 1, 0])
-    tl = T.tensor(logits, requires_grad=True)
+    tl = tensor(logits, requires_grad=True)
     T.cross_entropy_from_logits(tl, labels).backward()
 
     def ce_f(lv):
@@ -198,16 +199,16 @@ def test_c01_gradient_suite():
     p = np.array([0.0, 0.3, 0.7])
     d = rng.random(3) + 0.1
     d /= d.sum()
-    td = T.tensor(d, requires_grad=True)
-    T.kl_from_probs(T.tensor(p), td).backward()
+    td = tensor(d, requires_grad=True)
+    T.kl_from_probs(tensor(p), td).backward()
     check("kl", lambda dv: kl_scalar(p, dv), [d], [td.grad])
 
     pv = rng.random(6)
     pv /= pv.sum()
     dv = rng.random(6)
     dv /= dv.sum()
-    tdw = T.tensor(dv, requires_grad=True)
-    T.wasserstein1_from_probs(T.tensor(pv), tdw).backward()
+    tdw = tensor(dv, requires_grad=True)
+    T.wasserstein1_from_probs(tensor(pv), tdw).backward()
     check(
         "wasserstein", lambda x: float(np.abs(np.cumsum(pv - x)).sum()), [dv], [tdw.grad]
     )
@@ -215,7 +216,7 @@ def test_c01_gradient_suite():
     # dropout: gradient equals the drawn mask (piecewise linear given mask)
     stream = np.random.default_rng(5)
     xdr = rng.standard_normal((30, 4))
-    txdr = T.tensor(xdr, requires_grad=True)
+    txdr = tensor(xdr, requires_grad=True)
     out = T.dropout(txdr, 0.4, stream)
     T.sum_all(out).backward()
     mask = (out.data != 0).astype(float) / 0.6
@@ -232,12 +233,12 @@ def test_c01_gradient_suite():
         cfg = dict(pattern=pattern, window=3, heads=2)
 
         def att_f(xv, mv, wv, bv, cfg=cfg):
-            out, _ = A.attend(T.tensor(xv), T.tensor(wv), T.tensor(bv), **cfg, memory=T.tensor(mv))
+            out, _ = A.attend(tensor(xv), tensor(wv), tensor(bv), **cfg, memory=tensor(mv))
             return float((out.data * wt).sum())
 
-        leaves = [T.tensor(a, requires_grad=True) for a in (q0, k0, wq, bq)]
+        leaves = [tensor(a, requires_grad=True) for a in (q0, k0, wq, bq)]
         out, _ = A.attend(leaves[0], leaves[2], leaves[3], **cfg, memory=leaves[1])
-        T.sum_all(T.mul(out, T.tensor(wt))).backward()
+        T.sum_all(T.mul(out, tensor(wt))).backward()
         check(f"attention.{pattern}", att_f, [a.data for a in leaves], [a.grad for a in leaves])
 
     # the slot kernels and the FFN node, in f64 and in f32 (whose gradients
@@ -266,7 +267,7 @@ def test_c01_gradient_suite():
         qkv = T.slot_project(x, w, b, layout, memory if cross else None)
         probs = T.slot_softmax(qkv, layout, 2, *rpe)
         out = T.slot_mix(probs, qkv, layout, 0.3, np.random.default_rng(9) if drop else None)
-        w_probs, w_out = (T.tensor(a.astype(x.dtype)) for a in weights)
+        w_probs, w_out = (tensor(a.astype(x.dtype)) for a in weights)
         return T.add(T.sum_all(T.mul(probs, w_probs)), T.sum_all(T.mul(out, w_out)))
 
     frng = np.random.default_rng(7)
@@ -275,7 +276,7 @@ def test_c01_gradient_suite():
 
     def ffn_loss(leaves, drop):
         out = T.ffn_block(*leaves, 0.4, np.random.default_rng(10) if drop else None)
-        return T.sum_all(T.mul(out, T.tensor(ffn_weights.astype(out.dtype))))
+        return T.sum_all(T.mul(out, tensor(ffn_weights.astype(out.dtype))))
 
     node_cases = [
         (f"slot_nodes.{name}", arrays, lambda ls, drop, case=case: slot_loss(*case, ls, drop))
@@ -289,7 +290,7 @@ def test_c01_gradient_suite():
         grads = [np.zeros_like(a) if t.grad is None else t.grad for a, t in zip(arrays, leaves)]
         check(
             f"{name}.drop={drop}.{np.dtype(dtype).name}",
-            lambda *vals, f=loss_of, drop=drop: float(f([T.tensor(v) for v in vals], drop).data),
+            lambda *vals, f=loss_of, drop=drop: float(f([tensor(v) for v in vals], drop).data),
             arrays, grads,
         )
 
@@ -300,17 +301,17 @@ def test_c01_gradient_suite():
         ("upsample_nearest", lambda x: T.upsample_nearest(x, 13), 13),
     ):
         wr = brng.standard_normal((rows, 4))
-        tr = T.tensor(q0, requires_grad=True)
-        T.sum_all(T.mul(resample(tr), T.tensor(wr))).backward()
-        check(name, lambda xv, f=resample, wr=wr: float((f(T.tensor(xv)).data * wr).sum()),
+        tr = tensor(q0, requires_grad=True)
+        T.sum_all(T.mul(resample(tr), tensor(wr))).backward()
+        check(name, lambda xv, f=resample, wr=wr: float((f(tensor(xv)).data * wr).sum()),
               [q0], [tr.grad])
 
     # fused dense layer; its own stream, like the slot kernels above
     lrng = np.random.default_rng(4)
     xl, wl, bl = lrng.standard_normal((5, 3)), lrng.standard_normal((3, 6)), lrng.standard_normal(6)
     wo = lrng.standard_normal((5, 6))
-    tx, tw, tb = (T.tensor(a, requires_grad=True) for a in (xl, wl, bl))
-    T.sum_all(T.mul(T.linear(tx, tw, tb), T.tensor(wo))).backward()
+    tx, tw, tb = (tensor(a, requires_grad=True) for a in (xl, wl, bl))
+    T.sum_all(T.mul(T.linear(tx, tw, tb), tensor(wo))).backward()
     check(
         "linear", lambda xv, wv, bv: float(((xv @ wv + bv) * wo).sum()),
         [xl, wl, bl], [tx.grad, tw.grad, tb.grad],
@@ -399,14 +400,14 @@ def test_c02_attention_oracles():
         t = int(rng.integers(1, 33))
         d = 2 * int(rng.integers(1, 4))
         heads = int(rng.choice([1, 2]))
-        q, k, v = (T.tensor(rng.standard_normal((t, d))) for _ in range(3))
+        q, k, v = (tensor(rng.standard_normal((t, d))) for _ in range(3))
         w = 2 * t - 1 if t % 2 == 1 else 2 * t + 1
         local, _ = attend_qkv(q, k, v, "local", w, heads)
         full, _ = attend_qkv(q, k, v, "full", w, heads)
         worst = max(worst, float(np.max(np.abs(local.data - full.data))))
     sets_ok = True
     for t in range(1, 65):
-        q, k, v = (T.tensor(rng.standard_normal((t, 2))) for _ in range(3))
+        q, k, v = (tensor(rng.standard_normal((t, 2))) for _ in range(3))
         _, probs = attend_qkv(q, k, v, "logsparse", 51, 1)
         for i, got in enumerate(valid_key_sets(probs, A.slot_layout("logsparse", t, 51))):
             if got != logsparse_key_set(t, i):
@@ -493,12 +494,12 @@ def test_c03_measured_retained_bytes():
 def test_c04_loss_correctness():
     checks = []
     # clamp: |delta| > 4 contributes exactly theta^2 = 16
-    logits = T.tensor(np.array([[0.0, 10.0], [10.0, 0.0]]))
+    logits = tensor(np.array([[0.0, 10.0], [10.0, 0.0]]))
     checks.append(abs(float(L.tmse_loss(logits).data) - 16.0) < 1e-9)
 
     # stop-gradient: frame 0 appears only in the detached branch
     base = np.random.default_rng(2).standard_normal((6, 3))
-    tl = T.tensor(base, requires_grad=True)
+    tl = tensor(base, requires_grad=True)
     L.tmse_loss(tl).backward()
     checks.append(np.allclose(tl.grad[0], 0.0))
 
@@ -530,7 +531,7 @@ def test_c04_loss_correctness():
         raw = rng.random((t, w)) + 0.05
         rows = raw / raw.sum(axis=1, keepdims=True)
         b = L.derive_boundaries(labels)
-        got = float(L.ba_loss((None, T.tensor(rows[:, None, :])), b, "kl", "local", w, t).data)
+        got = float(L.ba_loss((None, tensor(rows[:, None, :])), b, "kl", "local", w, t).data)
         expect = 0.0
         for variant, frames in (("start", b.start_frames), ("end", b.end_frames)):
             p = L.prior(variant, w)
@@ -543,7 +544,7 @@ def test_c04_loss_correctness():
             for frame in frames:
                 if w // 2 <= frame <= t - 1 - w // 2:
                     aligned[frame] = L.prior(variant, w)
-        zero = float(L.ba_loss((None, T.tensor(aligned[:, None, :])), b, "kl", "local", w, t).data)
+        zero = float(L.ba_loss((None, tensor(aligned[:, None, :])), b, "kl", "local", w, t).data)
         checks.append(abs(zero) < 1e-12)
     checks.append(max_err < 1e-8)
     report(4, "loss correctness", all(checks), f"max BA-vs-script error {max_err:.2e}")
@@ -609,7 +610,7 @@ def test_c06_shape_architecture_suite():
     perfect = np.eye(5)[labels] * 30.0
     wrong = np.roll(perfect, 1, axis=1)
     doctored = N.StageOutputs(
-        logits=[T.tensor(perfect), T.tensor(wrong)], records=[]
+        logits=[tensor(perfect), tensor(wrong)], records=[]
     )
     last_stage_ok = bool(
         np.array_equal(N.final_prediction(doctored), np.argmax(wrong, axis=1))

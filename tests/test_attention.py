@@ -12,6 +12,7 @@ from _oracles import (
     rel_err,
     slot_mix_per_call,
     slot_softmax_per_call,
+    tensor,
     valid_key_sets,
 )
 from tut import attention as A
@@ -26,7 +27,7 @@ def cfg_for(pattern, window=3, heads=1, **kw):
 
 
 def rand_qkv(rng, t, d):
-    return tuple(T.tensor(rng.standard_normal((t, d))) for _ in range(3))
+    return tuple(tensor(rng.standard_normal((t, d))) for _ in range(3))
 
 
 def test_single_key_is_identity():
@@ -63,9 +64,9 @@ def test_local_matches_full_with_saturating_window():
 def test_full_attention_uniform_keys():
     rng = np.random.default_rng(3)
     t, d = 5, 4
-    q = T.tensor(rng.standard_normal((t, d)))
-    k = T.tensor(np.tile(rng.standard_normal((1, d)), (t, 1)))
-    v = T.tensor(rng.standard_normal((t, d)))
+    q = tensor(rng.standard_normal((t, d)))
+    k = tensor(np.tile(rng.standard_normal((1, d)), (t, 1)))
+    v = tensor(rng.standard_normal((t, d)))
     out, probs = attend_qkv(q, k, v, **cfg_for("full"))
     np.testing.assert_allclose(probs.data[:, 0], np.full((t, t), 1 / t), atol=1e-12)
     np.testing.assert_allclose(out.data, np.tile(v.data.mean(axis=0), (t, 1)), atol=1e-12)
@@ -77,7 +78,7 @@ def test_full_attention_kv_permutation_symmetry():
     out, _ = attend_qkv(q, k, v, **cfg_for("full", heads=2))
     perm = rng.permutation(6)
     out_p, _ = attend_qkv(
-        q, T.tensor(k.data[perm]), T.tensor(v.data[perm]), **cfg_for("full", heads=2)
+        q, tensor(k.data[perm]), tensor(v.data[perm]), **cfg_for("full", heads=2)
     )
     np.testing.assert_allclose(out.data, out_p.data, atol=1e-10)
 
@@ -86,9 +87,9 @@ def test_kv_length_mismatch_raises():
     # K and V are one projection of the memory rows: a memory whose length
     # is not the queries' is refused before anything is read
     rng = np.random.default_rng(5)
-    w, b = T.tensor(rng.standard_normal((2, 6))), T.tensor(np.zeros(6))
+    w, b = tensor(rng.standard_normal((2, 6))), tensor(np.zeros(6))
     layout = A.slot_layout("local", 4, 3)
-    x, memory = (T.tensor(rng.standard_normal((rows, 2))) for rows in (4, 3))
+    x, memory = (tensor(rng.standard_normal((rows, 2))) for rows in (4, 3))
     with pytest.raises(ShapeError, match="does not fit"):
         T.slot_project(x, w, b, layout, memory)
 
@@ -140,7 +141,7 @@ def test_zero_rpe_table_leaves_scores_unchanged():
     q, k, v = rand_qkv(rng, 8, 4)
     cfg = cfg_for("local", window=5, heads=2)
     plain, _ = attend_qkv(q, k, v, **cfg)
-    zero = T.tensor(np.zeros((5, 2)))
+    zero = tensor(np.zeros((5, 2)))
     with_rpe, _ = attend_qkv(q, k, v, **cfg, rpe=zero)
     np.testing.assert_allclose(plain.data, with_rpe.data, atol=1e-12)
 
@@ -150,11 +151,11 @@ def test_rpe_additivity_zero_projections():
     rng = np.random.default_rng(11)
     t, w, h = 9, 5, 2
     cfg = cfg_for("local", window=w, heads=h)
-    q = T.tensor(np.zeros((t, 4)))
-    k = T.tensor(np.zeros((t, 4)))
-    v = T.tensor(rng.standard_normal((t, 4)))
+    q = tensor(np.zeros((t, 4)))
+    k = tensor(np.zeros((t, 4)))
+    v = tensor(rng.standard_normal((t, 4)))
     table = rng.standard_normal((w, h))
-    _, probs = attend_qkv(q, k, v, **cfg, rpe=T.tensor(table))
+    _, probs = attend_qkv(q, k, v, **cfg, rpe=tensor(table))
     half = w // 2
     for i in range(half, t - half):  # full windows only
         for head in range(h):
@@ -167,7 +168,7 @@ def test_rpe_wrong_shape_raises():
     q, k, v = rand_qkv(rng, 4, 4)
     with pytest.raises(ShapeError):
         attend_qkv(
-            q, k, v, **cfg_for("local", window=5, heads=2), rpe=T.tensor(np.zeros((3, 2)))
+            q, k, v, **cfg_for("local", window=5, heads=2), rpe=tensor(np.zeros((3, 2)))
         )
 
 
@@ -203,14 +204,14 @@ def test_gradients_vs_finite_differences(pattern):
     cfg = cfg_for(pattern, window=w, heads=h)
 
     def f(qv, kv, vv):
-        out, _ = attend_qkv(T.tensor(qv), T.tensor(kv), T.tensor(vv), **cfg)
+        out, _ = attend_qkv(tensor(qv), tensor(kv), tensor(vv), **cfg)
         return float((out.data * weights).sum())
 
-    tq = T.tensor(q0, requires_grad=True)
-    tk = T.tensor(k0, requires_grad=True)
-    tv = T.tensor(v0, requires_grad=True)
+    tq = tensor(q0, requires_grad=True)
+    tk = tensor(k0, requires_grad=True)
+    tv = tensor(v0, requires_grad=True)
     out, _ = attend_qkv(tq, tk, tv, **cfg)
-    T.sum_all(T.mul(out, T.tensor(weights))).backward()
+    T.sum_all(T.mul(out, tensor(weights))).backward()
     for i, ten in enumerate((tq, tk, tv)):
         assert rel_err(ten.grad, numeric_grad(f, [q0, k0, v0], i)) < 1e-4
 
@@ -225,13 +226,13 @@ def test_rpe_gradient_vs_finite_differences():
 
     def f(tab):
         out, _ = attend_qkv(
-            T.tensor(q0), T.tensor(k0), T.tensor(v0), **cfg, rpe=T.tensor(tab)
+            tensor(q0), tensor(k0), tensor(v0), **cfg, rpe=tensor(tab)
         )
         return float((out.data * weights).sum())
 
-    tt = T.tensor(table0, requires_grad=True)
-    out, _ = attend_qkv(T.tensor(q0), T.tensor(k0), T.tensor(v0), **cfg, rpe=tt)
-    T.sum_all(T.mul(out, T.tensor(weights))).backward()
+    tt = tensor(table0, requires_grad=True)
+    out, _ = attend_qkv(tensor(q0), tensor(k0), tensor(v0), **cfg, rpe=tt)
+    T.sum_all(T.mul(out, tensor(weights))).backward()
     assert rel_err(tt.grad, numeric_grad(f, [table0], 0)) < 1e-4
 
 
@@ -251,14 +252,14 @@ def test_fused_local_matches_slotted_oracle():
         weights = rng.standard_normal((t, d))
         results = []
         for fused in flags:
-            leaves = [T.tensor(a, requires_grad=True) for a in arrays]
+            leaves = [tensor(a, requires_grad=True) for a in arrays]
             rpe = leaves[3] if use_rpe else None
             stream = np.random.default_rng(n) if drop else None
             if fused:
                 out, kept = attend_qkv(*leaves[:3], **cfg, rpe=rpe, rng=stream, cross=n % 2 == 0)
             else:
                 out, kept = attention_loop(*leaves[:3], **cfg, rpe=rpe, rng=stream)
-            T.sum_all(T.mul(out, T.tensor(weights))).backward()
+            T.sum_all(T.mul(out, tensor(weights))).backward()
             grads = [np.zeros_like(a) if x.grad is None else x.grad for a, x in zip(arrays, leaves)]
             if fused:
                 probs = kept.data
@@ -294,11 +295,11 @@ def test_slot_kernels_match_per_call_oracle_bytes(dtype, pattern, use_rpe):
         layout = A.slot_layout(pattern, t, w)
         shapes = ((t, d_in), (t, d_in), (d_in, 3 * dim), (3 * dim,), (layout.slots, heads))
         arrays = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
-        w_probs = T.tensor(rng.standard_normal((t, heads, layout.slots)).astype(dtype))
-        w_out = T.tensor(rng.standard_normal((t, dim)).astype(dtype))
+        w_probs = tensor(rng.standard_normal((t, heads, layout.slots)).astype(dtype))
+        w_out = tensor(rng.standard_normal((t, dim)).astype(dtype))
         results = []
         for softmax, mix in ((T.slot_softmax, T.slot_mix), (slot_softmax_per_call, slot_mix_per_call)):
-            leaves = [T.tensor(a, requires_grad=True) for a in arrays]
+            leaves = [tensor(a, requires_grad=True) for a in arrays]
             x, memory, weight, bias, rpe = leaves
             qkv = T.slot_project(x, weight, bias, layout, memory if cross else None)
             probs = softmax(qkv, layout, heads, rpe if use_rpe else None)
@@ -319,15 +320,15 @@ def test_slot_project_rows_are_the_linear_bytes_between_zero_rows(dtype):
     rng = np.random.default_rng(21)
     for pattern, (t, w, _) in itertools.product(("local", "logsparse", "full"), SLOT_SHAPES):
         layout = A.slot_layout(pattern, t, w)
-        x, memory = (T.tensor(rng.standard_normal((t, 7)).astype(dtype)) for _ in range(2))
+        x, memory = (tensor(rng.standard_normal((t, 7)).astype(dtype)) for _ in range(2))
         weight, bias = (rng.standard_normal(s).astype(dtype) for s in ((7, 12), (12,)))
         rows = slice(layout.pad, layout.pad + t)
 
         def linear(source, cols):
-            return T.linear(source, T.tensor(weight[:, cols]), T.tensor(bias[cols])).data
+            return T.linear(source, tensor(weight[:, cols]), tensor(bias[cols])).data
 
         for source in (None, memory):
-            buf = T.slot_project(x, T.tensor(weight), T.tensor(bias), layout, source).data
+            buf = T.slot_project(x, tensor(weight), tensor(bias), layout, source).data
             assert buf.shape == (layout.padded_rows, 3, 4)
             got = buf[rows].reshape(t, -1)
             if source is None:
@@ -341,8 +342,8 @@ def test_slot_project_rows_are_the_linear_bytes_between_zero_rows(dtype):
 @pytest.mark.parametrize("pattern", ["local", "full"])
 def test_slot_kernels_reject_a_layout_built_for_other_lengths(pattern):
     rng = np.random.default_rng(20)
-    x = T.tensor(rng.standard_normal((6, 3)))
-    w, b = T.tensor(rng.standard_normal((3, 12))), T.tensor(rng.standard_normal(12))
+    x = tensor(rng.standard_normal((6, 3)))
+    w, b = tensor(rng.standard_normal((3, 12))), tensor(rng.standard_normal(12))
     built = A.slot_layout(pattern, 6, 3)
     qkv = T.slot_project(x, w, b, built)
     for t in (5, 7):
@@ -350,8 +351,8 @@ def test_slot_kernels_reject_a_layout_built_for_other_lengths(pattern):
         with pytest.raises(ShapeError, match="does not fit"):
             T.slot_project(x, w, b, layout)
         with pytest.raises(ShapeError, match="does not fit"):
-            T.slot_project(x, w, b, built, T.tensor(rng.standard_normal((t, 3))))
-        p = T.tensor(np.full((6, 2, layout.slots), 1.0 / layout.slots))
+            T.slot_project(x, w, b, built, tensor(rng.standard_normal((t, 3))))
+        p = tensor(np.full((6, 2, layout.slots), 1.0 / layout.slots))
         with pytest.raises(ShapeError, match="does not fit"):
             T.slot_softmax(qkv, layout, 2)
         with pytest.raises(ShapeError, match="does not fit"):
@@ -397,8 +398,8 @@ def test_cross_attention_lengths():
     # decoder-style call: Q from x, K and V from a memory of the same length,
     # as after upsampling
     rng = np.random.default_rng(16)
-    x, memory = (T.tensor(rng.standard_normal((10, 3))) for _ in range(2))
-    w, b = T.tensor(rng.standard_normal((3, 12))), T.tensor(rng.standard_normal(12))
+    x, memory = (tensor(rng.standard_normal((10, 3))) for _ in range(2))
+    w, b = tensor(rng.standard_normal((3, 12))), tensor(rng.standard_normal(12))
     out, probs = A.attend(x, w, b, **cfg_for("local", window=3, heads=2), memory=memory)
     assert out.data.shape == (10, 4)
     assert probs.data.shape == (10, 2, A.slot_layout("local", 10, 3).slots)

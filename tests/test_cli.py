@@ -482,15 +482,15 @@ def _non_finite_features(trained, synth_root, tmp_path):
             "--epochs", "1", *SMALL_MODEL]
 
 
-def _nan_feature(command):
-    """``command`` on a split one of whose feature values is NaN, which makes
-    the forward pass non-finite: the error names that file, and no ``--out``
-    is made."""
+def _nan_feature(command, value=np.nan):
+    """``command`` on a split one of whose feature values is NaN (or another
+    non-finite ``value``), which makes the forward pass non-finite: the error
+    names that file, and no ``--out`` is made."""
     def make_argv(trained, synth_root, tmp_path):
         root = _synth(tmp_path / "nanfeat")
         path = root / "features" / "synth001.feat"
         features = read_features(path)
-        features[5, 0] = np.nan
+        features[5, 0] = value
         write_features(path, features)
         return [command, "--data-root", str(root), "--out", str(tmp_path / "out"),
                 "--checkpoint", str(trained / "checkpoint.ckpt"),
@@ -571,10 +571,10 @@ def _config_file(name, text: str | bytes | None, names=()):
     return make_argv
 
 
-def _bad_flag(command, flag, value, axis="beta"):
+def _bad_flag(command, flag, value, axis="beta", names=()):
     """``command`` given a ``flag`` value that does not parse or that the flag
-    refuses (ablate over ``axis``); the error names the flag, and no
-    ``--out`` is made."""
+    refuses (ablate over ``axis``); the error names the flag and each of
+    ``names``, and no ``--out`` is made."""
     def make_argv(trained, synth_root, tmp_path):
         argv = {
             "train": ["train", "--seed", "1", "--epochs", "1", *SMALL_MODEL],
@@ -583,7 +583,7 @@ def _bad_flag(command, flag, value, axis="beta"):
         }[command]
         return [*argv, "--data-root", str(synth_root), "--out", str(tmp_path / "out"), flag, value]
 
-    make_argv.names = (flag + ": ",)
+    make_argv.names = (flag + ": ", *names)
     make_argv.makes_no_out = True
     return make_argv
 
@@ -690,6 +690,11 @@ def _sample_rate(rate):
      _bad_flag("ablate", "--values", "nan", axis="window"),
      _bad_flag("ablate", "--values", "inf", axis="heads"),
      _bad_flag("ablate", "--values", "2.5", axis="window"),
+     _bad_flag("eval", "--thresholds", ","), _bad_flag("ablate", "--values", ",", axis="window"),
+     _bad_flag("ablate", "--values", "nan"), _bad_flag("ablate", "--values", "0,inf"),
+     _bad_flag("ablate", "--values", "-0.01"),
+     *(_bad_flag("ablate", "--values", "0.3", axis=axis, names=(axis,))
+       for axis in ("arch-attention", "positional-encoding", "ba-distance")),
      _bad_setting("lr", "nan"), _bad_setting("weight_decay", "-0.5"),
      _bad_setting("smooth_weight", "nan"), _bad_setting("boundary_weight", "nan"),
      _bad_setting("checkpoint_every", "-1"), _bad_setting("eval_every", "-2"),
@@ -711,7 +716,9 @@ def _sample_rate(rate):
          "FlagBadValue", "FlagBadSeed", "EvalBadThresholds", "AblateBadValues",
          "EvalNanFeature", "PredictNanFeature", "ThresholdNan", "ThresholdInf",
          "ThresholdNegative", "ThresholdAboveOne", "AblateWindowNan", "AblateHeadsInf",
-         "AblateWindowFraction",
+         "AblateWindowFraction", "EvalThresholdsEmpty", "AblateValuesEmpty", "AblateBetaNan",
+         "AblateBetaInf", "AblateBetaNegative", "AblateValuesArchAttention",
+         "AblateValuesPositionalEncoding", "AblateValuesBaDistance",
          "LrNan", "WeightDecayNegative", "SmoothWeightNan", "BoundaryWeightNan",
          "CheckpointEveryNegative", "EvalEveryNegative", "HiddenDimZero",
          "HiddenDimNegative", "HiddenDimRefineZero", "HeadsNotDividing", "ConfigLrNan",
@@ -733,6 +740,24 @@ def test_typed_failures_exit_2_with_one_line(make_argv, trained, synth_root, tmp
         assert name in err
     if getattr(make_argv, "makes_no_out", False):
         assert not os.path.exists(argv[argv.index("--out") + 1])
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_an_inf_feature_prints_only_the_error_line(command, trained, tmp_path):
+    """An inf among the features makes the forward pass non-finite; the
+    command's whole stderr is the one error line naming the file, with no
+    numpy warning before it."""
+    make_argv = _nan_feature(command, np.inf)
+    argv = make_argv(trained, None, tmp_path)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "tut.cli", *argv], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and make_argv.names[0] in line
 
 
 def test_ablate_with_a_refused_setting_exits_2_and_writes_no_grid(synth_root, tmp_path, capsys):

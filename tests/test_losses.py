@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import attend_qkv, extract_lad, kl_scalar, mean_boundary_kl, numeric_grad, rel_err
+from _oracles import (
+    attend_qkv,
+    extract_lad,
+    kl_scalar,
+    mean_boundary_kl,
+    numeric_grad,
+    rel_err,
+    tensor,
+)
 from tut import losses as L
 from tut import net as N
 from tut import tensor as T
@@ -12,24 +20,24 @@ from tut.trainer import TrainConfig
 
 
 def test_ce_uniform_and_perfect():
-    perfect = T.tensor([[50.0, 0.0], [0.0, 50.0]])
+    perfect = tensor([[50.0, 0.0], [0.0, 50.0]])
     assert float(L.ce_loss(perfect, [0, 1]).data) < 1e-6
-    uniform = T.tensor(np.zeros((3, 4)))
+    uniform = tensor(np.zeros((3, 4)))
     np.testing.assert_allclose(float(L.ce_loss(uniform, [0, 1, 2]).data), np.log(4))
 
 
 def test_tmse_constant_logits_zero():
-    logits = T.tensor(np.tile([1.0, -2.0, 0.5], (6, 1)))
+    logits = tensor(np.tile([1.0, -2.0, 0.5], (6, 1)))
     assert float(L.tmse_loss(logits).data) == 0.0
 
 
 def test_tmse_degenerate_video():
-    assert float(L.tmse_loss(T.tensor(np.zeros((1, 3)))).data) == 0.0
+    assert float(L.tmse_loss(tensor(np.zeros((1, 3)))).data) == 0.0
 
 
 def test_tmse_clamp_contributes_theta_squared():
     # one adjacent pair, |delta| = 10 on both classes of a 2-class problem
-    logits = T.tensor(np.array([[0.0, 10.0], [10.0, 0.0]]))
+    logits = tensor(np.array([[0.0, 10.0], [10.0, 0.0]]))
     logp = T.log_softmax_lastdim(logits).data
     deltas = np.abs(logp[1] - logp[0])
     assert np.all(deltas > 4.0)
@@ -57,7 +65,7 @@ def test_tmse_stop_gradient():
         delta = np.clip(logsm(lv)[1:] - logsm(lv)[:-1], -4.0, 4.0)
         return float((delta**2).mean())
 
-    tl = T.tensor(base, requires_grad=True)
+    tl = tensor(base, requires_grad=True)
     L.tmse_loss(tl).backward()
     assert rel_err(tl.grad, numeric_grad(stopgrad_oracle, [base], 0)) < 1e-6
     # frame 0 only ever appears in the detached branch
@@ -105,7 +113,7 @@ def test_prior_examples():
 def local_probs(rows_per_head):
     """(T, heads, w) local-attention probabilities with the given
     post-softmax rows; rows_per_head: list of (T, w)."""
-    return T.tensor(np.stack(rows_per_head, axis=1))
+    return tensor(np.stack(rows_per_head, axis=1))
 
 
 def test_extract_lad_single_and_averaged_heads():
@@ -132,7 +140,7 @@ def test_extract_lad_from_full_record_slices_row():
     rng = np.random.default_rng(1)
     probs = rng.random((t, 2, t))
     probs /= probs.sum(axis=2, keepdims=True)
-    lad = extract_lad(T.tensor(probs), 2, "full", w)
+    lad = extract_lad(tensor(probs), 2, "full", w)
     heads = probs[2, :, 1:4]  # each head renormalized over the window, then averaged
     np.testing.assert_allclose(lad.data, (heads / heads.sum(axis=1, keepdims=True)).mean(axis=0))
 
@@ -267,12 +275,12 @@ def test_ba_gradient_flows_into_attention_inputs():
     q0, k0, v0 = (rng.standard_normal((t, d)) for _ in range(3))
 
     def f(qv, kv, vv):
-        _, probs = attend_qkv(T.tensor(qv), T.tensor(kv), T.tensor(vv), "local", w, 2)
+        _, probs = attend_qkv(tensor(qv), tensor(kv), tensor(vv), "local", w, 2)
         return float(L.ba_loss((None, probs), L.derive_boundaries(labels), "kl", "local", w, t).data)
 
-    tq = T.tensor(q0, requires_grad=True)
-    tk = T.tensor(k0, requires_grad=True)
-    tv = T.tensor(v0, requires_grad=True)
+    tq = tensor(q0, requires_grad=True)
+    tk = tensor(k0, requires_grad=True)
+    tv = tensor(v0, requires_grad=True)
     _, probs = attend_qkv(tq, tk, tv, "local", w, 2)
     L.ba_loss((None, probs), L.derive_boundaries(labels), "kl", "local", w, t).backward()
     assert rel_err(tq.grad, numeric_grad(f, [q0, k0, v0], 0)) < 1e-4
@@ -292,8 +300,8 @@ def test_ba_loss_full_record_matches_local_record(distance):
     for heads in (1, 2, 4):
         results = []
         for pattern in ("local", "full"):
-            tq, tk = T.tensor(q0, requires_grad=True), T.tensor(k0, requires_grad=True)
-            _, probs = attend_qkv(tq, tk, T.tensor(v0), pattern, w, heads)
+            tq, tk = tensor(q0, requires_grad=True), tensor(k0, requires_grad=True)
+            _, probs = attend_qkv(tq, tk, tensor(v0), pattern, w, heads)
             loss = L.ba_loss((None, probs), L.derive_boundaries(labels), distance, pattern, w, t)
             loss.backward()
             results.append((float(loss.data), tq.grad, tk.grad))
@@ -329,7 +337,7 @@ def test_total_loss_composition_and_scaling():
 
     # perfect predictions with lambda = beta = 0 -> 0
     perfect = N.StageOutputs(
-        logits=[T.tensor(np.eye(3)[labels] * 60.0)], records=[(None, None)]
+        logits=[tensor(np.eye(3)[labels] * 60.0)], records=[(None, None)]
     )
     total3, _ = L.total_loss(perfect, labels, w_off, single_cfg)
     assert float(total3.data) < 1e-6
@@ -350,7 +358,7 @@ def test_ce_drives_frame_accuracy():
     labels = np.array([2, 0, 1, 1, 2])
     logits = np.full((5, 3), -3.0)
     logits[np.arange(5), labels] = 9.0
-    lt = T.tensor(logits)
+    lt = tensor(logits)
     assert float(L.ce_loss(lt, labels).data) < 1e-4
     np.testing.assert_array_equal(np.argmax(logits, axis=1), labels)
 

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _oracles import in_range_mask, layer_composed, numeric_grad, rel_err, save_checkpoint_copying
+from _oracles import (
+    in_range_mask,
+    layer_composed,
+    numeric_grad,
+    rel_err,
+    save_checkpoint_copying,
+    tensor,
+)
 from tut import attention as A
 from tut import data as D
 from tut import net as N
@@ -57,21 +64,21 @@ def record_every_attend(monkeypatch) -> list:
 
 
 def test_downsample_examples():
-    x = T.tensor(np.arange(8.0).reshape(4, 2))
+    x = tensor(np.arange(8.0).reshape(4, 2))
     np.testing.assert_allclose(N.downsample_nearest(x).data, x.data[[0, 2]])
-    x3 = T.tensor(np.arange(6.0).reshape(3, 2))
+    x3 = tensor(np.arange(6.0).reshape(3, 2))
     np.testing.assert_allclose(N.downsample_nearest(x3).data, x3.data[[0, 2]])
     with pytest.raises(ShapeError):
-        N.downsample_nearest(T.tensor(np.zeros((0, 2))))
+        N.downsample_nearest(tensor(np.zeros((0, 2))))
 
 
 def test_upsample_examples_and_roundtrip():
-    x = T.tensor(np.array([[1.0], [2.0]]))
+    x = tensor(np.array([[1.0], [2.0]]))
     np.testing.assert_allclose(N.upsample_nearest(x, 4).data[:, 0], [1, 1, 2, 2])
     np.testing.assert_allclose(N.upsample_nearest(x, 3).data[:, 0], [1, 1, 2])
     with pytest.raises(ShapeError):
         N.upsample_nearest(x, 6)
-    src = T.tensor(np.random.default_rng(0).standard_normal((5, 3)))
+    src = tensor(np.random.default_rng(0).standard_normal((5, 3)))
     round_trip = N.upsample_nearest(N.downsample_nearest(src), 5)
     np.testing.assert_allclose(round_trip.data[[0, 1]], np.tile(src.data[0], (2, 1)))
     np.testing.assert_allclose(round_trip.data[[2, 3]], np.tile(src.data[2], (2, 1)))
@@ -83,7 +90,7 @@ def test_upsample_gradient_counts():
     def f(xv):
         return float(xv[np.arange(5) // 2].sum())
 
-    tx = T.tensor(x0, requires_grad=True)
+    tx = tensor(x0, requires_grad=True)
     T.sum_all(N.upsample_nearest(tx, 5)).backward()
     assert rel_err(tx.grad, numeric_grad(f, [x0], 0)) < 1e-8
     np.testing.assert_allclose(tx.grad[:, 0], [2.0, 2.0, 1.0])
@@ -103,12 +110,12 @@ def test_zero_weights_reduce_to_normalized_downsample():
     for leaf in ("qkv.w", "qkv.b", "ffn1.w", "ffn1.b", "ffn2.w", "ffn2.b"):
         params[f"{prefix}.{leaf}"].data[...] = 0.0
     rng = np.random.default_rng(2)
-    h = T.tensor(rng.standard_normal((10, 8)))
+    h = tensor(rng.standard_normal((10, 8)))
     out, probs = N.encoder_layer(h, params, cfg, stage=0, layer=1)
     assert probs.data.shape[0] == 5
     down = N.downsample_nearest(h)
     normed = T.instance_norm_temporal(
-        down, T.tensor(np.ones(8)), T.tensor(np.zeros(8)), N.NORM_EPS
+        down, tensor(np.ones(8)), tensor(np.zeros(8)), N.NORM_EPS
     )
     np.testing.assert_allclose(out.data, normed.data, atol=1e-4)
 
@@ -135,8 +142,8 @@ def test_decoder_constant_kv_is_convex_combination(monkeypatch):
     params[f"{prefix}.ffn2.b"].data[...] = 0.0
     rng = np.random.default_rng(3)
     const_row = rng.standard_normal(hidden)
-    peer = T.tensor(np.tile(const_row, (6, 1)))
-    h_prev = T.tensor(rng.standard_normal((3, hidden)))
+    peer = tensor(np.tile(const_row, (6, 1)))
+    h_prev = tensor(rng.standard_normal((3, hidden)))
     out, probs = N.decoder_layer(h_prev, peer, params, cfg, stage=0, layer=1)
     h1 = N.upsample_nearest(h_prev, 6)
     np.testing.assert_allclose(out.data - h1.data, np.tile(const_row, (6, 1)), atol=1e-10)

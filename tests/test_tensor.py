@@ -14,6 +14,7 @@ from _oracles import (
     norm_out_of_place,
     numeric_grad,
     rel_err,
+    tensor,
 )
 from tut import tensor as T
 from tut.errors import DomainError, GraphReleasedError, ShapeError
@@ -24,20 +25,20 @@ def rng64(seed=0):
 
 
 def test_matmul_identity():
-    eye = T.tensor(np.eye(2))
+    eye = tensor(np.eye(2))
     out = T.matmul(eye, eye)
     np.testing.assert_allclose(out.data, np.eye(2))
 
 
 def test_matmul_forced_example():
-    a = T.tensor([[1.0, 2.0], [3.0, 4.0]])
-    b = T.tensor([[1.0], [1.0]])
+    a = tensor([[1.0, 2.0], [3.0, 4.0]])
+    b = tensor([[1.0], [1.0]])
     np.testing.assert_allclose(T.matmul(a, b).data, [[3.0], [7.0]])
 
 
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
-        T.matmul(T.tensor(np.zeros((2, 3))), T.tensor(np.zeros((2, 3))))
+        T.matmul(tensor(np.zeros((2, 3))), tensor(np.zeros((2, 3))))
 
 
 def test_matmul_gradient_vs_finite_differences():
@@ -48,16 +49,16 @@ def test_matmul_gradient_vs_finite_differences():
     def f(av, bv):
         return float(np.asarray((np.asarray(av) @ np.asarray(bv)).sum()))
 
-    ta, tb = T.tensor(a, requires_grad=True), T.tensor(b, requires_grad=True)
+    ta, tb = tensor(a, requires_grad=True), tensor(b, requires_grad=True)
     T.sum_all(T.matmul(ta, tb)).backward()
     assert rel_err(ta.grad, numeric_grad(f, [a, b], 0)) < 1e-6
     assert rel_err(tb.grad, numeric_grad(f, [a, b], 1)) < 1e-6
 
 
 def test_softmax_uniform_and_stability():
-    out = T.softmax_lastdim(T.tensor([0.0, 0.0, 0.0]))
+    out = T.softmax_lastdim(tensor([0.0, 0.0, 0.0]))
     np.testing.assert_allclose(out.data, np.full(3, 1 / 3))
-    big = T.softmax_lastdim(T.tensor([1000.0, 0.0]))
+    big = T.softmax_lastdim(tensor([1000.0, 0.0]))
     assert np.all(np.isfinite(big.data))
     np.testing.assert_allclose(big.data, [1.0, 0.0], atol=1e-12)
 
@@ -66,7 +67,7 @@ def test_softmax_nonfinite_raises():
     from tut.errors import NumericError
 
     with pytest.raises(NumericError):
-        T.softmax_lastdim(T.tensor([np.nan, 0.0]))
+        T.softmax_lastdim(tensor([np.nan, 0.0]))
 
 
 def test_softmax_gradient():
@@ -78,36 +79,36 @@ def test_softmax_gradient():
         e = np.exp(xv - xv.max())
         return float((w * (e / e.sum())).sum())
 
-    tx = T.tensor(x, requires_grad=True)
-    T.sum_all(T.mul(T.softmax_lastdim(tx), T.tensor(w))).backward()
+    tx = tensor(x, requires_grad=True)
+    T.sum_all(T.mul(T.softmax_lastdim(tx), tensor(w))).backward()
     assert rel_err(tx.grad, numeric_grad(f, [x], 0)) < 1e-6
 
 
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
 @settings(max_examples=50, deadline=None)
 def test_softmax_rows_sum_to_one(values):
-    out = T.softmax_lastdim(T.tensor(np.array([values])))
+    out = T.softmax_lastdim(tensor(np.array([values])))
     assert abs(out.data.sum() - 1.0) < 1e-6
 
 
 def test_instance_norm_constant_column_zeros():
-    x = T.tensor(np.full((4, 2), 3.0))
-    g = T.tensor(np.ones(2))
-    b = T.tensor(np.zeros(2))
+    x = tensor(np.full((4, 2), 3.0))
+    g = tensor(np.ones(2))
+    b = tensor(np.zeros(2))
     out = T.instance_norm_temporal(x, g, b, eps=1e-5)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-6)
 
 
 def test_instance_norm_two_point_column():
-    x = T.tensor([[1.0], [3.0]])
-    out = T.instance_norm_temporal(x, T.tensor(np.ones(1)), T.tensor(np.zeros(1)))
+    x = tensor([[1.0], [3.0]])
+    out = T.instance_norm_temporal(x, tensor(np.ones(1)), tensor(np.zeros(1)))
     np.testing.assert_allclose(out.data[:, 0], [-1.0, 1.0], atol=1e-4)
 
 
 def test_instance_norm_empty_raises():
     with pytest.raises(ShapeError):
         T.instance_norm_temporal(
-            T.tensor(np.zeros((0, 2))), T.tensor(np.ones(2)), T.tensor(np.zeros(2))
+            tensor(np.zeros((0, 2))), tensor(np.ones(2)), tensor(np.zeros(2))
         )
 
 
@@ -124,10 +125,10 @@ def test_instance_norm_gradient():
         xhat = (xv - mu) / np.sqrt(var + 1e-5)
         return float((weights * (xhat * gv + bv)).sum())
 
-    tx = T.tensor(x, requires_grad=True)
-    tg = T.tensor(gain, requires_grad=True)
-    tb = T.tensor(bias, requires_grad=True)
-    out = T.mul(T.instance_norm_temporal(tx, tg, tb), T.tensor(weights))
+    tx = tensor(x, requires_grad=True)
+    tg = tensor(gain, requires_grad=True)
+    tb = tensor(bias, requires_grad=True)
+    out = T.mul(T.instance_norm_temporal(tx, tg, tb), tensor(weights))
     T.sum_all(out).backward()
     assert rel_err(tx.grad, numeric_grad(f, [x, gain, bias], 0)) < 1e-5
     assert rel_err(tg.grad, numeric_grad(f, [x, gain, bias], 1)) < 1e-5
@@ -135,14 +136,14 @@ def test_instance_norm_gradient():
 
 
 def test_dropout_p0_is_identity():
-    x = T.tensor(np.arange(6.0).reshape(2, 3))
+    x = tensor(np.arange(6.0).reshape(2, 3))
     out = T.dropout(x, 0.0, np.random.default_rng(0))
     assert out is x
 
 
 def test_dropout_scales_and_masks():
     rng = np.random.default_rng(7)
-    x = T.tensor(np.ones((200, 5)), requires_grad=True)
+    x = tensor(np.ones((200, 5)), requires_grad=True)
     out = T.dropout(x, 0.4, rng)
     kept = out.data != 0
     np.testing.assert_allclose(out.data[kept], 1.0 / 0.6)
@@ -217,14 +218,14 @@ def test_dropout_mask_never_holds_every_word():
 
 
 def test_dropout_rejects_a_generator_with_other_doubles():
-    x = T.tensor(np.ones((4, 3)), requires_grad=True)
+    x = tensor(np.ones((4, 3)), requires_grad=True)
     with pytest.raises(TypeError):
         T.dropout(x, 0.2, np.random.Generator(np.random.MT19937(0)))
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, -0.1, float("nan")])
 def test_dropout_rate_outside_unit_interval_raises(p):
-    x = T.tensor(np.ones((4, 3)), requires_grad=True)
+    x = tensor(np.ones((4, 3)), requires_grad=True)
     with pytest.raises(DomainError):
         T.dropout(x, p, np.random.default_rng(0))
 
@@ -257,7 +258,7 @@ def test_instance_norm_matches_out_of_place_oracle_bytes(dtype, with_residual):
         g = rng.standard_normal((t, 6)).astype(dtype)
         results = []
         for op in (T.instance_norm_temporal, norm_out_of_place):
-            x, r, gain, bias = (T.tensor(a, requires_grad=True) for a in arrays)
+            x, r, gain, bias = (tensor(a, requires_grad=True) for a in arrays)
             out = op(x, gain, bias, 1e-5, residual=r if with_residual else None)
             out.backward(g)
             results.append([out.data, x.grad, gain.grad, bias.grad] + [r.grad] * with_residual)
@@ -280,7 +281,7 @@ def test_softmax_family_in_place_forward_keeps_the_bytes(dtype):
     probs_less_onehot = np.exp(logp)
     probs_less_onehot[np.arange(t), labels] -= 1.0
     ce = np.asarray(-logp[np.arange(t), labels].mean(), dtype=dtype)
-    tx = [T.tensor(x, requires_grad=True) for _ in range(3)]
+    tx = [tensor(x, requires_grad=True) for _ in range(3)]
     probs = e / e.sum(axis=-1, keepdims=True)
     cases = (
         (T.softmax_lastdim(tx[0]), probs, g),
@@ -308,13 +309,29 @@ def test_mul_div_compute_only_the_gradients_operands_need(op, shapes):
     rng = rng64(23)
     values = [rng.standard_normal(s) + 3.0 for s in shapes]  # divisors away from 0
     g = rng.standard_normal(np.broadcast_shapes(*shapes))
-    both = [T.tensor(a, requires_grad=True) for a in values]
+    both = [tensor(a, requires_grad=True) for a in values]
     op(*both).backward(g)
     for needs in (0, 1):
-        xs = [T.tensor(a, requires_grad=i == needs) for i, a in enumerate(values)]
+        xs = [tensor(a, requires_grad=i == needs) for i, a in enumerate(values)]
         op(*xs).backward(g)
         assert xs[needs].grad.tobytes() == both[needs].grad.tobytes()
         assert xs[1 - needs].grad is None
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("scalar", [0.3, 1.0 / 7, 2, np.float64(0.1)])
+def test_mul_by_a_python_scalar_has_the_bytes_of_numpys_scalar_product(dtype, scalar):
+    """A scalar operand multiplies, forward and backward, as numpy multiplies
+    an array of the tensor's dtype by a python float, 0-d tensors included."""
+    rng = rng64(31)
+    for shape in ((4, 3), ()):
+        x = tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+        g = rng.standard_normal(shape).astype(dtype)
+        out = T.mul(x, scalar)
+        out.backward(g)
+        weak = float(scalar)
+        assert out.data.dtype == dtype and out.data.tobytes() == (x.data * weak).tobytes()
+        assert x.grad.dtype == dtype and x.grad.tobytes() == (g * weak).tobytes()
 
 
 def test_gather_scatter_roundtrip_and_grads():
@@ -322,7 +339,7 @@ def test_gather_scatter_roundtrip_and_grads():
     x = rng.standard_normal((5, 3))
     idx = np.array([0, 0, 2, 4])
 
-    tx = T.tensor(x, requires_grad=True)
+    tx = tensor(x, requires_grad=True)
     out = T.gather_rows(tx, idx)
     np.testing.assert_allclose(out.data, x[idx])
     T.sum_all(out).backward()
@@ -330,7 +347,7 @@ def test_gather_scatter_roundtrip_and_grads():
     np.add.at(expected, idx, 1.0)
     np.testing.assert_allclose(tx.grad, expected)
 
-    ty = T.tensor(x[idx], requires_grad=True)
+    ty = tensor(x[idx], requires_grad=True)
     scat = T.scatter_add_rows(ty, idx, 5)
     assert scat.data.shape == (5, 3)
     np.testing.assert_allclose(scat.data[1], 0.0)
@@ -341,10 +358,10 @@ def test_gather_scatter_roundtrip_and_grads():
 
 def test_cross_entropy_examples():
     # probability one on the true class -> zero loss
-    logits = T.tensor([[100.0, 0.0, 0.0]])
+    logits = tensor([[100.0, 0.0, 0.0]])
     assert float(T.cross_entropy_from_logits(logits, [0]).data) < 1e-6
     # uniform logits, C=4 -> log 4
-    logits = T.tensor(np.zeros((2, 4)))
+    logits = tensor(np.zeros((2, 4)))
     np.testing.assert_allclose(
         float(T.cross_entropy_from_logits(logits, [1, 3]).data), np.log(4.0), atol=1e-12
     )
@@ -352,7 +369,7 @@ def test_cross_entropy_examples():
 
 def test_cross_entropy_label_domain():
     with pytest.raises(DomainError):
-        T.cross_entropy_from_logits(T.tensor(np.zeros((2, 3))), [0, 3])
+        T.cross_entropy_from_logits(tensor(np.zeros((2, 3))), [0, 3])
 
 
 def test_cross_entropy_gradient():
@@ -365,21 +382,21 @@ def test_cross_entropy_gradient():
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         return float(-logp[np.arange(4), labels].mean())
 
-    tl = T.tensor(logits, requires_grad=True)
+    tl = tensor(logits, requires_grad=True)
     T.cross_entropy_from_logits(tl, labels).backward()
     assert rel_err(tl.grad, numeric_grad(f, [logits], 0)) < 1e-6
 
 
 def test_kl_examples():
-    p = T.tensor([0.2, 0.3, 0.5])
+    p = tensor([0.2, 0.3, 0.5])
     assert abs(float(T.kl_from_probs(p, p).data)) < 1e-12
-    out = T.kl_from_probs(T.tensor([1.0, 0.0]), T.tensor([0.5, 0.5]))
+    out = T.kl_from_probs(tensor([1.0, 0.0]), tensor([0.5, 0.5]))
     np.testing.assert_allclose(float(out.data), np.log(2.0))
 
 
 def test_kl_domain_check():
     with pytest.raises(DomainError):
-        T.kl_from_probs(T.tensor([1.2, -0.2]), T.tensor([0.5, 0.5]))
+        T.kl_from_probs(tensor([1.2, -0.2]), tensor([0.5, 0.5]))
 
 
 def test_kl_gradient_wrt_d():
@@ -391,15 +408,15 @@ def test_kl_gradient_wrt_d():
     def f(dv):
         return float(sum(pi * np.log(pi / di) for pi, di in zip(p, dv) if pi > 0))
 
-    td = T.tensor(d, requires_grad=True)
-    T.kl_from_probs(T.tensor(p), td).backward()
+    td = tensor(d, requires_grad=True)
+    T.kl_from_probs(tensor(p), td).backward()
     assert rel_err(td.grad, numeric_grad(f, [d], 0)) < 1e-6
 
 
 def test_wasserstein_matches_hand_value_and_grad():
     p = np.array([1.0, 0.0, 0.0])
     d = np.array([0.0, 0.0, 1.0])
-    out = T.wasserstein1_from_probs(T.tensor(p), T.tensor(d))
+    out = T.wasserstein1_from_probs(tensor(p), tensor(d))
     np.testing.assert_allclose(float(out.data), 2.0)  # move all mass two slots
 
     rng = rng64(8)
@@ -411,8 +428,8 @@ def test_wasserstein_matches_hand_value_and_grad():
     def f(dx):
         return float(np.abs(np.cumsum(pv - dx)).sum())
 
-    td = T.tensor(dv, requires_grad=True)
-    T.wasserstein1_from_probs(T.tensor(pv), td).backward()
+    td = tensor(dv, requires_grad=True)
+    T.wasserstein1_from_probs(tensor(pv), td).backward()
     assert rel_err(td.grad, numeric_grad(f, [dv], 0)) < 1e-6
 
 
@@ -427,9 +444,9 @@ def test_clip_relu_linear_gradients():
         h = np.maximum(h @ wv + bv, 0.0)
         return float(h.sum())
 
-    tx = T.tensor(x, requires_grad=True)
-    tw = T.tensor(w, requires_grad=True)
-    tb = T.tensor(b, requires_grad=True)
+    tx = tensor(x, requires_grad=True)
+    tw = tensor(w, requires_grad=True)
+    tb = tensor(b, requires_grad=True)
     T.sum_all(T.relu(T.linear(T.clip(tx, -1.5, 1.5), tw, tb))).backward()
     for i, t in enumerate((tx, tw, tb)):
         assert rel_err(t.grad, numeric_grad(f, [x, w, b], i)) < 1e-6
@@ -445,7 +462,7 @@ def test_chain_rule_composition():
         return float((e / e.sum(axis=-1, keepdims=True)).var() * 10.0)
 
     # composite: softmax(relu(x @ x)); variance via ops
-    tx = T.tensor(x, requires_grad=True)
+    tx = tensor(x, requires_grad=True)
     s = T.softmax_lastdim(T.relu(T.matmul(tx, tx)))
     mean = T.mul(T.sum_all(s), 1.0 / s.data.size)
     centered = T.sub(s, mean)
@@ -455,7 +472,7 @@ def test_chain_rule_composition():
 
 
 def test_detach_blocks_gradient():
-    x = T.tensor([2.0, 3.0], requires_grad=True)
+    x = tensor([2.0, 3.0], requires_grad=True)
     y = T.mul(x, 2.0)
     z = T.sum_all(T.mul(T.Tensor(y.data), x))
     z.backward()
@@ -463,7 +480,7 @@ def test_detach_blocks_gradient():
 
 
 def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
-    x = T.tensor([[1.0, -2.0], [3.0, 4.0]], requires_grad=True)
+    x = tensor([[1.0, -2.0], [3.0, 4.0]], requires_grad=True)
     y = T.relu(T.matmul(x, x))
     loss = T.sum_all(T.mul(y, y))
     loss.backward()
@@ -495,8 +512,8 @@ def test_a_node_sums_its_consumers_gradients_in_reverse_creation_order():
     passed = np.array([1.0, 1e8, -1e8], dtype=np.float32)
     for root_order in itertools.permutations(range(3)):
         for x_first in itertools.product((True, False), repeat=3):
-            x = T.tensor(np.zeros(1, np.float32), requires_grad=True)
-            other = T.tensor(np.zeros(1, np.float32), requires_grad=True)
+            x = tensor(np.zeros(1, np.float32), requires_grad=True)
+            other = tensor(np.zeros(1, np.float32), requires_grad=True)
             ran = []
             consumers = _consumers_of(x, other, x_first, passed, ran)
 
@@ -511,7 +528,7 @@ def test_a_node_sums_its_consumers_gradients_in_reverse_creation_order():
 
 
 def test_second_backward_through_a_released_node_raises():
-    x = T.tensor([1.0, 2.0], requires_grad=True)
+    x = tensor([1.0, 2.0], requires_grad=True)
     y = T.mul(x, 3.0)
     first = T.sum_all(y)
     second = T.sum_all(T.mul(y, y))  # shares y with the first graph
@@ -524,7 +541,7 @@ def test_second_backward_through_a_released_node_raises():
 
 
 def test_no_grad_ops_return_bare_leaves():
-    x = T.tensor([[1.0, -2.0], [3.0, 4.0]], requires_grad=True)
+    x = tensor([[1.0, -2.0], [3.0, 4.0]], requires_grad=True)
     with T.no_grad():
         y = T.sum_all(T.relu(T.matmul(x, x)))
     assert not y.requires_grad and y._parents == () and y._backward is None
@@ -533,7 +550,7 @@ def test_no_grad_ops_return_bare_leaves():
 
 
 def test_no_grad_restores_after_exception_and_nesting():
-    x = T.tensor([1.0, 2.0], requires_grad=True)
+    x = tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(RuntimeError):
         with T.no_grad():
             raise RuntimeError("inside")
@@ -553,7 +570,7 @@ def test_sum_axis_div_reshape_grads():
         row = xv.sum(axis=1, keepdims=True)
         return float(((xv / row) ** 2).sum())
 
-    tx = T.tensor(x, requires_grad=True)
+    tx = tensor(x, requires_grad=True)
     row = T.sum_axis(tx, axis=1, keepdims=True)
     norm = T.div(tx, row)
     T.sum_all(T.mul(norm, norm)).backward()
@@ -561,14 +578,14 @@ def test_sum_axis_div_reshape_grads():
 
 
 def test_adam_zero_gradient_only_decays():
-    p = T.tensor(np.array([2.0, -4.0]))
+    p = tensor(np.array([2.0, -4.0]))
     state = T.AdamState({"p": p})
     T.adam_step(state, lr=0.1, weight_decay=0.01)
     np.testing.assert_allclose(p.data, np.array([2.0, -4.0]) * (1 - 0.1 * 0.01))
 
 
 def test_adam_single_step_hand_value():
-    p = T.tensor(np.array([1.0]))
+    p = tensor(np.array([1.0]))
     state = T.AdamState({"p": p})
     p.grad += 1.0
     T.adam_step(state, lr=0.001)
@@ -579,7 +596,7 @@ def test_adam_single_step_hand_value():
 def test_adam_deterministic_repeat():
     def run():
         rng = np.random.default_rng(42)
-        p = T.tensor(rng.standard_normal(8))
+        p = tensor(rng.standard_normal(8))
         state = T.AdamState({"p": p})
         for _ in range(25):
             p.grad += rng.standard_normal(8)
@@ -621,7 +638,7 @@ def test_adam_arena_matches_per_tensor_loop(dtype, weight_decay):
 
 
 def test_adam_arena_needs_one_dtype():
-    params = {"a": T.tensor(np.zeros(2)), "b": T.tensor(np.zeros(2), dtype=np.float32)}
+    params = {"a": tensor(np.zeros(2)), "b": tensor(np.zeros(2), dtype=np.float32)}
     with pytest.raises(TypeError):
         T.AdamState(params)
 
@@ -631,9 +648,9 @@ def test_linear_skips_unneeded_input_gradient():
     x, w, b, g = (rng.standard_normal(s) for s in ((6, 4), (4, 5), (5,), (6, 5)))
     results = []
     for needs_grad in (True, False):
-        tx = T.tensor(x, requires_grad=needs_grad)
-        tw, tb = T.tensor(w, requires_grad=True), T.tensor(b, requires_grad=True)
-        T.sum_all(T.mul(T.linear(tx, tw, tb), T.tensor(g))).backward()
+        tx = tensor(x, requires_grad=needs_grad)
+        tw, tb = tensor(w, requires_grad=True), tensor(b, requires_grad=True)
+        T.sum_all(T.mul(T.linear(tx, tw, tb), tensor(g))).backward()
         results.append((tx.grad, tw.grad.tobytes(), tb.grad.tobytes()))
     (x_grad, *with_x), (no_x_grad, *without_x) = results
     assert x_grad is not None and no_x_grad is None
@@ -655,8 +672,8 @@ def test_seed_streams_split_and_repeat():
 def test_forward_backward_determinism():
     def run():
         rng = np.random.default_rng(3)
-        x = T.tensor(rng.standard_normal((6, 4)), requires_grad=True)
-        w = T.tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        x = tensor(rng.standard_normal((6, 4)), requires_grad=True)
+        w = tensor(rng.standard_normal((4, 4)), requires_grad=True)
         h = T.softmax_lastdim(T.relu(T.matmul(x, w)))
         out = T.sum_all(T.mul(h, h))
         out.backward()
