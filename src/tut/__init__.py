@@ -1,7 +1,7 @@
 """Temporal U-transformer toolkit for frame-wise action segmentation."""
 
 from .data import ClassMapping, SynthSpec, VideoSample, generate_synthetic, load_dataset
-from .losses import BoundarySet, derive_boundaries, total_loss
+from .losses import derive_boundaries, total_loss
 from .metrics import EvalReport, evaluate_corpus, extract_segments
 from .net import (
     ModelConfig,

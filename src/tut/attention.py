@@ -75,12 +75,6 @@ def slot_layout(pattern: str, length: int, window: int) -> SlotLayout:
     return SlotLayout.build(slot_offsets(pattern, length, window), length)
 
 
-def slot_count(pattern: str, length: int, window: int) -> int:
-    """Stored score slots per query row; the per-layer memory unit."""
-    offsets = slot_offsets(pattern, length, window)
-    return length if offsets is None else len(offsets)
-
-
 def attend(
     x: Tensor,
     weight: Tensor,

@@ -191,11 +191,7 @@ def cmd_ablate(args) -> int:
     ignored = _ignored_ids(args, data_cfg, mapping)
 
     def on_cell(row):
-        print(
-            f"[{row['status']}] arch={row['architecture']} attn={row['attention']} "
-            f"pe={row['pe_mode']} w={row['window']} h={row['heads']} beta={row['beta']} "
-            f"acc={row['acc']} entries={row['entries']}"
-        )
+        print(" ".join(f"{key}={row[key]}" for key in TR.ABLATE_FIELDS))
 
     rows = TR.ablate(args.axis, samples, model_cfg, train_cfg, values, on_cell, ignored)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,6 @@ can read; ``config.build_configs`` and ``trainer.train`` apply it too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,12 +32,6 @@ if TYPE_CHECKING:  # trainer imports this module
 BA_DISTANCES = ("kl", "js", "l2", "wasserstein")
 BA_PATTERNS = ("local", "full")  # attention patterns that give every frame its window
 TMSE_CLIP = 4.0  # tau: the largest log-probability delta the smoothing loss counts
-
-
-@dataclass
-class BoundarySet:
-    start_frames: np.ndarray
-    end_frames: np.ndarray
 
 
 def ce_loss(logits: Tensor, labels) -> Tensor:
@@ -77,12 +70,13 @@ def check_boundary_loss(attention: str, window: int):
         )
 
 
-def derive_boundaries(labels) -> BoundarySet:
-    """The first and last frame of each label run (``metrics.extract_segments``)."""
+def derive_boundaries(labels) -> tuple[np.ndarray, np.ndarray]:
+    """The first frames and the last frames of the label runs
+    (``metrics.extract_segments``)."""
     segments = extract_segments(np.asarray(labels))
     starts = np.array([s.start for s in segments], dtype=int)
     ends = np.array([s.end for s in segments], dtype=int)
-    return BoundarySet(starts, ends)
+    return starts, ends
 
 
 def prior(variant: str, window: int) -> np.ndarray:
@@ -145,69 +139,59 @@ def _distance(kind: str, priors: Tensor, lads: Tensor) -> Tensor:
     raise ConfigError(f"unknown boundary distance {kind!r}")
 
 
-def _map_boundaries(boundaries: BoundarySet, full_len: int, query_len: int) -> BoundarySet:
-    if query_len == full_len:
-        return boundaries
-    if query_len == (full_len + 1) // 2:
-        return BoundarySet(
-            np.unique(boundaries.start_frames // 2), np.unique(boundaries.end_frames // 2)
-        )
-    raise ShapeError(f"attention length {query_len} not derivable from video length {full_len}")
+def boundary_targets(labels, query_len: int, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """The boundary frames an attention layer of ``query_len`` rows is scored
+    on, and each one's (window,) prior row: the start frames, then the end
+    frames, keeping only frames with a full window.
 
-
-def _record_ba(
-    probs: Tensor,
-    boundaries: BoundarySet,
-    full_len: int,
-    attention: str,
-    window: int,
-    kind: str,
-) -> Tensor | None:
-    query_len = probs.data.shape[0]
-    mapped = _map_boundaries(boundaries, full_len, query_len)
+    The decoder-last layer sits at full resolution; under the resampling
+    architecture the encoder-first layer sits at ceil(T/2), where frame t
+    maps to t // 2 (deduplicated) before the window is checked.
+    """
+    labels = np.asarray(labels)
+    full_len = labels.shape[0]
+    starts, ends = derive_boundaries(labels)
+    if query_len != full_len:
+        if query_len != (full_len + 1) // 2:
+            raise ShapeError(
+                f"attention length {query_len} not derivable from video length {full_len}"
+            )
+        starts, ends = np.unique(starts // 2), np.unique(ends // 2)
     half = window // 2
-    lo, hi = half, query_len - 1 - half
-    rows = []
-    prior_rows = []
-    for variant, frames in (("start", mapped.start_frames), ("end", mapped.end_frames)):
-        keep = frames[(frames >= lo) & (frames <= hi)]
-        if keep.size:
-            rows.append(keep)
-            prior_rows.append(np.tile(prior(variant, window), (keep.size, 1)))
-    if not rows:
-        return None
-    frames = np.concatenate(rows)
-    priors = Tensor(np.concatenate(prior_rows).astype(probs.data.dtype))
-    lads = _lad_rows(probs, frames, attention, window)
-    return T.mul(_distance(kind, priors, lads), 1.0 / query_len)
+    kept = [f[(f >= half) & (f <= query_len - 1 - half)] for f in (starts, ends)]
+    table = np.stack([prior("start", window), prior("end", window)])
+    return np.concatenate(kept), table[np.repeat([0, 1], [f.size for f in kept])]
 
 
 def ba_loss(
     records: tuple[Tensor | None, Tensor | None],
-    boundaries: BoundarySet,
+    targets: dict[int, tuple[np.ndarray, np.ndarray]],
     distance: str,
     attention: str,
     window: int,
-    full_len: int,
 ) -> Tensor:
     """Boundary divergence (one of ``BA_DISTANCES``) summed over the
     designated layer pair: (T_q, heads, S) probabilities under
     ``attention`` with ``window``, a pair ``check_boundary_loss`` must take.
 
-    The decoder-last layer sits at full resolution; under the resampling
-    architecture the encoder-first layer sits at ceil(T/2), so boundary
-    indices are mapped t -> t // 2 (deduplicated) and the full-window
-    restriction is re-checked there. Each layer's sum is normalized by its
-    own sequence length. Frames without a full window contribute nothing.
+    ``targets`` maps each layer's T_q to its ``boundary_targets``. Each
+    layer's sum is normalized by its own sequence length; a layer with no
+    boundary frame contributes nothing, and with none in either the loss is
+    a zero leaf.
     """
     check_boundary_loss(attention, window)
     present = [p for p in records if p is not None]
-    dtype = present[0].data.dtype if present else np.float64
-    total = Tensor(np.asarray(0.0, dtype=dtype))
+    total = None
     for probs in present:
-        term = _record_ba(probs, boundaries, full_len, attention, window, distance)
-        if term is not None:
-            total = T.add(total, term)
+        query_len = probs.data.shape[0]
+        frames, priors = targets[query_len]
+        if frames.size:
+            lads = _lad_rows(probs, frames, attention, window)
+            priors = Tensor(priors.astype(probs.data.dtype))
+            term = T.mul(_distance(distance, priors, lads), 1.0 / query_len)
+            total = term if total is None else T.add(total, term)
+    if total is None:
+        return Tensor(np.asarray(0.0, dtype=present[0].data.dtype if present else np.float64))
     return total
 
 
@@ -220,8 +204,10 @@ def total_loss(
     """Sum over stages of each term weighted as ``cfg`` says, the boundary
     term read as ``model_cfg`` attends; the breakdown is for logging."""
     labels = np.asarray(labels)
-    full_len = labels.shape[0]
-    boundaries = derive_boundaries(labels) if cfg.boundary_weight > 0 else None
+    targets = {}
+    if cfg.boundary_weight > 0:  # one set of targets per attention length
+        lengths = {p.data.shape[0] for pair in outputs.records for p in pair if p is not None}
+        targets = {n: boundary_targets(labels, n, model_cfg.window) for n in lengths}
     total = None
     breakdown = {"ce": 0.0, "tmse": 0.0, "ba": 0.0}
     for stage, logits in enumerate(outputs.logits):
@@ -233,8 +219,8 @@ def total_loss(
             term = T.add(term, T.mul(smooth, cfg.smooth_weight))
         if cfg.boundary_weight > 0:
             ba = ba_loss(
-                outputs.records[stage], boundaries, cfg.boundary_distance,
-                model_cfg.attention, model_cfg.window, full_len,
+                outputs.records[stage], targets, cfg.boundary_distance,
+                model_cfg.attention, model_cfg.window,
             )
             breakdown["ba"] += float(ba.data)
             term = T.add(term, T.mul(ba, cfg.boundary_weight))

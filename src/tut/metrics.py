@@ -5,6 +5,7 @@ thresholds from pooled TP/FP/FN counts.
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass
 
@@ -192,13 +193,20 @@ def evaluate_corpus(
     )
 
 
+def csv_text(fields: tuple[str, ...], rows) -> str:
+    """Dict rows as CSV text under a header of ``fields``; the one CSV
+    writer of every file a run writes, so a field holding a comma is quoted."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def report_csv(report: EvalReport) -> str:
     """Machine-readable "metric,threshold,value" rows."""
-    buf = io.StringIO()
-    buf.write("metric,threshold,value\n")
-    for metric, threshold, value in report.as_rows():
-        buf.write(f"{metric},{threshold},{value:.4f}\n")
-    return buf.getvalue()
+    rows = ({"metric": m, "threshold": t, "value": f"{v:.4f}"} for m, t, v in report.as_rows())
+    return csv_text(("metric", "threshold", "value"), rows)
 
 
 def report_table(report: EvalReport) -> str:

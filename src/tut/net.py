@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import PATTERNS, attend, sinusoidal_encoding, slot_count
+from .attention import PATTERNS, attend, sinusoidal_encoding, slot_layout
 from .errors import CheckpointError, ConfigError, ShapeError
 from .tensor import SeedStreams, Tensor, downsample_nearest, upsample_nearest
 
@@ -418,7 +418,7 @@ def stage_attention_lengths(cfg: ModelConfig, t: int) -> list[int]:
 def count_attention_entries(cfg: ModelConfig, t: int) -> int:
     """Retained score entries of a full forward pass (all stages, all layers)."""
     per_stage = sum(
-        cfg.heads * length * slot_count(cfg.attention, length, cfg.window)
+        cfg.heads * length * slot_layout(cfg.attention, length, cfg.window).slots
         for length in stage_attention_lengths(cfg, t)
     )
     return per_stage * cfg.num_stages

@@ -11,8 +11,6 @@ holds no video's whole feature matrix.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -175,19 +173,10 @@ def train(
     return result
 
 
-def _csv_text(fields: tuple[str, ...], rows) -> str:
-    """Dict rows as CSV text under a header of ``fields``."""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def log_csv(rows: list[dict]) -> str:
     """``train_log.csv``: one row per epoch, floats to six decimals."""
     cells = ({k: f"{v:.6f}" if isinstance(v, float) else v for k, v in row.items()} for row in rows)
-    return _csv_text(LOG_FIELDS, cells)
+    return M.csv_text(LOG_FIELDS, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +241,11 @@ def evaluate_run(
 
 
 def segments_csv(labels, mapping: ClassMapping | None = None) -> str:
-    buf = io.StringIO()
-    buf.write("class,start,end\n")
+    rows = []
     for seg in M.extract_segments(labels):
         name = mapping.name_of(int(seg.label)) if mapping is not None else seg.label
-        buf.write(f"{name},{seg.start},{seg.end}\n")
-    return buf.getvalue()
+        rows.append({"class": name, "start": seg.start, "end": seg.end})
+    return M.csv_text(("class", "start", "end"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +255,7 @@ ABLATE_AXES = ("arch-attention", "positional-encoding", "ba-distance", "window",
 
 ABLATE_FIELDS = (
     "architecture", "attention", "pe_mode", "rpe_share", "window", "heads", "beta",
-    "entries", "acc", "edit", "f1_10", "f1_25", "f1_50", "status",
+    "boundary_distance", "entries", "acc", "edit", "f1_10", "f1_25", "f1_50", "status",
 )
 
 
@@ -324,6 +312,8 @@ def ablate(
         row = {key: cell.get(key, "") for key in ABLATE_FIELDS}
         row["rpe_share"] = cell["rpe_share"] if cell["pe_mode"] == "relative" else ""
         row["beta"] = train_over.get("boundary_weight", train_cfg.boundary_weight)
+        distance = train_over.get("boundary_distance", train_cfg.boundary_distance)
+        row["boundary_distance"] = distance if row["beta"] > 0 else ""
         try:
             cell_model = replace(model_cfg, **model_over)
             cell_train = replace(train_cfg, **train_over)
@@ -349,4 +339,4 @@ def ablate(
 
 
 def ablate_csv(rows: list[dict]) -> str:
-    return _csv_text(ABLATE_FIELDS, rows)
+    return M.csv_text(ABLATE_FIELDS, rows)

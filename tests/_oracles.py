@@ -739,25 +739,12 @@ def mean_boundary_kl(probs, labels, attention: str, window: int) -> float | None
 
     Pure numpy (no graph); None when no boundary frame has a full window.
     """
-    labels = np.asarray(labels)
-    boundaries = L.derive_boundaries(labels)
-    query_len = probs.data.shape[0]
-    mapped = L._map_boundaries(boundaries, labels.shape[0], query_len)
-    half = window // 2
-    lo, hi = half, query_len - 1 - half
-    divergences = []
-    for variant, frames in (("start", mapped.start_frames), ("end", mapped.end_frames)):
-        keep = frames[(frames >= lo) & (frames <= hi)]
-        if not keep.size:
-            continue
-        p = L.prior(variant, window)
-        lads = L._lad_rows(probs, keep, attention, window).data
-        for row in lads:
-            mask = p > 0
-            divergences.append(float(np.sum(p[mask] * np.log(p[mask] / row[mask]))))
-    if not divergences:
+    frames, priors = L.boundary_targets(labels, probs.data.shape[0], window)
+    if not frames.size:
         return None
-    return float(np.mean(divergences))
+    lads = L._lad_rows(probs, frames, attention, window).data
+    kls = [np.sum(p[m] * np.log(p[m] / row[m])) for p, row, m in zip(priors, lads, priors > 0)]
+    return float(np.mean(kls))
 
 
 def boundary_alignment(params, cfg, samples) -> float | None:

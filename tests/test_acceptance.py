@@ -339,19 +339,19 @@ def test_c01_gradient_suite():
 
     base_out = N.model_forward(x, params, cfg)
     frozen_prev = [log_softmax_np(lg.data)[:-1] for lg in base_out.logits]
-    boundaries = L.derive_boundaries(labels)
+    t = labels.shape[0]
+    targets = {n: L.boundary_targets(labels, n, cfg.window) for n in (t, (t + 1) // 2)}
 
     def surrogate_loss(xv=None):
         out = N.model_forward(x if xv is None else xv, params, cfg)
         total = 0.0
-        t = labels.shape[0]
         for s, logits in enumerate(out.logits):
             logp = log_softmax_np(logits.data)
             total += float(-logp[np.arange(t), labels].mean())
             delta = np.clip(logp[1:] - frozen_prev[s], -4.0, 4.0)
             total += 0.15 * float((delta**2).mean())
             total += 0.02 * float(
-                L.ba_loss(out.records[s], boundaries, "kl", cfg.attention, cfg.window, t).data
+                L.ba_loss(out.records[s], targets, "kl", cfg.attention, cfg.window).data
             )
         return total
 
@@ -530,21 +530,22 @@ def test_c04_loss_correctness():
         labels = segmented_labels(rng, t)
         raw = rng.random((t, w)) + 0.05
         rows = raw / raw.sum(axis=1, keepdims=True)
-        b = L.derive_boundaries(labels)
-        got = float(L.ba_loss((None, tensor(rows[:, None, :])), b, "kl", "local", w, t).data)
+        boundaries = list(zip(("start", "end"), L.derive_boundaries(labels)))
+        targets = {t: L.boundary_targets(labels, t, w)}
+        got = float(L.ba_loss((None, tensor(rows[:, None, :])), targets, "kl", "local", w).data)
         expect = 0.0
-        for variant, frames in (("start", b.start_frames), ("end", b.end_frames)):
+        for variant, frames in boundaries:
             p = L.prior(variant, w)
             for frame in frames:
                 if w // 2 <= frame <= t - 1 - w // 2:
                     expect += kl_scalar(p, rows[frame])
         max_err = max(max_err, abs(got - expect / t))
         aligned = rows.copy()
-        for variant, frames in (("start", b.start_frames), ("end", b.end_frames)):
+        for variant, frames in boundaries:
             for frame in frames:
                 if w // 2 <= frame <= t - 1 - w // 2:
                     aligned[frame] = L.prior(variant, w)
-        zero = float(L.ba_loss((None, tensor(aligned[:, None, :])), b, "kl", "local", w, t).data)
+        zero = float(L.ba_loss((None, tensor(aligned[:, None, :])), targets, "kl", "local", w).data)
         checks.append(abs(zero) < 1e-12)
     checks.append(max_err < 1e-8)
     report(4, "loss correctness", all(checks), f"max BA-vs-script error {max_err:.2e}")

@@ -406,10 +406,10 @@ def test_cross_attention_lengths():
 
 
 def test_slot_count_formula():
-    assert A.slot_count("local", 100, 7) == 7
-    assert A.slot_count("full", 100, 7) == 100
-    assert A.slot_count("logsparse", 64, 7) == 13
-    assert A.slot_count("logsparse", 1, 7) == 1
+    assert A.slot_layout("local", 100, 7).slots == 7
+    assert A.slot_layout("full", 100, 7).slots == 100
+    assert A.slot_layout("logsparse", 64, 7).slots == 13
+    assert A.slot_layout("logsparse", 1, 7).slots == 1
 
 
 def test_sinusoidal_encoding_shape_and_range():

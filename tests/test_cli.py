@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from tut import cli
+from tut import losses as L
 from tut import metrics as M
 from tut import trainer as TR
 from tut.cli import main
@@ -122,6 +124,26 @@ def test_ablate_command(synth_root, tmp_path):
     lines = out_csv.read_text().splitlines()
     assert len(lines) == 7
     assert lines[0].split(",")[:2] == ["architecture", "attention"]
+
+
+def test_ablate_ba_distance_rows_name_their_distance(synth_root, tmp_path, capsys):
+    """Each row of the boundary-distance grid, in the CSV and on its progress
+    line, carries every ``ABLATE_FIELDS`` column, the distance included, so
+    no two of its four rows read alike."""
+    out_csv = tmp_path / "grid.csv"
+    capsys.readouterr()
+    rc = main([
+        "ablate", "--data-root", str(synth_root), "--out", str(out_csv),
+        "--axis", "ba-distance", "--seed", "5", "--epochs", "1", *SMALL_MODEL,
+    ])
+    assert rc == 0
+    text = out_csv.read_text()
+    assert len(set(text.splitlines()[1:])) == 4
+    rows = list(csv.DictReader(text.splitlines()))
+    assert [r["boundary_distance"] for r in rows] == list(L.BA_DISTANCES)
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1] == f"wrote 4 rows to {out_csv}"
+    assert printed[:-1] == [" ".join(f"{k}={r[k]}" for k in TR.ABLATE_FIELDS) for r in rows]
 
 
 def _one_error_line(capsys) -> str:

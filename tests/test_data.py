@@ -464,10 +464,10 @@ def test_boundaries_match_segments_cross_module():
     spec = D.SynthSpec(num_videos=2, seed=5)
     samples, _ = D.generate_synthetic(spec)
     for sample in samples:
-        b = L.derive_boundaries(sample.labels)
+        starts, ends = L.derive_boundaries(sample.labels)
         segs = M.extract_segments(sample.labels.tolist())
-        np.testing.assert_array_equal(b.start_frames, [s.start for s in segs])
-        np.testing.assert_array_equal(b.end_frames, [s.end for s in segs])
+        np.testing.assert_array_equal(starts, [s.start for s in segs])
+        np.testing.assert_array_equal(ends, [s.end for s in segs])
 
 
 def test_write_dataset_roundtrip(tmp_path):

@@ -15,7 +15,7 @@ from _oracles import (
 from tut import losses as L
 from tut import net as N
 from tut import tensor as T
-from tut.errors import ConfigError
+from tut.errors import ConfigError, ShapeError
 from tut.trainer import TrainConfig
 
 
@@ -74,25 +74,25 @@ def test_tmse_stop_gradient():
 
 
 def test_derive_boundaries_examples():
-    b = L.derive_boundaries(["A", "A", "B", "B"])
-    np.testing.assert_array_equal(b.start_frames, [0, 2])
-    np.testing.assert_array_equal(b.end_frames, [1, 3])
-    single = L.derive_boundaries(["A"])
-    np.testing.assert_array_equal(single.start_frames, [0])
-    np.testing.assert_array_equal(single.end_frames, [0])
-    aba = L.derive_boundaries(["A", "B", "A"])
-    np.testing.assert_array_equal(aba.start_frames, [0, 1, 2])
-    np.testing.assert_array_equal(aba.end_frames, [0, 1, 2])
+    starts, ends = L.derive_boundaries(["A", "A", "B", "B"])
+    np.testing.assert_array_equal(starts, [0, 2])
+    np.testing.assert_array_equal(ends, [1, 3])
+    starts, ends = L.derive_boundaries(["A"])
+    np.testing.assert_array_equal(starts, [0])
+    np.testing.assert_array_equal(ends, [0])
+    starts, ends = L.derive_boundaries(["A", "B", "A"])
+    np.testing.assert_array_equal(starts, [0, 1, 2])
+    np.testing.assert_array_equal(ends, [0, 1, 2])
 
 
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=40))
 @settings(max_examples=100, deadline=None)
 def test_boundary_roundtrip(labels):
     labels = np.asarray(labels)
-    b = L.derive_boundaries(labels)
-    assert len(b.start_frames) == len(b.end_frames)
+    starts, ends = L.derive_boundaries(labels)
+    assert len(starts) == len(ends)
     rebuilt = np.empty_like(labels)
-    for s, e in zip(b.start_frames, b.end_frames):
+    for s, e in zip(starts, ends):
         assert s <= e
         rebuilt[s : e + 1] = labels[s]
     np.testing.assert_array_equal(rebuilt, labels)
@@ -108,6 +108,24 @@ def test_prior_examples():
         assert abs(L.prior("end", w).sum() - 1.0) < 1e-12
     with pytest.raises(ConfigError):
         L.prior("end", 1)
+
+
+def test_boundary_targets_examples():
+    """Start frames, then end frames, each with a full window and its prior
+    row; at ceil(T/2) rows frame t maps to t // 2, deduplicated."""
+    w = 3
+    start, end = L.prior("start", w), L.prior("end", w)
+    labels = np.repeat([0, 1, 2], [4, 4, 3])  # starts 0 4 8, ends 3 7 10
+    frames, priors = L.boundary_targets(labels, 11, w)
+    np.testing.assert_array_equal(frames, [4, 8, 3, 7])
+    np.testing.assert_array_equal(priors, [start, start, end, end])
+    frames, priors = L.boundary_targets(labels, 6, w)  # starts 0 2 4, ends 1 3 5
+    np.testing.assert_array_equal(frames, [2, 4, 1, 3])
+    np.testing.assert_array_equal(priors, [start, start, end, end])
+    frames, priors = L.boundary_targets(np.repeat([0, 1], 2), 2, w)  # both mapped sets {0, 1}
+    assert frames.shape == (0,) and priors.shape == (0, w)
+    with pytest.raises(ShapeError, match="attention length 5 not derivable from video length 11"):
+        L.boundary_targets(labels, 5, w)
 
 
 def local_probs(rows_per_head):
@@ -151,15 +169,15 @@ def test_ba_loss_zero_when_lads_equal_priors():
     start_p = L.prior("start", w)
     end_p = L.prior("end", w)
     rows = np.tile(np.full(w, 1.0 / w), (t, 1))
-    b = L.derive_boundaries(labels)
-    for frame in b.start_frames:
+    starts, ends = L.derive_boundaries(labels)
+    for frame in starts:
         if 2 <= frame <= t - 3:
             rows[frame] = start_p
-    for frame in b.end_frames:
+    for frame in ends:
         if 2 <= frame <= t - 3:
             rows[frame] = end_p
     probs = local_probs([rows])
-    out = L.ba_loss((None, probs), b, "kl", "local", window=w, full_len=t)
+    out = L.ba_loss((None, probs), {t: L.boundary_targets(labels, t, w)}, "kl", "local", window=w)
     np.testing.assert_allclose(float(out.data), 0.0, atol=1e-12)
 
 
@@ -169,8 +187,8 @@ def test_ba_loss_empty_window_range_is_zero():
     rows = np.random.default_rng(2).random((4, w))
     rows /= rows.sum(axis=1, keepdims=True)
     probs = local_probs([rows])
-    out = L.ba_loss((None, probs), L.derive_boundaries(labels), "kl", "local", w, 4)
-    assert float(out.data) == 0.0
+    out = L.ba_loss((None, probs), {4: L.boundary_targets(labels, 4, w)}, "kl", "local", w)
+    assert float(out.data) == 0.0 and out._parents == ()  # a zero leaf
 
 
 def test_ba_loss_matches_independent_kl_script():
@@ -188,7 +206,8 @@ def test_ba_loss_matches_independent_kl_script():
     end_row = np.array([0.3, 0.3, 0.2, 0.1, 0.1])
     rows[3] = end_row
     probs = local_probs([rows])
-    got = float(L.ba_loss((None, probs), L.derive_boundaries(labels), "kl", "local", w, t).data)
+    targets = {t: L.boundary_targets(labels, t, w)}
+    got = float(L.ba_loss((None, probs), targets, "kl", "local", w).data)
     # frames 0 and t-1 are boundaries too but have clipped windows; frame 3/4 count
     want = (expected + kl_scalar(L.prior("end", w), end_row)) / t
     np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -201,11 +220,11 @@ def test_ba_loss_matches_independent_kl_script():
         raw = rng.random((t, w)) + 0.05
         rows = raw / raw.sum(axis=1, keepdims=True)
         probs = local_probs([rows])
-        got = float(L.ba_loss((None, probs), L.derive_boundaries(labels), "kl", "local", w, t).data)
-        b = L.derive_boundaries(labels)
+        targets = {t: L.boundary_targets(labels, t, w)}
+        got = float(L.ba_loss((None, probs), targets, "kl", "local", w).data)
         expect = 0.0
         half = w // 2
-        for variant, frames in (("start", b.start_frames), ("end", b.end_frames)):
+        for variant, frames in zip(("start", "end"), L.derive_boundaries(labels)):
             p = L.prior(variant, w)
             for frame in frames:
                 if half <= frame <= t - 1 - half:
@@ -223,7 +242,8 @@ def test_ba_loss_encoder_record_maps_to_half_resolution():
     raw = rng.random((half_t, w)) + 0.1
     rows = raw / raw.sum(axis=1, keepdims=True)
     probs = local_probs([rows])
-    got = float(L.ba_loss((probs, None), L.derive_boundaries(labels), "kl", "local", w, t).data)
+    targets = {half_t: L.boundary_targets(labels, half_t, w)}
+    got = float(L.ba_loss((probs, None), targets, "kl", "local", w).data)
     # mapped starts {0, 4}, ends {3, 7}; frames 0 and 7 have clipped windows
     want = (
         kl_scalar(L.prior("start", w), rows[4])
@@ -237,11 +257,11 @@ def test_ba_loss_refuses_a_model_it_cannot_read():
     checks them once, whatever probabilities it is given, even none."""
     w, t = 5, 12
     probs = local_probs([np.full((t, w), 1.0 / w)])
-    b = L.derive_boundaries(np.array([0] * 6 + [1] * 6))
+    targets = {t: L.boundary_targets(np.array([0] * 6 + [1] * 6), t, w)}
     with pytest.raises(ConfigError, match="boundary loss is undefined for the logsparse pattern"):
-        L.ba_loss((probs, probs), b, "kl", "logsparse", w, t)
+        L.ba_loss((probs, probs), targets, "kl", "logsparse", w)
     with pytest.raises(ConfigError, match="boundary loss needs a window >= 3, got 1"):
-        L.ba_loss((None, None), b, "kl", "local", 1, t)
+        L.ba_loss((None, None), targets, "kl", "local", 1)
 
 
 @pytest.mark.parametrize("kind", ["kl", "js", "l2", "wasserstein"])
@@ -252,37 +272,38 @@ def test_ba_distances_nonnegative_and_zero_at_prior(kind):
     raw = rng.random((t, w)) + 0.02
     rows = raw / raw.sum(axis=1, keepdims=True)
     probs = local_probs([rows])
-    out = float(L.ba_loss((None, probs), L.derive_boundaries(labels), kind, "local", w, t).data)
+    targets = {t: L.boundary_targets(labels, t, w)}
+    out = float(L.ba_loss((None, probs), targets, kind, "local", w).data)
     assert out >= 0.0
     if kind == "kl":
         aligned = rows.copy()
-        b = L.derive_boundaries(labels)
-        for f in b.start_frames:
+        starts, ends = L.derive_boundaries(labels)
+        for f in starts:
             if 2 <= f <= t - 3:
                 aligned[f] = L.prior("start", w)
-        for f in b.end_frames:
+        for f in ends:
             if 2 <= f <= t - 3:
                 aligned[f] = L.prior("end", w)
         probs2 = local_probs([aligned])
-        out2 = float(L.ba_loss((None, probs2), b, kind, "local", w, t).data)
+        out2 = float(L.ba_loss((None, probs2), targets, kind, "local", w).data)
         np.testing.assert_allclose(out2, 0.0, atol=1e-12)
 
 
 def test_ba_gradient_flows_into_attention_inputs():
     rng = np.random.default_rng(6)
     t, d, w = 12, 4, 3
-    labels = np.array([0] * 6 + [1] * 6)
+    targets = {t: L.boundary_targets(np.array([0] * 6 + [1] * 6), t, w)}
     q0, k0, v0 = (rng.standard_normal((t, d)) for _ in range(3))
 
     def f(qv, kv, vv):
         _, probs = attend_qkv(tensor(qv), tensor(kv), tensor(vv), "local", w, 2)
-        return float(L.ba_loss((None, probs), L.derive_boundaries(labels), "kl", "local", w, t).data)
+        return float(L.ba_loss((None, probs), targets, "kl", "local", w).data)
 
     tq = tensor(q0, requires_grad=True)
     tk = tensor(k0, requires_grad=True)
     tv = tensor(v0, requires_grad=True)
     _, probs = attend_qkv(tq, tk, tv, "local", w, 2)
-    L.ba_loss((None, probs), L.derive_boundaries(labels), "kl", "local", w, t).backward()
+    L.ba_loss((None, probs), targets, "kl", "local", w).backward()
     assert rel_err(tq.grad, numeric_grad(f, [q0, k0, v0], 0)) < 1e-4
     assert rel_err(tk.grad, numeric_grad(f, [q0, k0, v0], 1)) < 1e-4
     assert tv.grad is None or np.allclose(tv.grad, 0.0)  # values never enter the probabilities
@@ -295,14 +316,14 @@ def test_ba_loss_full_record_matches_local_record(distance):
     # loss whatever the head count
     rng = np.random.default_rng(8)
     t, d, w = 16, 4, 5
-    labels = np.array([0] * 5 + [1] * 6 + [2] * 5)
+    targets = {t: L.boundary_targets(np.array([0] * 5 + [1] * 6 + [2] * 5), t, w)}
     q0, k0, v0 = (rng.standard_normal((t, d)) for _ in range(3))
     for heads in (1, 2, 4):
         results = []
         for pattern in ("local", "full"):
             tq, tk = tensor(q0, requires_grad=True), tensor(k0, requires_grad=True)
             _, probs = attend_qkv(tq, tk, tensor(v0), pattern, w, heads)
-            loss = L.ba_loss((None, probs), L.derive_boundaries(labels), distance, pattern, w, t)
+            loss = L.ba_loss((None, probs), targets, distance, pattern, w)
             loss.backward()
             results.append((float(loss.data), tq.grad, tk.grad))
         (local, dq_local, dk_local), (full, dq_full, dk_full) = results
@@ -371,9 +392,8 @@ def test_mean_boundary_kl_diagnostic():
     rows = raw / raw.sum(axis=1, keepdims=True)
     probs = local_probs([rows])
     value = mean_boundary_kl(probs, labels, "local", w)
-    b = L.derive_boundaries(labels)
     expected = []
-    for variant, frames in (("start", b.start_frames), ("end", b.end_frames)):
+    for variant, frames in zip(("start", "end"), L.derive_boundaries(labels)):
         p = L.prior(variant, w)
         for f in frames:
             if 2 <= f <= t - 3:

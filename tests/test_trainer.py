@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import gc
+import io
 import re
 import tracemalloc
 from collections import Counter
@@ -21,6 +23,7 @@ from _oracles import (
     slot_softmax_per_call,
 )
 from tut import data as D
+from tut import losses as L
 from tut import net as N
 from tut import tensor as T
 from tut import trainer as TR
@@ -234,6 +237,15 @@ def test_boundary_alignment_probe():
 def test_segments_csv_format():
     csv_text = TR.segments_csv([0, 0, 1], D.ClassMapping(["a", "b"]))
     assert csv_text.splitlines() == ["class,start,end", "a,0,1", "b,2,2"]
+
+
+def test_a_class_name_holding_a_comma_is_one_csv_field():
+    """``segments/*.csv`` and ``metrics.csv`` are written by one CSV writer,
+    so a class named ``pour,milk`` is quoted and every row reads as 3 fields."""
+    csv_text = TR.segments_csv([0, 0, 1, 0], D.ClassMapping(["pour,milk", "b"]))
+    assert list(csv.reader(io.StringIO(csv_text))) == [
+        ["class", "start", "end"], ["pour,milk", "0", "1"], ["b", "2", "2"], ["pour,milk", "3", "3"]
+    ]
 
 
 def test_ablate_arch_attention_grid():
@@ -588,6 +600,21 @@ def gtea_step(dtype="f32", frames=72, input_dim=32, num_classes=5):
     return params, forward
 
 
+def test_a_step_builds_the_boundary_targets_once_per_attention_length(monkeypatch):
+    """A gtea step's 4 stages read 8 attention layers at 2 lengths, T = 72
+    and ceil(T/2); ``total_loss`` builds each length's targets once."""
+    lengths = []
+
+    def counted(labels, query_len, window, real=L.boundary_targets):
+        lengths.append(query_len)
+        return real(labels, query_len, window)
+
+    monkeypatch.setattr(L, "boundary_targets", counted)
+    _, forward = gtea_step()
+    forward()
+    assert sorted(lengths) == [36, 72]
+
+
 def test_the_ffn2_and_key_biases_get_no_gradient_and_the_ffn1_biases_do():
     """An f64 gtea-shaped step with every bias, norm gain and RPE table drawn
     away from its initial value. ``ffn2.b`` is a per-channel constant just
@@ -666,16 +693,17 @@ def _op_counts(root: T.Tensor) -> Counter:
     )
 
 
-def test_a_gtea_step_is_353_nodes_and_every_layer_7():
-    """A gtea-preset training forward plus loss builds 353 graph nodes, of
-    which 8 are ``linear`` (each stage's projection and classifier). An
-    encoder and a decoder layer are the same 7 nodes: the resample,
-    ``slot_project``, ``slot_softmax``, ``slot_mix``, two norms and
-    ``ffn_block``; a decoder's Q is a block of its projection node."""
+def test_a_gtea_step_is_349_nodes_and_every_layer_7():
+    """A gtea-preset training forward plus loss builds 349 graph nodes, of
+    which 8 are ``linear`` (each stage's projection and classifier) and 15
+    ``add`` (a stage's boundary term starts from its first layer's term, not
+    from a zero leaf). An encoder and a decoder layer are the same 7 nodes:
+    the resample, ``slot_project``, ``slot_softmax``, ``slot_mix``, two norms
+    and ``ffn_block``; a decoder's Q is a block of its projection node."""
     _, forward = gtea_step()
     _, loss = forward()
     ops = _op_counts(loss)
-    assert (sum(ops.values()), ops["linear"]) == (353, 8), ops
+    assert (sum(ops.values()), ops["linear"], ops["add"]) == (349, 8, 15), ops
     model_cfg, _, _ = build_configs("gtea", None, {})
     model_cfg = replace(model_cfg, input_dim=32, num_classes=5)
     params = N.init_params(model_cfg, T.SeedStreams(0))
