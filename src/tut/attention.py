@@ -90,8 +90,8 @@ def attend(
     """``heads``-head attention under ``pattern`` from the rows of ``x`` to
     as many rows of ``memory``, or of x itself when it is None.
 
-    ``weight`` (d_in, 3d) and ``bias`` (3d,) project Q from x and K and V
-    from the key rows. Returns the (T, d) output and the (T, heads, S)
+    ``weight`` (d_in, 3d) projects Q from x and K and V from the key rows,
+    and ``bias`` (2d,) holds the Q and V biases (see ``slot_project``). Returns the (T, d) output and the (T, heads, S)
     pre-dropout probabilities, whose in-range slots of each row sum to 1
     (slot j of row i reads key i + offsets[j], or key j for full attention),
     or None for them when no graph is being built. Attention dropout at rate

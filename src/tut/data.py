@@ -130,7 +130,10 @@ class VideoSample:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Frozen; a size below 1 or an inverted range raises ``DatasetError``."""
+    """Frozen; a spec that cannot be generated raises ``DatasetError``: a
+    size below 1, an inverted range, more segments than the shortest video
+    has frames, a second segment with one class (adjacent segments differ),
+    a noise that is not finite or a negative seed."""
 
     num_classes: int = 4
     num_videos: int = 8
@@ -147,6 +150,16 @@ class SynthSpec:
             raise DatasetError("synthetic spec fields must be positive")
         if self.min_len > self.max_len or self.min_segments > self.max_segments:
             raise DatasetError("synthetic spec ranges are inverted")
+        if not 1 <= self.min_segments <= self.min_len:
+            raise DatasetError(
+                f"min_segments must lie in [1, min_len={self.min_len}], got {self.min_segments}"
+            )
+        if self.num_classes == 1 and self.max_segments > 1:
+            raise DatasetError("one class gives one segment: adjacent segments differ in class")
+        if not np.isfinite(self.noise):
+            raise DatasetError(f"noise must be finite, got {self.noise}")
+        if self.seed < 0:
+            raise DatasetError(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ Parameter names follow the checkpoint layout
 ``stage{s}.{enc|dec}{l}.{qkv|ffn1|ffn2|norm1|norm2|rpe}.{w|b}`` plus
 ``stage{s}.proj.*`` / ``stage{s}.cls.*``; shared relative-position tables
 live under ``stage{s}.rpe.w`` (stage-shared) or ``rpe.scale{e}.w``
-(scale-shared).
+(scale-shared). ``qkv.b`` holds the Q and V biases, and ``ffn2`` no bias:
+the model cancels the rest (``tensor.slot_project``, ``tensor.ffn_block``).
 
 A checkpoint is a magic, a manifest and the payloads back to back.
 ``load_checkpoint`` parses the manifest from the open file and reads every
@@ -167,13 +168,12 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
             for l in range(1, cfg.layers + 1):
                 prefix = f"stage{s}.{coder}{l}"
                 shapes[f"{prefix}.qkv.w"] = (hidden, 3 * hidden)
-                shapes[f"{prefix}.qkv.b"] = (3 * hidden,)
+                shapes[f"{prefix}.qkv.b"] = (2 * hidden,)  # Q | V
                 shapes[f"{prefix}.norm1.w"] = (hidden,)
                 shapes[f"{prefix}.norm1.b"] = (hidden,)
                 shapes[f"{prefix}.ffn1.w"] = (hidden, hidden)
                 shapes[f"{prefix}.ffn1.b"] = (hidden,)
                 shapes[f"{prefix}.ffn2.w"] = (hidden, hidden)
-                shapes[f"{prefix}.ffn2.b"] = (hidden,)
                 shapes[f"{prefix}.norm2.w"] = (hidden,)
                 shapes[f"{prefix}.norm2.b"] = (hidden,)
                 rpe_name = rpe_param_name(cfg, s, coder, l)
@@ -219,19 +219,6 @@ def _norm(params, name: str, x: Tensor, residual: Tensor) -> Tensor:
     )
 
 
-def _ffn(params, cfg: ModelConfig, prefix: str, x: Tensor, streams) -> Tensor:
-    rng = streams.stream(f"dropout:{prefix}.ffn") if streams is not None else None
-    return T.ffn_block(
-        x, params[f"{prefix}.ffn1.w"], params[f"{prefix}.ffn1.b"],
-        params[f"{prefix}.ffn2.w"], params[f"{prefix}.ffn2.b"], cfg.ffn_dropout, rng,
-    )
-
-
-def _rpe_for(params, cfg: ModelConfig, stage: int, coder: str, layer: int) -> Tensor | None:
-    name = rpe_param_name(cfg, stage, coder, layer)
-    return params[name] if name is not None else None
-
-
 def _layer(
     h1: Tensor, memory: Tensor | None, params: dict[str, Tensor], cfg: ModelConfig, stage: int,
     coder: str, layer: int, streams: SeedStreams | None,
@@ -239,15 +226,20 @@ def _layer(
     """Attention from the rows of h1 to those of ``memory`` (h1's own when
     it is None), norm, FFN, norm."""
     prefix = f"stage{stage}.{coder}{layer}"
-    rng = streams.stream(f"dropout:{prefix}.attn") if streams is not None else None
+    drops = ("attn", "ffn") if streams is not None else ()
+    rng = {k: streams.stream(f"dropout:{prefix}.{k}") for k in drops}
+    rpe = rpe_param_name(cfg, stage, coder, layer)
     attn, probs = attend(
         h1, params[f"{prefix}.qkv.w"], params[f"{prefix}.qkv.b"], cfg.attention, cfg.window,
-        cfg.heads, cfg.attention_dropout, rpe=_rpe_for(params, cfg, stage, coder, layer), rng=rng,
+        cfg.heads, cfg.attention_dropout, rpe=params[rpe] if rpe else None, rng=rng.get("attn"),
         memory=memory,
     )
     h2 = _norm(params, f"{prefix}.norm1", attn, h1)
-    out = _norm(params, f"{prefix}.norm2", _ffn(params, cfg, prefix, h2, streams), h2)
-    return out, probs
+    ffn = T.ffn_block(
+        h2, params[f"{prefix}.ffn1.w"], params[f"{prefix}.ffn1.b"], params[f"{prefix}.ffn2.w"],
+        cfg.ffn_dropout, rng.get("ffn"),
+    )
+    return _norm(params, f"{prefix}.norm2", ffn, h2), probs
 
 
 def encoder_layer(
@@ -555,8 +547,9 @@ def load_checkpoint(path):
     """Rebuild (params, config); shapes are validated against the config.
 
     A retired config key is dropped when it holds its one value; any other
-    value raises ``CheckpointError`` naming it. Each parameter's data is a
-    view into the one buffer the file was read into, not a copy of its own."""
+    value raises ``CheckpointError`` naming it. An earlier layout's biases
+    that the model cancels are dropped too (see the loop). Each parameter's
+    data is otherwise a view into the one buffer the file was read into."""
     config_dict, entries, payloads = _read_checkpoint(path)
     retired = {key: config_dict.pop(key) for key in RETIRED_KEYS if key in config_dict}
     try:
@@ -569,11 +562,17 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: retired config key {key!r} is {found!r}, not {value!r}")
     expected = param_shapes(cfg)
     params: dict[str, Tensor] = {}
-    for (name, _, shape, _), data in zip(entries, payloads):
+    for (name, *_), data in zip(entries, payloads):
         if name == "meta.config":
             continue
-        if name not in expected or expected[name] != shape:
-            raise CheckpointError(f"{path}: unexpected tensor {name} {shape}")
+        weight = expected.get(name[:-1] + "w")
+        # an earlier layout's ffn2.b is dropped, and its (3h,) qkv.b loses the K third
+        if weight and name.endswith((".ffn2.b", ".qkv.b")) and data.shape == weight[1:]:
+            if name.endswith(".ffn2.b"):
+                continue
+            data = np.concatenate(np.split(data, 3)[::2])
+        if expected.get(name) != data.shape:
+            raise CheckpointError(f"{path}: unexpected tensor {name} {data.shape}")
         params[name] = Tensor(data, requires_grad=True)
     missing = sorted(set(expected) - set(params))
     if missing:

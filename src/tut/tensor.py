@@ -490,23 +490,21 @@ def _log_softmax(a: Array) -> tuple[Array, Array]:
 
 
 def instance_norm_temporal(
-    x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, residual: Tensor | None = None
+    x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, *, residual: Tensor
 ) -> Tensor:
-    """Normalize each channel over the temporal axis of one (T, d) sequence.
-
-    Statistics use the biased variance, so a column [1, 3] maps to [-1, 1]
-    before the per-channel affine transform. With ``residual``, the input is
-    x + residual in this one node: the sum is not kept, and both operands
-    get its gradient.
+    """Normalize x + residual, each channel over the temporal axis of one
+    (T, d) sequence, in one node that keeps no sum and gives both operands
+    its gradient. Statistics use the biased variance, so a column [1, 3]
+    maps to [-1, 1] before the per-channel affine transform.
     """
     if x.data.ndim != 2 or x.data.shape[0] < 1:
         raise ShapeError(f"instance norm expects a non-empty (T, d) input, got {x.data.shape}")
-    if residual is not None and residual.data.shape != x.data.shape:
+    if residual.data.shape != x.data.shape:
         raise ShapeError(f"instance norm residual {residual.data.shape} is not {x.data.shape}")
     t = x.data.shape[0]
     # np.mean / np.var's own arithmetic, without their python wrappers, on
-    # one buffer that holds x (+ residual), then its centred and scaled values
-    xhat = x.data.copy() if residual is None else x.data + residual.data
+    # one buffer that holds x + residual, then its centred and scaled values
+    xhat = x.data + residual.data
     xhat -= np.add.reduce(xhat, axis=0) / t
     var = np.add.reduce(xhat * xhat, axis=0) / t
     inv_std = 1.0 / np.sqrt(var + eps)
@@ -520,12 +518,10 @@ def instance_norm_temporal(
         gx = g * gain.data
         term = gx - np.add.reduce(gx, axis=0) / t - xhat * (np.add.reduce(gx * xhat, axis=0) / t)
         dx = term * inv_std
-        if residual is not None:
-            _accumulate(residual, dx)
+        _accumulate(residual, dx)
         _accumulate(x, dx, own=True)
 
-    parents = (x, gain, bias) if residual is None else (x, residual, gain, bias)
-    return _make(out_data, parents, backward)
+    return _make(out_data, (x, residual, gain, bias), backward)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, draw_axes=None) -> Tensor:
@@ -741,23 +737,25 @@ def slot_project(
     """Attention's Q|K|V projection in one node, as the buffer the other slot
     kernels read.
 
-    ``weight`` (d_in, 3d) and ``bias`` (3d,) hold the Q, K and V columns in
-    that order. Q is projected from the rows of x, and K|V from those of
-    ``memory`` (cross-attention) or of x itself when it is None; each holds
-    ``layout.length`` rows. Returns a (layout.padded_rows, 3, d) buffer: row
-    r is buffer row layout.pad + r, and the other rows are zero, so the key
-    windows are strided views of it. Forward and backward run one GEMM per
-    source, so self-attention's weight gets one (T, 3d) gradient GEMM.
+    ``weight`` (d_in, 3d) holds the Q, K and V columns in that order and
+    ``bias`` (2d,) the Q and V biases: a K bias b_k adds q_i . b_k to every
+    slot of row i, which the softmax cancels. Q is projected from the rows
+    of x, and K|V from those of ``memory`` (cross-attention) or of x itself
+    when it is None; each holds ``layout.length`` rows. Returns a
+    (layout.padded_rows, 3, d) buffer: row r is buffer row layout.pad + r,
+    and the other rows are zero, so the key windows are strided views of it.
+    Forward and backward run one GEMM per source, so self-attention's weight
+    gets one (T, 3d) gradient GEMM.
     """
     dim = weight.data.shape[1] // 3
-    if weight.data.shape[1] != 3 * dim:
-        raise ShapeError(f"slot projection: {weight.data.shape[1]} columns are not Q|K|V blocks")
+    if weight.data.shape[1] != 3 * dim or bias.data.shape != (2 * dim,):
+        raise ShapeError(f"slot projection: weight {weight.data.shape}, bias {bias.data.shape}")
     if memory is None:
         parts = ((x, slice(None)),)
     else:
         parts = ((x, slice(0, dim)), (memory, slice(dim, None)))
     for source, cols in parts:
-        _check_linear(source.data, weight.data[:, cols], bias.data[cols])
+        _check_linear(source.data, weight.data[:, cols])
         if source.data.shape[0] != layout.length:
             raise ShapeError(
                 f"slot layout for {layout.length} rows does not fit {source.data.shape[0]} rows"
@@ -768,12 +766,14 @@ def slot_project(
     buf[rows.stop :] = 0.0
     for source, cols in parts:
         np.matmul(source.data, weight.data[:, cols], out=buf[rows, cols])
-    buf[rows] += bias.data
+    # one contiguous add with a zero K block: the Q and V blocks alone took twice as long
+    buf[rows] += np.concatenate((bias.data[:dim], np.zeros(dim, bias.data.dtype), bias.data[dim:]))
 
     def backward(g):
+        _accumulate(bias, g[rows, ::2].sum(axis=0).reshape(-1), own=True)
         g_rows = g[rows].reshape(layout.length, -1)
         for source, cols in parts:
-            _linear_grads(source, weight, bias, g_rows[:, cols], cols)
+            _linear_grads(source, weight, g_rows[:, cols], cols)
 
     parents = (x,) if memory is None else (x, memory)
     return _make(buf.reshape(len(buf), 3, dim), parents + (weight, bias), backward)
@@ -860,35 +860,35 @@ def slot_mix(
 
 
 def ffn_block(
-    x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, dropout: float = 0.0,
+    x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, dropout: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """relu(x @ w1 + b1) @ w2 + b2 in one node; with ``rng``, the ReLU output
-    is dropped out at rate ``dropout`` first, as ``dropout`` would.
-
-    The node keeps the ReLU output and the 1-byte mask. Its backward
-    rebuilds the dropped values with the forward's two multiplies and runs
-    the two linear maps', the dropout's and the ReLU's rules in turn.
+    """relu(x @ w1 + b1) @ w2 in one node; with ``rng``, the ReLU output is
+    dropped out at rate ``dropout`` first, as ``dropout`` would. w2 has no
+    bias: the norm after it subtracts each channel's mean over time. The
+    node keeps the ReLU output and the 1-byte mask. Its backward rebuilds
+    the dropped values with the forward's two multiplies and runs the two
+    linear maps', the dropout's and the ReLU's rules in turn.
     """
     _check_linear(x.data, w1.data, b1.data)
     hidden = x.data @ w1.data
     hidden += b1.data
     np.maximum(hidden, 0, out=hidden)
-    _check_linear(hidden, w2.data, b2.data)
+    _check_linear(hidden, w2.data)
     mask = None if rng is None else _dropout_mask(hidden, dropout, rng)
     out_data = (hidden if mask is None else _masked(hidden, mask)) @ w2.data
-    out_data += b2.data
 
     def backward(g):
         dh = g @ w2.data.T
         dropped = hidden if mask is None else _masked(hidden, mask)
-        _linear_grads(Tensor(dropped), w2, b2, g)
+        _accumulate(w2, dropped.T @ g, own=True)
         if mask is not None:
             dh = _masked(dh, mask)
         dh *= hidden > 0
-        _linear_grads(x, w1, b1, dh)
+        _linear_grads(x, w1, dh)
+        _accumulate(b1, dh.sum(axis=0), own=True)
 
-    return _make(out_data, (x, w1, b1, w2, b2), backward)
+    return _make(out_data, (x, w1, b1, w2), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -898,23 +898,24 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     out_data += bias.data
 
     def backward(g):
-        _linear_grads(x, weight, bias, g)
+        _linear_grads(x, weight, g)
+        _accumulate(bias, g.sum(axis=0), own=True)
 
     return _make(out_data, (x, weight, bias), backward)
 
 
-def _check_linear(x: Array, w: Array, b: Array):
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError(f"linear: {x.shape} x {w.shape} + {b.shape}")
+def _check_linear(x: Array, w: Array, b: Array | None = None):
+    bias_fits = b is None or b.shape == w.shape[1:]
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or not bias_fits:
+        raise ShapeError(f"linear: {x.shape} x {w.shape}" + ("" if b is None else f" + {b.shape}"))
 
 
-def _linear_grads(x: Tensor, weight: Tensor, bias: Tensor, g: Array, part: slice = slice(None)):
-    """The gradients of x @ weight[:, part] + bias[part] given g, added into
-    x's and into those columns of the weight's and bias's."""
+def _linear_grads(x: Tensor, weight: Tensor, g: Array, part: slice = slice(None)):
+    """The gradients of x @ weight[:, part] given g, added into x's and into
+    those columns of the weight's. A bias's gradient is g's column sums."""
     if x.requires_grad:
         _accumulate(x, g @ weight.data[:, part].T, own=True)
     _accumulate_part(weight, (slice(None), part), x.data.T @ g)
-    _accumulate_part(bias, part, g.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------

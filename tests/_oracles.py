@@ -170,10 +170,10 @@ def _norm_mean_var(x, gain, bias, eps):
     return T._make(xhat * gain.data + bias.data, (x, gain, bias), backward)
 
 
-def add_then_norm(x, gain, bias, eps=1e-5, residual=None):
+def add_then_norm(x, gain, bias, eps=1e-5, *, residual):
     """``tensor.instance_norm_temporal`` as an ``add`` node followed by a norm
     node whose statistics come from ``np.mean`` and ``np.var``."""
-    return _norm_mean_var(x if residual is None else T.add(x, residual), gain, bias, eps)
+    return _norm_mean_var(T.add(x, residual), gain, bias, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +322,10 @@ def slot_mix_per_call(p, qkv, layout, dropout=0.0, rng=None):
     return slot_mix_plain(p, _buffer_block(qkv, layout, 2), layout)
 
 
-def norm_out_of_place(x, gain, bias, eps=1e-5, residual=None):
+def norm_out_of_place(x, gain, bias, eps=1e-5, *, residual):
     """``tensor.instance_norm_temporal`` with the sum, centred values and
     output each a new array."""
-    s = x.data if residual is None else x.data + residual.data
+    s = x.data + residual.data
     t = s.shape[0]
     xhat = s - np.add.reduce(s, axis=0) / t
     var = np.add.reduce(xhat * xhat, axis=0) / t
@@ -339,12 +339,10 @@ def norm_out_of_place(x, gain, bias, eps=1e-5, residual=None):
         gx = g * gain.data
         term = gx - np.add.reduce(gx, axis=0) / t - xhat * (np.add.reduce(gx * xhat, axis=0) / t)
         dx = term * inv_std
-        if residual is not None:
-            T._accumulate(residual, dx)
+        T._accumulate(residual, dx)
         T._accumulate(x, dx, own=True)
 
-    parents = (x, gain, bias) if residual is None else (x, residual, gain, bias)
-    return T._make(out_data, parents, backward)
+    return T._make(out_data, (x, residual, gain, bias), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +418,68 @@ def _linear_cols(x, weight, bias, start, stop):
     return T.linear(x, T.slice_cols(weight, start, stop), cols)
 
 
+def parent_layout(params, rng=None):
+    """``params`` in the layout that held the biases the model's algebra
+    cancels: each ``qkv.b`` is (3h,) Q | K | V, and an ``ffn2.b`` follows
+    each ``ffn2.w``, in the order that layout's checkpoints list them. The K
+    third and ``ffn2.b`` are zeros, or with ``rng`` drawn from U(-0.5, 0.5);
+    every other tensor is the same object."""
+    def bias(like):
+        values = np.zeros_like(like) if rng is None else rng.uniform(-0.5, 0.5, like.shape)
+        return values.astype(like.dtype)
+
+    old = {}
+    for name, p in params.items():
+        if name.endswith(".qkv.b"):
+            q, v = np.split(p.data, 2)
+            old[name] = T.Tensor(np.concatenate([q, bias(q), v]), requires_grad=True)
+        else:
+            old[name] = p
+        if name.endswith(".ffn2.w"):
+            old[name[:-1] + "b"] = T.Tensor(bias(p.data[0]), requires_grad=True)
+    return old
+
+
+def current_layout(tensors: dict) -> dict:
+    """Arrays keyed as in ``parent_layout``'s output, in the current layout:
+    no ``ffn2.b``, and each ``qkv.b`` its Q and V thirds."""
+    out = {}
+    for name, a in tensors.items():
+        if name.endswith(".qkv.b") and a is not None:
+            q, _, v = np.split(a, 3)
+            out[name] = np.concatenate([q, v])
+        elif not name.endswith(".ffn2.b"):
+            out[name] = a
+    return out
+
+
+def model_composed(x, params, cfg):
+    """``net.model_forward``'s logits, with no dropout, on parameters in
+    ``parent_layout``: every layer is ``layer_composed``, so it adds the K
+    bias and ``ffn2.b`` that the library's layers no longer hold."""
+    logits = []
+    for stage in range(cfg.num_stages):
+        h_in = T.Tensor(x) if stage == 0 else T.softmax_lastdim(logits[-1])
+        h = N._input_projection(params, cfg, stage, h_in, None)
+        skips = [h]
+        for layer in range(1, cfg.layers + 1):
+            h, _ = layer_composed(h, params, cfg, stage, "enc", layer)
+            skips.append(h)
+        h = skips.pop()
+        for layer in range(1, cfg.layers + 1):
+            h, _ = layer_composed(h, params, cfg, stage, "dec", layer, h_enc_peer=skips.pop())
+        logits.append(T.linear(h, params[f"stage{stage}.cls.w"], params[f"stage{stage}.cls.b"]))
+    return logits
+
+
 def layer_composed(h_prev, params, cfg, stage, coder, layer, streams=None, h_enc_peer=None):
     """``net.encoder_layer`` (coder "enc") or ``net.decoder_layer`` ("dec",
     cross-attending to ``h_enc_peer``) built from small nodes: ``linear``,
     ``slice_cols``, ``attend_composed``, norm, then ``linear``, ``relu``,
-    ``dropout``, ``linear`` and norm. A decoder projects Q and K|V through
-    ``slice_cols`` of the weight and bias columns. Returns the output and
-    probabilities."""
+    ``dropout``, ``linear`` and norm, on parameters in ``parent_layout``:
+    ``qkv.b`` holds a K bias and ``ffn2`` a bias. A decoder projects Q and
+    K|V through ``slice_cols`` of the weight and bias columns. Returns the
+    output and probabilities."""
     prefix = f"stage{stage}.{coder}{layer}"
     _, hidden = cfg.stage_dims(stage)
     resample = cfg.architecture == "utrans"
@@ -768,7 +821,7 @@ def attend_qkv(q, k, v, pattern, window, heads, dropout=0.0, rpe=None, rng=None,
     the memory [0 | k | v]."""
     dim, dtype = q.data.shape[1], q.data.dtype
     eye = T.Tensor(np.eye(3 * dim, dtype=dtype))
-    zero = T.Tensor(np.zeros(3 * dim, dtype=dtype))
+    zero = T.Tensor(np.zeros(2 * dim, dtype=dtype))
     settings = dict(dropout=dropout, rpe=rpe, rng=rng)
     if not cross:
         return A.attend(T.concat_cols([q, k, v]), eye, zero, pattern, window, heads, **settings)

@@ -126,7 +126,8 @@ def test_c01_gradient_suite():
     txn = tensor(xn, requires_grad=True)
     tgn = tensor(gn, requires_grad=True)
     tbn = tensor(bn, requires_grad=True)
-    T.sum_all(T.mul(T.instance_norm_temporal(txn, tgn, tbn), tensor(wn))).backward()
+    zero = tensor(np.zeros_like(xn))  # no residual
+    T.sum_all(T.mul(T.instance_norm_temporal(txn, tgn, tbn, residual=zero), tensor(wn))).backward()
 
     def in_f(xv, gv, bv):
         xhat = (xv - xv.mean(axis=0)) / np.sqrt(xv.var(axis=0) + 1e-5)
@@ -228,7 +229,7 @@ def test_c01_gradient_suite():
     q0, k0, _ = (rng.standard_normal((7, 4)) for _ in range(3))  # rng's later draws stay put
     wt = rng.standard_normal((7, 4))
     arng = np.random.default_rng(2)
-    wq, bq = arng.standard_normal((4, 12)), arng.standard_normal(12)
+    wq, bq = arng.standard_normal((4, 12)), arng.standard_normal(8)  # Q | K | V weights, Q | V bias
     for pattern in ("full", "local", "logsparse"):
         cfg = dict(pattern=pattern, window=3, heads=2)
 
@@ -256,7 +257,7 @@ def test_c01_gradient_suite():
     ):
         layout = T.SlotLayout.build(offsets, 7)
         for kind in ("self", "cross"):
-            arrays = [srng.standard_normal(shape) for shape in ((7, 3), (7, 3), (3, 12), (12,))]
+            arrays = [srng.standard_normal(shape) for shape in ((7, 3), (7, 3), (3, 12), (8,))]
             if rpe:
                 arrays.append(srng.standard_normal((layout.slots, 2)))
             weights = (srng.standard_normal((7, 2, layout.slots)), srng.standard_normal((7, 4)))
@@ -271,7 +272,7 @@ def test_c01_gradient_suite():
         return T.add(T.sum_all(T.mul(probs, w_probs)), T.sum_all(T.mul(out, w_out)))
 
     frng = np.random.default_rng(7)
-    ffn_arrays = [frng.standard_normal(s) for s in ((6, 3), (3, 5), (5,), (5, 4), (4,))]
+    ffn_arrays = [frng.standard_normal(s) for s in ((6, 3), (3, 5), (5,), (5, 4))]
     ffn_weights = frng.standard_normal((6, 4))
 
     def ffn_loss(leaves, drop):

@@ -87,7 +87,7 @@ def test_kv_length_mismatch_raises():
     # K and V are one projection of the memory rows: a memory whose length
     # is not the queries' is refused before anything is read
     rng = np.random.default_rng(5)
-    w, b = tensor(rng.standard_normal((2, 6))), tensor(np.zeros(6))
+    w, b = tensor(rng.standard_normal((2, 6))), tensor(np.zeros(4))
     layout = A.slot_layout("local", 4, 3)
     x, memory = (tensor(rng.standard_normal((rows, 2))) for rows in (4, 3))
     with pytest.raises(ShapeError, match="does not fit"):
@@ -293,7 +293,7 @@ def test_slot_kernels_match_per_call_oracle_bytes(dtype, pattern, use_rpe):
     dim = 3 * heads
     for (t, w, cross), drop in itertools.product(SLOT_SHAPES, (False, True)):
         layout = A.slot_layout(pattern, t, w)
-        shapes = ((t, d_in), (t, d_in), (d_in, 3 * dim), (3 * dim,), (layout.slots, heads))
+        shapes = ((t, d_in), (t, d_in), (d_in, 3 * dim), (2 * dim,), (layout.slots, heads))
         arrays = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
         w_probs = tensor(rng.standard_normal((t, heads, layout.slots)).astype(dtype))
         w_out = tensor(rng.standard_normal((t, dim)).astype(dtype))
@@ -315,17 +315,19 @@ def test_slot_kernels_match_per_call_oracle_bytes(dtype, pattern, use_rpe):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_slot_project_rows_are_the_linear_bytes_between_zero_rows(dtype):
     """The projection buffer holds x @ w + b, byte for byte as ``linear``
-    gives it, in rows pad .. pad + T, and zeros in every other row; with a
-    memory, its Q columns are x's and its K|V columns the memory's."""
+    gives it with b's Q and V blocks and a zero K block, in rows
+    pad .. pad + T, and zeros in every other row; with a memory, its Q
+    columns are x's and its K|V columns the memory's."""
     rng = np.random.default_rng(21)
     for pattern, (t, w, _) in itertools.product(("local", "logsparse", "full"), SLOT_SHAPES):
         layout = A.slot_layout(pattern, t, w)
         x, memory = (tensor(rng.standard_normal((t, 7)).astype(dtype)) for _ in range(2))
-        weight, bias = (rng.standard_normal(s).astype(dtype) for s in ((7, 12), (12,)))
+        weight, bias = (rng.standard_normal(s).astype(dtype) for s in ((7, 12), (8,)))
+        qkv_bias = np.concatenate([bias[:4], np.zeros(4, dtype), bias[4:]])
         rows = slice(layout.pad, layout.pad + t)
 
         def linear(source, cols):
-            return T.linear(source, tensor(weight[:, cols]), tensor(bias[cols])).data
+            return T.linear(source, tensor(weight[:, cols]), tensor(qkv_bias[cols])).data
 
         for source in (None, memory):
             buf = T.slot_project(x, tensor(weight), tensor(bias), layout, source).data
@@ -343,7 +345,7 @@ def test_slot_project_rows_are_the_linear_bytes_between_zero_rows(dtype):
 def test_slot_kernels_reject_a_layout_built_for_other_lengths(pattern):
     rng = np.random.default_rng(20)
     x = tensor(rng.standard_normal((6, 3)))
-    w, b = tensor(rng.standard_normal((3, 12))), tensor(rng.standard_normal(12))
+    w, b = tensor(rng.standard_normal((3, 12))), tensor(rng.standard_normal(8))
     built = A.slot_layout(pattern, 6, 3)
     qkv = T.slot_project(x, w, b, built)
     for t in (5, 7):
@@ -399,7 +401,7 @@ def test_cross_attention_lengths():
     # as after upsampling
     rng = np.random.default_rng(16)
     x, memory = (tensor(rng.standard_normal((10, 3))) for _ in range(2))
-    w, b = tensor(rng.standard_normal((3, 12))), tensor(rng.standard_normal(12))
+    w, b = tensor(rng.standard_normal((3, 12))), tensor(rng.standard_normal(8))
     out, probs = A.attend(x, w, b, **cfg_for("local", window=3, heads=2), memory=memory)
     assert out.data.shape == (10, 4)
     assert probs.data.shape == (10, 2, A.slot_layout("local", 10, 3).slots)

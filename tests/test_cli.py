@@ -610,6 +610,17 @@ def _bad_flag(command, flag, value, axis="beta", names=()):
     return make_argv
 
 
+def _bad_synth(*flags, names=()):
+    """``tut synth`` given a spec it cannot generate; the error names each of
+    ``names``, and no ``--out`` directory is made."""
+    def make_argv(trained, synth_root, tmp_path):
+        return ["synth", "--out", str(tmp_path / "data"), "--videos", "2", *flags]
+
+    make_argv.names = names
+    make_argv.makes_no_out = True
+    return make_argv
+
+
 def _bad_setting(key, value):
     """``tut train`` given a ``key`` value its config refuses; the error names
     the key and the flag, and no ``--out`` directory is made."""
@@ -725,7 +736,12 @@ def _sample_rate(rate):
      _config_file("lr_nan.cfg", "[train]\nlr = nan\n", names=("lr_nan.cfg: [train] lr: ",)),
      _short_video("train"), _short_video("eval"),
      _not_utf8("train", "mapping.txt"), _not_utf8("eval", "groundTruth/synth000.txt"),
-     _not_utf8("train", "splits/all.bundle")],
+     _not_utf8("train", "splits/all.bundle"),
+     _bad_synth("--min-segments", "0", names=("min_segments",)),
+     _bad_synth("--min-len", "2", "--max-len", "2", "--min-segments", "3", names=("min_len=2",)),
+     _bad_synth("--classes", "1", "--min-segments", "2", names=("one class",)),
+     _bad_synth("--noise", "nan", names=("noise",)),
+     _bad_synth("--seed", "-1", names=("seed",))],
     ids=["DatasetError", "CheckpointError", "TrainingDiverged", "ShapeError",
          "TruncatedCheckpoint", "TruncatedFeatures", "SampleRateZero", "SampleRateNegative",
          "UnknownIgnoredClass", "UnknownIgnoredClassAblate", "UnknownIgnoredClassConfig",
@@ -745,7 +761,9 @@ def _sample_rate(rate):
          "CheckpointEveryNegative", "EvalEveryNegative", "HiddenDimZero",
          "HiddenDimNegative", "HiddenDimRefineZero", "HeadsNotDividing", "ConfigLrNan",
          "TrainShortVideo", "EvalShortVideo",
-         "MappingNotUtf8", "GroundTruthNotUtf8", "SplitNotUtf8"],
+         "MappingNotUtf8", "GroundTruthNotUtf8", "SplitNotUtf8",
+         "SynthMinSegmentsZero", "SynthMoreSegmentsThanFrames", "SynthOneClassTwoSegments",
+         "SynthNoiseNan", "SynthSeedNegative"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_typed_failures_exit_2_with_one_line(make_argv, trained, synth_root, tmp_path, capsys):

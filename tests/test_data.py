@@ -436,6 +436,35 @@ def test_synth_spec_checks_itself_when_built_and_is_frozen():
         D.SynthSpec().seed = 1
 
 
+@pytest.mark.parametrize("fields,message", [
+    (dict(min_segments=0), "min_segments must lie in"),
+    (dict(min_len=2, max_len=2, min_segments=3), "min_len=2"),
+    (dict(num_classes=1, min_segments=2), "one class"),
+    (dict(num_classes=1, min_segments=1, max_segments=2), "one class"),
+    (dict(noise=float("nan")), "noise must be finite"),
+    (dict(noise=float("inf")), "noise must be finite"),
+    (dict(seed=-1), "seed must be >= 0"),
+])
+def test_synth_spec_refuses_what_it_cannot_generate(fields, message):
+    """No segment, more segments than the shortest video has frames, two
+    adjacent segments with one class, a noise that is not finite, or a seed
+    the generator refuses: the spec is refused when it is built, before
+    anything is drawn."""
+    with pytest.raises(DatasetError, match=message):
+        D.SynthSpec(**fields)
+
+
+def test_the_edge_specs_the_checks_allow_generate():
+    """One frame per segment, and one class in one segment, still generate."""
+    for spec in (D.SynthSpec(min_len=3, max_len=3, min_segments=3, max_segments=3, num_videos=2),
+                 D.SynthSpec(num_classes=1, min_segments=1, max_segments=1, num_videos=2)):
+        samples, _ = D.generate_synthetic(spec)
+        for sample in samples:
+            runs = np.flatnonzero(np.diff(sample.labels)) + 1
+            assert len(runs) + 1 == spec.min_segments
+            assert np.isfinite(sample.features).all()
+
+
 def test_synthetic_reproducible_and_bounded():
     spec = D.SynthSpec(num_classes=4, num_videos=8, min_len=128, max_len=256, seed=9)
     samples, mapping = D.generate_synthetic(spec)

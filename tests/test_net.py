@@ -9,9 +9,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    current_layout,
     in_range_mask,
     layer_composed,
+    model_composed,
     numeric_grad,
+    parent_layout,
     rel_err,
     save_checkpoint_copying,
     tensor,
@@ -107,7 +110,7 @@ def test_zero_weights_reduce_to_normalized_downsample():
     cfg = tiny_cfg(refinement_stages=0, pe_mode="none")
     params = build(cfg)
     prefix = "stage0.enc1"
-    for leaf in ("qkv.w", "qkv.b", "ffn1.w", "ffn1.b", "ffn2.w", "ffn2.b"):
+    for leaf in ("qkv.w", "qkv.b", "ffn1.w", "ffn1.b", "ffn2.w"):
         params[f"{prefix}.{leaf}"].data[...] = 0.0
     rng = np.random.default_rng(2)
     h = tensor(rng.standard_normal((10, 8)))
@@ -115,7 +118,7 @@ def test_zero_weights_reduce_to_normalized_downsample():
     assert probs.data.shape[0] == 5
     down = N.downsample_nearest(h)
     normed = T.instance_norm_temporal(
-        down, tensor(np.ones(8)), tensor(np.zeros(8)), N.NORM_EPS
+        down, tensor(np.ones(8)), tensor(np.zeros(8)), N.NORM_EPS, residual=T.mul(down, 0.0)
     )
     np.testing.assert_allclose(out.data, normed.data, atol=1e-4)
 
@@ -139,7 +142,6 @@ def test_decoder_constant_kv_is_convex_combination(monkeypatch):
     params[f"{prefix}.ffn1.w"].data[...] = 0.0
     params[f"{prefix}.ffn2.w"].data[...] = 0.0
     params[f"{prefix}.ffn1.b"].data[...] = 0.0
-    params[f"{prefix}.ffn2.b"].data[...] = 0.0
     rng = np.random.default_rng(3)
     const_row = rng.standard_normal(hidden)
     peer = tensor(np.tile(const_row, (6, 1)))
@@ -215,7 +217,8 @@ def test_fused_layer_matches_the_composed_layer_bytes(dtype, arch, pattern, code
     """An encoder or decoder layer of the fused attention and FFN nodes gives
     the output, probabilities and every gradient of the same layer composed
     from small nodes, byte for byte: dropout off and on, and a sequence
-    shorter than the window as well as a longer one."""
+    shorter than the window as well as a longer one. The composed layer
+    holds a zero K bias and ``ffn2.b``, whose gradients are not compared."""
     cfg = tiny_cfg(
         architecture=arch, attention=pattern, dtype=dtype, window=11, layers=3,
         pe_mode="relative" if pattern == "local" else "none",
@@ -231,7 +234,7 @@ def test_fused_layer_matches_the_composed_layer_bytes(dtype, arch, pattern, code
         w_probs = T.Tensor(rng.standard_normal((t_out, cfg.heads, slots)).astype(cfg.np_dtype))
         results = []
         for fused in (True, False):
-            params = build(cfg)
+            params = build(cfg) if fused else parent_layout(build(cfg))
             h_prev, peer = (T.Tensor(a.copy(), requires_grad=True) for a in arrays)
             streams = T.SeedStreams(3) if drop else None
             if fused and coder == "enc":
@@ -242,6 +245,7 @@ def test_fused_layer_matches_the_composed_layer_bytes(dtype, arch, pattern, code
                 out, probs = layer_composed(h_prev, params, cfg, 0, coder, 2, streams, peer)
             T.add(T.sum_all(T.mul(out, w_out)), T.sum_all(T.mul(probs, w_probs))).backward()
             grads = {name: p.grad for name, p in params.items()}
+            grads = grads if fused else current_layout(grads)
             grads.update(h_prev=h_prev.grad, peer=peer.grad)
             results.append((out.data, probs.data, grads))
         (out, probs, grads), (want_out, want_probs, want_grads) = results
@@ -450,6 +454,59 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("arch,pattern", [
+    ("utrans", "local"), ("utrans", "full"), ("utrans", "logsparse"), ("standard", "local"),
+])
+def test_the_current_layout_gives_the_parent_layouts_logits(arch, pattern, tmp_path):
+    """The layout with no K bias and no ``ffn2.b`` computes what the layout
+    with them did: in f64, with every bias, norm gain and RPE table drawn
+    away from its initial value and the two cancelled biases drawn too, the
+    library's logits lie within 1e-12 of the composed model's on the parent
+    layout. A checkpoint written in the parent layout loads with exactly
+    those entries dropped and predicts the composed model's labels."""
+    cfg = tiny_cfg(
+        architecture=arch, attention=pattern, window=5,
+        pe_mode="relative" if pattern == "local" else "none",
+    )
+    params = build(cfg, seed=3)
+    rng = np.random.default_rng(31)
+    for name, p in params.items():
+        if name.endswith(".b") or ".norm" in name or "rpe" in name:
+            p.data += rng.uniform(-0.5, 0.5, p.data.shape)
+    old = parent_layout(params, rng)
+    x = rng.standard_normal((24, cfg.input_dim))
+    want = model_composed(x, old, cfg)
+    got = N.model_forward(x, params, cfg).logits
+    for stage_got, stage_want in zip(got, want, strict=True):
+        np.testing.assert_allclose(stage_got.data, stage_want.data, rtol=0, atol=1e-12)
+
+    path = tmp_path / "parent.ckpt"
+    N.save_checkpoint(path, old, cfg)
+    _, entries = N.read_manifest(path)
+    loaded, loaded_cfg = N.load_checkpoint(path)
+    assert loaded_cfg == cfg and list(loaded) == list(params)
+    dropped = {name for name, *_ in entries} - set(loaded) - {"meta.config"}
+    assert dropped == {name for name in old if name.endswith(".ffn2.b")}
+    for name, p in loaded.items():
+        assert p.data.tobytes() == params[name].data.tobytes(), name
+    labels = N.final_prediction(N.model_forward(x, loaded, loaded_cfg))
+    np.testing.assert_array_equal(labels, np.argmax(want[-1].data, axis=1))
+
+
+@pytest.mark.parametrize("name,shape", [
+    ("stage0.enc1.qkv.b", (8,)), ("stage0.enc1.qkv.b", (12,)), ("stage1.dec2.ffn2.b", (4,)),
+])
+def test_a_checkpoint_bias_of_another_shape_raises_naming_it(name, shape, tmp_path):
+    """Only a parent-layout bias, as wide as its weight's columns, is
+    dropped or cut; any other shape is refused, named."""
+    cfg = tiny_cfg(dtype="f32")
+    params = parent_layout(build(cfg))
+    params[name] = T.Tensor(np.zeros(shape, dtype=np.float32))
+    N.save_checkpoint(tmp_path / "bad.ckpt", params, cfg)
+    with pytest.raises(CheckpointError, match=re.escape(f"unexpected tensor {name} {shape}")):
+        N.load_checkpoint(tmp_path / "bad.ckpt")
+
+
 # the config keys every checkpoint held before they were retired, at the
 # values every run gave them: each FFN width is its stage's hidden width in
 # OLD_CFG, whose two stage widths differ
@@ -545,9 +602,10 @@ def test_parameter_names_follow_checkpoint_layout():
         assert f"stage{s}.cls.w" in names and f"stage{s}.cls.b" in names
         for coder in ("enc", "dec"):
             for leaf in ("qkv.w", "qkv.b", "norm1.w", "norm1.b", "ffn1.w", "ffn1.b",
-                         "ffn2.w", "ffn2.b", "norm2.w", "norm2.b", "rpe.w"):
+                         "ffn2.w", "norm2.w", "norm2.b", "rpe.w"):
                 assert f"stage{s}.{coder}1.{leaf}" in names
-    assert len(names) == 2 * (4 + 2 * 11)
+            assert f"stage{s}.{coder}1.ffn2.b" not in names
+    assert len(names) == 2 * (4 + 2 * 10)
 
 
 def test_refinement_stage_reads_previous_probabilities():
