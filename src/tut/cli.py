@@ -76,6 +76,18 @@ def _ignored_ids(args, data_cfg, mapping) -> set[int]:
         raise ConfigError(f"{source}: {exc}") from None
 
 
+def _load_model(args, data_cfg, mapping):
+    """The checkpoint's params and config; a model scoring another number of
+    classes than the split's mapping lists raises ``CheckpointError``."""
+    params, cfg = load_checkpoint(args.checkpoint)
+    if cfg.num_classes != mapping.num_classes:
+        raise CheckpointError(
+            f"{args.checkpoint}: the model scores {cfg.num_classes} classes, "
+            f"{Path(data_cfg.root) / 'mapping.txt'} lists {mapping.num_classes}"
+        )
+    return params, cfg
+
+
 def _training_setup(args):
     """The configs and the split, the model sized to the split's width and classes."""
     model_cfg, train_cfg, data_cfg = _configs(args, "seed", "root")
@@ -135,7 +147,8 @@ def cmd_eval(args) -> int:
     data_cfg = _configs(args, "root")[2]
     samples, mapping = _load_split(data_cfg)
     ignored = _ignored_ids(args, data_cfg, mapping)
-    report, predictions = TR.evaluate_run(args.checkpoint, samples, thresholds, ignored)
+    params, cfg = _load_model(args, data_cfg, mapping)
+    report, predictions = TR.evaluate_model(params, cfg, samples, thresholds, ignored)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.csv").write_text(M.report_csv(report), encoding="utf-8")
@@ -155,7 +168,7 @@ def cmd_predict(args) -> int:
     if not matches:
         raise ConfigError(f"video {args.video!r} not in split {data_cfg.split}")
     sample = matches[0]
-    params, cfg = load_checkpoint(args.checkpoint)
+    params, cfg = _load_model(args, data_cfg, mapping)
     labels = TR.predict_sample(params, cfg, sample)
     if args.upsample:
         labels = TR.restore_source_rate(labels, sample)

@@ -101,11 +101,11 @@ def prior(variant: str, window: int) -> np.ndarray:
 
 
 def _lad_rows(probs: Tensor, frames: np.ndarray, attention: str, window: int) -> Tensor:
-    """Head-averaged, renormalized windows of the given frames, read from
-    (T_q, heads, S) probabilities under ``attention``.
-
-    Each head's window sums to 1 before the average, so full attention gives
-    local attention's rows and every head weighs the same.
+    """Head-averaged windows of the given frames, read from (T_q, heads, S)
+    probabilities under ``attention``: each head's window is renormalized
+    to sum 1, so full attention gives local attention's rows and every head
+    weighs the same, and their sum over heads is renormalized, which
+    divides by the head count too.
     """
     _, heads, slots = probs.data.shape
     if attention == "local":
@@ -118,8 +118,8 @@ def _lad_rows(probs: Tensor, frames: np.ndarray, attention: str, window: int) ->
         rows = T.gather_rows(T.reshape(probs, (-1,)), flat)
         # renormalize each head over its window, as a local row already is
         rows = T.div(rows, T.sum_axis(rows, axis=2, keepdims=True))
-    avg = T.mul(T.sum_axis(rows, axis=1), 1.0 / heads)
-    return T.div(avg, T.sum_axis(avg, axis=1, keepdims=True))
+    total = T.sum_axis(rows, axis=1)
+    return T.div(total, T.sum_axis(total, axis=1, keepdims=True))
 
 
 def _distance(kind: str, priors: Tensor, lads: Tensor) -> Tensor:

@@ -61,8 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -71,9 +70,9 @@ from .errors import DomainError, GraphReleasedError, NumericError, ShapeError
 
 Array = np.ndarray
 
-MASK_VALUE = -1e30  # additive score for attention slots outside the key range
-# a full SlotLayout's edge masks: it reads no out-of-range key
-_NO_MASKS = MappingProxyType({np.dtype(np.float32): (), np.dtype(np.float64): ()})
+# the score slot_softmax writes for a slot outside the key range: such a slot
+# reads a zero row, so it scored rpe[j, h] or 0, which adding -1e30 absorbs
+MASK_VALUE = -1e30
 DRAW_BLOCK = 1 << 15  # 64-bit words a dropout mask draws at a time (256 KiB)
 
 
@@ -549,14 +548,15 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, draw_axes=None) -> Te
     return _make(_masked(x.data, mask), (x,), backward)
 
 
-def _dropout_mask(x: Array, p: float, rng: np.random.Generator, draw_axes=None):
+def _dropout_mask(x: Array, p: float, rng: np.random.Generator | None, draw_axes=None):
     """(keep, scale) of inverted dropout over an array shaped like x, drawn
-    as ``dropout`` describes, or None when p == 0 (nothing is drawn). The
+    as ``dropout`` describes, or None, which ``_masked`` reads as no
+    dropout, when p == 0 or there is no ``rng`` (nothing is drawn). The
     words come ``DRAW_BLOCK`` at a time, in one stream order, so only the
     1-byte mask is ever whole."""
     if not 0.0 <= p < 1.0:
         raise DomainError(f"dropout rate must lie in [0, 1), got {p}")
-    if p == 0.0:
+    if p == 0.0 or rng is None:
         return None
     # bit generators whose random() is (one 64-bit word >> 11) * 2^-53; named
     # here, not at import, so a forward-only run never loads numpy.random
@@ -578,7 +578,10 @@ def _dropout_mask(x: Array, p: float, rng: np.random.Generator, draw_axes=None):
 
 def _masked(a: Array, mask) -> Array:
     """a * scale * keep as a new array: the dropped values in forward, the
-    input's gradient in backward, and the dropped values rebuilt there."""
+    input's gradient in backward, and the dropped values rebuilt there. A
+    None mask (no dropout) gives back a itself."""
+    if mask is None:
+        return a
     keep, scale = mask
     out = a * scale
     out *= keep
@@ -618,7 +621,8 @@ class SlotLayout:
     ``offset_list`` holds the offsets as python ints, ``lo``/``hi`` span
     them and 0, and ``band`` says they are lo..hi in order. Only the rows
     of ``edges`` (a leading and a trailing slice) can read an out-of-range
-    key; ``masks`` maps float32 and float64 to those rows' additive masks.
+    key; ``outside`` holds, per edge, a boolean (rows, S) table of the slots
+    that do, whatever the scores' dtype.
     """
 
     length: int
@@ -628,7 +632,7 @@ class SlotLayout:
     hi: int = 0
     band: bool = False
     edges: tuple[slice, ...] = ()
-    masks: MappingProxyType = field(default_factory=lambda: _NO_MASKS)
+    outside: tuple[Array, ...] = ()
 
     @property
     def slots(self) -> int:
@@ -656,17 +660,13 @@ class SlotLayout:
         lo, hi = min(min(offs), 0), max(max(offs), 0)
         offsets = _frozen(np.array(offs))
         keys = np.arange(length)[:, None] + offsets[None, :]
-        in_range = (keys >= 0) & (keys < length)
         # row i's keys lie in [i + lo, i + hi], so only rows below -lo and from
         # length - hi on can have one outside [0, length)
         lead = min(length, -lo)
         edges = (slice(0, lead), slice(max(lead, length - hi), length))
-        masks = MappingProxyType({
-            dt: tuple(_frozen(np.where(in_range[rows], dt.type(0.0), dt.type(MASK_VALUE))) for rows in edges)
-            for dt in map(np.dtype, (np.float32, np.float64))
-        })
+        outside = tuple(_frozen((keys[rows] < 0) | (keys[rows] >= length)) for rows in edges)
         band = offs == tuple(range(lo, hi + 1))
-        return cls(length, offsets, offs, lo, hi, band, edges, masks)
+        return cls(length, offsets, offs, lo, hi, band, edges, outside)
 
 
 def _check_fits(layout: SlotLayout, length: int, qkv: Tensor):
@@ -807,8 +807,8 @@ def slot_softmax(qkv: Tensor, layout: SlotLayout, heads: int, rpe: Tensor | None
     scores *= scale
     if rpe is not None:
         scores += np.ascontiguousarray(rpe.data.T)
-    for edge, mask in zip(layout.edges, layout.masks[scores.dtype]):
-        scores[edge] += mask[:, None, :]
+    for edge, outside in zip(layout.edges, layout.outside):
+        np.copyto(scores[edge], MASK_VALUE, where=outside[:, None, :])
     probs = _softmax(scores, out=scores)
 
     def backward(g):
@@ -843,18 +843,16 @@ def slot_mix(
     dim = qkv.data.shape[2]
     if dim % heads or n_slots != layout.slots:
         raise ShapeError(f"slot mix: p {p.data.shape}, qkv {qkv.data.shape}")
-    mask = None if rng is None else _dropout_mask(p.data, dropout, rng, draw_axes=(1, 0, 2))
-    weights = p.data if mask is None else _masked(p.data, mask)
+    mask = _dropout_mask(p.data, dropout, rng, draw_axes=(1, 0, 2))
     values = qkv.data[:, 2]
-    out_data = _slot_sum(weights, values, layout)
+    out_data = _slot_sum(_masked(p.data, mask), values, layout)
 
     def backward(g):
         g3 = g.reshape(t, heads, -1)
         grad = _grad_buffer(qkv)
         if grad is not None:
-            _fold_slots(p.data if mask is None else _masked(p.data, mask), g3, layout, grad[:, 2])
-        dp = _slot_dot(g3, values, layout)
-        _accumulate(p, dp if mask is None else _masked(dp, mask), own=True)
+            _fold_slots(_masked(p.data, mask), g3, layout, grad[:, 2])
+        _accumulate(p, _masked(_slot_dot(g3, values, layout), mask), own=True)
 
     return _make(out_data.reshape(t, dim), (p, qkv), backward)
 
@@ -875,15 +873,12 @@ def ffn_block(
     hidden += b1.data
     np.maximum(hidden, 0, out=hidden)
     _check_linear(hidden, w2.data)
-    mask = None if rng is None else _dropout_mask(hidden, dropout, rng)
-    out_data = (hidden if mask is None else _masked(hidden, mask)) @ w2.data
+    mask = _dropout_mask(hidden, dropout, rng)
+    out_data = _masked(hidden, mask) @ w2.data
 
     def backward(g):
-        dh = g @ w2.data.T
-        dropped = hidden if mask is None else _masked(hidden, mask)
-        _accumulate(w2, dropped.T @ g, own=True)
-        if mask is not None:
-            dh = _masked(dh, mask)
+        _accumulate(w2, _masked(hidden, mask).T @ g, own=True)
+        dh = _masked(g @ w2.data.T, mask)
         dh *= hidden > 0
         _linear_grads(x, w1, dh)
         _accumulate(b1, dh.sum(axis=0), own=True)

@@ -146,14 +146,7 @@ def train(
             loss.backward()
             adam_step(state.adam, lr=state.lr, weight_decay=train_cfg.weight_decay)
         n = len(samples)
-        row = {
-            "epoch": epoch,
-            "ce": sums["ce"] / n,
-            "tmse": sums["tmse"] / n,
-            "ba": sums["ba"] / n,
-            "total": sums["total"] / n,
-            "lr": state.lr,
-        }
+        row = {"epoch": epoch, **{k: v / n for k, v in sums.items()}, "lr": state.lr}
         apply_lr_rule(state, row["total"])
         log_rows.append(row)
         if on_epoch is not None:

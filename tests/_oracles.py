@@ -12,8 +12,9 @@ decoder layer composed from small nodes that the fused attention and FFN
 nodes replaced, the per-video
 accuracy, edit, F1 and whole-report functions and the corpus metrics built on them,
 which segment each label sequence once per metric, and the
-load-then-stride resampling the strided feature read replaced, and the
-checkpoint writer that copied every payload before writing it. The last
+load-then-stride resampling the strided feature read replaced, the
+checkpoint writer that copied every payload before writing it, and the
+boundary read that scaled its head sum by 1/heads before renormalizing. The last
 section holds what only tests need: probes that read what the library's
 forward pass records, outside any graph, and an adapter that runs
 ``attend`` on given queries, keys and values; ``tensor`` builds the
@@ -752,6 +753,25 @@ def save_checkpoint_copying(path, params, cfg):
         fh.write(bytes(blob))
         for payload in payloads:
             fh.write(payload)
+
+
+# ---------------------------------------------------------------------------
+# the boundary read with a head average
+
+
+def lad_rows_averaged(probs, frames, attention: str, window: int):
+    """``losses._lad_rows`` as it was when it multiplied the head sum by
+    1/heads before renormalizing it."""
+    _, heads, slots = probs.data.shape
+    if attention == "local":
+        rows = T.gather_rows(probs, frames)
+    else:
+        keys = frames[:, None, None] + np.arange(-(window // 2), window // 2 + 1)
+        flat = (frames[:, None, None] * heads + np.arange(heads)[None, :, None]) * slots + keys
+        rows = T.gather_rows(T.reshape(probs, (-1,)), flat)
+        rows = T.div(rows, T.sum_axis(rows, axis=2, keepdims=True))
+    avg = T.mul(T.sum_axis(rows, axis=1), 1.0 / heads)
+    return T.div(avg, T.sum_axis(avg, axis=1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------

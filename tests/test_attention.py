@@ -365,12 +365,13 @@ def test_slot_layout_is_shared_read_only_and_masks_only_edge_rows():
     layout = A.slot_layout("local", 10, 5)
     assert A.slot_layout("local", 10, 5) is layout
     assert layout.edges == (slice(0, 2), slice(8, 10))  # w//2 rows at each end
-    for arr in (layout.offsets, *layout.masks[np.dtype(np.float32)]):
+    assert [t.dtype for t in layout.outside] == [np.dtype(bool)] * 2  # one table for every dtype
+    for arr in (layout.offsets, *layout.outside):
         with pytest.raises(ValueError):
             arr[...] = 0
     full = A.slot_layout("full", 9, 5)
     assert full.offsets is None and full.slots == 9
-    assert full.edges == () and all(full.masks[np.dtype(dt)] == () for dt in (np.float32, np.float64))
+    assert full.edges == () and full.outside == ()
     rng = np.random.default_rng(19)
     shapes = [(t, w) for t, w, _ in SLOT_SHAPES] + [(40, 11), (100, 51), (60, 3)]
     for pattern, (t, w), dtype in itertools.product(
@@ -380,8 +381,10 @@ def test_slot_layout_is_shared_read_only_and_masks_only_edge_rows():
         scores = rng.standard_normal((t, 3, layout.slots)).astype(dtype)
         valid = in_range_mask(layout.offsets, t)
         want = scores + np.where(valid, dtype(0.0), dtype(T.MASK_VALUE))[:, None, :]
-        for rows, mask in zip(layout.edges, layout.masks[np.dtype(dtype)]):
-            scores[rows] += mask[:, None, :]
+        # slot_softmax's fill writes what adding MASK_VALUE to any score of a
+        # magnitude far below its rounding step would
+        for rows, outside in zip(layout.edges, layout.outside):
+            np.copyto(scores[rows], T.MASK_VALUE, where=outside[:, None, :])
         assert scores.tobytes() == want.tobytes(), (pattern, t, w)
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,8 @@ from tut.data import (
     write_dataset,
     write_features,
 )
-from tut.net import RETIRED_KEYS, read_manifest
+from tut.net import RETIRED_KEYS, init_params, load_checkpoint, read_manifest, save_checkpoint
+from tut.tensor import SeedStreams
 
 SMALL_MODEL = [
     "--layers", "2", "--refinement-stages", "1", "--window", "5", "--heads", "2",
@@ -537,6 +539,33 @@ def _feature_dim_mismatch(command):
     return make_argv
 
 
+def _class_count_mismatch(command, checkpoint_classes):
+    """``command`` with a checkpoint whose model scores ``checkpoint_classes``
+    classes on a split whose mapping.txt lists the other of 3 and 4: the
+    error names the checkpoint, the mapping file and both counts, and no
+    ``--out`` is made."""
+    def make_argv(trained, synth_root, tmp_path):
+        checkpoint, root = trained / "checkpoint.ckpt", synth_root  # 3 classes each
+        if checkpoint_classes == 3:
+            root = _synth(tmp_path / "four", classes="4")
+        else:
+            _, cfg = load_checkpoint(checkpoint)
+            cfg = replace(cfg, num_classes=4)
+            checkpoint = tmp_path / "four.ckpt"
+            save_checkpoint(checkpoint, init_params(cfg, SeedStreams(0)), cfg)
+        return [command, "--data-root", str(root), "--out", str(tmp_path / "out"),
+                "--checkpoint", str(checkpoint),
+                *(["--video", "synth000"] if command == "predict" else [])]
+
+    ckpt, split = ("checkpoint.ckpt", "four") if checkpoint_classes == 3 else ("four.ckpt", "")
+    make_argv.names = (
+        f"{ckpt}: ", f"{split}/mapping.txt", f"scores {checkpoint_classes} classes",
+        f"lists {7 - checkpoint_classes}",
+    )
+    make_argv.makes_no_out = True
+    return make_argv
+
+
 def _truncated_checkpoint(trained, synth_root, tmp_path):
     raw = (trained / "checkpoint.ckpt").read_bytes()
     (tmp_path / "cut.ckpt").write_bytes(raw[:-100])
@@ -715,6 +744,8 @@ def _sample_rate(rate):
      _config_file("num_classes.cfg", "[model]\nnum_classes = 5\n", names=("num_classes",)),
      _config_file("input_dim.cfg", "[model]\ninput_dim = 8\n", names=("input_dim",)),
      _mixed_width_split, _feature_dim_mismatch("predict"),
+     _class_count_mismatch("eval", 3), _class_count_mismatch("eval", 4),
+     _class_count_mismatch("predict", 3), _class_count_mismatch("predict", 4),
      _bad_flag("train", "--epochs", "x"), _bad_flag("train", "--seed", "one"),
      _bad_flag("eval", "--thresholds", "0.1,x"), _bad_flag("ablate", "--values", "0,x"),
      _nan_feature("eval"), _nan_feature("predict"),
@@ -750,7 +781,8 @@ def _sample_rate(rate):
          "ConfigRemovedShuffle", "ConfigRemovedKeepBest", "ConfigRemovedNormalize",
          "ConfigRemovedFfnDim", "ConfigRemovedPeMaxLen", "ConfigRemovedSmoothClip",
          "ConfigBadValue", "ConfigSplitNumClasses", "ConfigSplitInputDim", "MixedWidthSplit",
-         "PredictFeatureWidth",
+         "PredictFeatureWidth", "EvalSplitHasMoreClasses", "EvalCheckpointHasMoreClasses",
+         "PredictSplitHasMoreClasses", "PredictCheckpointHasMoreClasses",
          "FlagBadValue", "FlagBadSeed", "EvalBadThresholds", "AblateBadValues",
          "EvalNanFeature", "PredictNanFeature", "ThresholdNan", "ThresholdInf",
          "ThresholdNegative", "ThresholdAboveOne", "AblateWindowNan", "AblateHeadsInf",

@@ -7,6 +7,7 @@ from _oracles import (
     attend_qkv,
     extract_lad,
     kl_scalar,
+    lad_rows_averaged,
     mean_boundary_kl,
     numeric_grad,
     rel_err,
@@ -161,6 +162,36 @@ def test_extract_lad_from_full_record_slices_row():
     lad = extract_lad(tensor(probs), 2, "full", w)
     heads = probs[2, :, 1:4]  # each head renormalized over the window, then averaged
     np.testing.assert_allclose(lad.data, (heads / heads.sum(axis=1, keepdims=True)).mean(axis=0))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("attention", ["local", "full"])
+def test_lad_rows_renormalize_the_head_sum_as_the_head_average(attention, dtype):
+    """The boundary read renormalizes the sum of its heads, where it once
+    renormalized their average: the 1/heads scale cancels. At a power-of-two
+    head count that scale is exact, so the rows, their KL to the priors and
+    the gradient reaching the probabilities are the same bytes; at 3 or 6
+    heads (breakfast) they differ in rounding only."""
+    t, w = 24, 5
+    frames, priors = L.boundary_targets(np.repeat([0, 1, 2, 0], 6), t, w)
+    priors = tensor(priors.astype(dtype))
+    rng = np.random.default_rng(9)
+    for heads in (1, 2, 3, 4, 6, 8):
+        raw = rng.random((t, heads, w if attention == "local" else t)).astype(dtype) + dtype(0.05)
+        raw /= raw.sum(axis=2, keepdims=True)
+        got = []
+        for read in (L._lad_rows, lad_rows_averaged):
+            probs = T.Tensor(raw.copy(), requires_grad=True)
+            lads = read(probs, frames, attention, w)
+            kl = T.kl_from_probs(priors, lads)
+            kl.backward()
+            assert lads.data.dtype == probs.grad.dtype == dtype
+            got.append((lads.data, kl.data, probs.grad))
+        for new, old in zip(*got):
+            if heads in (3, 6):
+                assert rel_err(new, old) <= 1e-6, (heads, rel_err(new, old))
+            else:
+                assert new.tobytes() == old.tobytes(), heads
 
 
 def test_ba_loss_zero_when_lads_equal_priors():

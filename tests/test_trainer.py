@@ -581,10 +581,11 @@ def test_float32_train_step_keeps_float32():
     assert not wrong
 
 
-def gtea_step(dtype="f32", frames=72, input_dim=32, num_classes=5):
-    """Params and a forward of a gtea-preset step: all three loss terms and
-    every dropout on. Each call draws the same params and masks."""
-    model_cfg, train_cfg, _ = build_configs("gtea", None, {})
+def gtea_step(dtype="f32", frames=72, input_dim=32, num_classes=5, preset="gtea"):
+    """Params and a forward of a gtea-preset (or ``preset``) step: all three
+    loss terms and every dropout on. Each call draws the same params and
+    masks."""
+    model_cfg, train_cfg, _ = build_configs(preset, None, {})
     model_cfg = replace(model_cfg, input_dim=input_dim, num_classes=num_classes, dtype=dtype)
     features = np.random.default_rng(4).standard_normal((frames, input_dim))
     labels = np.repeat(np.arange(frames // 12 + 1) % num_classes, 12)[:frames]
@@ -668,17 +669,24 @@ def _op_counts(root: T.Tensor) -> Counter:
     )
 
 
-def test_a_gtea_step_is_349_nodes_and_every_layer_7():
-    """A gtea-preset training forward plus loss builds 349 graph nodes, of
-    which 8 are ``linear`` (each stage's projection and classifier) and 15
+def test_a_gtea_step_is_341_nodes_and_every_layer_7():
+    """A gtea-preset training forward plus loss builds 341 graph nodes, of
+    which 8 are ``linear`` (each stage's projection and classifier), 15
     ``add`` (a stage's boundary term starts from its first layer's term, not
-    from a zero leaf). An encoder and a decoder layer are the same 7 nodes:
-    the resample, ``slot_project``, ``slot_softmax``, ``slot_mix``, two norms
-    and ``ffn_block``; a decoder's Q is a block of its projection node."""
+    from a zero leaf) and 24 ``mul`` (the boundary read renormalizes the sum
+    of its heads, with no 1/heads scale). A 50salads step at T=120, where
+    both boundary layers hold a frame with a full 51-slot window, is 397. An
+    encoder and a decoder layer are the same 7 nodes: the resample,
+    ``slot_project``, ``slot_softmax``, ``slot_mix``, two norms and
+    ``ffn_block``; a decoder's Q is a block of its projection node."""
     _, forward = gtea_step()
     _, loss = forward()
     ops = _op_counts(loss)
-    assert (sum(ops.values()), ops["linear"], ops["add"]) == (349, 8, 15), ops
+    assert (sum(ops.values()), ops["linear"], ops["add"], ops["mul"]) == (341, 8, 15, 24), ops
+    _, forward = gtea_step(frames=120, preset="50salads")
+    _, loss = forward()
+    ops = _op_counts(loss)
+    assert (sum(ops.values()), ops["linear"], ops["add"], ops["mul"]) == (397, 8, 15, 24), ops
     model_cfg, _, _ = build_configs("gtea", None, {})
     model_cfg = replace(model_cfg, input_dim=32, num_classes=5)
     params = N.init_params(model_cfg, T.SeedStreams(0))
