@@ -13,6 +13,6 @@ from .net import (
     save_checkpoint,
 )
 from .tensor import AdamState, SeedStreams, Tensor, adam_step
-from .trainer import TrainConfig, TrainState, ablate, evaluate_run, predict_sample, train
+from .trainer import TrainConfig, TrainState, ablate, predict_sample, train
 
 __version__ = "0.1.0"

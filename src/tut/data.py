@@ -326,7 +326,8 @@ def load_dataset(root, split_file, stride: int = 1) -> tuple[list[VideoSample], 
     read by ``VideoSample.load_features`` when a forward needs them.
     Feature/label length mismatches are resolved by truncating both to the
     shorter source length (with a warning) before striding; a missing or
-    damaged feature file, an unknown class name, or a feature file whose
+    damaged feature file, an unknown class name, a video the split lists
+    twice (``a`` and ``a.txt`` are one video), or a feature file whose
     width differs from the first file's is an error. A strided
     sample records its source length, so predictions can be restored to it.
     """
@@ -335,11 +336,15 @@ def load_dataset(root, split_file, stride: int = 1) -> tuple[list[VideoSample], 
     split_path = Path(split_file)
     if not split_path.is_absolute():
         split_path = root / split_file
-    video_ids = [
-        _clean_video_id(line)
-        for line in _read_text(split_path).splitlines()
-        if line.strip()
-    ]
+    video_ids: dict[str, int] = {}  # id -> the split line that lists it
+    for number, line in enumerate(_read_text(split_path).splitlines(), 1):
+        if not line.strip():
+            continue
+        vid = _clean_video_id(line)
+        if vid in video_ids:
+            raise DatasetError(f"{split_path}:{number}: video {vid!r} is listed again "
+                               f"(first at line {video_ids[vid]})")
+        video_ids[vid] = number
     if not video_ids:
         raise DatasetError(f"split {split_path} lists no videos")
     samples = []
@@ -379,20 +384,6 @@ def load_dataset(root, split_file, stride: int = 1) -> tuple[list[VideoSample], 
             path=feat_path, file_shape=(frames, dim),
         ))
     return samples, mapping
-
-
-# ---------------------------------------------------------------------------
-# restoring the source rate
-
-
-def upsample_predictions(labels, factor: int, original_len: int) -> np.ndarray:
-    """Repeat each prediction ``factor`` times, then trim or extend-by-last."""
-    labels = np.asarray(labels)
-    out = np.repeat(labels, factor)
-    if out.shape[0] >= original_len:
-        return out[:original_len]
-    pad = np.full(original_len - out.shape[0], out[-1] if out.size else 0, dtype=out.dtype)
-    return np.concatenate([out, pad])
 
 
 # ---------------------------------------------------------------------------

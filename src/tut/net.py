@@ -1,7 +1,8 @@
 """The segmentation model: per-stage projection -> halving encoder ->
 restoring decoder -> classifier, composed into one generation stage plus M
 refinement stages. A "standard" arm without temporal resampling is kept as
-an ablation baseline.
+an ablation baseline. Every layer attends through ``attend``, the
+``tensor`` slot kernels over its pattern's ``tensor.slot_layout``.
 
 Parameter names follow the checkpoint layout
 ``stage{s}.{enc|dec}{l}.{qkv|ffn1|ffn2|norm1|norm2|rpe}.{w|b}`` plus
@@ -27,9 +28,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import PATTERNS, attend, sinusoidal_encoding, slot_layout
 from .errors import CheckpointError, ConfigError, ShapeError
-from .tensor import SeedStreams, Tensor, downsample_nearest, upsample_nearest
+from .tensor import PATTERNS, SeedStreams, Tensor, downsample_nearest, slot_layout, upsample_nearest
 
 ARCHITECTURES = ("utrans", "standard")
 PE_MODES = ("none", "sinusoidal", "learnable", "relative")
@@ -185,7 +185,9 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def init_params(cfg: ModelConfig, streams: SeedStreams) -> dict[str, Tensor]:
-    """Weights ~ U(-1/sqrt(fan_in), +1/sqrt(fan_in)); gains 1; the rest 0.
+    """Weights ~ U(-1/sqrt(fan_in), +1/sqrt(fan_in)), every relative-position
+    table among them (fan_in w, whichever way it is shared); gains 1; the
+    rest 0.
 
     Each parameter draws from its own named stream, so changing the layer
     count or stage count never reshuffles the other parameters' draws.
@@ -195,7 +197,7 @@ def init_params(cfg: ModelConfig, streams: SeedStreams) -> dict[str, Tensor]:
     for name, shape in param_shapes(cfg).items():
         leaf = name.rsplit(".", 1)[-1]
         kind = name.rsplit(".", 2)[-2]
-        if kind == "rpe" or kind == "ape":
+        if kind == "ape":
             data = np.zeros(shape, dtype=dtype)
         elif kind in ("norm1", "norm2"):
             data = np.ones(shape, dtype=dtype) if leaf == "w" else np.zeros(shape, dtype=dtype)
@@ -217,6 +219,44 @@ def _norm(params, name: str, x: Tensor, residual: Tensor) -> Tensor:
     return T.instance_norm_temporal(
         x, params[f"{name}.w"], params[f"{name}.b"], NORM_EPS, residual=residual
     )
+
+
+def attend(
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor,
+    pattern: str,
+    window: int,
+    heads: int,
+    dropout: float = 0.0,
+    rpe: Tensor | None = None,
+    rng: np.random.Generator | None = None,
+    memory: Tensor | None = None,
+) -> tuple[Tensor, Tensor | None]:
+    """``heads``-head attention under ``pattern`` from the rows of ``x`` to
+    as many rows of ``memory``, or of x itself when it is None: the
+    ``slot_project`` -> ``slot_softmax`` -> ``slot_mix`` chain of the
+    shape's cached ``tensor.slot_layout``.
+
+    ``weight`` (d_in, 3d) projects Q from x and K and V from the key rows,
+    and ``bias`` (2d,) holds the Q and V biases (see ``slot_project``).
+    Returns the (T, d) output and the (T, heads, S) pre-dropout
+    probabilities, whose in-range slots of each row sum to 1 (slot j of row
+    i reads key i + offsets[j], or key j for full attention), for the
+    boundary loss to read; with no graph being built there is no loss, so
+    they are None and freed with the projection buffer before the layer's
+    FFN runs. Attention dropout at rate ``dropout`` draws from ``rng`` and
+    applies only when one is given.
+
+    Local rows see keys in [i - w//2, i + w//2], clamped: the softmax
+    normalizes over in-range slots only, and row j - i + w//2 of the
+    (w, heads) relative-position table ``rpe`` is added to the score
+    first. w >= 2T - 1 gives the same output as full attention.
+    """
+    layout = slot_layout(pattern, x.data.shape[0], window)
+    qkv = T.slot_project(x, weight, bias, layout, memory)
+    probs = T.slot_softmax(qkv, layout, heads, rpe)
+    return T.slot_mix(probs, qkv, layout, dropout, rng), probs if T.grad_enabled() else None
 
 
 def _layer(
@@ -269,6 +309,19 @@ def decoder_layer(
     target_len = h_enc_peer.data.shape[0]
     h1 = upsample_nearest(h_prev_dec, target_len) if cfg.architecture == "utrans" else h_prev_dec
     return _layer(h1, h_enc_peer, params, cfg, stage, "dec", layer, streams)
+
+
+def sinusoidal_encoding(length: int, dim: int, dtype=np.float64, start: int = 0) -> np.ndarray:
+    """Rows ``start`` to ``start + length`` of the fixed sin/cos position
+    table, shape (length, dim); each row depends only on its position."""
+    pos = np.arange(start, start + length, dtype=np.float64)[:, None]
+    half = (dim + 1) // 2
+    freq = np.exp(-math.log(10000.0) * (2.0 * np.arange(half) / dim))[None, :]
+    angles = pos * freq
+    table = np.zeros((length, dim), dtype=np.float64)
+    table[:, 0::2] = np.sin(angles)
+    table[:, 1::2] = np.cos(angles)[:, : dim // 2]
+    return table.astype(dtype)
 
 
 def _input_projection(params, cfg: ModelConfig, stage: int, x: Tensor, streams, start=0) -> Tensor:
@@ -454,12 +507,12 @@ def _read_checkpoint(path) -> tuple[dict, list[tuple[str, np.dtype, tuple, int]]
 
     The manifest is parsed with ``struct.unpack_from`` from one read of the
     file's first ``_MANIFEST_READ`` bytes (read on if it runs longer). Every
-    entry must have a known dtype code, and the payloads must follow the
-    manifest back to back, in entry order, up to the end of the file (so a
-    truncated, padded or mis-pointing file is rejected). The payloads are
-    then read with one ``readinto`` into one buffer, placed so that the
-    first payload wider than a byte starts on a ``_PAYLOAD_ALIGN`` boundary:
-    tensors of one dtype then all sit aligned. Returns the config, the
+    entry must have a name no other entry has and a known dtype code, and
+    the payloads must follow the manifest back to back, in entry order, up
+    to the end of the file (so a truncated, padded or mis-pointing file is
+    rejected). The payloads are then read with one ``readinto`` into one
+    buffer, placed so that the first payload wider than a byte starts on a
+    ``_PAYLOAD_ALIGN`` boundary: tensors of one dtype then all sit aligned. Returns the config, the
     (name, dtype, shape, offset) entries and, in entry order, each payload
     as a C-contiguous view of that buffer.
     """
@@ -482,6 +535,7 @@ def _read_checkpoint(path) -> tuple[dict, list[tuple[str, np.dtype, tuple, int]]
 
         (count,) = take("<I")
         entries = []
+        names = set()
         for _ in range(count):
             # per entry: name length, then name, dtype code and rank, then dims and offset
             (name_len,) = take("<H")
@@ -491,6 +545,9 @@ def _read_checkpoint(path) -> tuple[dict, list[tuple[str, np.dtype, tuple, int]]
                 name = name.decode()
             except UnicodeDecodeError:
                 raise CheckpointError(f"{path}: entry name is not UTF-8") from None
+            if name in names:
+                raise CheckpointError(f"{path}: entry {name} is listed twice")
+            names.add(name)
             shape = tuple(shape)
             if code not in _CODE_DTYPES:
                 raise CheckpointError(f"{path}: entry {name} has unknown dtype code {code}")

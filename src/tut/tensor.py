@@ -62,6 +62,7 @@ import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -592,13 +593,16 @@ def _masked(a: Array, mask) -> Array:
 # slot attention kernels
 #
 # Query row i, head h, slot j looks at key row i + offsets[j]; with no
-# offsets, slot j is key j and every row reads every key. Queries and keys
-# have one length. ``slot_project`` writes the Q|K|V projection (Q of the
-# query rows, K|V of the key rows) into one buffer whose rows sit between
-# zero rows, so the other kernels read the keys and values through a
-# sliding-window view of its rows: an ascending contiguous band (the local
-# window) is that view itself, with no copy, and any other offsets index it
-# once, in forward and again in backward, so no node keeps that copy.
+# offsets, slot j is key j and every row reads every key. ``slot_offsets``
+# gives each attention pattern's offsets, and ``slot_layout`` the cached
+# ``SlotLayout`` of one (pattern, length, window). Queries and keys have one
+# length. Out-of-range slots score ``MASK_VALUE`` before the softmax.
+# ``slot_project`` writes the Q|K|V projection (Q of the query rows, K|V of
+# the key rows) into one buffer whose rows sit between zero rows, so the
+# other kernels read the keys and values through a sliding-window view of
+# its rows: an ascending contiguous band (the local window) is that view
+# itself, with no copy, and any other offsets index it once, in forward and
+# again in backward, so no node keeps that copy.
 # Only ``_slot_dot`` (scores; the mix's dp), ``_slot_sum`` (the mix; the
 # scores' dq) and ``_fold_slots`` (dk, dv) tell full attention, head-batched
 # (heads, T, ·) matmuls, from a window, whose fold adds one shifted slice
@@ -615,19 +619,17 @@ class SlotLayout:
     """Which key row each slot of each query row reads, for one shape.
 
     It depends only on the offsets and the ``length`` that queries and keys
-    share, so one layout serves every call of that shape
-    (``attention.slot_layout`` caches them) and its arrays are read-only.
-    ``offsets`` (S,) is None for full attention, where slot j is key j.
-    ``offset_list`` holds the offsets as python ints, ``lo``/``hi`` span
-    them and 0, and ``band`` says they are lo..hi in order. Only the rows
-    of ``edges`` (a leading and a trailing slice) can read an out-of-range
+    share, so one layout serves every call of that shape (``slot_layout``
+    caches them) and its arrays are read-only. ``offsets`` (S,) is None for
+    full attention, where slot j is key j. ``lo``/``hi`` span the offsets
+    and 0, and ``band`` says they are lo..hi in order. Only the rows of
+    ``edges`` (a leading and a trailing slice) can read an out-of-range
     key; ``outside`` holds, per edge, a boolean (rows, S) table of the slots
     that do, whatever the scores' dtype.
     """
 
     length: int
     offsets: Array | None = None
-    offset_list: tuple[int, ...] = ()
     lo: int = 0
     hi: int = 0
     band: bool = False
@@ -636,7 +638,7 @@ class SlotLayout:
 
     @property
     def slots(self) -> int:
-        return self.length if self.offsets is None else len(self.offset_list)
+        return self.length if self.offsets is None else len(self.offsets)
 
     @property
     def pad(self) -> int:
@@ -646,10 +648,7 @@ class SlotLayout:
     @property
     def padded_rows(self) -> int:
         """Rows of a ``slot_project`` buffer: every row, with -lo zero rows
-        before them and hi after. Full attention reads no window, so its
-        buffer is the rows alone."""
-        if self.offsets is None:
-            return self.length
+        before them and hi after (none for full attention)."""
         return -self.lo + self.length + self.hi
 
     @classmethod
@@ -666,7 +665,38 @@ class SlotLayout:
         edges = (slice(0, lead), slice(max(lead, length - hi), length))
         outside = tuple(_frozen((keys[rows] < 0) | (keys[rows] >= length)) for rows in edges)
         band = offs == tuple(range(lo, hi + 1))
-        return cls(length, offsets, offs, lo, hi, band, edges, outside)
+        return cls(length, offsets, lo, hi, band, edges, outside)
+
+
+PATTERNS = ("full", "local", "logsparse")
+
+
+def slot_offsets(pattern: str, length: int, window: int) -> Array | None:
+    """Key offset of each slot under ``pattern``, for queries and keys of
+    ``length`` rows:
+
+    - local: -w//2..w//2, the banded sliding-window attention of Longformer
+      (Beltagy et al., arXiv:2004.05150);
+    - logsparse: [0, -1, +1, -2, +2, -4, +4, ...] up to length - 1, O(log T)
+      slots per row (Li et al., arXiv:1907.00235);
+    - full: None, every key.
+    """
+    if pattern == "full":
+        return None
+    if pattern == "local":
+        return np.arange(-(window // 2), window // 2 + 1)
+    offsets = [0]
+    off = 1
+    while off <= length - 1:
+        offsets.extend((-off, off))
+        off *= 2
+    return np.array(offsets)
+
+
+@lru_cache(maxsize=64)  # a video needs one shape per U-level; keep several videos'
+def slot_layout(pattern: str, length: int, window: int) -> SlotLayout:
+    """The shared, read-only slot layout of one attention shape."""
+    return SlotLayout.build(slot_offsets(pattern, length, window), length)
 
 
 def _check_fits(layout: SlotLayout, length: int, qkv: Tensor):
@@ -726,7 +756,7 @@ def _fold_slots(coeff: Array, rows3: Array, layout: SlotLayout, into: Array):
         return
     # the slots add into contiguous rows, and the strided block takes one add
     padded = np.zeros((into.shape[0], heads, rows3.shape[2]), dtype=rows3.dtype)
-    for j, off in enumerate(layout.offset_list):
+    for j, off in enumerate(layout.offsets.tolist()):
         padded[off - layout.lo : off - layout.lo + t] += coeff[:, :, j, None] * rows3
     into += padded.reshape(into.shape)
 

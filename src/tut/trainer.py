@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as M
-from .data import ClassMapping, VideoSample, upsample_predictions
+from .data import ClassMapping, VideoSample
 from .errors import ConfigError, DatasetError, NumericError, TrainingDiverged
 from .losses import BA_DISTANCES, check_boundary_loss, total_loss
 from .net import (
@@ -27,7 +27,7 @@ from .net import (
     count_attention_entries,
     final_prediction,
     init_params,
-    load_checkpoint,
+    load_checkpoint,  # no caller here; perfbench's tracer patches trainer.load_checkpoint by name
     model_forward,
     save_checkpoint,
 )
@@ -205,10 +205,9 @@ def predict_sample(params: dict[str, Tensor], cfg: ModelConfig, sample: VideoSam
 
 
 def restore_source_rate(labels: np.ndarray, sample: VideoSample) -> np.ndarray:
-    """Repeat each strided prediction over the source frames it stands for."""
-    if sample.stride == 1:
-        return labels
-    return upsample_predictions(labels, sample.stride, sample.source_len)
+    """Repeat each strided prediction over the source frames it stands for;
+    the ceil(source_len / stride) labels of a strided sample cover them all."""
+    return np.repeat(labels, sample.stride)[: sample.source_len]
 
 
 def evaluate_model(
@@ -221,16 +220,6 @@ def evaluate_model(
     predictions = {s.video_id: predict_sample(params, cfg, s) for s in samples}
     pairs = [(predictions[s.video_id], s.labels) for s in samples]
     return M.evaluate_corpus(pairs, thresholds, ignored_classes), predictions
-
-
-def evaluate_run(
-    checkpoint_path,
-    samples: list[VideoSample],
-    thresholds=M.DEFAULT_THRESHOLDS,
-    ignored_classes=(),
-) -> tuple[M.EvalReport, dict[str, np.ndarray]]:
-    params, cfg = load_checkpoint(checkpoint_path)
-    return evaluate_model(params, cfg, samples, thresholds, ignored_classes)
 
 
 def segments_csv(labels, mapping: ClassMapping | None = None) -> str:

@@ -32,7 +32,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from tut import attention as A
 from tut import losses as L
 from tut import metrics as M
 from tut import net as N
@@ -356,7 +355,7 @@ def _split_heads(x, heads: int):
 
 
 def attention_loop(q, k, v, pattern, window, heads, dropout=0.0, rpe=None, rng=None):
-    """``attention.attend`` computed one head at a time from small graph ops.
+    """``net.attend`` computed one head at a time from small graph ops.
 
     Full attention is a (T, T) matmul per head. The slotted patterns gather
     each slot's key row (clamped into range) and mask out-of-range slots
@@ -366,7 +365,7 @@ def attention_loop(q, k, v, pattern, window, heads, dropout=0.0, rpe=None, rng=N
     t_q, dim = q.data.shape
     head_dim = dim // heads
     scale = 1.0 / math.sqrt(head_dim)
-    offsets = A.slot_offsets(pattern, t_q, window)
+    offsets = T.slot_offsets(pattern, t_q, window)
     if offsets is not None:
         keys = np.arange(t_q)[:, None] + offsets[None, :]
         flat_idx = np.clip(keys, 0, t_q - 1).reshape(-1)
@@ -406,7 +405,7 @@ def attend_composed(q, k, v, pattern, window, heads, dropout=0.0, rpe=None, rng=
     mix. Returns the output and the pre-dropout probabilities."""
     if k.data.shape[0] != v.data.shape[0]:
         raise ShapeError(f"key/value lengths differ: {k.data.shape[0]} vs {v.data.shape[0]}")
-    layout = A.slot_layout(pattern, q.data.shape[0], window)
+    layout = T.slot_layout(pattern, q.data.shape[0], window)
     probs = slot_softmax_plain(q, k, layout, heads, rpe)
     p_used = probs if rng is None else T.dropout(probs, dropout, rng, draw_axes=(1, 0, 2))
     return slot_mix_plain(p_used, v, layout), probs
@@ -782,7 +781,7 @@ def lad_rows_averaged(probs, frames, attention: str, window: int):
 def valid_key_sets(probs, layout) -> list[set[int]]:
     """Key indices per query row that head 0 of ``attend``'s (T_q, heads, S)
     probabilities gives weight, read through the layout they were computed
-    with (``attention.slot_layout``); a masked slot holds exactly 0."""
+    with (``tensor.slot_layout``); a masked slot holds exactly 0."""
     sets = []
     for i, row in enumerate(probs.data[:, 0]):
         slots = np.flatnonzero(row > 0)
@@ -834,7 +833,7 @@ def boundary_alignment(params, cfg, samples) -> float | None:
 
 
 def attend_qkv(q, k, v, pattern, window, heads, dropout=0.0, rpe=None, rng=None, cross=False):
-    """``attention.attend`` on given queries, keys and values of one length.
+    """``net.attend`` on given queries, keys and values of one length.
     They are columns of its input rows, and a zero-bias identity projection
     gives them back exactly, so their gradients reach q, k and v. It runs
     self-attention on [q | k | v], or with ``cross`` [q | 0 | 0] attends to
@@ -844,7 +843,7 @@ def attend_qkv(q, k, v, pattern, window, heads, dropout=0.0, rpe=None, rng=None,
     zero = T.Tensor(np.zeros(2 * dim, dtype=dtype))
     settings = dict(dropout=dropout, rpe=rpe, rng=rng)
     if not cross:
-        return A.attend(T.concat_cols([q, k, v]), eye, zero, pattern, window, heads, **settings)
+        return N.attend(T.concat_cols([q, k, v]), eye, zero, pattern, window, heads, **settings)
     blank = T.Tensor(np.zeros(q.data.shape, dtype=dtype))
     x, memory = T.concat_cols([q, blank, blank]), T.concat_cols([blank, k, v])
-    return A.attend(x, eye, zero, pattern, window, heads, memory=memory, **settings)
+    return N.attend(x, eye, zero, pattern, window, heads, memory=memory, **settings)

@@ -27,7 +27,6 @@ from _oracles import (
     tensor,
     valid_key_sets,
 )
-from tut import attention as A
 from tut import data as D
 from tut import losses as L
 from tut import net as N
@@ -234,11 +233,11 @@ def test_c01_gradient_suite():
         cfg = dict(pattern=pattern, window=3, heads=2)
 
         def att_f(xv, mv, wv, bv, cfg=cfg):
-            out, _ = A.attend(tensor(xv), tensor(wv), tensor(bv), **cfg, memory=tensor(mv))
+            out, _ = N.attend(tensor(xv), tensor(wv), tensor(bv), **cfg, memory=tensor(mv))
             return float((out.data * wt).sum())
 
         leaves = [tensor(a, requires_grad=True) for a in (q0, k0, wq, bq)]
-        out, _ = A.attend(leaves[0], leaves[2], leaves[3], **cfg, memory=leaves[1])
+        out, _ = N.attend(leaves[0], leaves[2], leaves[3], **cfg, memory=leaves[1])
         T.sum_all(T.mul(out, tensor(wt))).backward()
         check(f"attention.{pattern}", att_f, [a.data for a in leaves], [a.grad for a in leaves])
 
@@ -251,7 +250,7 @@ def test_c01_gradient_suite():
     srng = np.random.default_rng(6)
     slot_cases = []
     for name, offsets, rpe in (
-        ("local", A.slot_offsets("local", 7, 5), True),
+        ("local", T.slot_offsets("local", 7, 5), True),
         ("logsparse", np.array([0, -1, 1, -2, 2, -4, 4]), True),
         ("full", None, False),
     ):
@@ -410,7 +409,7 @@ def test_c02_attention_oracles():
     for t in range(1, 65):
         q, k, v = (tensor(rng.standard_normal((t, 2))) for _ in range(3))
         _, probs = attend_qkv(q, k, v, "logsparse", 51, 1)
-        for i, got in enumerate(valid_key_sets(probs, A.slot_layout("logsparse", t, 51))):
+        for i, got in enumerate(valid_key_sets(probs, T.slot_layout("logsparse", t, 51))):
             if got != logsparse_key_set(t, i):
                 sets_ok = False
     report(

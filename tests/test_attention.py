@@ -15,7 +15,6 @@ from _oracles import (
     tensor,
     valid_key_sets,
 )
-from tut import attention as A
 from tut import net as N
 from tut import tensor as T
 from tut.errors import ConfigError, ShapeError
@@ -35,7 +34,7 @@ def test_single_key_is_identity():
     q, k, v = rand_qkv(rng, 1, 4)
     out, probs = attend_qkv(q, k, v, **cfg_for("local", window=7, heads=2))
     np.testing.assert_allclose(out.data, v.data, atol=1e-12)
-    valid = in_range_mask(A.slot_layout("local", 1, 7).offsets, 1)
+    valid = in_range_mask(T.slot_layout("local", 1, 7).offsets, 1)
     np.testing.assert_allclose(probs.data[0, 0, valid[0]], [1.0])
 
 
@@ -43,7 +42,7 @@ def test_window_clamping_key_sets():
     rng = np.random.default_rng(1)
     q, k, v = rand_qkv(rng, 4, 2)
     _, probs = attend_qkv(q, k, v, **cfg_for("local", window=3))
-    sets = valid_key_sets(probs, A.slot_layout("local", 4, 3))
+    sets = valid_key_sets(probs, T.slot_layout("local", 4, 3))
     assert sets[0] == {0, 1}
     assert sets[2] == {1, 2, 3}
 
@@ -88,7 +87,7 @@ def test_kv_length_mismatch_raises():
     # is not the queries' is refused before anything is read
     rng = np.random.default_rng(5)
     w, b = tensor(rng.standard_normal((2, 6))), tensor(np.zeros(4))
-    layout = A.slot_layout("local", 4, 3)
+    layout = T.slot_layout("local", 4, 3)
     x, memory = (tensor(rng.standard_normal((rows, 2))) for rows in (4, 3))
     with pytest.raises(ShapeError, match="does not fit"):
         T.slot_project(x, w, b, layout, memory)
@@ -99,7 +98,7 @@ def test_logsparse_key_sets_match_enumeration():
     for t in range(1, 65):
         q, k, v = rand_qkv(rng, t, 2)
         _, probs = attend_qkv(q, k, v, **cfg_for("logsparse"))
-        sets = valid_key_sets(probs, A.slot_layout("logsparse", t, 3))
+        sets = valid_key_sets(probs, T.slot_layout("logsparse", t, 3))
         bound = 2 * int(np.ceil(np.log2(t))) + 1 if t > 1 else 1
         for i in range(t):
             assert sets[i] == logsparse_key_set(t, i)
@@ -110,7 +109,7 @@ def test_logsparse_t9_example_and_t1():
     rng = np.random.default_rng(7)
     q, k, v = rand_qkv(rng, 9, 2)
     _, probs = attend_qkv(q, k, v, **cfg_for("logsparse"))
-    assert valid_key_sets(probs, A.slot_layout("logsparse", 9, 3))[4] == {4, 3, 5, 2, 6, 0, 8}
+    assert valid_key_sets(probs, T.slot_layout("logsparse", 9, 3))[4] == {4, 3, 5, 2, 6, 0, 8}
     q1, k1, v1 = rand_qkv(rng, 1, 2)
     out, _ = attend_qkv(q1, k1, v1, **cfg_for("logsparse"))
     np.testing.assert_allclose(out.data, v1.data, atol=1e-12)
@@ -121,7 +120,7 @@ def test_rows_sum_to_one_all_patterns():
     for pattern in ("full", "local", "logsparse"):
         q, k, v = rand_qkv(rng, 11, 4)
         _, probs = attend_qkv(q, k, v, **cfg_for(pattern, window=5, heads=2))
-        offsets = A.slot_layout(pattern, 11, 5).offsets
+        offsets = T.slot_layout(pattern, 11, 5).offsets
         valid = True if offsets is None else in_range_mask(offsets, 11)[:, None, :]
         sums = np.where(valid, probs.data, 0.0).sum(axis=2)
         np.testing.assert_allclose(sums, 1.0, atol=1e-5)
@@ -292,7 +291,7 @@ def test_slot_kernels_match_per_call_oracle_bytes(dtype, pattern, use_rpe):
     heads, d_in = 2, 5
     dim = 3 * heads
     for (t, w, cross), drop in itertools.product(SLOT_SHAPES, (False, True)):
-        layout = A.slot_layout(pattern, t, w)
+        layout = T.slot_layout(pattern, t, w)
         shapes = ((t, d_in), (t, d_in), (d_in, 3 * dim), (2 * dim,), (layout.slots, heads))
         arrays = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
         w_probs = tensor(rng.standard_normal((t, heads, layout.slots)).astype(dtype))
@@ -320,7 +319,7 @@ def test_slot_project_rows_are_the_linear_bytes_between_zero_rows(dtype):
     columns are x's and its K|V columns the memory's."""
     rng = np.random.default_rng(21)
     for pattern, (t, w, _) in itertools.product(("local", "logsparse", "full"), SLOT_SHAPES):
-        layout = A.slot_layout(pattern, t, w)
+        layout = T.slot_layout(pattern, t, w)
         x, memory = (tensor(rng.standard_normal((t, 7)).astype(dtype)) for _ in range(2))
         weight, bias = (rng.standard_normal(s).astype(dtype) for s in ((7, 12), (8,)))
         qkv_bias = np.concatenate([bias[:4], np.zeros(4, dtype), bias[4:]])
@@ -346,10 +345,10 @@ def test_slot_kernels_reject_a_layout_built_for_other_lengths(pattern):
     rng = np.random.default_rng(20)
     x = tensor(rng.standard_normal((6, 3)))
     w, b = tensor(rng.standard_normal((3, 12))), tensor(rng.standard_normal(8))
-    built = A.slot_layout(pattern, 6, 3)
+    built = T.slot_layout(pattern, 6, 3)
     qkv = T.slot_project(x, w, b, built)
     for t in (5, 7):
-        layout = A.slot_layout(pattern, t, 3)
+        layout = T.slot_layout(pattern, t, 3)
         with pytest.raises(ShapeError, match="does not fit"):
             T.slot_project(x, w, b, layout)
         with pytest.raises(ShapeError, match="does not fit"):
@@ -362,14 +361,14 @@ def test_slot_kernels_reject_a_layout_built_for_other_lengths(pattern):
 
 
 def test_slot_layout_is_shared_read_only_and_masks_only_edge_rows():
-    layout = A.slot_layout("local", 10, 5)
-    assert A.slot_layout("local", 10, 5) is layout
+    layout = T.slot_layout("local", 10, 5)
+    assert T.slot_layout("local", 10, 5) is layout
     assert layout.edges == (slice(0, 2), slice(8, 10))  # w//2 rows at each end
     assert [t.dtype for t in layout.outside] == [np.dtype(bool)] * 2  # one table for every dtype
     for arr in (layout.offsets, *layout.outside):
         with pytest.raises(ValueError):
             arr[...] = 0
-    full = A.slot_layout("full", 9, 5)
+    full = T.slot_layout("full", 9, 5)
     assert full.offsets is None and full.slots == 9
     assert full.edges == () and full.outside == ()
     rng = np.random.default_rng(19)
@@ -377,7 +376,7 @@ def test_slot_layout_is_shared_read_only_and_masks_only_edge_rows():
     for pattern, (t, w), dtype in itertools.product(
         ("local", "logsparse"), shapes, (np.float32, np.float64)
     ):
-        layout = A.slot_layout(pattern, t, w)
+        layout = T.slot_layout(pattern, t, w)
         scores = rng.standard_normal((t, 3, layout.slots)).astype(dtype)
         valid = in_range_mask(layout.offsets, t)
         want = scores + np.where(valid, dtype(0.0), dtype(T.MASK_VALUE))[:, None, :]
@@ -394,7 +393,7 @@ def test_attention_dropout_record_keeps_predrop_rows():
     cfg = cfg_for("local", window=5, heads=1, dropout=0.5)
     stream = np.random.default_rng(0)
     _, probs = attend_qkv(q, k, v, **cfg, rng=stream)
-    valid = in_range_mask(A.slot_layout("local", 12, 5).offsets, 12)
+    valid = in_range_mask(T.slot_layout("local", 12, 5).offsets, 12)
     sums = np.where(valid, probs.data[:, 0], 0.0).sum(axis=1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-6)
 
@@ -405,20 +404,20 @@ def test_cross_attention_lengths():
     rng = np.random.default_rng(16)
     x, memory = (tensor(rng.standard_normal((10, 3))) for _ in range(2))
     w, b = tensor(rng.standard_normal((3, 12))), tensor(rng.standard_normal(8))
-    out, probs = A.attend(x, w, b, **cfg_for("local", window=3, heads=2), memory=memory)
+    out, probs = N.attend(x, w, b, **cfg_for("local", window=3, heads=2), memory=memory)
     assert out.data.shape == (10, 4)
-    assert probs.data.shape == (10, 2, A.slot_layout("local", 10, 3).slots)
+    assert probs.data.shape == (10, 2, T.slot_layout("local", 10, 3).slots)
 
 
 def test_slot_count_formula():
-    assert A.slot_layout("local", 100, 7).slots == 7
-    assert A.slot_layout("full", 100, 7).slots == 100
-    assert A.slot_layout("logsparse", 64, 7).slots == 13
-    assert A.slot_layout("logsparse", 1, 7).slots == 1
+    assert T.slot_layout("local", 100, 7).slots == 7
+    assert T.slot_layout("full", 100, 7).slots == 100
+    assert T.slot_layout("logsparse", 64, 7).slots == 13
+    assert T.slot_layout("logsparse", 1, 7).slots == 1
 
 
 def test_sinusoidal_encoding_shape_and_range():
-    table = A.sinusoidal_encoding(20, 7)
+    table = N.sinusoidal_encoding(20, 7)
     assert table.shape == (20, 7)
     assert np.max(np.abs(table)) <= 1.0
     assert not np.allclose(table[1], table[2])

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -714,6 +715,47 @@ def _not_utf8(command, name):
     return make_argv
 
 
+def _split_lists_a_video_twice(command):
+    """``command`` on a split that lists ``synth000`` again as
+    ``synth000.txt``: the error names the split's line and the first one, and
+    no ``--out`` is made."""
+    def make_argv(trained, synth_root, tmp_path):
+        root = _synth(tmp_path / "twice")
+        split = root / "splits" / "all.bundle"
+        lines = split.read_text().splitlines()
+        split.write_text("\n".join([*lines, "", "synth000.txt"]) + "\n")
+        first = lines.index("synth000") + 1
+        make_argv.names = (
+            f"twice/splits/all.bundle:{len(lines) + 2}: video 'synth000' is listed again "
+            f"(first at line {first})",
+        )
+        argv = [command, "--data-root", str(root), "--out", str(tmp_path / "out")]
+        if command == "train":
+            return [*argv, "--seed", "1", "--epochs", "1", *SMALL_MODEL]
+        return [*argv, "--checkpoint", str(trained / "checkpoint.ckpt")]
+
+    make_argv.makes_no_out = True
+    return make_argv
+
+
+def _checkpoint_entry_twice(command):
+    """``command`` on a checkpoint that lists ``stage0.cls.b`` twice: the
+    error names the file and the entry, and eval makes no ``--out``."""
+    def make_argv(trained, synth_root, tmp_path):
+        params, cfg = load_checkpoint(trained / "checkpoint.ckpt")
+        path = tmp_path / "twice.ckpt"
+        pairs = [*params.items(), ("stage0.cls.b", params["stage0.cls.b"])]
+        save_checkpoint(path, SimpleNamespace(items=lambda: pairs), cfg)
+        if command == "inspect-checkpoint":
+            return [command, str(path)]
+        return [command, "--data-root", str(synth_root), "--out", str(tmp_path / "out"),
+                "--checkpoint", str(path)]
+
+    make_argv.names = ("twice.ckpt: entry stage0.cls.b is listed twice",)
+    make_argv.makes_no_out = command == "eval"
+    return make_argv
+
+
 def _sample_rate(rate):
     # a rate below 1 would divide by zero in the strided read
     def make_argv(trained, synth_root, tmp_path):
@@ -768,6 +810,8 @@ def _sample_rate(rate):
      _short_video("train"), _short_video("eval"),
      _not_utf8("train", "mapping.txt"), _not_utf8("eval", "groundTruth/synth000.txt"),
      _not_utf8("train", "splits/all.bundle"),
+     _split_lists_a_video_twice("train"), _split_lists_a_video_twice("eval"),
+     _checkpoint_entry_twice("inspect-checkpoint"), _checkpoint_entry_twice("eval"),
      _bad_synth("--min-segments", "0", names=("min_segments",)),
      _bad_synth("--min-len", "2", "--max-len", "2", "--min-segments", "3", names=("min_len=2",)),
      _bad_synth("--classes", "1", "--min-segments", "2", names=("one class",)),
@@ -794,6 +838,8 @@ def _sample_rate(rate):
          "HiddenDimNegative", "HiddenDimRefineZero", "HeadsNotDividing", "ConfigLrNan",
          "TrainShortVideo", "EvalShortVideo",
          "MappingNotUtf8", "GroundTruthNotUtf8", "SplitNotUtf8",
+         "TrainSplitVideoTwice", "EvalSplitVideoTwice",
+         "InspectCheckpointEntryTwice", "EvalCheckpointEntryTwice",
          "SynthMinSegmentsZero", "SynthMoreSegmentsThanFrames", "SynthOneClassTwoSegments",
          "SynthNoiseNan", "SynthSeedNegative"],
 )

@@ -13,6 +13,7 @@ from tut import data as D
 from tut import losses as L
 from tut import metrics as M
 from tut.errors import DatasetError
+from tut.trainer import restore_source_rate
 
 
 def test_feature_file_roundtrip(tmp_path):
@@ -422,9 +423,28 @@ def test_resample_and_upsample_predictions(tmp_path):
     np.testing.assert_array_equal(half.load_features()[:, 0], [0, 4, 8])
     assert half.source_len == 6 and half.stride == 2
 
-    np.testing.assert_array_equal(D.upsample_predictions([0, 1], 2, 4), [0, 0, 1, 1])
-    np.testing.assert_array_equal(D.upsample_predictions([0, 1, 2], 2, 5), [0, 0, 1, 1, 2])
-    np.testing.assert_array_equal(D.upsample_predictions([0, 1], 2, 5), [0, 0, 1, 1, 1])
+
+@pytest.mark.parametrize("frames", [5, 6, 7])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_restore_source_rate_gives_every_source_frame_its_strided_label(tmp_path, stride, frames):
+    """A strided sample holds ceil(frames / stride) labels; each covers the
+    ``stride`` source frames from its own, and the last is cut at the
+    source length."""
+    write_toy_dataset(tmp_path, {"v": ["a"] * frames}, d=2)
+    (sample,), _ = D.load_dataset(tmp_path, "splits/all.bundle", stride=stride)
+    assert sample.num_frames == -(-frames // stride)
+    restored = restore_source_rate(np.arange(sample.num_frames), sample)
+    np.testing.assert_array_equal(restored, np.arange(frames) // stride)
+
+
+def test_a_video_the_split_lists_twice_names_the_split_line(tmp_path):
+    """``v1`` and ``v1.txt`` are one video; a blank line still counts."""
+    write_toy_dataset(tmp_path, {"v1": ["a", "b"], "v2": ["a", "b"]})
+    split = tmp_path / "splits" / "all.bundle"
+    split.write_text("v1.txt\n\nv2\n v1 \n")
+    message = f"{split}:4: video 'v1' is listed again (first at line 1)"
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        D.load_dataset(tmp_path, "splits/all.bundle")
 
 
 def test_synth_spec_checks_itself_when_built_and_is_frozen():

@@ -1,7 +1,9 @@
 import dataclasses
+import json
 import re
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from _oracles import (
     save_checkpoint_copying,
     tensor,
 )
-from tut import attention as A
 from tut import data as D
 from tut import net as N
 from tut import tensor as T
@@ -149,7 +150,7 @@ def test_decoder_constant_kv_is_convex_combination(monkeypatch):
     out, probs = N.decoder_layer(h_prev, peer, params, cfg, stage=0, layer=1)
     h1 = N.upsample_nearest(h_prev, 6)
     np.testing.assert_allclose(out.data - h1.data, np.tile(const_row, (6, 1)), atol=1e-10)
-    slots = A.slot_layout(cfg.attention, 6, cfg.window).slots
+    slots = T.slot_layout(cfg.attention, 6, cfg.window).slots
     assert probs.data.shape == (6, cfg.heads, slots)
 
 
@@ -204,7 +205,7 @@ def test_training_records_are_the_nodes_attend_returned(monkeypatch):
         assert enc_first is stage[0] and dec_last is stage[-1]
         for probs, t in ((enc_first, 12), (dec_last, 24)):
             assert probs.requires_grad and probs.data.shape == (t, cfg.heads, cfg.window)
-            valid = in_range_mask(A.slot_layout("local", t, cfg.window).offsets, t)
+            valid = in_range_mask(T.slot_layout("local", t, cfg.window).offsets, t)
             sums = np.where(valid[:, None, :], probs.data, 0.0).sum(axis=2)
             np.testing.assert_allclose(sums, 1.0, atol=1e-6)
 
@@ -230,7 +231,7 @@ def test_fused_layer_matches_the_composed_layer_bytes(dtype, arch, pattern, code
         t_prev = (t + 1) // 2 if arch == "utrans" and coder == "dec" else t
         arrays = [rng.standard_normal((rows, 8)).astype(cfg.np_dtype) for rows in (t_prev, t)]
         w_out = T.Tensor(rng.standard_normal((t_out, 8)).astype(cfg.np_dtype))
-        slots = A.slot_layout(pattern, t_out, cfg.window).slots
+        slots = T.slot_layout(pattern, t_out, cfg.window).slots
         w_probs = T.Tensor(rng.standard_normal((t_out, cfg.heads, slots)).astype(cfg.np_dtype))
         results = []
         for fused in (True, False):
@@ -340,6 +341,22 @@ def test_rpe_sharing_table_counts():
     assert sorted(names) == ["rpe.scale0.w", "rpe.scale1.w", "rpe.scale2.w"]
     assert N.rpe_param_name(cfg, 0, "enc", 1) == N.rpe_param_name(cfg, 1, "enc", 1)
     assert N.rpe_param_name(cfg, 0, "enc", 1) == N.rpe_param_name(cfg, 0, "dec", 1)
+
+
+@pytest.mark.parametrize("share", N.RPE_SHARES)
+def test_every_rpe_table_draws_one_init_whatever_its_sharing(share):
+    """Each relative-position table draws U(+-1/sqrt(w)) from its own
+    stream, as a weight does, so the sharing ablation does not also change
+    how its tables start."""
+    cfg = tiny_cfg(rpe_share=share, window=5)
+    params = build(cfg, seed=4)
+    streams = T.SeedStreams(4)
+    tables = [n for n in params if ".rpe." in n or n.startswith("rpe.")]
+    assert tables
+    bound = 1.0 / np.sqrt(cfg.window)
+    for name in tables:
+        want = streams.stream(f"init:{name}").uniform(-bound, bound, (cfg.window, cfg.heads))
+        assert params[name].data.tobytes() == want.tobytes(), name
 
 
 def test_positional_modes_forward():
@@ -767,6 +784,26 @@ def test_unknown_dtype_code_and_bad_config_raise_checkpoint_error(tmp_path):
     path.write_bytes(raw[:config_at] + b"\xff" + raw[config_at + 1 :])
     with pytest.raises(CheckpointError, match="config"):
         N.read_manifest(path)
+
+
+@pytest.mark.parametrize("name", ["stage0.cls.b", "meta.config"])
+def test_a_checkpoint_that_names_an_entry_twice_raises_naming_it(name, tmp_path):
+    """A second copy of a tensor would silently replace the first, and a
+    second config would be ignored: both are refused, naming the entry."""
+    path = tmp_path / "model.ckpt"
+    cfg = tiny_cfg(dtype="f32")
+    params = build(cfg, seed=5)
+    if name == "meta.config":
+        blob = json.dumps(dataclasses.asdict(cfg), sort_keys=True).encode()
+        second = T.Tensor(np.frombuffer(blob, dtype=np.uint8))
+    else:
+        second = T.Tensor(np.full_like(params[name].data, 5.0))
+    pairs = [*params.items(), (name, second)]  # save_checkpoint reads only params.items()
+    N.save_checkpoint(path, SimpleNamespace(items=lambda: pairs), cfg)
+    message = f"{path}: entry {name} is listed twice"
+    for reader in (N.read_manifest, N.load_checkpoint):
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            reader(path)
 
 
 class _CountedReads:

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import io
 import re
+import shutil
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -115,7 +116,7 @@ def test_checkpoint_roundtrip_same_report(tmp_path):
     direct, _ = TR.evaluate_model(result.params, cfg, samples)
     path = tmp_path / "m.ckpt"
     N.save_checkpoint(path, result.params, cfg)
-    loaded, _ = TR.evaluate_run(path, samples)
+    loaded, _ = TR.evaluate_model(*N.load_checkpoint(path), samples)
     assert direct.acc == loaded.acc
     assert direct.edit == loaded.edit
     assert direct.f1 == loaded.f1
@@ -924,7 +925,8 @@ def test_predict_on_a_held_sample_gives_the_whole_array_labels(monkeypatch, pe_m
 
 def write_toy_dataset_lengths(root, lengths, dim, names):
     """Videos v0, v1, ... of the given lengths cycling through ``names``;
-    split ``all`` lists them all and ``largest`` the longest one twice."""
+    split ``all`` lists them all and ``largest`` the longest one twice, the
+    second time as a copy under its own id."""
     for sub in ("groundTruth", "features", "splits"):
         (root / sub).mkdir(parents=True, exist_ok=True)
     (root / "mapping.txt").write_text("".join(f"{i} {n}\n" for i, n in enumerate(names)))
@@ -937,4 +939,6 @@ def write_toy_dataset_lengths(root, lengths, dim, names):
         )
     (root / "splits" / "all.bundle").write_text("".join(f"v{v}\n" for v in range(len(lengths))))
     longest = f"v{lengths.index(max(lengths))}"
-    (root / "splits" / "largest.bundle").write_text(f"{longest}\n{longest}\n")
+    for sub, suffix in (("features", ".feat"), ("groundTruth", ".txt")):
+        shutil.copyfile(root / sub / f"{longest}{suffix}", root / sub / f"{longest}copy{suffix}")
+    (root / "splits" / "largest.bundle").write_text(f"{longest}\n{longest}copy\n")
