@@ -337,7 +337,7 @@ def load_dataset(root, split_file, stride: int = 1) -> tuple[list[VideoSample], 
     if not split_path.is_absolute():
         split_path = root / split_file
     video_ids: dict[str, int] = {}  # id -> the split line that lists it
-    for number, line in enumerate(_read_text(split_path).splitlines(), 1):
+    for number, line in enumerate(_read_text(split_path).split("\n"), 1):
         if not line.strip():
             continue
         vid = _clean_video_id(line)
@@ -363,7 +363,7 @@ def load_dataset(root, split_file, stride: int = 1) -> tuple[list[VideoSample], 
         if not gt_path.exists():
             raise DatasetError(f"missing ground-truth file {gt_path}")
         labels = []
-        for number, line in enumerate(_read_text(gt_path).splitlines(), 1):
+        for number, line in enumerate(_read_text(gt_path).split("\n"), 1):
             name = line.strip()
             if name:
                 try:

@@ -65,7 +65,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import DomainError, GraphReleasedError, NumericError, ShapeError
 
@@ -602,11 +601,14 @@ def _masked(a: Array, mask) -> Array:
 # other kernels read the keys and values through a sliding-window view of
 # its rows: an ascending contiguous band (the local window) is that view
 # itself, with no copy, and any other offsets index it once, in forward and
-# again in backward, so no node keeps that copy.
+# again in backward, so no node keeps that copy. Each view is an
+# ``np.ndarray`` on the memory of the array that owns it, so numpy checks
+# its extent.
 # Only ``_slot_dot`` (scores; the mix's dp), ``_slot_sum`` (the mix; the
 # scores' dq) and ``_fold_slots`` (dk, dv) tell full attention, head-batched
-# (heads, T, ·) matmuls, from a window, whose fold adds one shifted slice
-# per slot straight into the buffer's gradient instead of scattering.
+# (heads, T, ·) matmuls, from a window. A window's fold adds straight into
+# the buffer's gradient instead of scattering: a band in one matmul over
+# skewed views, other offsets one shifted slice per slot.
 
 
 def _frozen(a: Array) -> Array:
@@ -708,51 +710,92 @@ def _check_fits(layout: SlotLayout, length: int, qkv: Tensor):
         )
 
 
-def _window(block: Array, heads: int, layout: SlotLayout) -> Array:
-    """Slot view of one (padded_rows, d) block of a ``slot_project`` buffer:
-    entry [i, h, :, j] is head h of key row i + offsets[j], zeros outside
-    [0, T)."""
+def _view(base: Array, shape: tuple[int, ...], offset: int, strides: tuple[int, ...]) -> Array:
+    """A read-only strided view of the contiguous array ``base``, which owns
+    the memory; numpy refuses a view whose extent leaves it."""
+    view = np.ndarray(shape, base.dtype, base, offset, strides)
+    view.flags.writeable = False
+    return view
+
+
+def _window(qkv: Array, block: int, heads: int, layout: SlotLayout) -> Array:
+    """Slot view of block ``block`` (K = 1, V = 2) of a (padded_rows, 3, d)
+    ``slot_project`` buffer: entry [i, h, :, j] is head h of key row
+    i + offsets[j], zeros outside [0, T). A band is a view of the buffer
+    itself, with no copy; other offsets index that view."""
     lo, hi = layout.lo, layout.hi
-    rows3 = block.reshape(block.shape[0], heads, -1)
-    # the window view of the buffer's rows: [i, h, :, jj] is rows3[i + jj, h]
-    view = as_strided(
-        rows3, (layout.length,) + rows3.shape[1:] + (hi - lo + 1,),
-        rows3.strides + rows3.strides[:1], writeable=False,
+    row, blk, col = qkv.strides
+    d_h = qkv.shape[2] // heads
+    # [i, h, c, jj] is channel c of head h of buffer row i + jj
+    view = _view(
+        qkv, (layout.length, heads, d_h, hi - lo + 1), block * blk, (row, d_h * col, col, row)
     )
     return view if layout.band else view[..., layout.offsets - lo]
 
 
-def _slot_dot(a3: Array, block: Array, layout: SlotLayout) -> Array:
+def _slot_dot(a3: Array, qkv: Array, block: int, layout: SlotLayout) -> Array:
     """(T, heads, S): [i, h, j] is a3[i, h] . head h of the key row that slot j
-    of row i reads from ``block``, a (padded_rows, d) block of the buffer."""
+    of row i reads from block ``block`` of the ``slot_project`` buffer qkv."""
     heads = a3.shape[1]
     if layout.offsets is None:
-        out = np.empty((layout.length, heads, layout.length), dtype=np.result_type(a3, block))
-        rows3 = block.reshape(layout.length, heads, -1)
+        out = np.empty((layout.length, heads, layout.length), dtype=np.result_type(a3, qkv))
+        rows3 = qkv[:, block].reshape(layout.length, heads, -1)
         np.matmul(a3.transpose(1, 0, 2), rows3.transpose(1, 2, 0), out=out.transpose(1, 0, 2))
         return out
-    return np.matmul(a3[:, :, None, :], _window(block, heads, layout))[:, :, 0, :]
+    return np.matmul(a3[:, :, None, :], _window(qkv, block, heads, layout))[:, :, 0, :]
 
 
-def _slot_sum(w: Array, block: Array, layout: SlotLayout) -> Array:
+def _slot_sum(w: Array, qkv: Array, block: int, layout: SlotLayout) -> Array:
     """(T, heads, d_h): [i, h] sums w[i, h, j] times head h of the key row
-    that slot j of row i reads from ``block``, as in ``_slot_dot``."""
+    that slot j of row i reads from block ``block`` of qkv, as in ``_slot_dot``."""
     t, heads, _ = w.shape
     if layout.offsets is None:
-        out = np.empty((t, heads, block.shape[1] // heads), dtype=np.result_type(w, block))
-        rows3 = block.reshape(t, heads, -1)
+        out = np.empty((t, heads, qkv.shape[2] // heads), dtype=np.result_type(w, qkv))
+        rows3 = qkv[:, block].reshape(t, heads, -1)
         np.matmul(w.transpose(1, 0, 2), rows3.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
         return out
-    return np.matmul(w[:, :, None, :], _window(block, heads, layout).swapaxes(2, 3))[:, :, 0, :]
+    window = _window(qkv, block, heads, layout).swapaxes(2, 3)
+    return np.matmul(w[:, :, None, :], window)[:, :, 0, :]
+
+
+def _zero_padded(a: Array, pad: int) -> Array:
+    """a with ``pad`` zero rows before and after it, as a new C-ordered array."""
+    out = np.zeros((pad + len(a) + pad,) + a.shape[1:], dtype=a.dtype)
+    out[pad : pad + len(a)] = a
+    return out
 
 
 def _fold_slots(coeff: Array, rows3: Array, layout: SlotLayout, into: Array):
-    """Adds into ``into``, the block ``_slot_dot`` and ``_slot_sum`` read, its
-    gradient: the key row that slot j of row i reads gains coeff[i, :, j] * rows3[i]."""
-    t, heads, _ = coeff.shape
+    """Adds into ``into``, a (padded_rows, d) block of a ``slot_project``
+    buffer's gradient, what ``_slot_dot`` and ``_slot_sum`` read from it: the
+    key row that slot j of row i reads gains coeff[i, :, j] * rows3[i].
+
+    A band does it in one matmul. Buffer row r gains the sum over slots j of
+    coeff[r - j, :, j] * rows3[r - j], so with both padded by S - 1 zero
+    rows, a skew of coeff and a reversed window of rows3 (Longformer's
+    skewed sliding chunks, Beltagy et al., arXiv:2004.05150) give row r's
+    terms in slot order. The window's negative stride keeps numpy off BLAS,
+    and numpy's own loop sums those terms in order from +0.0, as adding one
+    shifted slice per slot into zeros does. A padded term is 0 * 0 = +0.0,
+    and a sum that starts at +0.0 is never -0.0, so adding one changes no
+    bit: the bytes are the loop's. That is numpy's behaviour, not a
+    contract, so a test pins the fold to the loop byte for byte. Other
+    offsets (logsparse, with O(log T) slots) keep that loop.
+    """
+    t, heads, n_slots = coeff.shape
     if layout.offsets is None:
         folded = np.matmul(coeff.transpose(1, 2, 0), rows3.transpose(1, 0, 2))
         into += folded.transpose(1, 0, 2).reshape(into.shape)
+        return
+    if layout.band:
+        pad, rows = n_slots - 1, layout.padded_rows
+        c, w = _zero_padded(coeff, pad), _zero_padded(rows3, pad)
+        # skew[r, h, j] is coeff[r - j, h, j] and window[r, h, j] is rows3[r - j, h]
+        skew = _view(c, (rows, heads, n_slots), pad * c.strides[0],
+                     (c.strides[0], c.strides[1], c.strides[2] - c.strides[0]))
+        window = _view(w, (rows, heads, n_slots, w.shape[2]), pad * w.strides[0],
+                       (w.strides[0], w.strides[1], -w.strides[0], w.strides[2]))
+        into += np.matmul(skew[:, :, None, :], window)[:, :, 0].reshape(into.shape)
         return
     # the slots add into contiguous rows, and the strided block takes one add
     padded = np.zeros((into.shape[0], heads, rows3.shape[2]), dtype=rows3.dtype)
@@ -830,9 +873,9 @@ def slot_softmax(qkv: Tensor, layout: SlotLayout, heads: int, rpe: Tensor | None
             + ("" if rpe is None else f", rpe {rpe.data.shape}")
         )
     rows = slice(layout.pad, layout.pad + t)
-    q3, keys = qkv.data[rows, 0].reshape(t, heads, -1), qkv.data[:, 1]
+    q3 = qkv.data[rows, 0].reshape(t, heads, -1)
     scale = 1.0 / math.sqrt(dim // heads)
-    scores = _slot_dot(q3, keys, layout)
+    scores = _slot_dot(q3, qkv.data, 1, layout)
     # the chain below runs in place on the matmul output
     scores *= scale
     if rpe is not None:
@@ -849,7 +892,7 @@ def slot_softmax(qkv: Tensor, layout: SlotLayout, heads: int, rpe: Tensor | None
         if grad is None:
             return
         ds *= scale
-        grad[rows, 0] += _slot_sum(ds, keys, layout).reshape(t, dim)
+        grad[rows, 0] += _slot_sum(ds, qkv.data, 1, layout).reshape(t, dim)
         _fold_slots(ds, q3, layout, grad[:, 1])
 
     return _make(probs, (qkv,) if rpe is None else (qkv, rpe), backward)
@@ -874,15 +917,14 @@ def slot_mix(
     if dim % heads or n_slots != layout.slots:
         raise ShapeError(f"slot mix: p {p.data.shape}, qkv {qkv.data.shape}")
     mask = _dropout_mask(p.data, dropout, rng, draw_axes=(1, 0, 2))
-    values = qkv.data[:, 2]
-    out_data = _slot_sum(_masked(p.data, mask), values, layout)
+    out_data = _slot_sum(_masked(p.data, mask), qkv.data, 2, layout)
 
     def backward(g):
         g3 = g.reshape(t, heads, -1)
         grad = _grad_buffer(qkv)
         if grad is not None:
             _fold_slots(_masked(p.data, mask), g3, layout, grad[:, 2])
-        _accumulate(p, _masked(_slot_dot(g3, values, layout), mask), own=True)
+        _accumulate(p, _masked(_slot_dot(g3, qkv.data, 2, layout), mask), own=True)
 
     return _make(out_data.reshape(t, dim), (p, qkv), backward)
 

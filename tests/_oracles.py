@@ -202,12 +202,22 @@ def _slot_rows_per_call(x, heads, offsets):
 
 
 def _fold_slots_per_call(coeff, rows3, offsets):
+    """The key (or value) gradient of a windowed slot kernel as one shifted
+    slice per slot, summed in slot order from zero: a (T + hi - lo, d) array
+    whose row r is key row r + lo, with the rows outside [0, T) that
+    ``tensor._fold_slots`` also adds into its padded block."""
     t = coeff.shape[0]
     lo, hi = _offset_span(offsets)
     padded = np.zeros((t + hi - lo,) + rows3.shape[1:], dtype=rows3.dtype)
     for j, off in enumerate(offsets.tolist()):
         padded[off - lo : off - lo + t] += coeff[:, :, j, None] * rows3
-    return padded[-lo : -lo + t].reshape(t, -1)
+    return padded.reshape(len(padded), -1)
+
+
+def _key_rows(folded, offsets, t):
+    """Rows 0..t-1 of a ``_fold_slots_per_call`` result."""
+    pad = -_offset_span(offsets)[0]
+    return folded[pad : pad + t]
 
 
 def in_range_mask(offsets, length):
@@ -261,7 +271,7 @@ def slot_softmax_plain(q, k, layout, heads, rpe=None):
             dk = dk.reshape(t, dim)
         else:
             dq = np.matmul(ds[:, :, None, :], k_win.swapaxes(2, 3))[:, :, 0, :]
-            dk = _fold_slots_per_call(ds, q3, offsets)
+            dk = _key_rows(_fold_slots_per_call(ds, q3, offsets), offsets, t)
         T._accumulate(q, dq.reshape(t, dim), own=True)
         T._accumulate(k, dk, own=True)
 
@@ -291,7 +301,7 @@ def slot_mix_plain(p, v, layout):
             dv = np.matmul(p.data.transpose(1, 2, 0), g_h).transpose(1, 0, 2).reshape(t, dim)
         else:
             dp = np.matmul(g3[:, :, None, :], v_win)[:, :, 0, :]
-            dv = _fold_slots_per_call(p.data, g3, offsets)
+            dv = _key_rows(_fold_slots_per_call(p.data, g3, offsets), offsets, t)
         T._accumulate(p, dp, own=True)
         T._accumulate(v, dv, own=True)
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    _fold_slots_per_call,
+    _slot_rows_per_call,
     attend_qkv,
     attention_loop,
     in_range_mask,
@@ -309,6 +311,80 @@ def test_slot_kernels_match_per_call_oracle_bytes(dtype, pattern, use_rpe):
             results.append([probs.data, out.data] + [g for g in grads if g is not None])
         for a, b in zip(*results, strict=True):
             assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+
+
+# (pattern, T, w): every T from 1 to 160 at w = 11 (T = 1, T < w and every
+# length a gtea layer attends over), a narrow and a 50salads-sized band, and
+# logsparse
+FOLD_SHAPES = (
+    [("local", t, 11) for t in range(1, 161)]
+    + [("local", 9, 3), ("local", 1024, 51)]
+    + [("logsparse", t, 11) for t in (1, 2, 5, 33, 130)]
+)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("start", ["zero", "nonzero"])
+def test_fold_matches_one_shifted_slice_per_slot_bytes(dtype, start):
+    """``_fold_slots`` adds into its (padded_rows, d) block of a buffer's
+    gradient what the per-slot loop adds, byte for byte: the band's one
+    strided matmul sums each row's slots in the loop's order from zero. The
+    coefficients and rows hold -0.0, and the other two blocks are untouched."""
+    rng = np.random.default_rng(23)
+    heads, d_h = 4, 16
+    for pattern, t, w in FOLD_SHAPES:
+        layout = T.slot_layout(pattern, t, w)
+        coeff = rng.standard_normal((t, heads, layout.slots)).astype(dtype)
+        coeff[rng.random(coeff.shape) < 0.2] = -0.0
+        # the rows are a view of one block of a (T, 3, d) array, as q3 is
+        source = rng.standard_normal((t, 3, heads * d_h)).astype(dtype)
+        source[rng.random(source.shape) < 0.2] = -0.0
+        rows3 = source[:, 0].reshape(t, heads, d_h)
+        shape = (layout.padded_rows, 3, heads * d_h)
+        grad = np.zeros(shape, dtype)
+        if start == "nonzero":
+            grad[...] = rng.standard_normal(shape)
+            grad[rng.random(shape) < 0.2] = -0.0
+        want = grad.copy()
+        want[:, 1] += _fold_slots_per_call(coeff, rows3, layout.offsets)
+        T._fold_slots(coeff, rows3, layout, grad[:, 1])
+        assert grad.tobytes() == want.tobytes(), (pattern, t, w)
+
+
+def _byte_bounds(a):
+    """First and one-past-last byte address an array's elements span."""
+    start = a.__array_interface__["data"][0]
+    steps = [(n - 1) * s for n, s in zip(a.shape, a.strides)]
+    return start + sum(min(s, 0) for s in steps), start + sum(max(s, 0) for s in steps) + a.itemsize
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pattern", ["local", "logsparse"])
+def test_window_reads_the_projection_buffer(dtype, pattern):
+    """A window holds the per-call padded rows' slots. A band is a read-only
+    view of the projection buffer's own memory, so the local band keeps no
+    other copy; logsparse gathers its slots from such a view. numpy refuses
+    a view that reaches past the buffer."""
+    rng = np.random.default_rng(24)
+    heads = 2
+    for t, w, _ in SLOT_SHAPES:
+        layout = T.slot_layout(pattern, t, w)
+        x = tensor(rng.standard_normal((t, 5)).astype(dtype))
+        weight = tensor(rng.standard_normal((5, 12)).astype(dtype))
+        bias = tensor(rng.standard_normal(8).astype(dtype))
+        qkv = T.slot_project(x, weight, bias, layout).data
+        rows = slice(layout.pad, layout.pad + t)
+        for block in (1, 2):
+            window = T._window(qkv, block, heads, layout)
+            want = _slot_rows_per_call(qkv[rows, block], heads, layout.offsets)
+            assert window.dtype == want.dtype and window.tobytes() == want.tobytes()
+            if pattern == "local":
+                assert np.shares_memory(window, qkv) and not window.flags.writeable
+                low, high = _byte_bounds(window)
+                assert _byte_bounds(qkv)[0] <= low and high <= _byte_bounds(qkv)[1]
+    row, blk, col = qkv.strides
+    with pytest.raises(ValueError):  # one row past the buffer's end
+        T._view(qkv, (layout.padded_rows + 1, 4), 2 * blk, (row, col))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

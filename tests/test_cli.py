@@ -738,6 +738,23 @@ def _split_lists_a_video_twice(command):
     return make_argv
 
 
+def _form_feed_line(trained, synth_root, tmp_path):
+    """``tut eval`` on a split whose ``synth001`` ground truth holds a form
+    feed inside line 2: only "\\n" ends a line, so the error names line 2,
+    and no ``--out`` is made."""
+    root = _synth(tmp_path / "formfeed")
+    gt = root / "groundTruth" / "synth001.txt"
+    lines = gt.read_text().split("\n")
+    lines[1] += "\f" + lines[1]
+    gt.write_text("\n".join(lines))
+    return ["eval", "--data-root", str(root), "--out", str(tmp_path / "out"),
+            "--checkpoint", str(trained / "checkpoint.ckpt")]
+
+
+_form_feed_line.names = ("formfeed/groundTruth/synth001.txt:2: unknown class name ",)
+_form_feed_line.makes_no_out = True
+
+
 def _checkpoint_entry_twice(command):
     """``command`` on a checkpoint that lists ``stage0.cls.b`` twice: the
     error names the file and the entry, and eval makes no ``--out``."""
@@ -811,6 +828,7 @@ def _sample_rate(rate):
      _not_utf8("train", "mapping.txt"), _not_utf8("eval", "groundTruth/synth000.txt"),
      _not_utf8("train", "splits/all.bundle"),
      _split_lists_a_video_twice("train"), _split_lists_a_video_twice("eval"),
+     _form_feed_line,
      _checkpoint_entry_twice("inspect-checkpoint"), _checkpoint_entry_twice("eval"),
      _bad_synth("--min-segments", "0", names=("min_segments",)),
      _bad_synth("--min-len", "2", "--max-len", "2", "--min-segments", "3", names=("min_len=2",)),
@@ -838,7 +856,7 @@ def _sample_rate(rate):
          "HiddenDimNegative", "HiddenDimRefineZero", "HeadsNotDividing", "ConfigLrNan",
          "TrainShortVideo", "EvalShortVideo",
          "MappingNotUtf8", "GroundTruthNotUtf8", "SplitNotUtf8",
-         "TrainSplitVideoTwice", "EvalSplitVideoTwice",
+         "TrainSplitVideoTwice", "EvalSplitVideoTwice", "EvalGroundTruthFormFeed",
          "InspectCheckpointEntryTwice", "EvalCheckpointEntryTwice",
          "SynthMinSegmentsZero", "SynthMoreSegmentsThanFrames", "SynthOneClassTwoSegments",
          "SynthNoiseNan", "SynthSeedNegative"],

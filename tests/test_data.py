@@ -447,6 +447,28 @@ def test_a_video_the_split_lists_twice_names_the_split_line(tmp_path):
         D.load_dataset(tmp_path, "splits/all.bundle")
 
 
+@pytest.mark.parametrize(
+    "sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_only_a_newline_ends_a_ground_truth_or_split_line(tmp_path, sep):
+    """``str.splitlines`` also breaks at these characters, which made one
+    ground-truth line two labels and put every later ``file:line`` one line
+    past the one an editor shows; like ``mapping.txt``, these files break
+    lines at "\\n" only."""
+    write_toy_dataset(tmp_path, {"v1": ["a", "b", "b"]})
+    gt = tmp_path / "groundTruth" / "v1.txt"
+    gt.write_text(f"a\na{sep}b\nb\n", encoding="utf-8")
+    with pytest.raises(DatasetError) as exc:
+        D.load_dataset(tmp_path, "splits/all.bundle")
+    assert str(exc.value) == f"{gt}:2: unknown class name {f'a{sep}b'!r}"
+    gt.write_text("a\nb\nb\n")
+    split = tmp_path / "splits" / "all.bundle"
+    split.write_text(f"v1{sep}\nv1\n", encoding="utf-8")
+    message = f"{split}:2: video 'v1' is listed again (first at line 1)"
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        D.load_dataset(tmp_path, "splits/all.bundle")
+
+
 def test_synth_spec_checks_itself_when_built_and_is_frozen():
     with pytest.raises(DatasetError, match="positive"):
         D.SynthSpec(num_videos=0)
