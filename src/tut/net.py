@@ -19,6 +19,7 @@ view of it and the file's bytes are held once.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -477,6 +478,7 @@ _PAYLOAD_ALIGN = 64  # bytes; a cache line, and a multiple of every dtype's size
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(np.uint8): 2}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 _MANIFEST_READ = 1 << 16  # bytes per read while the manifest is parsed
+_FINITE_BLOCK = 1 << 15  # values per np.isfinite pass over a checkpoint's payloads
 
 
 def save_checkpoint(path, params: dict[str, Tensor], cfg: ModelConfig):
@@ -581,6 +583,35 @@ def _read_checkpoint(path) -> tuple[dict, list[tuple[str, np.dtype, tuple, int]]
     return config, entries, payloads
 
 
+def _check_finite(path, entries, payloads):
+    """Raise ``CheckpointError`` naming the first tensor that holds a NaN or
+    an infinity. The payloads sit back to back in one buffer, so each run of
+    entries of one float dtype is one flat view of it, tested
+    ``_FINITE_BLOCK`` values at a time into one small bool buffer; the
+    tensor and index are looked up only when a value fails."""
+    for dtype, run in itertools.groupby(zip(entries, payloads), key=lambda pair: pair[0][1]):
+        if dtype.kind != "f":
+            continue
+        run = list(run)
+        first = run[0][1]
+        at = first.__array_interface__["data"][0] - first.base.__array_interface__["data"][0]
+        flat = np.ndarray((sum(data.size for _, data in run),), dtype, first.base, at)
+        ok = np.empty(min(flat.size, _FINITE_BLOCK), dtype=bool)
+        for start in range(0, flat.size, _FINITE_BLOCK):
+            part = ok[: min(_FINITE_BLOCK, flat.size - start)]
+            np.isfinite(flat[start : start + part.size], out=part)
+            if np.logical_and.reduce(part):
+                continue
+            bad = start + int(np.argmin(part))
+            for (name, _, shape, _), data in run:
+                if bad < data.size:
+                    index = [int(i) for i in np.unravel_index(bad, shape)]
+                    raise CheckpointError(
+                        f"{path}: tensor {name} holds {data.reshape(-1)[bad]} at {index}"
+                    )
+                bad -= data.size
+
+
 def read_manifest(path) -> tuple[dict, list[tuple[str, np.dtype, tuple, int]]]:
     """Parse a checkpoint's config and (name, dtype, shape, offset) entries."""
     config, entries, _ = _read_checkpoint(path)
@@ -606,8 +637,11 @@ def load_checkpoint(path):
     A retired config key is dropped when it holds its one value; any other
     value raises ``CheckpointError`` naming it. An earlier layout's biases
     that the model cancels are dropped too (see the loop). Each parameter's
-    data is otherwise a view into the one buffer the file was read into."""
+    data is otherwise a view into the one buffer the file was read into. A
+    tensor holding a NaN or an infinity raises ``CheckpointError`` naming
+    it, so a damaged model is not blamed on the inputs it runs on."""
     config_dict, entries, payloads = _read_checkpoint(path)
+    _check_finite(path, entries, payloads)
     retired = {key: config_dict.pop(key) for key in RETIRED_KEYS if key in config_dict}
     try:
         cfg = ModelConfig(**config_dict)

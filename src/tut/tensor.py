@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -74,6 +75,7 @@ Array = np.ndarray
 # reads a zero row, so it scored rpe[j, h] or 0, which adding -1e30 absorbs
 MASK_VALUE = -1e30
 DRAW_BLOCK = 1 << 15  # 64-bit words a dropout mask draws at a time (256 KiB)
+ROW_MAX_BLOCK = 1 << 14  # values per slot-major copy a softmax row max reads
 
 
 class Tensor:
@@ -118,11 +120,16 @@ class Tensor:
         gradients are freed during the pass, not when the caller lets go of
         the loss. Leaves keep their gradients. A later backward that
         reaches a released node raises ``GraphReleasedError`` instead of
-        silently dropping that node's gradient.
+        silently dropping that node's gradient. A seed ``grad`` must have
+        the node's shape (it is not broadcast), or ``ShapeError`` is raised
+        before anything is accumulated.
         """
         if grad is None:
             grad = np.ones_like(self.data)
-        _accumulate(self, np.asarray(grad, dtype=self.data.dtype))
+        grad = np.asarray(grad, dtype=self.data.dtype)
+        if grad.shape != self.data.shape:
+            raise ShapeError(f"backward: seed gradient {grad.shape} for a {self.data.shape} node")
+        _accumulate(self, grad)
         order = _graph(self)
         order.reverse()  # popped from the end: the latest-created node first
         while order:
@@ -152,7 +159,7 @@ def _graph(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         nodes.append(node)
         stack.extend(node._parents)
-    nodes.sort(key=lambda node: node._seq, reverse=True)
+    nodes.sort(key=operator.attrgetter("_seq"), reverse=True)
     return nodes
 
 
@@ -174,7 +181,7 @@ def _grad_buffer(node: Tensor) -> Array | None:
     if not node.requires_grad:
         return None
     if node.grad is None:
-        node.grad = np.zeros_like(node.data)
+        node.grad = np.zeros(node.data.shape, node.data.dtype)
     return node.grad
 
 
@@ -187,6 +194,8 @@ def _accumulate_part(node: Tensor, where, grad: Array):
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Reduce a broadcast gradient back to the operand's shape."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, extent in enumerate(shape):
@@ -228,11 +237,13 @@ _created = itertools.count(1)  # stamps graph nodes in creation order
 
 
 def _make(data: Array, parents: tuple[Tensor, ...], backward) -> Tensor:
-    if not _grad_enabled or not any(p.requires_grad for p in parents):
-        return Tensor(data)
-    out = Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
-    out._seq = next(_created)
-    return out
+    if _grad_enabled:
+        for p in parents:  # a loop, not any(<generator>): this runs once per node
+            if p.requires_grad:
+                out = Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
+                out._seq = next(_created)
+                return out
+    return Tensor(data)
 
 
 # ---------------------------------------------------------------------------
@@ -416,22 +427,29 @@ def scatter_add_rows(x: Tensor, indices: Array, out_len: int) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
+def _filled(g: Array, like: Array) -> Array:
+    """A new array of like's shape and dtype, holding g broadcast."""
+    out = np.empty(like.shape, like.dtype)
+    out[...] = g
+    return out
+
+
 def sum_all(x: Tensor) -> Tensor:
-    out_data = np.asarray(x.data.sum(), dtype=x.data.dtype)
+    out_data = np.asarray(np.add.reduce(x.data, axis=None), dtype=x.data.dtype)
 
     def backward(g):
-        _accumulate(x, np.broadcast_to(g, x.data.shape).astype(x.data.dtype, copy=True), own=True)
+        _accumulate(x, _filled(g, x.data), own=True)
 
     return _make(out_data, (x,), backward)
 
 
 def sum_axis(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    out_data = x.data.sum(axis=axis, keepdims=keepdims)
+    out_data = np.add.reduce(x.data, axis=axis, keepdims=keepdims)
 
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(g, x.data.shape).astype(x.data.dtype, copy=True), own=True)
+        _accumulate(x, _filled(g, x.data), own=True)
 
     return _make(out_data, (x,), backward)
 
@@ -458,32 +476,57 @@ def log_softmax_lastdim(x: Tensor) -> Tensor:
     out_data, probs = _log_softmax(x.data)
 
     def backward(g):
-        _accumulate(x, g - probs * g.sum(axis=-1, keepdims=True), own=True)
+        _accumulate(x, g - probs * np.add.reduce(g, axis=-1, keepdims=True), own=True)
 
     return _make(out_data, (x,), backward)
 
 
+def _row_max(a: Array) -> Array:
+    """Each row's max over a's last axis, keepdims, read from slot-major planes.
+
+    One ``np.maximum.reduce`` over a contiguous copy of a whose first axis
+    is a's last takes elementwise maxima of whole planes, where
+    ``a.max(axis=-1)`` runs one inner loop per short row. The copy is made
+    ``ROW_MAX_BLOCK`` values at a time along a's first axis, so a long
+    video's scores are not held twice. A max is exact in any order; order
+    can change only which zero a +0/-0 tie gives back, and x - (+0) and
+    x - (-0) are both x, up to the sign of a zero that exp maps to 1, so
+    the probabilities keep their bytes.
+    """
+    axes = (a.ndim - 1,) + tuple(range(a.ndim - 1))
+    if a.ndim == 1 or a.size <= ROW_MAX_BLOCK:
+        return np.maximum.reduce(a.transpose(axes).copy(), axis=0)[..., None]
+    rowmax = np.empty(a.shape[:-1] + (1,), a.dtype)
+    step = max(1, ROW_MAX_BLOCK * a.shape[0] // a.size)
+    for start in range(0, a.shape[0], step):
+        planes = a[start : start + step].transpose(axes).copy()
+        np.maximum.reduce(planes, axis=0, out=rowmax[start : start + step, ..., 0])
+    return rowmax
+
+
 def _softmax(a: Array, out: Array | None = None) -> Array:
     """Max-stabilized softmax over a's last axis, in place on ``out`` (new if None)."""
-    rowmax = a.max(axis=-1, keepdims=True)
-    if not np.isfinite(rowmax.max()):
+    rowmax = _row_max(a)
+    if not np.isfinite(np.maximum.reduce(rowmax, axis=None)):
         raise NumericError("softmax input contains non-finite values")
     probs = np.subtract(a, rowmax, out=out)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     return probs
 
 
 def _softmax_grad(probs: Array, g: Array) -> Array:
     """The softmax input's gradient, given the output gradient g."""
-    return probs * (g - (g * probs).sum(axis=-1, keepdims=True))
+    return probs * (g - np.add.reduce(g * probs, axis=-1, keepdims=True))
 
 
 def _log_softmax(a: Array) -> tuple[Array, Array]:
-    """Log-softmax over a's last axis and its exp, as two new arrays."""
-    logp = a - a.max(axis=-1, keepdims=True)
+    """Log-softmax over a's last axis and its exp, as two new arrays. The
+    row max stays a last-axis reduction: a +0/-0 tie there could flip the
+    sign of a zero log-probability."""
+    logp = a - np.maximum.reduce(a, axis=-1, keepdims=True)
     probs = np.exp(logp)
-    logp -= np.log(probs.sum(axis=-1, keepdims=True))
+    logp -= np.log(np.add.reduce(probs, axis=-1, keepdims=True))
     np.exp(logp, out=probs)
     return logp, probs
 
@@ -563,17 +606,31 @@ def _dropout_mask(x: Array, p: float, rng: np.random.Generator | None, draw_axes
     exact = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
     if not isinstance(rng.bit_generator, exact):
         raise TypeError(f"dropout cannot draw from {type(rng.bit_generator).__name__}")
-    axes = tuple(range(x.ndim)) if draw_axes is None else tuple(draw_axes)
-    inverse = sorted(range(len(axes)), key=axes.__getitem__)
-    threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
+    axes, inverse, threshold, scale = _dropout_constants(
+        p, x.dtype, x.ndim, None if draw_axes is None else tuple(draw_axes)
+    )
     keep = np.empty(x.size, dtype=bool)
     for start in range(0, x.size, DRAW_BLOCK):
         words = rng.bit_generator.random_raw(min(DRAW_BLOCK, x.size - start))
         np.greater_equal(words, threshold, out=keep[start:start + words.size])
-    keep = keep.reshape([x.shape[a] for a in axes]).transpose(inverse)
-    # a 1-element array: numpy 1.x and 2.x both divide in x's dtype
-    scale = (np.ones(1, dtype=x.dtype) / (1.0 - p))[0]
+    keep = keep.reshape([x.shape[a] for a in axes])
+    if inverse is not None:  # once here, so every use of the mask runs contiguous loops
+        keep = np.ascontiguousarray(keep.transpose(inverse))
     return keep, scale
+
+
+@lru_cache(maxsize=64)
+def _dropout_constants(p: float, dtype: np.dtype, ndim: int, draw_axes: tuple[int, ...] | None):
+    """What a ``_dropout_mask`` call of one rate, dtype and draw order reads
+    besides the words: the axes in draw order, the permutation that puts
+    them back (None when they are in order), the threshold word and the
+    scale."""
+    axes = tuple(range(ndim)) if draw_axes is None else draw_axes
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+    threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
+    # a 1-element array: numpy 1.x and 2.x both divide in x's dtype
+    scale = (np.ones(1, dtype=dtype) / (1.0 - p))[0]
+    return axes, None if inverse == tuple(range(len(axes))) else inverse, threshold, scale
 
 
 def _masked(a: Array, mask) -> Array:
@@ -843,7 +900,7 @@ def slot_project(
     buf[rows] += np.concatenate((bias.data[:dim], np.zeros(dim, bias.data.dtype), bias.data[dim:]))
 
     def backward(g):
-        _accumulate(bias, g[rows, ::2].sum(axis=0).reshape(-1), own=True)
+        _accumulate(bias, np.add.reduce(g[rows, ::2], axis=0).reshape(-1), own=True)
         g_rows = g[rows].reshape(layout.length, -1)
         for source, cols in parts:
             _linear_grads(source, weight, g_rows[:, cols], cols)
@@ -887,7 +944,7 @@ def slot_softmax(qkv: Tensor, layout: SlotLayout, heads: int, rpe: Tensor | None
     def backward(g):
         ds = _softmax_grad(probs, g)
         if rpe is not None:
-            _accumulate(rpe, ds.sum(axis=0).T, own=True)
+            _accumulate(rpe, np.add.reduce(ds, axis=0).T, own=True)
         grad = _grad_buffer(qkv)
         if grad is None:
             return
@@ -953,7 +1010,7 @@ def ffn_block(
         dh = _masked(g @ w2.data.T, mask)
         dh *= hidden > 0
         _linear_grads(x, w1, dh)
-        _accumulate(b1, dh.sum(axis=0), own=True)
+        _accumulate(b1, np.add.reduce(dh, axis=0), own=True)
 
     return _make(out_data, (x, w1, b1, w2), backward)
 
@@ -966,7 +1023,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     def backward(g):
         _linear_grads(x, weight, g)
-        _accumulate(bias, g.sum(axis=0), own=True)
+        _accumulate(bias, np.add.reduce(g, axis=0), own=True)
 
     return _make(out_data, (x, weight, bias), backward)
 
@@ -1125,7 +1182,7 @@ def adam_step(state: AdamState, lr: float, weight_decay: float = 0.0):
             np.add(b, a, out=b)
         np.multiply(b, lr, out=b)
         np.subtract(p, b, out=p)
-    state.flat_grad.fill(0.0)
+        g.fill(0.0)  # while the block is in cache, not in one more pass over the arena
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ arithmetic for segment metrics, plain-python loops for divergences,
 per-head loops of small graph ops for attention, a per-element loop for
 run-length encoding, a backward that keeps every node's gradient, a
 per-tensor Adam loop for the arena optimizer, the float64-uniform dropout
-and add-then-norm nodes the lean training graph replaced, and the slot kernels and norm that
+and add-then-norm nodes the lean training graph replaced, the dropout mask
+that rebuilt its constants per call, the softmax that took each row's max
+along the last axis, and the slot kernels and norm that
 rebuilt their masks per call and computed out of place, the encoder and
 decoder layer composed from small nodes that the fused attention and FFN
 nodes replaced, the per-video
@@ -154,6 +156,30 @@ def dropout_uniform(x, p, rng, draw_axes=None):
         T._accumulate(x, g * mask)
 
     return T._make(x.data * mask, (x,), backward)
+
+
+def dropout_mask_per_call(x, p, rng, draw_axes=None):
+    """``tensor._dropout_mask`` as it built its axes, threshold word and
+    scale on every call, and handed back the transposed view of the mask."""
+    axes = tuple(range(x.ndim)) if draw_axes is None else tuple(draw_axes)
+    inverse = sorted(range(len(axes)), key=axes.__getitem__)
+    threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
+    keep = rng.bit_generator.random_raw(x.size) >= threshold
+    keep = keep.reshape([x.shape[a] for a in axes]).transpose(inverse)
+    scale = (np.ones(1, dtype=x.dtype) / (1.0 - p))[0]
+    return keep, scale
+
+
+def softmax_last_axis_max(a, out=None):
+    """``tensor._softmax`` as it took each row's max with ``a.max(axis=-1)``,
+    one inner loop per row, and its sums through ``ndarray.sum``."""
+    rowmax = a.max(axis=-1, keepdims=True)
+    if not np.isfinite(rowmax.max()):
+        raise NumericError("softmax input contains non-finite values")
+    probs = np.subtract(a, rowmax, out=out)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 def _norm_mean_var(x, gain, bias, eps):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,12 +15,13 @@ from _oracles import (
     rel_err,
     slot_mix_per_call,
     slot_softmax_per_call,
+    softmax_last_axis_max,
     tensor,
     valid_key_sets,
 )
 from tut import net as N
 from tut import tensor as T
-from tut.errors import ConfigError, ShapeError
+from tut.errors import ConfigError, NumericError, ShapeError
 
 
 def cfg_for(pattern, window=3, heads=1, **kw):
@@ -311,6 +313,83 @@ def test_slot_kernels_match_per_call_oracle_bytes(dtype, pattern, use_rpe):
             results.append([probs.data, out.data] + [g for g in grads if g is not None])
         for a, b in zip(*results, strict=True):
             assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+
+
+# every length a gtea layer attends over at w = 11, a 50salads-sized row of
+# 51 slots and a 2-D (frames, classes) table
+SOFTMAX_SHAPES = [(t, 4, 11) for t in range(1, 161)] + [(1024, 4, 51), (37, 19)]
+
+
+def _tied_scores(rng, shape, dtype):
+    """Scores in which every third row's max is a +0/-0 tie (+0 first or
+    -0 first, alternating) and every fifth row masks its first half of
+    slots with ``MASK_VALUE``."""
+    a = (rng.standard_normal(shape) * 4).astype(dtype)
+    rows = a.reshape(-1, shape[-1])
+    tied = rows[::3]
+    tied[:] = -np.abs(tied) - 1.0
+    tied[::2, 0], tied[::2, -1] = 0.0, -0.0
+    tied[1::2, 0], tied[1::2, -1] = -0.0, 0.0
+    rows[1::5, : shape[-1] // 2] = T.MASK_VALUE
+    return a
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_max_over_slot_major_planes_keeps_the_last_axis_bytes(dtype):
+    """``softmax_lastdim`` takes each row's max over contiguous planes; its
+    probabilities are those of the last-axis max byte for byte, on rows
+    whose max is a +0/-0 tie and on rows with masked slots."""
+    rng = np.random.default_rng(36)
+    for shape in SOFTMAX_SHAPES:
+        a = _tied_scores(rng, shape, dtype)
+        got = T.softmax_lastdim(tensor(a)).data
+        want = softmax_last_axis_max(a.copy())
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), shape
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_slot_softmax_keeps_the_last_axis_max_bytes(dtype, monkeypatch):
+    """``slot_softmax`` gives the probabilities of the same chain with the
+    last-axis row max, for every gtea length at w = 11 and a 50salads-sized
+    band. Every third query row is zero, so its slots score +0 or -0 and
+    its max is a tie; the edge rows mask their out-of-range slots."""
+    rng = np.random.default_rng(37)
+    heads, dim = 4, 8
+    for t, w in [(t, 11) for t in range(1, 161)] + [(1024, 51)]:
+        layout = T.slot_layout("local", t, w)
+        buf = np.zeros((layout.padded_rows, 3, dim), dtype=dtype)
+        rows = buf[layout.pad : layout.pad + t]
+        rows[:] = rng.standard_normal(rows.shape)
+        rows[::3, 0] = 0.0
+        results = []
+        for softmax in (T._softmax, softmax_last_axis_max):
+            monkeypatch.setattr(T, "_softmax", softmax)
+            results.append(T.slot_softmax(tensor(buf), layout, heads).data)
+        assert results[0].tobytes() == results[1].tobytes(), t
+
+
+@pytest.mark.parametrize("shape", [(6, 4, 11), (1024, 4, 51)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_nan_or_inf_softmax_row_still_raises(bad, shape):
+    a = np.random.default_rng(38).standard_normal(shape)
+    a[-2, 1, 3] = bad
+    with pytest.raises(NumericError):
+        T.softmax_lastdim(tensor(a))
+
+
+def test_the_row_max_copies_a_block_not_the_scores():
+    """A long video's slot-major copy is made ``ROW_MAX_BLOCK`` values at a
+    time: the in-place softmax ``slot_softmax`` runs on (2000, 4, 51) scores
+    allocates the row maxima, the row sums, one block and ufunc buffers, not
+    a second copy of the scores."""
+    a = np.random.default_rng(39).standard_normal((2000, 4, 51)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        T._softmax(a, out=a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes // 4, peak  # about 0.16 MB; a copy of the scores is 1.6 MB
 
 
 # (pattern, T, w): every T from 1 to 160 at w = 11 (T = 1, T < w and every

@@ -773,6 +773,24 @@ def _checkpoint_entry_twice(command):
     return make_argv
 
 
+def _non_finite_weight(trained, synth_root, tmp_path):
+    """``tut eval`` with a checkpoint whose ``stage0.enc1.ffn1.w[0, 0]`` is
+    NaN: the error names the checkpoint and the tensor, not the features the
+    forward pass would have run on, and no ``--out`` is made."""
+    params, cfg = load_checkpoint(trained / "checkpoint.ckpt")
+    weight = params["stage0.enc1.ffn1.w"].data.copy()
+    weight[0, 0] = np.nan
+    params["stage0.enc1.ffn1.w"] = SimpleNamespace(data=weight)
+    path = tmp_path / "nanweight.ckpt"
+    save_checkpoint(path, params, cfg)
+    return ["eval", "--data-root", str(synth_root), "--out", str(tmp_path / "out"),
+            "--checkpoint", str(path)]
+
+
+_non_finite_weight.names = ("nanweight.ckpt: tensor stage0.enc1.ffn1.w holds nan",)
+_non_finite_weight.makes_no_out = True
+
+
 def _sample_rate(rate):
     # a rate below 1 would divide by zero in the strided read
     def make_argv(trained, synth_root, tmp_path):
@@ -830,6 +848,7 @@ def _sample_rate(rate):
      _split_lists_a_video_twice("train"), _split_lists_a_video_twice("eval"),
      _form_feed_line,
      _checkpoint_entry_twice("inspect-checkpoint"), _checkpoint_entry_twice("eval"),
+     _non_finite_weight,
      _bad_synth("--min-segments", "0", names=("min_segments",)),
      _bad_synth("--min-len", "2", "--max-len", "2", "--min-segments", "3", names=("min_len=2",)),
      _bad_synth("--classes", "1", "--min-segments", "2", names=("one class",)),
@@ -857,7 +876,7 @@ def _sample_rate(rate):
          "TrainShortVideo", "EvalShortVideo",
          "MappingNotUtf8", "GroundTruthNotUtf8", "SplitNotUtf8",
          "TrainSplitVideoTwice", "EvalSplitVideoTwice", "EvalGroundTruthFormFeed",
-         "InspectCheckpointEntryTwice", "EvalCheckpointEntryTwice",
+         "InspectCheckpointEntryTwice", "EvalCheckpointEntryTwice", "EvalCheckpointNanWeight",
          "SynthMinSegmentsZero", "SynthMoreSegmentsThanFrames", "SynthOneClassTwoSegments",
          "SynthNoiseNan", "SynthSeedNegative"],
 )

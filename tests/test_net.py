@@ -806,6 +806,27 @@ def test_a_checkpoint_that_names_an_entry_twice_raises_naming_it(name, tmp_path)
             reader(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_a_checkpoint_holding_a_non_finite_value_raises_naming_the_tensor(value, dtype, tmp_path):
+    """A NaN or an infinity in a weight is refused at load, naming the file
+    and the tensor, where it used to reach the forward pass and be blamed on
+    the features; the first, a middle and the last tensor are each found."""
+    cfg = tiny_cfg(dtype=dtype)
+    params = build(cfg, seed=5)
+    names = list(params)
+    for name, at in ((names[0], 0), (names[len(names) // 2], -1), (names[-1], 1)):
+        data = params[name].data.copy()
+        data.reshape(-1)[at] = value
+        damaged = {**params, name: T.Tensor(data)}
+        path = tmp_path / f"{name}.ckpt"
+        N.save_checkpoint(path, damaged, cfg)
+        message = f"{path}: tensor {name} holds {value}"
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            N.load_checkpoint(path)
+        N.read_manifest(path)  # the manifest reader does not read values
+
+
 class _CountedReads:
     """A file whose read and readinto calls are appended to ``calls``."""
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from _oracles import (
     LoopAdamState,
     adam_loop,
     add_then_norm,
+    dropout_mask_per_call,
     dropout_uniform,
     norm_out_of_place,
     numeric_grad,
@@ -206,6 +208,27 @@ def test_dropout_mask_drawn_in_blocks_is_the_one_call_draw(monkeypatch, bit_gene
         nexts.append(rng.bit_generator.random_raw(9).tobytes())
     assert masks[0] == masks[1]
     assert nexts[0] == nexts[1]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("draw_axes", [None, (1, 0, 2)])
+def test_cached_dropout_constants_give_the_per_call_mask(dtype, draw_axes):
+    """The threshold word, scale and permutation a mask reads from the cache
+    give the keep mask, scale and next stream words of the per-call
+    formula, on the call that fills the cache and on one that reads it; a
+    head-major mask is C-contiguous, so each of its uses runs contiguous
+    loops."""
+    x = np.zeros((9, 4, 13), dtype=dtype)
+    for p in (0.1, 0.2, 0.3, 0.4, 0.5):
+        for _ in range(2):
+            rng, oracle = (np.random.Generator(np.random.Philox(3)) for _ in range(2))
+            keep, scale = T._dropout_mask(x, p, rng, draw_axes)
+            want_keep, want_scale = dropout_mask_per_call(x, p, oracle, draw_axes)
+            assert keep.shape == want_keep.shape and keep.tobytes() == want_keep.tobytes()
+            assert scale.dtype == want_scale.dtype and scale.tobytes() == want_scale.tobytes()
+            nexts = [r.bit_generator.random_raw(5).tobytes() for r in (rng, oracle)]
+            assert nexts[0] == nexts[1]
+            assert keep.flags.c_contiguous
 
 
 def test_dropout_mask_never_holds_every_word():
@@ -492,6 +515,23 @@ def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
     np.testing.assert_array_equal(x.grad, [[90.0, 60.0], [110.0, 250.0]])
     for node in (y, loss):
         assert node.grad is None and node._parents == ()
+
+
+@pytest.mark.parametrize(
+    "node_shape,seed_shape", [((3, 2), (2,)), ((2,), (1,)), ((), (1,)), ((2,), ())]
+)
+def test_a_seed_gradient_of_another_shape_raises_naming_both(node_shape, seed_shape):
+    """A seed is not broadcast: a (2,) seed on a (3, 2) node used to give
+    the leaf a (2,) gradient, and a (1,) seed on a (2,) node was spread
+    silently. Nothing is accumulated before the error."""
+    x = tensor(np.ones(node_shape), requires_grad=True)
+    y = T.mul(x, 2.0)
+    message = f"seed gradient {seed_shape} for a {node_shape} node"
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        y.backward(np.ones(seed_shape))
+    assert x.grad is None and y.grad is None
+    y.backward(np.full(node_shape, 3.0))  # the graph is intact, and a seed of its shape runs
+    np.testing.assert_array_equal(x.grad, np.full(node_shape, 6.0))
 
 
 def _consumers_of(x, other, x_first, passed, ran):
