@@ -19,7 +19,6 @@ view of it and the file's bytes are held once.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -478,7 +477,6 @@ _PAYLOAD_ALIGN = 64  # bytes; a cache line, and a multiple of every dtype's size
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(np.uint8): 2}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 _MANIFEST_READ = 1 << 16  # bytes per read while the manifest is parsed
-_FINITE_BLOCK = 1 << 15  # values per np.isfinite pass over a checkpoint's payloads
 
 
 def save_checkpoint(path, params: dict[str, Tensor], cfg: ModelConfig):
@@ -583,35 +581,6 @@ def _read_checkpoint(path) -> tuple[dict, list[tuple[str, np.dtype, tuple, int]]
     return config, entries, payloads
 
 
-def _check_finite(path, entries, payloads):
-    """Raise ``CheckpointError`` naming the first tensor that holds a NaN or
-    an infinity. The payloads sit back to back in one buffer, so each run of
-    entries of one float dtype is one flat view of it, tested
-    ``_FINITE_BLOCK`` values at a time into one small bool buffer; the
-    tensor and index are looked up only when a value fails."""
-    for dtype, run in itertools.groupby(zip(entries, payloads), key=lambda pair: pair[0][1]):
-        if dtype.kind != "f":
-            continue
-        run = list(run)
-        first = run[0][1]
-        at = first.__array_interface__["data"][0] - first.base.__array_interface__["data"][0]
-        flat = np.ndarray((sum(data.size for _, data in run),), dtype, first.base, at)
-        ok = np.empty(min(flat.size, _FINITE_BLOCK), dtype=bool)
-        for start in range(0, flat.size, _FINITE_BLOCK):
-            part = ok[: min(_FINITE_BLOCK, flat.size - start)]
-            np.isfinite(flat[start : start + part.size], out=part)
-            if np.logical_and.reduce(part):
-                continue
-            bad = start + int(np.argmin(part))
-            for (name, _, shape, _), data in run:
-                if bad < data.size:
-                    index = [int(i) for i in np.unravel_index(bad, shape)]
-                    raise CheckpointError(
-                        f"{path}: tensor {name} holds {data.reshape(-1)[bad]} at {index}"
-                    )
-                bad -= data.size
-
-
 def read_manifest(path) -> tuple[dict, list[tuple[str, np.dtype, tuple, int]]]:
     """Parse a checkpoint's config and (name, dtype, shape, offset) entries."""
     config, entries, _ = _read_checkpoint(path)
@@ -641,7 +610,6 @@ def load_checkpoint(path):
     tensor holding a NaN or an infinity raises ``CheckpointError`` naming
     it, so a damaged model is not blamed on the inputs it runs on."""
     config_dict, entries, payloads = _read_checkpoint(path)
-    _check_finite(path, entries, payloads)
     retired = {key: config_dict.pop(key) for key in RETIRED_KEYS if key in config_dict}
     try:
         cfg = ModelConfig(**config_dict)
@@ -656,6 +624,11 @@ def load_checkpoint(path):
     for (name, *_), data in zip(entries, payloads):
         if name == "meta.config":
             continue
+        if not np.isfinite(data).all():
+            flat = data.reshape(-1)
+            bad = int(np.argmin(np.isfinite(flat)))
+            index = [int(i) for i in np.unravel_index(bad, data.shape)]
+            raise CheckpointError(f"{path}: tensor {name} holds {flat[bad]} at {index}")
         weight = expected.get(name[:-1] + "w")
         # an earlier layout's ffn2.b is dropped, and its (3h,) qkv.b loses the K third
         if weight and name.endswith((".ffn2.b", ".qkv.b")) and data.shape == weight[1:]:

@@ -76,6 +76,7 @@ Array = np.ndarray
 MASK_VALUE = -1e30
 DRAW_BLOCK = 1 << 15  # 64-bit words a dropout mask draws at a time (256 KiB)
 ROW_MAX_BLOCK = 1 << 14  # values per slot-major copy a softmax row max reads
+ROW_MAX_SLOTS = 60  # longest softmax row whose max is read from slot-major planes
 
 
 class Tensor:
@@ -482,17 +483,22 @@ def log_softmax_lastdim(x: Tensor) -> Tensor:
 
 
 def _row_max(a: Array) -> Array:
-    """Each row's max over a's last axis, keepdims, read from slot-major planes.
+    """Each row's max over a's last axis, keepdims.
 
-    One ``np.maximum.reduce`` over a contiguous copy of a whose first axis
-    is a's last takes elementwise maxima of whole planes, where
-    ``a.max(axis=-1)`` runs one inner loop per short row. The copy is made
-    ``ROW_MAX_BLOCK`` values at a time along a's first axis, so a long
-    video's scores are not held twice. A max is exact in any order; order
-    can change only which zero a +0/-0 tie gives back, and x - (+0) and
-    x - (-0) are both x, up to the sign of a zero that exp maps to 1, so
-    the probabilities keep their bytes.
+    A row of at most ``ROW_MAX_SLOTS`` slots (a local or logsparse window)
+    is read from slot-major planes: one ``np.maximum.reduce`` over a
+    contiguous copy of a whose first axis is a's last takes elementwise
+    maxima of whole planes, where a last-axis max runs one inner loop per
+    short row. A longer row (full attention's T slots) keeps the last-axis
+    max, whose inner loop is then the long one; transposing it cost 2x at
+    200 slots and 20x at 2,000. The copy is made ``ROW_MAX_BLOCK`` values
+    at a time along a's first axis, so a long video's scores are not held
+    twice. A max is exact in any order; order can change only which zero a
+    +0/-0 tie gives back, and x - (+0) and x - (-0) are both x, up to the
+    sign of a zero that exp maps to 1, so the probabilities keep their bytes.
     """
+    if a.shape[-1] > ROW_MAX_SLOTS:
+        return np.maximum.reduce(a, axis=-1, keepdims=True)
     axes = (a.ndim - 1,) + tuple(range(a.ndim - 1))
     if a.ndim == 1 or a.size <= ROW_MAX_BLOCK:
         return np.maximum.reduce(a.transpose(axes).copy(), axis=0)[..., None]

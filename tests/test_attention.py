@@ -316,8 +316,15 @@ def test_slot_kernels_match_per_call_oracle_bytes(dtype, pattern, use_rpe):
 
 
 # every length a gtea layer attends over at w = 11, a 50salads-sized row of
-# 51 slots and a 2-D (frames, classes) table
-SOFTMAX_SHAPES = [(t, 4, 11) for t in range(1, 161)] + [(1024, 4, 51), (37, 19)]
+# 51 slots, a 2-D (frames, classes) table, and rows one either side of
+# ROW_MAX_SLOTS and as long as full attention's, which keep the last-axis max
+SOFTMAX_SHAPES = [(t, 4, 11) for t in range(1, 161)] + [
+    (1024, 4, 51),
+    (37, 19),
+    (7, 4, T.ROW_MAX_SLOTS),
+    (7, 4, T.ROW_MAX_SLOTS + 1),
+    (300, 4, 300),
+]
 
 
 def _tied_scores(rng, shape, dtype):
@@ -368,7 +375,7 @@ def test_slot_softmax_keeps_the_last_axis_max_bytes(dtype, monkeypatch):
         assert results[0].tobytes() == results[1].tobytes(), t
 
 
-@pytest.mark.parametrize("shape", [(6, 4, 11), (1024, 4, 51)])
+@pytest.mark.parametrize("shape", [(6, 4, 11), (1024, 4, 51), (6, 4, 300)])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_a_nan_or_inf_softmax_row_still_raises(bad, shape):
     a = np.random.default_rng(38).standard_normal(shape)
@@ -390,6 +397,21 @@ def test_the_row_max_copies_a_block_not_the_scores():
     finally:
         tracemalloc.stop()
     assert peak < a.nbytes // 4, peak  # about 0.16 MB; a copy of the scores is 1.6 MB
+
+
+def test_a_full_attention_row_max_reads_the_last_axis():
+    """A row longer than ``ROW_MAX_SLOTS`` (full attention's T slots) keeps
+    the last-axis max: its row max allocates the maxima, not a slot-major
+    block (a transposed copy of 2,000-slot rows cost 20x the last-axis max)."""
+    a = np.random.default_rng(40).standard_normal((200, 4, 200)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        rowmax = T._row_max(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rowmax.tobytes() == a.max(axis=-1, keepdims=True).tobytes()
+    assert peak < 4 * rowmax.nbytes, peak  # a slot-major block is 64 KiB
 
 
 # (pattern, T, w): every T from 1 to 160 at w = 11 (T = 1, T < w and every
