@@ -76,7 +76,9 @@ Array = np.ndarray
 MASK_VALUE = -1e30
 DRAW_BLOCK = 1 << 15  # 64-bit words a dropout mask draws at a time (256 KiB)
 ROW_MAX_BLOCK = 1 << 14  # values per slot-major copy a softmax row max reads
-ROW_MAX_SLOTS = 60  # longest softmax row whose max is read from slot-major planes
+# longest softmax row whose max is read from slot-major planes; a last-axis
+# max caught up near 64 slots in float64 and near 90 in float32
+ROW_MAX_SLOTS = 60
 
 
 class Tensor:
