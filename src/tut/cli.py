@@ -47,6 +47,19 @@ def _configs(args, *required: str):
     return build_configs(args.preset, args.config, overrides, required)
 
 
+def _out(args, directory: bool = True) -> Path:
+    """``--out`` as a path the command can write: a directory it may make
+    (a file for ``ablate``'s grid). A path of the other kind, or below a
+    file, raises ``ConfigError`` before any work is done."""
+    path = Path(args.out)
+    if path.exists() and path.is_dir() != directory:
+        raise ConfigError(f"--out: {path} is {'not ' if directory else ''}a directory")
+    parent = next(p for p in path.absolute().parents if p.exists())
+    if not parent.is_dir():
+        raise ConfigError(f"--out: {path} lies below {parent}, which is not a directory")
+    return path
+
+
 def _floats(flag: str, text: str) -> tuple[float, ...]:
     """A comma list holding at least one number."""
     try:
@@ -117,8 +130,8 @@ def _write_video_artifacts(out_dir: Path, sample, labels, mapping):
 
 
 def cmd_train(args) -> int:
+    out_dir = _out(args)
     model_cfg, train_cfg, data_cfg, samples, _ = _training_setup(args)
-    out_dir = Path(args.out)
 
     def on_epoch(row):
         print(
@@ -141,6 +154,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    out_dir = _out(args)
     thresholds = _floats("--thresholds", args.thresholds)
     if not all(0.0 < tau <= 1.0 for tau in thresholds):
         raise ConfigError(f"--thresholds: each must lie in (0, 1], got {args.thresholds!r}")
@@ -149,7 +163,6 @@ def cmd_eval(args) -> int:
     ignored = _ignored_ids(args, data_cfg, mapping)
     params, cfg = _load_model(args, data_cfg, mapping)
     report, predictions = TR.evaluate_model(params, cfg, samples, thresholds, ignored)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.csv").write_text(M.report_csv(report), encoding="utf-8")
     for sample in samples:
@@ -162,6 +175,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    out_dir = _out(args)
     data_cfg = _configs(args, "root")[2]
     samples, mapping = _load_split(data_cfg)
     matches = [s for s in samples if s.video_id == args.video]
@@ -172,7 +186,6 @@ def cmd_predict(args) -> int:
     labels = TR.predict_sample(params, cfg, sample)
     if args.upsample:
         labels = TR.restore_source_rate(labels, sample)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_video_artifacts(out_dir, sample, labels, mapping)
     print(f"wrote prediction artifacts for {sample.video_id} to {out_dir}")
@@ -180,14 +193,16 @@ def cmd_predict(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    out_dir = _out(args)
     spec = D.SynthSpec(**{f.name: getattr(args, f.name) for f in fields(D.SynthSpec)})
     samples, mapping = D.generate_synthetic(spec)
-    D.write_dataset(args.out, samples, mapping)
+    D.write_dataset(out_dir, samples, mapping)
     print(f"wrote {len(samples)} videos, {mapping.num_classes} classes to {args.out}")
     return 0
 
 
 def cmd_ablate(args) -> int:
+    out = _out(args, directory=False)
     values = None
     if args.values is not None:
         if args.axis not in ("window", "heads", "beta"):
@@ -207,8 +222,8 @@ def cmd_ablate(args) -> int:
         print(" ".join(f"{key}={row[key]}" for key in TR.ABLATE_FIELDS))
 
     rows = TR.ablate(args.axis, samples, model_cfg, train_cfg, values, on_cell, ignored)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out).write_text(TR.ablate_csv(rows), encoding="utf-8")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(TR.ablate_csv(rows), encoding="utf-8")
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -280,8 +295,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        ConfigError, FileNotFoundError, DatasetError, CheckpointError, TrainingDiverged, ShapeError
-    ) as exc:
+        ConfigError, OSError, DatasetError, CheckpointError, TrainingDiverged, ShapeError
+    ) as exc:  # OSError: a missing path, or one of the wrong kind
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

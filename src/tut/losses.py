@@ -12,6 +12,10 @@ and ends one iff it is the last frame or its label differs from the next.
 take plain values. The boundary term reads the probability nodes of
 ``net.StageOutputs.records``. ``check_boundary_loss`` says which models it
 can read; ``config.build_configs`` and ``trainer.train`` apply it too.
+
+Each term of a stage is one graph node, the boundary term one per attention
+layer it reads: ``tensor.cross_entropy_from_logits``,
+``tensor.smoothing_from_logits`` and ``tensor.boundary_divergence``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .tensor import Tensor
 if TYPE_CHECKING:  # trainer imports this module
     from .trainer import TrainConfig
 
-BA_DISTANCES = ("kl", "js", "l2", "wasserstein")
+BA_DISTANCES = tuple(T.DIVERGENCES)  # kl, js, l2, wasserstein
 BA_PATTERNS = ("local", "full")  # attention patterns that give every frame its window
 TMSE_CLIP = 4.0  # tau: the largest log-probability delta the smoothing loss counts
 
@@ -40,20 +44,16 @@ def ce_loss(logits: Tensor, labels) -> Tensor:
 
 
 def tmse_loss(logits: Tensor) -> Tensor:
-    """Truncated MSE over adjacent-frame log-probability deltas.
+    """Truncated MSE over adjacent-frame log-probability deltas, one node
+    (``tensor.smoothing_from_logits``).
 
     Deltas are clamped at +-``TMSE_CLIP`` before squaring and the frame
     t-1 branch is detached, so smoothing never drags earlier frames toward
     later ones. Returns 0 for single-frame videos.
     """
-    t, c = logits.data.shape
-    if t < 2:
+    if logits.data.shape[0] < 2:
         return Tensor(np.asarray(0.0, dtype=logits.data.dtype))
-    logp = T.log_softmax_lastdim(logits)
-    cur = T.slice_rows(logp, 1, t)
-    prev = Tensor(logp.data[:-1])
-    delta = T.clip(T.sub(cur, prev), -TMSE_CLIP, TMSE_CLIP)
-    return T.mul(T.sum_all(T.mul(delta, delta)), 1.0 / ((t - 1) * c))
+    return T.smoothing_from_logits(logits, TMSE_CLIP)
 
 
 def check_boundary_loss(attention: str, window: int):
@@ -100,45 +100,6 @@ def prior(variant: str, window: int) -> np.ndarray:
     return values
 
 
-def _lad_rows(probs: Tensor, frames: np.ndarray, attention: str, window: int) -> Tensor:
-    """Head-averaged windows of the given frames, read from (T_q, heads, S)
-    probabilities under ``attention``: each head's window is renormalized
-    to sum 1, so full attention gives local attention's rows and every head
-    weighs the same, and their sum over heads is renormalized, which
-    divides by the head count too.
-    """
-    _, heads, slots = probs.data.shape
-    if attention == "local":
-        if slots != window:
-            raise ShapeError(f"attention window {slots} != requested {window}")
-        rows = T.gather_rows(probs, frames)
-    else:  # full: frame f's window is slots f - w//2 .. f + w//2
-        keys = frames[:, None, None] + np.arange(-(window // 2), window // 2 + 1)
-        flat = (frames[:, None, None] * heads + np.arange(heads)[None, :, None]) * slots + keys
-        rows = T.gather_rows(T.reshape(probs, (-1,)), flat)
-        # renormalize each head over its window, as a local row already is
-        rows = T.div(rows, T.sum_axis(rows, axis=2, keepdims=True))
-    total = T.sum_axis(rows, axis=1)
-    return T.div(total, T.sum_axis(total, axis=1, keepdims=True))
-
-
-def _distance(kind: str, priors: Tensor, lads: Tensor) -> Tensor:
-    if kind == "kl":
-        return T.kl_from_probs(priors, lads)
-    if kind == "js":
-        mid = T.add(T.mul(priors, 0.5), T.mul(lads, 0.5))
-        return T.add(
-            T.mul(T.kl_from_probs(priors, mid), 0.5),
-            T.mul(T.kl_from_probs(lads, mid), 0.5),
-        )
-    if kind == "l2":
-        diff = T.sub(priors, lads)
-        return T.sum_all(T.mul(diff, diff))
-    if kind == "wasserstein":
-        return T.wasserstein1_from_probs(priors, lads)
-    raise ConfigError(f"unknown boundary distance {kind!r}")
-
-
 def boundary_targets(labels, query_len: int, window: int) -> tuple[np.ndarray, np.ndarray]:
     """The boundary frames an attention layer of ``query_len`` rows is scored
     on, and each one's (window,) prior row: the start frames, then the end
@@ -175,20 +136,19 @@ def ba_loss(
     ``attention`` with ``window``, a pair ``check_boundary_loss`` must take.
 
     ``targets`` maps each layer's T_q to its ``boundary_targets``. Each
-    layer's sum is normalized by its own sequence length; a layer with no
-    boundary frame contributes nothing, and with none in either the loss is
-    a zero leaf.
+    layer is one ``tensor.boundary_divergence`` node, its sum normalized by
+    its own sequence length; a layer with no boundary frame contributes
+    nothing, and with none in either the loss is a zero leaf.
     """
     check_boundary_loss(attention, window)
+    if distance not in BA_DISTANCES:
+        raise ConfigError(f"unknown boundary distance {distance!r}")
     present = [p for p in records if p is not None]
     total = None
     for probs in present:
-        query_len = probs.data.shape[0]
-        frames, priors = targets[query_len]
+        frames, priors = targets[probs.data.shape[0]]
         if frames.size:
-            lads = _lad_rows(probs, frames, attention, window)
-            priors = Tensor(priors.astype(probs.data.dtype))
-            term = T.mul(_distance(distance, priors, lads), 1.0 / query_len)
+            term = T.boundary_divergence(probs, frames, priors, distance, attention, window)
             total = term if total is None else T.add(total, term)
     if total is None:
         return Tensor(np.asarray(0.0, dtype=present[0].data.dtype if present else np.float64))

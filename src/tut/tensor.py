@@ -264,6 +264,7 @@ def add(a: Tensor, b) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
+# no caller in src/tut (the loss kernels replaced it); perfbench's tracer patches it by name
 def sub(a: Tensor, b) -> Tensor:
     b = _coerce(b, a)
     out_data = a.data - b.data
@@ -288,6 +289,7 @@ def mul(a: Tensor, b) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
+# no caller in src/tut (the loss kernels replaced it); perfbench's tracer patches it by name
 def div(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data / b.data
 
@@ -300,6 +302,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
+# no caller in src/tut (linear has its own); perfbench's tracer patches it by name
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: {a.data.shape} x {b.data.shape}")
@@ -322,6 +325,7 @@ def relu(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
+# no caller in src/tut (the loss kernels replaced it); perfbench's tracer patches it by name
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; gradient passes inside the interval."""
     out_data = np.clip(x.data, lo, hi)
@@ -332,6 +336,7 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
+# no caller in src/tut; perfbench's tracer patches it by name
 def transpose2d(x: Tensor) -> Tensor:
     def backward(g):
         _accumulate(x, g.T)
@@ -339,6 +344,7 @@ def transpose2d(x: Tensor) -> Tensor:
     return _make(x.data.T.copy(), (x,), backward)
 
 
+# no caller in src/tut (the loss kernels replaced it); perfbench's tracer patches it by name
 def reshape(x: Tensor, shape) -> Tensor:
     old_shape = x.data.shape
 
@@ -367,6 +373,7 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     return _make(x.data[start:stop], (x,), backward)
 
 
+# no caller in src/tut; perfbench's tracer patches it by name
 def concat_cols(parts: list[Tensor]) -> Tensor:
     widths = [p.data.shape[1] for p in parts]
     out_data = np.concatenate([p.data for p in parts], axis=1)
@@ -380,6 +387,7 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     return _make(out_data, tuple(parts), backward)
 
 
+# no caller in src/tut (the loss kernels replaced it); perfbench's tracer patches it by name
 def gather_rows(x: Tensor, indices: Array) -> Tensor:
     """Select rows by index; backward scatter-adds into the source."""
     idx = np.asarray(indices, dtype=np.intp)
@@ -418,6 +426,7 @@ def upsample_nearest(x: Tensor, target_len: int) -> Tensor:
     return _make(np.repeat(x.data, 2, axis=0)[:target_len], (x,), backward)
 
 
+# no caller in src/tut; perfbench's tracer patches it by name
 def scatter_add_rows(x: Tensor, indices: Array, out_len: int) -> Tensor:
     """out[indices[i]] += x[i]; backward gathers at the same indices."""
     idx = np.asarray(indices, dtype=np.intp)
@@ -437,6 +446,7 @@ def _filled(g: Array, like: Array) -> Array:
     return out
 
 
+# no caller in src/tut (the loss kernels replaced it); perfbench's tracer patches it by name
 def sum_all(x: Tensor) -> Tensor:
     out_data = np.asarray(np.add.reduce(x.data, axis=None), dtype=x.data.dtype)
 
@@ -446,6 +456,7 @@ def sum_all(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
+# no caller in src/tut (the loss kernels replaced it); perfbench's tracer patches it by name
 def sum_axis(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     out_data = np.add.reduce(x.data, axis=axis, keepdims=keepdims)
 
@@ -457,6 +468,7 @@ def sum_axis(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
+# no caller in src/tut; perfbench's tracer patches it by name
 def mean_all(x: Tensor) -> Tensor:
     return mul(sum_all(x), 1.0 / x.data.size)
 
@@ -475,6 +487,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return _make(probs, (x,), backward)
 
 
+# no caller in src/tut (the loss kernels replaced it); perfbench's tracer patches it by name
 def log_softmax_lastdim(x: Tensor) -> Tensor:
     out_data, probs = _log_softmax(x.data)
 
@@ -1073,6 +1086,167 @@ def cross_entropy_from_logits(logits: Tensor, labels: Array) -> Tensor:
     return _make(out_data, (logits,), backward)
 
 
+def smoothing_from_logits(logits: Tensor, clip: float) -> Tensor:
+    """MS-TCN's truncated smoothing loss of (T, C) logits, T >= 2, in one
+    node (Farha and Gall, arXiv:1903.01945): the mean over t >= 1 and the
+    classes of the squared log-probability delta logp[t] - logp[t-1],
+    clamped at +-clip. The frame t-1 branch is detached, so the gradient
+    reaches frame t only, and a clamped delta passes none.
+
+    Forward and backward run the arithmetic of the chain log-softmax,
+    slice, subtract, clip, square, sum and scale in its order, so values
+    and gradients are those of the composed nodes, byte for byte.
+    """
+    t, c = logits.data.shape
+    if t < 2:
+        raise ShapeError(f"smoothing loss needs 2 frames, got {t}")
+    logp, probs = _log_softmax(logits.data)
+    raw = logp[1:] - logp[:-1]
+    inside = (raw >= -clip) & (raw <= clip)
+    delta = np.clip(raw, -clip, clip)
+    scale = np.asarray(1.0 / ((t - 1) * c), dtype=logits.data.dtype)
+    out_data = np.asarray(np.add.reduce(delta * delta, axis=None), dtype=logits.data.dtype) * scale
+
+    def backward(g):
+        gd = _filled(g * scale, delta)
+        gd *= delta
+        gd += gd  # the square's two operands are one node: each adds g * delta
+        gd *= inside
+        glogp = np.zeros(logp.shape, logp.dtype)
+        glogp[1:] += gd
+        _accumulate(logits, glogp - probs * np.add.reduce(glogp, axis=-1, keepdims=True), own=True)
+
+    return _make(out_data, (logits,), backward)
+
+
+def boundary_divergence(
+    probs: Tensor, frames: Array, priors: Array, kind: str, pattern: str, window: int
+) -> Tensor:
+    """One attention layer's boundary term in one node: the divergence
+    ``kind`` (a ``DIVERGENCES`` key) of the (n, window) prior rows from the
+    boundary frames' attention windows, summed over the frames and scaled
+    by 1/T_q.
+
+    ``probs`` are (T_q, heads, S) probabilities under ``pattern``, local or
+    full. A local frame's window is its row; a full one's is its slots
+    f - window//2 .. f + window//2, each head renormalized over them so it
+    sums to 1 as a local row does. The heads' sum is renormalized, which
+    also divides by the head count. A frame listed twice (a start that is
+    also an end) is read twice, and its two gradients add. Backward writes
+    only the rows it read.
+
+    Forward and backward run the arithmetic of the gather, sum, divide,
+    distance and scale nodes in their order, so values and gradients are
+    those of the composed nodes, byte for byte, whenever ``probs`` holds no
+    gradient yet when this backward runs: in a training step the loss is
+    the last reader of its probabilities, so its backward runs first.
+    """
+    length, heads, slots = probs.data.shape
+    dtype = probs.data.dtype
+    if pattern == "local":
+        if slots != window:
+            raise ShapeError(f"attention window {slots} != requested {window}")
+        where = np.asarray(frames, dtype=np.intp)
+        rows = probs.data[where]
+    else:  # full: frame f's window is slots f - w//2 .. f + w//2
+        keys = frames[:, None, None] + np.arange(-(window // 2), window // 2 + 1)
+        where = (frames[:, None, None], np.arange(heads)[None, :, None], keys)
+        raw = probs.data[where]
+        head_sum = np.add.reduce(raw, axis=2, keepdims=True)
+        rows = raw / head_sum
+    total = np.add.reduce(rows, axis=1)
+    total_sum = np.add.reduce(total, axis=1, keepdims=True)
+    lads = total / total_sum
+    value, _, lads_grad = DIVERGENCES[kind](np.asarray(priors, dtype=dtype), lads)
+    scale = np.asarray(1.0 / length, dtype=dtype)
+
+    def backward(g):
+        gl = lads_grad(g * scale)
+        gt = gl / total_sum
+        gt += _unbroadcast(-gl * total / (total_sum * total_sum), total_sum.shape)
+        g_rows = np.expand_dims(gt, 1)  # the heads' sum hands each head the same rows
+        if pattern != "local":
+            g_rows = _filled(g_rows, rows)
+            g_raw = g_rows / head_sum
+            g_raw += _unbroadcast(-g_rows * raw / (head_sum * head_sum), head_sum.shape)
+            g_rows = g_raw
+        buf = _grad_buffer(probs)
+        if buf is not None:
+            np.add.at(buf, where, g_rows)
+
+    return _make(value * scale, (probs,), backward)
+
+
+def _kl(p: Array, d: Array):
+    """Sum of p * log(p / d) over all entries, with 0 * log 0 == 0, and its
+    gradients with respect to p and to d, as functions of the output's
+    gradient g."""
+    support = p > 0.0
+    safe_p = np.where(support, p, 1.0)
+    safe_d = np.where(support, d, 1.0)
+    with np.errstate(divide="ignore"):  # d == 0 on p's support means KL = inf
+        log_ratio = np.log(safe_p) - np.log(safe_d)
+    value = np.asarray((np.where(support, p * log_ratio, 0.0)).sum(), dtype=p.dtype)
+    return (
+        value,
+        lambda g: g * np.where(support, log_ratio + 1.0, 0.0),
+        lambda g: g * np.where(support, -p / safe_d, 0.0),
+    )
+
+
+def _js(p: Array, d: Array):
+    """Jensen-Shannon divergence, the mean of KL(p || m) and KL(d || m) for
+    m the mean of p and d, and its gradients as ``_kl`` gives them: each
+    operand's own KL term, then the midpoint's, d's term added first."""
+    half = np.asarray(0.5, dtype=p.dtype)
+    mid = p * half + d * half
+    kl_p, p_own, p_mid = _kl(p, mid)
+    kl_d, d_own, d_mid = _kl(d, mid)
+
+    def grad(own, g):
+        g = g * half
+        g_mid = d_mid(g)
+        g_mid += p_mid(g)
+        out = own(g)
+        out += g_mid * half
+        return out
+
+    return kl_p * half + kl_d * half, lambda g: grad(p_own, g), lambda g: grad(d_own, g)
+
+
+def _l2(p: Array, d: Array):
+    """Sum of squared differences and its gradients."""
+    diff = p - d
+    value = np.asarray(np.add.reduce(diff * diff, axis=None), dtype=p.dtype)
+
+    def grad(g):
+        out = _filled(g, diff)
+        out *= diff
+        out += out  # the square's two operands are one node: each adds g * diff
+        return out
+
+    return value, grad, lambda g: -grad(g)
+
+
+def _wasserstein1(p: Array, d: Array):
+    """Order-1 transport distance on a unit-spaced 1-D support, per row and
+    summed, and its gradients."""
+    diff_cum = np.cumsum(p - d, axis=-1)
+    value = np.asarray(np.abs(diff_cum).sum(), dtype=p.dtype)
+    # the final cumulative difference of two probability vectors is zero up
+    # to rounding noise; a dead zone keeps its sign from polluting gradients
+    sign = np.where(np.abs(diff_cum) <= 1e-12, 0.0, np.sign(diff_cum))
+    # d loss / d p_j = sum_{i >= j} sign(c_i); reverse cumulative sum of signs
+    coeff = np.flip(np.cumsum(np.flip(sign, axis=-1), axis=-1), axis=-1)
+    return value, lambda g: g * coeff, lambda g: -g * coeff
+
+
+# the boundary term's distances: each maps rows p, d to (the value, the
+# gradient as a function of g with respect to p, and with respect to d)
+DIVERGENCES = {"kl": _kl, "js": _js, "l2": _l2, "wasserstein": _wasserstein1}
+
+
+# no caller in src/tut (boundary_divergence has its own); perfbench's tracer patches it by name
 def kl_from_probs(p: Tensor, d: Tensor) -> Tensor:
     """Sum of p * log(p / d) over all entries, with 0 * log 0 == 0.
 
@@ -1085,35 +1259,24 @@ def kl_from_probs(p: Tensor, d: Tensor) -> Tensor:
     for name, arr in (("p", p.data), ("d", d.data)):
         if arr.min() < -tol or arr.max() > 1.0 + tol:
             raise DomainError(f"{name} entries outside [0, 1]")
-    support = p.data > 0.0
-    safe_p = np.where(support, p.data, 1.0)
-    safe_d = np.where(support, d.data, 1.0)
-    with np.errstate(divide="ignore"):  # d == 0 on p's support means KL = inf
-        log_ratio = np.log(safe_p) - np.log(safe_d)
-    out_data = np.asarray((np.where(support, p.data * log_ratio, 0.0)).sum(), dtype=p.data.dtype)
-
-    def backward(g):
-        _accumulate(p, g * np.where(support, log_ratio + 1.0, 0.0), own=True)
-        _accumulate(d, g * np.where(support, -p.data / safe_d, 0.0), own=True)
-
-    return _make(out_data, (p, d), backward)
+    return _divergence_node(_kl, p, d)
 
 
+# no caller in src/tut (boundary_divergence has its own); perfbench's tracer patches it by name
 def wasserstein1_from_probs(p: Tensor, d: Tensor) -> Tensor:
     """Order-1 transport distance on a unit-spaced 1-D support (per row, summed)."""
     if p.data.shape != d.data.shape:
         raise ShapeError(f"wasserstein operands differ: {p.data.shape} vs {d.data.shape}")
-    diff_cum = np.cumsum(p.data - d.data, axis=-1)
-    out_data = np.asarray(np.abs(diff_cum).sum(), dtype=p.data.dtype)
-    # the final cumulative difference of two probability vectors is zero up
-    # to rounding noise; a dead zone keeps its sign from polluting gradients
-    sign = np.where(np.abs(diff_cum) <= 1e-12, 0.0, np.sign(diff_cum))
-    # d loss / d p_j = sum_{i >= j} sign(c_i); reverse cumulative sum of signs
-    coeff = np.flip(np.cumsum(np.flip(sign, axis=-1), axis=-1), axis=-1)
+    return _divergence_node(_wasserstein1, p, d)
+
+
+def _divergence_node(divergence, p: Tensor, d: Tensor) -> Tensor:
+    """A node of one of ``DIVERGENCES`` between p and d."""
+    out_data, p_grad, d_grad = divergence(p.data, d.data)
 
     def backward(g):
-        _accumulate(p, g * coeff, own=True)
-        _accumulate(d, -g * coeff, own=True)
+        _accumulate(p, p_grad(g), own=True)
+        _accumulate(d, d_grad(g), own=True)
 
     return _make(out_data, (p, d), backward)
 

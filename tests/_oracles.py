@@ -15,8 +15,10 @@ nodes replaced, the per-video
 accuracy, edit, F1 and whole-report functions and the corpus metrics built on them,
 which segment each label sequence once per metric, and the
 load-then-stride resampling the strided feature read replaced, the
-checkpoint writer that copied every payload before writing it, and the
-boundary read that scaled its head sum by 1/heads before renormalizing. The last
+checkpoint writer that copied every payload before writing it, the
+smoothing and boundary loss terms composed from small nodes that the loss
+kernels replaced, and the boundary read that scaled its head sum by 1/heads
+before renormalizing. The last
 section holds what only tests need: probes that read what the library's
 forward pass records, outside any graph, and an adapter that runs
 ``attend`` on given queries, keys and values; ``tensor`` builds the
@@ -791,22 +793,78 @@ def save_checkpoint_copying(path, params, cfg):
 
 
 # ---------------------------------------------------------------------------
-# the boundary read with a head average
+# the loss terms composed from small nodes: the byte oracles of
+# ``tensor.smoothing_from_logits`` and ``tensor.boundary_divergence``
 
 
-def lad_rows_averaged(probs, frames, attention: str, window: int):
-    """``losses._lad_rows`` as it was when it multiplied the head sum by
-    1/heads before renormalizing it."""
+def tmse_composed(logits):
+    """``losses.tmse_loss`` as a chain of nodes: log-softmax, a row slice,
+    the detached previous rows, subtract, clip, square, sum and scale."""
+    t, c = logits.data.shape
+    if t < 2:
+        return T.Tensor(np.asarray(0.0, dtype=logits.data.dtype))
+    logp = T.log_softmax_lastdim(logits)
+    cur = T.slice_rows(logp, 1, t)
+    prev = T.Tensor(logp.data[:-1])
+    delta = T.clip(T.sub(cur, prev), -L.TMSE_CLIP, L.TMSE_CLIP)
+    return T.mul(T.sum_all(T.mul(delta, delta)), 1.0 / ((t - 1) * c))
+
+
+def lad_rows(probs, frames, attention: str, window: int, averaged: bool = False):
+    """The boundary frames' windows as nodes: gathered from (T_q, heads, S)
+    probabilities under ``attention``, each full-attention head
+    renormalized over its window, and the heads' sum renormalized. With
+    ``averaged`` the sum is first scaled by 1/heads, as the read once did."""
     _, heads, slots = probs.data.shape
     if attention == "local":
+        if slots != window:
+            raise ShapeError(f"attention window {slots} != requested {window}")
         rows = T.gather_rows(probs, frames)
-    else:
+    else:  # full: frame f's window is slots f - w//2 .. f + w//2
         keys = frames[:, None, None] + np.arange(-(window // 2), window // 2 + 1)
         flat = (frames[:, None, None] * heads + np.arange(heads)[None, :, None]) * slots + keys
         rows = T.gather_rows(T.reshape(probs, (-1,)), flat)
         rows = T.div(rows, T.sum_axis(rows, axis=2, keepdims=True))
-    avg = T.mul(T.sum_axis(rows, axis=1), 1.0 / heads)
-    return T.div(avg, T.sum_axis(avg, axis=1, keepdims=True))
+    total = T.sum_axis(rows, axis=1)
+    if averaged:
+        total = T.mul(total, 1.0 / heads)
+    return T.div(total, T.sum_axis(total, axis=1, keepdims=True))
+
+
+def distance_composed(kind: str, priors, lads):
+    """A boundary distance between prior and window rows as nodes."""
+    if kind == "kl":
+        return T.kl_from_probs(priors, lads)
+    if kind == "js":
+        mid = T.add(T.mul(priors, 0.5), T.mul(lads, 0.5))
+        return T.add(
+            T.mul(T.kl_from_probs(priors, mid), 0.5),
+            T.mul(T.kl_from_probs(lads, mid), 0.5),
+        )
+    if kind == "l2":
+        diff = T.sub(priors, lads)
+        return T.sum_all(T.mul(diff, diff))
+    if kind == "wasserstein":
+        return T.wasserstein1_from_probs(priors, lads)
+    raise ValueError(f"unknown boundary distance {kind!r}")
+
+
+def ba_loss_composed(records, targets, distance: str, attention: str, window: int):
+    """``losses.ba_loss`` as nodes: per layer ``lad_rows``, the distance
+    and a 1/T_q scale, the layers' terms added."""
+    present = [p for p in records if p is not None]
+    total = None
+    for probs in present:
+        query_len = probs.data.shape[0]
+        frames, priors = targets[query_len]
+        if frames.size:
+            lads = lad_rows(probs, frames, attention, window)
+            priors = T.Tensor(priors.astype(probs.data.dtype))
+            term = T.mul(distance_composed(distance, priors, lads), 1.0 / query_len)
+            total = term if total is None else T.add(total, term)
+    if total is None:
+        return T.Tensor(np.asarray(0.0, dtype=present[0].data.dtype if present else np.float64))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +896,7 @@ def extract_lad(probs, frame: int, attention: str, window: int):
     half = window // 2
     if frame < half or frame > probs.data.shape[0] - 1 - half:
         return None
-    return T.reshape(L._lad_rows(probs, np.array([frame]), attention, window), (window,))
+    return T.reshape(lad_rows(probs, np.array([frame]), attention, window), (window,))
 
 
 def mean_boundary_kl(probs, labels, attention: str, window: int) -> float | None:
@@ -850,7 +908,7 @@ def mean_boundary_kl(probs, labels, attention: str, window: int) -> float | None
     frames, priors = L.boundary_targets(labels, probs.data.shape[0], window)
     if not frames.size:
         return None
-    lads = L._lad_rows(probs, frames, attention, window).data
+    lads = lad_rows(probs, frames, attention, window).data
     kls = [np.sum(p[m] * np.log(p[m] / row[m])) for p, row, m in zip(priors, lads, priors > 0)]
     return float(np.mean(kls))
 

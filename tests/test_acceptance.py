@@ -317,6 +317,56 @@ def test_c01_gradient_suite():
         [xl, wl, bl], [tx.grad, tw.grad, tb.grad],
     )
 
+    # the loss kernels, on their own stream. The smoothing loss's deltas
+    # reach past the clip on some entries, and its oracle freezes the
+    # detached t-1 branch. The boundary divergence reads, under local and
+    # full attention, frame 4 twice (it starts and ends a segment); the
+    # oracle renormalizes each full-attention head's window in plain numpy.
+    def log_softmax_np(arr):
+        s = arr - arr.max(axis=1, keepdims=True)
+        return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
+
+    krng = np.random.default_rng(8)
+    xs = krng.standard_normal((6, 4)) * 3
+    prev = log_softmax_np(xs)[:-1]
+    txs = tensor(xs, requires_grad=True)
+    T.smoothing_from_logits(txs, L.TMSE_CLIP).backward()
+    check(
+        "smoothing_from_logits",
+        lambda xv: float((np.clip(log_softmax_np(xv)[1:] - prev, -L.TMSE_CLIP, L.TMSE_CLIP) ** 2).mean()),
+        [xs], [txs.grad],
+    )
+    frames_b, priors_b = L.boundary_targets(np.repeat([0, 1, 2], [4, 1, 4]), 9, 3)
+
+    def boundary_np(pv, kind, pattern):
+        lads = []
+        for f in frames_b:
+            win = pv[f]
+            if pattern == "full":
+                win = pv[f, :, f - 1 : f + 2] / pv[f, :, f - 1 : f + 2].sum(axis=1, keepdims=True)
+            lads.append(win.sum(axis=0) / win.sum())
+        out = 0.0
+        for p_row, d_row in zip(priors_b, lads):
+            mid = (p_row + d_row) / 2
+            out += {
+                "kl": lambda: kl_scalar(p_row, d_row),
+                "js": lambda: (kl_scalar(p_row, mid) + kl_scalar(d_row, mid)) / 2,
+                "l2": lambda: float(((p_row - d_row) ** 2).sum()),
+                "wasserstein": lambda: float(np.abs(np.cumsum(p_row - d_row)).sum()),
+            }[kind]()
+        return out / pv.shape[0]
+
+    for pattern, kind in itertools.product(L.BA_PATTERNS, L.BA_DISTANCES):
+        pb = krng.random((9, 2, 3 if pattern == "local" else 9)) + 0.1
+        pb /= pb.sum(axis=2, keepdims=True)
+        tpb = tensor(pb, requires_grad=True)
+        T.boundary_divergence(tpb, frames_b, priors_b, kind, pattern, 3).backward()
+        check(
+            f"boundary_divergence.{pattern}.{kind}",
+            lambda pv, kind=kind, pattern=pattern: boundary_np(pv, kind, pattern),
+            [pb], [tpb.grad],
+        )
+
     # end-to-end tiny model: T=16, d=4, N=2, M=1, w=3, f64, dropout off,
     # full three-term loss, finite differences over every parameter. The
     # smoothing loss detaches the frame t-1 branch, so the FD oracle
@@ -332,11 +382,6 @@ def test_c01_gradient_suite():
     x = rng.standard_normal((16, 4))
     labels = np.array([0] * 5 + [1] * 6 + [2] * 5)
     loss_cfg = TR.TrainConfig(smooth_weight=0.15, boundary_weight=0.02)
-
-    def log_softmax_np(arr):
-        s = arr - arr.max(axis=1, keepdims=True)
-        return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
-
     base_out = N.model_forward(x, params, cfg)
     frozen_prev = [log_softmax_np(lg.data)[:-1] for lg in base_out.logits]
     t = labels.shape[0]

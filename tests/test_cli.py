@@ -978,6 +978,91 @@ def test_boundary_loss_the_model_cannot_take_is_refused_before_the_split_is_read
     assert not (tmp_path / "run").exists()
 
 
+def _wrong_kind_argv(case, trained, synth_root, tmp_path):
+    """The argv of ``case`` and the outside path in it that is of the wrong kind."""
+    folder = tmp_path / "folder.ckpt"
+    folder.mkdir()
+    file = synth_root / "mapping.txt"
+    run = ["--out", str(tmp_path / "out")]
+    return {
+        "eval-checkpoint-dir": (["eval", "--data-root", str(synth_root), *run,
+                                 "--checkpoint", str(folder)], folder),
+        "predict-checkpoint-dir": (["predict", "--data-root", str(synth_root), *run,
+                                    "--checkpoint", str(folder), "--video", "synth000"], folder),
+        "inspect-checkpoint-dir": (["inspect-checkpoint", str(folder)], folder),
+        "train-data-root-file": (["train", "--data-root", str(file), *run, "--seed", "1",
+                                  "--epochs", "1", *SMALL_MODEL], file),
+        "eval-data-root-file": (["eval", "--data-root", str(file), *run,
+                                 "--checkpoint", str(trained / "checkpoint.ckpt")], file),
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["eval-checkpoint-dir", "predict-checkpoint-dir", "inspect-checkpoint-dir",
+     "train-data-root-file", "eval-data-root-file"],
+)
+def test_an_outside_path_of_the_wrong_kind_exits_2_naming_it(
+    case, trained, synth_root, tmp_path, capsys
+):
+    """A directory given as a checkpoint, or a file as the data root, is an
+    operating-system error like a missing file: one line naming the path,
+    exit 2, and no --out."""
+    argv, path = _wrong_kind_argv(case, trained, synth_root, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert str(path) in _one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+def _unusable_out(case, tmp_path):
+    """The --out of ``case`` (an existing file, a path below one, or an
+    existing directory where a file goes) and the path the error names."""
+    file = tmp_path / "taken.txt"
+    file.write_text("kept\n")
+    folder = tmp_path / "taken"
+    folder.mkdir()
+    return {"file": (file, file), "below-file": (file / "run", file), "dir": (folder, folder)}[case]
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [("train", "file"), ("train --checkpoint-every 1", "file"), ("train", "below-file"),
+     ("ablate", "dir"), ("ablate", "below-file"), ("eval", "file"), ("predict", "file"),
+     ("synth", "file"), ("synth", "below-file")],
+)
+def test_an_unusable_out_is_refused_before_any_work(
+    command, case, trained, synth_root, tmp_path, monkeypatch, capsys
+):
+    """An --out the command could not write is refused with exit 2 and one
+    line naming --out and the path, before any data is read or generated
+    and before anything is created: no epoch or cell line, and the path
+    as it was."""
+    out, named = _unusable_out(case, tmp_path)
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    read = []
+    for name in ("load_dataset", "generate_synthetic"):
+        monkeypatch.setattr(cli.D, name, lambda *a, name=name, **k: read.append(name))
+    name, *flags = command.split()
+    argv = {
+        "train": ["--data-root", str(synth_root), "--seed", "1", "--epochs", "2", *SMALL_MODEL],
+        "ablate": ["--data-root", str(synth_root), "--seed", "1", "--epochs", "1",
+                   "--axis", "beta", "--values", "0", *SMALL_MODEL],
+        "eval": ["--data-root", str(synth_root), "--checkpoint", str(trained / "checkpoint.ckpt")],
+        "predict": ["--data-root", str(synth_root), "--checkpoint", str(trained / "checkpoint.ckpt"),
+                    "--video", "synth000"],
+        "synth": [],
+    }[name]
+    capsys.readouterr()
+    assert main([name, "--out", str(out), *argv, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not read
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: --out: ") and str(named) in line, line
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+    assert (tmp_path / "taken.txt").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("flag", ["--input-dim", "--num-classes"])
 def test_the_split_gives_the_model_its_width_and_class_count(flag, trained, synth_root, tmp_path):
     """input_dim and num_classes are no train flag and no line of a run's

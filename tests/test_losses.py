@@ -5,13 +5,15 @@ from hypothesis import strategies as st
 
 from _oracles import (
     attend_qkv,
+    ba_loss_composed,
     extract_lad,
     kl_scalar,
-    lad_rows_averaged,
+    lad_rows,
     mean_boundary_kl,
     numeric_grad,
     rel_err,
     tensor,
+    tmse_composed,
 )
 from tut import losses as L
 from tut import net as N
@@ -72,6 +74,59 @@ def test_tmse_stop_gradient():
     # frame 0 only ever appears in the detached branch
     np.testing.assert_allclose(tl.grad[0], 0.0, atol=1e-15)
     assert np.abs(numeric_grad(no_stopgrad, [base], 0)[0]).max() > 1e-4
+
+
+def _bytes_after_backward(loss_of, arrays, dtype):
+    """The loss's dtype and bytes and each leaf's gradient bytes (None when it
+    got none), after a backward seeded through a 0.37 weight, as
+    ``total_loss`` weights a term."""
+    leaves = [T.Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+    loss = loss_of(*leaves)
+    T.mul(loss, 0.37).backward()
+    grads = [None if leaf.grad is None else leaf.grad.tobytes() for leaf in leaves]
+    return [loss.data.dtype, loss.data.tobytes()] + grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_smoothing_kernel_matches_the_composed_chain_bytes(dtype):
+    """``tmse_loss``'s one node gives the bytes of the log-softmax, slice,
+    subtract, clip, square, sum and scale nodes: the value and the logits'
+    gradient, at 1 frame (a zero leaf), 2 frames, and with deltas past the
+    clip and inside it."""
+    rng = np.random.default_rng(11)
+    for frames, spread in ((1, 1.0), (2, 1.0), (3, 6.0), (40, 3.0), (97, 0.5)):
+        logits = rng.standard_normal((frames, 7)) * spread
+        kernel, composed = (_bytes_after_backward(f, [logits], dtype) for f in (L.tmse_loss, tmse_composed))
+        assert kernel == composed, frames
+    assert float(L.tmse_loss(tensor(np.array([[0.0, 9.0], [9.0, 0.0]]))).data) == 16.0  # both clipped
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pattern", L.BA_PATTERNS)
+@pytest.mark.parametrize("distance", L.BA_DISTANCES)
+def test_boundary_kernel_matches_the_composed_layers_bytes(distance, pattern, dtype):
+    """``ba_loss``'s one node per layer gives the bytes of the gather, sum,
+    divide, distance, 1/T_q scale and add nodes: the value and the gradient
+    of both layers' probabilities. The videos hold a frame that starts and
+    ends a segment (read twice), a layer with no boundary frame while the
+    other has some, and 1 frame (a zero leaf)."""
+    rng = np.random.default_rng(12)
+    cases = (
+        (np.repeat([0, 1, 2, 0], [9, 1, 8, 12]), 5, 4),  # frame 9 is both (frame 4 at half length)
+        (np.repeat([0, 1], [6, 2]), 5, 2),  # only the full-length layer reads a frame (5)
+        (np.zeros(1, dtype=int), 3, 2),
+    )
+    for labels, window, heads in cases:
+        lengths = ((len(labels) + 1) // 2, len(labels))
+        targets = {n: L.boundary_targets(labels, n, window) for n in lengths}
+        probs = [rng.random((n, heads, window if pattern == "local" else n)) + 0.05 for n in lengths]
+        probs = [p / p.sum(axis=2, keepdims=True) for p in probs]
+        got = [
+            _bytes_after_backward(lambda *rec, f=f: f(rec, targets, distance, pattern, window), probs, dtype)
+            for f in (L.ba_loss, ba_loss_composed)
+        ]
+        assert got[0] == got[1], (labels, [t[0] for t in targets.values()])
+    assert [targets[n][0].size for n in lengths] == [0, 0]  # the 1-frame video read nothing
 
 
 def test_derive_boundaries_examples():
@@ -169,29 +224,31 @@ def test_extract_lad_from_full_record_slices_row():
 def test_lad_rows_renormalize_the_head_sum_as_the_head_average(attention, dtype):
     """The boundary read renormalizes the sum of its heads, where it once
     renormalized their average: the 1/heads scale cancels. At a power-of-two
-    head count that scale is exact, so the rows, their KL to the priors and
-    the gradient reaching the probabilities are the same bytes; at 3 or 6
-    heads (breakfast) they differ in rounding only."""
+    head count that scale is exact, so the rows, the kernel's KL term and
+    the gradient reaching the probabilities are the same bytes as the
+    averaged read's; at 3 or 6 heads (breakfast) they differ in rounding
+    only."""
     t, w = 24, 5
     frames, priors = L.boundary_targets(np.repeat([0, 1, 2, 0], 6), t, w)
-    priors = tensor(priors.astype(dtype))
     rng = np.random.default_rng(9)
     for heads in (1, 2, 3, 4, 6, 8):
         raw = rng.random((t, heads, w if attention == "local" else t)).astype(dtype) + dtype(0.05)
         raw /= raw.sum(axis=2, keepdims=True)
-        got = []
-        for read in (L._lad_rows, lad_rows_averaged):
-            probs = T.Tensor(raw.copy(), requires_grad=True)
-            lads = read(probs, frames, attention, w)
-            kl = T.kl_from_probs(priors, lads)
-            kl.backward()
-            assert lads.data.dtype == probs.grad.dtype == dtype
-            got.append((lads.data, kl.data, probs.grad))
-        for new, old in zip(*got):
+        probs = T.Tensor(raw.copy(), requires_grad=True)
+        kernel = T.boundary_divergence(probs, frames, priors, "kl", attention, w)
+        kernel.backward()
+        new = (lad_rows(tensor(raw), frames, attention, w).data, kernel.data, probs.grad)
+        probs = T.Tensor(raw.copy(), requires_grad=True)
+        lads = lad_rows(probs, frames, attention, w, averaged=True)
+        kl = T.mul(T.kl_from_probs(tensor(priors.astype(dtype)), lads), 1.0 / t)
+        kl.backward()
+        old = (lads.data, kl.data, probs.grad)
+        for a, b in zip(new, old):
+            assert a.dtype == b.dtype == dtype
             if heads in (3, 6):
-                assert rel_err(new, old) <= 1e-6, (heads, rel_err(new, old))
+                assert rel_err(a, b) <= 1e-6, (heads, rel_err(a, b))
             else:
-                assert new.tobytes() == old.tobytes(), heads
+                assert a.tobytes() == b.tobytes(), heads
 
 
 def test_ba_loss_zero_when_lads_equal_priors():

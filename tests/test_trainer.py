@@ -15,6 +15,7 @@ from _oracles import (
     LoopAdamState,
     adam_loop,
     add_then_norm,
+    ba_loss_composed,
     backward_keep_graph,
     boundary_alignment,
     dropout_uniform,
@@ -22,6 +23,7 @@ from _oracles import (
     resample_temporal,
     slot_mix_per_call,
     slot_softmax_per_call,
+    tmse_composed,
 )
 from tut import data as D
 from tut import losses as L
@@ -582,11 +584,11 @@ def test_float32_train_step_keeps_float32():
     assert not wrong
 
 
-def gtea_step(dtype="f32", frames=72, input_dim=32, num_classes=5, preset="gtea"):
-    """Params and a forward of a gtea-preset (or ``preset``) step: all three
-    loss terms and every dropout on. Each call draws the same params and
-    masks."""
-    model_cfg, train_cfg, _ = build_configs(preset, None, {})
+def gtea_step(dtype="f32", frames=72, input_dim=32, num_classes=5, preset="gtea", **overrides):
+    """Params and a forward of a gtea-preset (or ``preset``) step, with
+    ``overrides`` of its config keys: all three loss terms and every dropout
+    on. Each call draws the same params and masks."""
+    model_cfg, train_cfg, _ = build_configs(preset, None, overrides)
     model_cfg = replace(model_cfg, input_dim=input_dim, num_classes=num_classes, dtype=dtype)
     features = np.random.default_rng(4).standard_normal((frames, input_dim))
     labels = np.repeat(np.arange(frames // 12 + 1) % num_classes, 12)[:frames]
@@ -636,6 +638,32 @@ def test_backward_matches_the_keep_graph_oracle_and_releases_interior_nodes(dtyp
         assert g.dtype == released[name].dtype and g.tobytes() == released[name].tobytes(), name
 
 
+@pytest.mark.parametrize("distance", BA_DISTANCES)
+@pytest.mark.parametrize("attention", ["local", "full"])
+def test_a_step_with_the_loss_kernels_is_the_composed_steps_bytes(monkeypatch, attention, distance):
+    """The loss and every parameter gradient of a gtea and a 50salads step,
+    in f32 and f64, are the bytes of the step whose smoothing and boundary
+    terms are composed from small nodes (``tests/_oracles``)."""
+    overrides = {"attention": attention, "boundary_distance": distance}
+    if attention == "full":
+        overrides["pe_mode"] = "none"
+
+    def step(dtype, preset, frames):
+        params, forward = gtea_step(dtype, frames=frames, preset=preset, **overrides)
+        _, loss = forward()
+        loss.backward()
+        return loss.data.tobytes(), [p.grad.tobytes() for p in params.values()]
+
+    for preset, frames in (("gtea", 72), ("50salads", 120)):
+        for dtype in ("f32", "f64"):
+            kernels = step(dtype, preset, frames)
+            with monkeypatch.context() as patch:
+                patch.setattr(L, "tmse_loss", tmse_composed)
+                patch.setattr(L, "ba_loss", ba_loss_composed)
+                composed = step(dtype, preset, frames)
+            assert kernels == composed, (preset, dtype)
+
+
 def test_backward_frees_the_graph_as_it_runs():
     """tracemalloc on a gtea step at T=160 (d_in=2048), taken as the trainer
     takes it: the params' gradients already live in the arena and the step's
@@ -663,31 +691,38 @@ def test_backward_frees_the_graph_as_it_runs():
     assert live <= 0.05 * graph, (live, graph)
 
 
-def _op_counts(root: T.Tensor) -> Counter:
-    """The graph nodes under root, counted by the tensor op that built them."""
+def _op_counts(root: T.Tensor, beneath=()) -> Counter:
+    """The graph nodes under root, counted by the tensor op that built them;
+    the nodes under any of ``beneath`` are left out."""
+    skip = {id(node) for other in beneath for node in T._graph(other)}
     return Counter(
-        node._backward.__qualname__.split(".")[0] for node in T._graph(root)
+        node._backward.__qualname__.split(".")[0]
+        for node in T._graph(root) if id(node) not in skip
     )
 
 
-def test_a_gtea_step_is_341_nodes_and_every_layer_7():
-    """A gtea-preset training forward plus loss builds 341 graph nodes, of
-    which 8 are ``linear`` (each stage's projection and classifier), 15
-    ``add`` (a stage's boundary term starts from its first layer's term, not
-    from a zero leaf) and 24 ``mul`` (the boundary read renormalizes the sum
-    of its heads, with no 1/heads scale). A 50salads step at T=120, where
-    both boundary layers hold a frame with a full 51-slot window, is 397. An
-    encoder and a decoder layer are the same 7 nodes: the resample,
+def test_a_gtea_step_is_277_nodes_and_every_layer_7():
+    """A gtea-preset training forward plus loss builds 277 graph nodes, of
+    which 8 are ``linear`` (each stage's projection and classifier). The
+    loss is 39 of them, one node per term: per stage a cross-entropy, a
+    smoothing loss and a boundary divergence per attention layer read,
+    each weighted term a ``mul`` and an ``add``, a stage's boundary term
+    the ``add`` of its two layers' (not of a zero leaf), and 3 ``add`` join
+    the 4 stages. A 50salads step at T=120, where both boundary layers
+    hold a frame with a full 51-slot window, is 333, with the same loss.
+    An encoder and a decoder layer are the same 7 nodes: the resample,
     ``slot_project``, ``slot_softmax``, ``slot_mix``, two norms and
     ``ffn_block``; a decoder's Q is a block of its projection node."""
-    _, forward = gtea_step()
-    _, loss = forward()
-    ops = _op_counts(loss)
-    assert (sum(ops.values()), ops["linear"], ops["add"], ops["mul"]) == (341, 8, 15, 24), ops
-    _, forward = gtea_step(frames=120, preset="50salads")
-    _, loss = forward()
-    ops = _op_counts(loss)
-    assert (sum(ops.values()), ops["linear"], ops["add"], ops["mul"]) == (397, 8, 15, 24), ops
+    loss_ops = Counter(
+        cross_entropy_from_logits=4, smoothing_from_logits=4, boundary_divergence=8,
+        mul=8, add=15,
+    )
+    for kwargs, nodes in (({}, 277), ({"frames": 120, "preset": "50salads"}, 333)):
+        _, forward = gtea_step(**kwargs)
+        outputs, loss = forward()
+        ops = _op_counts(loss)
+        assert (sum(ops.values()), ops["linear"], ops["add"], ops["mul"]) == (nodes, 8, 15, 8), ops
+        assert _op_counts(loss, beneath=outputs.logits) == loss_ops
     model_cfg, _, _ = build_configs("gtea", None, {})
     model_cfg = replace(model_cfg, input_dim=32, num_classes=5)
     params = N.init_params(model_cfg, T.SeedStreams(0))
